@@ -41,10 +41,10 @@ from .order import (
 from .polarize import (
     Involution,
     Polarization,
+    default_polarization,
     enumerate_polarizations,
     find_sigma_stable,
     involution_of,
-    is_involution_trivial,
 )
 from .quiver import (
     Cycle,

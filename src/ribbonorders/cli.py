@@ -28,7 +28,7 @@ from .order import (
     normalize_multiplicity,
     rank_formula_check,
 )
-from .polarize import Polarization, enumerate_polarizations, find_sigma_stable
+from .polarize import Polarization, default_polarization, find_sigma_stable
 from .quiver import GentleQuiver, QuiverError
 from .ribbon import connected_components, graph_of_quiver, is_bipartite
 from .specfile import ParsedSpec, SpecFileError, parse_spec, serialize_quiver
@@ -63,7 +63,7 @@ def _default_polarization(q: GentleQuiver) -> Polarization:
     stable = find_sigma_stable(q)
     if isinstance(stable, Polarization):
         return stable
-    return enumerate_polarizations(q)[0]
+    return default_polarization(q)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -408,7 +408,7 @@ def main(argv=None) -> int:
     except SpecFileError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
-    except (QuiverError, KeyError, ValueError) as exc:
+    except (QuiverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

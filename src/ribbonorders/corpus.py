@@ -156,11 +156,14 @@ _BUILDERS = {
 CORPUS_NAMES = tuple(_BUILDERS)
 
 
+class UnknownCorpusEntry(ValueError):
+    """A name that is not in CORPUS_NAMES."""
+
+
 def corpus_quiver(name: str) -> GentleQuiver:
-    try:
-        return _BUILDERS[name]()
-    except KeyError:
-        raise KeyError(f"unknown corpus entry {name!r}; known: {', '.join(CORPUS_NAMES)}") from None
+    if name not in _BUILDERS:
+        raise UnknownCorpusEntry(f"unknown corpus entry {name!r}; known: {', '.join(CORPUS_NAMES)}")
+    return _BUILDERS[name]()
 
 
 def corpus() -> Dict[str, GentleQuiver]:

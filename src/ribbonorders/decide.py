@@ -27,14 +27,13 @@ from typing import Dict, List, Mapping, Tuple, Union
 from .fdalg import (
     SymmetryVerdict,
     build_quotient_algebra,
-    construct_psi_isomorphism,
     is_symmetric_oracle,
+    psi_from_quotients,
 )
 from .fields import Field
 from .order import normalize_multiplicity
-from .polarize import Polarization, enumerate_polarizations, find_sigma_stable, involution_of
+from .polarize import Polarization, default_polarization, find_sigma_stable, involution_of
 from .quiver import GentleQuiver
-from .ribbon import graph_of_quiver, is_bipartite
 
 TRUE = "true"
 FALSE = "false"
@@ -87,23 +86,23 @@ def decide(
 ) -> SymmetryReport:
     """Evaluate all six conditions and cross-check the implication lattice."""
     mm = normalize_multiplicity(q, m)
-    graph = graph_of_quiver(q)
-    cert = is_bipartite(graph)
+    stable = find_sigma_stable(q)
+    bipartite = isinstance(stable, Polarization)
     char2 = field.char == 2
 
     conditions: Dict[str, Condition] = {}
 
-    # c3: bipartite or characteristic two
-    ev3: Dict[str, object] = {"bipartite": cert.is_bipartite, "char": field.char}
-    if cert.is_bipartite:
-        ev3["coloring"] = dict(sorted(cert.coloring.items()))
+    # c3: bipartite or characteristic two (node rep has color stable.sign(rep))
+    ev3: Dict[str, object] = {"bipartite": bipartite, "char": field.char}
+    if bipartite:
+        ev3["coloring"] = {rep: stable.sign(rep) for rep, _ in q.sigma_orbits()}
     else:
-        ev3["odd_walk"] = list(cert.odd_walk)
-    conditions["c3"] = Condition(TRUE if cert.is_bipartite or char2 else FALSE, ev3)
+        ev3["odd_walk"] = list(stable.odd_walk)
+    conditions["c3"] = Condition(TRUE if bipartite or char2 else FALSE, ev3)
 
     # c4: some polarization with trivial involution
     if char2:
-        eps4 = enumerate_polarizations(q)[0]
+        eps4 = default_polarization(q)
         conditions["c4"] = Condition(
             TRUE,
             {
@@ -111,20 +110,17 @@ def decide(
                 "polarization": dict(sorted(eps4.signs.items())),
             },
         )
+    elif bipartite:
+        inv = involution_of(q, stable, field)
+        conditions["c4"] = Condition(
+            TRUE if inv.is_trivial() else FALSE,
+            {"polarization": dict(sorted(stable.signs.items())), "trivial": inv.is_trivial()},
+        )
     else:
-        stable = find_sigma_stable(q)
-        if isinstance(stable, Polarization):
-            inv = involution_of(q, stable, field)
-            conditions["c4"] = Condition(
-                TRUE if inv.is_trivial() else FALSE,
-                {"polarization": dict(sorted(stable.signs.items())), "trivial": inv.is_trivial()},
-            )
-        else:
-            conditions["c4"] = Condition(FALSE, {"odd_walk": list(stable.odd_walk)})
+        conditions["c4"] = Condition(FALSE, {"odd_walk": list(stable.odd_walk)})
 
     # quotients share a polarization so that their bases coincide
-    stable_eps = find_sigma_stable(q)
-    eps = stable_eps if isinstance(stable_eps, Polarization) else enumerate_polarizations(q)[0]
+    eps = stable if bipartite else default_polarization(q)
     twisted = build_quotient_algebra(q, field, mm, eps, twisted=True)
     plain = build_quotient_algebra(q, field, mm, eps, twisted=False)
     verdict_tw = is_symmetric_oracle(
@@ -137,7 +133,7 @@ def decide(
     conditions["c2"] = Condition(_status_from_verdict(verdict_tw), _verdict_evidence(verdict_tw))
 
     # c5: the constructed quotient isomorphism
-    psi = construct_psi_isomorphism(q, field, mm)
+    psi = psi_from_quotients(stable, twisted, plain)
     if psi.kind in ("isomorphism", "identity"):
         if not psi.verified:
             raise AssertionError("constructed scaling map failed verification")

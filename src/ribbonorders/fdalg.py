@@ -27,11 +27,11 @@ from .polarize import (
     MINUS,
     Involution,
     Polarization,
-    canonical_bicoloring,
-    enumerate_polarizations,
+    default_polarization,
     find_sigma_stable,
 )
 from .quiver import GentleQuiver, Path
+from .ribbon import BipartiteCertificate
 from .order import multiplicity_of_arrow, normalize_multiplicity
 
 Sparse = Dict[int, object]
@@ -144,7 +144,7 @@ def build_quotient_algebra(
     """
     mm = normalize_multiplicity(q, m)
     if eps is None:
-        eps = enumerate_polarizations(q)[0]
+        eps = default_polarization(q)
 
     labels: List[str] = [f"e({v})" for v in q.vertices]
     paths: Dict[str, Path] = {f"e({v})": q.idempotent(v) for v in q.vertices}
@@ -609,27 +609,37 @@ def construct_psi_isomorphism(
     is always verified against the full multiplication tables.
     """
     mm = normalize_multiplicity(q, m)
+    stable = find_sigma_stable(q)
+    eps = default_polarization(q) if field.char == 2 else stable
+    if not isinstance(eps, Polarization):
+        return _not_bipartite(stable)
+    tw = build_quotient_algebra(q, field, mm, eps, twisted=True)
+    pl = build_quotient_algebra(q, field, mm, eps, twisted=False)
+    return psi_from_quotients(stable, tw, pl)
+
+
+def psi_from_quotients(
+    stable: Union[Polarization, BipartiteCertificate],
+    tw: FdAlgebra,
+    pl: FdAlgebra,
+) -> PsiResult:
+    """:func:`construct_psi_isomorphism` given the quiver's
+    :func:`find_sigma_stable` result and its twisted and plain quotients,
+    built with one polarization: the sigma-stable one, if any, outside
+    characteristic two."""
+    q, field, mm = tw.quiver, tw.field, tw.multiplicity
 
     if field.char == 2:
-        eps = enumerate_polarizations(q)[0]
-        tw = build_quotient_algebra(q, field, mm, eps, twisted=True)
-        pl = build_quotient_algebra(q, field, mm, eps, twisted=False)
         if tw.table != pl.table:
             raise AssertionError("char 2 quotients should coincide")
         scales = {a: field.one for a in q.arrow_names}
         return PsiResult(kind="identity", scales=scales, verified=True, twisted=tw, plain=pl)
 
-    stable = find_sigma_stable(q)
     if not isinstance(stable, Polarization):
-        return PsiResult(
-            kind="inapplicable",
-            reason="graph is not bipartite",
-            witness={"odd_walk": list(stable.odd_walk)},
-        )
-    coloring = canonical_bicoloring(q).coloring
+        return _not_bipartite(stable)
     scales: Dict[str, object] = {a: field.one for a in q.arrow_names}
     for rep, _ in q.sigma_orbits():
-        if coloring[rep] != MINUS:
+        if stable.sign(rep) != MINUS:
             continue
         lam = root_of_minus_one(field, mm[rep])
         if lam is None:
@@ -640,8 +650,6 @@ def construct_psi_isomorphism(
             )
         scales[rep] = lam  # only the orbit representative is rescaled
 
-    tw = build_quotient_algebra(q, field, mm, stable, twisted=True)
-    pl = build_quotient_algebra(q, field, mm, stable, twisted=False)
     verified = _verify_scaling_map(tw, pl, scales)
     return PsiResult(
         kind="isomorphism",
@@ -650,6 +658,14 @@ def construct_psi_isomorphism(
         twisted=tw,
         plain=pl,
         reason=None if verified else "verification failed",
+    )
+
+
+def _not_bipartite(cert: BipartiteCertificate) -> PsiResult:
+    return PsiResult(
+        kind="inapplicable",
+        reason="graph is not bipartite",
+        witness={"odd_walk": list(cert.odd_walk)},
     )
 
 

@@ -44,18 +44,6 @@ def mat_mul(field: Field, a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_vec(field: Field, a: Matrix, v: Vector) -> Vector:
-    f = field
-    out = []
-    for row in a:
-        acc = f.zero
-        for c, x in zip(row, v):
-            if not f.is_zero(c):
-                acc = f.add(acc, f.mul(c, x))
-        out.append(acc)
-    return out
-
-
 def rref(field: Field, mat: Matrix) -> Tuple[Matrix, List[int]]:
     """Reduced row echelon form; returns (rref matrix, pivot column list)."""
     f = field

@@ -22,7 +22,7 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from . import linalg
 from .fields import Field, PolyRing, QQ
-from .polarize import PLUS, Involution, Polarization, check_polarization, involution_of
+from .polarize import PLUS, Involution, Polarization, check_polarization, default_polarization, involution_of
 from .quiver import GentleQuiver, Path, QuiverError
 
 
@@ -322,15 +322,6 @@ def frobenius_closed_form(basis: CanonicalBasis, ring: PolyRing, p: Path) -> tup
     return ring.t_power(r - 1, sign)
 
 
-def derivative_cycle(q: GentleQuiver, a: str, m: int) -> Path:
-    """The complementary piece of c_a: the path of length n(a)-m starting
-    at sigma^m(a), so that (derivative) * a_m = c_a."""
-    n = q.cycle_length(a)
-    if not 1 <= m < n:
-        raise QuiverError("need 1 <= m < n(a)")
-    return q.path_from(q.sigma_power(a, m), n - m)
-
-
 # ---------------------------------------------------------------------------
 # nu-symmetry of the Frobenius form
 
@@ -560,9 +551,7 @@ def cartan_matrix(q: GentleQuiver, eps: Optional[Polarization] = None) -> List[L
     polarization (x_i vs y_i are both cycles at i).
     """
     if eps is None:
-        from .polarize import enumerate_polarizations
-
-        eps = enumerate_polarizations(q)[0]
+        eps = default_polarization(q)
     basis = canonical_basis(q, eps)
     vindex = {v: i for i, v in enumerate(q.vertices)}
     n = len(q.vertices)
@@ -616,8 +605,6 @@ def rank_formula_check(q: GentleQuiver, m: Union[int, Mapping[str, int], None] =
     basis_size = None
     matches = None
     if all(v == 1 for v in mm.values()):
-        from .polarize import enumerate_polarizations
-
-        basis_size = len(canonical_basis(q, enumerate_polarizations(q)[0]))
+        basis_size = len(canonical_basis(q, default_polarization(q)))
         matches = basis_size == total
     return RankReport(total_rank=total, per_arrow=per, basis_size=basis_size, matches_basis=matches)

@@ -243,8 +243,7 @@ class GentleQuiver:
         """The derived length-two zero relations as (b, a) pairs with b*a = 0."""
         rels = []
         for a in self.arrow_names:
-            b = self.other_arrow_at(self._target[a], self.sigma[a])
-            rels.append((b, a))
+            rels.append((self.resolution_successor(a), a))
         return rels
 
     def __str__(self) -> str:

@@ -65,11 +65,6 @@ class RibbonGraph:
         u, v = self.endpoints(e)
         return u == v
 
-    def sigma_v(self, v: str) -> List[Tuple[int, int]]:
-        """The cyclic slot permutation at v as (slot, next slot) pairs."""
-        k = self.valency(v)
-        return [(i, (i + 1) % k) for i in range(k)]
-
     def adjacency(self) -> Dict[str, List[Tuple[str, str]]]:
         """node -> list of (neighbour node, edge), loops listed once."""
         adj: Dict[str, List[Tuple[str, str]]] = {v: [] for v in self.nodes}

@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from ribbonorders import cli
 from ribbonorders.cli import main
 
 
@@ -164,6 +167,17 @@ def test_unknown_corpus_entry(capsys):
     code, _, err = run(capsys, "decide", "corpus:nope", "--field", "gf3")
     assert code == 1
     assert "unknown corpus entry" in err
+
+
+def test_internal_key_error_is_not_a_user_error(monkeypatch, capsys):
+    # a failed lookup inside a command is a bug, not bad input: it must
+    # propagate instead of exiting 1 with "error: ..."
+    def broken(q):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "cartan_report", broken)
+    with pytest.raises(KeyError):
+        main(["cartan", "corpus:loop2"])
 
 
 def test_spec_error_exit_code(tmp_path, capsys):

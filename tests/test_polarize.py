@@ -9,7 +9,6 @@ from ribbonorders import (
     graph_of_quiver,
     involution_of,
     is_bipartite,
-    is_involution_trivial,
 )
 from ribbonorders.fields import GF2, GF3, QQ
 from ribbonorders.polarize import Polarization, check_polarization
@@ -101,14 +100,14 @@ def test_involution_nodal_identity():
     eps = Polarization(signs={"x": "+", "y": "-"})
     for field in (QQ, GF3, GF2):
         inv = involution_of(q, eps, field)
-        assert is_involution_trivial(inv)
+        assert inv.is_trivial()
 
 
 def test_involution_char2_always_identity():
     for name in CORPUS:
         q = corpus_quiver(name)
         for eps in enumerate_polarizations(q):
-            assert is_involution_trivial(involution_of(q, eps, GF2))
+            assert involution_of(q, eps, GF2).is_trivial()
 
 
 def test_involution_squares_to_identity_and_fixes_cycles():
@@ -157,5 +156,5 @@ def test_trivial_involution_from_sigma_stable():
     q = corpus_quiver("circ4")
     eps = find_sigma_stable(q)
     assert isinstance(eps, Polarization)
-    assert is_involution_trivial(involution_of(q, eps, GF3))
-    assert is_involution_trivial(involution_of(q, eps, QQ))
+    assert involution_of(q, eps, GF3).is_trivial()
+    assert involution_of(q, eps, QQ).is_trivial()
