@@ -21,7 +21,18 @@ from .fdalg import (
     nakayama_involution_bar,
     socle,
 )
-from .fields import GF2, GF3, GF5, QQ, Field, PolyRing, PrimeField, RationalField, parse_field
+from .fields import (
+    GF2,
+    GF3,
+    GF5,
+    QQ,
+    Field,
+    FieldSpecError,
+    PolyRing,
+    PrimeField,
+    RationalField,
+    parse_field,
+)
 from .order import (
     CanonicalBasis,
     OrderElement,

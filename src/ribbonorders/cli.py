@@ -12,7 +12,7 @@ import json
 import sys
 from typing import Dict, Optional
 
-from .corpus import CORPUS_NAMES, corpus_quiver
+from .corpus import CORPUS_NAMES, UnknownCorpusEntry, corpus_quiver
 from .decide import batch, decide, report_to_jsonable
 from .fdalg import (
     build_quotient_algebra,
@@ -20,7 +20,7 @@ from .fdalg import (
     is_symmetric_oracle,
     socle,
 )
-from .fields import parse_field
+from .fields import FieldSpecError, parse_field
 from .order import (
     canonical_basis,
     cartan_report,
@@ -32,6 +32,10 @@ from .polarize import Polarization, default_polarization, find_sigma_stable
 from .quiver import GentleQuiver, QuiverError
 from .ribbon import connected_components, graph_of_quiver, is_bipartite
 from .specfile import ParsedSpec, SpecFileError, parse_spec, serialize_quiver
+
+
+class UsageError(ValueError):
+    """A command-line value that the command cannot use."""
 
 
 def _load(path: str) -> ParsedSpec:
@@ -274,7 +278,10 @@ def cmd_decide(args) -> int:
 
 def cmd_corpus(args) -> int:
     fields = [parse_field(f) for f in (args.field or ["gf2", "gf3", "gf5", "Q"])]
-    mults = [int(x) for x in (args.multiplicity_grid or ["1", "2"])]
+    try:
+        mults = [int(x) for x in (args.multiplicity_grid or ["1", "2"])]
+    except ValueError as exc:
+        raise UsageError(f"bad --multiplicity-grid value: {exc}") from None
     instances = [(name, corpus_quiver(name)) for name in CORPUS_NAMES]
     result = batch(instances, fields, mults, seed=args.seed, trials=args.budget, strict=False)
     if args.json:
@@ -408,7 +415,7 @@ def main(argv=None) -> int:
     except SpecFileError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
-    except (QuiverError, ValueError) as exc:
+    except (QuiverError, UnknownCorpusEntry, FieldSpecError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

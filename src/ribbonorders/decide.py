@@ -265,8 +265,13 @@ def batch(
 
 
 def report_to_jsonable(report: SymmetryReport) -> Dict[str, object]:
-    """A JSON-ready dict with a stable schema."""
+    """A JSON-ready dict with a stable, versioned schema.
+
+    ``schema`` is the layout version (1); ``violations`` lists the
+    implication-lattice violations (empty on a consistent report).
+    """
     return {
+        "schema": 1,
         "instance": report.instance,
         "field": report.field_name,
         "multiplicity": dict(sorted(report.multiplicity.items())),
@@ -275,7 +280,7 @@ def report_to_jsonable(report: SymmetryReport) -> Dict[str, object]:
             for key, cond in sorted(report.conditions.items())
         },
         "consistency": report.consistency_ok,
-        "certificates": report.violations,
+        "violations": report.violations,
     }
 
 

@@ -10,7 +10,11 @@ power of the positive arrow and rewrites the other.
 
 Structure constants are stored sparsely (products of path residues have
 at most one term), which keeps full associativity sweeps and the symmetry
-oracle cheap at desk scale.
+oracle cheap at desk scale.  The socle and the symmetric-form space S are
+computed from the nonzero cells only: each socle constraint row is read
+off the nonzero products of an arrow residue with the basis, the
+commutator rows are deduplicated on their sparse items, and the socle
+certificate forms each product s e_i once.
 """
 
 from __future__ import annotations
@@ -105,10 +109,10 @@ class FdAlgebra:
                 c = f.mul(ci, cj)
                 for k, ck in row[j].items():
                     s = f.add(out.get(k, f.zero), f.mul(c, ck))
-                    if f.is_zero(s):
-                        out.pop(k, None)
-                    else:
+                    if s:
                         out[k] = s
+                    else:
+                        out.pop(k, None)
         return out
 
     def dense(self, u: Sparse) -> list:
@@ -277,23 +281,34 @@ def nakayama_involution_bar(alg: FdAlgebra, inv: Involution) -> NakayamaBarRepor
 
 def socle(alg: FdAlgebra) -> List[list]:
     """Basis of {x : a x = 0 = x a for all arrow residues}, by exact
-    linear algebra over the base field."""
+    linear algebra over the base field.
+
+    For each arrow residue g and each side, row i holds coordinate i of
+    g e_j (resp. e_j g) in column j; only the nonzero rows are kept, in
+    order of i.  The rows are read off the nonzero table cells.
+    """
     f = alg.field
+    dim = alg.dim
+    table = alg.table
     constraint_rows: List[list] = []
     for a in alg.quiver.arrow_names:
         g = alg.arrow_residue(a)
-        for side in ("left", "right"):
-            cols = []
-            for j in range(alg.dim):
-                vj = {j: f.one}
-                img = alg.mul(g, vj) if side == "left" else alg.mul(vj, g)
-                cols.append(alg.dense(img))
-            # coordinate i of (g x) resp. (x g) must vanish for each i
-            for i in range(alg.dim):
-                row = [cols[j][i] for j in range(alg.dim)]
-                if any(not f.is_zero(x) for x in row):
+        left: Dict[int, Sparse] = {}
+        right: Dict[int, Sparse] = {}
+        for gi, gc in g.items():
+            for j in range(dim):
+                for side, cell in ((left, table[gi][j]), (right, table[j][gi])):
+                    for i, c in cell.items():
+                        row = side.setdefault(i, {})
+                        row[j] = f.add(row.get(j, f.zero), f.mul(gc, c))
+        for side in (left, right):
+            for i in sorted(side):
+                row = [f.zero] * dim
+                for j, c in side[i].items():
+                    row[j] = c
+                if any(row):
                     constraint_rows.append(row)
-    return linalg.nullspace(f, constraint_rows, cols=alg.dim)
+    return linalg.nullspace(f, constraint_rows, cols=dim)
 
 
 def commutator_space(alg: FdAlgebra) -> List[list]:
@@ -306,17 +321,17 @@ def commutator_space(alg: FdAlgebra) -> List[list]:
             comm: Sparse = dict(alg.table[i][j])
             for k, c in alg.table[j][i].items():
                 s = f.sub(comm.get(k, f.zero), c)
-                if f.is_zero(s):
-                    comm.pop(k, None)
-                else:
+                if s:
                     comm[k] = s
+                else:
+                    comm.pop(k, None)
             if not comm:
                 continue
-            dense = tuple(alg.dense(comm))
-            if dense in seen:
+            key = tuple(sorted(comm.items()))
+            if key in seen:
                 continue
-            seen.add(dense)
-            rows.append(list(dense))
+            seen.add(key)
+            rows.append(alg.dense(comm))
     return rows
 
 
@@ -331,12 +346,14 @@ def bilinear_matrix(alg: FdAlgebra, phi: list) -> List[list]:
     f = alg.field
     n = alg.dim
     mat = [[f.zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = f.zero
-            for k, c in alg.table[i][j].items():
-                acc = f.add(acc, f.mul(c, phi[k]))
-            mat[i][j] = acc
+    for i, cells in enumerate(alg.table):
+        out = mat[i]
+        for j, cell in enumerate(cells):
+            if cell:
+                acc = f.zero
+                for k, c in cell.items():
+                    acc = f.add(acc, f.mul(c, phi[k]))
+                out[j] = acc
     return mat
 
 
@@ -400,12 +417,14 @@ def is_symmetric_oracle(
     def nondegenerate(coeffs) -> Optional[list]:
         phi = [f.zero] * alg.dim
         for c, row in zip(coeffs, s_basis):
-            if f.is_zero(c):
+            if not c:
                 continue
-            phi = [f.add(x, f.mul(c, y)) for x, y in zip(phi, row)]
-        if all(f.is_zero(x) for x in phi):
+            for k, y in enumerate(row):
+                if y:
+                    phi[k] = f.add(phi[k], f.mul(c, y))
+        if not any(phi):
             return None
-        if f.is_zero(linalg.det(f, bilinear_matrix(alg, phi))):
+        if not linalg.det(f, bilinear_matrix(alg, phi)):
             return None
         return phi
 
@@ -482,13 +501,16 @@ def _socle_certificate(alg: FdAlgebra, s_basis: List[list]) -> Optional[dict]:
     soc = socle(alg)
     if not soc:
         return None
+    # the products s e_i, one sparse vector per (idempotent, socle vector)
+    products = []
+    for lab in alg.idempotent_labels:
+        e = alg.label_vector(lab)
+        products.append([alg.mul({i: c for i, c in enumerate(s) if c}, e) for s in soc])
     rows = []
     for phi in s_basis:
-        for lab in alg.idempotent_labels:
-            e = alg.label_vector(lab)
+        for per_socle in products:
             row = []
-            for s in soc:
-                se = alg.mul({i: c for i, c in enumerate(s) if not f.is_zero(c)}, e)
+            for se in per_socle:
                 acc = f.zero
                 for k, c in se.items():
                     acc = f.add(acc, f.mul(c, phi[k]))
@@ -500,10 +522,12 @@ def _socle_certificate(alg: FdAlgebra, s_basis: List[list]) -> Optional[dict]:
     alpha = kernel[0]
     element = [f.zero] * alg.dim
     for a, s in zip(alpha, soc):
-        if f.is_zero(a):
+        if not a:
             continue
-        element = [f.add(x, f.mul(a, y)) for x, y in zip(element, s)]
-    labels = {alg.basis[i]: f.scalar_str(c) for i, c in enumerate(element) if not f.is_zero(c)}
+        for k, y in enumerate(s):
+            if y:
+                element[k] = f.add(element[k], f.mul(a, y))
+    labels = {alg.basis[i]: f.scalar_str(c) for i, c in enumerate(element) if c}
     return {"reason": "socle", "element": labels}
 
 
@@ -547,10 +571,10 @@ def check_canonical_bimodule_twist(alg: FdAlgebra, bar: NakayamaBarReport) -> Tw
                 bad.append(f"({alg.basis[i]}, {alg.basis[j]})")
     d = linalg.det(f, bilinear_matrix(alg, phi))
     return TwistReport(
-        ok=not bad and not f.is_zero(d),
+        ok=not bad and bool(d),
         pair_count=alg.dim ** 2,
         twisted_symmetry=not bad,
-        nondegenerate=not f.is_zero(d),
+        nondegenerate=bool(d),
         det=d,
         counterexamples=bad,
     )
@@ -583,7 +607,7 @@ def root_of_minus_one(field: Field, m: int):
         return Fraction(-1) if m % 2 == 1 else None
     minus_one = field.neg(field.one)
     for x in field.elements():
-        if field.is_zero(x):
+        if not x:
             continue
         acc = field.one
         for _ in range(m):
@@ -687,7 +711,7 @@ def _verify_scaling_map(tw: FdAlgebra, pl: FdAlgebra, scales: Mapping[str, objec
     if tw.basis != pl.basis:
         return False
     diag = psi_matrix_diagonal(tw, scales)
-    if any(f.is_zero(d) for d in diag):
+    if not all(diag):
         return False
     for i in range(tw.dim):
         for j in range(tw.dim):

@@ -5,6 +5,13 @@ Scalars are plain Python objects (``int`` residues for GF(p),
 the operations.  Polynomials in t are tuples of scalars with no trailing
 zeros, so ``()`` is the zero polynomial and equality is plain ``==``.
 No floating point anywhere.
+
+``zero`` and ``one`` are fixed attributes, built once per field (``0``
+and ``1`` on GF(p), ``Fraction(0)`` and ``Fraction(1)`` on Q), so no
+operation allocates a constant.  Every scalar an operation returns is a
+reduced residue in ``range(p)`` or a ``Fraction``, so ``is_zero(a)`` is
+the truth test ``not a``; the exact kernel (``linalg``, ``fdalg``) writes
+that test inline in its loops.
 """
 
 from __future__ import annotations
@@ -15,10 +22,13 @@ from typing import Iterator, Optional
 
 
 class Field:
-    """Base class for an exact field.  Subclasses fix the scalar type."""
+    """Base class for an exact field.  Subclasses fix the scalar type and
+    the constants ``zero`` and ``one``."""
 
     name: str
     char: int
+    zero: object
+    one: object
 
     def from_int(self, n: int):
         raise NotImplementedError
@@ -42,15 +52,7 @@ class Field:
         return self.mul(a, self.inv(b))
 
     def is_zero(self, a) -> bool:
-        return a == self.zero
-
-    @property
-    def zero(self):
-        return self.from_int(0)
-
-    @property
-    def one(self):
-        return self.from_int(1)
+        return not a
 
     def order(self) -> Optional[int]:
         """Number of elements, or None for an infinite field."""
@@ -79,6 +81,8 @@ class PrimeField(Field):
         self.p = p
         self.char = p
         self.name = f"GF({p})"
+        self.zero = 0
+        self.one = 1
 
     def from_int(self, n: int) -> int:
         return n % self.p
@@ -121,6 +125,8 @@ class RationalField(Field):
 
     name = "Q"
     char = 0
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
@@ -158,6 +164,10 @@ GF5 = PrimeField(5)
 _FIELD_ALIASES = {"q": QQ, "qq": QQ, "rationals": QQ}
 
 
+class FieldSpecError(ValueError):
+    """A field spec string that names no supported field."""
+
+
 def parse_field(spec: str) -> Field:
     """Resolve a field spec string: 'gf2', 'gf3', 'gf5', 'gf7', ..., or 'Q'."""
     key = spec.strip().lower()
@@ -167,8 +177,8 @@ def parse_field(spec: str) -> Field:
         try:
             return PrimeField(int(key[2:]))
         except ValueError as exc:
-            raise ValueError(f"bad field spec {spec!r}: {exc}") from None
-    raise ValueError(f"unknown field spec {spec!r} (try gf2, gf3, gf5 or Q)")
+            raise FieldSpecError(f"bad field spec {spec!r}: {exc}") from None
+    raise FieldSpecError(f"unknown field spec {spec!r} (try gf2, gf3, gf5 or Q)")
 
 
 class PolyRing:

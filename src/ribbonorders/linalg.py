@@ -1,8 +1,14 @@
-"""Exact dense linear algebra over a Field: rref, rank, det, nullspace.
+"""Exact linear algebra over a Field: rref, rank, det, nullspace.
 
 Matrices are lists of lists of field scalars; all routines are pure and
 return fresh objects.  Gaussian elimination with exact division -- no
 pivoting heuristics are needed since there is no rounding.
+
+Elimination works on the support only: each routine updates rows in
+place on its private copy, and only at the pivot row's nonzero columns
+(all of them at or right of the pivot column), so the cost follows the
+nonzero entries rather than the full row width.  Zero tests are truth
+tests (see :mod:`ribbonorders.fields`).
 """
 
 from __future__ import annotations
@@ -13,6 +19,13 @@ from .fields import Field
 
 Matrix = List[list]
 Vector = list
+
+
+def _eliminate(field: Field, row: list, factor, pivot_row: list, support: List[int]) -> None:
+    """row -= factor * pivot_row, in place, over the pivot row's support."""
+    f = field
+    for j in support:
+        row[j] = f.sub(row[j], f.mul(factor, pivot_row[j]))
 
 
 def zeros(field: Field, rows: int, cols: int) -> Matrix:
@@ -35,7 +48,7 @@ def mat_mul(field: Field, a: Matrix, b: Matrix) -> Matrix:
         row = a[i]
         for s in range(k):
             c = row[s]
-            if f.is_zero(c):
+            if not c:
                 continue
             brow = b[s]
             orow = out[i]
@@ -53,16 +66,18 @@ def rref(field: Field, mat: Matrix) -> Tuple[Matrix, List[int]]:
     pivots: List[int] = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if not f.is_zero(a[i][c])), None)
+        pivot = next((i for i in range(r, rows) if a[i][c]), None)
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
-        inv = f.inv(a[r][c])
-        a[r] = [f.mul(inv, x) for x in a[r]]
+        prow = a[r]
+        support = [j for j in range(c, cols) if prow[j]]
+        inv = f.inv(prow[c])
+        for j in support:
+            prow[j] = f.mul(inv, prow[j])
         for i in range(rows):
-            if i != r and not f.is_zero(a[i][c]):
-                factor = a[i][c]
-                a[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(a[i], a[r])]
+            if i != r and a[i][c]:
+                _eliminate(f, a[i], a[i][c], prow, support)
         pivots.append(c)
         r += 1
         if r == rows:
@@ -83,19 +98,19 @@ def det(field: Field, mat: Matrix):
     sign = f.one
     acc = f.one
     for c in range(n):
-        pivot = next((i for i in range(c, n) if not f.is_zero(a[i][c])), None)
+        pivot = next((i for i in range(c, n) if a[i][c]), None)
         if pivot is None:
             return f.zero
         if pivot != c:
             a[c], a[pivot] = a[pivot], a[c]
             sign = f.neg(sign)
-        acc = f.mul(acc, a[c][c])
-        inv = f.inv(a[c][c])
+        prow = a[c]
+        acc = f.mul(acc, prow[c])
+        inv = f.inv(prow[c])
+        support = [j for j in range(c, n) if prow[j]]
         for i in range(c + 1, n):
-            if f.is_zero(a[i][c]):
-                continue
-            factor = f.mul(a[i][c], inv)
-            a[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(a[i], a[c])]
+            if a[i][c]:
+                _eliminate(f, a[i], f.mul(a[i][c], inv), prow, support)
     return f.mul(sign, acc)
 
 
@@ -108,7 +123,8 @@ def nullspace(field: Field, mat: Matrix, cols: Optional[int] = None) -> List[Vec
         return [unit_vector(f, cols, i) for i in range(cols)]
     cols = len(mat[0])
     red, pivots = rref(f, mat)
-    free = [c for c in range(cols) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
     basis = []
     for fc in free:
         v = [f.zero] * cols
@@ -135,20 +151,20 @@ def in_row_space(field: Field, basis_rref: List[Vector], v: Vector) -> bool:
     f = field
     v = v[:]
     for row in basis_rref:
-        lead = next((j for j, x in enumerate(row) if not f.is_zero(x)), None)
-        if lead is None:
+        support = [j for j, x in enumerate(row) if x]
+        if not support:
             continue
-        if not f.is_zero(v[lead]):
-            factor = f.div(v[lead], row[lead])
-            v = [f.sub(x, f.mul(factor, y)) for x, y in zip(v, row)]
-    return all(f.is_zero(x) for x in v)
+        lead = support[0]
+        if v[lead]:
+            _eliminate(f, v, f.div(v[lead], row[lead]), row, support)
+    return not any(v)
 
 
 def solve(field: Field, mat: Matrix, rhs: Vector) -> Optional[Vector]:
     """One solution of mat @ x = rhs, or None if inconsistent."""
     f = field
     if not mat:
-        return [] if all(f.is_zero(x) for x in rhs) else None
+        return [] if not any(rhs) else None
     cols = len(mat[0])
     aug = [row[:] + [b] for row, b in zip(mat, rhs)]
     red, pivots = rref(f, aug)

@@ -78,12 +78,9 @@ class GentleQuiver:
         object.__setattr__(self, "_source", {a: s for a, s, _ in self.arrows})
         object.__setattr__(self, "_target", {a: t for a, _, t in self.arrows})
         out: Dict[str, List[str]] = {v: [] for v in self.vertices}
-        inc: Dict[str, List[str]] = {v: [] for v in self.vertices}
-        for a, s, t in self.arrows:
+        for a, s, _ in self.arrows:
             out[s].append(a)
-            inc[t].append(a)
         object.__setattr__(self, "_out", {v: tuple(sorted(ar)) for v, ar in out.items()})
-        object.__setattr__(self, "_in", {v: tuple(sorted(ar)) for v, ar in inc.items()})
 
     # basic accessors -------------------------------------------------
 
@@ -99,9 +96,6 @@ class GentleQuiver:
 
     def arrows_out(self, vertex: str) -> Tuple[str, ...]:
         return self._out[vertex]
-
-    def arrows_in(self, vertex: str) -> Tuple[str, ...]:
-        return self._in[vertex]
 
     def other_arrow_at(self, vertex: str, a: str) -> str:
         """The second arrow starting at `vertex`, given one of the two."""

@@ -180,6 +180,31 @@ def test_internal_key_error_is_not_a_user_error(monkeypatch, capsys):
         main(["cartan", "corpus:loop2"])
 
 
+def test_internal_value_error_is_not_a_user_error(monkeypatch, capsys):
+    # a ValueError raised by the package itself (a failed unpack, int() on
+    # bad data) is a bug: only the user-input error classes exit 1
+    def broken(q):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, "cartan_report", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["cartan", "corpus:loop2"])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("decide", "corpus:loop2", "--field", "gf4"), "bad field spec 'gf4'"),
+        (("decide", "corpus:loop2", "--field", "R"), "unknown field spec 'R'"),
+        (("corpus", "--field", "gf2", "--multiplicity-grid", "1", "two"), "bad --multiplicity-grid value"),
+    ],
+)
+def test_bad_field_and_grid_values_are_user_errors(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:") and message in err
+
+
 def test_spec_error_exit_code(tmp_path, capsys):
     f = tmp_path / "broken.quiver"
     f.write_text("vertices: 1\ngibberish\n")
