@@ -223,7 +223,7 @@ def cmd_quotient(args) -> int:
     check_algebra_axioms(alg)
     soc = socle(alg)
     verdict = is_symmetric_oracle(alg, seed=args.seed, trials=args.budget)
-    nonzero = sum(1 for row in alg.table for cell in row if cell)
+    nonzero = len(alg.products)
     payload = {
         "kind": "twisted" if alg.twisted else "brauer",
         "field": field.name,

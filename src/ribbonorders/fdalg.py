@@ -8,13 +8,27 @@ quotients have the path residues {e_i} u {a_l : 1 <= l <= m_a n(a)} as a
 spanning set with one relation per vertex, so a normal form keeps the top
 power of the positive arrow and rewrites the other.
 
-Structure constants are stored sparsely (products of path residues have
-at most one term), which keeps full associativity sweeps and the symmetry
-oracle cheap at desk scale.  The socle and the symmetric-form space S are
-computed from the nonzero cells only: each socle constraint row is read
-off the nonzero products of an arrow residue with the basis, the
-commutator rows are deduplicated on their sparse items, and the socle
-certificate forms each product s e_i once.
+Both quotients are monomial.  The product of two basis paths is nonzero
+exactly when the right-hand path's last arrow is followed by the
+left-hand path's first arrow under sigma (or one factor is the matching
+idempotent); it is then the residue of the concatenated path: a basis
+path, the kept top cycle with sign -1 (twisted) or +1 (plain) for the
+negative top cycle, or zero beyond the top length m(a) n(a).
+``FdAlgebra.residue`` is this one rule, and the builder lists the
+nonzero products from it in O(dim + nonzero products) without composing
+paths.
+
+An algebra keeps its nonzero products as a list of (i, j, k, c), meaning
+b_i b_j = c b_k, in row-major order.  ``table[i][j]`` is the same
+product as a one-entry dict; every zero cell is the one shared read-only
+``ZERO_CELL``, so a table costs dim^2 references and not dim^2 dicts.
+The associativity check, the bilinear matrices, the commutator space,
+the socle constraint rows, the involution and twist checks and the
+scaling-map verification all run over the nonzero products, not over
+every dim^2 or dim^3 basis tuple.  Each socle constraint row is read off
+the nonzero products of an arrow residue with the basis, the commutator
+rows are deduplicated on their sparse items, and the socle certificate
+forms each product s e_i once.
 """
 
 from __future__ import annotations
@@ -23,6 +37,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from . import linalg
@@ -36,9 +51,13 @@ from .polarize import (
 )
 from .quiver import GentleQuiver, Path
 from .ribbon import BipartiteCertificate
-from .order import multiplicity_of_arrow, normalize_multiplicity
+from .order import normalize_multiplicity
 
 Sparse = Dict[int, object]
+Product = Tuple[int, int, int, object]  # (i, j, k, c): b_i * b_j = c * b_k
+
+# every zero cell of every table: read-only, so no caller can fill it
+ZERO_CELL: Mapping[int, object] = MappingProxyType({})
 
 
 # ---------------------------------------------------------------------------
@@ -47,11 +66,15 @@ Sparse = Dict[int, object]
 
 @dataclass
 class FdAlgebra:
-    """A structure-constant presentation of a quotient algebra.
+    """A structure-constant presentation of a monomial quotient algebra.
 
     basis[i] is a label ("e(v)" for an idempotent, "a:l" for the
-    length-l path starting with arrow a); table[i][j] is the sparse
-    coordinate vector of basis_i * basis_j.
+    length-l path starting with arrow a).  products lists the nonzero
+    products as (i, j, k, c), meaning basis_i * basis_j = c * basis_k, in
+    row-major (i, j) order; table[i][j] holds the same product as a
+    one-entry dict, and every zero cell is the shared read-only
+    ZERO_CELL.  top_lengths[a] = m(a) n(a) is the length of the top cycle
+    starting with arrow a.
     """
 
     quiver: GentleQuiver
@@ -62,10 +85,12 @@ class FdAlgebra:
     basis: Tuple[str, ...]
     paths: Dict[str, Path]
     index: Dict[str, int]
-    table: List[List[Sparse]]
+    table: List[List[Mapping[int, object]]]
     idempotent_labels: Tuple[str, ...]
     top_label: Dict[str, str]  # vertex -> kept (positive) top cycle label
     non_admissible: Tuple[str, ...]
+    products: List[Product]
+    top_lengths: Dict[str, int]
 
     @property
     def dim(self) -> int:
@@ -81,24 +106,28 @@ class FdAlgebra:
         return self.reduce_path(self.quiver.path_from(a, 1))
 
     def top_length(self, a: str) -> int:
-        return multiplicity_of_arrow(self.quiver, self.multiplicity, a) * self.quiver.cycle_length(a)
+        return self.top_lengths[a]
+
+    def residue(self, a: str, length: int) -> Optional[Tuple[int, object]]:
+        """The monomial rule: the residue of the length-l path starting
+        with arrow a, as (basis index, coefficient), or None when the
+        path is longer than its top cycle and so vanishes."""
+        if length > self.top_lengths[a]:
+            return None
+        i = self.index.get(f"{a}:{length}")
+        if i is not None:
+            return i, self.field.one
+        # the negative top cycle: rewrite through the vertex relation
+        f = self.field
+        sign = f.neg(f.one) if self.twisted else f.one
+        return self.index[self.top_label[self.quiver.source(a)]], sign
 
     def reduce_path(self, p: Path) -> Sparse:
         """Residue of a parent-order path in the normal-form basis."""
-        f = self.field
         if p.is_idempotent:
-            return {self.index[f"e({p.start})"]: f.one}
-        a, length = self.quiver.first_arrow_form(p)
-        top = self.top_length(a)
-        if length > top:
-            return {}
-        label = f"{a}:{length}"
-        if label in self.index:
-            return {self.index[label]: f.one}
-        # the negative top cycle: rewrite through the vertex relation
-        v = p.start
-        sign = f.neg(f.one) if self.twisted else f.one
-        return {self.index[self.top_label[v]]: sign}
+            return {self.index[f"e({p.start})"]: self.field.one}
+        r = self.residue(p.arrows[0], p.length)
+        return {} if r is None else {r[0]: r[1]}
 
     def mul(self, u: Sparse, v: Sparse) -> Sparse:
         f = self.field
@@ -145,10 +174,20 @@ def build_quotient_algebra(
     n(a) = 1 and multiplicity 1 the defining ideal is not admissible
     (the arrow residue coincides with a top cycle); the quotient is still
     a perfectly good algebra and such arrows are flagged.
+
+    The products are listed column by column from the sigma-rule, in
+    O(dim + nonzero products): the nonzero left multiples of a:l are
+    e(end) and sigma^l(a):l' for l + l' <= top(a), giving the residue of
+    a:(l + l'); those of e(v) are e(v) and the basis paths starting at v.
     """
     mm = normalize_multiplicity(q, m)
     if eps is None:
         eps = default_polarization(q)
+
+    top: Dict[str, int] = {}
+    for rep, orbit in q.sigma_orbits():
+        for a in orbit:
+            top[a] = mm[rep] * len(orbit)
 
     labels: List[str] = [f"e({v})" for v in q.vertices]
     paths: Dict[str, Path] = {f"e({v})": q.idempotent(v) for v in q.vertices}
@@ -156,22 +195,19 @@ def build_quotient_algebra(
     non_admissible: List[str] = []
     for v in q.vertices:
         a = eps.positive_arrow_at(q, v)
-        top_label[v] = f"{a}:{mm[q.orbit_rep(a)] * q.cycle_length(a)}"
+        top_label[v] = f"{a}:{top[a]}"
     for a in sorted(q.arrow_names):
-        n = q.cycle_length(a)
-        top = mm[q.orbit_rep(a)] * n
-        if top == 1:
+        if top[a] == 1:
             non_admissible.append(a)
         neg = eps.sign(a) == MINUS
-        for length in range(1, top + 1):
-            if neg and length == top:
+        for length in range(1, top[a] + 1):
+            if neg and length == top[a]:
                 continue  # rewritten into the positive top cycle
             label = f"{a}:{length}"
             labels.append(label)
             paths[label] = q.path_from(a, length)
 
-    expected_dim = sum(mm[q.orbit_rep(a)] * q.cycle_length(a) for a in q.arrow_names)
-    if len(labels) != expected_dim:
+    if len(labels) != sum(top.values()):
         raise AssertionError("quotient basis size disagrees with the rank formula")
 
     index = {lab: i for i, lab in enumerate(labels)}
@@ -188,15 +224,40 @@ def build_quotient_algebra(
         idempotent_labels=tuple(f"e({v})" for v in q.vertices),
         top_label=top_label,
         non_admissible=tuple(non_admissible),
+        products=[],
+        top_lengths=top,
     )
-    table = []
-    for li in labels:
-        row = []
-        pi = paths[li]
-        for lj in labels:
-            prod = q.compose(pi, paths[lj])
-            row.append({} if prod is None else alg.reduce_path(prod))
-        table.append(row)
+
+    one = field.one
+    starting_at: Dict[str, List[int]] = {v: [] for v in q.vertices}
+    for lab, p in paths.items():
+        if not p.is_idempotent:
+            starting_at[p.start].append(index[lab])
+    # rows[i] collects (j, k, c) in increasing j, since j runs in order
+    rows: List[List[Tuple[int, int, object]]] = [[] for _ in labels]
+    for j, lab in enumerate(labels):
+        p = paths[lab]
+        if p.is_idempotent:
+            rows[j].append((j, j, one))
+            for i in starting_at[p.start]:
+                rows[i].append((j, i, one))
+            continue
+        rows[index[f"e({q.path_end(p)})"]].append((j, j, one))
+        a, length = p.arrows[0], p.length
+        b = q.sigma[p.arrows[-1]]
+        for extra in range(1, top[a] - length + 1):
+            k, c = alg.residue(a, length + extra)
+            rows[index[f"{b}:{extra}"]].append((j, k, c))
+
+    products: List[Product] = []
+    table: List[List[Mapping[int, object]]] = []
+    for i, row in enumerate(rows):
+        cells = [ZERO_CELL] * len(labels)
+        for j, k, c in row:
+            cells[j] = {k: c}
+            products.append((i, j, k, c))
+        table.append(cells)
+    alg.products = products
     alg.table = table
     return alg
 
@@ -209,25 +270,43 @@ def build_bga(q, field, m=None, eps=None) -> FdAlgebra:
     return build_quotient_algebra(q, field, m=m, eps=eps, twisted=False)
 
 
+def _rows_and_columns(alg: FdAlgebra) -> Tuple[List[list], List[list]]:
+    """Per basis index i, the nonzero products b_i b_j as (j, k, c) and
+    b_j b_i as (j, k, c), each in increasing j."""
+    rows: List[list] = [[] for _ in range(alg.dim)]
+    cols: List[list] = [[] for _ in range(alg.dim)]
+    for i, j, k, c in alg.products:
+        rows[i].append((j, k, c))
+        cols[j].append((i, k, c))
+    return rows, cols
+
+
 def check_algebra_axioms(alg: FdAlgebra) -> None:
-    """Associativity on all basis triples and the two-sided unit law."""
+    """Associativity on every basis triple with a nonzero side, and the
+    two-sided unit law on every basis element.
+
+    (b_i b_j) b_k can be nonzero only if b_i b_j = c b_p with b_p b_k
+    nonzero, and b_i (b_j b_k) only if b_j b_k = c b_p with b_i b_p
+    nonzero; on every other triple both sides vanish.  The least failing
+    triple is reported.
+    """
     f = alg.field
     one = alg.unit()
     for i in range(alg.dim):
         vi = {i: f.one}
         if alg.mul(one, vi) != vi or alg.mul(vi, one) != vi:
             raise AssertionError(f"unit law fails at basis element {alg.basis[i]}")
-    for i in range(alg.dim):
-        vi = {i: f.one}
-        for j in range(alg.dim):
-            left = alg.table[i][j]
-            vj = {j: f.one}
-            for k in range(alg.dim):
-                vk = {k: f.one}
-                if alg.mul(left, vk) != alg.mul(vi, alg.mul(vj, vk)):
-                    raise AssertionError(
-                        f"associativity fails at ({alg.basis[i]}, {alg.basis[j]}, {alg.basis[k]})"
-                    )
+    rows, cols = _rows_and_columns(alg)
+    triples = set()
+    for i, j, p, _ in alg.products:
+        triples.update((i, j, k) for k, _, _ in rows[p])
+    for j, k, p, _ in alg.products:
+        triples.update((i, j, k) for i, _, _ in cols[p])
+    for i, j, k in sorted(triples):
+        if alg.mul(alg.table[i][j], {k: f.one}) != alg.mul({i: f.one}, alg.table[j][k]):
+            raise AssertionError(
+                f"associativity fails at ({alg.basis[i]}, {alg.basis[j]}, {alg.basis[k]})"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -247,22 +326,15 @@ class NakayamaBarReport:
 def nakayama_involution_bar(alg: FdAlgebra, inv: Involution) -> NakayamaBarReport:
     """The involution descends to the quotient: each basis path is scaled
     by its path sign.  Verified to respect the full multiplication table
-    (this is exactly well-definedness across the rewriting relations)."""
+    (this is exactly well-definedness across the rewriting relations);
+    zero products hold trivially, so only the nonzero ones are checked."""
     f = alg.field
     signs = {lab: inv.path_sign(alg.paths[lab]) for lab in alg.basis}
     sign_by_index = [signs[lab] for lab in alg.basis]
-
-    def apply(u: Sparse) -> Sparse:
-        return {i: f.mul(sign_by_index[i], c) for i, c in u.items()}
-
     bad: List[str] = []
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            lhs = apply(alg.table[i][j])
-            rhs_scalar = f.mul(sign_by_index[i], sign_by_index[j])
-            rhs = {k: f.mul(rhs_scalar, c) for k, c in alg.table[i][j].items()}
-            if lhs != rhs:
-                bad.append(f"({alg.basis[i]}, {alg.basis[j]})")
+    for i, j, k, c in alg.products:
+        if f.mul(sign_by_index[k], c) != f.mul(f.mul(sign_by_index[i], sign_by_index[j]), c):
+            bad.append(f"({alg.basis[i]}, {alg.basis[j]})")
     involutive = all(f.mul(s, s) == f.one for s in sign_by_index)
     fixes = all(signs[lab] == f.one for lab in alg.idempotent_labels)
     return NakayamaBarReport(
@@ -285,22 +357,21 @@ def socle(alg: FdAlgebra) -> List[list]:
 
     For each arrow residue g and each side, row i holds coordinate i of
     g e_j (resp. e_j g) in column j; only the nonzero rows are kept, in
-    order of i.  The rows are read off the nonzero table cells.
+    order of i.  The rows are read off the nonzero products.
     """
     f = alg.field
     dim = alg.dim
-    table = alg.table
+    rows, cols = _rows_and_columns(alg)
     constraint_rows: List[list] = []
     for a in alg.quiver.arrow_names:
         g = alg.arrow_residue(a)
         left: Dict[int, Sparse] = {}
         right: Dict[int, Sparse] = {}
         for gi, gc in g.items():
-            for j in range(dim):
-                for side, cell in ((left, table[gi][j]), (right, table[j][gi])):
-                    for i, c in cell.items():
-                        row = side.setdefault(i, {})
-                        row[j] = f.add(row.get(j, f.zero), f.mul(gc, c))
+            for side, cells in ((left, rows[gi]), (right, cols[gi])):
+                for j, i, c in cells:
+                    row = side.setdefault(i, {})
+                    row[j] = f.add(row.get(j, f.zero), f.mul(gc, c))
         for side in (left, right):
             for i in sorted(side):
                 row = [f.zero] * dim
@@ -312,26 +383,29 @@ def socle(alg: FdAlgebra) -> List[list]:
 
 
 def commutator_space(alg: FdAlgebra) -> List[list]:
-    """Spanning rows for [A, A], deduplicated before elimination."""
+    """Spanning rows for [A, A], deduplicated before elimination.
+
+    The pairs i < j run in order; pairs whose two products vanish are
+    skipped."""
     f = alg.field
+    pairs = sorted({(i, j) if i < j else (j, i) for i, j, _, _ in alg.products if i != j})
     seen = set()
     rows = []
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            comm: Sparse = dict(alg.table[i][j])
-            for k, c in alg.table[j][i].items():
-                s = f.sub(comm.get(k, f.zero), c)
-                if s:
-                    comm[k] = s
-                else:
-                    comm.pop(k, None)
-            if not comm:
-                continue
-            key = tuple(sorted(comm.items()))
-            if key in seen:
-                continue
-            seen.add(key)
-            rows.append(alg.dense(comm))
+    for i, j in pairs:
+        comm: Sparse = dict(alg.table[i][j])
+        for k, c in alg.table[j][i].items():
+            s = f.sub(comm.get(k, f.zero), c)
+            if s:
+                comm[k] = s
+            else:
+                comm.pop(k, None)
+        if not comm:
+            continue
+        key = tuple(sorted(comm.items()))
+        if key in seen:
+            continue
+        seen.add(key)
+        rows.append(alg.dense(comm))
     return rows
 
 
@@ -346,14 +420,8 @@ def bilinear_matrix(alg: FdAlgebra, phi: list) -> List[list]:
     f = alg.field
     n = alg.dim
     mat = [[f.zero] * n for _ in range(n)]
-    for i, cells in enumerate(alg.table):
-        out = mat[i]
-        for j, cell in enumerate(cells):
-            if cell:
-                acc = f.zero
-                for k, c in cell.items():
-                    acc = f.add(acc, f.mul(c, phi[k]))
-                out[j] = acc
+    for i, j, k, c in alg.products:
+        mat[i][j] = f.mul(c, phi[k])
     return mat
 
 
@@ -562,13 +630,15 @@ def check_canonical_bimodule_twist(alg: FdAlgebra, bar: NakayamaBarReport) -> Tw
         return acc
 
     sign_by_index = [bar.signs[lab] for lab in alg.basis]
+    # both sides vanish unless b_i b_j or b_j b_i is nonzero
+    positions = {(i, j) for i, j, _, _ in alg.products}
+    positions.update([(j, i) for i, j in positions])
     bad = []
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            lhs = phi_of(alg.table[i][j])  # phi(b_i b_j)
-            rhs = f.mul(sign_by_index[j], phi_of(alg.table[j][i]))  # phi(nu(b_j) b_i)
-            if lhs != rhs:
-                bad.append(f"({alg.basis[i]}, {alg.basis[j]})")
+    for i, j in sorted(positions):
+        lhs = phi_of(alg.table[i][j])  # phi(b_i b_j)
+        rhs = f.mul(sign_by_index[j], phi_of(alg.table[j][i]))  # phi(nu(b_j) b_i)
+        if lhs != rhs:
+            bad.append(f"({alg.basis[i]}, {alg.basis[j]})")
     d = linalg.det(f, bilinear_matrix(alg, phi))
     return TwistReport(
         ok=not bad and bool(d),
@@ -654,7 +724,7 @@ def psi_from_quotients(
     q, field, mm = tw.quiver, tw.field, tw.multiplicity
 
     if field.char == 2:
-        if tw.table != pl.table:
+        if tw.products != pl.products:
             raise AssertionError("char 2 quotients should coincide")
         scales = {a: field.one for a in q.arrow_names}
         return PsiResult(kind="identity", scales=scales, verified=True, twisted=tw, plain=pl)
@@ -713,13 +783,14 @@ def _verify_scaling_map(tw: FdAlgebra, pl: FdAlgebra, scales: Mapping[str, objec
     diag = psi_matrix_diagonal(tw, scales)
     if not all(diag):
         return False
-    for i in range(tw.dim):
-        for j in range(tw.dim):
-            lhs = {k: f.mul(diag[k], c) for k, c in tw.table[i][j].items()}
-            factor = f.mul(diag[i], diag[j])
-            rhs = {k: f.mul(factor, c) for k, c in pl.table[i][j].items()}
-            if lhs != rhs:
-                return False
+    # diag has no zero, so psi(b_i b_j) and psi(b_i) psi(b_j) vanish together
+    if len(tw.products) != len(pl.products):
+        return False
+    for (i, j, k, c), (pi, pj, pk, pc) in zip(tw.products, pl.products):
+        if (i, j, k) != (pi, pj, pk):
+            return False
+        if f.mul(diag[k], c) != f.mul(f.mul(diag[i], diag[j]), pc):
+            return False
     return True
 
 
@@ -752,14 +823,12 @@ def socle_quotient_tables_equal(a: FdAlgebra, b: FdAlgebra) -> bool:
     if not (socle_is_top_span(a) and socle_is_top_span(b)):
         raise AssertionError("socle is not spanned by top cycles; table comparison invalid")
     tops = {a.index[a.top_label[v]] for v in a.quiver.vertices}
-    for i in range(a.dim):
-        if i in tops:
+    positions = {(i, j) for i, j, _, _ in a.products + b.products}
+    for i, j in sorted(positions):
+        if i in tops or j in tops:
             continue
-        for j in range(a.dim):
-            if j in tops:
-                continue
-            ta = {k: c for k, c in a.table[i][j].items() if k not in tops}
-            tb = {k: c for k, c in b.table[i][j].items() if k not in tops}
-            if ta != tb:
-                return False
+        ta = {k: c for k, c in a.table[i][j].items() if k not in tops}
+        tb = {k: c for k, c in b.table[i][j].items() if k not in tops}
+        if ta != tb:
+            return False
     return True
