@@ -569,11 +569,12 @@ def _socle_certificate(alg: FdAlgebra, s_basis: List[list]) -> Optional[dict]:
     soc = socle(alg)
     if not soc:
         return None
+    sparse = [{i: c for i, c in enumerate(s) if c} for s in soc]
     # the products s e_i, one sparse vector per (idempotent, socle vector)
     products = []
     for lab in alg.idempotent_labels:
         e = alg.label_vector(lab)
-        products.append([alg.mul({i: c for i, c in enumerate(s) if c}, e) for s in soc])
+        products.append([alg.mul(s, e) for s in sparse])
     rows = []
     for phi in s_basis:
         for per_socle in products:
@@ -589,12 +590,11 @@ def _socle_certificate(alg: FdAlgebra, s_basis: List[list]) -> Optional[dict]:
         return None
     alpha = kernel[0]
     element = [f.zero] * alg.dim
-    for a, s in zip(alpha, soc):
+    for a, s in zip(alpha, sparse):
         if not a:
             continue
-        for k, y in enumerate(s):
-            if y:
-                element[k] = f.add(element[k], f.mul(a, y))
+        for k, y in s.items():
+            element[k] = f.add(element[k], f.mul(a, y))
     labels = {alg.basis[i]: f.scalar_str(c) for i, c in enumerate(element) if c}
     return {"reason": "socle", "element": labels}
 

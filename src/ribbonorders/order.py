@@ -46,8 +46,9 @@ def normalize_multiplicity(q: GentleQuiver, m: Union[int, Mapping[str, int], Non
         return {rep: m for rep in reps}
     out = {rep: 1 for rep in reps}
     seen = set()
+    names = set(q.arrow_names)
     for key, value in m.items():
-        if key not in set(q.arrow_names):
+        if key not in names:
             raise QuiverError(f"multiplicity key {key!r} is not an arrow")
         if int(value) < 1:
             raise QuiverError("multiplicity must be positive")

@@ -10,7 +10,6 @@ function.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -405,58 +404,57 @@ def quiver_isomorphism(q1: GentleQuiver, q2: GentleQuiver) -> Optional[Dict[str,
     """An arrow bijection realizing an isomorphism, or None.
 
     An isomorphism is a vertex bijection plus an arrow bijection that
-    preserves sources, targets and conjugates sigma.  Instances here are
-    small, so backtracking over vertex images is fine.
+    preserves sources and targets and conjugates sigma.  It then also
+    conjugates tau, which swaps the two arrows out of each vertex, and
+    sigma and tau together act transitively on the arrows of a connected
+    component.  So the image of one arrow fixes the map on its component,
+    and a map conjugating both is an isomorphism: tau-orbits are the
+    vertices, and t(a) = s(sigma(a)) carries the targets.  Each component
+    of q1, in declared arrow order, tries every unused arrow of q2 as the
+    image of its first arrow; matching greedily is sound because
+    isomorphism is an equivalence relation.  A try costs O(component
+    size), so the test is O(|Q_1|^2) in all.  |Q_1| = 2 |Q_0|, so equal
+    arrow counts give equal vertex counts.
     """
-    if len(q1.vertices) != len(q2.vertices) or len(q1.arrows) != len(q2.arrows):
+    if len(q1.arrows) != len(q2.arrows):
         return None
-    type1 = sorted(len(o) for _, o in q1.sigma_orbits())
-    type2 = sorted(len(o) for _, o in q2.sigma_orbits())
-    if type1 != type2:
-        return None
-
-    verts2 = list(q2.vertices)
-    for image in itertools.permutations(verts2):
-        vmap = dict(zip(q1.vertices, image))
-        amap = _match_arrows(q1, q2, vmap)
-        if amap is not None:
-            return amap
-    return None
-
-
-def _match_arrows(q1, q2, vmap) -> Optional[Dict[str, str]]:
     amap: Dict[str, str] = {}
     used = set()
-
-    def candidates(a):
-        s, t = vmap[q1.source(a)], vmap[q1.target(a)]
-        return [
-            b
-            for b in q2.arrow_names
-            if b not in used and q2.source(b) == s and q2.target(b) == t
-        ]
-
-    def extend(i, order):
-        if i == len(order):
-            return all(amap[q1.sigma[a]] == q2.sigma[amap[a]] for a in order)
-        a = order[i]
-        for b in candidates(a):
-            amap[a] = b
-            used.add(b)
-            # prune: sigma must be conjugated wherever both sides are mapped
-            ok = True
-            for x in order[: i + 1]:
-                y = q1.sigma[x]
-                if y in amap and amap[y] != q2.sigma[amap[x]]:
-                    ok = False
+    for a in q1.arrow_names:
+        if a in amap:
+            continue
+        for b in q2.arrow_names:
+            if b not in used:
+                part = _propagate(q1, q2, a, b)
+                if part is not None:
                     break
-            if ok and extend(i + 1, order):
-                return True
-            used.discard(b)
-            del amap[a]
-        return False
+        else:
+            return None
+        amap.update(part)
+        used.update(part.values())
+    return amap
 
-    order = list(q1.arrow_names)
-    if extend(0, order):
-        return dict(amap)
-    return None
+
+def _propagate(q1, q2, a, b) -> Optional[Dict[str, str]]:
+    """The map on the component of `a` that sends `a` to `b` and conjugates
+    sigma and tau, or None if one arrow needs two images or two arrows one."""
+    part = {a: b}
+    images = {b}
+    stack = [a]
+    while stack:
+        x = stack.pop()
+        y = part[x]
+        for x2, y2 in (
+            (q1.sigma[x], q2.sigma[y]),
+            (q1.other_arrow_at(q1.source(x), x), q2.other_arrow_at(q2.source(y), y)),
+        ):
+            if x2 in part:
+                if part[x2] != y2:
+                    return None
+            elif y2 in images:
+                return None
+            else:
+                part[x2] = y2
+                images.add(y2)
+                stack.append(x2)
+    return part

@@ -9,6 +9,7 @@ make output deterministic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -244,15 +245,8 @@ def _long_cycles(g, pair_edges):
             for i in range(len(cycle))
         ]
         choices = [sorted(pair_edges[s]) for s in steps]
-        out.extend((cycle, combo) for combo in _products(choices))
+        out.extend((cycle, combo) for combo in itertools.product(*choices))
     return out
-
-
-def _products(choices):
-    if not choices:
-        return [()]
-    rest = _products(choices[1:])
-    return [(c,) + r for c in choices[0] for r in rest]
 
 
 def _cycle_key(nodes):
