@@ -222,7 +222,7 @@ def cmd_quotient(args) -> int:
     alg = build_quotient_algebra(q, field, mm, eps, twisted=not args.untwisted)
     check_algebra_axioms(alg)
     soc = socle(alg)
-    verdict = is_symmetric_oracle(alg, seed=args.seed, trials=args.budget)
+    verdict = is_symmetric_oracle(alg)
     nonzero = len(alg.products)
     payload = {
         "kind": "twisted" if alg.twisted else "brauer",
@@ -234,13 +234,13 @@ def cmd_quotient(args) -> int:
         "socle_dimension": len(soc),
         "socle": [alg.element_str({i: c for i, c in enumerate(v) if not field.is_zero(c)}) for v in soc],
         "non_admissible_arrows": list(alg.non_admissible),
-        "oracle": {"verdict": verdict.kind, "method": verdict.method, "trials": verdict.trials},
+        "oracle": {"verdict": verdict.kind, "method": verdict.method},
     }
     lines = [
         f"{'twisted Brauer graph algebra' if alg.twisted else 'Brauer graph algebra'} over {field.name}",
         f"dimension {alg.dim}; {nonzero} nonzero products among {alg.dim * alg.dim} basis pairs",
         f"socle dimension {len(soc)}",
-        f"oracle: {verdict.kind} ({verdict.method}, {verdict.trials} trial(s))",
+        f"oracle: {verdict.kind} ({verdict.method})",
     ]
     if alg.non_admissible:
         lines.append(
@@ -257,7 +257,7 @@ def cmd_decide(args) -> int:
     field = parse_field(args.field)
     mm = _multiplicity_arg(q, args.multiplicity, parsed.multiplicity)
     name = args.file.split(":", 1)[1] if args.file.startswith("corpus:") else args.file
-    rep = decide(q, field, mm, seed=args.seed, trials=args.budget, instance=name)
+    rep = decide(q, field, mm, instance=name)
     payload = report_to_jsonable(rep)
     lines = [f"symmetry report for {name} over {field.name}, m = {dict(sorted(mm.items()))}"]
     descriptions = {
@@ -283,7 +283,7 @@ def cmd_corpus(args) -> int:
     except ValueError as exc:
         raise UsageError(f"bad --multiplicity-grid value: {exc}") from None
     instances = [(name, corpus_quiver(name)) for name in CORPUS_NAMES]
-    result = batch(instances, fields, mults, seed=args.seed, trials=args.budget, strict=False)
+    result = batch(instances, fields, mults, strict=False)
     if args.json:
         payload = {
             "reports": [report_to_jsonable(r) for r in result.reports],
@@ -293,7 +293,7 @@ def cmd_corpus(args) -> int:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         print(f"{'instance':10} {'field':6} {'m':3} " + " ".join(f"c{i}" for i in range(1, 7)))
-        marks = {"true": "T", "false": "F", "probably-false": "f", "unknown": "?"}
+        marks = {"true": "T", "false": "F", "unknown": "?"}
         for rep in result.reports:
             mval = next(iter(sorted(set(rep.multiplicity.values()))))
             cells = " ".join(f"{marks[rep.conditions[f'c{i}'].status]:2}" for i in range(1, 7))
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, field=False, mult=False, budget=False):
+    def common(p, field=False, mult=False):
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
         if field:
             p.add_argument("--field", default="Q", help="gf2, gf3, gf5, gfP or Q (default Q)")
@@ -340,9 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help="orbit multiplicities: an integer, or rep=INT[,rep=INT...]",
             )
-        if budget:
-            p.add_argument("--seed", type=int, default=0, help="randomness seed for the oracle")
-            p.add_argument("--budget", type=int, default=64, help="oracle trial budget")
 
     p = sub.add_parser("validate", help="check the complete gentle conditions")
     p.add_argument("file")
@@ -375,12 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
     flavor = p.add_mutually_exclusive_group()
     flavor.add_argument("--twisted", action="store_true", help="twisted quotient (default)")
     flavor.add_argument("--untwisted", action="store_true", help="plain Brauer graph algebra")
-    common(p, field=True, mult=True, budget=True)
+    common(p, field=True, mult=True)
     p.set_defaults(func=cmd_quotient)
 
     p = sub.add_parser("decide", help="evaluate the six symmetry conditions")
     p.add_argument("file")
-    common(p, field=True, mult=True, budget=True)
+    common(p, field=True, mult=True)
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("corpus", help="batch decision over the built-in examples")
@@ -391,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="multiplicity_grid",
         help="constant multiplicities to sweep (default: 1 2)",
     )
-    common(p, budget=True)
+    common(p)
     p.set_defaults(func=cmd_corpus)
 
     p = sub.add_parser("resolve", help="projective resolution periods per arrow")

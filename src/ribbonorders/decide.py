@@ -10,11 +10,14 @@ The six conditions on an instance (quiver, multiplicity, field):
   c6  the twisted quotient is isomorphic to some Brauer graph algebra.
 
 c3 and c4 are decided exactly from the combinatorics; c2 comes from the
-linear-algebra oracle; c5 from the verified scaling construction; c6 is
-bounded by c5 and by c2 (every Brauer graph algebra is symmetric, so a
-certified non-symmetric quotient refutes c6).  c1 delegates to the
-bipartite criterion -- there is no finite direct test at order level --
-with the oracle verdict on the quotient recorded as independent evidence.
+closed-form symmetry oracle on the twisted quotient (a socle-path
+refutation, or a witness form whose monomial pairing has a nonzero
+exact determinant, else unknown); c5 from the verified scaling
+construction; c6 is bounded by c5 and by c2 (every Brauer graph algebra
+is symmetric, so a certified non-symmetric quotient refutes c6).  c1
+delegates to the bipartite criterion -- there is no finite direct test
+at order level -- with the oracle verdict on the quotient recorded as
+independent evidence.
 Every report is checked against the implication lattice
 c1 <=> c2 <=> c3 <=> c4 <= c6 <= c5.
 """
@@ -37,7 +40,6 @@ from .quiver import GentleQuiver
 
 TRUE = "true"
 FALSE = "false"
-PROBABLY_FALSE = "probably-false"
 UNKNOWN = "unknown"
 
 # (antecedent, consequent): certain truth of the first forces the second
@@ -79,12 +81,11 @@ def decide(
     field: Field,
     m: Union[int, Mapping[str, int], None] = None,
     seed: int = 0,
-    trials: int = 64,
-    enumeration_cap: int = 4096,
-    dim_cap: int = 200,
     instance: str = "",
 ) -> SymmetryReport:
-    """Evaluate all six conditions and cross-check the implication lattice."""
+    """Evaluate all six conditions and cross-check the implication lattice.
+
+    ``seed`` is ignored: the decision is deterministic."""
     mm = normalize_multiplicity(q, m)
     stable = find_sigma_stable(q)
     bipartite = isinstance(stable, Polarization)
@@ -123,12 +124,8 @@ def decide(
     eps = stable if bipartite else default_polarization(q)
     twisted = build_quotient_algebra(q, field, mm, eps, twisted=True)
     plain = build_quotient_algebra(q, field, mm, eps, twisted=False)
-    verdict_tw = is_symmetric_oracle(
-        twisted, seed=seed, trials=trials, enumeration_cap=enumeration_cap, dim_cap=dim_cap
-    )
-    verdict_pl = is_symmetric_oracle(
-        plain, seed=seed + 1, trials=trials, enumeration_cap=enumeration_cap, dim_cap=dim_cap
-    )
+    verdict_tw = is_symmetric_oracle(twisted)
+    verdict_pl = is_symmetric_oracle(plain)
 
     conditions["c2"] = Condition(_status_from_verdict(verdict_tw), _verdict_evidence(verdict_tw))
 
@@ -189,13 +186,12 @@ def _status_from_verdict(v: SymmetryVerdict) -> str:
     return {
         "symmetric": TRUE,
         "not-symmetric": FALSE,
-        "probably-not-symmetric": PROBABLY_FALSE,
         "undecided": UNKNOWN,
     }[v.kind]
 
 
 def _verdict_evidence(v: SymmetryVerdict) -> Dict[str, object]:
-    ev: Dict[str, object] = {"verdict": v.kind, "method": v.method, "trials": v.trials, "s_dim": v.s_dim}
+    ev: Dict[str, object] = {"verdict": v.kind, "method": v.method, "s_dim": v.s_dim}
     if v.certificate is not None:
         ev["certificate"] = v.certificate
     if v.witness_form is not None:
@@ -227,12 +223,11 @@ def batch(
     fields: List[Field],
     multiplicities: List[Union[int, Mapping[str, int]]],
     seed: int = 0,
-    trials: int = 64,
-    enumeration_cap: int = 4096,
-    dim_cap: int = 200,
     strict: bool = True,
 ) -> BatchResult:
     """Run decide over the instance x field x multiplicity grid.
+
+    ``seed`` is ignored, as in :func:`decide`.
 
     With strict=True (the default) any implication-lattice violation
     aborts with a reproducer dump; strict=False collects them instead,
@@ -243,16 +238,7 @@ def batch(
     for name, q in instances:
         for fld in fields:
             for m in multiplicities:
-                rep = decide(
-                    q,
-                    fld,
-                    m,
-                    seed=seed,
-                    trials=trials,
-                    enumeration_cap=enumeration_cap,
-                    dim_cap=dim_cap,
-                    instance=name,
-                )
+                rep = decide(q, fld, m, instance=name)
                 reports.append(rep)
                 for v in rep.violations:
                     violations.append(f"{name}/{fld.name}/m={rep.multiplicity}: {v}")
@@ -267,11 +253,12 @@ def batch(
 def report_to_jsonable(report: SymmetryReport) -> Dict[str, object]:
     """A JSON-ready dict with a stable, versioned schema.
 
-    ``schema`` is the layout version (1); ``violations`` lists the
+    ``schema`` is the layout version (2: c2's evidence has no
+    ``trials`` key); ``violations`` lists the
     implication-lattice violations (empty on a consistent report).
     """
     return {
-        "schema": 1,
+        "schema": 2,
         "instance": report.instance,
         "field": report.field_name,
         "multiplicity": dict(sorted(report.multiplicity.items())),

@@ -22,23 +22,28 @@ An algebra keeps its nonzero products as a list of (i, j, k, c), meaning
 b_i b_j = c b_k, in row-major order.  ``table[i][j]`` is the same
 product as a one-entry dict; every zero cell is the one shared read-only
 ``ZERO_CELL``, so a table costs dim^2 references and not dim^2 dicts.
-The associativity check, the bilinear matrices, the commutator space,
-the socle constraint rows, the involution and twist checks and the
-scaling-map verification all run over the nonzero products, not over
-every dim^2 or dim^3 basis tuple.  Each socle constraint row is read off
-the nonzero products of an arrow residue with the basis, the commutator
-rows are deduplicated on their sparse items, and the socle certificate
-forms each product s e_i once.
+The associativity check, the bilinear matrices, the commutator rows,
+the socle, the involution and twist checks and the scaling-map
+verification all run over the nonzero products, not over every dim^2 or
+dim^3 basis tuple.
+
+The symmetry oracle is closed-form on this structure and runs in
+O(dim + nonzero products) with no elimination and no dense determinant:
+a commutator has at most two terms, so S is solved by a scaled
+union-find; every arrow residue is one basis path and multiplies basis
+paths injectively, so the socle is a set of basis paths; the refutation
+is one socle path outside S's support, and the witness pairing has at
+most one nonzero entry per row and column, so its determinant is a sign
+times a product.  An algebra that breaks one of these rules raises
+AssertionError rather than falling back to general linear algebra.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from . import linalg
 from .fields import Field, RationalField
@@ -351,68 +356,147 @@ def nakayama_involution_bar(alg: FdAlgebra, inv: Involution) -> NakayamaBarRepor
 # socle and symmetric forms
 
 
-def socle(alg: FdAlgebra) -> List[list]:
-    """Basis of {x : a x = 0 = x a for all arrow residues}, by exact
-    linear algebra over the base field.
+def _socle_paths(alg: FdAlgebra) -> List[int]:
+    """Indices of the basis paths that every arrow residue kills on both
+    sides, in increasing order.
 
-    For each arrow residue g and each side, row i holds coordinate i of
-    g e_j (resp. e_j g) in column j; only the nonzero rows are kept, in
-    order of i.  The rows are read off the nonzero products.
+    Each arrow residue is c b_g for one basis path b_g, and multiplying
+    by b_g on either side sends distinct basis paths to distinct basis
+    paths or to zero (a signed partial injection).  The socle is then
+    the coordinate subspace on the paths that no such product keeps.
+    Raises AssertionError when a residue is not one path or a
+    multiplication is not injective.
     """
-    f = alg.field
-    dim = alg.dim
-    rows, cols = _rows_and_columns(alg)
-    constraint_rows: List[list] = []
+    residues = set()
     for a in alg.quiver.arrow_names:
         g = alg.arrow_residue(a)
-        left: Dict[int, Sparse] = {}
-        right: Dict[int, Sparse] = {}
-        for gi, gc in g.items():
-            for side, cells in ((left, rows[gi]), (right, cols[gi])):
-                for j, i, c in cells:
-                    row = side.setdefault(i, {})
-                    row[j] = f.add(row.get(j, f.zero), f.mul(gc, c))
-        for side in (left, right):
-            for i in sorted(side):
-                row = [f.zero] * dim
-                for j, c in side[i].items():
-                    row[j] = c
-                if any(row):
-                    constraint_rows.append(row)
-    return linalg.nullspace(f, constraint_rows, cols=dim)
+        if len(g) != 1:
+            raise AssertionError(f"arrow residue of {a} is not one basis path")
+        residues.update(g)
+    kept = [False] * alg.dim
+    images = set()
+    for i, j, k, _ in alg.products:
+        for g, x, side in ((i, j, "left"), (j, i, "right")):
+            if g in residues:
+                if (g, k, side) in images:
+                    raise AssertionError(
+                        f"{side} multiplication by {alg.basis[g]} is not injective on basis paths"
+                    )
+                images.add((g, k, side))
+                kept[x] = True
+    return [x for x in range(alg.dim) if not kept[x]]
 
 
-def commutator_space(alg: FdAlgebra) -> List[list]:
-    """Spanning rows for [A, A], deduplicated before elimination.
+def socle(alg: FdAlgebra) -> List[list]:
+    """Basis of {x : a x = 0 = x a for all arrow residues}: the unit
+    vectors of :func:`_socle_paths`, in index order."""
+    return [linalg.unit_vector(alg.field, alg.dim, i) for i in _socle_paths(alg)]
 
-    The pairs i < j run in order; pairs whose two products vanish are
-    skipped."""
+
+def commutator_space(alg: FdAlgebra) -> Iterator[Tuple[Tuple[int, object], ...]]:
+    """The nonzero commutators [b_i, b_j] as sparse rows of one or two
+    (index, coefficient) terms, one row per basis pair with a nonzero
+    product, read off the products in order.
+
+    A product of two basis paths is 0 or one term, so a commutator has
+    at most two terms; a product with two terms (two entries for one
+    pair, or a two-entry table cell) raises AssertionError.
+    """
     f = alg.field
-    pairs = sorted({(i, j) if i < j else (j, i) for i, j, _, _ in alg.products if i != j})
-    seen = set()
-    rows = []
-    for i, j in pairs:
-        comm: Sparse = dict(alg.table[i][j])
-        for k, c in alg.table[j][i].items():
-            s = f.sub(comm.get(k, f.zero), c)
-            if s:
-                comm[k] = s
-            else:
-                comm.pop(k, None)
-        if not comm:
+    table = alg.table
+    last = (-1, -1)
+    for i, j, k, c in alg.products:
+        if (i, j) <= last:
+            raise AssertionError(
+                f"product {alg.basis[i]} * {alg.basis[j]} has more than one term, "
+                "so a commutator has more than two"
+            )
+        last = (i, j)
+        if i == j:
             continue
-        key = tuple(sorted(comm.items()))
-        if key in seen:
+        rev = table[j][i]
+        if len(rev) > 1:
+            raise AssertionError(
+                f"product {alg.basis[j]} * {alg.basis[i]} has more than one term, "
+                "so a commutator has more than two"
+            )
+        if not rev:
+            yield ((k, c),)
+        elif i < j:  # the pair (j, i) is skipped below
+            ((k2, c2),) = rev.items()
+            if k2 != k:
+                yield ((k, c), (k2, f.neg(c2)))
+            elif c != c2:
+                yield ((k, f.sub(c, c2)),)
+
+
+def _symmetric_form_basis(alg: FdAlgebra) -> List[Sparse]:
+    """Basis of S = {phi : phi(xy) = phi(yx)} by scaled union-find.
+
+    Each commutator row says c phi(k) = 0 or c phi(k) + c' phi(k') = 0.
+    The second kind merges k and k' with phi(k) = -(c'/c) phi(k'), where
+    parent[x] and ratio[x] mean phi(x) = ratio[x] phi(parent[x]); the
+    first kind, or a merge that closes a cycle with another ratio,
+    forces the component to zero.  Each other component gives one form,
+    1 at its largest index, and the forms are ordered by that index:
+    the basis that elimination of the commutator rows returns.
+    """
+    f = alg.field
+    n = alg.dim
+    parent = list(range(n))
+    ratio = [f.one] * n
+    size = [1] * n
+    forced = [False] * n  # read at roots
+
+    def find(x: int):
+        """(root, r) with phi(x) = r phi(root); compresses the path."""
+        path = []
+        while parent[x] != x:
+            path.append(x)
+            x = parent[x]
+        r = f.one
+        for y in reversed(path):
+            r = f.mul(ratio[y], r)
+            ratio[y] = r
+            parent[y] = x
+        return x, r
+
+    for row in commutator_space(alg):
+        if len(row) == 1:
+            forced[find(row[0][0])[0]] = True
             continue
-        seen.add(key)
-        rows.append(alg.dense(comm))
-    return rows
+        (k1, c1), (k2, c2) = row
+        r1, a1 = find(k1)
+        r2, a2 = find(k2)
+        u, w = f.mul(c1, a1), f.mul(c2, a2)  # u phi(r1) + w phi(r2) = 0
+        if r1 == r2:
+            if f.add(u, w):
+                forced[r1] = True
+            continue
+        if size[r1] > size[r2]:
+            r1, r2, u, w = r2, r1, w, u
+        parent[r1] = r2
+        ratio[r1] = f.neg(f.div(w, u))
+        size[r2] += size[r1]
+        forced[r2] = forced[r2] or forced[r1]
+
+    members: Dict[int, List[Tuple[int, object]]] = {}
+    for x in range(n):
+        root, r = find(x)
+        if not forced[root]:
+            members.setdefault(root, []).append((x, r))
+    forms = []
+    for comp in members.values():
+        scale = f.inv(comp[-1][1])
+        forms.append({x: f.mul(r, scale) for x, r in comp})
+    forms.sort(key=max)
+    return forms
 
 
 def symmetric_forms(alg: FdAlgebra) -> List[list]:
-    """Basis of S = {phi : phi(xy) = phi(yx)}, the annihilator of [A, A]."""
-    rows = commutator_space(alg)
-    return linalg.nullspace(alg.field, rows, cols=alg.dim)
+    """Basis of S = {phi : phi(xy) = phi(yx)}, the annihilator of [A, A],
+    as dense rows."""
+    return [alg.dense(form) for form in _symmetric_form_basis(alg)]
 
 
 def bilinear_matrix(alg: FdAlgebra, phi: list) -> List[list]:
@@ -425,18 +509,62 @@ def bilinear_matrix(alg: FdAlgebra, phi: list) -> List[list]:
     return mat
 
 
+def pairing_det(alg: FdAlgebra, phi: list):
+    """det b_phi, in O(dim + nonzero products), for a pairing with at
+    most one nonzero entry per row and column.
+
+    Such a matrix is zero or a permutation matrix times a diagonal, so
+    its determinant is 0 (a zero row) or sign(perm) times the product of
+    the entries.  Raises AssertionError when the pairing has a row or a
+    column with two nonzero entries.
+    """
+    f = alg.field
+    n = alg.dim
+    col = [-1] * n
+    taken = [False] * n
+    entries = []
+    for i, j, k, c in alg.products:
+        x = phi[k]
+        if not x:
+            continue
+        if col[i] >= 0 or taken[j]:
+            raise AssertionError(
+                f"pairing has two nonzero entries in row {alg.basis[i]} or column {alg.basis[j]}"
+            )
+        col[i] = j
+        taken[j] = True
+        entries.append(f.mul(c, x))
+    if len(entries) < n:
+        return f.zero
+    d = f.one
+    for x in entries:
+        d = f.mul(d, x)
+    # sign(perm) = (-1)^(n - number of cycles)
+    seen = [False] * n
+    parity = n
+    for s in range(n):
+        if not seen[s]:
+            parity -= 1
+            while not seen[s]:
+                seen[s] = True
+                s = col[s]
+    return f.neg(d) if parity % 2 else d
+
+
 # ---------------------------------------------------------------------------
 # the symmetry oracle
 
 
 @dataclass
 class SymmetryVerdict:
-    kind: str  # "symmetric" | "not-symmetric" | "probably-not-symmetric" | "undecided"
+    """kind is "symmetric", "not-symmetric" or "undecided"; trials is the
+    number of witness forms checked (0 or 1)."""
+
+    kind: str
     method: str
     trials: int = 0
     s_dim: int = 0
     witness_form: Optional[list] = None
-    witness_coeffs: Optional[list] = None
     certificate: Optional[dict] = None
 
     @property
@@ -444,159 +572,83 @@ class SymmetryVerdict:
         return self.kind in ("symmetric", "not-symmetric")
 
 
-def is_symmetric_oracle(
-    alg: FdAlgebra,
-    seed: int = 0,
-    trials: int = 64,
-    enumeration_cap: int = 4096,
-    dim_cap: int = 200,
-) -> SymmetryVerdict:
-    """Decide whether the algebra admits a symmetric nondegenerate form.
+def is_symmetric_oracle(alg: FdAlgebra) -> SymmetryVerdict:
+    """Decide whether the algebra admits a symmetric nondegenerate form,
+    in O(dim + nonzero products).
 
-    S is computed exactly; then, in order:
-      1. a deterministic refutation: a nonzero socle element s with
-         phi(s e_i) = 0 for every phi in S and every idempotent forces
-         s into the radical of every candidate bilinear form;
-      2. over a finite field with |k|^{dim S} within the cap, exhaustive
-         enumeration of S (deterministic either way);
-      3. otherwise a randomized witness search (integer boxes of growing
-         size over the rationals).  A found witness is checked by exact
-         determinant, so "symmetric" is always certain; a fruitless
-         search ends in "probably-not-symmetric" with the trial count.
+    S comes from :func:`_symmetric_form_basis` and the socle from
+    :func:`socle`; then, in order:
+      1. refutation: a socle path p on which every form of S vanishes
+         lies in the radical of every pairing b_phi, phi in S (p y is a
+         multiple of p e_i for some idempotent e_i);
+      2. witness: phi = the sum of the basis forms of S whose support
+         meets the socle.  Its pairing must have at most one nonzero
+         entry per row and column, so its exact determinant is a sign
+         times a product; a nonzero one certifies "symmetric".
+    If neither settles the case the verdict is "undecided".  A structure
+    outside the monomial rule raises AssertionError.
     """
     f = alg.field
-    if alg.dim > dim_cap:
-        return SymmetryVerdict(kind="undecided", method=f"dimension {alg.dim} exceeds cap {dim_cap}")
+    forms = _symmetric_form_basis(alg)
+    sdim = len(forms)
+    # socle returns unit vectors in index order: read off their positions
+    paths: List[int] = []
+    for v in socle(alg):
+        paths.append(v.index(f.one, paths[-1] + 1 if paths else 0))
 
-    s_basis = symmetric_forms(alg)
-    sdim = len(s_basis)
-    if sdim == 0:
-        return SymmetryVerdict(kind="not-symmetric", method="no symmetric forms at all", s_dim=0)
-
-    cert = _socle_certificate(alg, s_basis)
+    owner = [-1] * alg.dim
+    for t, form in enumerate(forms):
+        for k in form:
+            owner[k] = t
+    # the forms have disjoint supports, so every form vanishes at p
+    # exactly where this one form, 1 on their union, does
+    support = [f.one if t >= 0 else f.zero for t in owner]
+    cert = _socle_certificate(alg, [support], paths)
     if cert is not None:
         return SymmetryVerdict(
             kind="not-symmetric",
-            method="socle element annihilated by every symmetric form",
+            method="socle path outside every free component of S",
             s_dim=sdim,
             certificate=cert,
         )
 
-    def nondegenerate(coeffs) -> Optional[list]:
-        phi = [f.zero] * alg.dim
-        for c, row in zip(coeffs, s_basis):
-            if not c:
-                continue
-            for k, y in enumerate(row):
-                if y:
-                    phi[k] = f.add(phi[k], f.mul(c, y))
-        if not any(phi):
-            return None
-        if not linalg.det(f, bilinear_matrix(alg, phi)):
-            return None
-        return phi
-
-    trials_done = 0
-
-    # deterministic quick candidates: the basis forms and their sum
-    quick = [tuple(f.one if i == j else f.zero for i in range(sdim)) for j in range(sdim)]
-    quick.append(tuple([f.one] * sdim))
-    for coeffs in quick:
-        trials_done += 1
-        phi = nondegenerate(coeffs)
-        if phi is not None:
-            return SymmetryVerdict(
-                kind="symmetric",
-                method="deterministic candidate",
-                trials=trials_done,
-                s_dim=sdim,
-                witness_form=phi,
-                witness_coeffs=list(coeffs),
-            )
-
-    order = f.order()
-    if order is not None and order ** sdim <= enumeration_cap:
-        for coeffs in itertools.product(list(f.elements()), repeat=sdim):
-            trials_done += 1
-            phi = nondegenerate(coeffs)
-            if phi is not None:
-                return SymmetryVerdict(
-                    kind="symmetric",
-                    method="exhaustive enumeration of S",
-                    trials=trials_done,
-                    s_dim=sdim,
-                    witness_form=phi,
-                    witness_coeffs=list(coeffs),
-                )
+    phi = [f.zero] * alg.dim
+    for t in sorted({owner[p] for p in paths}):
+        for k, c in forms[t].items():
+            phi[k] = c
+    if pairing_det(alg, phi):
         return SymmetryVerdict(
-            kind="not-symmetric",
-            method="exhaustive enumeration of S found no nondegenerate form",
-            trials=trials_done,
+            kind="symmetric",
+            method="sum of the S basis forms meeting the socle: monomial pairing, exact determinant",
+            trials=1,
             s_dim=sdim,
-            certificate={"reason": "enumeration-exhausted", "s_dim": sdim},
+            witness_form=phi,
         )
-
-    rng = random.Random(seed)
-    for trial in range(trials):
-        bound = 2 + trial // 8
-        coeffs = [f.random_scalar(rng, bound) for _ in range(sdim)]
-        trials_done += 1
-        phi = nondegenerate(coeffs)
-        if phi is not None:
-            return SymmetryVerdict(
-                kind="symmetric",
-                method="randomized search",
-                trials=trials_done,
-                s_dim=sdim,
-                witness_form=phi,
-                witness_coeffs=coeffs,
-            )
     return SymmetryVerdict(
-        kind="probably-not-symmetric",
-        method="randomized search exhausted",
-        trials=trials_done,
+        kind="undecided",
+        method="degenerate witness pairing and no socle certificate",
+        trials=1,
         s_dim=sdim,
     )
 
 
-def _socle_certificate(alg: FdAlgebra, s_basis: List[list]) -> Optional[dict]:
-    """A nonzero s in the socle with phi(s e_i) = 0 for all phi in S, if any.
+def _socle_certificate(
+    alg: FdAlgebra, s_basis: List[list], paths: Optional[List[int]] = None
+) -> Optional[dict]:
+    """The first socle path p with phi(p) = 0 for every phi in s_basis,
+    as the element {label: "1"}, or None.
 
-    For such s and any y, s y lies in span{s e_i}, so b_phi(s, -) vanishes
-    for every phi in S: no symmetric form can be nondegenerate.
+    For such p and any y, p y is a multiple of p e_i for an idempotent
+    e_i, and phi(p e_i) = phi(p) or 0, so b_phi(p, -) vanishes for every
+    phi in S: no symmetric form can be nondegenerate.  paths defaults to
+    the socle paths of alg.
     """
-    f = alg.field
-    soc = socle(alg)
-    if not soc:
-        return None
-    sparse = [{i: c for i, c in enumerate(s) if c} for s in soc]
-    # the products s e_i, one sparse vector per (idempotent, socle vector)
-    products = []
-    for lab in alg.idempotent_labels:
-        e = alg.label_vector(lab)
-        products.append([alg.mul(s, e) for s in sparse])
-    rows = []
-    for phi in s_basis:
-        for per_socle in products:
-            row = []
-            for se in per_socle:
-                acc = f.zero
-                for k, c in se.items():
-                    acc = f.add(acc, f.mul(c, phi[k]))
-                row.append(acc)
-            rows.append(row)
-    kernel = linalg.nullspace(f, rows, cols=len(soc))
-    if not kernel:
-        return None
-    alpha = kernel[0]
-    element = [f.zero] * alg.dim
-    for a, s in zip(alpha, sparse):
-        if not a:
-            continue
-        for k, y in s.items():
-            element[k] = f.add(element[k], f.mul(a, y))
-    labels = {alg.basis[i]: f.scalar_str(c) for i, c in enumerate(element) if c}
-    return {"reason": "socle", "element": labels}
+    if paths is None:
+        paths = _socle_paths(alg)
+    for p in paths:
+        if all(not phi[p] for phi in s_basis):
+            return {"reason": "socle", "element": {alg.basis[p]: alg.field.scalar_str(alg.field.one)}}
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +691,7 @@ def check_canonical_bimodule_twist(alg: FdAlgebra, bar: NakayamaBarReport) -> Tw
         rhs = f.mul(sign_by_index[j], phi_of(alg.table[j][i]))  # phi(nu(b_j) b_i)
         if lhs != rhs:
             bad.append(f"({alg.basis[i]}, {alg.basis[j]})")
-    d = linalg.det(f, bilinear_matrix(alg, phi))
+    d = pairing_det(alg, phi)
     return TwistReport(
         ok=not bad and bool(d),
         pair_count=alg.dim ** 2,
@@ -800,14 +852,8 @@ def _verify_scaling_map(tw: FdAlgebra, pl: FdAlgebra, scales: Mapping[str, objec
 
 def socle_is_top_span(alg: FdAlgebra) -> bool:
     """The socle should be exactly the span of the top cycle residues."""
-    f = alg.field
-    soc = socle(alg)
     tops = sorted({alg.index[alg.top_label[v]] for v in alg.quiver.vertices})
-    if len(soc) != len(tops):
-        return False
-    axis = [linalg.unit_vector(f, alg.dim, i) for i in tops]
-    ref = linalg.row_space_basis(f, axis)
-    return all(linalg.in_row_space(f, ref, s) for s in soc)
+    return _socle_paths(alg) == tops
 
 
 def socle_quotient_tables_equal(a: FdAlgebra, b: FdAlgebra) -> bool:

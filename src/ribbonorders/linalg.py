@@ -9,6 +9,10 @@ place on its private copy, and only at the pivot row's nonzero columns
 (all of them at or right of the pivot column), so the cost follows the
 nonzero entries rather than the full row width.  Zero tests are truth
 tests (see :mod:`ribbonorders.fields`).
+
+The order-level checks use ``det`` and ``rank``; the quotient symmetry
+oracle in :mod:`ribbonorders.fdalg` is closed-form and eliminates
+nothing.
 """
 
 from __future__ import annotations
@@ -26,35 +30,6 @@ def _eliminate(field: Field, row: list, factor, pivot_row: list, support: List[i
     f = field
     for j in support:
         row[j] = f.sub(row[j], f.mul(factor, pivot_row[j]))
-
-
-def zeros(field: Field, rows: int, cols: int) -> Matrix:
-    return [[field.zero] * cols for _ in range(rows)]
-
-
-def identity(field: Field, n: int) -> Matrix:
-    mat = zeros(field, n, n)
-    for i in range(n):
-        mat[i][i] = field.one
-    return mat
-
-
-def mat_mul(field: Field, a: Matrix, b: Matrix) -> Matrix:
-    f = field
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = zeros(f, n, m)
-    for i in range(n):
-        row = a[i]
-        for s in range(k):
-            c = row[s]
-            if not c:
-                continue
-            brow = b[s]
-            orow = out[i]
-            for j in range(m):
-                orow[j] = f.add(orow[j], f.mul(c, brow[j]))
-    return out
 
 
 def rref(field: Field, mat: Matrix) -> Tuple[Matrix, List[int]]:
@@ -139,48 +114,3 @@ def unit_vector(field: Field, n: int, i: int) -> Vector:
     v = [field.zero] * n
     v[i] = field.one
     return v
-
-
-def row_space_basis(field: Field, mat: Matrix) -> List[Vector]:
-    red, pivots = rref(field, mat)
-    return [red[i] for i in range(len(pivots))]
-
-
-def in_row_space(field: Field, basis_rref: List[Vector], v: Vector) -> bool:
-    """Membership test against a basis already in rref form."""
-    f = field
-    v = v[:]
-    for row in basis_rref:
-        support = [j for j, x in enumerate(row) if x]
-        if not support:
-            continue
-        lead = support[0]
-        if v[lead]:
-            _eliminate(f, v, f.div(v[lead], row[lead]), row, support)
-    return not any(v)
-
-
-def solve(field: Field, mat: Matrix, rhs: Vector) -> Optional[Vector]:
-    """One solution of mat @ x = rhs, or None if inconsistent."""
-    f = field
-    if not mat:
-        return [] if not any(rhs) else None
-    cols = len(mat[0])
-    aug = [row[:] + [b] for row, b in zip(mat, rhs)]
-    red, pivots = rref(f, aug)
-    if cols in pivots:
-        return None
-    x = [f.zero] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
-    return x
-
-
-def inverse(field: Field, mat: Matrix) -> Optional[Matrix]:
-    f = field
-    n = len(mat)
-    aug = [row[:] + unit_vector(f, n, i) for i, row in enumerate(mat)]
-    red, pivots = rref(f, aug)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in red]

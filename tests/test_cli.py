@@ -96,8 +96,8 @@ def test_decide_loop2_gf3(capsys):
 
 
 def test_decide_json_deterministic(capsys):
-    code1, out1, _ = run(capsys, "decide", "corpus:line3", "--field", "Q", "--json", "--seed", "9")
-    code2, out2, _ = run(capsys, "decide", "corpus:line3", "--field", "Q", "--json", "--seed", "9")
+    code1, out1, _ = run(capsys, "decide", "corpus:line3", "--field", "Q", "--json")
+    code2, out2, _ = run(capsys, "decide", "corpus:line3", "--field", "Q", "--json")
     assert code1 == code2 == 0
     assert out1 == out2
     payload = json.loads(out1)
@@ -135,7 +135,7 @@ def test_serialize_roundtrip(tmp_path, capsys):
 
 def test_corpus_restricted(capsys):
     code, out, _ = run(
-        capsys, "corpus", "--field", "gf2", "--multiplicity-grid", "1", "--budget", "8"
+        capsys, "corpus", "--field", "gf2", "--multiplicity-grid", "1"
     )
     assert code == 0
     assert "consistency violations: none" in out
@@ -143,7 +143,7 @@ def test_corpus_restricted(capsys):
 
 
 def test_corpus_json_deterministic(capsys):
-    args = ("corpus", "--field", "gf3", "--multiplicity-grid", "1", "--json", "--seed", "3")
+    args = ("corpus", "--field", "gf3", "--multiplicity-grid", "1", "--json")
     code1, out1, _ = run(capsys, *args)
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0

@@ -109,7 +109,7 @@ def test_report_jsonable_schema():
     rep = decide(corpus_quiver("loop2"), GF3, 1, instance="loop2", seed=4)
     payload = report_to_jsonable(rep)
     assert set(payload) == {"schema", "instance", "field", "multiplicity", "conditions", "consistency", "violations"}
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert set(payload["conditions"]) == {f"c{i}" for i in range(1, 7)}
     for cond in payload["conditions"].values():
         assert set(cond) == {"status", "evidence"}

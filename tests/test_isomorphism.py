@@ -188,16 +188,22 @@ def test_unequal_sizes_are_not_isomorphic():
 
 
 @st.composite
-def quivers_with_relabelling(draw):
+def ribbon_quivers(draw):
+    """The quiver of a ribbon graph with 1 to 12 edges."""
     edges = draw(st.integers(1, 12))
     labels = draw(st.permutations([f"E{k}" for k in range(edges)] * 2))
     cuts = draw(st.sets(st.integers(1, 2 * edges - 1), max_size=2 * edges - 1))
     bounds = [0] + sorted(cuts) + [2 * edges]
     nodes = [f"n{i}" for i in range(len(bounds) - 1)]
     slots = {n: tuple(labels[bounds[i] : bounds[i + 1]]) for i, n in enumerate(nodes)}
-    q = quiver_from_ribbon_graph(
+    return quiver_from_ribbon_graph(
         RibbonGraph(nodes=nodes, edges=[f"E{k}" for k in range(edges)], slots=slots)
     )
+
+
+@st.composite
+def quivers_with_relabelling(draw):
+    q = draw(ribbon_quivers())
     return q, relabel(random.Random(draw(st.integers(0, 2**32))), q)
 
 
