@@ -13,6 +13,23 @@ set of arrows with n(a) > 1.  Rewriting into B-coordinates follows the
 two rules: a non-cyclic path a_{rn+m} equals t^r a_m, and a full cycle
 power c_a^r equals t^{r-1} x_i, respectively t^r e_i - t^{r-1} x_i when
 the sign of a is negative.
+
+The order-level checks never multiply path combinations.  They read
+products of basis paths off the sigma-rule: write a basis path as
+(start, first arrow a, length L), with a = None for e_v.  The product
+b_i b_j (first b_j, then b_i) is nonzero exactly when one factor is the
+idempotent at the junction, or b_i's first arrow is sigma^{L_j}(a_j); it
+is then the other factor, respectively the path (start_j, a_j, L_j + L_i).
+The order has no truncation, so no product of paths is ever cut off.
+
+* ``check_nu_symmetry`` evaluates phi(b_i b_j) and nu(b_j) phi(b_j b_i)
+  on P u P^T, where P is the set of pairs (i, j) with b_i b_j != 0;
+  off that set both sides are phi(0) = 0.
+* ``verify_theta_psi`` multiplies theta and psi as sparse columns (at
+  most two entries each) and compares theta(u nu(g)) with theta(u) g
+  only for the generators g with u nu(g) != 0, or with a nonzero
+  product g b_r that has a coordinate in the support of theta_u; every
+  other (u, g) pair is zero on both sides.
 """
 
 from __future__ import annotations
@@ -24,6 +41,7 @@ from . import linalg
 from .fields import Field, PolyRing, QQ
 from .polarize import PLUS, Involution, Polarization, check_polarization, default_polarization, involution_of
 from .quiver import GentleQuiver, Path, QuiverError
+from .ribbon import connected_components, graph_of_quiver
 
 
 # ---------------------------------------------------------------------------
@@ -251,21 +269,27 @@ def canonical_basis(q: GentleQuiver, eps: Polarization) -> CanonicalBasis:
 def path_coordinates(basis: CanonicalBasis, ring: PolyRing, p: Path) -> Dict[str, tuple]:
     """Exact B-coordinates of a nonzero path, coefficients in k[t]."""
     q = basis.quiver
-    f = ring.field
     if p.is_idempotent:
         return {f"e({p.start})": ring.one}
     a, length = q.first_arrow_form(p)
-    n = q.cycle_length(a)
+    rule = _coordinate_rule(ring, length, q.cycle_length(a), basis.eps.sign(a) == PLUS)
+    return {
+        f"{a}:{slot}" if isinstance(slot, int) else f"{slot}({p.start})": poly
+        for slot, poly in rule
+    }
+
+
+def _coordinate_rule(ring: PolyRing, length: int, n: int, positive: bool):
+    """B-coordinates of the path a_length, where n(a) = n, as (slot, poly)
+    pairs: slot m stands for a:m, and "e", "x" for e_i, x_i at the source
+    i of a, which is x_i's positive arrow exactly when a is positive."""
     r, m0 = divmod(length, n)
     if m0 != 0:
-        return {f"{a}:{m0}": ring.t_power(r)}
-    i = q.source(a)
-    if basis.eps.sign(a) == PLUS:
-        return {f"x({i})": ring.t_power(r - 1)}
-    return {
-        f"e({i})": ring.t_power(r),
-        f"x({i})": ring.t_power(r - 1, f.neg(f.one)),
-    }
+        return ((m0, ring.t_power(r)),)
+    if positive:
+        return (("x", ring.t_power(r - 1)),)
+    f = ring.field
+    return (("e", ring.t_power(r)), ("x", ring.t_power(r - 1, f.neg(f.one))))
 
 
 def to_canonical_coordinates(
@@ -324,6 +348,97 @@ def frobenius_closed_form(basis: CanonicalBasis, ring: PolyRing, p: Path) -> tup
 
 
 # ---------------------------------------------------------------------------
+# the sigma-rule on basis paths
+
+
+class _BasisPaths:
+    """The canonical basis as paths (start, first arrow, length), with the
+    data the sigma-rule and the coordinate rule read.
+
+    Built per check call from one sigma_orbits() pass and the basis paths;
+    nothing is stored on the quiver.  The first arrow is None for e_v;
+    ``nxt[r]`` is sigma of b_r's last arrow (None for e_v), and
+    ``nu_sign[r]`` is the involution's sign on b_r.
+    """
+
+    def __init__(self, basis: CanonicalBasis, ring: PolyRing, inv: Optional[Involution] = None):
+        q = basis.quiver
+        self.ring = ring
+        self.cycle_length: Dict[str, int] = {}
+        self.prev: Dict[str, str] = {}
+        for _, orbit in q.sigma_orbits():
+            for k, a in enumerate(orbit):
+                self.cycle_length[a] = len(orbit)
+                self.prev[orbit[(k + 1) % len(orbit)]] = a
+        self.positive = {a: s == PLUS for a, s in basis.eps.signs.items()}
+        self.e_index = {v: basis.index[f"e({v})"] for v in q.vertices}
+        self.x_index = {v: basis.index[f"x({v})"] for v in q.vertices}
+        self.is_x = [b.kind == "x" for b in basis.elements]
+        # a:1, ..., a:n-1 sit at consecutive indices
+        self.split_base = {
+            a: basis.index[f"{a}:1"] for a, n in self.cycle_length.items() if n > 1
+        }
+        self.paths: List[Tuple[str, Optional[str], int]] = []
+        self.nxt: List[Optional[str]] = []
+        self.by_end: Dict[str, List[int]] = {v: [] for v in q.vertices}
+        self.by_next: Dict[str, List[int]] = {}
+        for r, b in enumerate(basis.elements):
+            arrows = b.path.arrows
+            if arrows:
+                self.paths.append((b.path.start, arrows[0], len(arrows)))
+                self.nxt.append(q.sigma[arrows[-1]])
+                self.by_end[q.target(arrows[-1])].append(r)
+                self.by_next.setdefault(self.nxt[r], []).append(r)
+            else:
+                self.paths.append((b.path.start, None, 0))
+                self.nxt.append(None)
+                self.by_end[b.path.start].append(r)
+        self.nu_sign = [inv.path_sign(b.path) for b in basis.elements] if inv is not None else []
+
+    def left_multiples(self, start: str, a: Optional[str], length: int):
+        """[(r, p b_r)] over the basis paths b_r with p b_r != 0, where p is
+        the path (start, a, length): b_r ends at start when p = e_start,
+        and otherwise b_r = e_start or sigma of b_r's last arrow is a."""
+        if a is None:
+            return [(r, self.paths[r]) for r in self.by_end[start]]
+        out = [(self.e_index[start], (start, a, length))]
+        for r in self.by_next.get(a, ()):
+            s, first, n = self.paths[r]
+            out.append((r, (s, first, n + length)))
+        return out
+
+    def coordinates(self, start: str, a: Optional[str], length: int) -> List[Tuple[int, tuple]]:
+        """B-coordinates of the path (start, a, length) as (index, poly)
+        pairs, by the rule of :func:`path_coordinates`."""
+        if a is None:
+            return [(self.e_index[start], self.ring.one)]
+        out = []
+        for slot, poly in _coordinate_rule(self.ring, length, self.cycle_length[a], self.positive[a]):
+            if slot == "e":
+                out.append((self.e_index[start], poly))
+            elif slot == "x":
+                out.append((self.x_index[start], poly))
+            else:
+                out.append((self.split_base[a] + slot - 1, poly))
+        return out
+
+    def frobenius(self, start: str, a: Optional[str], length: int) -> tuple:
+        """phi of a path: the sum of its x-coordinates."""
+        ring = self.ring
+        acc = ring.zero
+        for k, poly in self.coordinates(start, a, length):
+            if self.is_x[k]:
+                acc = ring.add(acc, poly)
+        return acc
+
+    def deriv_index(self, r: int) -> int:
+        """For b_r = a:m, the index of sigma^m(a):n-m, which closes it to
+        the full cycle c_a."""
+        b = self.nxt[r]
+        return self.split_base[b] + self.cycle_length[b] - self.paths[r][2] - 1
+
+
+# ---------------------------------------------------------------------------
 # nu-symmetry of the Frobenius form
 
 
@@ -345,38 +460,50 @@ def expected_nonzero_pairs(basis: CanonicalBasis) -> List[Tuple[str, str]]:
     pairs = []
     for v in q.vertices:
         pairs.extend([(f"x({v})", f"x({v})"), (f"x({v})", f"e({v})"), (f"e({v})", f"x({v})")])
-    for a in sorted(q.arrow_names):
-        n = q.cycle_length(a)
-        for m in range(1, n):
-            b = q.sigma_power(a, m)
-            pairs.append((f"{b}:{n - m}", f"{a}:{m}"))
+    for _, orbit in q.sigma_orbits():
+        n = len(orbit)
+        for k, a in enumerate(orbit):
+            for m in range(1, n):
+                pairs.append((f"{orbit[(k + m) % n]}:{n - m}", f"{a}:{m}"))
     return sorted(set(pairs))
 
 
 def check_nu_symmetry(q: GentleQuiver, eps: Polarization, field: Field) -> NuSymmetryReport:
-    """Verify phi(q p) = phi(nu(p) q) on all ordered basis pairs, and that
-    the nonzero pairs are exactly the expected list."""
+    """Verify phi(q p) = phi(nu(p) q) on all |B|^2 ordered basis pairs, and
+    that the nonzero pairs are exactly the expected list.
+
+    Only the pairs in P u P^T are evaluated, where P lists the (i, j) with
+    b_i b_j != 0 (the sigma-rule, see the module docstring): off that set
+    both b_i b_j and b_j b_i are zero, so both sides of the identity are
+    phi(0) = 0.  ``pair_count`` still counts all |B|^2 pairs covered.
+    """
     basis = canonical_basis(q, eps)
     ring = PolyRing(field)
     inv = involution_of(q, eps, field)
-    elems = [path_element(q, field, b.path) for b in basis.elements]
+    bp = _BasisPaths(basis, ring, inv)
     labels = basis.labels()
+    phi = {}
+    for i, path in enumerate(bp.paths):
+        for j, prod in bp.left_multiples(*path):
+            phi[(i, j)] = bp.frobenius(*prod)
+    pairs = set(phi)
+    pairs.update((j, i) for i, j in phi)
 
     counterexamples = []
     nonzero = []
-    for i, qe in enumerate(elems):
-        for j, pe in enumerate(elems):
-            lhs = frobenius_eval(basis, ring, multiply(qe, pe))
-            rhs = frobenius_eval(basis, ring, multiply(apply_involution(inv, pe), qe))
-            if lhs != rhs:
-                counterexamples.append((labels[i], labels[j]))
-            if lhs != ring.zero:
-                nonzero.append((labels[i], labels[j]))
-    nonzero = sorted(set(nonzero))
+    zero = ring.zero
+    for i, j in sorted(pairs):
+        lhs = phi.get((i, j), zero)
+        rhs = ring.scale(bp.nu_sign[j], phi.get((j, i), zero))
+        if lhs != rhs:
+            counterexamples.append((labels[i], labels[j]))
+        if lhs != zero:
+            nonzero.append((labels[i], labels[j]))
+    nonzero = sorted(nonzero)
     expected = expected_nonzero_pairs(basis)
     return NuSymmetryReport(
         ok=not counterexamples,
-        pair_count=len(elems) ** 2,
+        pair_count=len(basis) ** 2,
         counterexamples=counterexamples,
         nonzero_pairs=nonzero,
         expected_pairs=expected,
@@ -401,134 +528,190 @@ class ThetaPsiReport:
     bimodule_counterexamples: List[str]
 
 
-def _poly_mat_mul(ring: PolyRing, a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[ring.zero] * m for _ in range(n)]
-    for i in range(n):
-        for s in range(k):
-            c = a[i][s]
-            if not c:
-                continue
-            for j in range(m):
-                if b[s][j]:
-                    out[i][j] = ring.add(out[i][j], ring.mul(c, b[s][j]))
-    return out
+def _theta_psi_columns(basis: CanonicalBasis, bp: _BasisPaths):
+    """theta and psi as sparse columns {row: entry}, at most two each."""
+    ring = bp.ring
+    f = ring.field
+    one, t, minus_t = ring.one, ring.t_power(1), ring.t_power(1, f.neg(f.one))
+    minus = ring.constant(f.neg(f.one))
+    theta: List[Dict[int, tuple]] = []
+    psi: List[Dict[int, tuple]] = []
+    for col, b in enumerate(basis.elements):
+        if b.kind == "a":
+            d = bp.deriv_index(col)
+            theta.append({d: one if bp.positive[bp.paths[col][1]] else minus})
+            psi.append({d: one if bp.positive[bp.nxt[col]] else minus})
+            continue
+        e, x = bp.e_index[b.path.start], bp.x_index[b.path.start]
+        if b.kind == "e":
+            theta.append({x: one})
+            psi.append({x: one, e: minus_t})
+        else:
+            theta.append({e: one, x: t})
+            psi.append({e: one})
+    return theta, psi
 
 
-def _poly_identity(ring: PolyRing, n):
-    return [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
+def _dense(ring: PolyRing, cols: List[Dict[int, tuple]]) -> List[List[tuple]]:
+    n = len(cols)
+    mat = [[ring.zero] * n for _ in range(n)]
+    for col, entries in enumerate(cols):
+        for row, poly in entries.items():
+            mat[row][col] = poly
+    return mat
 
 
 def theta_matrix(basis: CanonicalBasis, ring: PolyRing) -> List[List[tuple]]:
     """Matrix of p -> p . phi from B to the dual basis, over k[t]:
-    e_i -> x_i*, x_i -> e_i* + t x_i*, a_m -> eps_a (split cycle)*."""
-    q = basis.quiver
-    f = ring.field
-    n = len(basis)
-    mat = [[ring.zero] * n for _ in range(n)]
-    for col, b in enumerate(basis.elements):
-        if b.kind == "e":
-            v = b.path.start
-            mat[basis.index[f"x({v})"]][col] = ring.one
-        elif b.kind == "x":
-            v = b.path.start
-            mat[basis.index[f"e({v})"]][col] = ring.one
-            mat[basis.index[f"x({v})"]][col] = ring.t_power(1)
-        else:
-            a, m = q.first_arrow_form(b.path)
-            sign = f.one if basis.eps.sign(a) == PLUS else f.neg(f.one)
-            dlabel = _deriv_label(q, a, m)
-            mat[basis.index[dlabel]][col] = ring.constant(sign)
-    return mat
+    e_i -> x_i*, x_i -> e_i* + t x_i*, a_m -> eps_a (split cycle)*.
+    Its inverse psi sends x_i* -> e_i, e_i* -> x_i - t e_i and
+    a_m* -> eps_{sigma^m(a)} (split cycle)."""
+    return _dense(ring, _theta_psi_columns(basis, _BasisPaths(basis, ring))[0])
 
 
-def psi_matrix(basis: CanonicalBasis, ring: PolyRing) -> List[List[tuple]]:
-    """Matrix of the inverse map from the dual basis back to B:
-    x_i* -> e_i, e_i* -> x_i - t e_i, a_m* -> eps_{sigma^m(a)} (split cycle)."""
-    q = basis.quiver
-    f = ring.field
-    n = len(basis)
-    mat = [[ring.zero] * n for _ in range(n)]
-    for col, b in enumerate(basis.elements):
-        if b.kind == "x":
-            v = b.path.start
-            mat[basis.index[f"e({v})"]][col] = ring.one
-        elif b.kind == "e":
-            v = b.path.start
-            mat[basis.index[f"x({v})"]][col] = ring.one
-            mat[basis.index[f"e({v})"]][col] = ring.t_power(1, f.neg(f.one))
-        else:
-            a, m = q.first_arrow_form(b.path)
-            b_arrow = q.sigma_power(a, m)
-            sign = f.one if basis.eps.sign(b_arrow) == PLUS else f.neg(f.one)
-            mat[basis.index[_deriv_label(q, a, m)]][col] = ring.constant(sign)
-    return mat
+def _is_identity_product(ring: PolyRing, left, right) -> bool:
+    """left @ right == identity, for matrices given as sparse columns."""
+    for c, col in enumerate(right):
+        acc: Dict[int, tuple] = {}
+        for s, p in col.items():
+            for r, x in left[s].items():
+                acc[r] = ring.add(acc.get(r, ring.zero), ring.mul(x, p))
+        if {r: x for r, x in acc.items() if x} != {c: ring.one}:
+            return False
+    return True
 
 
-def _deriv_label(q: GentleQuiver, a: str, m: int) -> str:
-    n = q.cycle_length(a)
-    return f"{q.sigma_power(a, m)}:{n - m}"
+def _signed_permutation_det(field: Field, cols: List[Dict[int, object]]):
+    """det of a square matrix, given as sparse columns of nonzero scalars,
+    with at most one nonzero entry per row and per column: 0 (a zero
+    column) or sign(perm) times the product of the entries.  Raises
+    AssertionError on a row or a column with two nonzero entries."""
+    f = field
+    n = len(cols)
+    perm = [-1] * n
+    taken = [False] * n
+    d = f.one
+    for c, entries in enumerate(cols):
+        if not entries:
+            return f.zero
+        if len(entries) > 1:
+            raise AssertionError(f"theta(0) has two nonzero entries in column {c}")
+        ((r, x),) = entries.items()
+        if taken[r]:
+            raise AssertionError(f"theta(0) has two nonzero entries in row {r}")
+        taken[r] = True
+        perm[c] = r
+        d = f.mul(d, x)
+    # sign(perm) = (-1)^(n - number of cycles)
+    seen = [False] * n
+    parity = n
+    for s in range(n):
+        if not seen[s]:
+            parity -= 1
+            while not seen[s]:
+                seen[s] = True
+                s = perm[s]
+    return f.neg(d) if parity % 2 else d
 
 
 def verify_theta_psi(q: GentleQuiver, eps: Polarization, field: Field) -> ThetaPsiReport:
     """Check theta and psi are mutually inverse over k[t] and that theta is
-    right-linear for the involution-twisted action on generators."""
+    right-linear for the involution-twisted action on generators.
+
+    theta and psi have at most two entries per column, so the inverse
+    checks multiply sparse columns, and theta(0) is a signed permutation
+    matrix whose determinant is a sign times a product.
+    """
     basis = canonical_basis(q, eps)
     ring = PolyRing(field)
     inv = involution_of(q, eps, field)
-    n = len(basis)
-    theta = theta_matrix(basis, ring)
-    psi = psi_matrix(basis, ring)
-    ident = _poly_identity(ring, n)
-    tp = _poly_mat_mul(ring, theta, psi) == ident
-    pt = _poly_mat_mul(ring, psi, theta) == ident
+    bp = _BasisPaths(basis, ring, inv)
+    theta_cols, psi_cols = _theta_psi_columns(basis, bp)
+    tp = _is_identity_product(ring, theta_cols, psi_cols)
+    pt = _is_identity_product(ring, psi_cols, theta_cols)
 
     det_const = None
     if tp and pt:
         # theta psi = id forces det(theta) to be a unit of k[t], i.e. a
         # nonzero constant; its value is det of theta at t = 0.
-        theta0 = [[ring.eval(entry, field.zero) for entry in row] for row in theta]
-        det_const = linalg.det(field, theta0)
+        theta0 = []
+        for entries in theta_cols:
+            col = {r: ring.eval(p, field.zero) for r, p in entries.items()}
+            theta0.append({r: x for r, x in col.items() if x})
+        det_const = _signed_permutation_det(field, theta0)
 
-    bad: List[str] = []
-    gens = [(f"e({v})", idempotent_element(q, field, v)) for v in q.vertices]
-    gens += [(a, arrow_element(q, field, a)) for a in sorted(q.arrow_names)]
-    basis_elems = [path_element(q, field, b.path) for b in basis.elements]
-    for col, u in enumerate(basis_elems):
-        theta_u = [theta[row][col] for row in range(n)]
-        for gname, g in gens:
-            # theta(u * nu(g)) as a coordinate vector over the dual basis
-            lhs_coords = to_canonical_coordinates(
-                basis, ring, multiply(u, apply_involution(inv, g))
-            )
-            lhs = [ring.zero] * n
-            for label, poly in lhs_coords.items():
-                c = basis.index[label]
-                for row in range(n):
-                    if theta[row][c]:
-                        lhs[row] = ring.add(lhs[row], ring.mul(poly, theta[row][c]))
-            # (theta(u) . g) evaluated on each basis element r: theta(u)(g r)
-            rhs = []
-            for r in basis_elems:
-                gr = to_canonical_coordinates(basis, ring, multiply(g, r))
-                acc = ring.zero
-                for label, poly in gr.items():
-                    acc = ring.add(acc, ring.mul(poly, theta_u[basis.index[label]]))
-                rhs.append(acc)
-            if lhs != rhs:
-                bad.append(f"theta(u * nu(g)) != theta(u).g for u={basis.elements[col].label}, g={gname}")
-
+    bad = _bimodule_counterexamples(basis, bp, inv, theta_cols)
     return ThetaPsiReport(
         ok=tp and pt and not bad,
-        size=n,
-        theta=theta,
-        psi=psi,
+        size=len(basis),
+        theta=_dense(ring, theta_cols),
+        psi=_dense(ring, psi_cols),
         theta_psi_identity=tp,
         psi_theta_identity=pt,
         det_theta_constant=det_const,
         bimodule_ok=not bad,
         bimodule_counterexamples=bad,
     )
+
+
+def _bimodule_counterexamples(
+    basis: CanonicalBasis, bp: _BasisPaths, inv: Involution, theta_cols: List[Dict[int, tuple]]
+) -> List[str]:
+    """The (u, g) pairs, in basis order and then generator order, where
+    theta(u nu(g)) and theta(u) g differ as vectors over the dual basis.
+
+    Generators are e(v) in vertex order, then the arrows in sorted order.
+    The left side needs u nu(g) != 0, which holds for g = e(start of u)
+    and for the arrows whose sigma-successor starts u (the arrows into v
+    when u = e(v)).  The right side, r -> theta_u(g b_r), needs a nonzero
+    product g b_r with a coordinate in the support of theta_u.  Only
+    those generators are compared; every other pair is zero on both sides.
+    """
+    q = basis.quiver
+    ring = bp.ring
+    zero = ring.zero
+    arrows = sorted(q.arrow_names)
+    gnames = [f"e({v})" for v in q.vertices] + arrows
+    gpaths = [(v, None, 0) for v in q.vertices] + [(q.source(a), a, 1) for a in arrows]
+    e_gen = {v: k for k, v in enumerate(q.vertices)}
+    a_gen = {a: len(q.vertices) + k for k, a in enumerate(arrows)}
+    arrows_into: Dict[str, List[str]] = {v: [] for v in q.vertices}
+    for a in arrows:
+        arrows_into[q.target(a)].append(a)
+
+    # every nonzero product g b_r, listed once under each coordinate s
+    # (a row of theta) as (g, r, coefficient)
+    by_coord: List[List[Tuple[int, int, tuple]]] = [[] for _ in bp.paths]
+    for g, path in enumerate(gpaths):
+        for r, prod in bp.left_multiples(*path):
+            for s, poly in bp.coordinates(*prod):
+                by_coord[s].append((g, r, poly))
+
+    bad: List[str] = []
+    for u, (su, au, lu) in enumerate(bp.paths):
+        # u nu(g) as (start, first arrow, length, coefficient) per generator
+        left = {e_gen[su]: (su, au, lu, ring.field.one)}
+        for a in arrows_into[su] if au is None else [bp.prev[au]]:
+            left[a_gen[a]] = (q.source(a), a, lu + 1, inv.signs[a])
+        right: Dict[int, Dict[int, tuple]] = {}
+        for s, th in theta_cols[u].items():
+            for g, r, poly in by_coord[s]:
+                vec = right.setdefault(g, {})
+                vec[r] = ring.add(vec.get(r, zero), ring.mul(poly, th))
+        for g in sorted(set(left) | set(right)):
+            lhs: Dict[int, tuple] = {}
+            if g in left:
+                start, a, length, c = left[g]
+                for k, poly in bp.coordinates(start, a, length):
+                    poly = ring.scale(c, poly)
+                    for row, th in theta_cols[k].items():
+                        lhs[row] = ring.add(lhs.get(row, zero), ring.mul(poly, th))
+            rhs = right.get(g, {})
+            if {r: p for r, p in lhs.items() if p} != {r: p for r, p in rhs.items() if p}:
+                bad.append(
+                    f"theta(u * nu(g)) != theta(u).g for u={basis.elements[u].label}, g={gnames[g]}"
+                )
+    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +755,6 @@ def cartan_rank(mat: List[List[int]]) -> int:
 def cartan_report(q: GentleQuiver) -> CartanReport:
     """Cartan matrix, exact rank over the rationals, and the bipartiteness
     rank criterion rank(C) = |G_0| - c, reported (not asserted)."""
-    from .ribbon import connected_components, graph_of_quiver
-
     mat = cartan_matrix(q)
     rk = cartan_rank(mat)
     g = graph_of_quiver(q)

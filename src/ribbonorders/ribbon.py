@@ -10,6 +10,7 @@ make output deterministic.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -22,7 +23,9 @@ class RibbonGraph:
 
     ``slots[v]`` lists the edges incident to node v in cyclic order; a
     slot is a position in that tuple.  Every edge name occurs exactly
-    twice across all nodes (twice at the same node for a loop).
+    twice across all nodes (twice at the same node for a loop).  The
+    validating slot pass also records each edge's endpoints, so
+    ``endpoints`` is a lookup; equality still compares the three fields.
     """
 
     nodes: Tuple[str, ...]
@@ -42,25 +45,27 @@ class RibbonGraph:
             raise QuiverError("duplicate edge names")
         if set(self.slots) != set(self.nodes):
             raise QuiverError("slot table must cover exactly the node set")
-        count: Dict[str, int] = {e: 0 for e in self.edges}
+        # edge -> the nodes of its slots, in node order and then slot order
+        ends: Dict[str, List[str]] = {e: [] for e in self.edges}
         for v in self.nodes:
             if not self.slots[v]:
                 raise QuiverError(f"node {v!r} has no incident edges")
             for e in self.slots[v]:
-                if e not in count:
+                if e not in ends:
                     raise QuiverError(f"unknown edge {e!r} at node {v!r}")
-                count[e] += 1
-        bad = [e for e, c in count.items() if c != 2]
+                ends[e].append(v)
+        bad = [e for e, vs in ends.items() if len(vs) != 2]
         if bad:
             raise QuiverError(f"edges {bad} do not occupy exactly two slots")
+        object.__setattr__(self, "_ends", ends)
 
     def valency(self, v: str) -> int:
         return len(self.slots[v])
 
     def endpoints(self, e: str) -> Tuple[str, str]:
         """The two endpoint nodes of an edge (equal for a loop)."""
-        found = [v for v in self.nodes for x in self.slots[v] if x == e]
-        return found[0], found[1]
+        u, v = self._ends[e]
+        return u, v
 
     def is_loop(self, e: str) -> bool:
         u, v = self.endpoints(e)
@@ -135,9 +140,9 @@ def is_bipartite(g: RibbonGraph, seed_color: str = "-") -> BipartiteCertificate:
         color[root] = seed_color
         parent[root] = None
         parent_edge[root] = None
-        queue = [root]
+        queue = deque([root])
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             for v, e in sorted(adj[u]):
                 if e == parent_edge[u] and v == parent[u]:
                     continue

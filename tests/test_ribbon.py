@@ -1,5 +1,8 @@
 """Ribbon graphs: construction, bipartiteness, circles, inverse, roundtrips."""
 
+import dataclasses
+import random
+
 import pytest
 
 from ribbonorders import (
@@ -14,6 +17,8 @@ from ribbonorders import (
 )
 from ribbonorders.quiver import QuiverError, disjoint_union
 from ribbonorders.ribbon import RibbonGraph
+
+from test_random_instances import random_ribbon_graph
 
 CORPUS = [
     "loop2", "nodal", "line1", "line2", "line3", "line4",
@@ -221,3 +226,34 @@ def test_ribbon_isomorphism_distinguishes_cyclic_orders():
     g1 = graph_of_quiver(corpus_quiver("triangle"))
     g2 = graph_of_quiver(corpus_quiver("oneorbit"))
     assert not ribbon_isomorphic(g1, g2)
+
+
+def slot_scan_endpoints(g, e):
+    """The endpoints by scanning every slot of every node."""
+    found = [v for v in g.nodes for x in g.slots[v] if x == e]
+    return found[0], found[1]
+
+
+def test_endpoints_match_slot_scan_on_corpus():
+    for name in CORPUS:
+        g = graph_of_quiver(corpus_quiver(name))
+        for e in g.edges:
+            assert g.endpoints(e) == slot_scan_endpoints(g, e), (name, e)
+
+
+def test_endpoints_match_slot_scan_on_random_graphs_with_loops():
+    rng = random.Random(11)
+    loops = 0
+    for _ in range(200):
+        g = random_ribbon_graph(rng, max_edges=8)
+        for e in g.edges:
+            assert g.endpoints(e) == slot_scan_endpoints(g, e)
+            loops += g.is_loop(e)
+    assert loops > 0
+
+
+def test_endpoint_map_leaves_equality_on_the_three_fields():
+    g = graph_of_quiver(corpus_quiver("mixed"))
+    h = RibbonGraph(nodes=g.nodes, edges=g.edges, slots=dict(g.slots))
+    assert g == h
+    assert [f.name for f in dataclasses.fields(g)] == ["nodes", "edges", "slots"]
