@@ -14,12 +14,7 @@ from typing import Dict, Optional
 
 from .corpus import CORPUS_NAMES, UnknownCorpusEntry, corpus_quiver
 from .decide import batch, decide, report_to_jsonable
-from .fdalg import (
-    build_quotient_algebra,
-    check_algebra_axioms,
-    is_symmetric_oracle,
-    socle,
-)
+from .fdalg import _socle_paths, build_quotient_algebra, check_algebra_axioms, is_symmetric_oracle
 from .fields import FieldSpecError, parse_field
 from .order import (
     canonical_basis,
@@ -221,7 +216,7 @@ def cmd_quotient(args) -> int:
     eps = _default_polarization(q)
     alg = build_quotient_algebra(q, field, mm, eps, twisted=not args.untwisted)
     check_algebra_axioms(alg)
-    soc = socle(alg)
+    soc = _socle_paths(alg)
     verdict = is_symmetric_oracle(alg)
     nonzero = len(alg.products)
     payload = {
@@ -232,7 +227,7 @@ def cmd_quotient(args) -> int:
         "basis": list(alg.basis),
         "nonzero_products": nonzero,
         "socle_dimension": len(soc),
-        "socle": [alg.element_str({i: c for i, c in enumerate(v) if not field.is_zero(c)}) for v in soc],
+        "socle": [alg.element_str({i: field.one}) for i in soc],
         "non_admissible_arrows": list(alg.non_admissible),
         "oracle": {"verdict": verdict.kind, "method": verdict.method},
     }

@@ -125,7 +125,6 @@ def decide(
     twisted = build_quotient_algebra(q, field, mm, eps, twisted=True)
     plain = build_quotient_algebra(q, field, mm, eps, twisted=False)
     verdict_tw = is_symmetric_oracle(twisted)
-    verdict_pl = is_symmetric_oracle(plain)
 
     conditions["c2"] = Condition(_status_from_verdict(verdict_tw), _verdict_evidence(verdict_tw))
 
@@ -141,6 +140,7 @@ def decide(
         conditions["c5"] = Condition(TRUE, ev5)
     else:
         ev5 = {"kind": "inapplicable", "reason": psi.reason, "witness": psi.witness}
+        verdict_pl = is_symmetric_oracle(plain)  # read only where no scaling applies
         if verdict_tw.kind == "not-symmetric" and verdict_pl.kind == "symmetric":
             ev5["refutation"] = (
                 "twisted quotient certified non-symmetric while the Brauer graph "

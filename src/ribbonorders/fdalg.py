@@ -14,9 +14,10 @@ left-hand path's first arrow under sigma (or one factor is the matching
 idempotent); it is then the residue of the concatenated path: a basis
 path, the kept top cycle with sign -1 (twisted) or +1 (plain) for the
 negative top cycle, or zero beyond the top length m(a) n(a).
-``FdAlgebra.residue`` is this one rule, and the builder lists the
-nonzero products from it in O(dim + nonzero products) without composing
-paths.
+``FdAlgebra.residue`` is this one rule.  The builder lists the nonzero
+products by it in O(dim + nonzero products) as index arithmetic, without
+composing paths: a:1, a:2, ... sit at consecutive indices, and the
+successor sigma^l(a) is a lookup in the quiver's orbit data.
 
 An algebra keeps its nonzero products as a list of (i, j, k, c), meaning
 b_i b_j = c b_k, in row-major order.  ``table[i][j]`` is the same
@@ -110,9 +111,6 @@ class FdAlgebra:
     def arrow_residue(self, a: str) -> Sparse:
         return self.reduce_path(self.quiver.path_from(a, 1))
 
-    def top_length(self, a: str) -> int:
-        return self.top_lengths[a]
-
     def residue(self, a: str, length: int) -> Optional[Tuple[int, object]]:
         """The monomial rule: the residue of the length-l path starting
         with arrow a, as (basis index, coefficient), or None when the
@@ -184,30 +182,25 @@ def build_quotient_algebra(
     O(dim + nonzero products): the nonzero left multiples of a:l are
     e(end) and sigma^l(a):l' for l + l' <= top(a), giving the residue of
     a:(l + l'); those of e(v) are e(v) and the basis paths starting at v.
+    Every index is arithmetic on the first index of an arrow's paths.
     """
     mm = normalize_multiplicity(q, m)
     if eps is None:
         eps = default_polarization(q)
 
-    top: Dict[str, int] = {}
-    for rep, orbit in q.sigma_orbits():
-        for a in orbit:
-            top[a] = mm[rep] * len(orbit)
-
     labels: List[str] = [f"e({v})" for v in q.vertices]
     paths: Dict[str, Path] = {f"e({v})": q.idempotent(v) for v in q.vertices}
-    top_label: Dict[str, str] = {}
+    top: Dict[str, int] = {}
+    first: Dict[str, int] = {}  # a:1, a:2, ... sit at consecutive indices from first[a]
+    kept: Dict[str, int] = {}  # the number of them: the negative top cycle is rewritten
     non_admissible: List[str] = []
-    for v in q.vertices:
-        a = eps.positive_arrow_at(q, v)
-        top_label[v] = f"{a}:{top[a]}"
     for a in sorted(q.arrow_names):
+        top[a] = mm[q.orbit_rep(a)] * q.cycle_length(a)
         if top[a] == 1:
             non_admissible.append(a)
-        neg = eps.sign(a) == MINUS
-        for length in range(1, top[a] + 1):
-            if neg and length == top[a]:
-                continue  # rewritten into the positive top cycle
+        first[a] = len(labels)
+        kept[a] = top[a] - 1 if eps.sign(a) == MINUS else top[a]
+        for length in range(1, kept[a] + 1):
             label = f"{a}:{length}"
             labels.append(label)
             paths[label] = q.path_from(a, length)
@@ -215,44 +208,34 @@ def build_quotient_algebra(
     if len(labels) != sum(top.values()):
         raise AssertionError("quotient basis size disagrees with the rank formula")
 
-    index = {lab: i for i, lab in enumerate(labels)}
-    alg = FdAlgebra(
-        quiver=q,
-        field=field,
-        eps=eps,
-        multiplicity=mm,
-        twisted=twisted,
-        basis=tuple(labels),
-        paths=paths,
-        index=index,
-        table=[],
-        idempotent_labels=tuple(f"e({v})" for v in q.vertices),
-        top_label=top_label,
-        non_admissible=tuple(non_admissible),
-        products=[],
-        top_lengths=top,
-    )
+    top_label: Dict[str, str] = {}
+    top_index: Dict[str, int] = {}
+    for v in q.vertices:
+        a = eps.positive_arrow_at(q, v)
+        top_label[v] = f"{a}:{top[a]}"
+        top_index[v] = first[a] + top[a] - 1
 
     one = field.one
-    starting_at: Dict[str, List[int]] = {v: [] for v in q.vertices}
-    for lab, p in paths.items():
-        if not p.is_idempotent:
-            starting_at[p.start].append(index[lab])
-    # rows[i] collects (j, k, c) in increasing j, since j runs in order
+    sign = field.neg(one) if twisted else one
+    vindex = {v: i for i, v in enumerate(q.vertices)}
+    # columns in index order, so rows[i] collects (j, k, c) in increasing j
     rows: List[List[Tuple[int, int, object]]] = [[] for _ in labels]
-    for j, lab in enumerate(labels):
-        p = paths[lab]
-        if p.is_idempotent:
-            rows[j].append((j, j, one))
-            for i in starting_at[p.start]:
+    for v, j in vindex.items():
+        rows[j].append((j, j, one))
+        for a in q.arrows_out(v):
+            for i in range(first[a], first[a] + kept[a]):
                 rows[i].append((j, i, one))
-            continue
-        rows[index[f"e({q.path_end(p)})"]].append((j, j, one))
-        a, length = p.arrows[0], p.length
-        b = q.sigma[p.arrows[-1]]
-        for extra in range(1, top[a] - length + 1):
-            k, c = alg.residue(a, length + extra)
-            rows[index[f"{b}:{extra}"]].append((j, k, c))
+    for a, base in first.items():
+        n, neg = top[a], eps.sign(a) == MINUS
+        for length in range(1, kept[a] + 1):
+            j = base + length - 1
+            b = q.sigma_power(a, length)
+            rows[vindex[q.source(b)]].append((j, j, one))
+            for extra in range(1, n - length + 1):
+                if length + extra < n or not neg:
+                    rows[first[b] + extra - 1].append((j, j + extra, one))
+                else:  # a:top, rewritten through the relation at s(a)
+                    rows[first[b] + extra - 1].append((j, top_index[q.source(a)], sign))
 
     products: List[Product] = []
     table: List[List[Mapping[int, object]]] = []
@@ -262,9 +245,22 @@ def build_quotient_algebra(
             cells[j] = {k: c}
             products.append((i, j, k, c))
         table.append(cells)
-    alg.products = products
-    alg.table = table
-    return alg
+    return FdAlgebra(
+        quiver=q,
+        field=field,
+        eps=eps,
+        multiplicity=mm,
+        twisted=twisted,
+        basis=tuple(labels),
+        paths=paths,
+        index={lab: i for i, lab in enumerate(labels)},
+        table=table,
+        idempotent_labels=tuple(f"e({v})" for v in q.vertices),
+        top_label=top_label,
+        non_admissible=tuple(non_admissible),
+        products=products,
+        top_lengths=top,
+    )
 
 
 def build_twisted_bga(q, field, m=None, eps=None) -> FdAlgebra:
@@ -536,19 +532,7 @@ def pairing_det(alg: FdAlgebra, phi: list):
         entries.append(f.mul(c, x))
     if len(entries) < n:
         return f.zero
-    d = f.one
-    for x in entries:
-        d = f.mul(d, x)
-    # sign(perm) = (-1)^(n - number of cycles)
-    seen = [False] * n
-    parity = n
-    for s in range(n):
-        if not seen[s]:
-            parity -= 1
-            while not seen[s]:
-                seen[s] = True
-                s = col[s]
-    return f.neg(d) if parity % 2 else d
+    return linalg.signed_permutation_det(f, col, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -566,10 +550,6 @@ class SymmetryVerdict:
     s_dim: int = 0
     witness_form: Optional[list] = None
     certificate: Optional[dict] = None
-
-    @property
-    def is_certain(self) -> bool:
-        return self.kind in ("symmetric", "not-symmetric")
 
 
 def is_symmetric_oracle(alg: FdAlgebra) -> SymmetryVerdict:

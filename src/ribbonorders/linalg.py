@@ -12,7 +12,8 @@ tests (see :mod:`ribbonorders.fields`).
 
 The order-level checks use ``det`` and ``rank``; the quotient symmetry
 oracle in :mod:`ribbonorders.fdalg` is closed-form and eliminates
-nothing.
+nothing.  Its pairing and the order's theta(0) have one nonzero entry
+per row and column, and ``signed_permutation_det`` is their determinant.
 """
 
 from __future__ import annotations
@@ -114,3 +115,25 @@ def unit_vector(field: Field, n: int, i: int) -> Vector:
     v = [field.zero] * n
     v[i] = field.one
     return v
+
+
+def signed_permutation_det(field: Field, perm: List[int], entries: list):
+    """det of an n x n matrix with one nonzero entry per row and column,
+    placed by the permutation perm of range(n) (row s in column perm[s],
+    or column s in row perm[s]: a permutation and its inverse have one
+    sign): sign(perm) times the product of the entries."""
+    f = field
+    d = f.one
+    for x in entries:
+        d = f.mul(d, x)
+    # sign(perm) = (-1)^(n - number of cycles)
+    n = len(perm)
+    seen = [False] * n
+    parity = n
+    for s in range(n):
+        if not seen[s]:
+            parity -= 1
+            while not seen[s]:
+                seen[s] = True
+                s = perm[s]
+    return f.neg(d) if parity % 2 else d

@@ -78,10 +78,6 @@ def normalize_multiplicity(q: GentleQuiver, m: Union[int, Mapping[str, int], Non
     return out
 
 
-def multiplicity_of_arrow(q: GentleQuiver, m: Dict[str, int], a: str) -> int:
-    return m[q.orbit_rep(a)]
-
-
 # ---------------------------------------------------------------------------
 # order elements
 
@@ -199,7 +195,7 @@ def central_element_z(
     mm = normalize_multiplicity(q, m)
     z = zero_element(q, field)
     for a in q.arrow_names:
-        cycle = q.path_from(a, q.cycle_length(a) * multiplicity_of_arrow(q, mm, a))
+        cycle = q.path_from(a, q.cycle_length(a) * mm[q.orbit_rep(a)])
         z = add(z, path_element(q, field, cycle))
     for gen in _generator_elements(q, field):
         if not elements_equal(multiply(z, gen), multiply(gen, z)):
@@ -355,28 +351,23 @@ class _BasisPaths:
     """The canonical basis as paths (start, first arrow, length), with the
     data the sigma-rule and the coordinate rule read.
 
-    Built per check call from one sigma_orbits() pass and the basis paths;
-    nothing is stored on the quiver.  The first arrow is None for e_v;
-    ``nxt[r]`` is sigma of b_r's last arrow (None for e_v), and
+    Built per check call from the basis paths; cycle lengths and sigma
+    steps are the quiver's orbit lookups.  The first arrow is None for
+    e_v; ``nxt[r]`` is sigma of b_r's last arrow (None for e_v), and
     ``nu_sign[r]`` is the involution's sign on b_r.
     """
 
     def __init__(self, basis: CanonicalBasis, ring: PolyRing, inv: Optional[Involution] = None):
         q = basis.quiver
+        self.quiver = q
         self.ring = ring
-        self.cycle_length: Dict[str, int] = {}
-        self.prev: Dict[str, str] = {}
-        for _, orbit in q.sigma_orbits():
-            for k, a in enumerate(orbit):
-                self.cycle_length[a] = len(orbit)
-                self.prev[orbit[(k + 1) % len(orbit)]] = a
         self.positive = {a: s == PLUS for a, s in basis.eps.signs.items()}
         self.e_index = {v: basis.index[f"e({v})"] for v in q.vertices}
         self.x_index = {v: basis.index[f"x({v})"] for v in q.vertices}
         self.is_x = [b.kind == "x" for b in basis.elements]
         # a:1, ..., a:n-1 sit at consecutive indices
         self.split_base = {
-            a: basis.index[f"{a}:1"] for a, n in self.cycle_length.items() if n > 1
+            a: basis.index[f"{a}:1"] for a in q.arrow_names if q.cycle_length(a) > 1
         }
         self.paths: List[Tuple[str, Optional[str], int]] = []
         self.nxt: List[Optional[str]] = []
@@ -413,7 +404,8 @@ class _BasisPaths:
         if a is None:
             return [(self.e_index[start], self.ring.one)]
         out = []
-        for slot, poly in _coordinate_rule(self.ring, length, self.cycle_length[a], self.positive[a]):
+        n = self.quiver.cycle_length(a)
+        for slot, poly in _coordinate_rule(self.ring, length, n, self.positive[a]):
             if slot == "e":
                 out.append((self.e_index[start], poly))
             elif slot == "x":
@@ -435,7 +427,7 @@ class _BasisPaths:
         """For b_r = a:m, the index of sigma^m(a):n-m, which closes it to
         the full cycle c_a."""
         b = self.nxt[r]
-        return self.split_base[b] + self.cycle_length[b] - self.paths[r][2] - 1
+        return self.split_base[b] + self.quiver.cycle_length(b) - self.paths[r][2] - 1
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +509,13 @@ def check_nu_symmetry(q: GentleQuiver, eps: Polarization, field: Field) -> NuSym
 
 @dataclass
 class ThetaPsiReport:
+    """theta and psi are sparse columns {row: entry}, at most two entries
+    each; ``_dense`` gives the |B| x |B| matrices."""
+
     ok: bool
     size: int
-    theta: List[List[tuple]]
-    psi: List[List[tuple]]
+    theta: List[Dict[int, tuple]]
+    psi: List[Dict[int, tuple]]
     theta_psi_identity: bool
     psi_theta_identity: bool
     det_theta_constant: object
@@ -590,7 +585,7 @@ def _signed_permutation_det(field: Field, cols: List[Dict[int, object]]):
     n = len(cols)
     perm = [-1] * n
     taken = [False] * n
-    d = f.one
+    values = []
     for c, entries in enumerate(cols):
         if not entries:
             return f.zero
@@ -601,17 +596,8 @@ def _signed_permutation_det(field: Field, cols: List[Dict[int, object]]):
             raise AssertionError(f"theta(0) has two nonzero entries in row {r}")
         taken[r] = True
         perm[c] = r
-        d = f.mul(d, x)
-    # sign(perm) = (-1)^(n - number of cycles)
-    seen = [False] * n
-    parity = n
-    for s in range(n):
-        if not seen[s]:
-            parity -= 1
-            while not seen[s]:
-                seen[s] = True
-                s = perm[s]
-    return f.neg(d) if parity % 2 else d
+        values.append(x)
+    return linalg.signed_permutation_det(f, perm, values)
 
 
 def verify_theta_psi(q: GentleQuiver, eps: Polarization, field: Field) -> ThetaPsiReport:
@@ -644,8 +630,8 @@ def verify_theta_psi(q: GentleQuiver, eps: Polarization, field: Field) -> ThetaP
     return ThetaPsiReport(
         ok=tp and pt and not bad,
         size=len(basis),
-        theta=_dense(ring, theta_cols),
-        psi=_dense(ring, psi_cols),
+        theta=theta_cols,
+        psi=psi_cols,
         theta_psi_identity=tp,
         psi_theta_identity=pt,
         det_theta_constant=det_const,
@@ -691,7 +677,7 @@ def _bimodule_counterexamples(
     for u, (su, au, lu) in enumerate(bp.paths):
         # u nu(g) as (start, first arrow, length, coefficient) per generator
         left = {e_gen[su]: (su, au, lu, ring.field.one)}
-        for a in arrows_into[su] if au is None else [bp.prev[au]]:
+        for a in arrows_into[su] if au is None else [q.sigma_power(au, -1)]:
             left[a_gen[a]] = (q.source(a), a, lu + 1, inv.signs[a])
         right: Dict[int, Dict[int, tuple]] = {}
         for s, th in theta_cols[u].items():
@@ -782,7 +768,7 @@ def rank_formula_check(q: GentleQuiver, m: Union[int, Mapping[str, int], None] =
     """rk Lambda = sum over arrows of m(v_a) n(a); for multiplicity one this
     must equal |B|, and the report says whether it does."""
     mm = normalize_multiplicity(q, m)
-    per = {a: multiplicity_of_arrow(q, mm, a) * q.cycle_length(a) for a in q.arrow_names}
+    per = {a: mm[q.orbit_rep(a)] * q.cycle_length(a) for a in q.arrow_names}
     total = sum(per.values())
     basis_size = None
     matches = None

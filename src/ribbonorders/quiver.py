@@ -67,6 +67,9 @@ class GentleQuiver:
     ``arrows`` is an ordered tuple of (name, source, target); ``sigma``
     maps each arrow name to its unique nonzero successor.  Use
     :func:`validate_complete_gentle` (or the from_* helpers) to build one.
+    Construction walks sigma once and stores the orbits with each arrow's
+    orbit and position, so every orbit query is a lookup; equality and
+    repr still read only the three fields.
     """
 
     vertices: Tuple[str, ...]
@@ -80,12 +83,32 @@ class GentleQuiver:
         for a, s, _ in self.arrows:
             out[s].append(a)
         object.__setattr__(self, "_out", {v: tuple(sorted(ar)) for v, ar in out.items()})
+        names = tuple(a for a, _, _ in self.arrows)
+        object.__setattr__(self, "_names", names)
+        # the one walk along sigma: the orbits, each started at its least
+        # arrow, and per arrow (its orbit, its position in the orbit)
+        orbits = []
+        place: Dict[str, Tuple[Tuple[str, ...], int]] = {}
+        for a in sorted(names):
+            if a in place:
+                continue
+            orbit = [a]
+            b = self.sigma[a]
+            while b != a:
+                orbit.append(b)
+                b = self.sigma[b]
+            orbit = tuple(orbit)
+            orbits.append((a, orbit))
+            for k, b in enumerate(orbit):
+                place[b] = (orbit, k)
+        object.__setattr__(self, "_orbits", tuple(orbits))
+        object.__setattr__(self, "_place", place)
 
     # basic accessors -------------------------------------------------
 
     @property
     def arrow_names(self) -> Tuple[str, ...]:
-        return tuple(a for a, _, _ in self.arrows)
+        return self._names
 
     def source(self, a: str) -> str:
         return self._source[a]
@@ -102,9 +125,9 @@ class GentleQuiver:
         return y if a == x else x
 
     def sigma_power(self, a: str, p: int) -> str:
-        for _ in range(p):
-            a = self.sigma[a]
-        return a
+        """sigma^p(a); p may be negative."""
+        orbit, k = self._place[a]
+        return orbit[(k + p) % len(orbit)]
 
     # orbits and cycles -----------------------------------------------
 
@@ -116,30 +139,14 @@ class GentleQuiver:
         orbit tuple starts at the representative and follows sigma.
         Pairs are sorted by representative.
         """
-        seen = set()
-        orbits = []
-        for a in sorted(self.arrow_names):
-            if a in seen:
-                continue
-            orbit = [a]
-            b = self.sigma[a]
-            while b != a:
-                orbit.append(b)
-                b = self.sigma[b]
-            seen.update(orbit)
-            orbits.append((a, tuple(orbit)))
-        return orbits
+        return list(self._orbits)
 
     def orbit_of(self, a: str) -> Tuple[str, ...]:
-        orbit = [a]
-        b = self.sigma[a]
-        while b != a:
-            orbit.append(b)
-            b = self.sigma[b]
-        return tuple(orbit)
+        orbit, k = self._place[a]
+        return orbit[k:] + orbit[:k]
 
     def orbit_rep(self, a: str) -> str:
-        return min(self.orbit_of(a))
+        return self._place[a][0][0]
 
     def cycle_of(self, a: str) -> Cycle:
         """The unique repetition-free cyclic path c_a starting with `a`.
@@ -149,7 +156,7 @@ class GentleQuiver:
         return Cycle(base=a, arrows=self.orbit_of(a))
 
     def cycle_length(self, a: str) -> int:
-        return len(self.orbit_of(a))
+        return len(self._place[a][0])
 
     # paths -------------------------------------------------------------
 
@@ -162,12 +169,9 @@ class GentleQuiver:
         """The unique nonzero path a_m of length m starting with arrow `a`."""
         if m < 0:
             raise QuiverError("path length must be >= 0")
-        seq = []
-        b = a
-        for _ in range(m):
-            seq.append(b)
-            b = self.sigma[b]
-        return Path(start=self._source[a], arrows=tuple(seq))
+        orbit, k = self._place[a]
+        turn = orbit[k:] + orbit[:k]
+        return Path(start=self._source[a], arrows=(turn * (m // len(orbit) + 1))[:m])
 
     def path_end(self, p: Path) -> str:
         if not p.arrows:
@@ -366,15 +370,16 @@ def idempotent_subquiver(q: GentleQuiver, kept: Iterable[str]) -> IdempotentSubq
 
     new_vertices = tuple(v for v in q.vertices if v in kept_set)
     kept_arrows = [a for a in q.arrow_names if q.source(a) in kept_set]
+    # along each orbit, every kept arrow's successor is the next kept one
+    step: Dict[str, Tuple[str, int]] = {}
+    for _, orbit in q.sigma_orbits():
+        at = [k for k, a in enumerate(orbit) if q.source(a) in kept_set]
+        for k, k2 in zip(at, at[1:] + at[:1]):
+            step[orbit[k]] = (orbit[k2], (k2 - k - 1) % len(orbit) + 1)
     sigma_prime: Dict[str, str] = {}
     realization: Dict[str, Path] = {}
     for a in kept_arrows:
-        b = q.sigma[a]
-        m = 1
-        while q.source(b) not in kept_set:
-            b = q.sigma[b]
-            m += 1
-        sigma_prime[a] = b
+        sigma_prime[a], m = step[a]
         realization[a] = q.path_from(a, m)
     arrows = tuple(
         (a, q.source(a), q.source(sigma_prime[a])) for a in kept_arrows

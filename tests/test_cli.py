@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from ribbonorders import cli
+from ribbonorders import CORPUS_NAMES, cli, corpus_quiver, parse_field
 from ribbonorders.cli import main
+from ribbonorders.fdalg import build_quotient_algebra, socle
 
 
 def run(capsys, *argv):
@@ -85,6 +86,22 @@ def test_quotient_multiplicity_flag(capsys):
     code, out, _ = run(capsys, "quotient", "corpus:loop2", "--field", "gf2", "-m", "2", "--json")
     assert code == 0
     assert json.loads(out)["dimension"] == 8
+
+
+@pytest.mark.parametrize("untwisted", [[], ["--untwisted"]])
+def test_quotient_socle_matches_dense_view(capsys, untwisted):
+    # the command lists the socle from its basis-path indices; the dense
+    # fdalg.socle rows must name the same elements
+    for name in CORPUS_NAMES:
+        for field, m in (("gf3", "1"), ("q", "2")):
+            code, out, _ = run(capsys, "quotient", f"corpus:{name}", "--field", field, "-m", m, "--json", *untwisted)
+            assert code == 0
+            fld = parse_field(field)
+            q = corpus_quiver(name)
+            alg = build_quotient_algebra(q, fld, int(m), cli._default_polarization(q), twisted=not untwisted)
+            dense = [alg.element_str({i: c for i, c in enumerate(v) if c}) for v in socle(alg)]
+            payload = json.loads(out)
+            assert payload["socle"] == dense and payload["socle_dimension"] == len(dense)
 
 
 def test_decide_loop2_gf3(capsys):

@@ -125,7 +125,7 @@ def test_top_lengths_once_per_algebra(monkeypatch):
 
     monkeypatch.setattr(GentleQuiver, "orbit_of", refuse)
     for a in q.arrow_names:
-        assert alg.top_length(a) == expected[a]
+        assert alg.top_lengths[a] == expected[a]
         assert alg.reduce_path(q.path_from(a, expected[a] + 1)) == {}
         assert alg.arrow_residue(a)
 

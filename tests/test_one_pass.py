@@ -21,7 +21,9 @@ from ribbonorders import (
     decide,
     default_polarization,
     enumerate_polarizations,
+    graph_of_quiver,
     is_bipartite,
+    is_symmetric_oracle,
     quiver_from_ribbon_graph,
     rank_formula_check,
 )
@@ -96,3 +98,18 @@ def test_decide_computes_certificate_once_and_quotient_pair_once(monkeypatch):
             counts.update(is_bipartite=0, build_quotient_algebra=0)
             decide(q, field, 1)
             assert counts == {"is_bipartite": 1, "build_quotient_algebra": 2}, (name, field.name)
+
+
+def test_decide_runs_plain_oracle_only_without_a_scaling(monkeypatch):
+    # the plain quotient's verdict is read only where c5's scaling map
+    # does not apply: outside characteristic two on a non-bipartite graph
+    counts = {"is_symmetric_oracle": 0}
+    count_calls(monkeypatch, is_symmetric_oracle, counts)
+    for name in CORPUS_NAMES:
+        q = corpus_quiver(name)
+        for field in FIELDS:
+            counts.update(is_symmetric_oracle=0)
+            rep = decide(q, field, 1)
+            scaled = rep.conditions["c5"].evidence["kind"] != "inapplicable"
+            assert scaled == (field.char == 2 or is_bipartite(graph_of_quiver(q)).is_bipartite)
+            assert counts["is_symmetric_oracle"] == (1 if scaled else 2), (name, field.name)

@@ -216,11 +216,17 @@ def reference_theta_psi(q, eps, field, theta_of=reference_theta):
     )
 
 
+def densified(tp, field):
+    """The report with theta and psi as the dense matrices the reference keeps."""
+    ring = PolyRing(field)
+    return dataclasses.replace(tp, theta=order._dense(ring, tp.theta), psi=order._dense(ring, tp.psi))
+
+
 def assert_same(q, eps, field):
     nu = check_nu_symmetry(q, eps, field)
     assert dataclasses.asdict(nu) == dataclasses.asdict(reference_nu_symmetry(q, eps, field))
     tp = verify_theta_psi(q, eps, field)
-    assert dataclasses.asdict(tp) == dataclasses.asdict(reference_theta_psi(q, eps, field))
+    assert dataclasses.asdict(densified(tp, field)) == dataclasses.asdict(reference_theta_psi(q, eps, field))
     return nu
 
 
@@ -278,7 +284,7 @@ def test_corrupted_involution_same_counterexamples(name, monkeypatch):
         ref_tp = reference_theta_psi(q, eps, field)
         assert nu.counterexamples and tp.bimodule_counterexamples
         assert dataclasses.asdict(nu) == dataclasses.asdict(ref_nu)
-        assert dataclasses.asdict(tp) == dataclasses.asdict(ref_tp)
+        assert dataclasses.asdict(densified(tp, field)) == dataclasses.asdict(ref_tp)
 
 
 def _stray_entry(basis):
@@ -314,7 +320,7 @@ def test_corrupted_theta_same_counterexamples(name, monkeypatch):
         ref = reference_theta_psi(q, eps, field, theta_of=corrupted_dense)
         assert not tp.theta_psi_identity and tp.det_theta_constant is None
         assert tp.bimodule_counterexamples
-        assert dataclasses.asdict(tp) == dataclasses.asdict(ref)
+        assert dataclasses.asdict(densified(tp, field)) == dataclasses.asdict(ref)
 
 
 def test_products_match_compose():

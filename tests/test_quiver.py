@@ -1,14 +1,24 @@
 """Core quiver layer: validation, orbits, cycles, subquivers, periods."""
 
+import random
+import sys
+from pathlib import Path as FilePath
+
 import pytest
 
-from ribbonorders import corpus_quiver, idempotent_subquiver, quiver_isomorphism
+from ribbonorders import CORPUS_NAMES, corpus_quiver, idempotent_subquiver, quiver_isomorphism
 from ribbonorders.quiver import (
     GentleQuiver,
+    Path,
     QuiverError,
     disjoint_union,
     validate_complete_gentle,
 )
+from ribbonorders.ribbon import graph_of_quiver, quiver_from_ribbon_graph
+from ribbonorders.specfile import parse_spec, serialize_quiver
+
+sys.path.insert(0, str(FilePath(__file__).resolve().parent.parent / "perfbench"))
+import gen  # noqa: E402  (perfbench's seeded generator)
 
 
 def test_loop2_valid():
@@ -228,3 +238,93 @@ def test_quiver_isomorphism_detects_difference():
     assert quiver_isomorphism(corpus_quiver("loop2"), corpus_quiver("circ1")) is not None
     assert quiver_isomorphism(corpus_quiver("nodal"), corpus_quiver("line1")) is not None
     assert quiver_isomorphism(corpus_quiver("loop2"), corpus_quiver("nodal")) is None
+
+
+# ---------------------------------------------------------------------------
+# the orbit data stored at construction, against a fresh walk along sigma
+
+
+def reference_orbit_data(q):
+    """The sorted (representative, orbit) pairs and, per arrow, its
+    (orbit, position), from a walk along sigma."""
+    orbits, place = [], {}
+    for a in sorted(q.arrow_names):
+        if a in place:
+            continue
+        orbit = [a]
+        while q.sigma[orbit[-1]] != a:
+            orbit.append(q.sigma[orbit[-1]])
+        orbits.append((a, tuple(orbit)))
+        for k, b in enumerate(orbit):
+            place[b] = (tuple(orbit), k)
+    return orbits, place
+
+
+def assert_orbit_data(q):
+    orbits, place = reference_orbit_data(q)
+    assert q.sigma_orbits() == orbits
+    assert q._place == place
+    assert q.arrow_names == tuple(a for a, _, _ in q.arrows)
+    for a, (orbit, k) in place.items():
+        n = len(orbit)
+        assert q.orbit_rep(a) == orbit[0] == min(orbit)
+        assert q.cycle_length(a) == n
+        assert q.orbit_of(a) == orbit[k:] + orbit[:k]
+        walk = [a]
+        for p in range(1, 2 * n + 2):
+            walk.append(q.sigma[walk[-1]])
+            assert q.sigma_power(a, p) == walk[p]
+            assert q.sigma_power(walk[p], -p) == a
+        for m in (0, 1, n, 2 * n + 1):
+            assert q.path_from(a, m) == Path(start=q.source(a), arrows=tuple(walk[:m]))
+    assert q == parse_spec(serialize_quiver(q)).quiver
+
+
+def reference_subquiver(q, kept):
+    """idempotent_subquiver's sigma' and realizations by walking sigma."""
+    kept = set(kept)
+    sigma, realization = {}, {}
+    for a in q.arrow_names:
+        if q.source(a) not in kept:
+            continue
+        b, m = q.sigma[a], 1
+        while q.source(b) not in kept:
+            b, m = q.sigma[b], m + 1
+        sigma[a] = b
+        realization[a] = q.path_from(a, m)
+    return sigma, realization
+
+
+def seeded_quivers():
+    """Seeded random quivers whose ribbon graphs include loops and
+    valency-one nodes (orbits of size one)."""
+    rng = random.Random(7)
+    profiles = [(1, 1, 2, 4), (3, 3, 2), (6,), (5, 1, 2), (4, 4, 4, 4), (3, 3, 2, 2, 2, 2, 2)]
+    graphs = [gen.random_ribbon_graph(rng, profiles[k % len(profiles)]) for k in range(36)]
+    assert any(g.is_loop(e) for g in graphs for e in g.edges)
+    return [quiver_from_ribbon_graph(g) for g in graphs]
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_orbit_data_corpus(name):
+    assert_orbit_data(corpus_quiver(name))
+
+
+def test_orbit_data_random_quivers():
+    for q in seeded_quivers():
+        assert_orbit_data(q)
+        assert_orbit_data(quiver_from_ribbon_graph(graph_of_quiver(q)))
+
+
+def test_orbit_data_derived_quivers():
+    quivers = [corpus_quiver(name) for name in CORPUS_NAMES] + seeded_quivers()[:12]
+    for q1, q2 in zip(quivers, quivers[1:]):
+        assert_orbit_data(disjoint_union(q1, q2))
+    for q in quivers:
+        verts = list(q.vertices)
+        for k in range(1, len(verts)):
+            for kept in (verts[:k], verts[k:]):
+                sub = idempotent_subquiver(q, kept)
+                assert_orbit_data(sub.quiver)
+                sigma, realization = reference_subquiver(q, kept)
+                assert sub.quiver.sigma == sigma and sub.realization == realization
