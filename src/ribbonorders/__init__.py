@@ -19,6 +19,7 @@ from .fdalg import (
     construct_psi_isomorphism,
     is_symmetric_oracle,
     nakayama_involution_bar,
+    plain_quotient,
     socle,
 )
 from .fields import (

@@ -31,6 +31,7 @@ from .fdalg import (
     SymmetryVerdict,
     build_quotient_algebra,
     is_symmetric_oracle,
+    plain_quotient,
     psi_from_quotients,
 )
 from .fields import Field
@@ -120,10 +121,10 @@ def decide(
     else:
         conditions["c4"] = Condition(FALSE, {"odd_walk": list(stable.odd_walk)})
 
-    # quotients share a polarization so that their bases coincide
+    # one build: the plain quotient is the twisted one with every sign +1
     eps = stable if bipartite else default_polarization(q)
     twisted = build_quotient_algebra(q, field, mm, eps, twisted=True)
-    plain = build_quotient_algebra(q, field, mm, eps, twisted=False)
+    plain = plain_quotient(twisted)
     verdict_tw = is_symmetric_oracle(twisted)
 
     conditions["c2"] = Condition(_status_from_verdict(verdict_tw), _verdict_evidence(verdict_tw))

@@ -19,14 +19,18 @@ products by it in O(dim + nonzero products) as index arithmetic, without
 composing paths: a:1, a:2, ... sit at consecutive indices, and the
 successor sigma^l(a) is a lookup in the quiver's orbit data.
 
-An algebra keeps its nonzero products as a list of (i, j, k, c), meaning
-b_i b_j = c b_k, in row-major order.  ``table[i][j]`` is the same
-product as a one-entry dict; every zero cell is the one shared read-only
-``ZERO_CELL``, so a table costs dim^2 references and not dim^2 dicts.
-The associativity check, the bilinear matrices, the commutator rows,
-the socle, the involution and twist checks and the scaling-map
-verification all run over the nonzero products, not over every dim^2 or
-dim^3 basis tuple.
+An algebra stores its multiplication once, as the list of its nonzero
+products (i, j, k, c), meaning b_i b_j = c b_k, in row-major order.
+The two quotients share basis and index and differ only in the sign of
+the rewritten top cycle, so ``plain_quotient`` derives the Brauer graph
+algebra from the twisted quotient by setting every coefficient to +1.
+``table[i][j]`` (the same product as a one-entry dict, every zero cell
+the one shared read-only ``ZERO_CELL``) and ``paths`` (a ``Path`` per
+basis label) are views derived from the products and the basis on first
+read; no decision reads them.  The associativity check, the bilinear
+matrices, the commutator rows, the socle, the involution and twist
+checks and the scaling-map verification all run over the nonzero
+products, not over every dim^2 or dim^3 basis tuple.
 
 The symmetry oracle is closed-form on this structure and runs in
 O(dim + nonzero products) with no elimination and no dense determinant:
@@ -41,8 +45,9 @@ AssertionError rather than falling back to general linear algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
@@ -77,10 +82,11 @@ class FdAlgebra:
     basis[i] is a label ("e(v)" for an idempotent, "a:l" for the
     length-l path starting with arrow a).  products lists the nonzero
     products as (i, j, k, c), meaning basis_i * basis_j = c * basis_k, in
-    row-major (i, j) order; table[i][j] holds the same product as a
-    one-entry dict, and every zero cell is the shared read-only
-    ZERO_CELL.  top_lengths[a] = m(a) n(a) is the length of the top cycle
-    starting with arrow a.
+    row-major (i, j) order: the one stored multiplication.  top_lengths[a]
+    = m(a) n(a) is the length of the top cycle starting with arrow a.
+    table and paths are derived from products and basis on first read
+    and then kept; an edit of products after that read does not reach
+    them.
     """
 
     quiver: GentleQuiver
@@ -89,14 +95,36 @@ class FdAlgebra:
     multiplicity: Dict[str, int]
     twisted: bool
     basis: Tuple[str, ...]
-    paths: Dict[str, Path]
     index: Dict[str, int]
-    table: List[List[Mapping[int, object]]]
     idempotent_labels: Tuple[str, ...]
     top_label: Dict[str, str]  # vertex -> kept (positive) top cycle label
     non_admissible: Tuple[str, ...]
     products: List[Product]
     top_lengths: Dict[str, int]
+
+    @cached_property
+    def table(self) -> List[List[Mapping[int, object]]]:
+        """table[i][j] = b_i b_j as a dict {k: c}; every zero cell is the
+        shared read-only ZERO_CELL.  dim^2 references, built on first
+        read."""
+        n = self.dim
+        table: List[List[Mapping[int, object]]] = [[ZERO_CELL] * n for _ in range(n)]
+        for i, j, k, c in self.products:
+            cell = table[i][j]
+            if cell is ZERO_CELL:
+                cell = table[i][j] = {}
+            cell[k] = c
+        return table
+
+    @cached_property
+    def paths(self) -> Dict[str, Path]:
+        """The parent-order path of each basis label, built on first read."""
+        q = self.quiver
+        paths: Dict[str, Path] = {f"e({v})": q.idempotent(v) for v in q.vertices}
+        for label in self.basis[len(self.idempotent_labels):]:
+            a, _, length = label.rpartition(":")
+            paths[label] = q.path_from(a, int(length))
+        return paths
 
     @property
     def dim(self) -> int:
@@ -109,7 +137,8 @@ class FdAlgebra:
         return {self.index[label]: self.field.one}
 
     def arrow_residue(self, a: str) -> Sparse:
-        return self.reduce_path(self.quiver.path_from(a, 1))
+        i, c = self.residue(a, 1)  # a top cycle has length >= 1
+        return {i: c}
 
     def residue(self, a: str, length: int) -> Optional[Tuple[int, object]]:
         """The monomial rule: the residue of the length-l path starting
@@ -189,7 +218,6 @@ def build_quotient_algebra(
         eps = default_polarization(q)
 
     labels: List[str] = [f"e({v})" for v in q.vertices]
-    paths: Dict[str, Path] = {f"e({v})": q.idempotent(v) for v in q.vertices}
     top: Dict[str, int] = {}
     first: Dict[str, int] = {}  # a:1, a:2, ... sit at consecutive indices from first[a]
     kept: Dict[str, int] = {}  # the number of them: the negative top cycle is rewritten
@@ -200,10 +228,7 @@ def build_quotient_algebra(
             non_admissible.append(a)
         first[a] = len(labels)
         kept[a] = top[a] - 1 if eps.sign(a) == MINUS else top[a]
-        for length in range(1, kept[a] + 1):
-            label = f"{a}:{length}"
-            labels.append(label)
-            paths[label] = q.path_from(a, length)
+        labels.extend(f"{a}:{length}" for length in range(1, kept[a] + 1))
 
     if len(labels) != sum(top.values()):
         raise AssertionError("quotient basis size disagrees with the rank formula")
@@ -237,14 +262,7 @@ def build_quotient_algebra(
                 else:  # a:top, rewritten through the relation at s(a)
                     rows[first[b] + extra - 1].append((j, top_index[q.source(a)], sign))
 
-    products: List[Product] = []
-    table: List[List[Mapping[int, object]]] = []
-    for i, row in enumerate(rows):
-        cells = [ZERO_CELL] * len(labels)
-        for j, k, c in row:
-            cells[j] = {k: c}
-            products.append((i, j, k, c))
-        table.append(cells)
+    products: List[Product] = [(i, j, k, c) for i, row in enumerate(rows) for j, k, c in row]
     return FdAlgebra(
         quiver=q,
         field=field,
@@ -252,15 +270,25 @@ def build_quotient_algebra(
         multiplicity=mm,
         twisted=twisted,
         basis=tuple(labels),
-        paths=paths,
         index={lab: i for i, lab in enumerate(labels)},
-        table=table,
         idempotent_labels=tuple(f"e({v})" for v in q.vertices),
         top_label=top_label,
         non_admissible=tuple(non_admissible),
         products=products,
         top_lengths=top,
     )
+
+
+def plain_quotient(tw: FdAlgebra) -> FdAlgebra:
+    """The Brauer graph algebra derived from the twisted quotient of the
+    same quiver, multiplicity and polarization, in O(products).
+
+    The two share basis, index and every other field; a product's
+    coefficient is -1 only where the twisted rule rewrites the negative
+    top cycle, and +1 in the plain quotient everywhere.
+    """
+    one = tw.field.one
+    return replace(tw, twisted=False, products=[(i, j, k, one) for i, j, k, _ in tw.products])
 
 
 def build_twisted_bga(q, field, m=None, eps=None) -> FdAlgebra:
@@ -395,31 +423,30 @@ def commutator_space(alg: FdAlgebra) -> Iterator[Tuple[Tuple[int, object], ...]]
     product, read off the products in order.
 
     A product of two basis paths is 0 or one term, so a commutator has
-    at most two terms; a product with two terms (two entries for one
-    pair, or a two-entry table cell) raises AssertionError.
+    at most two terms.  b_j b_i is looked up in an index of the products
+    keyed by j * dim + i; a pair listed twice (a product with two terms)
+    raises AssertionError.
     """
     f = alg.field
-    table = alg.table
-    last = (-1, -1)
+    n = alg.dim
+    terms = {i * n + j: (k, c) for i, j, k, c in alg.products}
+    if len(terms) < len(alg.products):
+        seen = set()
+        for i, j, _, _ in alg.products:
+            if (i, j) in seen:
+                raise AssertionError(
+                    f"product {alg.basis[i]} * {alg.basis[j]} has more than one term, "
+                    "so a commutator has more than two"
+                )
+            seen.add((i, j))
     for i, j, k, c in alg.products:
-        if (i, j) <= last:
-            raise AssertionError(
-                f"product {alg.basis[i]} * {alg.basis[j]} has more than one term, "
-                "so a commutator has more than two"
-            )
-        last = (i, j)
         if i == j:
             continue
-        rev = table[j][i]
-        if len(rev) > 1:
-            raise AssertionError(
-                f"product {alg.basis[j]} * {alg.basis[i]} has more than one term, "
-                "so a commutator has more than two"
-            )
-        if not rev:
+        rev = terms.get(j * n + i)
+        if rev is None:
             yield ((k, c),)
         elif i < j:  # the pair (j, i) is skipped below
-            ((k2, c2),) = rev.items()
+            k2, c2 = rev
             if k2 != k:
                 yield ((k, c), (k2, f.neg(c2)))
             elif c != c2:
@@ -430,12 +457,13 @@ def _symmetric_form_basis(alg: FdAlgebra) -> List[Sparse]:
     """Basis of S = {phi : phi(xy) = phi(yx)} by scaled union-find.
 
     Each commutator row says c phi(k) = 0 or c phi(k) + c' phi(k') = 0.
-    The second kind merges k and k' with phi(k) = -(c'/c) phi(k'), where
-    parent[x] and ratio[x] mean phi(x) = ratio[x] phi(parent[x]); the
-    first kind, or a merge that closes a cycle with another ratio,
-    forces the component to zero.  Each other component gives one form,
-    1 at its largest index, and the forms are ordered by that index:
-    the basis that elimination of the commutator rows returns.
+    The first kind only marks k in a zero mask.  The second kind merges
+    k and k' with phi(k) = -(c'/c) phi(k'), where parent[x] and ratio[x]
+    mean phi(x) = ratio[x] phi(parent[x]); a merge that closes a cycle
+    with another ratio forces the component to zero, and once every row
+    is read, so does a masked index.  Each other component gives one
+    form, 1 at its largest index, and the forms are ordered by that
+    index: the basis that elimination of the commutator rows returns.
     """
     f = alg.field
     n = alg.dim
@@ -443,6 +471,7 @@ def _symmetric_form_basis(alg: FdAlgebra) -> List[Sparse]:
     ratio = [f.one] * n
     size = [1] * n
     forced = [False] * n  # read at roots
+    zero = [False] * n  # phi(x) = 0 by a one-term row
 
     def find(x: int):
         """(root, r) with phi(x) = r phi(root); compresses the path."""
@@ -450,7 +479,9 @@ def _symmetric_form_basis(alg: FdAlgebra) -> List[Sparse]:
         while parent[x] != x:
             path.append(x)
             x = parent[x]
-        r = f.one
+        if not path:
+            return x, f.one
+        r = ratio[path.pop()]  # the last step is already relative to the root
         for y in reversed(path):
             r = f.mul(ratio[y], r)
             ratio[y] = r
@@ -459,7 +490,7 @@ def _symmetric_form_basis(alg: FdAlgebra) -> List[Sparse]:
 
     for row in commutator_space(alg):
         if len(row) == 1:
-            forced[find(row[0][0])[0]] = True
+            zero[row[0][0]] = True
             continue
         (k1, c1), (k2, c2) = row
         r1, a1 = find(k1)
@@ -476,9 +507,12 @@ def _symmetric_form_basis(alg: FdAlgebra) -> List[Sparse]:
         size[r2] += size[r1]
         forced[r2] = forced[r2] or forced[r1]
 
-    members: Dict[int, List[Tuple[int, object]]] = {}
+    roots = [find(x) for x in range(n)]
     for x in range(n):
-        root, r = find(x)
+        if zero[x]:
+            forced[roots[x][0]] = True
+    members: Dict[int, List[Tuple[int, object]]] = {}
+    for x, (root, r) in enumerate(roots):
         if not forced[root]:
             members.setdefault(root, []).append((x, r))
     forms = []
@@ -740,8 +774,7 @@ def construct_psi_isomorphism(
     if not isinstance(eps, Polarization):
         return _not_bipartite(stable)
     tw = build_quotient_algebra(q, field, mm, eps, twisted=True)
-    pl = build_quotient_algebra(q, field, mm, eps, twisted=False)
-    return psi_from_quotients(stable, tw, pl)
+    return psi_from_quotients(stable, tw, plain_quotient(tw))
 
 
 def psi_from_quotients(
@@ -796,15 +829,23 @@ def _not_bipartite(cert: BipartiteCertificate) -> PsiResult:
 
 
 def psi_matrix_diagonal(alg: FdAlgebra, scales: Mapping[str, object]) -> List:
-    """The diagonal of the scaling map on the path basis."""
+    """The diagonal of the scaling map on the path basis: the product of
+    the arrow scalings along each basis path.  a:1, a:2, ... sit at
+    consecutive indices, so each is the previous one times the scaling
+    of the next arrow along sigma."""
     f = alg.field
-    diag = []
-    for lab in alg.basis:
-        p = alg.paths[lab]
+    q = alg.quiver
+    diag = [f.one] * alg.dim
+    for a in q.arrow_names:
+        first = alg.index.get(f"{a}:1")
+        if first is None:  # a's only path is its rewritten top cycle
+            continue
+        top = alg.top_lengths[a]
+        kept = top if f"{a}:{top}" in alg.index else top - 1
         acc = f.one
-        for a in p.arrows:
-            acc = f.mul(acc, scales[a])
-        diag.append(acc)
+        for length in range(kept):
+            acc = f.mul(acc, scales[q.sigma_power(a, length)])
+            diag[first + length] = acc
     return diag
 
 

@@ -12,11 +12,14 @@ dim^2 (or dim^3) references that visit every basis tuple.
 
 import dataclasses
 import random
+import sys
+from pathlib import Path as FilePath
 
 import pytest
 
 from ribbonorders import (
     CORPUS_NAMES,
+    FdAlgebra,
     GentleQuiver,
     Involution,
     build_quotient_algebra,
@@ -26,6 +29,7 @@ from ribbonorders import (
     decide,
     involution_of,
     nakayama_involution_bar,
+    plain_quotient,
     quiver_from_ribbon_graph,
 )
 from ribbonorders.fdalg import (
@@ -37,8 +41,12 @@ from ribbonorders.fdalg import (
 )
 from ribbonorders.fields import GF2, GF3, GF5, QQ
 from ribbonorders.polarize import Polarization
+from ribbonorders.quiver import Path
 
 from test_random_instances import random_ribbon_graph
+
+sys.path.insert(0, str(FilePath(__file__).resolve().parent.parent / "perfbench"))
+import gen  # noqa: E402  (perfbench's seeded generator)
 
 FIELDS = (GF2, GF3, GF5, QQ)
 
@@ -103,6 +111,24 @@ def test_decide_never_composes(monkeypatch):
                 assert decide(q, field, m).consistency_ok
 
 
+def test_decide_reads_only_products(monkeypatch):
+    # no decision step builds the dim^2 table, the label -> Path view or
+    # any Path: the products list is the one multiplication it reads
+    def refuse(*args, **kwargs):
+        raise AssertionError("a decision built a dim^2 table or a Path")
+
+    quivers = [corpus_quiver(name) for name in CORPUS_NAMES]
+    monkeypatch.setattr(FdAlgebra, "table", property(refuse))
+    monkeypatch.setattr(FdAlgebra, "paths", property(refuse))
+    monkeypatch.setattr(Path, "__init__", refuse)
+    with pytest.raises(AssertionError, match="dim\\^2 table"):
+        build_quotient_algebra(quivers[0], GF3).table
+    for q in quivers:
+        for field in FIELDS:
+            for m in (1, 2):
+                assert decide(q, field, m).consistency_ok
+
+
 def test_zero_cells_are_one_read_only_mapping():
     alg = build_quotient_algebra(corpus_quiver("mixed"), GF3, 2)
     zeros = [(i, j) for i, row in enumerate(alg.table) for j, cell in enumerate(row) if not cell]
@@ -128,6 +154,76 @@ def test_top_lengths_once_per_algebra(monkeypatch):
         assert alg.top_lengths[a] == expected[a]
         assert alg.reduce_path(q.path_from(a, expected[a] + 1)) == {}
         assert alg.arrow_residue(a)
+
+
+# ---------------------------------------------------------------------------
+# the plain quotient derived from the twisted one
+
+
+def reference_psi_diagonal(alg, scales):
+    """The scaling along each basis path, walked arrow by arrow."""
+    f = alg.field
+    diag = []
+    for lab in alg.basis:
+        acc = f.one
+        for a in alg.paths[lab].arrows:
+            acc = f.mul(acc, scales[a])
+        diag.append(acc)
+    return diag
+
+
+def random_scales(rng, q, field):
+    if field is QQ:
+        values = [field.from_int(rng.randrange(1, 7)) / rng.randrange(1, 5) for _ in range(6)]
+    else:
+        values = [x for x in field.elements() if x]
+    return {a: rng.choice(values) for a in q.arrow_names}
+
+
+def assert_plain_derived(q, field, m, rng):
+    tw = build_quotient_algebra(q, field, m, twisted=True)
+    pl = build_quotient_algebra(q, field, m, twisted=False)
+    tw.table, tw.paths  # a view read before the derivation stays with tw
+    derived = plain_quotient(tw)
+    assert not derived.twisted
+    for fld in dataclasses.fields(FdAlgebra):
+        assert getattr(derived, fld.name) == getattr(pl, fld.name), fld.name
+    assert derived.table == pl.table
+    assert derived.paths == pl.paths
+    assert (tw.table == derived.table) == (tw.products == pl.products)
+    scales = random_scales(rng, q, field)
+    for alg in (tw, derived):
+        assert psi_matrix_diagonal(alg, scales) == reference_psi_diagonal(alg, scales)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_corpus_plain_quotient_derived_from_twisted(name):
+    q = corpus_quiver(name)
+    rng = random.Random(name)
+    for field in FIELDS:
+        for m in (1, 2, 3):
+            assert_plain_derived(q, field, m, rng)
+
+
+def test_random_plain_quotient_derived_from_twisted():
+    # loops, valency-one nodes (n(a) = 1, so some top cycle is the only
+    # path of its arrow), bipartite and not, and non-constant m
+    profiles = [
+        ((4, 4, 4, 4), None),
+        ((3, 3, 2, 2), True),
+        ((3, 3, 2, 2), False),
+        ((5, 1), None),
+        ((1, 1), None),
+        ((2, 2, 2), False),
+    ]
+    rng = random.Random(909)
+    for k in range(24):
+        valencies, bipartite = profiles[k % len(profiles)]
+        q = gen.random_quiver(rng, valencies, bipartite)
+        reps = [rep for rep, _ in q.sigma_orbits()]
+        for field in FIELDS:
+            for m in (1, 2, {rep: 1 + n % 3 for n, rep in enumerate(reps)}):
+                assert_plain_derived(q, field, m, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +313,16 @@ def reference_scaling_map_ok(tw, pl, scales):
 
 def mutate(alg, flip, drop):
     """A copy of alg with product number `flip` negated and product number
-    `drop` removed, edited in the table and in the product list alike."""
+    `drop` removed from the product list; the copy's table derives from it."""
     f = alg.field
-    table = [list(row) for row in alg.table]
     products = []
     for n, (i, j, k, c) in enumerate(alg.products):
         if n == drop:
-            table[i][j] = ZERO_CELL
             continue
         if n == flip:
             c = f.neg(c)
-            table[i][j] = {k: c}
         products.append((i, j, k, c))
-    return dataclasses.replace(alg, table=table, products=products)
+    return dataclasses.replace(alg, products=products)
 
 
 def mutation_sites(alg):

@@ -12,6 +12,7 @@ must never call an elimination; and an algebra that breaks the monomial
 rule must raise instead of being decided.
 """
 
+import dataclasses
 import itertools
 import random
 import sys
@@ -319,20 +320,24 @@ def test_three_term_commutator_raises():
     other = next(x for x in range(alg.dim) if x != k)
     # b_i b_j = c b_k + b_other: [b_i, b_j] gets a third term
     pos = alg.products.index((i, j, k, c))
-    alg.products.insert(pos + 1, (i, j, other, GF3.one))
-    alg.table[i][j] = {k: c, other: GF3.one}
+    products = alg.products[: pos + 1] + [(i, j, other, GF3.one)] + alg.products[pos + 1 :]
+    bad = dataclasses.replace(alg, products=products)
+    assert bad.table[i][j] == {k: c, other: GF3.one}  # the view sums the listed terms
     with pytest.raises(AssertionError, match="more than two"):
-        is_symmetric_oracle(alg)
+        is_symmetric_oracle(bad)
     with pytest.raises(AssertionError, match="more than two"):
-        symmetric_forms(alg)
+        symmetric_forms(bad)
 
 
 def test_two_term_reverse_product_raises():
     alg = build_quotient_algebra(corpus_quiver("circ3"), GF3, 2)
-    i, j, k, c = next(p for p in alg.products if p[0] < p[1])
-    other = next(x for x in range(alg.dim) if x != k)
-    # b_j b_i gets two terms in the table only
-    alg.table[j][i] = {k: c, other: GF3.one}
+    i, j, k, c = next(p for p in alg.products if p[0] < p[1] and alg.table[p[1]][p[0]])
+    ((k2, c2),) = alg.table[j][i].items()
+    other = next(x for x in range(alg.dim) if x != k2)
+    # b_j b_i gets a second term in the product list, so the pair (i, j)
+    # looks up a reverse product with two terms
+    pos = alg.products.index((j, i, k2, c2))
+    alg.products.insert(pos + 1, (j, i, other, GF3.one))
     with pytest.raises(AssertionError, match="more than two"):
         symmetric_forms(alg)
 
