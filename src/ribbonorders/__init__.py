@@ -57,6 +57,7 @@ from .polarize import (
     enumerate_polarizations,
     find_sigma_stable,
     involution_of,
+    quotient_polarization,
 )
 from .quiver import (
     Cycle,

@@ -14,7 +14,7 @@ from typing import Dict, Optional
 
 from .corpus import CORPUS_NAMES, UnknownCorpusEntry, corpus_quiver
 from .decide import batch, decide, report_to_jsonable
-from .fdalg import _socle_paths, build_quotient_algebra, check_algebra_axioms, is_symmetric_oracle
+from .fdalg import build_quotient_algebra, check_algebra_axioms, is_symmetric_oracle, socle
 from .fields import FieldSpecError, parse_field
 from .order import (
     canonical_basis,
@@ -23,7 +23,7 @@ from .order import (
     normalize_multiplicity,
     rank_formula_check,
 )
-from .polarize import Polarization, default_polarization, find_sigma_stable
+from .polarize import find_sigma_stable, quotient_polarization
 from .quiver import GentleQuiver, QuiverError
 from .ribbon import connected_components, graph_of_quiver, is_bipartite
 from .specfile import ParsedSpec, SpecFileError, parse_spec, serialize_quiver
@@ -56,13 +56,6 @@ def _multiplicity_arg(q: GentleQuiver, spec: Optional[str], from_file) -> Dict[s
             raise SpecFileError(f"bad multiplicity argument {part!r} (want INT or rep=INT,...)")
         table[key.strip()] = int(value.strip())
     return normalize_multiplicity(q, table)
-
-
-def _default_polarization(q: GentleQuiver) -> Polarization:
-    stable = find_sigma_stable(q)
-    if isinstance(stable, Polarization):
-        return stable
-    return default_polarization(q)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -139,7 +132,7 @@ def cmd_graph(args) -> int:
 def cmd_basis(args) -> int:
     parsed = _load(args.file)
     q = parsed.quiver
-    eps = _default_polarization(q)
+    eps = quotient_polarization(q, find_sigma_stable(q))
     basis = canonical_basis(q, eps)
     rank = rank_formula_check(q, parsed.multiplicity)
     payload = {
@@ -163,7 +156,7 @@ def cmd_frobenius(args) -> int:
     parsed = _load(args.file)
     q = parsed.quiver
     field = parse_field(args.field)
-    eps = _default_polarization(q)
+    eps = quotient_polarization(q, find_sigma_stable(q))
     report = check_nu_symmetry(q, eps, field)
     payload = {
         "field": field.name,
@@ -213,10 +206,10 @@ def cmd_quotient(args) -> int:
     q = parsed.quiver
     field = parse_field(args.field)
     mm = _multiplicity_arg(q, args.multiplicity, parsed.multiplicity)
-    eps = _default_polarization(q)
+    eps = quotient_polarization(q, find_sigma_stable(q))
     alg = build_quotient_algebra(q, field, mm, eps, twisted=not args.untwisted)
     check_algebra_axioms(alg)
-    soc = _socle_paths(alg)
+    soc = socle(alg)
     verdict = is_symmetric_oracle(alg)
     nonzero = len(alg.products)
     payload = {

@@ -36,7 +36,7 @@ from .fdalg import (
 )
 from .fields import Field
 from .order import normalize_multiplicity
-from .polarize import Polarization, default_polarization, find_sigma_stable, involution_of
+from .polarize import Polarization, default_polarization, find_sigma_stable, involution_of, quotient_polarization
 from .quiver import GentleQuiver
 
 TRUE = "true"
@@ -122,8 +122,7 @@ def decide(
         conditions["c4"] = Condition(FALSE, {"odd_walk": list(stable.odd_walk)})
 
     # one build: the plain quotient is the twisted one with every sign +1
-    eps = stable if bipartite else default_polarization(q)
-    twisted = build_quotient_algebra(q, field, mm, eps, twisted=True)
+    twisted = build_quotient_algebra(q, field, mm, quotient_polarization(q, stable), twisted=True)
     plain = plain_quotient(twisted)
     verdict_tw = is_symmetric_oracle(twisted)
 

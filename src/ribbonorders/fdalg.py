@@ -39,8 +39,11 @@ union-find; every arrow residue is one basis path and multiplies basis
 paths injectively, so the socle is a set of basis paths; the refutation
 is one socle path outside S's support, and the witness pairing has at
 most one nonzero entry per row and column, so its determinant is a sign
-times a product.  An algebra that breaks one of these rules raises
-AssertionError rather than falling back to general linear algebra.
+times a product.  ``socle`` returns the indices of those basis paths and
+``symmetric_forms`` the basis of S as sparse forms {index: coefficient};
+``FdAlgebra.dense`` turns a sparse element into a dense row.  An algebra
+that breaks one of these rules raises AssertionError rather than
+falling back to general linear algebra.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from .polarize import (
     Polarization,
     default_polarization,
     find_sigma_stable,
+    quotient_polarization,
 )
 from .quiver import GentleQuiver, Path
 from .ribbon import BipartiteCertificate
@@ -299,43 +303,66 @@ def build_bga(q, field, m=None, eps=None) -> FdAlgebra:
     return build_quotient_algebra(q, field, m=m, eps=eps, twisted=False)
 
 
-def _rows_and_columns(alg: FdAlgebra) -> Tuple[List[list], List[list]]:
-    """Per basis index i, the nonzero products b_i b_j as (j, k, c) and
-    b_j b_i as (j, k, c), each in increasing j."""
-    rows: List[list] = [[] for _ in range(alg.dim)]
-    cols: List[list] = [[] for _ in range(alg.dim)]
-    for i, j, k, c in alg.products:
-        rows[i].append((j, k, c))
-        cols[j].append((i, k, c))
-    return rows, cols
+def _product_index(alg: FdAlgebra) -> Dict[int, Tuple[int, object]]:
+    """{i * dim + j: (k, c)} for b_i b_j = c b_k; a pair listed twice (a
+    product with two terms) raises AssertionError."""
+    n = alg.dim
+    terms = {i * n + j: (k, c) for i, j, k, c in alg.products}
+    if len(terms) < len(alg.products):
+        seen = set()
+        for i, j, _, _ in alg.products:
+            if (i, j) in seen:
+                raise AssertionError(
+                    f"product {alg.basis[i]} * {alg.basis[j]} has more than one term, "
+                    "so a commutator has more than two"
+                )
+            seen.add((i, j))
+    return terms
 
 
 def check_algebra_axioms(alg: FdAlgebra) -> None:
-    """Associativity on every basis triple with a nonzero side, and the
-    two-sided unit law on every basis element.
+    """The two-sided unit law on every basis element, read off the
+    products with an idempotent factor, and associativity on every basis
+    triple with a nonzero side, each side looked up in
+    :func:`_product_index`.
 
     (b_i b_j) b_k can be nonzero only if b_i b_j = c b_p with b_p b_k
     nonzero, and b_i (b_j b_k) only if b_j b_k = c b_p with b_i b_p
     nonzero; on every other triple both sides vanish.  The least failing
-    triple is reported.
+    basis element, else the least failing triple, is reported.
     """
     f = alg.field
-    one = alg.unit()
-    for i in range(alg.dim):
-        vi = {i: f.one}
-        if alg.mul(one, vi) != vi or alg.mul(vi, one) != vi:
-            raise AssertionError(f"unit law fails at basis element {alg.basis[i]}")
-    rows, cols = _rows_and_columns(alg)
-    triples = set()
-    for i, j, p, _ in alg.products:
-        triples.update((i, j, k) for k, _, _ in rows[p])
-    for j, k, p, _ in alg.products:
-        triples.update((i, j, k) for i, _, _ in cols[p])
-    for i, j, k in sorted(triples):
-        if alg.mul(alg.table[i][j], {k: f.one}) != alg.mul({i: f.one}, alg.table[j][k]):
-            raise AssertionError(
-                f"associativity fails at ({alg.basis[i]}, {alg.basis[j]}, {alg.basis[k]})"
-            )
+    n = alg.dim
+    terms = _product_index(alg)
+    idem = {alg.index[lab] for lab in alg.idempotent_labels}
+    left: List[Sparse] = [{} for _ in range(n)]  # 1 b_x
+    right: List[Sparse] = [{} for _ in range(n)]  # b_x 1
+    rows: List[List[int]] = [[] for _ in range(n)]  # j with b_i b_j nonzero
+    cols: List[List[int]] = [[] for _ in range(n)]  # i with b_i b_j nonzero
+    for i, j, k, c in alg.products:
+        rows[i].append(j)
+        cols[j].append(i)
+        if i in idem:
+            left[j][k] = f.add(left[j].get(k, f.zero), c)
+        if j in idem:
+            right[i][k] = f.add(right[i].get(k, f.zero), c)
+    for x in range(n):
+        if any({k: c for k, c in side[x].items() if c} != {x: f.one} for side in (left, right)):
+            raise AssertionError(f"unit law fails at basis element {alg.basis[x]}")
+
+    def fails(i, j, k):  # each side as (index, coefficient), or None
+        ij, jk = terms.get(i * n + j), terms.get(j * n + k)
+        lhs = ij and terms.get(ij[0] * n + k)
+        rhs = jk and terms.get(i * n + jk[0])
+        return (lhs and (lhs[0], f.mul(ij[1], lhs[1]))) != (rhs and (rhs[0], f.mul(jk[1], rhs[1])))
+
+    failing = [(i, j, k) for i, j, p, _ in alg.products for k in rows[p] if fails(i, j, k)]
+    failing += [(i, j, k) for j, k, p, _ in alg.products for i in cols[p] if fails(i, j, k)]
+    if failing:
+        i, j, k = min(failing)
+        raise AssertionError(
+            f"associativity fails at ({alg.basis[i]}, {alg.basis[j]}, {alg.basis[k]})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +407,9 @@ def nakayama_involution_bar(alg: FdAlgebra, inv: Involution) -> NakayamaBarRepor
 # socle and symmetric forms
 
 
-def _socle_paths(alg: FdAlgebra) -> List[int]:
-    """Indices of the basis paths that every arrow residue kills on both
-    sides, in increasing order.
+def socle(alg: FdAlgebra) -> List[int]:
+    """The socle {x : a x = 0 = x a for all arrow residues}, as the
+    indices of the basis paths that span it, in increasing order.
 
     Each arrow residue is c b_g for one basis path b_g, and multiplying
     by b_g on either side sends distinct basis paths to distinct basis
@@ -397,24 +424,25 @@ def _socle_paths(alg: FdAlgebra) -> List[int]:
         if len(g) != 1:
             raise AssertionError(f"arrow residue of {a} is not one basis path")
         residues.update(g)
-    kept = [False] * alg.dim
-    images = set()
+    n = alg.dim
+    kept = [False] * n
+    left, right = set(), set()  # g * n + k: b_g b_x, or b_x b_g, is c b_k
+
+    def not_injective(side, g):
+        return AssertionError(f"{side} multiplication by {alg.basis[g]} is not injective on basis paths")
+
     for i, j, k, _ in alg.products:
-        for g, x, side in ((i, j, "left"), (j, i, "right")):
-            if g in residues:
-                if (g, k, side) in images:
-                    raise AssertionError(
-                        f"{side} multiplication by {alg.basis[g]} is not injective on basis paths"
-                    )
-                images.add((g, k, side))
-                kept[x] = True
-    return [x for x in range(alg.dim) if not kept[x]]
-
-
-def socle(alg: FdAlgebra) -> List[list]:
-    """Basis of {x : a x = 0 = x a for all arrow residues}: the unit
-    vectors of :func:`_socle_paths`, in index order."""
-    return [linalg.unit_vector(alg.field, alg.dim, i) for i in _socle_paths(alg)]
+        if i in residues:
+            if i * n + k in left:
+                raise not_injective("left", i)
+            left.add(i * n + k)
+            kept[j] = True
+        if j in residues:
+            if j * n + k in right:
+                raise not_injective("right", j)
+            right.add(j * n + k)
+            kept[i] = True
+    return [x for x in range(n) if not kept[x]]
 
 
 def commutator_space(alg: FdAlgebra) -> Iterator[Tuple[Tuple[int, object], ...]]:
@@ -423,22 +451,11 @@ def commutator_space(alg: FdAlgebra) -> Iterator[Tuple[Tuple[int, object], ...]]
     product, read off the products in order.
 
     A product of two basis paths is 0 or one term, so a commutator has
-    at most two terms.  b_j b_i is looked up in an index of the products
-    keyed by j * dim + i; a pair listed twice (a product with two terms)
-    raises AssertionError.
+    at most two terms.  b_j b_i is looked up in :func:`_product_index`.
     """
     f = alg.field
     n = alg.dim
-    terms = {i * n + j: (k, c) for i, j, k, c in alg.products}
-    if len(terms) < len(alg.products):
-        seen = set()
-        for i, j, _, _ in alg.products:
-            if (i, j) in seen:
-                raise AssertionError(
-                    f"product {alg.basis[i]} * {alg.basis[j]} has more than one term, "
-                    "so a commutator has more than two"
-                )
-            seen.add((i, j))
+    terms = _product_index(alg)
     for i, j, k, c in alg.products:
         if i == j:
             continue
@@ -453,8 +470,9 @@ def commutator_space(alg: FdAlgebra) -> Iterator[Tuple[Tuple[int, object], ...]]
                 yield ((k, f.sub(c, c2)),)
 
 
-def _symmetric_form_basis(alg: FdAlgebra) -> List[Sparse]:
-    """Basis of S = {phi : phi(xy) = phi(yx)} by scaled union-find.
+def symmetric_forms(alg: FdAlgebra) -> List[Sparse]:
+    """Basis of S = {phi : phi(xy) = phi(yx)}, the annihilator of [A, A],
+    as sparse forms {index: coefficient}, by scaled union-find.
 
     Each commutator row says c phi(k) = 0 or c phi(k) + c' phi(k') = 0.
     The first kind only marks k in a zero mask.  The second kind merges
@@ -523,12 +541,6 @@ def _symmetric_form_basis(alg: FdAlgebra) -> List[Sparse]:
     return forms
 
 
-def symmetric_forms(alg: FdAlgebra) -> List[list]:
-    """Basis of S = {phi : phi(xy) = phi(yx)}, the annihilator of [A, A],
-    as dense rows."""
-    return [alg.dense(form) for form in _symmetric_form_basis(alg)]
-
-
 def bilinear_matrix(alg: FdAlgebra, phi: list) -> List[list]:
     """b_phi(x, y) = phi(x y) on the basis."""
     f = alg.field
@@ -590,34 +602,24 @@ def is_symmetric_oracle(alg: FdAlgebra) -> SymmetryVerdict:
     """Decide whether the algebra admits a symmetric nondegenerate form,
     in O(dim + nonzero products).
 
-    S comes from :func:`_symmetric_form_basis` and the socle from
-    :func:`socle`; then, in order:
+    S comes from :func:`symmetric_forms` (sparse forms with disjoint
+    supports) and the socle from :func:`socle` (basis-path indices);
+    then, in order:
       1. refutation: a socle path p on which every form of S vanishes
          lies in the radical of every pairing b_phi, phi in S (p y is a
          multiple of p e_i for some idempotent e_i);
       2. witness: phi = the sum of the basis forms of S whose support
-         meets the socle.  Its pairing must have at most one nonzero
-         entry per row and column, so its exact determinant is a sign
-         times a product; a nonzero one certifies "symmetric".
+         meets the socle, as a dense row.  Its pairing must have at most
+         one nonzero entry per row and column, so its exact determinant
+         is a sign times a product; a nonzero one certifies "symmetric".
     If neither settles the case the verdict is "undecided".  A structure
     outside the monomial rule raises AssertionError.
     """
     f = alg.field
-    forms = _symmetric_form_basis(alg)
+    forms = symmetric_forms(alg)
+    paths = socle(alg)
     sdim = len(forms)
-    # socle returns unit vectors in index order: read off their positions
-    paths: List[int] = []
-    for v in socle(alg):
-        paths.append(v.index(f.one, paths[-1] + 1 if paths else 0))
-
-    owner = [-1] * alg.dim
-    for t, form in enumerate(forms):
-        for k in form:
-            owner[k] = t
-    # the forms have disjoint supports, so every form vanishes at p
-    # exactly where this one form, 1 on their union, does
-    support = [f.one if t >= 0 else f.zero for t in owner]
-    cert = _socle_certificate(alg, [support], paths)
+    cert = _socle_certificate(alg, forms, paths)
     if cert is not None:
         return SymmetryVerdict(
             kind="not-symmetric",
@@ -626,10 +628,12 @@ def is_symmetric_oracle(alg: FdAlgebra) -> SymmetryVerdict:
             certificate=cert,
         )
 
+    soc = set(paths)
     phi = [f.zero] * alg.dim
-    for t in sorted({owner[p] for p in paths}):
-        for k, c in forms[t].items():
-            phi[k] = c
+    for form in forms:
+        if not soc.isdisjoint(form):
+            for k, c in form.items():
+                phi[k] = c
     if pairing_det(alg, phi):
         return SymmetryVerdict(
             kind="symmetric",
@@ -647,20 +651,21 @@ def is_symmetric_oracle(alg: FdAlgebra) -> SymmetryVerdict:
 
 
 def _socle_certificate(
-    alg: FdAlgebra, s_basis: List[list], paths: Optional[List[int]] = None
+    alg: FdAlgebra, forms: List[Sparse], paths: Optional[List[int]] = None
 ) -> Optional[dict]:
-    """The first socle path p with phi(p) = 0 for every phi in s_basis,
-    as the element {label: "1"}, or None.
+    """The first socle path p outside the union of the supports of the
+    sparse forms, as the element {label: "1"}, or None.
 
     For such p and any y, p y is a multiple of p e_i for an idempotent
     e_i, and phi(p e_i) = phi(p) or 0, so b_phi(p, -) vanishes for every
-    phi in S: no symmetric form can be nondegenerate.  paths defaults to
-    the socle paths of alg.
+    phi in the span of the forms: when they span S, no symmetric form
+    can be nondegenerate.  paths defaults to :func:`socle` of alg.
     """
     if paths is None:
-        paths = _socle_paths(alg)
+        paths = socle(alg)
+    support = set().union(*forms)
     for p in paths:
-        if all(not phi[p] for phi in s_basis):
+        if p not in support:
             return {"reason": "socle", "element": {alg.basis[p]: alg.field.scalar_str(alg.field.one)}}
     return None
 
@@ -770,10 +775,9 @@ def construct_psi_isomorphism(
     """
     mm = normalize_multiplicity(q, m)
     stable = find_sigma_stable(q)
-    eps = default_polarization(q) if field.char == 2 else stable
-    if not isinstance(eps, Polarization):
+    if field.char != 2 and not isinstance(stable, Polarization):
         return _not_bipartite(stable)
-    tw = build_quotient_algebra(q, field, mm, eps, twisted=True)
+    tw = build_quotient_algebra(q, field, mm, quotient_polarization(q, stable), twisted=True)
     return psi_from_quotients(stable, tw, plain_quotient(tw))
 
 
@@ -784,8 +788,7 @@ def psi_from_quotients(
 ) -> PsiResult:
     """:func:`construct_psi_isomorphism` given the quiver's
     :func:`find_sigma_stable` result and its twisted and plain quotients,
-    built with one polarization: the sigma-stable one, if any, outside
-    characteristic two."""
+    built with one polarization, :func:`quotient_polarization`."""
     q, field, mm = tw.quiver, tw.field, tw.multiplicity
 
     if field.char == 2:
@@ -874,7 +877,7 @@ def _verify_scaling_map(tw: FdAlgebra, pl: FdAlgebra, scales: Mapping[str, objec
 def socle_is_top_span(alg: FdAlgebra) -> bool:
     """The socle should be exactly the span of the top cycle residues."""
     tops = sorted({alg.index[alg.top_label[v]] for v in alg.quiver.vertices})
-    return _socle_paths(alg) == tops
+    return socle(alg) == tops
 
 
 def socle_quotient_tables_equal(a: FdAlgebra, b: FdAlgebra) -> bool:

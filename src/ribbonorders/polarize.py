@@ -131,6 +131,15 @@ def find_sigma_stable(
     return eps
 
 
+def quotient_polarization(
+    q: GentleQuiver, stable: Union[Polarization, BipartiteCertificate]
+) -> Polarization:
+    """The polarization every quotient of q is built with, given
+    :func:`find_sigma_stable` of q: the sigma-stable one when the graph
+    is bipartite, :func:`default_polarization` otherwise."""
+    return stable if isinstance(stable, Polarization) else default_polarization(q)
+
+
 def involution_of(q: GentleQuiver, eps: Polarization, field: Field) -> Involution:
     """Arrow signs epsilon(sigma(a)) * epsilon(a) read in the field.
 

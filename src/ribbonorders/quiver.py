@@ -388,20 +388,13 @@ def idempotent_subquiver(q: GentleQuiver, kept: Iterable[str]) -> IdempotentSubq
     return IdempotentSubquiver(quiver=sub, realization=realization)
 
 
-def disjoint_union(q1: GentleQuiver, q2: GentleQuiver, tags=("L", "R")) -> GentleQuiver:
-    """Disjoint union with tagged names (operations work componentwise)."""
-
-    def tag(name, t):
-        return f"{t}.{name}"
-
-    vertices = tuple(tag(v, tags[0]) for v in q1.vertices) + tuple(
-        tag(v, tags[1]) for v in q2.vertices
-    )
-    arrows = tuple(
-        (tag(a, tags[0]), tag(s, tags[0]), tag(t, tags[0])) for a, s, t in q1.arrows
-    ) + tuple((tag(a, tags[1]), tag(s, tags[1]), tag(t, tags[1])) for a, s, t in q2.arrows)
-    sigma = {tag(a, tags[0]): tag(b, tags[0]) for a, b in q1.sigma.items()}
-    sigma.update({tag(a, tags[1]): tag(b, tags[1]) for a, b in q2.sigma.items()})
+def disjoint_union(q1: GentleQuiver, q2: GentleQuiver) -> GentleQuiver:
+    """Disjoint union, each name tagged "L." (from q1) or "R." (from q2);
+    operations work componentwise."""
+    parts = (("L", q1), ("R", q2))
+    vertices = tuple(f"{t}.{v}" for t, q in parts for v in q.vertices)
+    arrows = tuple((f"{t}.{a}", f"{t}.{s}", f"{t}.{r}") for t, q in parts for a, s, r in q.arrows)
+    sigma = {f"{t}.{a}": f"{t}.{b}" for t, q in parts for a, b in q.sigma.items()}
     return validate_complete_gentle(vertices, arrows, sigma=sigma)
 
 

@@ -113,18 +113,17 @@ def graph_of_quiver(q: GentleQuiver) -> RibbonGraph:
     return RibbonGraph(nodes=nodes, edges=q.vertices, slots=slots)
 
 
-def is_bipartite(g: RibbonGraph, seed_color: str = "-") -> BipartiteCertificate:
+def is_bipartite(g: RibbonGraph) -> BipartiteCertificate:
     """Two-color the nodes or exhibit an odd closed walk.
 
     BFS per component, seeded at the lexicographically least node of the
-    component.  The seed takes '-' by default: the '-' class is the one
-    whose orbits get rescaled when comparing the twisted quotient with
-    the Brauer graph algebra, and this choice reproduces the familiar
-    alternating signs on line graphs.  A loop edge is an immediate
-    length-one witness; otherwise a monochromatic edge (u, v) yields the
-    closed walk root -> u -> v -> root of odd length.
+    component, which takes '-': the '-' class is the one whose orbits
+    get rescaled when comparing the twisted quotient with the Brauer
+    graph algebra, and this choice reproduces the familiar alternating
+    signs on line graphs.  A loop edge is an immediate length-one
+    witness; otherwise a monochromatic edge (u, v) yields the closed
+    walk root -> u -> v -> root of odd length.
     """
-    other = "-" if seed_color == "+" else "+"
     adj = g.adjacency()
     color: Dict[str, str] = {}
     parent_edge: Dict[str, Optional[str]] = {}
@@ -137,7 +136,7 @@ def is_bipartite(g: RibbonGraph, seed_color: str = "-") -> BipartiteCertificate:
     for root in sorted(g.nodes):
         if root in color:
             continue
-        color[root] = seed_color
+        color[root] = "-"
         parent[root] = None
         parent_edge[root] = None
         queue = deque([root])
@@ -147,7 +146,7 @@ def is_bipartite(g: RibbonGraph, seed_color: str = "-") -> BipartiteCertificate:
                 if e == parent_edge[u] and v == parent[u]:
                     continue
                 if v not in color:
-                    color[v] = other if color[u] == seed_color else seed_color
+                    color[v] = "+" if color[u] == "-" else "-"
                     parent[v] = u
                     parent_edge[v] = e
                     queue.append(v)

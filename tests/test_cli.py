@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from ribbonorders import CORPUS_NAMES, cli, corpus_quiver, parse_field
+from ribbonorders import CORPUS_NAMES, cli, corpus_quiver, find_sigma_stable, parse_field
 from ribbonorders.cli import main
 from ribbonorders.fdalg import build_quotient_algebra, socle
+from ribbonorders.polarize import quotient_polarization
 
 
 def run(capsys, *argv):
@@ -91,15 +92,17 @@ def test_quotient_multiplicity_flag(capsys):
 @pytest.mark.parametrize("untwisted", [[], ["--untwisted"]])
 def test_quotient_socle_matches_dense_view(capsys, untwisted):
     # the command lists the socle from its basis-path indices; the dense
-    # fdalg.socle rows must name the same elements
+    # rows of the fdalg.socle paths must name the same elements
     for name in CORPUS_NAMES:
         for field, m in (("gf3", "1"), ("q", "2")):
             code, out, _ = run(capsys, "quotient", f"corpus:{name}", "--field", field, "-m", m, "--json", *untwisted)
             assert code == 0
             fld = parse_field(field)
             q = corpus_quiver(name)
-            alg = build_quotient_algebra(q, fld, int(m), cli._default_polarization(q), twisted=not untwisted)
-            dense = [alg.element_str({i: c for i, c in enumerate(v) if c}) for v in socle(alg)]
+            eps = quotient_polarization(q, find_sigma_stable(q))
+            alg = build_quotient_algebra(q, fld, int(m), eps, twisted=not untwisted)
+            rows = [alg.dense({p: fld.one}) for p in socle(alg)]
+            dense = [alg.element_str({i: c for i, c in enumerate(v) if c}) for v in rows]
             payload = json.loads(out)
             assert payload["socle"] == dense and payload["socle_dimension"] == len(dense)
 

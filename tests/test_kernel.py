@@ -186,13 +186,14 @@ def assert_scalars(f, vectors):
 def check_kernel_against_reference(alg, rng):
     f = alg.field
     ref = DenseReference(alg)
-    soc = socle(alg)
+    soc = [alg.dense({p: f.one}) for p in socle(alg)]
     assert soc == ref.soc
     assert_scalars(f, soc)
-    s_basis = symmetric_forms(alg)
+    forms = symmetric_forms(alg)
+    s_basis = [alg.dense(form) for form in forms]
     assert s_basis == ref.symmetric_forms()
     assert_scalars(f, s_basis)
-    cert = _socle_certificate(alg, s_basis)
+    cert = _socle_certificate(alg, forms)
     expected = ref.socle_certificate(s_basis)
     assert cert == expected
     if cert is not None:

@@ -32,6 +32,8 @@ from ribbonorders import (
     plain_quotient,
     quiver_from_ribbon_graph,
 )
+from ribbonorders import linalg
+from ribbonorders.cli import main
 from ribbonorders.fdalg import (
     ZERO_CELL,
     _verify_scaling_map,
@@ -127,6 +129,33 @@ def test_decide_reads_only_products(monkeypatch):
         for field in FIELDS:
             for m in (1, 2):
                 assert decide(q, field, m).consistency_ok
+
+
+def test_decisions_and_quotient_command_build_no_dense_vector(monkeypatch, capsys):
+    # the socle is a list of basis-path indices and S a list of sparse
+    # forms, so neither a decision nor `quotient` (whose axiom check runs
+    # over the products) makes a dense unit vector, a dense row of a
+    # sparse element or the dim^2 table
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a dense vector or the dim^2 table")
+
+    monkeypatch.setattr(linalg, "unit_vector", refuse)
+    monkeypatch.setattr(FdAlgebra, "dense", refuse)
+    monkeypatch.setattr(FdAlgebra, "table", property(refuse))
+    alg = build_quotient_algebra(corpus_quiver("loop2"), GF3)
+    for read in (lambda: linalg.nullspace(GF3, [], cols=1), lambda: alg.dense({}), lambda: alg.table):
+        with pytest.raises(AssertionError, match="dense vector"):
+            read()
+    for name in CORPUS_NAMES:
+        q = corpus_quiver(name)
+        for field in FIELDS:
+            for m in (1, 2):
+                assert decide(q, field, m).consistency_ok
+        for field in ("gf3", "Q"):
+            for m in ("1", "2"):
+                for flavor in ("--twisted", "--untwisted"):
+                    assert main(["quotient", f"corpus:{name}", "--field", field, "-m", m, "--json", flavor]) == 0
+    capsys.readouterr()
 
 
 def test_zero_cells_are_one_read_only_mapping():

@@ -27,6 +27,7 @@ from ribbonorders import (
     quiver_from_ribbon_graph,
     rank_formula_check,
 )
+from ribbonorders import fdalg
 from ribbonorders.cli import main
 from ribbonorders.corpus import circular
 from ribbonorders.fields import GF2, GF3, QQ
@@ -113,3 +114,38 @@ def test_decide_runs_plain_oracle_only_without_a_scaling(monkeypatch):
             scaled = rep.conditions["c5"].evidence["kind"] != "inapplicable"
             assert scaled == (field.char == 2 or is_bipartite(graph_of_quiver(q)).is_bipartite)
             assert counts["is_symmetric_oracle"] == (1 if scaled else 2), (name, field.name)
+
+
+def test_oracle_reads_s_and_the_socle_once_through_fdalg(monkeypatch):
+    # the benchmark's traced run wraps fdalg.symmetric_forms and
+    # fdalg.socle at their module attributes: every oracle call makes
+    # exactly one call of each through them
+    calls = []
+
+    def counted(name, original):
+        def wrapper(alg):
+            calls.append(name)
+            return original(alg)
+
+        return wrapper
+
+    for name in ("symmetric_forms", "socle"):
+        monkeypatch.setattr(fdalg, name, counted(name, getattr(fdalg, name)))
+    oracle = is_symmetric_oracle
+    per_call = []
+
+    def checked(alg):
+        start = len(calls)
+        verdict = oracle(alg)
+        per_call.append(sorted(calls[start:]))
+        return verdict
+
+    replace_everywhere(monkeypatch, oracle, checked)
+    for name in CORPUS_NAMES:
+        q = corpus_quiver(name)
+        for field in FIELDS:
+            for m in (1, 2):
+                decide(q, field, m)
+    assert len(per_call) >= 2 * len(CORPUS_NAMES) * len(FIELDS)
+    assert all(c == ["socle", "symmetric_forms"] for c in per_call)
+    assert len(calls) == 2 * len(per_call)
