@@ -29,8 +29,9 @@ the one shared read-only ``ZERO_CELL``) and ``paths`` (a ``Path`` per
 basis label) are views derived from the products and the basis on first
 read; no decision reads them.  The associativity check, the bilinear
 matrices, the commutator rows, the socle, the involution and twist
-checks and the scaling-map verification all run over the nonzero
-products, not over every dim^2 or dim^3 basis tuple.
+checks, the socle quotient comparison and the scaling-map verification
+all run over the nonzero products, not over every dim^2 or dim^3 basis
+tuple.
 
 The symmetry oracle is closed-form on this structure and runs in
 O(dim + nonzero products) with no elimination and no dense determinant:
@@ -690,15 +691,15 @@ def check_canonical_bimodule_twist(alg: FdAlgebra, bar: NakayamaBarReport) -> Tw
     nondegenerate; together these realize x -> x . phi as an isomorphism
     onto the dual twisted by the involution."""
     f = alg.field
-    phi = [f.zero] * alg.dim
+    n = alg.dim
+    phi = [f.zero] * n
     for v in alg.quiver.vertices:
         phi[alg.index[alg.top_label[v]]] = f.one
+    terms = _product_index(alg)
 
-    def phi_of(u: Sparse):
-        acc = f.zero
-        for k, c in u.items():
-            acc = f.add(acc, f.mul(c, phi[k]))
-        return acc
+    def phi_of(i: int, j: int):  # phi(b_i b_j)
+        kc = terms.get(i * n + j)
+        return f.zero if kc is None else f.mul(kc[1], phi[kc[0]])
 
     sign_by_index = [bar.signs[lab] for lab in alg.basis]
     # both sides vanish unless b_i b_j or b_j b_i is nonzero
@@ -706,8 +707,8 @@ def check_canonical_bimodule_twist(alg: FdAlgebra, bar: NakayamaBarReport) -> Tw
     positions.update([(j, i) for i, j in positions])
     bad = []
     for i, j in sorted(positions):
-        lhs = phi_of(alg.table[i][j])  # phi(b_i b_j)
-        rhs = f.mul(sign_by_index[j], phi_of(alg.table[j][i]))  # phi(nu(b_j) b_i)
+        lhs = phi_of(i, j)
+        rhs = f.mul(sign_by_index[j], phi_of(j, i))  # phi(nu(b_j) b_i)
         if lhs != rhs:
             bad.append(f"({alg.basis[i]}, {alg.basis[j]})")
     d = pairing_det(alg, phi)
@@ -884,7 +885,8 @@ def socle_quotient_tables_equal(a: FdAlgebra, b: FdAlgebra) -> bool:
     """Compare the two quotients after killing their socles.
 
     Both socles are spans of top cycle residues here, so the quotient
-    table is the original one with top coordinates dropped.  A future
+    products are the original ones with every product that has a top
+    index (as a factor or as the result) dropped.  A future
     instance where the socles are not basis-aligned would need an honest
     Morita comparison instead; that case is detected and raised.
     """
@@ -893,12 +895,8 @@ def socle_quotient_tables_equal(a: FdAlgebra, b: FdAlgebra) -> bool:
     if not (socle_is_top_span(a) and socle_is_top_span(b)):
         raise AssertionError("socle is not spanned by top cycles; table comparison invalid")
     tops = {a.index[a.top_label[v]] for v in a.quiver.vertices}
-    positions = {(i, j) for i, j, _, _ in a.products + b.products}
-    for i, j in sorted(positions):
-        if i in tops or j in tops:
-            continue
-        ta = {k: c for k, c in a.table[i][j].items() if k not in tops}
-        tb = {k: c for k, c in b.table[i][j].items() if k not in tops}
-        if ta != tb:
-            return False
-    return True
+
+    def below_top(alg: FdAlgebra) -> Dict[Tuple[int, int, int], object]:
+        return {(i, j, k): c for i, j, k, c in alg.products if tops.isdisjoint((i, j, k))}
+
+    return below_top(a) == below_top(b)

@@ -30,6 +30,14 @@ The order has no truncation, so no product of paths is ever cut off.
   only for the generators g with u nu(g) != 0, or with a nonzero
   product g b_r that has a coordinate in the support of theta_u; every
   other (u, g) pair is zero on both sides.
+
+Both checks add and multiply terms (index, degree, coefficient), not
+k[t] tuples.  The coordinate rule gives terms with coefficient 1 or -1;
+theta, psi (any polynomial, read term by term) and the involution signs
+are lifted to native ints where integral.  A compared vector is one
+dict keyed (row, degree) holding the difference of its two sides, and
+``Field.from_int`` maps its coefficients to k only when it is tested
+for zero.  This is exact, as Z -> k is a ring homomorphism.
 """
 
 from __future__ import annotations
@@ -268,24 +276,34 @@ def path_coordinates(basis: CanonicalBasis, ring: PolyRing, p: Path) -> Dict[str
     if p.is_idempotent:
         return {f"e({p.start})": ring.one}
     a, length = q.first_arrow_form(p)
-    rule = _coordinate_rule(ring, length, q.cycle_length(a), basis.eps.sign(a) == PLUS)
+    from_int = ring.field.from_int
     return {
-        f"{a}:{slot}" if isinstance(slot, int) else f"{slot}({p.start})": poly
-        for slot, poly in rule
+        basis.elements[k].label: ring.t_power(d, from_int(c))
+        for k, d, c in _coordinate_terms(length, *_rule_data(basis, a))
     }
 
 
-def _coordinate_rule(ring: PolyRing, length: int, n: int, positive: bool):
-    """B-coordinates of the path a_length, where n(a) = n, as (slot, poly)
-    pairs: slot m stands for a:m, and "e", "x" for e_i, x_i at the source
-    i of a, which is x_i's positive arrow exactly when a is positive."""
+def _rule_data(basis: CanonicalBasis, a: str) -> Tuple[int, bool, int, int, Optional[int]]:
+    """What the coordinate rule reads of the arrow a: n(a), whether a is
+    positive, the indices of e_i and x_i at the source i of a, and the
+    index of a:1 (None when n(a) = 1); a:1, ..., a:n-1 sit at
+    consecutive indices."""
+    q, index, i = basis.quiver, basis.index, basis.quiver.source(a)
+    positive = basis.eps.sign(a) == PLUS
+    return q.cycle_length(a), positive, index[f"e({i})"], index[f"x({i})"], index.get(f"{a}:1")
+
+
+def _coordinate_terms(length: int, n: int, positive: bool, e: int, x: int, base: Optional[int]):
+    """B-coordinates of the path a_length as (index, degree, coefficient)
+    terms, for the rule data of a (see :func:`_rule_data`).  x_i's
+    positive arrow is a exactly when a is positive.  The coefficients
+    are the integers 1 and -1, images of Z in every field."""
     r, m0 = divmod(length, n)
     if m0 != 0:
-        return ((m0, ring.t_power(r)),)
+        return ((base + m0 - 1, r, 1),)
     if positive:
-        return (("x", ring.t_power(r - 1)),)
-    f = ring.field
-    return (("e", ring.t_power(r)), ("x", ring.t_power(r - 1, f.neg(f.one))))
+        return ((x, r - 1, 1),)
+    return ((e, r, 1), (x, r - 1, -1))
 
 
 def to_canonical_coordinates(
@@ -353,22 +371,17 @@ class _BasisPaths:
 
     Built per check call from the basis paths; cycle lengths and sigma
     steps are the quiver's orbit lookups.  The first arrow is None for
-    e_v; ``nxt[r]`` is sigma of b_r's last arrow (None for e_v), and
-    ``nu_sign[r]`` is the involution's sign on b_r.
+    e_v; ``nxt[r]`` is sigma of b_r's last arrow (None for e_v),
+    ``nu_sign[r]`` is the involution's sign on b_r, lifted by
+    :func:`_integral`, and ``rule[a]`` is :func:`_rule_data` of arrow a.
     """
 
-    def __init__(self, basis: CanonicalBasis, ring: PolyRing, inv: Optional[Involution] = None):
+    def __init__(self, basis: CanonicalBasis, inv: Optional[Involution] = None):
         q = basis.quiver
-        self.quiver = q
-        self.ring = ring
-        self.positive = {a: s == PLUS for a, s in basis.eps.signs.items()}
+        self.rule = {a: _rule_data(basis, a) for a in q.arrow_names}
         self.e_index = {v: basis.index[f"e({v})"] for v in q.vertices}
         self.x_index = {v: basis.index[f"x({v})"] for v in q.vertices}
         self.is_x = [b.kind == "x" for b in basis.elements]
-        # a:1, ..., a:n-1 sit at consecutive indices
-        self.split_base = {
-            a: basis.index[f"{a}:1"] for a in q.arrow_names if q.cycle_length(a) > 1
-        }
         self.paths: List[Tuple[str, Optional[str], int]] = []
         self.nxt: List[Optional[str]] = []
         self.by_end: Dict[str, List[int]] = {v: [] for v in q.vertices}
@@ -384,7 +397,7 @@ class _BasisPaths:
                 self.paths.append((b.path.start, None, 0))
                 self.nxt.append(None)
                 self.by_end[b.path.start].append(r)
-        self.nu_sign = [inv.path_sign(b.path) for b in basis.elements] if inv is not None else []
+        self.nu_sign = [_integral(inv.path_sign(b.path)) for b in basis.elements] if inv is not None else []
 
     def left_multiples(self, start: str, a: Optional[str], length: int):
         """[(r, p b_r)] over the basis paths b_r with p b_r != 0, where p is
@@ -398,36 +411,38 @@ class _BasisPaths:
             out.append((r, (s, first, n + length)))
         return out
 
-    def coordinates(self, start: str, a: Optional[str], length: int) -> List[Tuple[int, tuple]]:
-        """B-coordinates of the path (start, a, length) as (index, poly)
-        pairs, by the rule of :func:`path_coordinates`."""
+    def terms(self, start: str, a: Optional[str], length: int):
+        """B-coordinates of the path (start, a, length) as (index, degree,
+        coefficient) terms, by the rule of :func:`path_coordinates`."""
         if a is None:
-            return [(self.e_index[start], self.ring.one)]
-        out = []
-        n = self.quiver.cycle_length(a)
-        for slot, poly in _coordinate_rule(self.ring, length, n, self.positive[a]):
-            if slot == "e":
-                out.append((self.e_index[start], poly))
-            elif slot == "x":
-                out.append((self.x_index[start], poly))
-            else:
-                out.append((self.split_base[a] + slot - 1, poly))
-        return out
-
-    def frobenius(self, start: str, a: Optional[str], length: int) -> tuple:
-        """phi of a path: the sum of its x-coordinates."""
-        ring = self.ring
-        acc = ring.zero
-        for k, poly in self.coordinates(start, a, length):
-            if self.is_x[k]:
-                acc = ring.add(acc, poly)
-        return acc
+            return ((self.e_index[start], 0, 1),)
+        return _coordinate_terms(length, *self.rule[a])
 
     def deriv_index(self, r: int) -> int:
         """For b_r = a:m, the index of sigma^m(a):n-m, which closes it to
         the full cycle c_a."""
-        b = self.nxt[r]
-        return self.split_base[b] + self.quiver.cycle_length(b) - self.paths[r][2] - 1
+        n, _, _, _, base = self.rule[self.nxt[r]]
+        return base + n - self.paths[r][2] - 1
+
+
+def _integral(c):
+    """A scalar as a native int where it is one (a residue of GF(p), an
+    integral rational), else the scalar itself."""
+    n = int(c)
+    return n if n == c else c
+
+
+def _nonzero(field: Field, acc: Mapping[object, object]) -> bool:
+    """Whether a vector of lifted coefficients is nonzero over k."""
+    from_int = field.from_int
+    return any(from_int(c) for c in acc.values() if c)
+
+
+def _term_columns(cols: List[Dict[int, tuple]]) -> List[List[Tuple[int, int, object]]]:
+    """Sparse columns {row: polynomial} as lists of (row, degree,
+    coefficient) terms, zero coefficients dropped.  Any polynomial reads
+    in, not only a monomial."""
+    return [[(r, d, _integral(c)) for r, poly in col.items() for d, c in enumerate(poly) if c] for col in cols]
 
 
 # ---------------------------------------------------------------------------
@@ -470,26 +485,33 @@ def check_nu_symmetry(q: GentleQuiver, eps: Polarization, field: Field) -> NuSym
     phi(0) = 0.  ``pair_count`` still counts all |B|^2 pairs covered.
     """
     basis = canonical_basis(q, eps)
-    ring = PolyRing(field)
     inv = involution_of(q, eps, field)
-    bp = _BasisPaths(basis, ring, inv)
+    bp = _BasisPaths(basis, inv)
     labels = basis.labels()
+    is_x = bp.is_x
+    # phi of each nonzero product as {degree: coefficient}: its x-term, if any
     phi = {}
     for i, path in enumerate(bp.paths):
         for j, prod in bp.left_multiples(*path):
-            phi[(i, j)] = bp.frobenius(*prod)
+            phi[(i, j)] = {d: c for k, d, c in bp.terms(*prod) if is_x[k]}
     pairs = set(phi)
     pairs.update((j, i) for i, j in phi)
 
     counterexamples = []
     nonzero = []
-    zero = ring.zero
+    none: Dict[int, int] = {}
     for i, j in sorted(pairs):
-        lhs = phi.get((i, j), zero)
-        rhs = ring.scale(bp.nu_sign[j], phi.get((j, i), zero))
-        if lhs != rhs:
+        lhs = phi.get((i, j), none)
+        rhs = phi.get((j, i), none)
+        if not (lhs or rhs):
+            continue
+        diff = dict(lhs)  # phi(b_i b_j) - nu(b_j) phi(b_j b_i)
+        sign = bp.nu_sign[j]
+        for d, c in rhs.items():
+            diff[d] = diff.get(d, 0) - sign * c
+        if _nonzero(field, diff):
             counterexamples.append((labels[i], labels[j]))
-        if lhs != zero:
+        if lhs:  # its one coefficient is 1 or -1, nonzero in every field
             nonzero.append((labels[i], labels[j]))
     nonzero = sorted(nonzero)
     expected = expected_nonzero_pairs(basis)
@@ -523,9 +545,8 @@ class ThetaPsiReport:
     bimodule_counterexamples: List[str]
 
 
-def _theta_psi_columns(basis: CanonicalBasis, bp: _BasisPaths):
+def _theta_psi_columns(basis: CanonicalBasis, bp: _BasisPaths, ring: PolyRing):
     """theta and psi as sparse columns {row: entry}, at most two each."""
-    ring = bp.ring
     f = ring.field
     one, t, minus_t = ring.one, ring.t_power(1), ring.t_power(1, f.neg(f.one))
     minus = ring.constant(f.neg(f.one))
@@ -533,9 +554,9 @@ def _theta_psi_columns(basis: CanonicalBasis, bp: _BasisPaths):
     psi: List[Dict[int, tuple]] = []
     for col, b in enumerate(basis.elements):
         if b.kind == "a":
-            d = bp.deriv_index(col)
-            theta.append({d: one if bp.positive[bp.paths[col][1]] else minus})
-            psi.append({d: one if bp.positive[bp.nxt[col]] else minus})
+            d = bp.deriv_index(col)  # rule[a][1] says whether a is positive
+            theta.append({d: one if bp.rule[bp.paths[col][1]][1] else minus})
+            psi.append({d: one if bp.rule[bp.nxt[col]][1] else minus})
             continue
         e, x = bp.e_index[b.path.start], bp.x_index[b.path.start]
         if b.kind == "e":
@@ -561,17 +582,18 @@ def theta_matrix(basis: CanonicalBasis, ring: PolyRing) -> List[List[tuple]]:
     e_i -> x_i*, x_i -> e_i* + t x_i*, a_m -> eps_a (split cycle)*.
     Its inverse psi sends x_i* -> e_i, e_i* -> x_i - t e_i and
     a_m* -> eps_{sigma^m(a)} (split cycle)."""
-    return _dense(ring, _theta_psi_columns(basis, _BasisPaths(basis, ring))[0])
+    return _dense(ring, _theta_psi_columns(basis, _BasisPaths(basis), ring)[0])
 
 
-def _is_identity_product(ring: PolyRing, left, right) -> bool:
-    """left @ right == identity, for matrices given as sparse columns."""
+def _is_identity_product(field: Field, left, right) -> bool:
+    """left @ right == identity, for matrices given as columns of terms."""
     for c, col in enumerate(right):
-        acc: Dict[int, tuple] = {}
-        for s, p in col.items():
-            for r, x in left[s].items():
-                acc[r] = ring.add(acc.get(r, ring.zero), ring.mul(x, p))
-        if {r: x for r, x in acc.items() if x} != {c: ring.one}:
+        acc = {(c, 0): -1}  # the product's column minus the unit column
+        for s, d, x in col:
+            for r, d2, y in left[s]:
+                key = (r, d + d2)
+                acc[key] = acc.get(key, 0) + x * y
+        if _nonzero(field, acc):
             return False
     return True
 
@@ -605,28 +627,25 @@ def verify_theta_psi(q: GentleQuiver, eps: Polarization, field: Field) -> ThetaP
     right-linear for the involution-twisted action on generators.
 
     theta and psi have at most two entries per column, so the inverse
-    checks multiply sparse columns, and theta(0) is a signed permutation
-    matrix whose determinant is a sign times a product.
+    checks multiply sparse columns of terms, and theta(0) is a signed
+    permutation matrix whose determinant is a sign times a product.
     """
     basis = canonical_basis(q, eps)
-    ring = PolyRing(field)
     inv = involution_of(q, eps, field)
-    bp = _BasisPaths(basis, ring, inv)
-    theta_cols, psi_cols = _theta_psi_columns(basis, bp)
-    tp = _is_identity_product(ring, theta_cols, psi_cols)
-    pt = _is_identity_product(ring, psi_cols, theta_cols)
+    bp = _BasisPaths(basis)
+    theta_cols, psi_cols = _theta_psi_columns(basis, bp, PolyRing(field))
+    theta, psi = _term_columns(theta_cols), _term_columns(psi_cols)
+    tp = _is_identity_product(field, theta, psi)
+    pt = _is_identity_product(field, psi, theta)
 
     det_const = None
     if tp and pt:
         # theta psi = id forces det(theta) to be a unit of k[t], i.e. a
         # nonzero constant; its value is det of theta at t = 0.
-        theta0 = []
-        for entries in theta_cols:
-            col = {r: ring.eval(p, field.zero) for r, p in entries.items()}
-            theta0.append({r: x for r, x in col.items() if x})
+        theta0 = [{r: p[0] for r, p in entries.items() if p and p[0]} for entries in theta_cols]
         det_const = _signed_permutation_det(field, theta0)
 
-    bad = _bimodule_counterexamples(basis, bp, inv, theta_cols)
+    bad = _bimodule_counterexamples(basis, bp, inv, theta)
     return ThetaPsiReport(
         ok=tp and pt and not bad,
         size=len(basis),
@@ -641,7 +660,7 @@ def verify_theta_psi(q: GentleQuiver, eps: Polarization, field: Field) -> ThetaP
 
 
 def _bimodule_counterexamples(
-    basis: CanonicalBasis, bp: _BasisPaths, inv: Involution, theta_cols: List[Dict[int, tuple]]
+    basis: CanonicalBasis, bp: _BasisPaths, inv: Involution, theta: List[List[Tuple[int, int, object]]]
 ) -> List[str]:
     """The (u, g) pairs, in basis order and then generator order, where
     theta(u nu(g)) and theta(u) g differ as vectors over the dual basis.
@@ -654,46 +673,45 @@ def _bimodule_counterexamples(
     those generators are compared; every other pair is zero on both sides.
     """
     q = basis.quiver
-    ring = bp.ring
-    zero = ring.zero
     arrows = sorted(q.arrow_names)
     gnames = [f"e({v})" for v in q.vertices] + arrows
     gpaths = [(v, None, 0) for v in q.vertices] + [(q.source(a), a, 1) for a in arrows]
     e_gen = {v: k for k, v in enumerate(q.vertices)}
     a_gen = {a: len(q.vertices) + k for k, a in enumerate(arrows)}
+    nu = {a: _integral(inv.signs[a]) for a in arrows}
     arrows_into: Dict[str, List[str]] = {v: [] for v in q.vertices}
     for a in arrows:
         arrows_into[q.target(a)].append(a)
 
     # every nonzero product g b_r, listed once under each coordinate s
-    # (a row of theta) as (g, r, coefficient)
-    by_coord: List[List[Tuple[int, int, tuple]]] = [[] for _ in bp.paths]
+    # (a row of theta) as (g, r, degree, coefficient)
+    by_coord: List[List[Tuple[int, int, int, int]]] = [[] for _ in bp.paths]
     for g, path in enumerate(gpaths):
         for r, prod in bp.left_multiples(*path):
-            for s, poly in bp.coordinates(*prod):
-                by_coord[s].append((g, r, poly))
+            for s, d, c in bp.terms(*prod):
+                by_coord[s].append((g, r, d, c))
 
     bad: List[str] = []
     for u, (su, au, lu) in enumerate(bp.paths):
-        # u nu(g) as (start, first arrow, length, coefficient) per generator
-        left = {e_gen[su]: (su, au, lu, ring.field.one)}
+        # theta(u nu(g)) - theta(u) g per generator g, keyed (row, degree)
+        diff: Dict[int, Dict[Tuple[int, int], object]] = {}
+        left = [(e_gen[su], bp.terms(su, au, lu), 1)]
         for a in arrows_into[su] if au is None else [q.sigma_power(au, -1)]:
-            left[a_gen[a]] = (q.source(a), a, lu + 1, inv.signs[a])
-        right: Dict[int, Dict[int, tuple]] = {}
-        for s, th in theta_cols[u].items():
-            for g, r, poly in by_coord[s]:
-                vec = right.setdefault(g, {})
-                vec[r] = ring.add(vec.get(r, zero), ring.mul(poly, th))
-        for g in sorted(set(left) | set(right)):
-            lhs: Dict[int, tuple] = {}
-            if g in left:
-                start, a, length, c = left[g]
-                for k, poly in bp.coordinates(start, a, length):
-                    poly = ring.scale(c, poly)
-                    for row, th in theta_cols[k].items():
-                        lhs[row] = ring.add(lhs.get(row, zero), ring.mul(poly, th))
-            rhs = right.get(g, {})
-            if {r: p for r, p in lhs.items() if p} != {r: p for r, p in rhs.items() if p}:
+            left.append((a_gen[a], bp.terms(q.source(a), a, lu + 1), nu[a]))
+        for g, terms, sign in left:
+            vec = diff.setdefault(g, {})
+            for k, d, c in terms:
+                c *= sign
+                for row, d2, th in theta[k]:
+                    key = (row, d + d2)
+                    vec[key] = vec.get(key, 0) + c * th
+        for s, d2, th in theta[u]:
+            for g, r, d, c in by_coord[s]:
+                vec = diff.setdefault(g, {})
+                key = (r, d + d2)
+                vec[key] = vec.get(key, 0) - c * th
+        for g in sorted(diff):
+            if _nonzero(inv.field, diff[g]):
                 bad.append(
                     f"theta(u * nu(g)) != theta(u).g for u={basis.elements[u].label}, g={gnames[g]}"
                 )

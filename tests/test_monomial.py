@@ -34,6 +34,7 @@ from ribbonorders import (
 )
 from ribbonorders import linalg
 from ribbonorders.cli import main
+from ribbonorders.corpus import circular
 from ribbonorders.fdalg import (
     ZERO_CELL,
     _verify_scaling_map,
@@ -430,3 +431,49 @@ def test_checkers_on_mutated_algebras(name, field, m):
     expected_ok = [True, False, False, field.char == 2, False, False]
     assert [reference_scaling_map_ok(a, b, psi.scales) for a, b in pairs] == expected_ok
 
+
+
+def _other_involution(q, alg):
+    """The involution of the algebra's polarization with the signs at the
+    first vertex swapped, which breaks the phi-twisted symmetry."""
+    a0, b0 = q.arrows_out(q.vertices[0])
+    other = dict(alg.eps.signs)
+    other[a0], other[b0] = other[b0], other[a0]
+    return involution_of(q, Polarization(other), alg.field)
+
+
+def test_twist_and_socle_quotient_checks_read_only_products(monkeypatch):
+    # both checks read the product list, never the dim^2 table view: with
+    # the view refused they give what the dim^2 references, computed
+    # first, give
+    quivers = [corpus_quiver(name) for name in CORPUS_NAMES] + [circular(n) for n in (8, 24)]
+    cases = []
+    for q in quivers:
+        for field in FIELDS:
+            for m in (1, 2):
+                tw = build_quotient_algebra(q, field, m)
+                pl = plain_quotient(tw)
+                tops = {tw.index[tw.top_label[v]] for v in q.vertices}
+                drop = next((n for n, (_, _, k, _) in enumerate(pl.products) if k not in tops), None)
+                pairs = [(tw, pl), (pl, tw)] + ([(tw, mutate(pl, None, drop))] if drop is not None else [])
+                for alg in (tw, pl):
+                    for inv in (involution_of(q, alg.eps, field), _other_involution(q, alg)):
+                        bar = nakayama_involution_bar(alg, inv)
+                        cases.append(("twist", alg, bar, reference_twist_counterexamples(alg, bar)))
+                cases += [("quotients", a, b, reference_socle_quotients_equal(a, b)) for a, b in pairs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check built the dim^2 table")
+
+    monkeypatch.setattr(FdAlgebra, "table", property(refuse))
+    outcomes = set()
+    for kind, alg, other, expected in cases:
+        if kind == "twist":
+            twist = check_canonical_bimodule_twist(alg, other)
+            assert twist.counterexamples == expected
+            assert twist.twisted_symmetry == (not expected)
+            outcomes.add((kind, not expected))
+        else:
+            assert socle_quotient_tables_equal(alg, other) == expected
+            outcomes.add((kind, expected))
+    assert len(outcomes) == 4  # each check both passes and fails

@@ -7,8 +7,9 @@ sweep, every basis element against every (u, g) pair) through
 ``OrderElement`` arithmetic and ``GentleQuiver.compose``.  The reports
 must agree field for field, counterexample lists included, in order, on
 valid inputs and on inputs corrupted so that the checks fail: a flipped
-involution sign, or a stray theta entry that makes theta(u) g nonzero
-where u nu(g) = 0.
+involution sign, a stray theta entry that makes theta(u) g nonzero
+where u nu(g) = 0, a theta entry 1 + t with two terms, and a stray entry
+whose terms cancel over GF(2) only.
 """
 
 import dataclasses
@@ -294,33 +295,78 @@ def _stray_entry(basis):
     return row, basis.index[f"e({basis.quiver.vertices[0]})"]
 
 
-@pytest.mark.parametrize("name", ["triangle", "mixed", "circ3", "line4"])
-def test_corrupted_theta_same_counterexamples(name, monkeypatch):
-    # a stray entry in theta makes theta(u) g nonzero for generators g
-    # with u nu(g) = 0, so the sweep must also compare those
+def corrupt_theta(monkeypatch, place, coefficients):
+    """Put the polynomial with these integer coefficients into theta at
+    place(basis) = (row, column), in the checks and in the dense
+    reference; returns the reference's theta builder."""
     real_columns = order._theta_psi_columns
 
-    def corrupted_columns(basis, bp):
-        theta, psi = real_columns(basis, bp)
-        row, col = _stray_entry(basis)
-        theta[col][row] = bp.ring.one
+    def entry(ring):
+        return ring.trim([ring.field.from_int(c) for c in coefficients])
+
+    def corrupted_columns(basis, bp, ring):
+        theta, psi = real_columns(basis, bp, ring)
+        row, col = place(basis)
+        theta[col][row] = entry(ring)
         return theta, psi
 
     def corrupted_dense(basis, ring):
         mat = reference_theta(basis, ring)
-        row, col = _stray_entry(basis)
-        mat[row][col] = ring.one
+        row, col = place(basis)
+        mat[row][col] = entry(ring)
         return mat
 
     monkeypatch.setattr(order, "_theta_psi_columns", corrupted_columns)
+    return corrupted_dense
+
+
+def assert_corrupted_theta_matches(q, eps, field, theta_of):
+    tp = verify_theta_psi(q, eps, field)
+    ref = reference_theta_psi(q, eps, field, theta_of=theta_of)
+    assert not tp.theta_psi_identity and tp.det_theta_constant is None
+    assert tp.bimodule_counterexamples
+    assert dataclasses.asdict(densified(tp, field)) == dataclasses.asdict(ref)
+    return tp
+
+
+@pytest.mark.parametrize("name", ["triangle", "mixed", "circ3", "line4"])
+def test_corrupted_theta_same_counterexamples(name, monkeypatch):
+    # a stray entry in theta makes theta(u) g nonzero for generators g
+    # with u nu(g) = 0, so the sweep must also compare those
+    theta_of = corrupt_theta(monkeypatch, _stray_entry, (1,))
     q = corpus_quiver(name)
     eps = enumerate_polarizations(q)[0]
     for field in (GF2, QQ):
-        tp = verify_theta_psi(q, eps, field)
-        ref = reference_theta_psi(q, eps, field, theta_of=corrupted_dense)
-        assert not tp.theta_psi_identity and tp.det_theta_constant is None
-        assert tp.bimodule_counterexamples
-        assert dataclasses.asdict(densified(tp, field)) == dataclasses.asdict(ref)
+        assert_corrupted_theta_matches(q, eps, field, theta_of)
+
+
+@pytest.mark.parametrize("name", ["triangle", "circ3"])
+@pytest.mark.parametrize("kind", ["e", "x"])
+def test_corrupted_theta_not_monomial(name, kind, monkeypatch):
+    # 1 + t replaces theta's entry 1 (row e(v)) or t (row x(v)) in column
+    # x(v): a reader that kept one term of it would see a valid theta
+    def place(basis):
+        v = basis.quiver.vertices[0]
+        return basis.index[f"{kind}({v})"], basis.index[f"x({v})"]
+
+    theta_of = corrupt_theta(monkeypatch, place, (1, 1))
+    q = corpus_quiver(name)
+    eps = enumerate_polarizations(q)[0]
+    for field in FIELDS:
+        assert_corrupted_theta_matches(q, eps, field, theta_of)
+
+
+def test_corrupted_theta_terms_cancel_in_gf2(monkeypatch):
+    # with a stray 1 at (b:1, e(1)) of loop2, two terms of a compared
+    # vector meet at one row and degree: 1 + 1 = 0 over GF(2)
+    theta_of = corrupt_theta(monkeypatch, lambda basis: (basis.index["b:1"], basis.index["e(1)"]), (1,))
+    q = corpus_quiver("loop2")
+    eps = enumerate_polarizations(q)[0]
+    tp = assert_corrupted_theta_matches(q, eps, GF2, theta_of)
+    # compared over Z instead of GF(2), one more pair would differ
+    monkeypatch.setattr(order, "_nonzero", lambda field, acc: any(acc.values()))
+    over_z = verify_theta_psi(q, eps, GF2).bimodule_counterexamples
+    assert set(tp.bimodule_counterexamples) < set(over_z)
 
 
 def test_products_match_compose():
@@ -329,7 +375,7 @@ def test_products_match_compose():
     quivers += [gen.random_quiver(rng, v) for v in ORDER_PROFILES]
     for q in quivers:
         basis = canonical_basis(q, order.default_polarization(q))
-        bp = order._BasisPaths(basis, PolyRing(GF3))
+        bp = order._BasisPaths(basis)
         products = {
             (i, j): prod for i, path in enumerate(bp.paths) for j, prod in bp.left_multiples(*path)
         }
@@ -348,19 +394,25 @@ def test_products_match_compose():
 
 
 def _forbidden(*args, **kwargs):
-    raise AssertionError("the order checks must not compose paths")
+    raise AssertionError("the order checks must not compose paths or do k[t] tuple arithmetic")
 
 
 def test_checks_never_compose(monkeypatch):
+    # both checks read products off the sigma-rule and add and multiply
+    # sparse terms, never PolyRing tuples
     monkeypatch.setattr(GentleQuiver, "compose", _forbidden)
     monkeypatch.setattr(order, "multiply", _forbidden)
     monkeypatch.setattr(order, "to_canonical_coordinates", _forbidden)
+    for name in ("add", "mul", "scale"):
+        monkeypatch.setattr(PolyRing, name, _forbidden)
     for name in CORPUS_NAMES:
         q = corpus_quiver(name)
-        eps = enumerate_polarizations(q)[0]
-        for field in (GF3, QQ):
-            assert check_nu_symmetry(q, eps, field).ok
-            assert verify_theta_psi(q, eps, field).ok
+        for eps in enumerate_polarizations(q)[:2]:
+            for field in FIELDS:
+                nu = check_nu_symmetry(q, eps, field)
+                assert nu.ok and nu.pairs_match
+                tp = verify_theta_psi(q, eps, field)
+                assert tp.ok and tp.det_theta_constant in (field.one, field.neg(field.one))
 
 
 @pytest.mark.parametrize("field", [GF3, QQ], ids=lambda f: f.name)
