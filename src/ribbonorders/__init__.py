@@ -12,9 +12,7 @@ from .decide import SymmetryReport, batch, decide
 from .fdalg import (
     FdAlgebra,
     SymmetryVerdict,
-    build_bga,
     build_quotient_algebra,
-    build_twisted_bga,
     check_canonical_bimodule_twist,
     construct_psi_isomorphism,
     is_symmetric_oracle,

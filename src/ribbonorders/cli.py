@@ -39,8 +39,12 @@ def _load(path: str) -> ParsedSpec:
         return ParsedSpec(
             quiver=corpus_quiver(name), multiplicity=None, source_kind="quiver"
         )
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read spec file {path!r}: {getattr(exc, 'strerror', None) or exc}") from None
+    return parse_spec(text)
 
 
 def _multiplicity_arg(q: GentleQuiver, spec: Optional[str], from_file) -> Dict[str, int]:

@@ -32,7 +32,7 @@ from .fdalg import (
     build_quotient_algebra,
     is_symmetric_oracle,
     plain_quotient,
-    psi_from_quotients,
+    psi_from_quotient,
 )
 from .fields import Field
 from .order import normalize_multiplicity
@@ -86,6 +86,11 @@ def decide(
 ) -> SymmetryReport:
     """Evaluate all six conditions and cross-check the implication lattice.
 
+    One algebra is built, the twisted quotient.  c2's oracle and c5's
+    scaling map read it; the Brauer graph algebra is derived from it
+    (:func:`plain_quotient`) only when no scaling map applies and c5
+    reads the plain quotient's own oracle verdict.
+
     ``seed`` is ignored: the decision is deterministic."""
     mm = normalize_multiplicity(q, m)
     stable = find_sigma_stable(q)
@@ -121,15 +126,13 @@ def decide(
     else:
         conditions["c4"] = Condition(FALSE, {"odd_walk": list(stable.odd_walk)})
 
-    # one build: the plain quotient is the twisted one with every sign +1
     twisted = build_quotient_algebra(q, field, mm, quotient_polarization(q, stable), twisted=True)
-    plain = plain_quotient(twisted)
     verdict_tw = is_symmetric_oracle(twisted)
 
     conditions["c2"] = Condition(_status_from_verdict(verdict_tw), _verdict_evidence(verdict_tw))
 
     # c5: the constructed quotient isomorphism
-    psi = psi_from_quotients(stable, twisted, plain)
+    psi = psi_from_quotient(stable, twisted)
     if psi.kind in ("isomorphism", "identity"):
         if not psi.verified:
             raise AssertionError("constructed scaling map failed verification")
@@ -140,7 +143,7 @@ def decide(
         conditions["c5"] = Condition(TRUE, ev5)
     else:
         ev5 = {"kind": "inapplicable", "reason": psi.reason, "witness": psi.witness}
-        verdict_pl = is_symmetric_oracle(plain)  # read only where no scaling applies
+        verdict_pl = is_symmetric_oracle(plain_quotient(twisted))  # only where no scaling applies
         if verdict_tw.kind == "not-symmetric" and verdict_pl.kind == "symmetric":
             ev5["refutation"] = (
                 "twisted quotient certified non-symmetric while the Brauer graph "

@@ -22,16 +22,19 @@ successor sigma^l(a) is a lookup in the quiver's orbit data.
 An algebra stores its multiplication once, as the list of its nonzero
 products (i, j, k, c), meaning b_i b_j = c b_k, in row-major order.
 The two quotients share basis and index and differ only in the sign of
-the rewritten top cycle, so ``plain_quotient`` derives the Brauer graph
-algebra from the twisted quotient by setting every coefficient to +1.
-``table[i][j]`` (the same product as a one-entry dict, every zero cell
-the one shared read-only ``ZERO_CELL``) and ``paths`` (a ``Path`` per
-basis label) are views derived from the products and the basis on first
-read; no decision reads them.  The associativity check, the bilinear
-matrices, the commutator rows, the socle, the involution and twist
-checks, the socle quotient comparison and the scaling-map verification
-all run over the nonzero products, not over every dim^2 or dim^3 basis
-tuple.
+the rewritten top cycle, so a decision builds one algebra, the twisted
+quotient.  The scaling map is checked against the plain rule (the same
+products, every coefficient +1) read off that one list, and
+``plain_quotient`` derives the Brauer graph algebra from it only where
+the plain algebra itself is read.  ``table[i][j]`` (the same product as
+a one-entry dict, every zero cell the one shared read-only
+``ZERO_CELL``) and ``paths`` (a ``Path`` per basis label) are views
+derived from the products and the basis on first read; no decision
+reads them.  The associativity check, the commutator rows, the socle,
+the involution and twist checks and the scaling-map verification all
+run over the nonzero products, not over every dim^2 or dim^3 basis
+tuple.  ``bilinear_matrix``, the dense pairing, is a test reference and
+a benchmark span target; no decision calls it.
 
 The symmetry oracle is closed-form on this structure and runs in
 O(dim + nonzero products) with no elimination and no dense determinant:
@@ -52,6 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from types import MappingProxyType
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
@@ -135,12 +139,6 @@ class FdAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def unit(self) -> Sparse:
-        return {self.index[lab]: self.field.one for lab in self.idempotent_labels}
-
-    def label_vector(self, label: str) -> Sparse:
-        return {self.index[label]: self.field.one}
-
     def arrow_residue(self, a: str) -> Sparse:
         i, c = self.residue(a, 1)  # a top cycle has length >= 1
         return {i: c}
@@ -158,28 +156,6 @@ class FdAlgebra:
         f = self.field
         sign = f.neg(f.one) if self.twisted else f.one
         return self.index[self.top_label[self.quiver.source(a)]], sign
-
-    def reduce_path(self, p: Path) -> Sparse:
-        """Residue of a parent-order path in the normal-form basis."""
-        if p.is_idempotent:
-            return {self.index[f"e({p.start})"]: self.field.one}
-        r = self.residue(p.arrows[0], p.length)
-        return {} if r is None else {r[0]: r[1]}
-
-    def mul(self, u: Sparse, v: Sparse) -> Sparse:
-        f = self.field
-        out: Sparse = {}
-        for i, ci in u.items():
-            row = self.table[i]
-            for j, cj in v.items():
-                c = f.mul(ci, cj)
-                for k, ck in row[j].items():
-                    s = f.add(out.get(k, f.zero), f.mul(c, ck))
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-        return out
 
     def dense(self, u: Sparse) -> list:
         vec = [self.field.zero] * self.dim
@@ -294,14 +270,6 @@ def plain_quotient(tw: FdAlgebra) -> FdAlgebra:
     """
     one = tw.field.one
     return replace(tw, twisted=False, products=[(i, j, k, one) for i, j, k, _ in tw.products])
-
-
-def build_twisted_bga(q, field, m=None, eps=None) -> FdAlgebra:
-    return build_quotient_algebra(q, field, m=m, eps=eps, twisted=True)
-
-
-def build_bga(q, field, m=None, eps=None) -> FdAlgebra:
-    return build_quotient_algebra(q, field, m=m, eps=eps, twisted=False)
 
 
 def _product_index(alg: FdAlgebra) -> Dict[int, Tuple[int, object]]:
@@ -651,19 +619,15 @@ def is_symmetric_oracle(alg: FdAlgebra) -> SymmetryVerdict:
     )
 
 
-def _socle_certificate(
-    alg: FdAlgebra, forms: List[Sparse], paths: Optional[List[int]] = None
-) -> Optional[dict]:
+def _socle_certificate(alg: FdAlgebra, forms: List[Sparse], paths: List[int]) -> Optional[dict]:
     """The first socle path p outside the union of the supports of the
     sparse forms, as the element {label: "1"}, or None.
 
     For such p and any y, p y is a multiple of p e_i for an idempotent
     e_i, and phi(p e_i) = phi(p) or 0, so b_phi(p, -) vanishes for every
     phi in the span of the forms: when they span S, no symmetric form
-    can be nondegenerate.  paths defaults to :func:`socle` of alg.
+    can be nondegenerate.  paths is :func:`socle` of alg.
     """
-    if paths is None:
-        paths = socle(alg)
     support = set().union(*forms)
     for p in paths:
         if p not in support:
@@ -733,30 +697,32 @@ class PsiResult:
     witness: Optional[dict] = None
     scales: Optional[Dict[str, object]] = None
     verified: bool = False
-    twisted: Optional[FdAlgebra] = None
-    plain: Optional[FdAlgebra] = None
 
 
 def root_of_minus_one(field: Field, m: int):
     """A field element with x^m = -1, or None.
 
     Over the rationals the only candidates are +-1, so a root exists iff
-    m is odd; over GF(p) the (small) field is scanned.
+    m is odd.  Over GF(p), p odd, the unit group is cyclic of order
+    n = p - 1 and -1 is its element of order two, so with g = gcd(m, n)
+    a root exists iff n / g is even.  Then y = z^(n / 2g), for the least
+    quadratic non-residue z, has y^g = z^(n/2) = -1, and x = y^u with
+    u = (m/g)^-1 mod n/g has x^m = y^g y^(sn) = -1 for some integer s.
+    No field element is scanned.
     """
     if field.char == 2:
         return field.one
     if isinstance(field, RationalField):
         return Fraction(-1) if m % 2 == 1 else None
-    minus_one = field.neg(field.one)
-    for x in field.elements():
-        if not x:
-            continue
-        acc = field.one
-        for _ in range(m):
-            acc = field.mul(acc, x)
-        if acc == minus_one:
-            return x
-    return None
+    p = field.char
+    n = p - 1
+    g = gcd(m, n)
+    if (n // g) % 2:
+        return None
+    z = 2
+    while pow(z, n // 2, p) != p - 1:  # Euler's criterion
+        z += 1
+    return pow(pow(z, n // (2 * g), p), pow(m // g, -1, n // g), p)
 
 
 def construct_psi_isomorphism(
@@ -771,32 +737,33 @@ def construct_psi_isomorphism(
     returned.  Otherwise the graph must be bipartite: with the canonical
     sigma-stable polarization, the representative arrow of each negative
     orbit is scaled by a root of x^{m(v)} = -1.  Missing roots or an odd
-    walk produce an explicit inapplicability witness.  The candidate map
-    is always verified against the full multiplication tables.
+    walk produce an explicit inapplicability witness.  One algebra is
+    built, the twisted quotient; the candidate map is verified on each
+    of its nonzero products against the plain rule, which has the same
+    products with coefficient +1.
     """
     mm = normalize_multiplicity(q, m)
     stable = find_sigma_stable(q)
     if field.char != 2 and not isinstance(stable, Polarization):
         return _not_bipartite(stable)
     tw = build_quotient_algebra(q, field, mm, quotient_polarization(q, stable), twisted=True)
-    return psi_from_quotients(stable, tw, plain_quotient(tw))
+    return psi_from_quotient(stable, tw)
 
 
-def psi_from_quotients(
+def psi_from_quotient(
     stable: Union[Polarization, BipartiteCertificate],
     tw: FdAlgebra,
-    pl: FdAlgebra,
 ) -> PsiResult:
     """:func:`construct_psi_isomorphism` given the quiver's
-    :func:`find_sigma_stable` result and its twisted and plain quotients,
-    built with one polarization, :func:`quotient_polarization`."""
+    :func:`find_sigma_stable` result and its twisted quotient, built with
+    :func:`quotient_polarization`."""
     q, field, mm = tw.quiver, tw.field, tw.multiplicity
 
     if field.char == 2:
-        if tw.products != pl.products:
+        if any(c != field.one for _, _, _, c in tw.products):
             raise AssertionError("char 2 quotients should coincide")
         scales = {a: field.one for a in q.arrow_names}
-        return PsiResult(kind="identity", scales=scales, verified=True, twisted=tw, plain=pl)
+        return PsiResult(kind="identity", scales=scales, verified=True)
 
     if not isinstance(stable, Polarization):
         return _not_bipartite(stable)
@@ -813,13 +780,11 @@ def psi_from_quotients(
             )
         scales[rep] = lam  # only the orbit representative is rescaled
 
-    verified = _verify_scaling_map(tw, pl, scales)
+    verified = _verify_scaling_map(tw, scales)
     return PsiResult(
         kind="isomorphism",
         scales=scales,
         verified=verified,
-        twisted=tw,
-        plain=pl,
         reason=None if verified else "verification failed",
     )
 
@@ -853,50 +818,17 @@ def psi_matrix_diagonal(alg: FdAlgebra, scales: Mapping[str, object]) -> List:
     return diag
 
 
-def _verify_scaling_map(tw: FdAlgebra, pl: FdAlgebra, scales: Mapping[str, object]) -> bool:
+def _verify_scaling_map(tw: FdAlgebra, scales: Mapping[str, object]) -> bool:
+    """psi(b) = d(b) b, with d(b) the product of the scalings along b,
+    is an isomorphism from the twisted quotient onto the plain one.
+
+    The plain quotient has the twisted products with coefficient +1, so
+    psi is multiplicative iff c d(b_k) = d(b_i) d(b_j) for every twisted
+    product b_i b_j = c b_k; with no d zero, both sides of every other
+    product vanish, and psi is bijective.
+    """
     f = tw.field
-    if tw.basis != pl.basis:
-        return False
     diag = psi_matrix_diagonal(tw, scales)
     if not all(diag):
         return False
-    # diag has no zero, so psi(b_i b_j) and psi(b_i) psi(b_j) vanish together
-    if len(tw.products) != len(pl.products):
-        return False
-    for (i, j, k, c), (pi, pj, pk, pc) in zip(tw.products, pl.products):
-        if (i, j, k) != (pi, pj, pk):
-            return False
-        if f.mul(diag[k], c) != f.mul(f.mul(diag[i], diag[j]), pc):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# socle quotients
-
-
-def socle_is_top_span(alg: FdAlgebra) -> bool:
-    """The socle should be exactly the span of the top cycle residues."""
-    tops = sorted({alg.index[alg.top_label[v]] for v in alg.quiver.vertices})
-    return socle(alg) == tops
-
-
-def socle_quotient_tables_equal(a: FdAlgebra, b: FdAlgebra) -> bool:
-    """Compare the two quotients after killing their socles.
-
-    Both socles are spans of top cycle residues here, so the quotient
-    products are the original ones with every product that has a top
-    index (as a factor or as the result) dropped.  A future
-    instance where the socles are not basis-aligned would need an honest
-    Morita comparison instead; that case is detected and raised.
-    """
-    if a.basis != b.basis:
-        return False
-    if not (socle_is_top_span(a) and socle_is_top_span(b)):
-        raise AssertionError("socle is not spanned by top cycles; table comparison invalid")
-    tops = {a.index[a.top_label[v]] for v in a.quiver.vertices}
-
-    def below_top(alg: FdAlgebra) -> Dict[Tuple[int, int, int], object]:
-        return {(i, j, k): c for i, j, k, c in alg.products if tops.isdisjoint((i, j, k))}
-
-    return below_top(a) == below_top(b)
+    return all(f.mul(diag[k], c) == f.mul(diag[i], diag[j]) for i, j, k, c in tw.products)

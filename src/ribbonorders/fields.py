@@ -16,9 +16,8 @@ that test inline in its loops.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator
 
 
 class Field:
@@ -54,16 +53,8 @@ class Field:
     def is_zero(self, a) -> bool:
         return not a
 
-    def order(self) -> Optional[int]:
-        """Number of elements, or None for an infinite field."""
-        return None
-
     def elements(self) -> Iterator:
         raise ValueError(f"field {self.name} is not finite")
-
-    def random_scalar(self, rng: random.Random, bound: int):
-        """A random scalar; `bound` sizes the integer box for infinite fields."""
-        raise NotImplementedError
 
     def scalar_str(self, a) -> str:
         return str(a)
@@ -104,14 +95,8 @@ class PrimeField(Field):
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
 
-    def order(self) -> int:
-        return self.p
-
     def elements(self) -> Iterator[int]:
         return iter(range(self.p))
-
-    def random_scalar(self, rng: random.Random, bound: int) -> int:
-        return rng.randrange(self.p)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
@@ -145,9 +130,6 @@ class RationalField(Field):
 
     def inv(self, a: Fraction) -> Fraction:
         return 1 / a
-
-    def random_scalar(self, rng: random.Random, bound: int) -> Fraction:
-        return Fraction(rng.randint(-bound, bound))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalField)
@@ -248,26 +230,3 @@ class PolyRing:
             for j, b in enumerate(q):
                 out[i + j] = f.add(out[i + j], f.mul(a, b))
         return self.trim(out)
-
-    def eval(self, p: tuple, x):
-        f = self.field
-        acc = f.zero
-        for c in reversed(p):
-            acc = f.add(f.mul(acc, x), c)
-        return acc
-
-    def to_str(self, p: tuple) -> str:
-        if not p:
-            return "0"
-        f = self.field
-        parts = []
-        for i, c in enumerate(p):
-            if f.is_zero(c):
-                continue
-            if i == 0:
-                parts.append(f.scalar_str(c))
-            elif i == 1:
-                parts.append("t" if c == f.one else f"{f.scalar_str(c)}*t")
-            else:
-                parts.append(f"t^{i}" if c == f.one else f"{f.scalar_str(c)}*t^{i}")
-        return " + ".join(parts)

@@ -10,10 +10,14 @@ place on its private copy, and only at the pivot row's nonzero columns
 nonzero entries rather than the full row width.  Zero tests are truth
 tests (see :mod:`ribbonorders.fields`).
 
-The order-level checks use ``det`` and ``rank``; the quotient symmetry
-oracle in :mod:`ribbonorders.fdalg` is closed-form and eliminates
-nothing.  Its pairing and the order's theta(0) have one nonzero entry
-per row and column, and ``signed_permutation_det`` is their determinant.
+Only two routines run in the package: ``rank``, for the Cartan rank
+(through ``rref``), and ``signed_permutation_det``.  The quotient
+symmetry oracle in :mod:`ribbonorders.fdalg` and the order-level checks
+are closed-form and eliminate nothing: the oracle's pairing and the
+order's theta(0) have one nonzero entry per row and column, and
+``signed_permutation_det`` is their determinant.  ``det`` and
+``nullspace`` are kept as the tests' dense references and as targets of
+the benchmark's traced spans.
 """
 
 from __future__ import annotations
@@ -96,7 +100,7 @@ def nullspace(field: Field, mat: Matrix, cols: Optional[int] = None) -> List[Vec
     if not mat:
         if cols is None:
             return []
-        return [unit_vector(f, cols, i) for i in range(cols)]
+        return [[f.one if j == i else f.zero for j in range(cols)] for i in range(cols)]
     cols = len(mat[0])
     red, pivots = rref(f, mat)
     pivot_set = set(pivots)
@@ -109,12 +113,6 @@ def nullspace(field: Field, mat: Matrix, cols: Optional[int] = None) -> List[Vec
             v[pc] = f.neg(red[r][fc])
         basis.append(v)
     return basis
-
-
-def unit_vector(field: Field, n: int, i: int) -> Vector:
-    v = [field.zero] * n
-    v[i] = field.one
-    return v
 
 
 def signed_permutation_det(field: Field, perm: List[int], entries: list):

@@ -183,12 +183,6 @@ def elements_equal(x: OrderElement, y: OrderElement) -> bool:
     return x.terms == y.terms
 
 
-def apply_involution(inv: Involution, x: OrderElement) -> OrderElement:
-    f = x.field
-    terms = {p: f.mul(inv.path_sign(p), c) for p, c in x.terms.items()}
-    return OrderElement(x.quiver, f, _trim(f, terms))
-
-
 def _same(x: OrderElement, y: OrderElement) -> None:
     if x.quiver is not y.quiver and x.quiver != y.quiver:
         raise QuiverError("elements live over different quivers")
@@ -316,22 +310,6 @@ def to_canonical_coordinates(
     return {label: poly for label, poly in coords.items() if poly}
 
 
-def expand_coordinates(
-    basis: CanonicalBasis, ring: PolyRing, coords: Mapping[str, tuple], z: OrderElement
-) -> OrderElement:
-    """Inverse of to_canonical_coordinates: multiply out the t-powers by z."""
-    q = basis.quiver
-    f = ring.field
-    acc = zero_element(q, f)
-    for label, poly in coords.items():
-        base = path_element(q, f, basis.element(label).path)
-        for r, c in enumerate(poly):
-            if f.is_zero(c):
-                continue
-            acc = add(acc, scale(c, multiply(element_power(z, r), base)))
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Frobenius form
 
@@ -343,22 +321,6 @@ def frobenius_eval(basis: CanonicalBasis, ring: PolyRing, x: OrderElement) -> tu
     for v in basis.quiver.vertices:
         acc = ring.add(acc, coords.get(f"x({v})", ring.zero))
     return acc
-
-
-def frobenius_closed_form(basis: CanonicalBasis, ring: PolyRing, p: Path) -> tuple:
-    """Closed form on paths: full cycle powers c_a^r give eps_a * t^{r-1},
-    everything else (including idempotents) gives zero."""
-    q = basis.quiver
-    f = ring.field
-    if p.is_idempotent:
-        return ring.zero
-    a, length = q.first_arrow_form(p)
-    n = q.cycle_length(a)
-    r, m0 = divmod(length, n)
-    if m0 != 0:
-        return ring.zero
-    sign = f.one if basis.eps.sign(a) == PLUS else f.neg(f.one)
-    return ring.t_power(r - 1, sign)
 
 
 # ---------------------------------------------------------------------------

@@ -33,13 +33,6 @@ class Polarization:
         a, b = q.arrows_out(vertex)
         return a if self.signs[a] == PLUS else b
 
-    def negative_arrow_at(self, q: GentleQuiver, vertex: str) -> str:
-        a, b = q.arrows_out(vertex)
-        return a if self.signs[a] == MINUS else b
-
-    def is_sigma_stable(self, q: GentleQuiver) -> bool:
-        return all(self.signs[a] == self.signs[q.sigma[a]] for a in q.arrow_names)
-
 
 @dataclass(frozen=True)
 class Involution:

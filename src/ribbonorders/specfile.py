@@ -159,13 +159,14 @@ def _parse_sigma(text: str, arrow_names: List[str], lineno: int) -> Dict[str, st
     if re.sub(r"\([^()]*\)|\s", "", text):
         raise SpecFileError(f"bad sigma syntax {text!r}", lineno)
     sigma: Dict[str, str] = {}
+    known = set(arrow_names)
     seen = set()
     for cyc in cycles:
         names = cyc.replace(",", " ").split()
         if not names:
             raise SpecFileError("empty sigma cycle", lineno)
         for a in names:
-            if a not in set(arrow_names):
+            if a not in known:
                 raise SpecFileError(f"sigma mentions unknown arrow {a!r}", lineno)
             if a in seen:
                 raise SpecFileError(f"arrow {a!r} appears twice in sigma", lineno)
@@ -214,11 +215,7 @@ def _parse_ribbon(lines: List[Tuple[int, str]]) -> RibbonGraph:
         slots[name] = tuple(edges)
     if not nodes:
         raise SpecFileError("ribbon_graph block has no nodes")
-    edge_names = []
-    for seq in slots.values():
-        for e in seq:
-            if e not in edge_names:
-                edge_names.append(e)
+    edge_names = list(dict.fromkeys(e for seq in slots.values() for e in seq))  # first-seen order
     try:
         return RibbonGraph(nodes=nodes, edges=edge_names, slots=slots)
     except QuiverError as exc:

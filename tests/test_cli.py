@@ -211,6 +211,31 @@ def test_internal_value_error_is_not_a_user_error(monkeypatch, capsys):
         main(["cartan", "corpus:loop2"])
 
 
+@pytest.mark.parametrize("command", ["validate", "graph", "decide"])
+def test_unreadable_spec_file_is_a_user_error(tmp_path, monkeypatch, capsys, command):
+    # a missing file, a directory, bytes that are not UTF-8 and a file the
+    # user may not read all exit 1 with "error: ...", not a traceback
+    latin1 = tmp_path / "latin1.quiver"
+    latin1.write_bytes("vertices: \u00e9\n".encode("latin-1"))
+    cases = [
+        (tmp_path / "missing.quiver", "No such file or directory"),
+        (tmp_path, "Is a directory"),
+        (latin1, "can't decode byte 0xe9"),
+    ]
+    for path, reason in cases:
+        code, _, err = run(capsys, command, str(path))
+        assert code == 1, path
+        assert err.startswith(f"error: cannot read spec file {str(path)!r}: ") and reason in err, err
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    code, _, err = run(capsys, command, str(latin1))
+    assert code == 1
+    assert err.startswith("error: cannot read spec file") and "Permission denied" in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -1,19 +1,22 @@
 """Twisted and plain Brauer graph algebra quotients, the symmetry oracle,
 the descended involution, and the scaling isomorphism."""
 
+import json
 from fractions import Fraction
+from math import gcd
 
 from ribbonorders import (
-    build_bga,
     build_quotient_algebra,
-    build_twisted_bga,
     check_canonical_bimodule_twist,
     construct_psi_isomorphism,
     corpus_quiver,
+    decide,
     enumerate_polarizations,
+    find_sigma_stable,
     involution_of,
     is_symmetric_oracle,
     nakayama_involution_bar,
+    quotient_polarization,
     socle,
 )
 from ribbonorders.fdalg import (
@@ -21,12 +24,13 @@ from ribbonorders.fdalg import (
     check_algebra_axioms,
     psi_matrix_diagonal,
     root_of_minus_one,
-    socle_is_top_span,
-    socle_quotient_tables_equal,
     symmetric_forms,
 )
-from ribbonorders.fields import GF2, GF3, GF5, QQ
+from ribbonorders.cli import main
+from ribbonorders.fields import GF2, GF3, GF5, QQ, PrimeField
 from ribbonorders.polarize import Polarization
+
+from reference import label_vector, mul, reduce_path, socle_is_top_span, socle_quotient_tables_equal
 
 CORPUS = [
     "loop2", "nodal", "line1", "line2", "line3", "line4",
@@ -39,20 +43,20 @@ LOOP2_EPS = Polarization(signs={"a": "+", "b": "-"})
 
 def test_loop2_twisted_anticommutes():
     q = corpus_quiver("loop2")
-    alg = build_twisted_bga(q, GF3, 1, LOOP2_EPS)
+    alg = build_quotient_algebra(q, GF3, 1, LOOP2_EPS, twisted=True)
     assert alg.dim == 4
     assert set(alg.basis) == {"e(1)", "a:1", "a:2", "b:1"}
-    ab = alg.mul(alg.label_vector("a:1"), alg.label_vector("b:1"))
-    ba = alg.mul(alg.label_vector("b:1"), alg.label_vector("a:1"))
+    ab = mul(alg, label_vector(alg, "a:1"), label_vector(alg, "b:1"))
+    ba = mul(alg, label_vector(alg, "b:1"), label_vector(alg, "a:1"))
     assert ab == {alg.index["a:2"]: GF3.from_int(-1)}  # ab = -ba
     assert ba == {alg.index["a:2"]: GF3.one}
 
 
 def test_loop2_plain_commutes():
     q = corpus_quiver("loop2")
-    alg = build_bga(q, GF3, 1, LOOP2_EPS)
-    ab = alg.mul(alg.label_vector("a:1"), alg.label_vector("b:1"))
-    ba = alg.mul(alg.label_vector("b:1"), alg.label_vector("a:1"))
+    alg = build_quotient_algebra(q, GF3, 1, LOOP2_EPS, twisted=False)
+    ab = mul(alg, label_vector(alg, "a:1"), label_vector(alg, "b:1"))
+    ba = mul(alg, label_vector(alg, "b:1"), label_vector(alg, "a:1"))
     assert ab == ba
 
 
@@ -61,24 +65,24 @@ def test_dimension_formula_and_axioms():
         q = corpus_quiver(name)
         eps = enumerate_polarizations(q)[0]
         for m in (1, 2, 3):
-            tw = build_twisted_bga(q, GF3, m, eps)
-            pl = build_bga(q, GF3, m, eps)
+            tw = build_quotient_algebra(q, GF3, m, eps, twisted=True)
+            pl = build_quotient_algebra(q, GF3, m, eps, twisted=False)
             want = sum(m * q.cycle_length(a) for a in q.arrow_names)
             assert tw.dim == want and pl.dim == want, name
     # full associativity and unit sweep (cubic in the dimension)
     for name in CORPUS:
         q = corpus_quiver(name)
         eps = enumerate_polarizations(q)[0]
-        check_algebra_axioms(build_twisted_bga(q, GF3, 1, eps))
+        check_algebra_axioms(build_quotient_algebra(q, GF3, 1, eps, twisted=True))
     for name in ("loop2", "nodal", "triangle", "mixed", "circ3"):
         q = corpus_quiver(name)
         eps = enumerate_polarizations(q)[0]
-        check_algebra_axioms(build_bga(q, QQ, 2, eps))
+        check_algebra_axioms(build_quotient_algebra(q, QQ, 2, eps, twisted=False))
 
 
 def test_dimension_with_multiplicity_three():
     q = corpus_quiver("nodal")
-    alg = build_twisted_bga(q, QQ, 3)
+    alg = build_quotient_algebra(q, QQ, 3, twisted=True)
     assert alg.dim == 6
 
 
@@ -87,26 +91,26 @@ def test_circular_anticommutation_relations():
     for n, m in [(3, 1), (4, 2)]:
         q = corpus_quiver(f"circ{n}")
         eps = enumerate_polarizations(q)[0]
-        alg = build_twisted_bga(q, QQ, m, eps)
+        alg = build_quotient_algebra(q, QQ, m, eps, twisted=True)
         for j in range(1, n + 1):
             k = j % n + 1
             # cycle at vertex s(a_k): starts with a_k; cycle at the same
             # vertex starting with b_j is the other top cycle there
-            lhs = alg.reduce_path(q.path_from(f"a{k}", 2 * m))
-            rhs = alg.reduce_path(q.path_from(f"b{j}", 2 * m))
+            lhs = reduce_path(alg, q.path_from(f"a{k}", 2 * m))
+            rhs = reduce_path(alg, q.path_from(f"b{j}", 2 * m))
             assert lhs == {i: QQ.neg(c) for i, c in rhs.items()}, (n, m, j)
 
 
 def test_non_admissible_flagged():
-    alg = build_twisted_bga(corpus_quiver("nodal"), QQ, 1)
+    alg = build_quotient_algebra(corpus_quiver("nodal"), QQ, 1, twisted=True)
     assert set(alg.non_admissible) == {"x", "y"}
-    alg2 = build_twisted_bga(corpus_quiver("nodal"), QQ, 2)
+    alg2 = build_quotient_algebra(corpus_quiver("nodal"), QQ, 2, twisted=True)
     assert alg2.non_admissible == ()
 
 
 def test_nakayama_bar_loop2():
     q = corpus_quiver("loop2")
-    alg = build_twisted_bga(q, GF3, 1, LOOP2_EPS)
+    alg = build_quotient_algebra(q, GF3, 1, LOOP2_EPS, twisted=True)
     bar = nakayama_involution_bar(alg, involution_of(q, LOOP2_EPS, GF3))
     assert bar.ok
     minus = GF3.from_int(-1)
@@ -118,13 +122,13 @@ def test_nakayama_bar_identity_cases():
     # characteristic two
     q = corpus_quiver("triangle")
     eps = enumerate_polarizations(q)[0]
-    alg = build_twisted_bga(q, GF2, 1, eps)
+    alg = build_quotient_algebra(q, GF2, 1, eps, twisted=True)
     bar = nakayama_involution_bar(alg, involution_of(q, eps, GF2))
     assert bar.ok and all(s == GF2.one for s in bar.signs.values())
     # nodal involution is trivial over any field
     qn = corpus_quiver("nodal")
     epsn = Polarization(signs={"x": "+", "y": "-"})
-    algn = build_twisted_bga(qn, QQ, 1, epsn)
+    algn = build_quotient_algebra(qn, QQ, 1, epsn, twisted=True)
     barn = nakayama_involution_bar(algn, involution_of(qn, epsn, QQ))
     assert barn.ok and all(s == QQ.one for s in barn.signs.values())
 
@@ -134,21 +138,21 @@ def test_nakayama_bar_all_corpus():
         q = corpus_quiver(name)
         eps = enumerate_polarizations(q)[0]
         for field in (GF2, GF3, GF5):
-            alg = build_twisted_bga(q, field, 1, eps)
+            alg = build_quotient_algebra(q, field, 1, eps, twisted=True)
             bar = nakayama_involution_bar(alg, involution_of(q, eps, field))
             assert bar.ok, (name, field.name)
 
 
 def test_socle_examples():
     q = corpus_quiver("loop2")
-    alg = build_twisted_bga(q, GF3, 1, LOOP2_EPS)
+    alg = build_quotient_algebra(q, GF3, 1, LOOP2_EPS, twisted=True)
     soc = [alg.dense({p: GF3.one}) for p in socle(alg)]
     assert len(soc) == 1
     nz = {alg.basis[i] for i, c in enumerate(soc[0]) if not GF3.is_zero(c)}
     assert nz == {"a:2"}  # spanned by ba
 
     qn = corpus_quiver("nodal")
-    algn = build_twisted_bga(qn, QQ, 1, Polarization(signs={"x": "+", "y": "-"}))
+    algn = build_quotient_algebra(qn, QQ, 1, Polarization(signs={"x": "+", "y": "-"}), twisted=True)
     socn = [algn.dense({p: QQ.one}) for p in socle(algn)]
     assert len(socn) == 1
     nzn = {algn.basis[i] for i, c in enumerate(socn[0]) if not QQ.is_zero(c)}
@@ -160,7 +164,7 @@ def test_socle_is_top_span_everywhere():
         q = corpus_quiver(name)
         eps = enumerate_polarizations(q)[0]
         for m in (1, 2):
-            assert socle_is_top_span(build_twisted_bga(q, GF3, m, eps)), (name, m)
+            assert socle_is_top_span(build_quotient_algebra(q, GF3, m, eps, twisted=True)), (name, m)
 
 
 def test_socle_quotient_tables_agree():
@@ -168,25 +172,25 @@ def test_socle_quotient_tables_agree():
         q = corpus_quiver(name)
         eps = enumerate_polarizations(q)[0]
         for field in (GF3, QQ):
-            tw = build_twisted_bga(q, field, 1, eps)
-            pl = build_bga(q, field, 1, eps)
+            tw = build_quotient_algebra(q, field, 1, eps, twisted=True)
+            pl = build_quotient_algebra(q, field, 1, eps, twisted=False)
             assert socle_quotient_tables_equal(tw, pl), (name, field.name)
 
 
 def test_oracle_loop2():
     q = corpus_quiver("loop2")
-    v3 = is_symmetric_oracle(build_twisted_bga(q, GF3, 1, LOOP2_EPS))
+    v3 = is_symmetric_oracle(build_quotient_algebra(q, GF3, 1, LOOP2_EPS, twisted=True))
     assert v3.kind == "not-symmetric"
     assert v3.certificate["reason"] == "socle"
     assert "a:2" in v3.certificate["element"]  # every symmetric form kills ba
 
-    v2 = is_symmetric_oracle(build_twisted_bga(q, GF2, 1, LOOP2_EPS))
+    v2 = is_symmetric_oracle(build_quotient_algebra(q, GF2, 1, LOOP2_EPS, twisted=True))
     assert v2.kind == "symmetric" and v2.witness_form is not None
 
 
 def test_oracle_decides_circ6_gf3_m2_default_polarization():
     # the top-cycle sum is not in S here; the S forms meeting the socle are
-    alg = build_twisted_bga(corpus_quiver("circ6"), GF3, 2)
+    alg = build_quotient_algebra(corpus_quiver("circ6"), GF3, 2, twisted=True)
     verdict = is_symmetric_oracle(alg)
     assert verdict.kind == "symmetric"
     assert verdict.trials == 1
@@ -194,7 +198,7 @@ def test_oracle_decides_circ6_gf3_m2_default_polarization():
 
 def test_oracle_witness_is_checked():
     q = corpus_quiver("line3")
-    alg = build_bga(q, QQ, 1)
+    alg = build_quotient_algebra(q, QQ, 1, twisted=False)
     v = is_symmetric_oracle(alg)
     assert v.kind == "symmetric"
     from ribbonorders import linalg
@@ -214,13 +218,13 @@ def test_oracle_bga_symmetric_corpus():
     for name in CORPUS:
         q = corpus_quiver(name)
         for field in (GF2, GF3, GF5):
-            verdict = is_symmetric_oracle(build_bga(q, field, 1))
+            verdict = is_symmetric_oracle(build_quotient_algebra(q, field, 1, twisted=False))
             assert verdict.kind == "symmetric", (name, field.name)
 
 
 def test_symmetric_forms_space_is_commutator_annihilator():
     q = corpus_quiver("triangle")
-    alg = build_twisted_bga(q, GF5, 1)
+    alg = build_quotient_algebra(q, GF5, 1, twisted=True)
     forms = [alg.dense(form) for form in symmetric_forms(alg)]
     for phi in forms:
         for i in range(alg.dim):
@@ -236,7 +240,7 @@ def test_symmetric_forms_space_is_commutator_annihilator():
 
 def test_twist_check_loop2_gf5():
     q = corpus_quiver("loop2")
-    alg = build_twisted_bga(q, GF5, 1, LOOP2_EPS)
+    alg = build_quotient_algebra(q, GF5, 1, LOOP2_EPS, twisted=True)
     bar = nakayama_involution_bar(alg, involution_of(q, LOOP2_EPS, GF5))
     rep = check_canonical_bimodule_twist(alg, bar)
     assert rep.ok and rep.pair_count == 16 and not GF5.is_zero(rep.det)
@@ -246,7 +250,7 @@ def test_twist_check_triangle_gf3_contrast():
     # the twisted pairing passes even though plain symmetry fails
     q = corpus_quiver("triangle")
     eps = enumerate_polarizations(q)[0]
-    alg = build_twisted_bga(q, GF3, 1, eps)
+    alg = build_quotient_algebra(q, GF3, 1, eps, twisted=True)
     bar = nakayama_involution_bar(alg, involution_of(q, eps, GF3))
     rep = check_canonical_bimodule_twist(alg, bar)
     assert rep.ok
@@ -256,7 +260,7 @@ def test_twist_check_triangle_gf3_contrast():
 def test_twist_check_nodal_degenerates_to_symmetry():
     q = corpus_quiver("nodal")
     eps = Polarization(signs={"x": "+", "y": "-"})
-    alg = build_twisted_bga(q, QQ, 1, eps)
+    alg = build_quotient_algebra(q, QQ, 1, eps, twisted=True)
     bar = nakayama_involution_bar(alg, involution_of(q, eps, QQ))
     assert all(s == QQ.one for s in bar.signs.values())
     assert check_canonical_bimodule_twist(alg, bar).ok
@@ -270,6 +274,56 @@ def test_root_of_minus_one():
     assert root_of_minus_one(GF3, 2) is None  # -1 = 2 is not a square mod 3
     assert root_of_minus_one(GF5, 2) in (2, 3)  # 2^2 = 4 = -1 mod 5
     assert root_of_minus_one(GF2, 7) == 1
+
+
+def scan_roots_of_minus_one(p, m):
+    """Every x in GF(p) with x^m = -1, by scanning the field."""
+    return [x for x in range(1, p) if pow(x, m, p) == p - 1]
+
+
+def test_root_of_minus_one_matches_the_scan():
+    # a root exists iff (p - 1) / gcd(m, p - 1) is even, the closed form
+    # finds one whenever it exists, and on the fields and multiplicities
+    # the corpus and the benchmark use it is the scan's least root
+    primes = [p for p in range(3, 60) if all(p % d for d in range(2, p))]
+    for p in primes:
+        field = PrimeField(p)
+        for m in range(1, 2 * p + 2):
+            roots = scan_roots_of_minus_one(p, m)
+            assert bool(roots) == ((p - 1) // gcd(m, p - 1) % 2 == 0), (p, m)
+            x = root_of_minus_one(field, m)
+            if roots:
+                assert x in roots, (p, m, x)
+            else:
+                assert x is None, (p, m)
+            if p <= 11 and m <= 8:
+                assert x == (roots[0] if roots else None), (p, m)
+
+
+def refuse_scan(self):
+    raise AssertionError("the field was scanned")
+
+
+def test_root_of_minus_one_scans_no_field(monkeypatch):
+    monkeypatch.setattr(PrimeField, "elements", refuse_scan)
+    for p, m in ((1000000009, 2), (1000000009, 3), (1000000007, 3), (998244353, 8)):
+        x = root_of_minus_one(PrimeField(p), m)
+        assert pow(x, m, p) == p - 1, (p, m)
+    assert root_of_minus_one(PrimeField(1000000007), 2) is None  # p = 3 mod 4
+    assert root_of_minus_one(GF5, 2) == 2 and root_of_minus_one(GF3, 2) is None
+
+
+def test_big_prime_decisions(monkeypatch, capsys):
+    # x^2 = -1 has a root mod 1000000009 (p = 1 mod 4), whose least one
+    # lies above 5 * 10^7, and none mod 1000000007 (p = 3 mod 4)
+    monkeypatch.setattr(PrimeField, "elements", refuse_scan)
+    for p, c5 in ((1000000009, "true"), (1000000007, "unknown")):
+        assert main(["decide", "corpus:line2", "--field", f"gf{p}", "-m", "2", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["consistency"] and report["conditions"]["c5"]["status"] == c5, p
+    rep = decide(corpus_quiver("line2"), PrimeField(1000000009), 2)
+    scales = rep.conditions["c5"].evidence["scales"]
+    assert pow(int(scales["a1"]), 2, 1000000009) == 1000000008
 
 
 def test_psi_line_quivers_alternating_signs():
@@ -317,11 +371,17 @@ def test_psi_verified_on_bipartite_corpus_gf3():
         assert res.kind == "isomorphism" and res.verified, name
 
 
+def twisted_quotient(q, field, m):
+    """The twisted quotient construct_psi_isomorphism verifies its map on."""
+    return build_quotient_algebra(q, field, m, quotient_polarization(q, find_sigma_stable(q)), twisted=True)
+
+
 def test_psi_diagonal_scales_paths():
     q = corpus_quiver("line2")
     res = construct_psi_isomorphism(q, QQ, 1)
-    diag = psi_matrix_diagonal(res.twisted, res.scales)
-    idx = {lab: i for i, lab in enumerate(res.twisted.basis)}
+    tw = twisted_quotient(q, QQ, 1)
+    diag = psi_matrix_diagonal(tw, res.scales)
+    idx = {lab: i for i, lab in enumerate(tw.basis)}
     assert diag[idx["a1:1"]] == Fraction(-1)  # the scaled orbit representative
     assert diag[idx["b1:1"]] == Fraction(1)
     assert diag[idx["e(1)"]] == Fraction(1)
@@ -333,8 +393,9 @@ def test_psi_diagonal_scales_paths():
         "a2": Fraction(1), "a4": Fraction(1),
         "b1": Fraction(1), "b2": Fraction(1), "b3": Fraction(1), "b4": Fraction(1),
     }
-    diag4 = psi_matrix_diagonal(res4.twisted, res4.scales)
-    idx4 = {lab: i for i, lab in enumerate(res4.twisted.basis)}
+    tw4 = twisted_quotient(q4, QQ, 1)
+    diag4 = psi_matrix_diagonal(tw4, res4.scales)
+    idx4 = {lab: i for i, lab in enumerate(tw4.basis)}
     assert diag4[idx4["a2:2"]] == Fraction(1)  # arrows a2, b2 both unscaled
     assert diag4[idx4["a3:1"]] == Fraction(-1)
 

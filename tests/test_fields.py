@@ -7,6 +7,8 @@ import pytest
 from ribbonorders import linalg
 from ribbonorders.fields import GF2, GF3, GF5, QQ, PolyRing, PrimeField, parse_field
 
+from reference import field_order, poly_eval, poly_str
+
 
 def test_prime_field_arithmetic():
     f = GF5
@@ -15,7 +17,7 @@ def test_prime_field_arithmetic():
     assert f.inv(2) == 3
     assert f.neg(1) == 4
     assert list(f.elements()) == [0, 1, 2, 3, 4]
-    assert f.order() == 5 and f.char == 5
+    assert field_order(f) == 5 and f.char == 5
 
 
 def test_prime_field_rejects_composite():
@@ -26,7 +28,7 @@ def test_prime_field_rejects_composite():
 def test_rationals():
     assert QQ.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
     assert QQ.inv(Fraction(2, 7)) == Fraction(7, 2)
-    assert QQ.char == 0 and QQ.order() is None
+    assert QQ.char == 0 and field_order(QQ) is None
 
 
 def test_parse_field():
@@ -44,9 +46,9 @@ def test_poly_ring_basics():
     t = r.t_power(1)
     p = r.add(r.one, t)  # 1 + t
     assert r.mul(p, p) == r.trim([Fraction(1), Fraction(2), Fraction(1)])
-    assert r.eval(r.mul(p, p), Fraction(2)) == Fraction(9)
+    assert poly_eval(r, r.mul(p, p), Fraction(2)) == Fraction(9)
     assert r.sub(p, p) == r.zero
-    assert r.to_str(r.t_power(2, Fraction(-1))) == "-1*t^2"
+    assert poly_str(r, r.t_power(2, Fraction(-1))) == "-1*t^2"
 
 
 def test_poly_ring_mod_p():

@@ -4,9 +4,9 @@ The socle, the symmetric-form space S, the socle certificate and the
 bilinear matrices are computed from the nonzero table cells only, and
 elimination touches only the pivot row's support.  Each is compared here
 with a dense reference built inside the test: products come from
-``alg.mul`` over all basis pairs, and elimination updates every entry of
-every row.  Field constants are fixed attributes, so a decision never
-builds one from an integer.
+``mul(alg, ...)`` over all basis pairs, and elimination updates every
+entry of every row.  Field constants are fixed attributes, so a decision
+never builds one from an integer.
 """
 
 import random
@@ -25,6 +25,7 @@ from ribbonorders import linalg
 from ribbonorders.fdalg import _socle_certificate, bilinear_matrix, socle, symmetric_forms
 from ribbonorders.fields import GF2, GF3, GF5, QQ, PrimeField, RationalField
 
+from reference import label_vector, mul, random_scalar
 from test_random_instances import random_ribbon_graph
 
 # ---------------------------------------------------------------------------
@@ -89,14 +90,14 @@ def naive_nullspace(f, mat, cols):
 
 
 class DenseReference:
-    """Socle, S, certificate and bilinear matrices from alg.mul alone."""
+    """Socle, S, certificate and bilinear matrices from mul(alg, ...) alone."""
 
     def __init__(self, alg):
         self.alg = alg
         self.f = alg.field
         n = alg.dim
         self.units = [{i: self.f.one} for i in range(n)]
-        self.products = [[alg.mul(self.units[i], self.units[j]) for j in range(n)] for i in range(n)]
+        self.products = [[mul(alg, self.units[i], self.units[j]) for j in range(n)] for i in range(n)]
         self.prod = [[self.dense(p) for p in row] for row in self.products]
         self.soc = self._socle()
 
@@ -152,7 +153,7 @@ class DenseReference:
         soc = self.soc
         if not soc:
             return None
-        idempotents = [self.dense(alg.label_vector(lab)) for lab in alg.idempotent_labels]
+        idempotents = [self.dense(label_vector(alg, lab)) for lab in alg.idempotent_labels]
         rows = [[self.dot(phi, self.mul(s, e)) for s in soc] for phi in s_basis for e in idempotents]
         kernel = naive_nullspace(f, rows, len(soc))
         if not kernel:
@@ -193,14 +194,14 @@ def check_kernel_against_reference(alg, rng):
     s_basis = [alg.dense(form) for form in forms]
     assert s_basis == ref.symmetric_forms()
     assert_scalars(f, s_basis)
-    cert = _socle_certificate(alg, forms)
+    cert = _socle_certificate(alg, forms, socle(alg))
     expected = ref.socle_certificate(s_basis)
     assert cert == expected
     if cert is not None:
         assert list(cert["element"]) == list(expected["element"])  # same label order
     combo = [f.zero] * alg.dim
     for row in s_basis:
-        c = f.random_scalar(rng, 3)
+        c = random_scalar(f, rng, 3)
         combo = [f.add(x, f.mul(c, y)) for x, y in zip(combo, row)]
     for phi in s_basis[:1] + s_basis[-1:] + [combo]:
         mat = bilinear_matrix(alg, phi)
@@ -237,7 +238,7 @@ def test_random_kernel_matches_dense_reference():
 
 def sparse_random_matrix(rng, f, rows, cols, density):
     return [
-        [f.random_scalar(rng, 4) if rng.random() < density else f.zero for _ in range(cols)]
+        [random_scalar(f, rng, 4) if rng.random() < density else f.zero for _ in range(cols)]
         for _ in range(rows)
     ]
 

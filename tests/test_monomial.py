@@ -5,7 +5,7 @@ paths is nonzero exactly when the right-hand path's last arrow is followed
 by the left-hand path's first arrow under sigma, and it is then one basis
 path or +-the kept top cycle.  Here the tables are compared with the
 brute-force construction, ``GentleQuiver.compose`` on every basis pair
-followed by ``reduce_path``, which lives only in this test.  The checkers
+followed by ``reduce_path`` from the tests' reference module.  The checkers
 that loop over the nonzero products are compared on mutated algebras with
 dim^2 (or dim^3) references that visit every basis tuple.
 """
@@ -40,12 +40,12 @@ from ribbonorders.fdalg import (
     _verify_scaling_map,
     check_algebra_axioms,
     psi_matrix_diagonal,
-    socle_quotient_tables_equal,
 )
 from ribbonorders.fields import GF2, GF3, GF5, QQ
-from ribbonorders.polarize import Polarization
+from ribbonorders.polarize import Polarization, find_sigma_stable, quotient_polarization
 from ribbonorders.quiver import Path
 
+from reference import mul, reduce_path, socle_quotient_tables_equal, unit
 from test_random_instances import random_ribbon_graph
 
 sys.path.insert(0, str(FilePath(__file__).resolve().parent.parent / "perfbench"))
@@ -66,7 +66,7 @@ def brute_force_table(alg):
         row = []
         for lj in alg.basis:
             prod = q.compose(alg.paths[li], alg.paths[lj])
-            row.append({} if prod is None else alg.reduce_path(prod))
+            row.append({} if prod is None else reduce_path(alg, prod))
         table.append(row)
     return table
 
@@ -135,12 +135,12 @@ def test_decide_reads_only_products(monkeypatch):
 def test_decisions_and_quotient_command_build_no_dense_vector(monkeypatch, capsys):
     # the socle is a list of basis-path indices and S a list of sparse
     # forms, so neither a decision nor `quotient` (whose axiom check runs
-    # over the products) makes a dense unit vector, a dense row of a
-    # sparse element or the dim^2 table
+    # over the products) makes a nullspace (with its dense unit vectors),
+    # a dense row of a sparse element or the dim^2 table
     def refuse(*args, **kwargs):
         raise AssertionError("built a dense vector or the dim^2 table")
 
-    monkeypatch.setattr(linalg, "unit_vector", refuse)
+    monkeypatch.setattr(linalg, "nullspace", refuse)
     monkeypatch.setattr(FdAlgebra, "dense", refuse)
     monkeypatch.setattr(FdAlgebra, "table", property(refuse))
     alg = build_quotient_algebra(corpus_quiver("loop2"), GF3)
@@ -182,7 +182,7 @@ def test_top_lengths_once_per_algebra(monkeypatch):
     monkeypatch.setattr(GentleQuiver, "orbit_of", refuse)
     for a in q.arrow_names:
         assert alg.top_lengths[a] == expected[a]
-        assert alg.reduce_path(q.path_from(a, expected[a] + 1)) == {}
+        assert reduce_path(alg, q.path_from(a, expected[a] + 1)) == {}
         assert alg.arrow_residue(a)
 
 
@@ -263,10 +263,10 @@ def test_random_plain_quotient_derived_from_twisted():
 def reference_axioms_failure(alg):
     """The message check_algebra_axioms should raise, from every triple."""
     f = alg.field
-    one = alg.unit()
+    one = unit(alg)
     for i in range(alg.dim):
         vi = {i: f.one}
-        if alg.mul(one, vi) != vi or alg.mul(vi, one) != vi:
+        if mul(alg, one, vi) != vi or mul(alg, vi, one) != vi:
             return f"unit law fails at basis element {alg.basis[i]}"
     for i in range(alg.dim):
         vi = {i: f.one}
@@ -274,7 +274,7 @@ def reference_axioms_failure(alg):
             vj = {j: f.one}
             for k in range(alg.dim):
                 vk = {k: f.one}
-                if alg.mul(alg.table[i][j], vk) != alg.mul(vi, alg.mul(vj, vk)):
+                if mul(alg, alg.table[i][j], vk) != mul(alg, vi, mul(alg, vj, vk)):
                     return f"associativity fails at ({alg.basis[i]}, {alg.basis[j]}, {alg.basis[k]})"
     return None
 
@@ -325,9 +325,14 @@ def reference_socle_quotients_equal(a, b):
     return True
 
 
-def reference_scaling_map_ok(tw, pl, scales):
+def reference_scaling_map_ok(tw, scales):
+    """psi is bijective and an algebra map from tw onto its plain rule
+    (the same products, every coefficient +1), on every basis pair."""
     f = tw.field
-    diag = psi_matrix_diagonal(tw, scales)
+    diag = reference_psi_diagonal(tw, scales)
+    if not all(diag):
+        return False
+    pl = plain_quotient(tw)
     for i in range(tw.dim):
         for j in range(tw.dim):
             lhs = {k: f.mul(diag[k], c) for k, c in tw.table[i][j].items()}
@@ -376,7 +381,8 @@ def test_checkers_on_mutated_algebras(name, field, m):
     q = corpus_quiver(name)
     psi = construct_psi_isomorphism(q, field, m)
     assert psi.verified
-    tw, pl = psi.twisted, psi.plain
+    tw = build_quotient_algebra(q, field, m, quotient_polarization(q, find_sigma_stable(q)), twisted=True)
+    pl = plain_quotient(tw)
     check_algebra_axioms(tw)
     assert reference_axioms_failure(tw) is None
     flip, drop = mutation_sites(tw)
@@ -416,21 +422,22 @@ def test_checkers_on_mutated_algebras(name, field, m):
     assert socle_quotient_tables_equal(tw, pl)
     assert not socle_quotient_tables_equal(bad_tw, pl)
 
-    last = len(pl.products) - 1
-    pairs = [
-        (tw, pl),
-        (bad_tw, pl),
-        (tw, bad_pl),
-        (mutate(tw, flip, None), pl),
-        (tw, mutate(pl, None, last)),
-        (mutate(tw, None, drop), mutate(pl, None, flip)),
-    ]
-    for a, b in pairs:
-        assert _verify_scaling_map(a, b, psi.scales) == reference_scaling_map_ok(a, b, psi.scales)
-    # negating a product is no change in characteristic two
-    expected_ok = [True, False, False, field.char == 2, False, False]
-    assert [reference_scaling_map_ok(a, b, psi.scales) for a, b in pairs] == expected_ok
-
+    # the verifier reads one algebra: a flipped twisted coefficient and a
+    # corrupted scale (zero, or a root of -1 reset to 1) must be rejected
+    one = field.one
+    rescaled = next((a for a, c in psi.scales.items() if c != one), None)
+    scale_cases = [dict(psi.scales, **{q.arrow_names[0]: field.zero})]
+    if rescaled is not None:
+        scale_cases.append(dict(psi.scales, **{rescaled: one}))
+    twisted_cases = [tw, bad_tw, mutate(tw, flip, None), mutate(tw, None, drop)]
+    cases = [(alg, psi.scales) for alg in twisted_cases] + [(tw, scales) for scales in scale_cases]
+    for alg, scales in cases:
+        assert _verify_scaling_map(alg, scales) == reference_scaling_map_ok(alg, scales)
+    # negating a product is no change in characteristic two, and dropping
+    # one drops it from the plain rule too, which psi still respects
+    expected_ok = [True, field.char == 2, field.char == 2, True] + [False] * len(scale_cases)
+    assert [reference_scaling_map_ok(alg, scales) for alg, scales in cases] == expected_ok
+    assert rescaled is not None or field.char == 2
 
 
 def _other_involution(q, alg):

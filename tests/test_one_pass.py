@@ -1,12 +1,14 @@
 """Default paths do each piece of work once and never list polarizations.
 
-A decision needs one bipartite certificate and one twisted/plain quotient
-pair, and wherever no polarization is given the default one is built
-vertex by vertex, not picked out of the 2^|Q_0| list.  Calls are
+A decision needs one bipartite certificate and one quotient, the twisted
+one: the plain quotient is derived from it only where its own oracle
+verdict is read.  Wherever no polarization is given the default one is
+built vertex by vertex, not picked out of the 2^|Q_0| list.  Calls are
 intercepted at every name a package module bound the function to, since
 package modules import functions from each other by name.
 """
 
+import importlib
 import random
 import sys
 
@@ -30,7 +32,7 @@ from ribbonorders import (
 from ribbonorders import fdalg
 from ribbonorders.cli import main
 from ribbonorders.corpus import circular
-from ribbonorders.fields import GF2, GF3, QQ
+from ribbonorders.fields import GF2, GF3, GF5, QQ
 
 from test_random_instances import random_ribbon_graph
 
@@ -99,6 +101,43 @@ def test_decide_computes_certificate_once_and_quotient_pair_once(monkeypatch):
             counts.update(is_bipartite=0, build_quotient_algebra=0)
             decide(q, field, 1)
             assert counts == {"is_bipartite": 1, "build_quotient_algebra": 1}, (name, field.name)
+
+
+def test_decide_derives_the_plain_quotient_only_where_it_is_read(monkeypatch):
+    # c5's scaling map is verified on the twisted quotient alone; the
+    # plain quotient is derived once where no scaling map applies (its
+    # oracle verdict is read there) and nowhere else
+    module = importlib.import_module("ribbonorders.decide")
+    original = module.plain_quotient
+    cases = [(corpus_quiver(name), field, m) for name in CORPUS_NAMES for field in (GF2, GF3, GF5, QQ) for m in (1, 2)]
+    derived = []
+
+    def counted(tw):
+        derived.append(tw)
+        return original(tw)
+
+    monkeypatch.setattr(module, "plain_quotient", counted)
+    statuses = []
+    for q, field, m in cases:
+        del derived[:]
+        c5 = decide(q, field, m).conditions["c5"]
+        scaled = c5.evidence["kind"] != "inapplicable"
+        assert scaled == (c5.status == "true")
+        assert len(derived) == (0 if scaled else 1), (q, field.name, m)
+        statuses.append(scaled)
+    assert any(statuses) and not all(statuses)
+
+    def refuse(tw):
+        raise AssertionError("a decision derived the plain quotient")
+
+    monkeypatch.setattr(module, "plain_quotient", refuse)
+    for (q, field, m), scaled in zip(cases, statuses):
+        if scaled:
+            rep = decide(q, field, m)
+            assert rep.consistency_ok and rep.status("c5") == "true"
+        else:
+            with pytest.raises(AssertionError, match="derived the plain quotient"):
+                decide(q, field, m)
 
 
 def test_decide_runs_plain_oracle_only_without_a_scaling(monkeypatch):

@@ -33,7 +33,6 @@ from ribbonorders.fields import GF2, GF3, GF5, QQ, PolyRing
 from ribbonorders.order import (
     NuSymmetryReport,
     ThetaPsiReport,
-    apply_involution,
     arrow_element,
     canonical_basis,
     frobenius_eval,
@@ -44,6 +43,8 @@ from ribbonorders.order import (
 )
 from ribbonorders.polarize import PLUS, Involution
 from ribbonorders.quiver import GentleQuiver
+
+from reference import apply_involution, poly_eval
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402  (perfbench's seeded generator)
@@ -174,7 +175,7 @@ def reference_theta_psi(q, eps, field, theta_of=reference_theta):
     pt = _poly_mat_mul(ring, psi, theta) == ident
     det_const = None
     if tp and pt:
-        theta0 = [[ring.eval(entry, field.zero) for entry in row] for row in theta]
+        theta0 = [[poly_eval(ring, entry, field.zero) for entry in row] for row in theta]
         det_const = linalg.det(field, theta0)
 
     bad = []

@@ -10,14 +10,13 @@ few seconds.
 import random
 
 from ribbonorders import (
+    build_quotient_algebra,
     check_nu_symmetry,
     decide,
     enumerate_polarizations,
     graph_of_quiver,
     is_bipartite,
     is_symmetric_oracle,
-    build_twisted_bga,
-    build_bga,
     quiver_from_ribbon_graph,
     quiver_isomorphism,
     ribbon_isomorphic,
@@ -77,10 +76,10 @@ def test_random_quivers_symmetry_equivalence():
         q = quiver_from_ribbon_graph(g)
         bip = is_bipartite(g).is_bipartite
         for field in (GF2, GF3):
-            verdict = is_symmetric_oracle(build_twisted_bga(q, field, 1))
+            verdict = is_symmetric_oracle(build_quotient_algebra(q, field, 1, twisted=True))
             want = "symmetric" if (bip or field.char == 2) else "not-symmetric"
             assert verdict.kind == want, (g.slots, field.name)
-        plain = is_symmetric_oracle(build_bga(q, GF3, 1))
+        plain = is_symmetric_oracle(build_quotient_algebra(q, GF3, 1, twisted=False))
         assert plain.kind == "symmetric", g.slots
 
 
