@@ -13,11 +13,14 @@ c3 and c4 are decided exactly from the combinatorics; c2 comes from the
 closed-form symmetry oracle on the twisted quotient (a socle-path
 refutation, or a witness form whose monomial pairing has a nonzero
 exact determinant, else unknown); c5 from the verified scaling
-construction; c6 is bounded by c5 and by c2 (every Brauer graph algebra
-is symmetric, so a certified non-symmetric quotient refutes c6).  c1
-delegates to the bipartite criterion -- there is no finite direct test
-at order level -- with the oracle verdict on the quotient recorded as
-independent evidence.
+construction, and where no scaling map applies, from the closed-form
+certificate that the Brauer graph algebra is symmetric in its standard
+form (``fdalg.brauer_form_pairing``), which refutes c5 when c2 is
+certified false; c6 is bounded by c5 and by c2 (every Brauer graph
+algebra is symmetric, so a certified non-symmetric quotient refutes
+c6).  c1 delegates to the bipartite criterion -- there is no finite
+direct test at order level -- with the oracle verdict on the quotient
+recorded as independent evidence.
 Every report is checked against the implication lattice
 c1 <=> c2 <=> c3 <=> c4 <= c6 <= c5.
 """
@@ -29,9 +32,9 @@ from typing import Dict, List, Mapping, Tuple, Union
 
 from .fdalg import (
     SymmetryVerdict,
+    brauer_form_pairing,
     build_quotient_algebra,
     is_symmetric_oracle,
-    plain_quotient,
     psi_from_quotient,
 )
 from .fields import Field
@@ -86,10 +89,12 @@ def decide(
 ) -> SymmetryReport:
     """Evaluate all six conditions and cross-check the implication lattice.
 
-    One algebra is built, the twisted quotient.  c2's oracle and c5's
-    scaling map read it; the Brauer graph algebra is derived from it
-    (:func:`plain_quotient`) only when no scaling map applies and c5
-    reads the plain quotient's own oracle verdict.
+    One algebra is built, the twisted quotient, and the symmetry oracle
+    runs once, on it.  c2's oracle and c5's scaling map read it.  Where
+    no scaling map applies, c5 reads the Brauer graph algebra's symmetry
+    off the same products: :func:`brauer_form_pairing` certifies its
+    standard form in closed form, and a failed certificate, which would
+    contradict the theorem, raises AssertionError.
 
     ``seed`` is ignored: the decision is deterministic."""
     mm = normalize_multiplicity(q, m)
@@ -143,15 +148,18 @@ def decide(
         conditions["c5"] = Condition(TRUE, ev5)
     else:
         ev5 = {"kind": "inapplicable", "reason": psi.reason, "witness": psi.witness}
-        verdict_pl = is_symmetric_oracle(plain_quotient(twisted))  # only where no scaling applies
-        if verdict_tw.kind == "not-symmetric" and verdict_pl.kind == "symmetric":
+        if brauer_form_pairing(twisted) is None:
+            raise AssertionError(
+                "the Brauer graph algebra's standard form failed its closed-form certificate"
+            )
+        if verdict_tw.kind == "not-symmetric":
             ev5["refutation"] = (
                 "twisted quotient certified non-symmetric while the Brauer graph "
                 "algebra is symmetric, so no isomorphism exists"
             )
             conditions["c5"] = Condition(FALSE, ev5)
         else:
-            ev5["plain_verdict"] = verdict_pl.kind
+            ev5["plain_verdict"] = "symmetric"
             conditions["c5"] = Condition(UNKNOWN, ev5)
 
     # c6: isomorphic to some Brauer graph algebra (lower bound via c5)

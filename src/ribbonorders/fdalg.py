@@ -23,16 +23,19 @@ An algebra stores its multiplication once, as the list of its nonzero
 products (i, j, k, c), meaning b_i b_j = c b_k, in row-major order.
 The two quotients share basis and index and differ only in the sign of
 the rewritten top cycle, so a decision builds one algebra, the twisted
-quotient.  The scaling map is checked against the plain rule (the same
-products, every coefficient +1) read off that one list, and
-``plain_quotient`` derives the Brauer graph algebra from it only where
-the plain algebra itself is read.  ``table[i][j]`` (the same product as
-a one-entry dict, every zero cell the one shared read-only
-``ZERO_CELL``) and ``paths`` (a ``Path`` per basis label) are views
-derived from the products and the basis on first read; no decision
-reads them.  The associativity check, the commutator rows, the socle,
-the involution and twist checks and the scaling-map verification all
-run over the nonzero products, not over every dim^2 or dim^3 basis
+quotient, and derives nothing from it.  The scaling map is checked
+against the plain rule (the same products, every coefficient +1) read
+off that one list, and so is the Brauer graph algebra's symmetry:
+``brauer_form_pairing`` certifies its standard form (1 on each kept top
+cycle) in closed form, as an involution of the basis.
+``plain_quotient`` derives the Brauer graph algebra as an algebra of its
+own, for callers that read it; no decision does.  ``table[i][j]`` (the
+same product as a one-entry dict, every zero cell the one shared
+read-only ``ZERO_CELL``) and ``paths`` (a ``Path`` per basis label) are
+views derived from the products and the basis on first read; no
+decision reads them.  The associativity check, the commutator rows, the
+socle, the involution and twist checks and the scaling-map verification
+all run over the nonzero products, not over every dim^2 or dim^3 basis
 tuple.  ``bilinear_matrix``, the dense pairing, is a test reference and
 a benchmark span target; no decision calls it.
 
@@ -350,12 +353,14 @@ class NakayamaBarReport:
 
 def nakayama_involution_bar(alg: FdAlgebra, inv: Involution) -> NakayamaBarReport:
     """The involution descends to the quotient: each basis path is scaled
-    by its path sign.  Verified to respect the full multiplication table
-    (this is exactly well-definedness across the rewriting relations);
-    zero products hold trivially, so only the nonzero ones are checked."""
+    by its path sign, the product of the arrow signs along it, which
+    :func:`psi_matrix_diagonal` walks with one multiplication per basis
+    path.  Verified to respect the full multiplication table (this is
+    exactly well-definedness across the rewriting relations); zero
+    products hold trivially, so only the nonzero ones are checked."""
     f = alg.field
-    signs = {lab: inv.path_sign(alg.paths[lab]) for lab in alg.basis}
-    sign_by_index = [signs[lab] for lab in alg.basis]
+    sign_by_index = psi_matrix_diagonal(alg, inv.signs)
+    signs = dict(zip(alg.basis, sign_by_index))
     bad: List[str] = []
     for i, j, k, c in alg.products:
         if f.mul(sign_by_index[k], c) != f.mul(f.mul(sign_by_index[i], sign_by_index[j]), c):
@@ -636,6 +641,50 @@ def _socle_certificate(alg: FdAlgebra, forms: List[Sparse], paths: List[int]) ->
 
 
 # ---------------------------------------------------------------------------
+# the standard form of the Brauer graph algebra
+
+
+def _top_mask(alg: FdAlgebra) -> bytearray:
+    """1 at the index of each kept top cycle, 0 elsewhere."""
+    mask = bytearray(alg.dim)
+    for label in alg.top_label.values():
+        mask[alg.index[label]] = 1
+    return mask
+
+
+def brauer_form_pairing(alg: FdAlgebra) -> Optional[List[int]]:
+    """The closed-form certificate that the Brauer graph algebra with
+    alg's quiver, multiplicity and polarization is symmetric: the
+    permutation pi of the basis with b_i b_pi(i) on a kept top cycle,
+    as the list of pi(i), or None.
+
+    The standard form phi is 1 on each kept top cycle and 0 elsewhere.
+    The plain quotient has alg's products with every coefficient +1, so
+    phi(b_i b_j) is 1 where b_i b_j lands on a kept top cycle and 0
+    otherwise; alg's coefficients are not read, and alg may be either
+    quotient.  When these pairs (i, j) are the graph of a permutation pi
+    with pi = pi^-1, the pairing of phi is a symmetric permutation
+    matrix, of determinant sign(pi) != 0 in every field, so phi is
+    symmetric and nondegenerate.  Otherwise (a row with no such product
+    or two, or pi(pi(i)) != i) the result is None, which contradicts
+    the theorem that every Brauer graph algebra is symmetric in this
+    standard form.  One pass over the products with a byte mask of the
+    top indices, native ints only and no field arithmetic.
+    """
+    n = alg.dim
+    top = _top_mask(alg)
+    landing = [(i, j) for i, j, k, _ in alg.products if top[k]]
+    if len(landing) != n:
+        return None
+    pi = [-1] * n
+    for i, j in landing:
+        pi[i] = j
+    if all(j >= 0 and pi[j] == i for i, j in enumerate(pi)):
+        return pi
+    return None
+
+
+# ---------------------------------------------------------------------------
 # the twisted bimodule check
 
 
@@ -653,28 +702,41 @@ def check_canonical_bimodule_twist(alg: FdAlgebra, bar: NakayamaBarReport) -> Tw
     """With phi-bar = coefficient sum of the positive top cycles, check
     phi(q p) = phi(nu(p) q) on all basis pairs and that b_phi is
     nondegenerate; together these realize x -> x . phi as an isomorphism
-    onto the dual twisted by the involution."""
+    onto the dual twisted by the involution.
+
+    phi(b_i b_j) is nonzero only where b_i b_j lands on a kept top cycle
+    (the pairs :func:`brauer_form_pairing` reads), so a pair (i, j) can
+    fail only if b_i b_j or b_j b_i lands there.  Row i's own landing
+    products and the transposes of the others' come in increasing j
+    from the row-major products; merging the two lists visits the pairs
+    that can fail in row-major order, in O(dim + products).
+    """
     f = alg.field
     n = alg.dim
-    phi = [f.zero] * n
-    for v in alg.quiver.vertices:
-        phi[alg.index[alg.top_label[v]]] = f.one
-    terms = _product_index(alg)
-
-    def phi_of(i: int, j: int):  # phi(b_i b_j)
-        kc = terms.get(i * n + j)
-        return f.zero if kc is None else f.mul(kc[1], phi[kc[0]])
-
+    top = _top_mask(alg)
+    phi = [f.one if t else f.zero for t in top]
+    own: List[List[Tuple[int, object]]] = [[] for _ in range(n)]  # (j, phi(b_i b_j)) at row i
+    dual: List[List[Tuple[int, object]]] = [[] for _ in range(n)]  # (j, phi(b_j b_i)) at row i
+    for i, j, k, c in alg.products:
+        if top[k]:
+            own[i].append((j, c))
+            dual[j].append((i, c))
     sign_by_index = [bar.signs[lab] for lab in alg.basis]
-    # both sides vanish unless b_i b_j or b_j b_i is nonzero
-    positions = {(i, j) for i, j, _, _ in alg.products}
-    positions.update([(j, i) for i, j in positions])
     bad = []
-    for i, j in sorted(positions):
-        lhs = phi_of(i, j)
-        rhs = f.mul(sign_by_index[j], phi_of(j, i))  # phi(nu(b_j) b_i)
-        if lhs != rhs:
-            bad.append(f"({alg.basis[i]}, {alg.basis[j]})")
+    for i in range(n):
+        xs, ys = own[i], dual[i]
+        p = r = 0
+        while p < len(xs) or r < len(ys):
+            j = min(xs[p][0] if p < len(xs) else n, ys[r][0] if r < len(ys) else n)
+            lhs = rhs = f.zero  # phi(b_i b_j) and phi(nu(b_j) b_i)
+            if p < len(xs) and xs[p][0] == j:
+                lhs = xs[p][1]
+                p += 1
+            if r < len(ys) and ys[r][0] == j:
+                rhs = f.mul(sign_by_index[j], ys[r][1])
+                r += 1
+            if lhs != rhs:
+                bad.append(f"({alg.basis[i]}, {alg.basis[j]})")
     d = pairing_det(alg, phi)
     return TwistReport(
         ok=not bad and bool(d),

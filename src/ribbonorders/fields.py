@@ -63,11 +63,46 @@ class Field:
         return self.name
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality
+# exactly below this bound (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime, for n < MR_BOUND, in O(log n) modular
+    multiplications: deterministic Miller-Rabin with the bases
+    _MR_BASES.  Raises ValueError at or above the bound, where these
+    bases are not proven to suffice."""
+    if n >= MR_BOUND:
+        raise ValueError(f"primality is decided exactly only below {MR_BOUND}")
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField(Field):
-    """GF(p) for a prime p; scalars are ints in range(p)."""
+    """GF(p) for a prime p < MR_BOUND; scalars are ints in range(p)."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.char = p
@@ -151,7 +186,9 @@ class FieldSpecError(ValueError):
 
 
 def parse_field(spec: str) -> Field:
-    """Resolve a field spec string: 'gf2', 'gf3', 'gf5', 'gf7', ..., or 'Q'."""
+    """Resolve a field spec string: 'gf2', 'gf3', 'gf5', 'gf7', ..., or 'Q'.
+
+    'gf<p>' needs a prime p below MR_BOUND, where primality is exact."""
     key = spec.strip().lower()
     if key in _FIELD_ALIASES:
         return _FIELD_ALIASES[key]

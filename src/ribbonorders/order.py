@@ -359,7 +359,25 @@ class _BasisPaths:
                 self.paths.append((b.path.start, None, 0))
                 self.nxt.append(None)
                 self.by_end[b.path.start].append(r)
-        self.nu_sign = [_integral(inv.path_sign(b.path)) for b in basis.elements] if inv is not None else []
+        self.nu_sign = self._nu_signs(basis, inv) if inv is not None else []
+
+    def _nu_signs(self, basis: CanonicalBasis, inv: Involution) -> list:
+        """The involution's sign on each basis path, lifted: the sign of
+        a:m is that of a:(m-1) times the sign of sigma^(m-1)(a), one
+        multiplication per path along each arrow's orbit, and x_i's is
+        that of its positive arrow's a:n(a)."""
+        q, f = basis.quiver, inv.field
+        sign = [f.one] * len(basis)
+        for a, (n, positive, _, x, base) in self.rule.items():
+            acc, b = f.one, a
+            for m in range(1, n + 1):
+                acc = f.mul(acc, inv.signs[b])
+                b = q.sigma[b]
+                if m < n:
+                    sign[base + m - 1] = acc
+                elif positive:
+                    sign[x] = acc
+        return [_integral(s) for s in sign]
 
     def left_multiples(self, start: str, a: Optional[str], length: int):
         """[(r, p b_r)] over the basis paths b_r with p b_r != 0, where p is

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Union
 
 from .fields import Field
-from .quiver import GentleQuiver, Path, QuiverError
+from .quiver import GentleQuiver, QuiverError
 from .ribbon import BipartiteCertificate, graph_of_quiver, is_bipartite
 
 PLUS = "+"
@@ -45,13 +45,6 @@ class Involution:
     quiver: GentleQuiver
     field: Field
     signs: Dict[str, object]
-
-    def path_sign(self, p: Path):
-        f = self.field
-        acc = f.one
-        for a in p.arrows:
-            acc = f.mul(acc, self.signs[a])
-        return acc
 
     def is_trivial(self) -> bool:
         return all(s == self.field.one for s in self.signs.values())

@@ -5,9 +5,9 @@ the package computes another way, or a small helper over the package's
 types that no library path needs: dense-table multiplication in a
 quotient, the residue of any parent-order path, the socle quotient
 comparison, the Frobenius form's closed form on paths, z-adic expansion
-of canonical coordinates, the involution applied to an order element,
-polarization queries, random field scalars, and k[t] evaluation and
-printing.  The tests compare the package against them.
+of canonical coordinates, an involution's sign on a path and the
+involution applied to an order element, polarization queries, random
+field scalars, and k[t] evaluation and printing.  The tests compare the package against them.
 """
 
 from __future__ import annotations
@@ -104,10 +104,20 @@ def socle_quotient_tables_equal(a: FdAlgebra, b: FdAlgebra) -> bool:
 # the order
 
 
+def path_sign(inv: Involution, p: Path):
+    """The involution's sign on the path p, arrow by arrow: the product
+    of the signs of its arrows."""
+    f = inv.field
+    acc = f.one
+    for a in p.arrows:
+        acc = f.mul(acc, inv.signs[a])
+    return acc
+
+
 def apply_involution(inv: Involution, x: OrderElement) -> OrderElement:
     """nu(x): each path scaled by its path sign."""
     f = x.field
-    terms = {p: f.mul(inv.path_sign(p), c) for p, c in x.terms.items()}
+    terms = {p: f.mul(path_sign(inv, p), c) for p, c in x.terms.items()}
     return OrderElement(x.quiver, f, {p: c for p, c in terms.items() if c})
 
 

@@ -1,11 +1,24 @@
 """Exact field arithmetic, polynomials and the dense linear algebra kit."""
 
+import math
+import time
 from fractions import Fraction
 
 import pytest
 
 from ribbonorders import linalg
-from ribbonorders.fields import GF2, GF3, GF5, QQ, PolyRing, PrimeField, parse_field
+from ribbonorders.fields import (
+    GF2,
+    GF3,
+    GF5,
+    MR_BOUND,
+    QQ,
+    FieldSpecError,
+    PolyRing,
+    PrimeField,
+    is_prime,
+    parse_field,
+)
 
 from reference import field_order, poly_eval, poly_str
 
@@ -23,6 +36,36 @@ def test_prime_field_arithmetic():
 def test_prime_field_rejects_composite():
     with pytest.raises(ValueError):
         PrimeField(6)
+
+
+def trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_primality_is_exact():
+    assert [n for n in range(10 ** 4) if is_prime(n)] == [n for n in range(10 ** 4) if trial_division(n)]
+    # a Carmichael number, a strong pseudoprime to the bases 2, 3, 5 and 7,
+    # and 2^67 - 1 = 193707721 * 761838257287
+    for n in (561, 3215031751, 2 ** 67 - 1):
+        assert not is_prime(n)
+        with pytest.raises(FieldSpecError, match="is not prime"):
+            parse_field(f"gf{n}")
+    assert is_prime(2 ** 61 - 1) and parse_field(f"gf{2 ** 61 - 1}").char == 2 ** 61 - 1
+
+
+def test_large_prime_field_is_accepted_fast():
+    start = time.perf_counter()
+    assert parse_field("gf1000000000000037").char == 1000000000000037
+    assert time.perf_counter() - start < 1.0  # trial division took seconds
+
+
+def test_primality_bound_is_named():
+    # MR_BOUND itself is a strong pseudoprime to all 13 bases
+    for n in (MR_BOUND, MR_BOUND + 2, 10 ** 30 + 57):
+        with pytest.raises(FieldSpecError, match=str(MR_BOUND)):
+            parse_field(f"gf{n}")
+    with pytest.raises(ValueError):
+        PrimeField(MR_BOUND)
 
 
 def test_rationals():

@@ -45,7 +45,7 @@ from ribbonorders.fields import GF2, GF3, GF5, QQ
 from ribbonorders.polarize import Polarization, find_sigma_stable, quotient_polarization
 from ribbonorders.quiver import Path
 
-from reference import mul, reduce_path, socle_quotient_tables_equal, unit
+from reference import mul, path_sign, reduce_path, socle_quotient_tables_equal, unit
 from test_random_instances import random_ribbon_graph
 
 sys.path.insert(0, str(FilePath(__file__).resolve().parent.parent / "perfbench"))
@@ -281,7 +281,7 @@ def reference_axioms_failure(alg):
 
 def reference_bar_counterexamples(alg, inv):
     f = alg.field
-    sign = [inv.path_sign(alg.paths[lab]) for lab in alg.basis]
+    sign = [path_sign(inv, alg.paths[lab]) for lab in alg.basis]
     bad = []
     for i in range(alg.dim):
         for j in range(alg.dim):
@@ -407,6 +407,7 @@ def test_checkers_on_mutated_algebras(name, field, m):
     for inv in involutions:
         for alg in (tw, pl, bad_tw, mutate(tw, None, flip)):
             bar = nakayama_involution_bar(alg, inv)
+            assert bar.signs == {lab: path_sign(inv, alg.paths[lab]) for lab in alg.basis}
             assert bar.counterexamples == reference_bar_counterexamples(alg, inv)
             twist = check_canonical_bimodule_twist(alg, bar)
             assert twist.counterexamples == reference_twist_counterexamples(alg, bar)

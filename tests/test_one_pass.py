@@ -1,8 +1,9 @@
 """Default paths do each piece of work once and never list polarizations.
 
-A decision needs one bipartite certificate and one quotient, the twisted
-one: the plain quotient is derived from it only where its own oracle
-verdict is read.  Wherever no polarization is given the default one is
+A decision needs one bipartite certificate, one quotient, the twisted
+one, and one oracle run on it: the Brauer graph algebra's symmetry is
+certified in closed form off the same products, so the plain quotient is
+never derived.  Wherever no polarization is given the default one is
 built vertex by vertex, not picked out of the 2^|Q_0| list.  Calls are
 intercepted at every name a package module bound the function to, since
 package modules import functions from each other by name.
@@ -23,7 +24,6 @@ from ribbonorders import (
     decide,
     default_polarization,
     enumerate_polarizations,
-    graph_of_quiver,
     is_bipartite,
     is_symmetric_oracle,
     quiver_from_ribbon_graph,
@@ -103,56 +103,54 @@ def test_decide_computes_certificate_once_and_quotient_pair_once(monkeypatch):
             assert counts == {"is_bipartite": 1, "build_quotient_algebra": 1}, (name, field.name)
 
 
-def test_decide_derives_the_plain_quotient_only_where_it_is_read(monkeypatch):
-    # c5's scaling map is verified on the twisted quotient alone; the
-    # plain quotient is derived once where no scaling map applies (its
-    # oracle verdict is read there) and nowhere else
+def test_decide_derives_no_plain_quotient(monkeypatch):
+    # c5's scaling map is verified on the twisted quotient alone, and
+    # where none applies the Brauer graph algebra's symmetry is certified
+    # in closed form off the same products: every decision constructs
+    # exactly one algebra, the twisted quotient, scaled or not
     module = importlib.import_module("ribbonorders.decide")
-    original = module.plain_quotient
-    cases = [(corpus_quiver(name), field, m) for name in CORPUS_NAMES for field in (GF2, GF3, GF5, QQ) for m in (1, 2)]
-    derived = []
-
-    def counted(tw):
-        derived.append(tw)
-        return original(tw)
-
-    monkeypatch.setattr(module, "plain_quotient", counted)
-    statuses = []
-    for q, field, m in cases:
-        del derived[:]
-        c5 = decide(q, field, m).conditions["c5"]
-        scaled = c5.evidence["kind"] != "inapplicable"
-        assert scaled == (c5.status == "true")
-        assert len(derived) == (0 if scaled else 1), (q, field.name, m)
-        statuses.append(scaled)
-    assert any(statuses) and not all(statuses)
+    assert not hasattr(module, "plain_quotient")
 
     def refuse(tw):
         raise AssertionError("a decision derived the plain quotient")
 
-    monkeypatch.setattr(module, "plain_quotient", refuse)
-    for (q, field, m), scaled in zip(cases, statuses):
-        if scaled:
-            rep = decide(q, field, m)
-            assert rep.consistency_ok and rep.status("c5") == "true"
-        else:
-            with pytest.raises(AssertionError, match="derived the plain quotient"):
-                decide(q, field, m)
+    replace_everywhere(monkeypatch, fdalg.plain_quotient, refuse)
+    built = []
+    init = fdalg.FdAlgebra.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.twisted)
+
+    monkeypatch.setattr(fdalg.FdAlgebra, "__init__", recorded)
+    statuses = []
+    for name in CORPUS_NAMES:
+        for field in (GF2, GF3, GF5, QQ):
+            for m in (1, 2):
+                del built[:]
+                rep = decide(corpus_quiver(name), field, m)
+                assert rep.consistency_ok
+                assert built == [True], (name, field.name, m)
+                statuses.append(rep.conditions["c5"].evidence["kind"] != "inapplicable")
+    assert any(statuses) and not all(statuses)
 
 
-def test_decide_runs_plain_oracle_only_without_a_scaling(monkeypatch):
-    # the plain quotient's verdict is read only where c5's scaling map
-    # does not apply: outside characteristic two on a non-bipartite graph
+def test_decide_runs_the_oracle_once(monkeypatch):
+    # one oracle run per decision, on the twisted quotient, whether or not
+    # c5's scaling map applies (outside characteristic two on a
+    # non-bipartite graph, or without a root of -1, it does not)
     counts = {"is_symmetric_oracle": 0}
     count_calls(monkeypatch, is_symmetric_oracle, counts)
+    scaled = set()
     for name in CORPUS_NAMES:
         q = corpus_quiver(name)
         for field in FIELDS:
-            counts.update(is_symmetric_oracle=0)
-            rep = decide(q, field, 1)
-            scaled = rep.conditions["c5"].evidence["kind"] != "inapplicable"
-            assert scaled == (field.char == 2 or is_bipartite(graph_of_quiver(q)).is_bipartite)
-            assert counts["is_symmetric_oracle"] == (1 if scaled else 2), (name, field.name)
+            for m in (1, 2):
+                counts.update(is_symmetric_oracle=0)
+                rep = decide(q, field, m)
+                scaled.add(rep.conditions["c5"].evidence["kind"] != "inapplicable")
+                assert counts["is_symmetric_oracle"] == 1, (name, field.name, m)
+    assert scaled == {True, False}
 
 
 def test_oracle_reads_s_and_the_socle_once_through_fdalg(monkeypatch):

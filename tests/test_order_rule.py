@@ -44,7 +44,7 @@ from ribbonorders.order import (
 from ribbonorders.polarize import PLUS, Involution
 from ribbonorders.quiver import GentleQuiver
 
-from reference import apply_involution, poly_eval
+from reference import apply_involution, path_sign, poly_eval
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402  (perfbench's seeded generator)
@@ -225,6 +225,9 @@ def densified(tp, field):
 
 
 def assert_same(q, eps, field):
+    basis, inv = canonical_basis(q, eps), order.involution_of(q, eps, field)
+    signs = [order._integral(path_sign(inv, b.path)) for b in basis.elements]
+    assert order._BasisPaths(basis, inv).nu_sign == signs
     nu = check_nu_symmetry(q, eps, field)
     assert dataclasses.asdict(nu) == dataclasses.asdict(reference_nu_symmetry(q, eps, field))
     tp = verify_theta_psi(q, eps, field)
