@@ -51,12 +51,12 @@ def _multiplicity_arg(q: GentleQuiver, spec: Optional[str], from_file) -> Dict[s
     if spec is None:
         return normalize_multiplicity(q, from_file)
     spec = spec.strip()
-    if spec.isdigit():
+    if spec.isdecimal():
         return normalize_multiplicity(q, int(spec))
     table = {}
     for part in spec.split(","):
         key, sep, value = part.partition("=")
-        if not sep or not value.strip().isdigit():
+        if not sep or not value.strip().isdecimal():
             raise SpecFileError(f"bad multiplicity argument {part!r} (want INT or rep=INT,...)")
         table[key.strip()] = int(value.strip())
     return normalize_multiplicity(q, table)

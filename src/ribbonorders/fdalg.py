@@ -16,12 +16,14 @@ path, the kept top cycle with sign -1 (twisted) or +1 (plain) for the
 negative top cycle, or zero beyond the top length m(a) n(a).
 ``FdAlgebra.residue`` is this one rule.  The builder lists the nonzero
 products by it in O(dim + nonzero products) as index arithmetic, without
-composing paths: a:1, a:2, ... sit at consecutive indices, and the
-successor sigma^l(a) is a lookup in the quiver's orbit data.
+composing paths: e(v) sits at v's position, a:1, a:2, ... at consecutive
+indices from first[a], and the successor sigma^l(a) is a lookup in the
+quiver's orbit data.  The algebra keeps that layout (first, kept,
+top_index) and every check reads it; the basis labels are for display.
 
 An algebra stores its multiplication once, as the list of its nonzero
 products (i, j, k, c), meaning b_i b_j = c b_k, in row-major order.
-The two quotients share basis and index and differ only in the sign of
+The two quotients share basis and layout and differ only in the sign of
 the rewritten top cycle, so a decision builds one algebra, the twisted
 quotient, and derives nothing from it.  The scaling map is checked
 against the plain rule (the same products, every coefficient +1) read
@@ -31,13 +33,14 @@ cycle) in closed form, as an involution of the basis.
 ``plain_quotient`` derives the Brauer graph algebra as an algebra of its
 own, for callers that read it; no decision does.  ``table[i][j]`` (the
 same product as a one-entry dict, every zero cell the one shared
-read-only ``ZERO_CELL``) and ``paths`` (a ``Path`` per basis label) are
-views derived from the products and the basis on first read; no
-decision reads them.  The associativity check, the commutator rows, the
-socle, the involution and twist checks and the scaling-map verification
-all run over the nonzero products, not over every dim^2 or dim^3 basis
-tuple.  ``bilinear_matrix``, the dense pairing, is a test reference and
-a benchmark span target; no decision calls it.
+read-only ``ZERO_CELL``), ``index`` (label -> index) and ``paths`` (a
+``Path`` per basis label) are views derived from the products and the
+basis on first read; no decision reads them.  The associativity check,
+the commutator rows, the socle, the involution and twist checks and the
+scaling-map verification all run over the nonzero products, not over
+every dim^2 or dim^3 basis tuple.  ``bilinear_matrix``, the dense
+pairing, is a test reference and a benchmark span target; no decision
+calls it.
 
 The symmetry oracle is closed-form on this structure and runs in
 O(dim + nonzero products) with no elimination and no dense determinant:
@@ -68,6 +71,7 @@ from .polarize import (
     MINUS,
     Involution,
     Polarization,
+    check_polarization,
     default_polarization,
     find_sigma_stable,
     quotient_polarization,
@@ -91,14 +95,18 @@ ZERO_CELL: Mapping[int, object] = MappingProxyType({})
 class FdAlgebra:
     """A structure-constant presentation of a monomial quotient algebra.
 
-    basis[i] is a label ("e(v)" for an idempotent, "a:l" for the
-    length-l path starting with arrow a).  products lists the nonzero
+    The basis layout is the builder's: e(v) at index pos(v) (the vertex's
+    position in ``quiver.vertices``), then per arrow a, in sorted order,
+    a:1, ..., a:kept[a] at consecutive indices from first[a]; the top
+    cycle kept at vertex v is at top_index[v].  Every check reads these
+    maps.  basis[i] is the display label of index i ("e(v)", or "a:l" for
+    the length-l path starting with arrow a).  products lists the nonzero
     products as (i, j, k, c), meaning basis_i * basis_j = c * basis_k, in
     row-major (i, j) order: the one stored multiplication.  top_lengths[a]
     = m(a) n(a) is the length of the top cycle starting with arrow a.
-    table and paths are derived from products and basis on first read
-    and then kept; an edit of products after that read does not reach
-    them.
+    index, table and paths are derived from the basis and products on
+    first read and then kept; an edit of products after that read does
+    not reach them.
     """
 
     quiver: GentleQuiver
@@ -107,12 +115,17 @@ class FdAlgebra:
     multiplicity: Dict[str, int]
     twisted: bool
     basis: Tuple[str, ...]
-    index: Dict[str, int]
-    idempotent_labels: Tuple[str, ...]
-    top_label: Dict[str, str]  # vertex -> kept (positive) top cycle label
+    first: Dict[str, int]  # arrow -> index of a:1
+    kept: Dict[str, int]  # arrow -> number of paths a:l in the basis
+    top_index: Dict[str, int]  # vertex -> index of its kept (positive) top cycle
     non_admissible: Tuple[str, ...]
     products: List[Product]
     top_lengths: Dict[str, int]
+
+    @cached_property
+    def index(self) -> Dict[str, int]:
+        """{label: index}, built on first read."""
+        return {lab: i for i, lab in enumerate(self.basis)}
 
     @cached_property
     def table(self) -> List[List[Mapping[int, object]]]:
@@ -132,10 +145,10 @@ class FdAlgebra:
     def paths(self) -> Dict[str, Path]:
         """The parent-order path of each basis label, built on first read."""
         q = self.quiver
-        paths: Dict[str, Path] = {f"e({v})": q.idempotent(v) for v in q.vertices}
-        for label in self.basis[len(self.idempotent_labels):]:
-            a, _, length = label.rpartition(":")
-            paths[label] = q.path_from(a, int(length))
+        paths: Dict[str, Path] = {lab: q.idempotent(v) for lab, v in zip(self.basis, q.vertices)}
+        for a, base in self.first.items():
+            for length in range(1, self.kept[a] + 1):
+                paths[self.basis[base + length - 1]] = q.path_from(a, length)
         return paths
 
     @property
@@ -152,13 +165,12 @@ class FdAlgebra:
         path is longer than its top cycle and so vanishes."""
         if length > self.top_lengths[a]:
             return None
-        i = self.index.get(f"{a}:{length}")
-        if i is not None:
-            return i, self.field.one
-        # the negative top cycle: rewrite through the vertex relation
         f = self.field
+        if length <= self.kept[a]:
+            return self.first[a] + length - 1, f.one
+        # the negative top cycle: rewrite through the vertex relation
         sign = f.neg(f.one) if self.twisted else f.one
-        return self.index[self.top_label[self.quiver.source(a)]], sign
+        return self.top_index[self.quiver.source(a)], sign
 
     def dense(self, u: Sparse) -> list:
         vec = [self.field.zero] * self.dim
@@ -200,6 +212,8 @@ def build_quotient_algebra(
     mm = normalize_multiplicity(q, m)
     if eps is None:
         eps = default_polarization(q)
+    else:
+        check_polarization(q, eps)
 
     labels: List[str] = [f"e({v})" for v in q.vertices]
     top: Dict[str, int] = {}
@@ -217,19 +231,16 @@ def build_quotient_algebra(
     if len(labels) != sum(top.values()):
         raise AssertionError("quotient basis size disagrees with the rank formula")
 
-    top_label: Dict[str, str] = {}
     top_index: Dict[str, int] = {}
     for v in q.vertices:
         a = eps.positive_arrow_at(q, v)
-        top_label[v] = f"{a}:{top[a]}"
         top_index[v] = first[a] + top[a] - 1
 
     one = field.one
     sign = field.neg(one) if twisted else one
-    vindex = {v: i for i, v in enumerate(q.vertices)}
     # columns in index order, so rows[i] collects (j, k, c) in increasing j
     rows: List[List[Tuple[int, int, object]]] = [[] for _ in labels]
-    for v, j in vindex.items():
+    for j, v in enumerate(q.vertices):
         rows[j].append((j, j, one))
         for a in q.arrows_out(v):
             for i in range(first[a], first[a] + kept[a]):
@@ -239,7 +250,7 @@ def build_quotient_algebra(
         for length in range(1, kept[a] + 1):
             j = base + length - 1
             b = q.sigma_power(a, length)
-            rows[vindex[q.source(b)]].append((j, j, one))
+            rows[q.position(q.source(b))].append((j, j, one))
             for extra in range(1, n - length + 1):
                 if length + extra < n or not neg:
                     rows[first[b] + extra - 1].append((j, j + extra, one))
@@ -254,9 +265,9 @@ def build_quotient_algebra(
         multiplicity=mm,
         twisted=twisted,
         basis=tuple(labels),
-        index={lab: i for i, lab in enumerate(labels)},
-        idempotent_labels=tuple(f"e({v})" for v in q.vertices),
-        top_label=top_label,
+        first=first,
+        kept=kept,
+        top_index=top_index,
         non_admissible=tuple(non_admissible),
         products=products,
         top_lengths=top,
@@ -267,7 +278,7 @@ def plain_quotient(tw: FdAlgebra) -> FdAlgebra:
     """The Brauer graph algebra derived from the twisted quotient of the
     same quiver, multiplicity and polarization, in O(products).
 
-    The two share basis, index and every other field; a product's
+    The two share basis, layout and every other field; a product's
     coefficient is -1 only where the twisted rule rewrites the negative
     top cycle, and +1 in the plain quotient everywhere.
     """
@@ -306,7 +317,7 @@ def check_algebra_axioms(alg: FdAlgebra) -> None:
     f = alg.field
     n = alg.dim
     terms = _product_index(alg)
-    idem = {alg.index[lab] for lab in alg.idempotent_labels}
+    nv = len(alg.quiver.vertices)  # e(v) sits at index pos(v)
     left: List[Sparse] = [{} for _ in range(n)]  # 1 b_x
     right: List[Sparse] = [{} for _ in range(n)]  # b_x 1
     rows: List[List[int]] = [[] for _ in range(n)]  # j with b_i b_j nonzero
@@ -314,9 +325,9 @@ def check_algebra_axioms(alg: FdAlgebra) -> None:
     for i, j, k, c in alg.products:
         rows[i].append(j)
         cols[j].append(i)
-        if i in idem:
+        if i < nv:
             left[j][k] = f.add(left[j].get(k, f.zero), c)
-        if j in idem:
+        if j < nv:
             right[i][k] = f.add(right[i].get(k, f.zero), c)
     for x in range(n):
         if any({k: c for k, c in side[x].items() if c} != {x: f.one} for side in (left, right)):
@@ -366,7 +377,7 @@ def nakayama_involution_bar(alg: FdAlgebra, inv: Involution) -> NakayamaBarRepor
         if f.mul(sign_by_index[k], c) != f.mul(f.mul(sign_by_index[i], sign_by_index[j]), c):
             bad.append(f"({alg.basis[i]}, {alg.basis[j]})")
     involutive = all(f.mul(s, s) == f.one for s in sign_by_index)
-    fixes = all(signs[lab] == f.one for lab in alg.idempotent_labels)
+    fixes = all(s == f.one for s in sign_by_index[: len(alg.quiver.vertices)])
     return NakayamaBarReport(
         ok=not bad and involutive and fixes,
         signs=signs,
@@ -527,32 +538,12 @@ def bilinear_matrix(alg: FdAlgebra, phi: list) -> List[list]:
 
 def pairing_det(alg: FdAlgebra, phi: list):
     """det b_phi, in O(dim + nonzero products), for a pairing with at
-    most one nonzero entry per row and column.
-
-    Such a matrix is zero or a permutation matrix times a diagonal, so
-    its determinant is 0 (a zero row) or sign(perm) times the product of
-    the entries.  Raises AssertionError when the pairing has a row or a
-    column with two nonzero entries.
-    """
+    most one nonzero entry per row and column (see
+    :func:`linalg.monomial_det`, which raises AssertionError on a row or
+    a column with two)."""
     f = alg.field
-    n = alg.dim
-    col = [-1] * n
-    taken = [False] * n
-    entries = []
-    for i, j, k, c in alg.products:
-        x = phi[k]
-        if not x:
-            continue
-        if col[i] >= 0 or taken[j]:
-            raise AssertionError(
-                f"pairing has two nonzero entries in row {alg.basis[i]} or column {alg.basis[j]}"
-            )
-        col[i] = j
-        taken[j] = True
-        entries.append(f.mul(c, x))
-    if len(entries) < n:
-        return f.zero
-    return linalg.signed_permutation_det(f, col, entries)
+    entries = ((i, j, f.mul(c, phi[k])) for i, j, k, c in alg.products if phi[k])
+    return linalg.monomial_det(f, alg.dim, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +638,8 @@ def _socle_certificate(alg: FdAlgebra, forms: List[Sparse], paths: List[int]) ->
 def _top_mask(alg: FdAlgebra) -> bytearray:
     """1 at the index of each kept top cycle, 0 elsewhere."""
     mask = bytearray(alg.dim)
-    for label in alg.top_label.values():
-        mask[alg.index[label]] = 1
+    for k in alg.top_index.values():
+        mask[k] = 1
     return mask
 
 
@@ -867,16 +858,11 @@ def psi_matrix_diagonal(alg: FdAlgebra, scales: Mapping[str, object]) -> List:
     f = alg.field
     q = alg.quiver
     diag = [f.one] * alg.dim
-    for a in q.arrow_names:
-        first = alg.index.get(f"{a}:1")
-        if first is None:  # a's only path is its rewritten top cycle
-            continue
-        top = alg.top_lengths[a]
-        kept = top if f"{a}:{top}" in alg.index else top - 1
+    for a, base in alg.first.items():
         acc = f.one
-        for length in range(kept):
+        for length in range(alg.kept[a]):
             acc = f.mul(acc, scales[q.sigma_power(a, length)])
-            diag[first + length] = acc
+            diag[base + length] = acc
     return diag
 
 

@@ -11,18 +11,18 @@ nonzero entries rather than the full row width.  Zero tests are truth
 tests (see :mod:`ribbonorders.fields`).
 
 Only two routines run in the package: ``rank``, for the Cartan rank
-(through ``rref``), and ``signed_permutation_det``.  The quotient
-symmetry oracle in :mod:`ribbonorders.fdalg` and the order-level checks
-are closed-form and eliminate nothing: the oracle's pairing and the
-order's theta(0) have one nonzero entry per row and column, and
-``signed_permutation_det`` is their determinant.  ``det`` and
+(through ``rref``), and ``monomial_det``.  The quotient symmetry oracle
+in :mod:`ribbonorders.fdalg` and the order-level checks are closed-form
+and eliminate nothing: the oracle's pairing and the order's theta(0)
+have one nonzero entry per row and column, and ``monomial_det`` reads
+their determinant off those entries.  ``det`` and
 ``nullspace`` are kept as the tests' dense references and as targets of
 the benchmark's traced spans.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .fields import Field
 
@@ -115,17 +115,31 @@ def nullspace(field: Field, mat: Matrix, cols: Optional[int] = None) -> List[Vec
     return basis
 
 
-def signed_permutation_det(field: Field, perm: List[int], entries: list):
-    """det of an n x n matrix with one nonzero entry per row and column,
-    placed by the permutation perm of range(n) (row s in column perm[s],
-    or column s in row perm[s]: a permutation and its inverse have one
-    sign): sign(perm) times the product of the entries."""
+def monomial_det(field: Field, n: int, entries: Iterable[Tuple[int, int, object]]):
+    """det of an n x n matrix given by its nonzero entries (row, column,
+    value), at most one per row and per column.
+
+    Such a matrix is zero or a permutation matrix times a diagonal, so
+    its determinant is 0 (a row with no entry) or sign(perm) times the
+    product of the entries.  Raises AssertionError on a row or a column
+    with two nonzero entries.
+    """
     f = field
+    perm = [-1] * n  # row -> column
+    taken = [False] * n
+    values = []
+    for r, c, x in entries:
+        if perm[r] >= 0 or taken[c]:
+            raise AssertionError(f"matrix has two nonzero entries in row {r} or column {c}")
+        perm[r] = c
+        taken[c] = True
+        values.append(x)
+    if len(values) < n:
+        return f.zero
     d = f.one
-    for x in entries:
+    for x in values:
         d = f.mul(d, x)
     # sign(perm) = (-1)^(n - number of cycles)
-    n = len(perm)
     seen = [False] * n
     parity = n
     for s in range(n):

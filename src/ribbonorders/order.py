@@ -22,6 +22,12 @@ idempotent at the junction, or b_i's first arrow is sigma^{L_j}(a_j); it
 is then the other factor, respectively the path (start_j, a_j, L_j + L_i).
 The order has no truncation, so no product of paths is ever cut off.
 
+``canonical_basis`` builds these paths once per basis, in the index
+layout every check reads: e_v at v's position in the vertex list, x_v
+at |Q_0| plus that position, and a_1, ..., a_{n-1} at consecutive
+indices.  It keeps the sigma-rule lists and the coordinate rule's
+per-arrow data with them; the labels are for display.
+
 * ``check_nu_symmetry`` evaluates phi(b_i b_j) and nu(b_j) phi(b_j b_i)
   on P u P^T, where P is the set of pairs (i, j) with b_i b_j != 0;
   off that set both sides are phi(0) = 0.
@@ -224,12 +230,30 @@ class BasisElement:
 
 @dataclass(frozen=True)
 class CanonicalBasis:
-    """The basis B of the order as a free k[[t]]-module (multiplicity one)."""
+    """The basis B of the order as a free k[[t]]-module (multiplicity one),
+    in the layout :func:`canonical_basis` builds and every check reads.
+
+    e(v) sits at index pos(v) (the vertex's position in
+    ``quiver.vertices``), x(v) at |Q_0| + pos(v), then per arrow a with
+    n(a) > 1, in sorted order, a:1, ..., a:n(a)-1 at consecutive
+    indices.  ``paths[r]`` is b_r as (start, first arrow, length), the
+    first arrow None for e_v.  The sigma-rule reads ``by_end[v]``, the
+    r with b_r ending at v, and ``by_next[a]``, the r whose last arrow
+    is followed by a under sigma; the coordinate rule reads ``rule[a]``:
+    n(a), whether a is positive, the indices of e_i and x_i at the
+    source i of a, and the index of a:1 (None when n(a) = 1).  The
+    labels and ``elements`` serve display, the CLI and ``cartan_matrix``;
+    no check looks a label up.
+    """
 
     quiver: GentleQuiver
     eps: Polarization
     elements: Tuple[BasisElement, ...]
     index: Dict[str, int]
+    paths: Tuple[Tuple[str, Optional[str], int], ...]
+    by_end: Dict[str, List[int]]
+    by_next: Dict[str, List[int]]
+    rule: Dict[str, Tuple[int, bool, int, int, Optional[int]]]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -240,28 +264,60 @@ class CanonicalBasis:
     def element(self, label: str) -> BasisElement:
         return self.elements[self.index[label]]
 
+    def left_multiples(self, start: str, a: Optional[str], length: int):
+        """[(r, p b_r)] over the basis paths b_r with p b_r != 0, where p is
+        the path (start, a, length): b_r ends at start when p = e_start,
+        and otherwise b_r = e_start or sigma of b_r's last arrow is a."""
+        if a is None:
+            return [(r, self.paths[r]) for r in self.by_end[start]]
+        out = [(self.rule[a][2], (start, a, length))]
+        for r in self.by_next.get(a, ()):
+            s, first, n = self.paths[r]
+            out.append((r, (s, first, n + length)))
+        return out
+
+    def terms(self, start: str, a: Optional[str], length: int):
+        """B-coordinates of the path (start, a, length) as (index, degree,
+        coefficient) terms, by the rule of :func:`path_coordinates`."""
+        if a is None:
+            return ((self.quiver.position(start), 0, 1),)
+        return _coordinate_terms(length, *self.rule[a])
+
 
 def canonical_basis(q: GentleQuiver, eps: Polarization) -> CanonicalBasis:
     """B = {e_i, x_i} u {a_m : a in Q*_1, 1 <= m < n(a)}; |B| = sum n(a).
 
     Defined for multiplicity one only; quotients handle general
     multiplicities.  x_i is the full cycle of the positive arrow at i.
+    The layout and the sigma-rule lists are built here, once per basis.
     """
     check_polarization(q, eps)
-    elems: List[BasisElement] = []
-    for v in q.vertices:
-        elems.append(BasisElement("e", f"e({v})", q.idempotent(v)))
+    nv = len(q.vertices)
+    elems = [BasisElement("e", f"e({v})", q.idempotent(v)) for v in q.vertices]
+    paths: List[Tuple[str, Optional[str], int]] = [(v, None, 0) for v in q.vertices]
     for v in q.vertices:
         a = eps.positive_arrow_at(q, v)
-        elems.append(BasisElement("x", f"x({v})", q.path_from(a, q.cycle_length(a))))
-    for a in sorted(q.arrow_names):
         n = q.cycle_length(a)
-        if n == 1:
-            continue
+        elems.append(BasisElement("x", f"x({v})", q.path_from(a, n)))
+        paths.append((v, a, n))
+    rule = {}
+    for a in sorted(q.arrow_names):
+        n, i = q.cycle_length(a), q.position(q.source(a))
+        rule[a] = (n, eps.sign(a) == PLUS, i, nv + i, len(elems) if n > 1 else None)
         for m in range(1, n):
             elems.append(BasisElement("a", f"{a}:{m}", q.path_from(a, m)))
+            paths.append((q.source(a), a, m))
+    by_end: Dict[str, List[int]] = {v: [] for v in q.vertices}
+    by_next: Dict[str, List[int]] = {}
+    for r, (start, a, length) in enumerate(paths):
+        if a is None:
+            by_end[start].append(r)
+        else:
+            nxt = q.sigma_power(a, length)  # b_r ends where nxt starts
+            by_end[q.source(nxt)].append(r)
+            by_next.setdefault(nxt, []).append(r)
     index = {b.label: i for i, b in enumerate(elems)}
-    return CanonicalBasis(quiver=q, eps=eps, elements=tuple(elems), index=index)
+    return CanonicalBasis(q, eps, tuple(elems), index, tuple(paths), by_end, by_next, rule)
 
 
 def path_coordinates(basis: CanonicalBasis, ring: PolyRing, p: Path) -> Dict[str, tuple]:
@@ -273,23 +329,13 @@ def path_coordinates(basis: CanonicalBasis, ring: PolyRing, p: Path) -> Dict[str
     from_int = ring.field.from_int
     return {
         basis.elements[k].label: ring.t_power(d, from_int(c))
-        for k, d, c in _coordinate_terms(length, *_rule_data(basis, a))
+        for k, d, c in _coordinate_terms(length, *basis.rule[a])
     }
-
-
-def _rule_data(basis: CanonicalBasis, a: str) -> Tuple[int, bool, int, int, Optional[int]]:
-    """What the coordinate rule reads of the arrow a: n(a), whether a is
-    positive, the indices of e_i and x_i at the source i of a, and the
-    index of a:1 (None when n(a) = 1); a:1, ..., a:n-1 sit at
-    consecutive indices."""
-    q, index, i = basis.quiver, basis.index, basis.quiver.source(a)
-    positive = basis.eps.sign(a) == PLUS
-    return q.cycle_length(a), positive, index[f"e({i})"], index[f"x({i})"], index.get(f"{a}:1")
 
 
 def _coordinate_terms(length: int, n: int, positive: bool, e: int, x: int, base: Optional[int]):
     """B-coordinates of the path a_length as (index, degree, coefficient)
-    terms, for the rule data of a (see :func:`_rule_data`).  x_i's
+    terms, for the rule data of a (``CanonicalBasis.rule[a]``).  x_i's
     positive arrow is a exactly when a is positive.  The coefficients
     are the integers 1 and -1, images of Z in every field."""
     r, m0 = divmod(length, n)
@@ -327,82 +373,23 @@ def frobenius_eval(basis: CanonicalBasis, ring: PolyRing, x: OrderElement) -> tu
 # the sigma-rule on basis paths
 
 
-class _BasisPaths:
-    """The canonical basis as paths (start, first arrow, length), with the
-    data the sigma-rule and the coordinate rule read.
-
-    Built per check call from the basis paths; cycle lengths and sigma
-    steps are the quiver's orbit lookups.  The first arrow is None for
-    e_v; ``nxt[r]`` is sigma of b_r's last arrow (None for e_v),
-    ``nu_sign[r]`` is the involution's sign on b_r, lifted by
-    :func:`_integral`, and ``rule[a]`` is :func:`_rule_data` of arrow a.
-    """
-
-    def __init__(self, basis: CanonicalBasis, inv: Optional[Involution] = None):
-        q = basis.quiver
-        self.rule = {a: _rule_data(basis, a) for a in q.arrow_names}
-        self.e_index = {v: basis.index[f"e({v})"] for v in q.vertices}
-        self.x_index = {v: basis.index[f"x({v})"] for v in q.vertices}
-        self.is_x = [b.kind == "x" for b in basis.elements]
-        self.paths: List[Tuple[str, Optional[str], int]] = []
-        self.nxt: List[Optional[str]] = []
-        self.by_end: Dict[str, List[int]] = {v: [] for v in q.vertices}
-        self.by_next: Dict[str, List[int]] = {}
-        for r, b in enumerate(basis.elements):
-            arrows = b.path.arrows
-            if arrows:
-                self.paths.append((b.path.start, arrows[0], len(arrows)))
-                self.nxt.append(q.sigma[arrows[-1]])
-                self.by_end[q.target(arrows[-1])].append(r)
-                self.by_next.setdefault(self.nxt[r], []).append(r)
-            else:
-                self.paths.append((b.path.start, None, 0))
-                self.nxt.append(None)
-                self.by_end[b.path.start].append(r)
-        self.nu_sign = self._nu_signs(basis, inv) if inv is not None else []
-
-    def _nu_signs(self, basis: CanonicalBasis, inv: Involution) -> list:
-        """The involution's sign on each basis path, lifted: the sign of
-        a:m is that of a:(m-1) times the sign of sigma^(m-1)(a), one
-        multiplication per path along each arrow's orbit, and x_i's is
-        that of its positive arrow's a:n(a)."""
-        q, f = basis.quiver, inv.field
-        sign = [f.one] * len(basis)
-        for a, (n, positive, _, x, base) in self.rule.items():
-            acc, b = f.one, a
-            for m in range(1, n + 1):
-                acc = f.mul(acc, inv.signs[b])
-                b = q.sigma[b]
-                if m < n:
-                    sign[base + m - 1] = acc
-                elif positive:
-                    sign[x] = acc
-        return [_integral(s) for s in sign]
-
-    def left_multiples(self, start: str, a: Optional[str], length: int):
-        """[(r, p b_r)] over the basis paths b_r with p b_r != 0, where p is
-        the path (start, a, length): b_r ends at start when p = e_start,
-        and otherwise b_r = e_start or sigma of b_r's last arrow is a."""
-        if a is None:
-            return [(r, self.paths[r]) for r in self.by_end[start]]
-        out = [(self.e_index[start], (start, a, length))]
-        for r in self.by_next.get(a, ()):
-            s, first, n = self.paths[r]
-            out.append((r, (s, first, n + length)))
-        return out
-
-    def terms(self, start: str, a: Optional[str], length: int):
-        """B-coordinates of the path (start, a, length) as (index, degree,
-        coefficient) terms, by the rule of :func:`path_coordinates`."""
-        if a is None:
-            return ((self.e_index[start], 0, 1),)
-        return _coordinate_terms(length, *self.rule[a])
-
-    def deriv_index(self, r: int) -> int:
-        """For b_r = a:m, the index of sigma^m(a):n-m, which closes it to
-        the full cycle c_a."""
-        n, _, _, _, base = self.rule[self.nxt[r]]
-        return base + n - self.paths[r][2] - 1
+def _nu_signs(basis: CanonicalBasis, inv: Involution) -> list:
+    """The involution's sign on each basis path, lifted by
+    :func:`_integral`: the sign of a:m is that of a:(m-1) times the sign
+    of sigma^(m-1)(a), one multiplication per path along each arrow's
+    orbit, and x_i's is that of its positive arrow's a:n(a)."""
+    q, f = basis.quiver, inv.field
+    sign = [f.one] * len(basis)
+    for a, (n, positive, _, x, base) in basis.rule.items():
+        acc, b = f.one, a
+        for m in range(1, n + 1):
+            acc = f.mul(acc, inv.signs[b])
+            b = q.sigma[b]
+            if m < n:
+                sign[base + m - 1] = acc
+            elif positive:
+                sign[x] = acc
+    return [_integral(s) for s in sign]
 
 
 def _integral(c):
@@ -465,15 +452,14 @@ def check_nu_symmetry(q: GentleQuiver, eps: Polarization, field: Field) -> NuSym
     phi(0) = 0.  ``pair_count`` still counts all |B|^2 pairs covered.
     """
     basis = canonical_basis(q, eps)
-    inv = involution_of(q, eps, field)
-    bp = _BasisPaths(basis, inv)
+    nu_sign = _nu_signs(basis, involution_of(q, eps, field))
     labels = basis.labels()
-    is_x = bp.is_x
+    nv = len(q.vertices)  # x(v) sits at index |Q_0| + pos(v)
     # phi of each nonzero product as {degree: coefficient}: its x-term, if any
     phi = {}
-    for i, path in enumerate(bp.paths):
-        for j, prod in bp.left_multiples(*path):
-            phi[(i, j)] = {d: c for k, d, c in bp.terms(*prod) if is_x[k]}
+    for i, path in enumerate(basis.paths):
+        for j, prod in basis.left_multiples(*path):
+            phi[(i, j)] = {d: c for k, d, c in basis.terms(*prod) if nv <= k < 2 * nv}
     pairs = set(phi)
     pairs.update((j, i) for i, j in phi)
 
@@ -486,7 +472,7 @@ def check_nu_symmetry(q: GentleQuiver, eps: Polarization, field: Field) -> NuSym
         if not (lhs or rhs):
             continue
         diff = dict(lhs)  # phi(b_i b_j) - nu(b_j) phi(b_j b_i)
-        sign = bp.nu_sign[j]
+        sign = nu_sign[j]
         for d, c in rhs.items():
             diff[d] = diff.get(d, 0) - sign * c
         if _nonzero(field, diff):
@@ -525,26 +511,29 @@ class ThetaPsiReport:
     bimodule_counterexamples: List[str]
 
 
-def _theta_psi_columns(basis: CanonicalBasis, bp: _BasisPaths, ring: PolyRing):
-    """theta and psi as sparse columns {row: entry}, at most two each."""
+def _theta_psi_columns(basis: CanonicalBasis, ring: PolyRing):
+    """theta and psi as sparse columns {row: entry}, at most two each.
+
+    Column a:m has its entry at sigma^m(a):n-m, which closes a:m to the
+    full cycle c_a; rule[a][1] says whether a is positive."""
     f = ring.field
     one, t, minus_t = ring.one, ring.t_power(1), ring.t_power(1, f.neg(f.one))
     minus = ring.constant(f.neg(f.one))
+    nv = len(basis.quiver.vertices)
     theta: List[Dict[int, tuple]] = []
     psi: List[Dict[int, tuple]] = []
-    for col, b in enumerate(basis.elements):
-        if b.kind == "a":
-            d = bp.deriv_index(col)  # rule[a][1] says whether a is positive
-            theta.append({d: one if bp.rule[bp.paths[col][1]][1] else minus})
-            psi.append({d: one if bp.rule[bp.nxt[col]][1] else minus})
-            continue
-        e, x = bp.e_index[b.path.start], bp.x_index[b.path.start]
-        if b.kind == "e":
-            theta.append({x: one})
-            psi.append({x: one, e: minus_t})
+    for col, (_, a, m) in enumerate(basis.paths):
+        if col < nv:  # e(v), with x(v) at nv + col
+            theta.append({nv + col: one})
+            psi.append({nv + col: one, col: minus_t})
+        elif col < 2 * nv:  # x(v), with e(v) at col - nv
+            theta.append({col - nv: one, col: t})
+            psi.append({col - nv: one})
         else:
-            theta.append({e: one, x: t})
-            psi.append({e: one})
+            n, nxt_positive, _, _, base = basis.rule[basis.quiver.sigma_power(a, m)]
+            d = base + n - m - 1
+            theta.append({d: one if basis.rule[a][1] else minus})
+            psi.append({d: one if nxt_positive else minus})
     return theta, psi
 
 
@@ -562,7 +551,7 @@ def theta_matrix(basis: CanonicalBasis, ring: PolyRing) -> List[List[tuple]]:
     e_i -> x_i*, x_i -> e_i* + t x_i*, a_m -> eps_a (split cycle)*.
     Its inverse psi sends x_i* -> e_i, e_i* -> x_i - t e_i and
     a_m* -> eps_{sigma^m(a)} (split cycle)."""
-    return _dense(ring, _theta_psi_columns(basis, _BasisPaths(basis), ring)[0])
+    return _dense(ring, _theta_psi_columns(basis, ring)[0])
 
 
 def _is_identity_product(field: Field, left, right) -> bool:
@@ -578,30 +567,6 @@ def _is_identity_product(field: Field, left, right) -> bool:
     return True
 
 
-def _signed_permutation_det(field: Field, cols: List[Dict[int, object]]):
-    """det of a square matrix, given as sparse columns of nonzero scalars,
-    with at most one nonzero entry per row and per column: 0 (a zero
-    column) or sign(perm) times the product of the entries.  Raises
-    AssertionError on a row or a column with two nonzero entries."""
-    f = field
-    n = len(cols)
-    perm = [-1] * n
-    taken = [False] * n
-    values = []
-    for c, entries in enumerate(cols):
-        if not entries:
-            return f.zero
-        if len(entries) > 1:
-            raise AssertionError(f"theta(0) has two nonzero entries in column {c}")
-        ((r, x),) = entries.items()
-        if taken[r]:
-            raise AssertionError(f"theta(0) has two nonzero entries in row {r}")
-        taken[r] = True
-        perm[c] = r
-        values.append(x)
-    return linalg.signed_permutation_det(f, perm, values)
-
-
 def verify_theta_psi(q: GentleQuiver, eps: Polarization, field: Field) -> ThetaPsiReport:
     """Check theta and psi are mutually inverse over k[t] and that theta is
     right-linear for the involution-twisted action on generators.
@@ -612,8 +577,7 @@ def verify_theta_psi(q: GentleQuiver, eps: Polarization, field: Field) -> ThetaP
     """
     basis = canonical_basis(q, eps)
     inv = involution_of(q, eps, field)
-    bp = _BasisPaths(basis)
-    theta_cols, psi_cols = _theta_psi_columns(basis, bp, PolyRing(field))
+    theta_cols, psi_cols = _theta_psi_columns(basis, PolyRing(field))
     theta, psi = _term_columns(theta_cols), _term_columns(psi_cols)
     tp = _is_identity_product(field, theta, psi)
     pt = _is_identity_product(field, psi, theta)
@@ -622,10 +586,10 @@ def verify_theta_psi(q: GentleQuiver, eps: Polarization, field: Field) -> ThetaP
     if tp and pt:
         # theta psi = id forces det(theta) to be a unit of k[t], i.e. a
         # nonzero constant; its value is det of theta at t = 0.
-        theta0 = [{r: p[0] for r, p in entries.items() if p and p[0]} for entries in theta_cols]
-        det_const = _signed_permutation_det(field, theta0)
+        theta0 = ((r, c, p[0]) for c, col in enumerate(theta_cols) for r, p in col.items() if p and p[0])
+        det_const = linalg.monomial_det(field, len(basis), theta0)
 
-    bad = _bimodule_counterexamples(basis, bp, inv, theta)
+    bad = _bimodule_counterexamples(basis, inv, theta)
     return ThetaPsiReport(
         ok=tp and pt and not bad,
         size=len(basis),
@@ -640,7 +604,7 @@ def verify_theta_psi(q: GentleQuiver, eps: Polarization, field: Field) -> ThetaP
 
 
 def _bimodule_counterexamples(
-    basis: CanonicalBasis, bp: _BasisPaths, inv: Involution, theta: List[List[Tuple[int, int, object]]]
+    basis: CanonicalBasis, inv: Involution, theta: List[List[Tuple[int, int, object]]]
 ) -> List[str]:
     """The (u, g) pairs, in basis order and then generator order, where
     theta(u nu(g)) and theta(u) g differ as vectors over the dual basis.
@@ -656,7 +620,6 @@ def _bimodule_counterexamples(
     arrows = sorted(q.arrow_names)
     gnames = [f"e({v})" for v in q.vertices] + arrows
     gpaths = [(v, None, 0) for v in q.vertices] + [(q.source(a), a, 1) for a in arrows]
-    e_gen = {v: k for k, v in enumerate(q.vertices)}
     a_gen = {a: len(q.vertices) + k for k, a in enumerate(arrows)}
     nu = {a: _integral(inv.signs[a]) for a in arrows}
     arrows_into: Dict[str, List[str]] = {v: [] for v in q.vertices}
@@ -665,19 +628,19 @@ def _bimodule_counterexamples(
 
     # every nonzero product g b_r, listed once under each coordinate s
     # (a row of theta) as (g, r, degree, coefficient)
-    by_coord: List[List[Tuple[int, int, int, int]]] = [[] for _ in bp.paths]
+    by_coord: List[List[Tuple[int, int, int, int]]] = [[] for _ in basis.paths]
     for g, path in enumerate(gpaths):
-        for r, prod in bp.left_multiples(*path):
-            for s, d, c in bp.terms(*prod):
+        for r, prod in basis.left_multiples(*path):
+            for s, d, c in basis.terms(*prod):
                 by_coord[s].append((g, r, d, c))
 
     bad: List[str] = []
-    for u, (su, au, lu) in enumerate(bp.paths):
+    for u, (su, au, lu) in enumerate(basis.paths):
         # theta(u nu(g)) - theta(u) g per generator g, keyed (row, degree)
         diff: Dict[int, Dict[Tuple[int, int], object]] = {}
-        left = [(e_gen[su], bp.terms(su, au, lu), 1)]
+        left = [(q.position(su), basis.terms(su, au, lu), 1)]
         for a in arrows_into[su] if au is None else [q.sigma_power(au, -1)]:
-            left.append((a_gen[a], bp.terms(q.source(a), a, lu + 1), nu[a]))
+            left.append((a_gen[a], basis.terms(q.source(a), a, lu + 1), nu[a]))
         for g, terms, sign in left:
             vec = diff.setdefault(g, {})
             for k, d, c in terms:
@@ -721,13 +684,10 @@ def cartan_matrix(q: GentleQuiver, eps: Optional[Polarization] = None) -> List[L
     if eps is None:
         eps = default_polarization(q)
     basis = canonical_basis(q, eps)
-    vindex = {v: i for i, v in enumerate(q.vertices)}
     n = len(q.vertices)
     mat = [[0] * n for _ in range(n)]
     for b in basis.elements:
-        i = vindex[b.path.start]
-        j = vindex[q.path_end(b.path)]
-        mat[j][i] += 1
+        mat[q.position(q.path_end(b.path))][q.position(b.path.start)] += 1
     return mat
 
 

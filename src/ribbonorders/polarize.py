@@ -51,8 +51,13 @@ class Involution:
 
 
 def check_polarization(q: GentleQuiver, eps: Polarization) -> None:
+    """Raise QuiverError unless eps puts '+' or '-' on every arrow of q
+    and opposite signs on the two arrows out of each vertex."""
     if set(eps.signs) != set(q.arrow_names):
         raise QuiverError("polarization must assign a sign to every arrow")
+    for a in q.arrow_names:
+        if eps.signs[a] not in (PLUS, MINUS):
+            raise QuiverError(f"polarization sign of {a} is {eps.signs[a]!r}, not '+' or '-'")
     for v in q.vertices:
         a, b = q.arrows_out(v)
         if eps.signs[a] == eps.signs[b]:

@@ -68,8 +68,8 @@ class GentleQuiver:
     maps each arrow name to its unique nonzero successor.  Use
     :func:`validate_complete_gentle` (or the from_* helpers) to build one.
     Construction walks sigma once and stores the orbits with each arrow's
-    orbit and position, so every orbit query is a lookup; equality and
-    repr still read only the three fields.
+    orbit and position, and each vertex's position, so every orbit query
+    is a lookup; equality and repr still read only the three fields.
     """
 
     vertices: Tuple[str, ...]
@@ -83,6 +83,7 @@ class GentleQuiver:
         for a, s, _ in self.arrows:
             out[s].append(a)
         object.__setattr__(self, "_out", {v: tuple(sorted(ar)) for v, ar in out.items()})
+        object.__setattr__(self, "_pos", {v: i for i, v in enumerate(self.vertices)})
         names = tuple(a for a, _, _ in self.arrows)
         object.__setattr__(self, "_names", names)
         # the one walk along sigma: the orbits, each started at its least
@@ -115,6 +116,10 @@ class GentleQuiver:
 
     def target(self, a: str) -> str:
         return self._target[a]
+
+    def position(self, vertex: str) -> int:
+        """The index of `vertex` in ``vertices``."""
+        return self._pos[vertex]
 
     def arrows_out(self, vertex: str) -> Tuple[str, ...]:
         return self._out[vertex]

@@ -40,7 +40,7 @@ Sparse = Dict[int, object]
 
 def unit(alg: FdAlgebra) -> Sparse:
     """The unit: the sum of the idempotents."""
-    return {alg.index[lab]: alg.field.one for lab in alg.idempotent_labels}
+    return {alg.index[lab]: alg.field.one for lab in alg.basis[: len(alg.quiver.vertices)]}
 
 
 def label_vector(alg: FdAlgebra, label: str) -> Sparse:
@@ -75,7 +75,7 @@ def mul(alg: FdAlgebra, u: Sparse, v: Sparse) -> Sparse:
 
 def socle_is_top_span(alg: FdAlgebra) -> bool:
     """The socle should be exactly the span of the top cycle residues."""
-    tops = sorted({alg.index[alg.top_label[v]] for v in alg.quiver.vertices})
+    tops = sorted(set(alg.top_index.values()))
     return socle(alg) == tops
 
 
@@ -92,7 +92,7 @@ def socle_quotient_tables_equal(a: FdAlgebra, b: FdAlgebra) -> bool:
         return False
     if not (socle_is_top_span(a) and socle_is_top_span(b)):
         raise AssertionError("socle is not spanned by top cycles; table comparison invalid")
-    tops = {a.index[a.top_label[v]] for v in a.quiver.vertices}
+    tops = set(a.top_index.values())
 
     def below_top(alg: FdAlgebra) -> Dict[Tuple[int, int, int], object]:
         return {(i, j, k): c for i, j, k, c in alg.products if tops.isdisjoint((i, j, k))}

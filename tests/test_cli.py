@@ -183,6 +183,18 @@ def test_quotient_per_orbit_multiplicity(capsys):
     assert payload["multiplicity"] == {"a": 2, "c": 1, "e": 1, "x": 1}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("decide", "corpus:loop2", "-m", "\u00b2"), ("quotient", "corpus:loop2", "-m", "a=\u00b2")],
+    ids=["constant", "per-orbit"],
+)
+def test_superscript_multiplicity_is_a_bad_argument(capsys, argv):
+    # str.isdigit() accepts the superscript two, which int() rejects
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith("spec error: bad multiplicity argument"), err
+
+
 def test_unknown_corpus_entry(capsys):
     code, _, err = run(capsys, "decide", "corpus:nope", "--field", "gf3")
     assert code == 1

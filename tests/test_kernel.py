@@ -153,7 +153,7 @@ class DenseReference:
         soc = self.soc
         if not soc:
             return None
-        idempotents = [self.dense(label_vector(alg, lab)) for lab in alg.idempotent_labels]
+        idempotents = [self.dense(label_vector(alg, lab)) for lab in alg.basis[: len(alg.quiver.vertices)]]
         rows = [[self.dot(phi, self.mul(s, e)) for s in soc] for phi in s_basis for e in idempotents]
         kernel = naive_nullspace(f, rows, len(soc))
         if not kernel:
@@ -258,6 +258,24 @@ def test_elimination_matches_dense_reference(field):
         square = sparse_random_matrix(rng, field, rows, rows, rng.choice((0.2, 0.4, 0.8)))
         assert linalg.det(field, square) == naive_det(field, square)
         assert mat == before  # inputs are never modified
+
+
+@pytest.mark.parametrize("field", [GF3, QQ], ids=["GF3", "Q"])
+def test_monomial_det_matches_dense_reference(field):
+    # a permutation times a diagonal, with some rows emptied: the sign and
+    # the product are read off the entries, and an empty row gives 0
+    rng = random.Random(23)
+    for _ in range(150):
+        n = rng.randint(1, 9)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        entries = [(r, perm[r], random_scalar(field, rng, 4)) for r in range(n)]
+        entries = [e for e in entries if e[2] and rng.random() < 0.9]
+        rng.shuffle(entries)
+        square = [[field.zero] * n for _ in range(n)]
+        for r, c, x in entries:
+            square[r][c] = x
+        assert linalg.monomial_det(field, n, entries) == naive_det(field, square)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,187 @@
+"""Every check reads the index layout its builder stores, never a label.
+
+A quotient keeps ``first[a]`` (the index of a:1), ``kept[a]`` (how many
+paths a:l it keeps) and ``top_index[v]`` (the kept top cycle at v), with
+e(v) at index pos(v); the canonical basis keeps its paths as (start,
+first arrow, length), the sigma-rule lists ``by_end``/``by_next`` and the
+per-arrow ``rule``, with e(v) at pos(v) and x(v) at |Q_0| + pos(v).
+Labels are display-only.  Here the layouts are compared with the labels
+and ``Path`` objects, which are built apart from them, and guards make
+the label lookups refuse while the decision and check paths run.
+"""
+
+import random
+import sys
+from pathlib import Path as FilePath
+
+import pytest
+
+from ribbonorders import (
+    CORPUS_NAMES,
+    FdAlgebra,
+    build_quotient_algebra,
+    canonical_basis,
+    check_canonical_bimodule_twist,
+    check_nu_symmetry,
+    construct_psi_isomorphism,
+    corpus_quiver,
+    decide,
+    involution_of,
+    nakayama_involution_bar,
+    order,
+    plain_quotient,
+    verify_theta_psi,
+)
+from ribbonorders.fdalg import check_algebra_axioms
+from ribbonorders.fields import GF2, GF3, GF5, QQ
+from ribbonorders.polarize import PLUS, default_polarization, enumerate_polarizations
+
+sys.path.insert(0, str(FilePath(__file__).resolve().parent.parent / "perfbench"))
+import gen  # noqa: E402  (perfbench's seeded generator)
+
+PROFILES = ((4, 4, 4, 4), (3, 3, 2, 2, 2, 2, 2), (3, 3, 2, 2, 2), (5, 3, 2), (6,), (2, 2, 1, 1))
+
+
+def seeded_quivers(count=30, seed=14):
+    """count random quivers over PROFILES; every second one relabelled, so
+    its vertices and arrows are declared in a shuffled order."""
+    rng = random.Random(seed)
+    quivers = []
+    for k in range(count):
+        q = gen.random_quiver(rng, PROFILES[k % len(PROFILES)])
+        quivers.append(gen.relabel(rng, q) if k % 2 else q)
+    return quivers
+
+
+def all_quivers():
+    return [corpus_quiver(name) for name in CORPUS_NAMES] + seeded_quivers()
+
+
+def polarizations(q, rng):
+    return [default_polarization(q), gen.random_polarization(rng, q)]
+
+
+# ---------------------------------------------------------------------------
+# the layouts against labels and Path objects
+
+
+def assert_quotient_layout(alg: FdAlgebra):
+    q, nv = alg.quiver, len(alg.quiver.vertices)
+    assert alg.basis[:nv] == tuple(f"e({v})" for v in q.vertices)
+    seen = list(range(nv))
+    for a in q.arrow_names:
+        for length in range(1, alg.kept[a] + 1):
+            assert alg.basis[alg.first[a] + length - 1] == f"{a}:{length}"
+            assert alg.residue(a, length) == (alg.first[a] + length - 1, alg.field.one)
+            seen.append(alg.first[a] + length - 1)
+        top = alg.top_lengths[a]
+        assert alg.kept[a] in (top, top - 1)
+        assert f"{a}:{top}" in alg.basis if alg.kept[a] == top else f"{a}:{top}" not in alg.basis
+    assert sorted(seen) == list(range(alg.dim))
+    for v in q.vertices:
+        a = alg.eps.positive_arrow_at(q, v)
+        assert alg.basis[alg.top_index[v]] == f"{a}:{alg.top_lengths[a]}"
+    for a in q.arrow_names:
+        # a rewritten top cycle lands on the kept top cycle at its source
+        top = alg.top_lengths[a]
+        k, _ = alg.residue(a, top)
+        assert alg.basis[k] == alg.basis[alg.top_index[q.source(a)]]
+    assert list(alg.paths) == list(alg.basis)
+    for lab, path in alg.paths.items():
+        assert lab == (f"{path.arrows[0]}:{path.length}" if path.arrows else f"e({path.start})")
+
+
+def assert_canonical_layout(basis):
+    q, nv = basis.quiver, len(basis.quiver.vertices)
+    assert len(basis.paths) == len(basis.elements)
+    for r, (b, (start, a, length)) in enumerate(zip(basis.elements, basis.paths)):
+        path = q.idempotent(start) if a is None else q.path_from(a, length)
+        assert path == b.path, (r, b.label)
+        assert basis.index[b.label] == r
+    for v in q.vertices:
+        i = q.position(v)
+        assert basis.elements[i].label == f"e({v})"
+        assert basis.elements[nv + i].label == f"x({v})"
+    for v in q.vertices:
+        assert basis.by_end[v] == [r for r, b in enumerate(basis.elements) if q.path_end(b.path) == v]
+    for a in q.arrow_names:
+        ends = [b.path.arrows[-1:] for b in basis.elements]
+        assert basis.by_next.get(a, []) == [r for r, end in enumerate(ends) if end and q.sigma[end[0]] == a]
+        i = q.source(a)
+        expected = (
+            q.cycle_length(a),
+            basis.eps.sign(a) == PLUS,
+            basis.index[f"e({i})"],
+            basis.index[f"x({i})"],
+            basis.index.get(f"{a}:1"),
+        )
+        assert basis.rule[a] == expected
+
+
+def test_quotient_layout_matches_labels():
+    rng = random.Random(3)
+    for q in all_quivers():
+        for eps in polarizations(q, rng):
+            for m in (1, 2):
+                tw = build_quotient_algebra(q, GF3, m, eps)
+                assert_quotient_layout(tw)
+                assert_quotient_layout(plain_quotient(tw))
+
+
+def test_canonical_layout_matches_paths():
+    rng = random.Random(4)
+    quivers = all_quivers()
+    # pos(v) is the declared position, which the relabelled quivers shuffle
+    assert any(list(q.vertices) != sorted(q.vertices) for q in quivers)
+    for q in quivers:
+        for eps in polarizations(q, rng):
+            assert_canonical_layout(canonical_basis(q, eps))
+
+
+# ---------------------------------------------------------------------------
+# guards: no check reads a label lookup
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a check read the label -> index map")
+
+
+class RefusingIndex(dict):
+    """A label -> index map that refuses every lookup."""
+
+    __getitem__ = get = __contains__ = _refuse
+
+
+def test_quotient_checks_never_read_the_index(monkeypatch):
+    monkeypatch.setattr(FdAlgebra, "index", property(_refuse))
+    with pytest.raises(AssertionError, match="label -> index"):
+        build_quotient_algebra(corpus_quiver("loop2"), GF3).index
+    for name in CORPUS_NAMES:
+        q = corpus_quiver(name)
+        for field in (GF2, GF3, GF5, QQ):
+            for m in (1, 2, 3):
+                assert decide(q, field, m).consistency_ok
+                tw = build_quotient_algebra(q, field, m)
+                for alg in (tw, plain_quotient(tw)):
+                    check_algebra_axioms(alg)
+                    bar = nakayama_involution_bar(alg, involution_of(q, alg.eps, field))
+                    check_canonical_bimodule_twist(alg, bar)
+                construct_psi_isomorphism(q, field, m)
+
+
+def test_order_checks_never_read_the_index(monkeypatch):
+    real = order.canonical_basis
+
+    def guarded(q, eps):
+        basis = real(q, eps)
+        object.__setattr__(basis, "index", RefusingIndex(basis.index))
+        return basis
+
+    monkeypatch.setattr(order, "canonical_basis", guarded)
+    for name in CORPUS_NAMES:
+        q = corpus_quiver(name)
+        for eps in enumerate_polarizations(q)[:4]:
+            for field in (GF2, GF3, QQ):
+                nu = check_nu_symmetry(q, eps, field)
+                assert nu.ok and nu.pairs_match
+                assert verify_theta_psi(q, eps, field).ok

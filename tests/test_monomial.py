@@ -294,7 +294,7 @@ def reference_bar_counterexamples(alg, inv):
 
 def reference_twist_counterexamples(alg, bar):
     f = alg.field
-    tops = {alg.index[alg.top_label[v]] for v in alg.quiver.vertices}
+    tops = set(alg.top_index.values())
 
     def phi_of(cell):
         acc = f.zero
@@ -313,7 +313,7 @@ def reference_twist_counterexamples(alg, bar):
 
 
 def reference_socle_quotients_equal(a, b):
-    tops = {a.index[a.top_label[v]] for v in a.quiver.vertices}
+    tops = set(a.top_index.values())
     for i in range(a.dim):
         for j in range(a.dim):
             if i in tops or j in tops:
@@ -363,8 +363,8 @@ def mutate(alg, flip, drop):
 def mutation_sites(alg):
     """The first product of two paths landing on a top cycle (to negate),
     and the first one landing below the top (to drop)."""
-    tops = {alg.index[alg.top_label[v]] for v in alg.quiver.vertices}
-    idem = {alg.index[lab] for lab in alg.idempotent_labels}
+    tops = set(alg.top_index.values())
+    idem = {alg.index[lab] for lab in alg.basis[: len(alg.quiver.vertices)]}
     inner = [n for n, (i, j, k, _) in enumerate(alg.products) if i not in idem and j not in idem]
     flip = next(n for n in inner if alg.products[n][2] in tops)
     drop = next(n for n in inner if alg.products[n][2] not in tops)
@@ -461,7 +461,7 @@ def test_twist_and_socle_quotient_checks_read_only_products(monkeypatch):
             for m in (1, 2):
                 tw = build_quotient_algebra(q, field, m)
                 pl = plain_quotient(tw)
-                tops = {tw.index[tw.top_label[v]] for v in q.vertices}
+                tops = set(tw.top_index.values())
                 drop = next((n for n, (_, _, k, _) in enumerate(pl.products) if k not in tops), None)
                 pairs = [(tw, pl), (pl, tw)] + ([(tw, mutate(pl, None, drop))] if drop is not None else [])
                 for alg in (tw, pl):

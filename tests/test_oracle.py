@@ -106,7 +106,8 @@ def reference_certificate(alg, s_basis, soc) -> Optional[dict]:
     if not soc:
         return None
     sparse = [{i: c for i, c in enumerate(s) if c} for s in soc]
-    products = [[mul(alg, s, label_vector(alg, lab)) for s in sparse] for lab in alg.idempotent_labels]
+    idempotents = alg.basis[: len(alg.quiver.vertices)]
+    products = [[mul(alg, s, label_vector(alg, lab)) for s in sparse] for lab in idempotents]
     rows = []
     for phi in s_basis:
         for per_socle in products:
@@ -169,7 +170,7 @@ def reference_oracle(alg, seed=0, trials=64, enumeration_cap=4096):
 def top_cycle_form(alg) -> list:
     phi = [alg.field.zero] * alg.dim
     for v in alg.quiver.vertices:
-        phi[alg.index[alg.top_label[v]]] = alg.field.one
+        phi[alg.top_index[v]] = alg.field.one
     return phi
 
 
@@ -377,7 +378,7 @@ def test_non_monomial_pairing_raises():
 def test_socle_needs_both_sides():
     alg = build_quotient_algebra(corpus_quiver("circ4"), GF5, 1)
     residues = {g for a in alg.quiver.arrow_names for g in alg.arrow_residue(a)}
-    tops = {alg.index[alg.top_label[v]] for v in alg.quiver.vertices}
+    tops = set(alg.top_index.values())
     x, y = [i for i in range(alg.dim) if i not in tops and i not in residues][:2]
     # no arrow multiplies x from the left, none multiplies y from the right
     kept = []

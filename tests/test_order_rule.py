@@ -227,7 +227,7 @@ def densified(tp, field):
 def assert_same(q, eps, field):
     basis, inv = canonical_basis(q, eps), order.involution_of(q, eps, field)
     signs = [order._integral(path_sign(inv, b.path)) for b in basis.elements]
-    assert order._BasisPaths(basis, inv).nu_sign == signs
+    assert order._nu_signs(basis, inv) == signs
     nu = check_nu_symmetry(q, eps, field)
     assert dataclasses.asdict(nu) == dataclasses.asdict(reference_nu_symmetry(q, eps, field))
     tp = verify_theta_psi(q, eps, field)
@@ -308,8 +308,8 @@ def corrupt_theta(monkeypatch, place, coefficients):
     def entry(ring):
         return ring.trim([ring.field.from_int(c) for c in coefficients])
 
-    def corrupted_columns(basis, bp, ring):
-        theta, psi = real_columns(basis, bp, ring)
+    def corrupted_columns(basis, ring):
+        theta, psi = real_columns(basis, ring)
         row, col = place(basis)
         theta[col][row] = entry(ring)
         return theta, psi
@@ -379,9 +379,8 @@ def test_products_match_compose():
     quivers += [gen.random_quiver(rng, v) for v in ORDER_PROFILES]
     for q in quivers:
         basis = canonical_basis(q, order.default_polarization(q))
-        bp = order._BasisPaths(basis)
         products = {
-            (i, j): prod for i, path in enumerate(bp.paths) for j, prod in bp.left_multiples(*path)
+            (i, j): prod for i, path in enumerate(basis.paths) for j, prod in basis.left_multiples(*path)
         }
         for i, bi in enumerate(basis.elements):
             for j, bj in enumerate(basis.elements):
@@ -431,5 +430,7 @@ def test_large_circular(field):
 
 
 def test_theta_det_rejects_two_entries_in_a_row():
-    with pytest.raises(AssertionError):
-        order._signed_permutation_det(QQ, [{0: QQ.one}, {0: QQ.one}])
+    one = QQ.one
+    for entries in ([(0, 0, one), (0, 1, one)], [(0, 1, one), (1, 1, one)]):  # a row, a column
+        with pytest.raises(AssertionError, match="two nonzero entries"):
+            linalg.monomial_det(QQ, 2, entries)

@@ -3,12 +3,15 @@
 import pytest
 
 from ribbonorders import (
+    build_quotient_algebra,
+    check_nu_symmetry,
     corpus_quiver,
     enumerate_polarizations,
     find_sigma_stable,
     graph_of_quiver,
     involution_of,
     is_bipartite,
+    verify_theta_psi,
 )
 from ribbonorders.fields import GF2, GF3, QQ
 from ribbonorders.polarize import Polarization, check_polarization
@@ -52,6 +55,27 @@ def test_check_polarization_rejects_equal_signs():
     q = corpus_quiver("loop2")
     with pytest.raises(QuiverError):
         check_polarization(q, Polarization(signs={"a": "+", "b": "+"}))
+
+
+@pytest.mark.parametrize(
+    "signs",
+    [{"a": "x", "b": "y"}, {"a": "+", "b": "+"}, {"a": "+"}],
+    ids=["other-values", "equal-signs", "partial"],
+)
+def test_checks_and_quotient_reject_an_invalid_polarization(signs):
+    # the order checks and the quotient builder validate a polarization
+    # the caller passes in, and raise the input error, not a report with
+    # ok=False, an AssertionError or a KeyError
+    q = corpus_quiver("loop2")
+    eps = Polarization(signs=signs)
+    with pytest.raises(QuiverError):
+        check_polarization(q, eps)
+    for check in (check_nu_symmetry, verify_theta_psi):
+        with pytest.raises(QuiverError):
+            check(q, eps, GF3)
+    for twisted in (True, False):
+        with pytest.raises(QuiverError):
+            build_quotient_algebra(q, GF3, 1, eps, twisted=twisted)
 
 
 def test_sigma_stable_iff_bipartite():
