@@ -22,15 +22,17 @@ idempotent at the junction, or b_i's first arrow is sigma^{L_j}(a_j); it
 is then the other factor, respectively the path (start_j, a_j, L_j + L_i).
 The order has no truncation, so no product of paths is ever cut off.
 
-``canonical_basis`` builds these paths once per basis, in the index
-layout every check reads: e_v at v's position in the vertex list, x_v
-at |Q_0| plus that position, and a_1, ..., a_{n-1} at consecutive
-indices.  It keeps the sigma-rule lists and the coordinate rule's
-per-arrow data with them; the labels are for display.
+``canonical_basis`` builds these triples once per basis, and no Path
+object, in the index layout every check reads: e_v at v's position in
+the vertex list, x_v at |Q_0| plus that position, and a_1, ..., a_{n-1}
+at consecutive indices.  It keeps the sigma-rule lists and the
+coordinate rule's per-arrow data with them; the labels are for display.
 
 * ``check_nu_symmetry`` evaluates phi(b_i b_j) and nu(b_j) phi(b_j b_i)
-  on P u P^T, where P is the set of pairs (i, j) with b_i b_j != 0;
-  off that set both sides are phi(0) = 0.
+  on F u F^T, where F is the set of pairs (i, j) with b_i b_j a
+  full-cycle power: 3|Q_0| + sum over arrows of (n(a) - 1) pairs.  Only
+  those products have an x-coordinate, so off F u F^T each side is
+  phi(0) = 0 or phi of a path with no x-coordinate, also 0.
 * ``verify_theta_psi`` multiplies theta and psi as sparse columns (at
   most two entries each) and compares theta(u nu(g)) with theta(u) g
   only for the generators g with u nu(g) != 0, or with a nonzero
@@ -49,6 +51,7 @@ for zero.  This is exact, as Z -> k is a ring homomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from . import linalg
@@ -242,24 +245,36 @@ class CanonicalBasis:
     is followed by a under sigma; the coordinate rule reads ``rule[a]``:
     n(a), whether a is positive, the indices of e_i and x_i at the
     source i of a, and the index of a:1 (None when n(a) = 1).  The
-    labels and ``elements`` serve display, the CLI and ``cartan_matrix``;
-    no check looks a label up.
+    labels are for display; ``index`` and ``elements`` (with a ``Path``
+    per element) are views built on first read, and no check reads them.
     """
 
     quiver: GentleQuiver
     eps: Polarization
-    elements: Tuple[BasisElement, ...]
-    index: Dict[str, int]
+    names: Tuple[str, ...]  # the display label of each index
     paths: Tuple[Tuple[str, Optional[str], int], ...]
     by_end: Dict[str, List[int]]
     by_next: Dict[str, List[int]]
     rule: Dict[str, Tuple[int, bool, int, int, Optional[int]]]
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.paths)
 
     def labels(self) -> List[str]:
-        return [b.label for b in self.elements]
+        return list(self.names)
+
+    @cached_property
+    def index(self) -> Dict[str, int]:
+        """{label: index}, built on first read."""
+        return {lab: r for r, lab in enumerate(self.names)}
+
+    @cached_property
+    def elements(self) -> Tuple[BasisElement, ...]:
+        """Each basis element with its kind and path, built on first read."""
+        q, nv = self.quiver, len(self.quiver.vertices)
+        kinds = ["e"] * nv + ["x"] * nv + ["a"] * (len(self) - 2 * nv)
+        paths = (q.idempotent(s) if a is None else q.path_from(a, m) for s, a, m in self.paths)
+        return tuple(map(BasisElement, kinds, self.names, paths))
 
     def element(self, label: str) -> BasisElement:
         return self.elements[self.index[label]]
@@ -289,24 +304,21 @@ def canonical_basis(q: GentleQuiver, eps: Polarization) -> CanonicalBasis:
 
     Defined for multiplicity one only; quotients handle general
     multiplicities.  x_i is the full cycle of the positive arrow at i.
-    The layout and the sigma-rule lists are built here, once per basis.
+    The layout, labels and sigma-rule lists are built here, in O(|B|).
     """
     check_polarization(q, eps)
     nv = len(q.vertices)
-    elems = [BasisElement("e", f"e({v})", q.idempotent(v)) for v in q.vertices]
+    names = [f"e({v})" for v in q.vertices] + [f"x({v})" for v in q.vertices]
     paths: List[Tuple[str, Optional[str], int]] = [(v, None, 0) for v in q.vertices]
     for v in q.vertices:
         a = eps.positive_arrow_at(q, v)
-        n = q.cycle_length(a)
-        elems.append(BasisElement("x", f"x({v})", q.path_from(a, n)))
-        paths.append((v, a, n))
+        paths.append((v, a, q.cycle_length(a)))
     rule = {}
     for a in sorted(q.arrow_names):
         n, i = q.cycle_length(a), q.position(q.source(a))
-        rule[a] = (n, eps.sign(a) == PLUS, i, nv + i, len(elems) if n > 1 else None)
-        for m in range(1, n):
-            elems.append(BasisElement("a", f"{a}:{m}", q.path_from(a, m)))
-            paths.append((q.source(a), a, m))
+        rule[a] = (n, eps.sign(a) == PLUS, i, nv + i, len(paths) if n > 1 else None)
+        names.extend(f"{a}:{m}" for m in range(1, n))
+        paths.extend((q.source(a), a, m) for m in range(1, n))
     by_end: Dict[str, List[int]] = {v: [] for v in q.vertices}
     by_next: Dict[str, List[int]] = {}
     for r, (start, a, length) in enumerate(paths):
@@ -316,8 +328,7 @@ def canonical_basis(q: GentleQuiver, eps: Polarization) -> CanonicalBasis:
             nxt = q.sigma_power(a, length)  # b_r ends where nxt starts
             by_end[q.source(nxt)].append(r)
             by_next.setdefault(nxt, []).append(r)
-    index = {b.label: i for i, b in enumerate(elems)}
-    return CanonicalBasis(q, eps, tuple(elems), index, tuple(paths), by_end, by_next, rule)
+    return CanonicalBasis(q, eps, tuple(names), tuple(paths), by_end, by_next, rule)
 
 
 def path_coordinates(basis: CanonicalBasis, ring: PolyRing, p: Path) -> Dict[str, tuple]:
@@ -328,7 +339,7 @@ def path_coordinates(basis: CanonicalBasis, ring: PolyRing, p: Path) -> Dict[str
     a, length = q.first_arrow_form(p)
     from_int = ring.field.from_int
     return {
-        basis.elements[k].label: ring.t_power(d, from_int(c))
+        basis.names[k]: ring.t_power(d, from_int(c))
         for k, d, c in _coordinate_terms(length, *basis.rule[a])
     }
 
@@ -374,22 +385,28 @@ def frobenius_eval(basis: CanonicalBasis, ring: PolyRing, x: OrderElement) -> tu
 
 
 def _nu_signs(basis: CanonicalBasis, inv: Involution) -> list:
-    """The involution's sign on each basis path, lifted by
-    :func:`_integral`: the sign of a:m is that of a:(m-1) times the sign
-    of sigma^(m-1)(a), one multiplication per path along each arrow's
-    orbit, and x_i's is that of its positive arrow's a:n(a)."""
+    """The involution's sign on each basis path, lifted by :func:`_integral`.
+    Arrow signs are 1 or -1 (AssertionError otherwise), so a:m's is the
+    parity of the -1 signs of sigma^j(a), j < m, walked along each orbit
+    with no field multiply; x_i's is that of its positive arrow's a:n(a)."""
     q, f = basis.quiver, inv.field
-    sign = [f.one] * len(basis)
+    one, minus = f.one, f.neg(f.one)
+    for a, s in inv.signs.items():
+        if s not in (one, minus):
+            raise AssertionError(f"involution sign of {a} is {s!r}, not 1 or -1")
+    odd = {a: s != one for a, s in inv.signs.items()}  # over GF(2), -1 = 1 is even
+    lift = (_integral(one), _integral(minus))
+    sign = [lift[0]] * len(basis)
     for a, (n, positive, _, x, base) in basis.rule.items():
-        acc, b = f.one, a
+        acc, b = False, a
         for m in range(1, n + 1):
-            acc = f.mul(acc, inv.signs[b])
+            acc ^= odd[b]
             b = q.sigma[b]
             if m < n:
-                sign[base + m - 1] = acc
+                sign[base + m - 1] = lift[acc]
             elif positive:
-                sign[x] = acc
-    return [_integral(s) for s in sign]
+                sign[x] = lift[acc]
+    return sign
 
 
 def _integral(c):
@@ -446,31 +463,37 @@ def check_nu_symmetry(q: GentleQuiver, eps: Polarization, field: Field) -> NuSym
     """Verify phi(q p) = phi(nu(p) q) on all |B|^2 ordered basis pairs, and
     that the nonzero pairs are exactly the expected list.
 
-    Only the pairs in P u P^T are evaluated, where P lists the (i, j) with
-    b_i b_j != 0 (the sigma-rule, see the module docstring): off that set
-    both b_i b_j and b_j b_i are zero, so both sides of the identity are
-    phi(0) = 0.  ``pair_count`` still counts all |B|^2 pairs covered.
+    Only the pairs in F u F^T are evaluated, F the (i, j) with b_i b_j a
+    full-cycle power (see the module docstring): every other pair is 0 on
+    both sides.  ``pair_count`` still counts all |B|^2 pairs covered.
     """
     basis = canonical_basis(q, eps)
     nu_sign = _nu_signs(basis, involution_of(q, eps, field))
-    labels = basis.labels()
     nv = len(q.vertices)  # x(v) sits at index |Q_0| + pos(v)
-    # phi of each nonzero product as {degree: coefficient}: its x-term, if any
-    phi = {}
-    for i, path in enumerate(basis.paths):
-        for j, prod in basis.left_multiples(*path):
-            phi[(i, j)] = {d: c for k, d, c in basis.terms(*prod) if nv <= k < 2 * nv}
+    # F with its products: e(v) x(v) = x(v) e(v) = x(v), and b_i b_j for
+    # b_j ending before arrow a and b_i = a:L_i, L_i = -L_j mod n(a) (or
+    # b_i = x(source of a) when L_j = 0 mod n(a) and a is positive); phi
+    # of each as {degree: coefficient} is the product's x-term
+    full = [(v, nv + v, basis.paths[nv + v]) for v in range(nv)]
+    full += [(nv + v, v, basis.paths[nv + v]) for v in range(nv)]
+    for a, js in basis.by_next.items():
+        n, positive, _, x, base = basis.rule[a]
+        for j in js:
+            s, b, m = basis.paths[j]
+            r = m % n
+            if r or positive:
+                full.append((base + n - r - 1 if r else x, j, (s, b, m + n - r)))
+    phi = {(i, j): {d: c for k, d, c in basis.terms(*prod) if nv <= k < 2 * nv} for i, j, prod in full}
     pairs = set(phi)
     pairs.update((j, i) for i, j in phi)
 
+    labels = basis.names
     counterexamples = []
     nonzero = []
     none: Dict[int, int] = {}
     for i, j in sorted(pairs):
         lhs = phi.get((i, j), none)
         rhs = phi.get((j, i), none)
-        if not (lhs or rhs):
-            continue
         diff = dict(lhs)  # phi(b_i b_j) - nu(b_j) phi(b_j b_i)
         sign = nu_sign[j]
         for d, c in rhs.items():
@@ -656,7 +679,7 @@ def _bimodule_counterexamples(
         for g in sorted(diff):
             if _nonzero(inv.field, diff[g]):
                 bad.append(
-                    f"theta(u * nu(g)) != theta(u).g for u={basis.elements[u].label}, g={gnames[g]}"
+                    f"theta(u * nu(g)) != theta(u).g for u={basis.names[u]}, g={gnames[g]}"
                 )
     return bad
 
@@ -686,8 +709,9 @@ def cartan_matrix(q: GentleQuiver, eps: Optional[Polarization] = None) -> List[L
     basis = canonical_basis(q, eps)
     n = len(q.vertices)
     mat = [[0] * n for _ in range(n)]
-    for b in basis.elements:
-        mat[q.position(q.path_end(b.path))][q.position(b.path.start)] += 1
+    for v, rows in basis.by_end.items():
+        for r in rows:
+            mat[q.position(v)][q.position(basis.paths[r][0])] += 1
     return mat
 
 

@@ -31,10 +31,12 @@ from ribbonorders import (
 from ribbonorders.corpus import circular
 from ribbonorders.fields import GF2, GF3, GF5, QQ, PolyRing
 from ribbonorders.order import (
+    CanonicalBasis,
     NuSymmetryReport,
     ThetaPsiReport,
     arrow_element,
     canonical_basis,
+    cartan_matrix,
     frobenius_eval,
     idempotent_element,
     multiply,
@@ -373,6 +375,24 @@ def test_corrupted_theta_terms_cancel_in_gf2(monkeypatch):
     assert set(tp.bimodule_counterexamples) < set(over_z)
 
 
+def reference_cartan(q):
+    """Entry (j, i) counts the basis paths from vertex i to j, read off
+    each basis element's Path."""
+    basis = canonical_basis(q, order.default_polarization(q))
+    mat = [[0] * len(q.vertices) for _ in q.vertices]
+    for b in basis.elements:
+        mat[q.position(q.path_end(b.path))][q.position(b.path.start)] += 1
+    return mat
+
+
+def test_cartan_matches_reference():
+    rng = random.Random(6)
+    quivers = [corpus_quiver(name) for name in CORPUS_NAMES]
+    quivers += [gen.random_quiver(rng, ORDER_PROFILES[k % len(ORDER_PROFILES)]) for k in range(30)]
+    for q in quivers:
+        assert cartan_matrix(q) == reference_cartan(q)
+
+
 def test_products_match_compose():
     rng = random.Random(5)
     quivers = [corpus_quiver(name) for name in CORPUS_NAMES]
@@ -416,6 +436,78 @@ def test_checks_never_compose(monkeypatch):
                 assert nu.ok and nu.pairs_match
                 tp = verify_theta_psi(q, eps, field)
                 assert tp.ok and tp.det_theta_constant in (field.one, field.neg(field.one))
+
+
+def _no_path(*args, **kwargs):
+    raise AssertionError("the order checks must not spell a basis path out as a Path")
+
+
+def test_checks_build_no_paths(monkeypatch):
+    # the canonical basis keeps (start, first arrow, length) triples; only
+    # its first-read ``elements`` view builds a Path per element
+    monkeypatch.setattr(GentleQuiver, "path_from", _no_path)
+    for name in CORPUS_NAMES:
+        q = corpus_quiver(name)
+        for eps in enumerate_polarizations(q)[:2]:
+            for field in (GF2, GF3, QQ):
+                nu = check_nu_symmetry(q, eps, field)
+                assert nu.ok and nu.pairs_match
+                assert verify_theta_psi(q, eps, field).ok
+
+
+def counted_nu_symmetry(monkeypatch, q, eps, field):
+    """check_nu_symmetry with its coordinate rewrites (calls of
+    ``CanonicalBasis.terms``) counted; it is stopped once they outnumber
+    the pairs (q, p) with phi(q p) != 0."""
+    cap = len(order.expected_nonzero_pairs(canonical_basis(q, eps)))
+    real = CanonicalBasis.terms
+    count = [0]
+
+    def counting(self, *path):
+        count[0] += 1
+        if count[0] > cap:
+            raise AssertionError(f"more than {cap} coordinate rewrites")
+        return real(self, *path)
+
+    with monkeypatch.context() as m:
+        m.setattr(CanonicalBasis, "terms", counting)
+        rep = check_nu_symmetry(q, eps, field)
+    assert count[0] <= len(rep.expected_pairs)
+    return rep
+
+
+def test_nu_check_rewrites_only_full_cycle_products(monkeypatch):
+    # phi(b_i b_j) != 0 only where b_i b_j is a full-cycle power, on
+    # 3|Q_0| + sum (n(a) - 1) pairs; a one-orbit quiver has about n^3
+    # nonzero products, and none of the others is rewritten
+    rng = random.Random(20261019)
+    quivers = [corpus_quiver(name) for name in CORPUS_NAMES]
+    cases = [(q, eps) for q in quivers for eps in sampled_polarizations(q)]
+    for k in range(30):
+        q = gen.random_quiver(rng, ORDER_PROFILES[k % len(ORDER_PROFILES)])
+        cases.append((q, gen.random_polarization(rng, q)))
+    one_orbit = random.Random(1)
+    gen.random_quiver(one_orbit, (60,))
+    q = gen.random_quiver(one_orbit, (120,))  # |B| = 14,400, one sigma-orbit
+    cases.append((q, order.default_polarization(q)))
+    for k, (q, eps) in enumerate(cases):
+        field = GF3 if k == len(cases) - 1 else FIELDS[k % len(FIELDS)]
+        rep = counted_nu_symmetry(monkeypatch, q, eps, field)
+        assert rep.ok and rep.pairs_match
+
+
+def test_nu_signs_reject_other_signs(monkeypatch):
+    # the parity walk reads a sign as 1 or -1; over GF(5) a sign 2 is neither
+    real = order.involution_of
+
+    def with_sign_two(q, eps, field):
+        inv = real(q, eps, field)
+        return Involution(quiver=q, field=field, signs={**inv.signs, "a": field.from_int(2)})
+
+    monkeypatch.setattr(order, "involution_of", with_sign_two)
+    q = corpus_quiver("loop2")
+    with pytest.raises(AssertionError, match="sign of a is 2, not 1 or -1"):
+        check_nu_symmetry(q, enumerate_polarizations(q)[0], GF5)
 
 
 @pytest.mark.parametrize("field", [GF3, QQ], ids=lambda f: f.name)
