@@ -47,18 +47,28 @@ def _load(path: str) -> ParsedSpec:
     return parse_spec(text)
 
 
+def _ascii_int(text: str) -> Optional[int]:
+    """The multiplicity written as ASCII digits, surrounding whitespace
+    allowed, or None.  The one parser of ``-m``, ``rep=INT`` and
+    ``--multiplicity-grid``: ``int()`` alone would also take other
+    scripts' digits, a sign and underscores."""
+    text = text.strip()
+    return int(text) if text.isascii() and text.isdigit() else None
+
+
 def _multiplicity_arg(q: GentleQuiver, spec: Optional[str], from_file) -> Dict[str, int]:
     if spec is None:
         return normalize_multiplicity(q, from_file)
-    spec = spec.strip()
-    if spec.isdecimal():
-        return normalize_multiplicity(q, int(spec))
+    m = _ascii_int(spec)
+    if m is not None:
+        return normalize_multiplicity(q, m)
     table = {}
     for part in spec.split(","):
         key, sep, value = part.partition("=")
-        if not sep or not value.strip().isdecimal():
+        m = _ascii_int(value)
+        if not sep or m is None:
             raise SpecFileError(f"bad multiplicity argument {part!r} (want INT or rep=INT,...)")
-        table[key.strip()] = int(value.strip())
+        table[key.strip()] = m
     return normalize_multiplicity(q, table)
 
 
@@ -270,10 +280,12 @@ def cmd_decide(args) -> int:
 
 def cmd_corpus(args) -> int:
     fields = [parse_field(f) for f in (args.field or ["gf2", "gf3", "gf5", "Q"])]
-    try:
-        mults = [int(x) for x in (args.multiplicity_grid or ["1", "2"])]
-    except ValueError as exc:
-        raise UsageError(f"bad --multiplicity-grid value: {exc}") from None
+    mults = []
+    for text in args.multiplicity_grid or ["1", "2"]:
+        m = _ascii_int(text)
+        if m is None:
+            raise UsageError(f"bad --multiplicity-grid value: {text!r} (want an integer in ASCII digits)")
+        mults.append(m)
     instances = [(name, corpus_quiver(name)) for name in CORPUS_NAMES]
     result = batch(instances, fields, mults, strict=False)
     if args.json:

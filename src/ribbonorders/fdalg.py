@@ -22,11 +22,17 @@ quiver's orbit data.  The algebra keeps that layout (first, kept,
 top_index) and every check reads it; the basis labels are for display.
 
 An algebra stores its multiplication once, as the list of its nonzero
-products (i, j, k, c), meaning b_i b_j = c b_k, in row-major order.
+products (i, j, k, s), meaning b_i b_j = s b_k, in row-major order.
+The sign s is the native int 1 or -1: every structure constant of
+either quotient is +-1, and the builder writes +1 throughout in
+characteristic two.  ``FdAlgebra.scalar`` maps a sign into the field
+through constants built once per algebra; the field-valued readers
+(the ``table`` view, the axiom and twist checks, the dense pairing)
+read it there, and no reader builds a constant.
 The two quotients share basis and layout and differ only in the sign of
 the rewritten top cycle, so a decision builds one algebra, the twisted
 quotient, and derives nothing from it.  The scaling map is checked
-against the plain rule (the same products, every coefficient +1) read
+against the plain rule (the same products, every sign +1) read
 off that one list, and so is the Brauer graph algebra's symmetry:
 ``brauer_form_pairing`` certifies its standard form (1 on each kept top
 cycle) in closed form, as an involution of the basis.
@@ -43,27 +49,31 @@ pairing, is a test reference and a benchmark span target; no decision
 calls it.
 
 The symmetry oracle is closed-form on this structure and runs in
-O(dim + nonzero products) with no elimination and no dense determinant:
-a commutator has at most two terms, so S is solved by a scaled
-union-find; every arrow residue is one basis path and multiplies basis
-paths injectively, so the socle is a set of basis paths; the refutation
-is one socle path outside S's support, and the witness pairing has at
-most one nonzero entry per row and column, so its determinant is a sign
-times a product.  ``socle`` returns the indices of those basis paths and
-``symmetric_forms`` the basis of S as sparse forms {index: coefficient};
-``FdAlgebra.dense`` turns a sparse element into a dense row.  An algebra
-that breaks one of these rules raises AssertionError rather than
+O(dim + nonzero products) with no elimination, no dense determinant and
+no field arithmetic: a commutator has at most two terms, each +-one
+basis path, so S is solved by a union-find whose ratios are +-1 ints;
+every arrow residue is one basis path and multiplies basis paths
+injectively, so the socle is a set of basis paths; the refutation is
+one socle path outside S's support, and the witness pairing has at most
+one nonzero entry per row and column, each +-1, so its determinant is
++-1 or 0, mapped into the field at the end.  ``socle`` returns the
+indices of those basis paths and ``symmetric_forms`` the basis of S as
+sparse forms {index: coefficient}; ``FdAlgebra.dense`` turns a sparse
+element into a dense row.  An algebra that breaks one of these rules
+(a sign other than +-1 among them) raises AssertionError rather than
 falling back to general linear algebra.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import gcd
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from . import linalg
 from .fields import Field, RationalField
@@ -81,7 +91,7 @@ from .ribbon import BipartiteCertificate
 from .order import normalize_multiplicity
 
 Sparse = Dict[int, object]
-Product = Tuple[int, int, int, object]  # (i, j, k, c): b_i * b_j = c * b_k
+Product = Tuple[int, int, int, int]  # (i, j, k, s): b_i * b_j = s * b_k, s = 1 or -1
 
 # every zero cell of every table: read-only, so no caller can fill it
 ZERO_CELL: Mapping[int, object] = MappingProxyType({})
@@ -101,9 +111,11 @@ class FdAlgebra:
     cycle kept at vertex v is at top_index[v].  Every check reads these
     maps.  basis[i] is the display label of index i ("e(v)", or "a:l" for
     the length-l path starting with arrow a).  products lists the nonzero
-    products as (i, j, k, c), meaning basis_i * basis_j = c * basis_k, in
-    row-major (i, j) order: the one stored multiplication.  top_lengths[a]
-    = m(a) n(a) is the length of the top cycle starting with arrow a.
+    products as (i, j, k, s), meaning basis_i * basis_j = s * basis_k, in
+    row-major (i, j) order: the one stored multiplication.  Each sign s
+    is the native int 1 or -1; scalar[s] is s as a field element (and
+    scalar[0] is zero), built once per algebra.  top_lengths[a] = m(a)
+    n(a) is the length of the top cycle starting with arrow a.
     index, table and paths are derived from the basis and products on
     first read and then kept; an edit of products after that read does
     not reach them.
@@ -121,6 +133,11 @@ class FdAlgebra:
     non_admissible: Tuple[str, ...]
     products: List[Product]
     top_lengths: Dict[str, int]
+    scalar: Tuple[object, object, object] = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        f = self.field
+        self.scalar = (f.zero, f.one, f.neg(f.one))
 
     @cached_property
     def index(self) -> Dict[str, int]:
@@ -129,16 +146,17 @@ class FdAlgebra:
 
     @cached_property
     def table(self) -> List[List[Mapping[int, object]]]:
-        """table[i][j] = b_i b_j as a dict {k: c}; every zero cell is the
-        shared read-only ZERO_CELL.  dim^2 references, built on first
-        read."""
+        """table[i][j] = b_i b_j as a dict {k: c}, c the product's sign in
+        the field; every zero cell is the shared read-only ZERO_CELL.
+        dim^2 references, built on first read."""
         n = self.dim
+        value = self.scalar
         table: List[List[Mapping[int, object]]] = [[ZERO_CELL] * n for _ in range(n)]
-        for i, j, k, c in self.products:
+        for i, j, k, s in self.products:
             cell = table[i][j]
             if cell is ZERO_CELL:
                 cell = table[i][j] = {}
-            cell[k] = c
+            cell[k] = value[s]
         return table
 
     @cached_property
@@ -161,16 +179,14 @@ class FdAlgebra:
 
     def residue(self, a: str, length: int) -> Optional[Tuple[int, object]]:
         """The monomial rule: the residue of the length-l path starting
-        with arrow a, as (basis index, coefficient), or None when the
-        path is longer than its top cycle and so vanishes."""
+        with arrow a, as (basis index, field coefficient), or None when
+        the path is longer than its top cycle and so vanishes."""
         if length > self.top_lengths[a]:
             return None
-        f = self.field
         if length <= self.kept[a]:
-            return self.first[a] + length - 1, f.one
+            return self.first[a] + length - 1, self.scalar[1]
         # the negative top cycle: rewrite through the vertex relation
-        sign = f.neg(f.one) if self.twisted else f.one
-        return self.top_index[self.quiver.source(a)], sign
+        return self.top_index[self.quiver.source(a)], self.scalar[-1 if self.twisted else 1]
 
     def dense(self, u: Sparse) -> list:
         vec = [self.field.zero] * self.dim
@@ -197,7 +213,8 @@ def build_quotient_algebra(
     """Construct the twisted (anti-commuting) or plain quotient algebra.
 
     The basis keeps, per vertex, the top cycle power of the eps-positive
-    arrow; the negative one is rewritten with sign -1 (twisted) or +1.
+    arrow; the negative one is rewritten with sign -1 (twisted, outside
+    characteristic two) or +1; every other product has sign +1.
     Dimension always equals sum of m(v_a) n(a).  When some arrow has
     n(a) = 1 and multiplicity 1 the defining ideal is not admissible
     (the arrow residue coincides with a top cycle); the quotient is still
@@ -236,28 +253,27 @@ def build_quotient_algebra(
         a = eps.positive_arrow_at(q, v)
         top_index[v] = first[a] + top[a] - 1
 
-    one = field.one
-    sign = field.neg(one) if twisted else one
-    # columns in index order, so rows[i] collects (j, k, c) in increasing j
-    rows: List[List[Tuple[int, int, object]]] = [[] for _ in labels]
+    sign = -1 if twisted and field.char != 2 else 1
+    # columns in index order, so rows[i] collects (j, k, s) in increasing j
+    rows: List[List[Tuple[int, int, int]]] = [[] for _ in labels]
     for j, v in enumerate(q.vertices):
-        rows[j].append((j, j, one))
+        rows[j].append((j, j, 1))
         for a in q.arrows_out(v):
             for i in range(first[a], first[a] + kept[a]):
-                rows[i].append((j, i, one))
+                rows[i].append((j, i, 1))
     for a, base in first.items():
         n, neg = top[a], eps.sign(a) == MINUS
         for length in range(1, kept[a] + 1):
             j = base + length - 1
             b = q.sigma_power(a, length)
-            rows[q.position(q.source(b))].append((j, j, one))
+            rows[q.position(q.source(b))].append((j, j, 1))
             for extra in range(1, n - length + 1):
                 if length + extra < n or not neg:
-                    rows[first[b] + extra - 1].append((j, j + extra, one))
+                    rows[first[b] + extra - 1].append((j, j + extra, 1))
                 else:  # a:top, rewritten through the relation at s(a)
                     rows[first[b] + extra - 1].append((j, top_index[q.source(a)], sign))
 
-    products: List[Product] = [(i, j, k, c) for i, row in enumerate(rows) for j, k, c in row]
+    products: List[Product] = [(i, j, k, s) for i, row in enumerate(rows) for j, k, s in row]
     return FdAlgebra(
         quiver=q,
         field=field,
@@ -279,27 +295,34 @@ def plain_quotient(tw: FdAlgebra) -> FdAlgebra:
     same quiver, multiplicity and polarization, in O(products).
 
     The two share basis, layout and every other field; a product's
-    coefficient is -1 only where the twisted rule rewrites the negative
-    top cycle, and +1 in the plain quotient everywhere.
+    sign is -1 only where the twisted rule rewrites the negative top
+    cycle, and +1 in the plain quotient everywhere.
     """
-    one = tw.field.one
-    return replace(tw, twisted=False, products=[(i, j, k, one) for i, j, k, _ in tw.products])
+    return replace(tw, twisted=False, products=[(i, j, k, 1) for i, j, k, _ in tw.products])
 
 
-def _product_index(alg: FdAlgebra) -> Dict[int, Tuple[int, object]]:
-    """{i * dim + j: (k, c)} for b_i b_j = c b_k; a pair listed twice (a
-    product with two terms) raises AssertionError."""
+_SIGNS = frozenset((1, -1))
+
+
+def _product_index(alg: FdAlgebra) -> Dict[int, Product]:
+    """{i * dim + j: (i, j, k, s)} for b_i b_j = s b_k, the listed
+    product itself; a pair listed twice (a product with two terms) or a
+    sign other than 1 and -1 raises AssertionError."""
+    products = alg.products
     n = alg.dim
-    terms = {i * n + j: (k, c) for i, j, k, c in alg.products}
-    if len(terms) < len(alg.products):
+    terms = {p[0] * n + p[1]: p for p in products}
+    if len(terms) < len(products):
         seen = set()
-        for i, j, _, _ in alg.products:
+        for i, j, _, _ in products:
             if (i, j) in seen:
                 raise AssertionError(
                     f"product {alg.basis[i]} * {alg.basis[j]} has more than one term, "
                     "so a commutator has more than two"
                 )
             seen.add((i, j))
+    if not _SIGNS.issuperset(map(itemgetter(3), products)):
+        i, j, _, s = next(p for p in products if p[3] not in _SIGNS)
+        raise AssertionError(f"product {alg.basis[i]} * {alg.basis[j]} has sign {s!r}, not 1 or -1")
     return terms
 
 
@@ -311,10 +334,13 @@ def check_algebra_axioms(alg: FdAlgebra) -> None:
 
     (b_i b_j) b_k can be nonzero only if b_i b_j = c b_p with b_p b_k
     nonzero, and b_i (b_j b_k) only if b_j b_k = c b_p with b_i b_p
-    nonzero; on every other triple both sides vanish.  The least failing
-    basis element, else the least failing triple, is reported.
+    nonzero; on every other triple both sides vanish.  Signs are
+    compared in the field (scalar), where -1 = +1 in characteristic two.
+    The least failing basis element, else the least failing triple, is
+    reported.
     """
     f = alg.field
+    value = alg.scalar
     n = alg.dim
     terms = _product_index(alg)
     nv = len(alg.quiver.vertices)  # e(v) sits at index pos(v)
@@ -322,22 +348,22 @@ def check_algebra_axioms(alg: FdAlgebra) -> None:
     right: List[Sparse] = [{} for _ in range(n)]  # b_x 1
     rows: List[List[int]] = [[] for _ in range(n)]  # j with b_i b_j nonzero
     cols: List[List[int]] = [[] for _ in range(n)]  # i with b_i b_j nonzero
-    for i, j, k, c in alg.products:
+    for i, j, k, s in alg.products:
         rows[i].append(j)
         cols[j].append(i)
         if i < nv:
-            left[j][k] = f.add(left[j].get(k, f.zero), c)
+            left[j][k] = f.add(left[j].get(k, f.zero), value[s])
         if j < nv:
-            right[i][k] = f.add(right[i].get(k, f.zero), c)
+            right[i][k] = f.add(right[i].get(k, f.zero), value[s])
     for x in range(n):
         if any({k: c for k, c in side[x].items() if c} != {x: f.one} for side in (left, right)):
             raise AssertionError(f"unit law fails at basis element {alg.basis[x]}")
 
-    def fails(i, j, k):  # each side as (index, coefficient), or None
+    def fails(i, j, k):  # each side as (index, field sign), or None
         ij, jk = terms.get(i * n + j), terms.get(j * n + k)
-        lhs = ij and terms.get(ij[0] * n + k)
-        rhs = jk and terms.get(i * n + jk[0])
-        return (lhs and (lhs[0], f.mul(ij[1], lhs[1]))) != (rhs and (rhs[0], f.mul(jk[1], rhs[1])))
+        lhs = ij and terms.get(ij[2] * n + k)
+        rhs = jk and terms.get(i * n + jk[2])
+        return (lhs and (lhs[2], value[ij[3] * lhs[3]])) != (rhs and (rhs[2], value[jk[3] * rhs[3]]))
 
     failing = [(i, j, k) for i, j, p, _ in alg.products for k in rows[p] if fails(i, j, k)]
     failing += [(i, j, k) for j, k, p, _ in alg.products for i in cols[p] if fails(i, j, k)]
@@ -368,13 +394,16 @@ def nakayama_involution_bar(alg: FdAlgebra, inv: Involution) -> NakayamaBarRepor
     :func:`psi_matrix_diagonal` walks with one multiplication per basis
     path.  Verified to respect the full multiplication table (this is
     exactly well-definedness across the rewriting relations); zero
-    products hold trivially, so only the nonzero ones are checked."""
+    products hold trivially, so only the nonzero ones are checked.  A
+    product b_i b_j = s b_k with s = +-1 is kept iff
+    nu(b_i) nu(b_j) = s nu(b_k), and s, a unit, cancels from both sides:
+    the check compares path signs only."""
     f = alg.field
     sign_by_index = psi_matrix_diagonal(alg, inv.signs)
     signs = dict(zip(alg.basis, sign_by_index))
     bad: List[str] = []
-    for i, j, k, c in alg.products:
-        if f.mul(sign_by_index[k], c) != f.mul(f.mul(sign_by_index[i], sign_by_index[j]), c):
+    for i, j, k, _ in alg.products:
+        if sign_by_index[k] != f.mul(sign_by_index[i], sign_by_index[j]):
             bad.append(f"({alg.basis[i]}, {alg.basis[j]})")
     involutive = all(f.mul(s, s) == f.one for s in sign_by_index)
     fixes = all(s == f.one for s in sign_by_index[: len(alg.quiver.vertices)])
@@ -400,8 +429,9 @@ def socle(alg: FdAlgebra) -> List[int]:
     by b_g on either side sends distinct basis paths to distinct basis
     paths or to zero (a signed partial injection).  The socle is then
     the coordinate subspace on the paths that no such product keeps.
-    Raises AssertionError when a residue is not one path or a
-    multiplication is not injective.
+    Only indices are read: no sign and no field arithmetic.  Raises
+    AssertionError when a residue is not one path or a multiplication
+    is not injective.
     """
     residues = set()
     for a in alg.quiver.arrow_names:
@@ -430,48 +460,32 @@ def socle(alg: FdAlgebra) -> List[int]:
     return [x for x in range(n) if not kept[x]]
 
 
-def commutator_space(alg: FdAlgebra) -> Iterator[Tuple[Tuple[int, object], ...]]:
-    """The nonzero commutators [b_i, b_j] as sparse rows of one or two
-    (index, coefficient) terms, one row per basis pair with a nonzero
-    product, read off the products in order.
-
-    A product of two basis paths is 0 or one term, so a commutator has
-    at most two terms.  b_j b_i is looked up in :func:`_product_index`.
-    """
-    f = alg.field
-    n = alg.dim
-    terms = _product_index(alg)
-    for i, j, k, c in alg.products:
-        if i == j:
-            continue
-        rev = terms.get(j * n + i)
-        if rev is None:
-            yield ((k, c),)
-        elif i < j:  # the pair (j, i) is skipped below
-            k2, c2 = rev
-            if k2 != k:
-                yield ((k, c), (k2, f.neg(c2)))
-            elif c != c2:
-                yield ((k, f.sub(c, c2)),)
-
-
 def symmetric_forms(alg: FdAlgebra) -> List[Sparse]:
     """Basis of S = {phi : phi(xy) = phi(yx)}, the annihilator of [A, A],
-    as sparse forms {index: coefficient}, by scaled union-find.
+    as sparse forms {index: coefficient}, by union-find on +-1 ratios.
 
-    Each commutator row says c phi(k) = 0 or c phi(k) + c' phi(k') = 0.
-    The first kind only marks k in a zero mask.  The second kind merges
-    k and k' with phi(k) = -(c'/c) phi(k'), where parent[x] and ratio[x]
-    mean phi(x) = ratio[x] phi(parent[x]); a merge that closes a cycle
-    with another ratio forces the component to zero, and once every row
-    is read, so does a masked index.  Each other component gives one
-    form, 1 at its largest index, and the forms are ordered by that
-    index: the basis that elimination of the commutator rows returns.
+    A product of two basis paths is 0 or s times one basis path, s = +-1,
+    so a commutator [b_i, b_j] has at most two terms; its row is read off
+    the products in order, with b_j b_i looked up in
+    :func:`_product_index`.  A row says s phi(k) = 0, or
+    s phi(k) - s' phi(k') = 0 for the reverse product b_j b_i = s' b_k'.
+    The first kind only marks k in a zero mask (as does s b_k - s' b_k
+    with s != s', outside characteristic two).  The second kind merges k
+    and k' with phi(k) = s s' phi(k'), where parent[x] and ratio[x] mean
+    phi(x) = ratio[x] phi(parent[x]), ratio[x] = +-1.  A merge that
+    closes a cycle, u phi(r) + w phi(r) = 0, is consistent iff
+    u + w = 0 or the characteristic is two; otherwise it forces the
+    component to zero, and once every row is read, so does a masked
+    index.  Each other component gives one form, 1 at its largest index,
+    and the forms are ordered by that index: the basis that elimination
+    of the commutator rows returns.  The kernel runs on native ints;
+    each sign is mapped into the field through ``alg.scalar``.
     """
-    f = alg.field
     n = alg.dim
+    char2 = alg.field.char == 2
+    terms = _product_index(alg)
     parent = list(range(n))
-    ratio = [f.one] * n
+    ratio = [1] * n
     size = [1] * n
     forced = [False] * n  # read at roots
     zero = [False] * n  # phi(x) = 0 by a one-term row
@@ -483,67 +497,84 @@ def symmetric_forms(alg: FdAlgebra) -> List[Sparse]:
             path.append(x)
             x = parent[x]
         if not path:
-            return x, f.one
+            return x, 1
         r = ratio[path.pop()]  # the last step is already relative to the root
         for y in reversed(path):
-            r = f.mul(ratio[y], r)
+            r *= ratio[y]
             ratio[y] = r
             parent[y] = x
         return x, r
 
-    for row in commutator_space(alg):
-        if len(row) == 1:
-            zero[row[0][0]] = True
+    lookup = terms.get
+    for i, j, k, s in alg.products:
+        if i == j:
             continue
-        (k1, c1), (k2, c2) = row
-        r1, a1 = find(k1)
+        rev = lookup(j * n + i)
+        if rev is None:
+            zero[k] = True
+            continue
+        if i > j:  # the pair was read at (j, i)
+            continue
+        k2, s2 = rev[2], rev[3]
+        if k2 == k:
+            if s != s2 and not char2:
+                zero[k] = True
+            continue
+        r1, a1 = find(k)
         r2, a2 = find(k2)
-        u, w = f.mul(c1, a1), f.mul(c2, a2)  # u phi(r1) + w phi(r2) = 0
+        u, w = s * a1, -s2 * a2  # u phi(r1) + w phi(r2) = 0
         if r1 == r2:
-            if f.add(u, w):
+            if u + w and not char2:
                 forced[r1] = True
             continue
         if size[r1] > size[r2]:
             r1, r2, u, w = r2, r1, w, u
         parent[r1] = r2
-        ratio[r1] = f.neg(f.div(w, u))
+        ratio[r1] = -u * w  # phi(r1) = -(w / u) phi(r2), and 1 / u = u
         size[r2] += size[r1]
         forced[r2] = forced[r2] or forced[r1]
 
-    roots = [find(x) for x in range(n)]
+    # compress every path: then phi(x) = ratio[x] phi(parent[x]) with
+    # parent[x] a root (a root's own ratio stays 1)
     for x in range(n):
-        if zero[x]:
-            forced[roots[x][0]] = True
-    members: Dict[int, List[Tuple[int, object]]] = {}
-    for x, (root, r) in enumerate(roots):
+        if parent[parent[x]] != parent[x]:
+            find(x)
+    for x in compress(range(n), zero):
+        forced[parent[x]] = True
+    members: Dict[int, List[int]] = {}
+    for x in range(n):
+        root = parent[x]
         if not forced[root]:
-            members.setdefault(root, []).append((x, r))
+            members.setdefault(root, []).append(x)
+    value = alg.scalar
     forms = []
     for comp in members.values():
-        scale = f.inv(comp[-1][1])
-        forms.append({x: f.mul(r, scale) for x, r in comp})
+        last = ratio[comp[-1]]  # 1 / last = last
+        forms.append({x: value[ratio[x] * last] for x in comp})
     forms.sort(key=max)
     return forms
 
 
 def bilinear_matrix(alg: FdAlgebra, phi: list) -> List[list]:
-    """b_phi(x, y) = phi(x y) on the basis."""
+    """b_phi(x, y) = phi(x y) on the basis, for a field-valued phi."""
     f = alg.field
+    value = alg.scalar
     n = alg.dim
     mat = [[f.zero] * n for _ in range(n)]
-    for i, j, k, c in alg.products:
-        mat[i][j] = f.mul(c, phi[k])
+    for i, j, k, s in alg.products:
+        mat[i][j] = f.mul(value[s], phi[k])
     return mat
 
 
-def pairing_det(alg: FdAlgebra, phi: list):
-    """det b_phi, in O(dim + nonzero products), for a pairing with at
-    most one nonzero entry per row and column (see
-    :func:`linalg.monomial_det`, which raises AssertionError on a row or
-    a column with two)."""
-    f = alg.field
-    entries = ((i, j, f.mul(c, phi[k])) for i, j, k, c in alg.products if phi[k])
-    return linalg.monomial_det(f, alg.dim, entries)
+def pairing_det(alg: FdAlgebra, phi) -> object:
+    """det b_phi as a field element, in O(dim + nonzero products), for a
+    sign form phi: a sequence of the native ints 0, 1 and -1, one per
+    basis index.  Each nonzero entry s phi(k) is +-1, so the determinant
+    is computed on ints (:func:`linalg.sign_det`, which raises
+    AssertionError on a row or a column with two nonzero entries) and
+    mapped into the field at the end."""
+    entries = ((i, j, s * phi[k]) for i, j, k, s in alg.products if phi[k])
+    return alg.scalar[linalg.sign_det(alg.dim, entries)]
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +584,8 @@ def pairing_det(alg: FdAlgebra, phi: list):
 @dataclass
 class SymmetryVerdict:
     """kind is "symmetric", "not-symmetric" or "undecided"; trials is the
-    number of witness forms checked (0 or 1)."""
+    number of witness forms checked (0 or 1); witness_form is the
+    certified form as a dense row of field elements."""
 
     kind: str
     method: str
@@ -565,7 +597,7 @@ class SymmetryVerdict:
 
 def is_symmetric_oracle(alg: FdAlgebra) -> SymmetryVerdict:
     """Decide whether the algebra admits a symmetric nondegenerate form,
-    in O(dim + nonzero products).
+    in O(dim + nonzero products), with no field arithmetic.
 
     S comes from :func:`symmetric_forms` (sparse forms with disjoint
     supports) and the socle from :func:`socle` (basis-path indices);
@@ -574,13 +606,13 @@ def is_symmetric_oracle(alg: FdAlgebra) -> SymmetryVerdict:
          lies in the radical of every pairing b_phi, phi in S (p y is a
          multiple of p e_i for some idempotent e_i);
       2. witness: phi = the sum of the basis forms of S whose support
-         meets the socle, as a dense row.  Its pairing must have at most
-         one nonzero entry per row and column, so its exact determinant
-         is a sign times a product; a nonzero one certifies "symmetric".
+         meets the socle.  Its values are +-1 (each form is), read as a
+         sign form, so :func:`pairing_det` computes its exact
+         determinant on ints; a nonzero one certifies "symmetric".
     If neither settles the case the verdict is "undecided".  A structure
     outside the monomial rule raises AssertionError.
     """
-    f = alg.field
+    one = alg.field.one
     forms = symmetric_forms(alg)
     paths = socle(alg)
     sdim = len(forms)
@@ -594,18 +626,19 @@ def is_symmetric_oracle(alg: FdAlgebra) -> SymmetryVerdict:
         )
 
     soc = set(paths)
-    phi = [f.zero] * alg.dim
+    phi = [0] * alg.dim  # the witness as a sign form
     for form in forms:
         if not soc.isdisjoint(form):
             for k, c in form.items():
-                phi[k] = c
+                phi[k] = 1 if c == one else -1
     if pairing_det(alg, phi):
+        value = alg.scalar
         return SymmetryVerdict(
             kind="symmetric",
             method="sum of the S basis forms meeting the socle: monomial pairing, exact determinant",
             trials=1,
             s_dim=sdim,
-            witness_form=phi,
+            witness_form=[value[x] for x in phi],
         )
     return SymmetryVerdict(
         kind="undecided",
@@ -650,9 +683,9 @@ def brauer_form_pairing(alg: FdAlgebra) -> Optional[List[int]]:
     as the list of pi(i), or None.
 
     The standard form phi is 1 on each kept top cycle and 0 elsewhere.
-    The plain quotient has alg's products with every coefficient +1, so
+    The plain quotient has alg's products with every sign +1, so
     phi(b_i b_j) is 1 where b_i b_j lands on a kept top cycle and 0
-    otherwise; alg's coefficients are not read, and alg may be either
+    otherwise; alg's signs are not read, and alg may be either
     quotient.  When these pairs (i, j) are the graph of a permutation pi
     with pi = pi^-1, the pairing of phi is a symmetric permutation
     matrix, of determinant sign(pi) != 0 in every field, so phi is
@@ -700,18 +733,21 @@ def check_canonical_bimodule_twist(alg: FdAlgebra, bar: NakayamaBarReport) -> Tw
     fail only if b_i b_j or b_j b_i lands there.  Row i's own landing
     products and the transposes of the others' come in increasing j
     from the row-major products; merging the two lists visits the pairs
-    that can fail in row-major order, in O(dim + products).
+    that can fail in row-major order, in O(dim + products).  phi's
+    values are read off the products' signs, mapped through
+    ``alg.scalar``, and its determinant is :func:`pairing_det` of the
+    top mask.
     """
     f = alg.field
+    value = alg.scalar
     n = alg.dim
     top = _top_mask(alg)
-    phi = [f.one if t else f.zero for t in top]
     own: List[List[Tuple[int, object]]] = [[] for _ in range(n)]  # (j, phi(b_i b_j)) at row i
     dual: List[List[Tuple[int, object]]] = [[] for _ in range(n)]  # (j, phi(b_j b_i)) at row i
-    for i, j, k, c in alg.products:
+    for i, j, k, s in alg.products:
         if top[k]:
-            own[i].append((j, c))
-            dual[j].append((i, c))
+            own[i].append((j, value[s]))
+            dual[j].append((i, value[s]))
     sign_by_index = [bar.signs[lab] for lab in alg.basis]
     bad = []
     for i in range(n):
@@ -728,7 +764,7 @@ def check_canonical_bimodule_twist(alg: FdAlgebra, bar: NakayamaBarReport) -> Tw
                 r += 1
             if lhs != rhs:
                 bad.append(f"({alg.basis[i]}, {alg.basis[j]})")
-    d = pairing_det(alg, phi)
+    d = pairing_det(alg, top)
     return TwistReport(
         ok=not bad and bool(d),
         pair_count=alg.dim ** 2,
@@ -793,7 +829,7 @@ def construct_psi_isomorphism(
     walk produce an explicit inapplicability witness.  One algebra is
     built, the twisted quotient; the candidate map is verified on each
     of its nonzero products against the plain rule, which has the same
-    products with coefficient +1.
+    products with sign +1.
     """
     mm = normalize_multiplicity(q, m)
     stable = find_sigma_stable(q)
@@ -813,7 +849,7 @@ def psi_from_quotient(
     q, field, mm = tw.quiver, tw.field, tw.multiplicity
 
     if field.char == 2:
-        if any(c != field.one for _, _, _, c in tw.products):
+        if any(s != 1 for _, _, _, s in tw.products):
             raise AssertionError("char 2 quotients should coincide")
         scales = {a: field.one for a in q.arrow_names}
         return PsiResult(kind="identity", scales=scales, verified=True)
@@ -870,13 +906,23 @@ def _verify_scaling_map(tw: FdAlgebra, scales: Mapping[str, object]) -> bool:
     """psi(b) = d(b) b, with d(b) the product of the scalings along b,
     is an isomorphism from the twisted quotient onto the plain one.
 
-    The plain quotient has the twisted products with coefficient +1, so
-    psi is multiplicative iff c d(b_k) = d(b_i) d(b_j) for every twisted
-    product b_i b_j = c b_k; with no d zero, both sides of every other
-    product vanish, and psi is bijective.
+    The plain quotient has the twisted products with sign +1, so psi is
+    multiplicative iff s d(b_k) = d(b_i) d(b_j) for every twisted product
+    b_i b_j = s b_k, s = +-1; with no d zero, both sides of every other
+    product vanish, and psi is bijective.  Every product is checked; a
+    sign other than 1 and -1 raises AssertionError.
     """
     f = tw.field
     diag = psi_matrix_diagonal(tw, scales)
     if not all(diag):
         return False
-    return all(f.mul(diag[k], c) == f.mul(diag[i], diag[j]) for i, j, k, c in tw.products)
+    for i, j, k, s in tw.products:
+        if s == 1:
+            dk = diag[k]
+        elif s == -1:
+            dk = f.neg(diag[k])
+        else:
+            raise AssertionError(f"product {tw.basis[i]} * {tw.basis[j]} has sign {s!r}, not 1 or -1")
+        if f.mul(diag[i], diag[j]) != dk:
+            return False
+    return True

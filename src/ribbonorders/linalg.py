@@ -10,12 +10,13 @@ place on its private copy, and only at the pivot row's nonzero columns
 nonzero entries rather than the full row width.  Zero tests are truth
 tests (see :mod:`ribbonorders.fields`).
 
-Only two routines run in the package: ``rank``, for the Cartan rank
-(through ``rref``), and ``monomial_det``.  The quotient symmetry oracle
-in :mod:`ribbonorders.fdalg` and the order-level checks are closed-form
-and eliminate nothing: the oracle's pairing and the order's theta(0)
-have one nonzero entry per row and column, and ``monomial_det`` reads
-their determinant off those entries.  ``det`` and
+Only three routines run in the package: ``rank``, for the Cartan rank
+(through ``rref``), ``monomial_det`` and ``sign_det``.  The quotient
+symmetry oracle in :mod:`ribbonorders.fdalg` and the order-level checks
+are closed-form and eliminate nothing: the oracle's pairing and the
+order's theta(0) have one nonzero entry per row and column, and the
+determinant is read off those entries, by ``monomial_det`` over a field
+and by ``sign_det`` on the oracle's +-1 entries.  ``det`` and
 ``nullspace`` are kept as the tests' dense references and as targets of
 the benchmark's traced spans.
 """
@@ -115,16 +116,12 @@ def nullspace(field: Field, mat: Matrix, cols: Optional[int] = None) -> List[Vec
     return basis
 
 
-def monomial_det(field: Field, n: int, entries: Iterable[Tuple[int, int, object]]):
-    """det of an n x n matrix given by its nonzero entries (row, column,
-    value), at most one per row and per column.
-
-    Such a matrix is zero or a permutation matrix times a diagonal, so
-    its determinant is 0 (a row with no entry) or sign(perm) times the
-    product of the entries.  Raises AssertionError on a row or a column
-    with two nonzero entries.
-    """
-    f = field
+def _monomial_entries(n: int, entries: Iterable[Tuple[int, int, object]]) -> Tuple[list, Optional[bool]]:
+    """(values, odd) for an n x n matrix given by its nonzero entries
+    (row, column, value), at most one per row and per column: the values
+    in the order given, and whether their permutation is odd, or None
+    when a row has no entry.  Raises AssertionError on a row or a column
+    with two nonzero entries."""
     perm = [-1] * n  # row -> column
     taken = [False] * n
     values = []
@@ -135,10 +132,7 @@ def monomial_det(field: Field, n: int, entries: Iterable[Tuple[int, int, object]
         taken[c] = True
         values.append(x)
     if len(values) < n:
-        return f.zero
-    d = f.one
-    for x in values:
-        d = f.mul(d, x)
+        return values, None
     # sign(perm) = (-1)^(n - number of cycles)
     seen = [False] * n
     parity = n
@@ -148,4 +142,38 @@ def monomial_det(field: Field, n: int, entries: Iterable[Tuple[int, int, object]
             while not seen[s]:
                 seen[s] = True
                 s = perm[s]
-    return f.neg(d) if parity % 2 else d
+    return values, parity % 2 == 1
+
+
+def monomial_det(field: Field, n: int, entries: Iterable[Tuple[int, int, object]]):
+    """det of an n x n matrix given by its nonzero entries (row, column,
+    value), at most one per row and per column.
+
+    Such a matrix is zero or a permutation matrix times a diagonal, so
+    its determinant is 0 (a row with no entry) or sign(perm) times the
+    product of the entries.  Raises AssertionError on a row or a column
+    with two nonzero entries.
+    """
+    f = field
+    values, odd = _monomial_entries(n, entries)
+    if odd is None:
+        return f.zero
+    d = f.one
+    for x in values:
+        d = f.mul(d, x)
+    return f.neg(d) if odd else d
+
+
+def sign_det(n: int, entries: Iterable[Tuple[int, int, int]]) -> int:
+    """:func:`monomial_det` of a matrix whose nonzero entries are the
+    native ints 1 and -1, as the int 0, 1 or -1: sign(perm) times the
+    parity of the -1 entries, with no field arithmetic.  The caller maps
+    the result into its field.  Raises AssertionError on an entry other
+    than 1 or -1, and on a row or a column with two nonzero entries."""
+    values, odd = _monomial_entries(n, entries)
+    negative = values.count(-1)
+    if negative + values.count(1) != len(values):
+        raise AssertionError("a matrix entry is not 1 or -1")
+    if odd is None:
+        return 0
+    return -1 if (negative + odd) % 2 else 1

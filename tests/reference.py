@@ -56,6 +56,18 @@ def reduce_path(alg: FdAlgebra, p: Path) -> Sparse:
     return {} if r is None else {r[0]: r[1]}
 
 
+def field_products(alg: FdAlgebra) -> list:
+    """The products (i, j, k, c) with each sign mapped into the field."""
+    return [(i, j, k, alg.scalar[s]) for i, j, k, s in alg.products]
+
+
+def sign_form(alg: FdAlgebra, phi: list) -> list:
+    """A field-valued form with values 0, 1 and -1 as the sign form (native
+    ints) that ``pairing_det`` reads; any other value raises."""
+    signs = {alg.scalar[s]: s for s in (-1, 1, 0)}  # +1 wins over -1 in char 2
+    return [signs[c] for c in phi]
+
+
 def mul(alg: FdAlgebra, u: Sparse, v: Sparse) -> Sparse:
     """The product of two sparse elements, read off the dim^2 table."""
     f = alg.field
@@ -95,7 +107,7 @@ def socle_quotient_tables_equal(a: FdAlgebra, b: FdAlgebra) -> bool:
     tops = set(a.top_index.values())
 
     def below_top(alg: FdAlgebra) -> Dict[Tuple[int, int, int], object]:
-        return {(i, j, k): c for i, j, k, c in alg.products if tops.isdisjoint((i, j, k))}
+        return {(i, j, k): c for i, j, k, c in field_products(alg) if tops.isdisjoint((i, j, k))}
 
     return below_top(a) == below_top(b)
 

@@ -31,6 +31,8 @@ from ribbonorders.fdalg import bilinear_matrix, brauer_form_pairing, pairing_det
 from ribbonorders.fields import GF2, GF3, GF5, QQ, PrimeField
 from ribbonorders.polarize import find_sigma_stable, quotient_polarization
 
+from reference import sign_form
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402  (perfbench's seeded generator)
 
@@ -55,7 +57,7 @@ def assert_certificate_matches_oracle(tw):
     for t in top_indices(tw):
         phi[t] = f.one
     sign = linalg.monomial_det(f, n, [(i, pi[i], f.one) for i in range(n)])
-    assert pairing_det(pl, phi) == sign and sign
+    assert pairing_det(pl, sign_form(pl, phi)) == sign and sign
     if n <= DENSE_DIM:
         mat = bilinear_matrix(pl, phi)
         assert mat == [list(row) for row in zip(*mat)]  # phi(xy) = phi(yx)

@@ -195,6 +195,37 @@ def test_superscript_multiplicity_is_a_bad_argument(capsys, argv):
     assert err.startswith("spec error: bad multiplicity argument"), err
 
 
+# not ASCII digits: Arabic-Indic and fullwidth three, a sign, an
+# underscore, a decimal point, an empty value
+NON_ASCII_INTEGERS = ["\u0663", "\uff13", "+1", "-1", "1_0", "1.0", ""]
+
+
+@pytest.mark.parametrize("value", NON_ASCII_INTEGERS)
+@pytest.mark.parametrize("command, template", [("decide", "{}"), ("quotient", "a={}")], ids=["constant", "per-orbit"])
+def test_multiplicity_flag_takes_ascii_digits_only(capsys, command, template, value):
+    code, out, err = run(capsys, command, "corpus:mixed", "-m", template.format(value))
+    assert code == 2 and not out
+    assert err.startswith("spec error: bad multiplicity argument"), err
+
+
+@pytest.mark.parametrize("value", NON_ASCII_INTEGERS)
+def test_multiplicity_grid_takes_ascii_digits_only(capsys, value):
+    code, out, err = run(capsys, "corpus", "--field", "gf2", "--multiplicity-grid", "1", value)
+    assert code == 1 and not out
+    assert err.startswith("error: bad --multiplicity-grid value"), err
+
+
+@pytest.mark.parametrize("value, m", [("3", 3), (" 2 ", 2), ("007", 7)])
+def test_ascii_multiplicities_parse_alike_everywhere(capsys, value, m):
+    _, out, _ = run(capsys, "decide", "corpus:circ1", "-m", value, "--json")
+    assert json.loads(out)["multiplicity"] == {"a1": m}
+    _, out, _ = run(capsys, "quotient", "corpus:circ1", "-m", f"a1={value}", "--json")
+    assert json.loads(out)["multiplicity"] == {"a1": m}
+    code, out, _ = run(capsys, "corpus", "--field", "gf2", "--multiplicity-grid", value, "--json")
+    assert code == 0
+    assert {x for r in json.loads(out)["reports"] for x in r["multiplicity"].values()} == {m}
+
+
 def test_unknown_corpus_entry(capsys):
     code, _, err = run(capsys, "decide", "corpus:nope", "--field", "gf3")
     assert code == 1
