@@ -68,7 +68,10 @@ def _multiplicity_arg(q: GentleQuiver, spec: Optional[str], from_file) -> Dict[s
         m = _ascii_int(value)
         if not sep or m is None:
             raise SpecFileError(f"bad multiplicity argument {part!r} (want INT or rep=INT,...)")
-        table[key.strip()] = m
+        key = key.strip()
+        if key in table:
+            raise SpecFileError(f"duplicate multiplicity for {key!r}")
+        table[key] = m
     return normalize_multiplicity(q, table)
 
 
@@ -149,9 +152,13 @@ def cmd_basis(args) -> int:
     eps = quotient_polarization(q, find_sigma_stable(q))
     basis = canonical_basis(q, eps)
     rank = rank_formula_check(q, parsed.multiplicity)
+    # listed as the e's, then the x's, then the a:m's
+    nv, tops = len(q.vertices), list(basis.top_index.values())
+    rest = sorted(set(range(nv, len(basis))).difference(tops))
+    shown = [(basis.basis[r], basis.paths[basis.basis[r]].label()) for r in [*range(nv), *tops, *rest]]
     payload = {
         "polarization": dict(sorted(eps.signs.items())),
-        "basis": [{"label": b.label, "path": b.path.label()} for b in basis.elements],
+        "basis": [{"label": label, "path": path} for label, path in shown],
         "size": len(basis),
         "rank_formula": rank.total_rank,
         "per_arrow": dict(sorted(rank.per_arrow.items())),
@@ -160,7 +167,7 @@ def cmd_basis(args) -> int:
         "polarization: " + " ".join(f"{a}:{s}" for a, s in sorted(eps.signs.items())),
         f"canonical basis ({len(basis)} elements):",
     ]
-    lines += [f"  {b.label} = {b.path.label()}" for b in basis.elements]
+    lines += [f"  {label} = {path}" for label, path in shown]
     lines.append(f"rank formula sum m(v_a) n(a) = {rank.total_rank}")
     _emit(args, payload, "\n".join(lines))
     return 0

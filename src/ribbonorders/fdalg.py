@@ -16,10 +16,12 @@ path, the kept top cycle with sign -1 (twisted) or +1 (plain) for the
 negative top cycle, or zero beyond the top length m(a) n(a).
 ``FdAlgebra.residue`` is this one rule.  The builder lists the nonzero
 products by it in O(dim + nonzero products) as index arithmetic, without
-composing paths: e(v) sits at v's position, a:1, a:2, ... at consecutive
-indices from first[a], and the successor sigma^l(a) is a lookup in the
-quiver's orbit data.  The algebra keeps that layout (first, kept,
-top_index) and every check reads it; the basis labels are for display.
+composing paths, on the one layout of :func:`order.basis_layout`: e(v)
+sits at v's position, a:1, a:2, ... at consecutive indices from
+first[a], and the successor sigma^l(a) is a lookup in the quiver's orbit
+data.  ``FdAlgebra`` is that layout (first, kept, top_index) with its
+products, and every check reads it; the canonical basis of the order is
+the same layout at m = 1, and the basis labels are for display.
 
 An algebra stores its multiplication once, as the list of its nonzero
 products (i, j, k, s), meaning b_i b_j = s b_k, in row-major order.
@@ -39,9 +41,9 @@ cycle) in closed form, as an involution of the basis.
 ``plain_quotient`` derives the Brauer graph algebra as an algebra of its
 own, for callers that read it; no decision does.  ``table[i][j]`` (the
 same product as a one-entry dict, every zero cell the one shared
-read-only ``ZERO_CELL``), ``index`` (label -> index) and ``paths`` (a
-``Path`` per basis label) are views derived from the products and the
-basis on first read; no decision reads them.  The associativity check,
+read-only ``ZERO_CELL``), and the layout's ``index`` (label -> index)
+and ``paths`` (a ``Path`` per basis label) are views derived on first
+read; no decision reads them.  The associativity check,
 the commutator rows, the socle, the involution and twist checks and the
 scaling-map verification all run over the nonzero products, not over
 every dim^2 or dim^3 basis tuple.  ``bilinear_matrix``, the dense
@@ -86,9 +88,9 @@ from .polarize import (
     find_sigma_stable,
     quotient_polarization,
 )
-from .quiver import GentleQuiver, Path
+from .quiver import GentleQuiver
 from .ribbon import BipartiteCertificate
-from .order import normalize_multiplicity
+from .order import BasisLayout, basis_layout, normalize_multiplicity
 
 Sparse = Dict[int, object]
 Product = Tuple[int, int, int, int]  # (i, j, k, s): b_i * b_j = s * b_k, s = 1 or -1
@@ -102,47 +104,29 @@ ZERO_CELL: Mapping[int, object] = MappingProxyType({})
 
 
 @dataclass
-class FdAlgebra:
-    """A structure-constant presentation of a monomial quotient algebra.
-
-    The basis layout is the builder's: e(v) at index pos(v) (the vertex's
-    position in ``quiver.vertices``), then per arrow a, in sorted order,
-    a:1, ..., a:kept[a] at consecutive indices from first[a]; the top
-    cycle kept at vertex v is at top_index[v].  Every check reads these
-    maps.  basis[i] is the display label of index i ("e(v)", or "a:l" for
-    the length-l path starting with arrow a).  products lists the nonzero
-    products as (i, j, k, s), meaning basis_i * basis_j = s * basis_k, in
-    row-major (i, j) order: the one stored multiplication.  Each sign s
-    is the native int 1 or -1; scalar[s] is s as a field element (and
-    scalar[0] is zero), built once per algebra.  top_lengths[a] = m(a)
-    n(a) is the length of the top cycle starting with arrow a.
-    index, table and paths are derived from the basis and products on
+class FdAlgebra(BasisLayout):
+    """A structure-constant presentation of a monomial quotient algebra,
+    on the basis layout of :func:`order.basis_layout` (see
+    :class:`order.BasisLayout`), which every check reads.  products lists
+    the nonzero products as (i, j, k, s), meaning basis_i * basis_j =
+    s * basis_k, in row-major (i, j) order: the one stored
+    multiplication.  Each sign s is the native int 1 or -1; scalar[s] is
+    s as a field element (and scalar[0] is zero), built once per
+    algebra.  The table view, like the layout's views, is derived on
     first read and then kept; an edit of products after that read does
-    not reach them.
+    not reach it.
     """
 
-    quiver: GentleQuiver
     field: Field
-    eps: Polarization
     multiplicity: Dict[str, int]
     twisted: bool
-    basis: Tuple[str, ...]
-    first: Dict[str, int]  # arrow -> index of a:1
-    kept: Dict[str, int]  # arrow -> number of paths a:l in the basis
-    top_index: Dict[str, int]  # vertex -> index of its kept (positive) top cycle
     non_admissible: Tuple[str, ...]
     products: List[Product]
-    top_lengths: Dict[str, int]
     scalar: Tuple[object, object, object] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         f = self.field
         self.scalar = (f.zero, f.one, f.neg(f.one))
-
-    @cached_property
-    def index(self) -> Dict[str, int]:
-        """{label: index}, built on first read."""
-        return {lab: i for i, lab in enumerate(self.basis)}
 
     @cached_property
     def table(self) -> List[List[Mapping[int, object]]]:
@@ -158,20 +142,6 @@ class FdAlgebra:
                 cell = table[i][j] = {}
             cell[k] = value[s]
         return table
-
-    @cached_property
-    def paths(self) -> Dict[str, Path]:
-        """The parent-order path of each basis label, built on first read."""
-        q = self.quiver
-        paths: Dict[str, Path] = {lab: q.idempotent(v) for lab, v in zip(self.basis, q.vertices)}
-        for a, base in self.first.items():
-            for length in range(1, self.kept[a] + 1):
-                paths[self.basis[base + length - 1]] = q.path_from(a, length)
-        return paths
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
 
     def arrow_residue(self, a: str) -> Sparse:
         i, c = self.residue(a, 1)  # a top cycle has length >= 1
@@ -232,30 +202,12 @@ def build_quotient_algebra(
     else:
         check_polarization(q, eps)
 
-    labels: List[str] = [f"e({v})" for v in q.vertices]
-    top: Dict[str, int] = {}
-    first: Dict[str, int] = {}  # a:1, a:2, ... sit at consecutive indices from first[a]
-    kept: Dict[str, int] = {}  # the number of them: the negative top cycle is rewritten
-    non_admissible: List[str] = []
-    for a in sorted(q.arrow_names):
-        top[a] = mm[q.orbit_rep(a)] * q.cycle_length(a)
-        if top[a] == 1:
-            non_admissible.append(a)
-        first[a] = len(labels)
-        kept[a] = top[a] - 1 if eps.sign(a) == MINUS else top[a]
-        labels.extend(f"{a}:{length}" for length in range(1, kept[a] + 1))
-
-    if len(labels) != sum(top.values()):
-        raise AssertionError("quotient basis size disagrees with the rank formula")
-
-    top_index: Dict[str, int] = {}
-    for v in q.vertices:
-        a = eps.positive_arrow_at(q, v)
-        top_index[v] = first[a] + top[a] - 1
+    layout = basis_layout(q, eps, mm)
+    first, kept, top, top_index = layout.first, layout.kept, layout.top_lengths, layout.top_index
 
     sign = -1 if twisted and field.char != 2 else 1
     # columns in index order, so rows[i] collects (j, k, s) in increasing j
-    rows: List[List[Tuple[int, int, int]]] = [[] for _ in labels]
+    rows: List[List[Tuple[int, int, int]]] = [[] for _ in layout.basis]
     for j, v in enumerate(q.vertices):
         rows[j].append((j, j, 1))
         for a in q.arrows_out(v):
@@ -275,18 +227,12 @@ def build_quotient_algebra(
 
     products: List[Product] = [(i, j, k, s) for i, row in enumerate(rows) for j, k, s in row]
     return FdAlgebra(
-        quiver=q,
+        **vars(layout),
         field=field,
-        eps=eps,
         multiplicity=mm,
         twisted=twisted,
-        basis=tuple(labels),
-        first=first,
-        kept=kept,
-        top_index=top_index,
-        non_admissible=tuple(non_admissible),
+        non_admissible=tuple(a for a, n in top.items() if n == 1),
         products=products,
-        top_lengths=top,
     )
 
 
@@ -390,17 +336,17 @@ class NakayamaBarReport:
 
 def nakayama_involution_bar(alg: FdAlgebra, inv: Involution) -> NakayamaBarReport:
     """The involution descends to the quotient: each basis path is scaled
-    by its path sign, the product of the arrow signs along it, which
-    :func:`psi_matrix_diagonal` walks with one multiplication per basis
-    path.  Verified to respect the full multiplication table (this is
-    exactly well-definedness across the rewriting relations); zero
-    products hold trivially, so only the nonzero ones are checked.  A
-    product b_i b_j = s b_k with s = +-1 is kept iff
-    nu(b_i) nu(b_j) = s nu(b_k), and s, a unit, cancels from both sides:
-    the check compares path signs only."""
+    by its path sign, the product of the arrow signs along it
+    (:meth:`order.BasisLayout.path_products`).  Verified to respect the
+    full multiplication table (this is exactly well-definedness across
+    the rewriting relations); zero products hold trivially, so only the
+    nonzero ones are checked.  A product b_i b_j = s b_k with s = +-1 is
+    kept iff nu(b_i) nu(b_j) = s nu(b_k), and s, a unit, cancels from
+    both sides: the check compares path signs only.  ``signs`` holds
+    them as field elements."""
     f = alg.field
-    sign_by_index = psi_matrix_diagonal(alg, inv.signs)
-    signs = dict(zip(alg.basis, sign_by_index))
+    sign_by_index = alg.path_products(f, inv.signs)
+    signs = dict(zip(alg.basis, map(f.from_int, sign_by_index)))
     bad: List[str] = []
     for i, j, k, _ in alg.products:
         if sign_by_index[k] != f.mul(sign_by_index[i], sign_by_index[j]):
@@ -886,22 +832,6 @@ def _not_bipartite(cert: BipartiteCertificate) -> PsiResult:
     )
 
 
-def psi_matrix_diagonal(alg: FdAlgebra, scales: Mapping[str, object]) -> List:
-    """The diagonal of the scaling map on the path basis: the product of
-    the arrow scalings along each basis path.  a:1, a:2, ... sit at
-    consecutive indices, so each is the previous one times the scaling
-    of the next arrow along sigma."""
-    f = alg.field
-    q = alg.quiver
-    diag = [f.one] * alg.dim
-    for a, base in alg.first.items():
-        acc = f.one
-        for length in range(alg.kept[a]):
-            acc = f.mul(acc, scales[q.sigma_power(a, length)])
-            diag[base + length] = acc
-    return diag
-
-
 def _verify_scaling_map(tw: FdAlgebra, scales: Mapping[str, object]) -> bool:
     """psi(b) = d(b) b, with d(b) the product of the scalings along b,
     is an isomorphism from the twisted quotient onto the plain one.
@@ -910,10 +840,13 @@ def _verify_scaling_map(tw: FdAlgebra, scales: Mapping[str, object]) -> bool:
     multiplicative iff s d(b_k) = d(b_i) d(b_j) for every twisted product
     b_i b_j = s b_k, s = +-1; with no d zero, both sides of every other
     product vanish, and psi is bijective.  Every product is checked; a
-    sign other than 1 and -1 raises AssertionError.
+    sign other than 1 and -1 raises AssertionError.  d comes from
+    :meth:`order.BasisLayout.path_products`, which lifts the scales to
+    native ints where integral: over Q every scale is +-1, and no
+    ``Fraction`` is multiplied.
     """
     f = tw.field
-    diag = psi_matrix_diagonal(tw, scales)
+    diag = tw.path_products(f, scales)
     if not all(diag):
         return False
     for i, j, k, s in tw.products:

@@ -22,11 +22,17 @@ idempotent at the junction, or b_i's first arrow is sigma^{L_j}(a_j); it
 is then the other factor, respectively the path (start_j, a_j, L_j + L_i).
 The order has no truncation, so no product of paths is ever cut off.
 
-``canonical_basis`` builds these triples once per basis, and no Path
-object, in the index layout every check reads: e_v at v's position in
-the vertex list, x_v at |Q_0| plus that position, and a_1, ..., a_{n-1}
-at consecutive indices.  It keeps the sigma-rule lists and the
-coordinate rule's per-arrow data with them; the labels are for display.
+One layout serves the order and every quotient: :func:`basis_layout`
+puts e_v at v's position in the vertex list, then per arrow a, in sorted
+order, a_1, ..., a_kept(a) at consecutive indices from first[a], the top
+cycle of the positive arrow at v (kept) at top_index[v].  Lambda/z Lambda
+is the twisted quotient at multiplicity one, and Lambda is free over
+k[[z]], so the canonical basis is that quotient's basis lifted:
+``canonical_basis`` is the layout at m = 1, with x_v the display label
+at top_index[v], the end of its positive arrow's run.  The layout gives
+each basis path as (start, first arrow, length), with no Path object, in
+its ``walks`` view; these and the sigma-rule lists are built on first
+read, so a decision builds none, and the labels are for display.
 
 * ``check_nu_symmetry`` evaluates phi(b_i b_j) and nu(b_j) phi(b_j b_i)
   on F u F^T, where F is the set of pairs (i, j) with b_i b_j a
@@ -70,14 +76,14 @@ def normalize_multiplicity(q: GentleQuiver, m: Union[int, Mapping[str, int], Non
 
     Accepts None (all ones), a single positive integer (constant map), or
     a mapping keyed by any arrow of each orbit; the map must end up total
-    on the orbit set.
+    on the orbit set.  A multiplicity must be an ``int`` (not a ``bool``):
+    any other value raises QuiverError, naming its key.
     """
     reps = [rep for rep, _ in q.sigma_orbits()]
     if m is None:
         return {rep: 1 for rep in reps}
-    if isinstance(m, int):
-        if m < 1:
-            raise QuiverError("multiplicity must be positive")
+    if not hasattr(m, "items"):  # one value for every orbit
+        m = _multiplicity_value(m, None)
         return {rep: m for rep in reps}
     out = {rep: 1 for rep in reps}
     seen = set()
@@ -85,14 +91,22 @@ def normalize_multiplicity(q: GentleQuiver, m: Union[int, Mapping[str, int], Non
     for key, value in m.items():
         if key not in names:
             raise QuiverError(f"multiplicity key {key!r} is not an arrow")
-        if int(value) < 1:
-            raise QuiverError("multiplicity must be positive")
         rep = q.orbit_rep(key)
         if rep in seen:
             raise QuiverError(f"multiplicity given twice for orbit of {rep!r}")
         seen.add(rep)
-        out[rep] = int(value)
+        out[rep] = _multiplicity_value(value, key)
     return out
+
+
+def _multiplicity_value(value, key: Optional[str]) -> int:
+    """value itself if it is a positive int and not a bool, else QuiverError."""
+    where = "multiplicity" if key is None else f"multiplicity of {key!r}"
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise QuiverError(f"{where} must be an int, not {value!r}")
+    if value < 1:
+        raise QuiverError(f"{where} must be positive")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -224,79 +238,165 @@ def _generator_elements(q: GentleQuiver, field: Field) -> List[OrderElement]:
 # canonical basis and coordinates
 
 
-@dataclass(frozen=True)
-class BasisElement:
-    kind: str  # "e", "x" or "a"
-    label: str
-    path: Path
+Walk = Tuple[str, Optional[str], int]  # (start, first arrow or None, length)
 
 
-@dataclass(frozen=True)
-class CanonicalBasis:
-    """The basis B of the order as a free k[[t]]-module (multiplicity one),
-    in the layout :func:`canonical_basis` builds and every check reads.
+@dataclass
+class BasisLayout:
+    """The basis of the order or of one of its quotients, laid out by
+    :func:`basis_layout`.
 
     e(v) sits at index pos(v) (the vertex's position in
-    ``quiver.vertices``), x(v) at |Q_0| + pos(v), then per arrow a with
-    n(a) > 1, in sorted order, a:1, ..., a:n(a)-1 at consecutive
-    indices.  ``paths[r]`` is b_r as (start, first arrow, length), the
-    first arrow None for e_v.  The sigma-rule reads ``by_end[v]``, the
-    r with b_r ending at v, and ``by_next[a]``, the r whose last arrow
-    is followed by a under sigma; the coordinate rule reads ``rule[a]``:
-    n(a), whether a is positive, the indices of e_i and x_i at the
-    source i of a, and the index of a:1 (None when n(a) = 1).  The
-    labels are for display; ``index`` and ``elements`` (with a ``Path``
-    per element) are views built on first read, and no check reads them.
+    ``quiver.vertices``), then per arrow a, in sorted order, a:1, ...,
+    a:kept[a] at consecutive indices from first[a].  top_lengths[a] is
+    the length m(a) n(a) of the top cycle starting with a; a positive
+    arrow keeps it (kept[a] = top_lengths[a]), at top_index[v] for its
+    source v, and a negative arrow's is rewritten (kept[a] one less).
+    basis[r] is the display label of b_r.  ``walks`` (b_r as (start,
+    first arrow, length)) is a view built on first read, which the order
+    checks read and no decision does; ``index`` (label -> index) and
+    ``paths`` (label -> ``Path``) are views that no check reads.
     """
 
     quiver: GentleQuiver
     eps: Polarization
-    names: Tuple[str, ...]  # the display label of each index
-    paths: Tuple[Tuple[str, Optional[str], int], ...]
-    by_end: Dict[str, List[int]]
-    by_next: Dict[str, List[int]]
-    rule: Dict[str, Tuple[int, bool, int, int, Optional[int]]]
+    basis: Tuple[str, ...]
+    first: Dict[str, int]  # arrow -> index of a:1
+    kept: Dict[str, int]  # arrow -> number of paths a:l in the basis
+    top_index: Dict[str, int]  # vertex -> index of its kept (positive) top cycle
+    top_lengths: Dict[str, int]
 
-    def __len__(self) -> int:
-        return len(self.paths)
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
 
-    def labels(self) -> List[str]:
-        return list(self.names)
+    @cached_property
+    def walks(self) -> Tuple[Walk, ...]:
+        """walks[r] is b_r as (start, first arrow, length), the first arrow
+        None for e(v), built on first read."""
+        q = self.quiver
+        walks: List[Walk] = [(v, None, 0) for v in q.vertices]
+        for a in self.first:  # in index order
+            s = q.source(a)
+            walks.extend((s, a, length) for length in range(1, self.kept[a] + 1))
+        return tuple(walks)
 
     @cached_property
     def index(self) -> Dict[str, int]:
         """{label: index}, built on first read."""
-        return {lab: r for r, lab in enumerate(self.names)}
+        return {lab: r for r, lab in enumerate(self.basis)}
 
     @cached_property
-    def elements(self) -> Tuple[BasisElement, ...]:
-        """Each basis element with its kind and path, built on first read."""
-        q, nv = self.quiver, len(self.quiver.vertices)
-        kinds = ["e"] * nv + ["x"] * nv + ["a"] * (len(self) - 2 * nv)
-        paths = (q.idempotent(s) if a is None else q.path_from(a, m) for s, a, m in self.paths)
-        return tuple(map(BasisElement, kinds, self.names, paths))
+    def paths(self) -> Dict[str, Path]:
+        """The parent-order path of each basis label, built on first read."""
+        q = self.quiver
+        paths = (q.idempotent(s) if a is None else q.path_from(a, n) for s, a, n in self.walks)
+        return dict(zip(self.basis, paths))
 
-    def element(self, label: str) -> BasisElement:
-        return self.elements[self.index[label]]
+    def path_products(self, field: Field, values: Mapping[str, object]) -> list:
+        """The product of values[b] over the arrows b of each basis path,
+        1 at e(v), one ``field.mul`` per path: a:1, a:2, ... sit at
+        consecutive indices, so each is the previous one times the value
+        of the next arrow along sigma.  The values are lifted by
+        :func:`_integral` first, so +-1 over Q multiplies as native ints;
+        an entry equals its field value, and ``field.from_int`` gives it."""
+        lift = {a: _integral(c) for a, c in values.items()}
+        mul, one, sigma = field.mul, _integral(field.one), self.quiver.sigma
+        out = [one] * self.dim
+        for a, base in self.first.items():
+            acc, b = one, a
+            for r in range(base, base + self.kept[a]):
+                acc = out[r] = mul(acc, lift[b])
+                b = sigma[b]
+        return out
+
+
+def basis_layout(q: GentleQuiver, eps: Polarization, mm: Mapping[str, int]) -> BasisLayout:
+    """The one basis layout of the quotients for the polarization eps and
+    the multiplicity map mm ({orbit representative: m}), in O(dim): the
+    indices of :class:`BasisLayout` and the labels "e(v)" and "a:l".
+    Raises AssertionError when the size disagrees with the rank formula
+    sum m(v_a) n(a)."""
+    labels: List[str] = [f"e({v})" for v in q.vertices]
+    top, first, kept = {}, {}, {}  # per arrow: see BasisLayout
+    for a in sorted(q.arrow_names):
+        top[a] = mm[q.orbit_rep(a)] * q.cycle_length(a)
+        first[a] = len(labels)
+        kept[a] = top[a] if eps.sign(a) == PLUS else top[a] - 1
+        labels.extend(f"{a}:{length}" for length in range(1, kept[a] + 1))
+    if len(labels) != sum(top.values()):
+        raise AssertionError("quotient basis size disagrees with the rank formula")
+    top_index = {}
+    for v in q.vertices:
+        a = eps.positive_arrow_at(q, v)
+        top_index[v] = first[a] + top[a] - 1
+    return BasisLayout(q, eps, tuple(labels), first, kept, top_index, top)
+
+
+@dataclass
+class CanonicalBasis(BasisLayout):
+    """The basis B of the order as a free k[[t]]-module (multiplicity one):
+    the layout of the twisted quotient at m = 1, whose kept top cycle at
+    v is x(v).  The order checks read it through the sigma-rule lists
+    ``by_end[v]``, the r with b_r ending at v, and ``by_next[a]``, the r
+    whose last arrow is followed by a under sigma, both built on first
+    read, and through the coordinate rule :meth:`terms`.
+    """
+
+    def __len__(self) -> int:
+        return len(self.basis)
+
+    def labels(self) -> List[str]:
+        return list(self.basis)
+
+    @cached_property
+    def by_end(self) -> Dict[str, List[int]]:
+        q = self.quiver
+        by_end = {v: [r] for r, v in enumerate(q.vertices)}
+        for r, nxt in self._successors():
+            by_end[q.source(nxt)].append(r)  # b_r ends where nxt starts
+        return by_end
+
+    @cached_property
+    def by_next(self) -> Dict[str, List[int]]:
+        by_next: Dict[str, List[int]] = {}
+        for r, nxt in self._successors():
+            by_next.setdefault(nxt, []).append(r)
+        return by_next
+
+    def _successors(self):
+        """(r, sigma of b_r's last arrow) for every b_r but e(v), in order."""
+        sigma = self.quiver.sigma
+        for a, base in self.first.items():
+            nxt = a
+            for r in range(base, base + self.kept[a]):
+                nxt = sigma[nxt]
+                yield r, nxt
 
     def left_multiples(self, start: str, a: Optional[str], length: int):
         """[(r, p b_r)] over the basis paths b_r with p b_r != 0, where p is
         the path (start, a, length): b_r ends at start when p = e_start,
         and otherwise b_r = e_start or sigma of b_r's last arrow is a."""
         if a is None:
-            return [(r, self.paths[r]) for r in self.by_end[start]]
-        out = [(self.rule[a][2], (start, a, length))]
+            return [(r, self.walks[r]) for r in self.by_end[start]]
+        out = [(self.quiver.position(start), (start, a, length))]
         for r in self.by_next.get(a, ()):
-            s, first, n = self.paths[r]
+            s, first, n = self.walks[r]
             out.append((r, (s, first, n + length)))
         return out
 
     def terms(self, start: str, a: Optional[str], length: int):
         """B-coordinates of the path (start, a, length) as (index, degree,
-        coefficient) terms, by the rule of :func:`path_coordinates`."""
+        coefficient) terms; the coefficients are the integers 1 and -1,
+        images of Z in every field.  With r, l = divmod(length - 1, n(a)),
+        the path is t^r a:(l + 1), a basis path unless a is negative and
+        l + 1 = n(a): then it is c_a^(r+1) = t^(r+1) e_i - t^r x_i."""
         if a is None:
             return ((self.quiver.position(start), 0, 1),)
-        return _coordinate_terms(length, *self.rule[a])
+        r, m = divmod(length - 1, self.top_lengths[a])
+        if m < self.kept[a]:
+            return ((self.first[a] + m, r, 1),)
+        return ((self.quiver.position(start), r + 1, 1), (self.top_index[start], r, -1))
 
 
 def canonical_basis(q: GentleQuiver, eps: Polarization) -> CanonicalBasis:
@@ -304,57 +404,22 @@ def canonical_basis(q: GentleQuiver, eps: Polarization) -> CanonicalBasis:
 
     Defined for multiplicity one only; quotients handle general
     multiplicities.  x_i is the full cycle of the positive arrow at i.
-    The layout, labels and sigma-rule lists are built here, in O(|B|).
+    :func:`basis_layout` at m = 1, in O(|B|), with x(v) as the label at
+    top_index[v].
     """
     check_polarization(q, eps)
-    nv = len(q.vertices)
-    names = [f"e({v})" for v in q.vertices] + [f"x({v})" for v in q.vertices]
-    paths: List[Tuple[str, Optional[str], int]] = [(v, None, 0) for v in q.vertices]
-    for v in q.vertices:
-        a = eps.positive_arrow_at(q, v)
-        paths.append((v, a, q.cycle_length(a)))
-    rule = {}
-    for a in sorted(q.arrow_names):
-        n, i = q.cycle_length(a), q.position(q.source(a))
-        rule[a] = (n, eps.sign(a) == PLUS, i, nv + i, len(paths) if n > 1 else None)
-        names.extend(f"{a}:{m}" for m in range(1, n))
-        paths.extend((q.source(a), a, m) for m in range(1, n))
-    by_end: Dict[str, List[int]] = {v: [] for v in q.vertices}
-    by_next: Dict[str, List[int]] = {}
-    for r, (start, a, length) in enumerate(paths):
-        if a is None:
-            by_end[start].append(r)
-        else:
-            nxt = q.sigma_power(a, length)  # b_r ends where nxt starts
-            by_end[q.source(nxt)].append(r)
-            by_next.setdefault(nxt, []).append(r)
-    return CanonicalBasis(q, eps, tuple(names), tuple(paths), by_end, by_next, rule)
+    layout = basis_layout(q, eps, normalize_multiplicity(q, None))
+    labels = list(layout.basis)
+    for v, r in layout.top_index.items():
+        labels[r] = f"x({v})"
+    return CanonicalBasis(**{**vars(layout), "basis": tuple(labels)})
 
 
 def path_coordinates(basis: CanonicalBasis, ring: PolyRing, p: Path) -> Dict[str, tuple]:
     """Exact B-coordinates of a nonzero path, coefficients in k[t]."""
-    q = basis.quiver
-    if p.is_idempotent:
-        return {f"e({p.start})": ring.one}
-    a, length = q.first_arrow_form(p)
+    terms = basis.terms(p.start, p.arrows[0] if p.arrows else None, p.length)
     from_int = ring.field.from_int
-    return {
-        basis.names[k]: ring.t_power(d, from_int(c))
-        for k, d, c in _coordinate_terms(length, *basis.rule[a])
-    }
-
-
-def _coordinate_terms(length: int, n: int, positive: bool, e: int, x: int, base: Optional[int]):
-    """B-coordinates of the path a_length as (index, degree, coefficient)
-    terms, for the rule data of a (``CanonicalBasis.rule[a]``).  x_i's
-    positive arrow is a exactly when a is positive.  The coefficients
-    are the integers 1 and -1, images of Z in every field."""
-    r, m0 = divmod(length, n)
-    if m0 != 0:
-        return ((base + m0 - 1, r, 1),)
-    if positive:
-        return ((x, r - 1, 1),)
-    return ((e, r, 1), (x, r - 1, -1))
+    return {basis.basis[k]: ring.t_power(d, from_int(c)) for k, d, c in terms}
 
 
 def to_canonical_coordinates(
@@ -385,28 +450,14 @@ def frobenius_eval(basis: CanonicalBasis, ring: PolyRing, x: OrderElement) -> tu
 
 
 def _nu_signs(basis: CanonicalBasis, inv: Involution) -> list:
-    """The involution's sign on each basis path, lifted by :func:`_integral`.
-    Arrow signs are 1 or -1 (AssertionError otherwise), so a:m's is the
-    parity of the -1 signs of sigma^j(a), j < m, walked along each orbit
-    with no field multiply; x_i's is that of its positive arrow's a:n(a)."""
-    q, f = basis.quiver, inv.field
-    one, minus = f.one, f.neg(f.one)
+    """The involution's sign on each basis path, lifted by :func:`_integral`:
+    :meth:`BasisLayout.path_products` of the arrow signs, which must be
+    1 or -1 (AssertionError otherwise)."""
+    f = inv.field
     for a, s in inv.signs.items():
-        if s not in (one, minus):
+        if s != f.one and s != f.neg(f.one):
             raise AssertionError(f"involution sign of {a} is {s!r}, not 1 or -1")
-    odd = {a: s != one for a, s in inv.signs.items()}  # over GF(2), -1 = 1 is even
-    lift = (_integral(one), _integral(minus))
-    sign = [lift[0]] * len(basis)
-    for a, (n, positive, _, x, base) in basis.rule.items():
-        acc, b = False, a
-        for m in range(1, n + 1):
-            acc ^= odd[b]
-            b = q.sigma[b]
-            if m < n:
-                sign[base + m - 1] = lift[acc]
-            elif positive:
-                sign[x] = lift[acc]
-    return sign
+    return basis.path_products(f, inv.signs)
 
 
 def _integral(c):
@@ -469,25 +520,28 @@ def check_nu_symmetry(q: GentleQuiver, eps: Polarization, field: Field) -> NuSym
     """
     basis = canonical_basis(q, eps)
     nu_sign = _nu_signs(basis, involution_of(q, eps, field))
-    nv = len(q.vertices)  # x(v) sits at index |Q_0| + pos(v)
     # F with its products: e(v) x(v) = x(v) e(v) = x(v), and b_i b_j for
-    # b_j ending before arrow a and b_i = a:L_i, L_i = -L_j mod n(a) (or
-    # b_i = x(source of a) when L_j = 0 mod n(a) and a is positive); phi
-    # of each as {degree: coefficient} is the product's x-term
-    full = [(v, nv + v, basis.paths[nv + v]) for v in range(nv)]
-    full += [(nv + v, v, basis.paths[nv + v]) for v in range(nv)]
+    # b_j ending before arrow a and b_i = a:L_i, L_i = -L_j mod n(a), up to
+    # n(a) when a is positive (its full cycle is x(source of a)); phi of
+    # each as {degree: coefficient} is the product's x-term
+    walks, tops = basis.walks, bytearray(len(basis))
+    full = []
+    for v, x in enumerate(basis.top_index.values()):  # in vertex order
+        tops[x] = 1
+        full += [(v, x, walks[x]), (x, v, walks[x])]
     for a, js in basis.by_next.items():
-        n, positive, _, x, base = basis.rule[a]
+        n, base = basis.top_lengths[a], basis.first[a]
+        positive = basis.kept[a] == n
         for j in js:
-            s, b, m = basis.paths[j]
+            s, b, m = walks[j]
             r = m % n
             if r or positive:
-                full.append((base + n - r - 1 if r else x, j, (s, b, m + n - r)))
-    phi = {(i, j): {d: c for k, d, c in basis.terms(*prod) if nv <= k < 2 * nv} for i, j, prod in full}
+                full.append((base + n - r - 1, j, (s, b, m + n - r)))
+    phi = {(i, j): {d: c for k, d, c in basis.terms(*prod) if tops[k]} for i, j, prod in full}
     pairs = set(phi)
     pairs.update((j, i) for i, j in phi)
 
-    labels = basis.names
+    labels = basis.basis
     counterexamples = []
     nonzero = []
     none: Dict[int, int] = {}
@@ -537,26 +591,30 @@ class ThetaPsiReport:
 def _theta_psi_columns(basis: CanonicalBasis, ring: PolyRing):
     """theta and psi as sparse columns {row: entry}, at most two each.
 
-    Column a:m has its entry at sigma^m(a):n-m, which closes a:m to the
-    full cycle c_a; rule[a][1] says whether a is positive."""
+    Column a:m (not a top cycle) has its entry at b:(n - m), b =
+    sigma^m(a), which closes a:m to the full cycle c_a; the sign is
+    eps_a in theta and eps_b in psi, an arrow being positive when its
+    top cycle is kept."""
     f = ring.field
     one, t, minus_t = ring.one, ring.t_power(1), ring.t_power(1, f.neg(f.one))
     minus = ring.constant(f.neg(f.one))
-    nv = len(basis.quiver.vertices)
+    q, first, kept, top = basis.quiver, basis.first, basis.kept, basis.top_lengths
     theta: List[Dict[int, tuple]] = []
     psi: List[Dict[int, tuple]] = []
-    for col, (_, a, m) in enumerate(basis.paths):
-        if col < nv:  # e(v), with x(v) at nv + col
-            theta.append({nv + col: one})
-            psi.append({nv + col: one, col: minus_t})
-        elif col < 2 * nv:  # x(v), with e(v) at col - nv
-            theta.append({col - nv: one, col: t})
-            psi.append({col - nv: one})
+    for col, (s, a, m) in enumerate(basis.walks):
+        x = basis.top_index[s]
+        if a is None:  # e(s)
+            theta.append({x: one})
+            psi.append({x: one, col: minus_t})
+        elif col == x:  # x(s), with e(s) at pos(s)
+            e = q.position(s)
+            theta.append({e: one, col: t})
+            psi.append({e: one})
         else:
-            n, nxt_positive, _, _, base = basis.rule[basis.quiver.sigma_power(a, m)]
-            d = base + n - m - 1
-            theta.append({d: one if basis.rule[a][1] else minus})
-            psi.append({d: one if nxt_positive else minus})
+            b = q.sigma_power(a, m)
+            d = first[b] + top[b] - m - 1
+            theta.append({d: one if kept[a] == top[a] else minus})
+            psi.append({d: one if kept[b] == top[b] else minus})
     return theta, psi
 
 
@@ -651,14 +709,14 @@ def _bimodule_counterexamples(
 
     # every nonzero product g b_r, listed once under each coordinate s
     # (a row of theta) as (g, r, degree, coefficient)
-    by_coord: List[List[Tuple[int, int, int, int]]] = [[] for _ in basis.paths]
+    by_coord: List[List[Tuple[int, int, int, int]]] = [[] for _ in basis.walks]
     for g, path in enumerate(gpaths):
         for r, prod in basis.left_multiples(*path):
             for s, d, c in basis.terms(*prod):
                 by_coord[s].append((g, r, d, c))
 
     bad: List[str] = []
-    for u, (su, au, lu) in enumerate(basis.paths):
+    for u, (su, au, lu) in enumerate(basis.walks):
         # theta(u nu(g)) - theta(u) g per generator g, keyed (row, degree)
         diff: Dict[int, Dict[Tuple[int, int], object]] = {}
         left = [(q.position(su), basis.terms(su, au, lu), 1)]
@@ -679,7 +737,7 @@ def _bimodule_counterexamples(
         for g in sorted(diff):
             if _nonzero(inv.field, diff[g]):
                 bad.append(
-                    f"theta(u * nu(g)) != theta(u).g for u={basis.names[u]}, g={gnames[g]}"
+                    f"theta(u * nu(g)) != theta(u).g for u={basis.basis[u]}, g={gnames[g]}"
                 )
     return bad
 
@@ -711,7 +769,7 @@ def cartan_matrix(q: GentleQuiver, eps: Optional[Polarization] = None) -> List[L
     mat = [[0] * n for _ in range(n)]
     for v, rows in basis.by_end.items():
         for r in rows:
-            mat[q.position(v)][q.position(basis.paths[r][0])] += 1
+            mat[q.position(v)][q.position(basis.walks[r][0])] += 1
     return mat
 
 

@@ -141,7 +141,7 @@ def expand_coordinates(
     f = ring.field
     acc = zero_element(q, f)
     for label, poly in coords.items():
-        base = path_element(q, f, basis.element(label).path)
+        base = path_element(q, f, basis.paths[label])
         for r, c in enumerate(poly):
             if f.is_zero(c):
                 continue

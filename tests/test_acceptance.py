@@ -47,7 +47,7 @@ def _ok(n, text):
 def test_criterion_01_basis_and_rank():
     q = corpus_quiver("loop2")
     basis = canonical_basis(q, Polarization(signs={"a": "+", "b": "-"}))
-    labels = {b.label: b.path.label() for b in basis.elements}
+    labels = {label: path.label() for label, path in basis.paths.items()}
     assert labels == {"e(1)": "e_1", "x(1)": "b*a", "a:1": "a", "b:1": "b"}
     assert len(basis) == 4 and rank_formula_check(q, 1).total_rank == 4
     for name in CORPUS_NAMES:

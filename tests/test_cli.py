@@ -215,6 +215,15 @@ def test_multiplicity_grid_takes_ascii_digits_only(capsys, value):
     assert err.startswith("error: bad --multiplicity-grid value"), err
 
 
+@pytest.mark.parametrize("command", ["decide", "quotient"])
+@pytest.mark.parametrize("spec", ["a=1,a=2", "a=2, a =2"])
+def test_repeated_multiplicity_key_is_refused(capsys, command, spec):
+    # the spec-file parser refuses the same input with the same words
+    code, out, err = run(capsys, command, "corpus:loop2", "-m", spec)
+    assert code == 2 and not out
+    assert err == "spec error: duplicate multiplicity for 'a'\n", err
+
+
 @pytest.mark.parametrize("value, m", [("3", 3), (" 2 ", 2), ("007", 7)])
 def test_ascii_multiplicities_parse_alike_everywhere(capsys, value, m):
     _, out, _ = run(capsys, "decide", "corpus:circ1", "-m", value, "--json")

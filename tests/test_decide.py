@@ -1,6 +1,8 @@
 """The six-condition decision procedure and its consistency guarantees."""
 
-from ribbonorders import batch, corpus_quiver, decide
+import pytest
+
+from ribbonorders import QuiverError, batch, corpus_quiver, decide
 from ribbonorders.decide import FALSE, TRUE, UNKNOWN, report_to_jsonable
 from ribbonorders.fields import GF2, GF3, QQ
 
@@ -116,3 +118,23 @@ def test_report_jsonable_schema():
     import json
 
     json.dumps(payload)  # must be serializable as-is
+
+
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        (True, "multiplicity must be an int, not True"),
+        (2.5, "multiplicity must be an int, not 2.5"),
+        ("3", "multiplicity must be an int, not '3'"),
+        ({"a": True}, "multiplicity of 'a' must be an int, not True"),
+        ({"a": 2.5}, "multiplicity of 'a' must be an int, not 2.5"),
+        ({"a": "3"}, "multiplicity of 'a' must be an int, not '3'"),
+        ({"a": 0}, "multiplicity of 'a' must be positive"),
+    ],
+)
+def test_multiplicity_values_must_be_ints(m, message):
+    # a bool, a float or a string is refused by name, not truncated or
+    # converted; before, True became 1, 2.5 became 2 and "3" became 3
+    with pytest.raises(QuiverError) as exc:
+        decide(corpus_quiver("loop2"), GF3, m)
+    assert str(exc.value) == message

@@ -22,7 +22,6 @@ from ribbonorders import (
 from ribbonorders.fdalg import (
     bilinear_matrix,
     check_algebra_axioms,
-    psi_matrix_diagonal,
     root_of_minus_one,
     symmetric_forms,
 )
@@ -380,7 +379,7 @@ def test_psi_diagonal_scales_paths():
     q = corpus_quiver("line2")
     res = construct_psi_isomorphism(q, QQ, 1)
     tw = twisted_quotient(q, QQ, 1)
-    diag = psi_matrix_diagonal(tw, res.scales)
+    diag = tw.path_products(tw.field, res.scales)
     idx = {lab: i for i, lab in enumerate(tw.basis)}
     assert diag[idx["a1:1"]] == Fraction(-1)  # the scaled orbit representative
     assert diag[idx["b1:1"]] == Fraction(1)
@@ -394,7 +393,7 @@ def test_psi_diagonal_scales_paths():
         "b1": Fraction(1), "b2": Fraction(1), "b3": Fraction(1), "b4": Fraction(1),
     }
     tw4 = twisted_quotient(q4, QQ, 1)
-    diag4 = psi_matrix_diagonal(tw4, res4.scales)
+    diag4 = tw4.path_products(tw4.field, res4.scales)
     idx4 = {lab: i for i, lab in enumerate(tw4.basis)}
     assert diag4[idx4["a2:2"]] == Fraction(1)  # arrows a2, b2 both unscaled
     assert diag4[idx4["a3:1"]] == Fraction(-1)

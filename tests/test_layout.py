@@ -1,13 +1,16 @@
-"""Every check reads the index layout its builder stores, never a label.
+"""Every check reads the one index layout, never a label.
 
-A quotient keeps ``first[a]`` (the index of a:1), ``kept[a]`` (how many
-paths a:l it keeps) and ``top_index[v]`` (the kept top cycle at v), with
-e(v) at index pos(v); the canonical basis keeps its paths as (start,
-first arrow, length), the sigma-rule lists ``by_end``/``by_next`` and the
-per-arrow ``rule``, with e(v) at pos(v) and x(v) at |Q_0| + pos(v).
-Labels are display-only.  Here the layouts are compared with the labels
-and ``Path`` objects, which are built apart from them, and guards make
-the label lookups refuse while the decision and check paths run.
+``order.basis_layout`` lays out the order and every quotient alike:
+e(v) at index pos(v), then per arrow a, in sorted order, a:1, ...,
+a:kept[a] at consecutive indices from ``first[a]``, the kept top cycle at
+v at ``top_index[v]``, and each basis path as (start, first arrow,
+length) in the ``walks`` view.  The canonical basis of the order is this layout at
+m = 1 (the twisted quotient's), with x(v) the label at top_index[v]; it
+adds the sigma-rule lists ``by_end``/``by_next``.  Labels are
+display-only.  Here the layouts are compared with the labels and
+``Path`` objects, which are built apart from them, the canonical basis
+with the m = 1 quotient, and guards make the label lookups refuse while
+the decision and check paths run.
 """
 
 import random
@@ -34,7 +37,13 @@ from ribbonorders import (
 )
 from ribbonorders.fdalg import check_algebra_axioms
 from ribbonorders.fields import GF2, GF3, GF5, QQ
-from ribbonorders.polarize import PLUS, default_polarization, enumerate_polarizations
+from ribbonorders.polarize import (
+    PLUS,
+    default_polarization,
+    enumerate_polarizations,
+    find_sigma_stable,
+    quotient_polarization,
+)
 
 sys.path.insert(0, str(FilePath(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402  (perfbench's seeded generator)
@@ -92,30 +101,35 @@ def assert_quotient_layout(alg: FdAlgebra):
 
 
 def assert_canonical_layout(basis):
-    q, nv = basis.quiver, len(basis.quiver.vertices)
-    assert len(basis.paths) == len(basis.elements)
-    for r, (b, (start, a, length)) in enumerate(zip(basis.elements, basis.paths)):
+    q = basis.quiver
+    paths = list(basis.paths.values())
+    assert list(basis.paths) == list(basis.basis) and len(paths) == len(basis.walks)
+    for r, (label, (start, a, length)) in enumerate(zip(basis.basis, basis.walks)):
         path = q.idempotent(start) if a is None else q.path_from(a, length)
-        assert path == b.path, (r, b.label)
-        assert basis.index[b.label] == r
+        assert path == basis.paths[label], (r, label)
+        assert basis.index[label] == r
     for v in q.vertices:
-        i = q.position(v)
-        assert basis.elements[i].label == f"e({v})"
-        assert basis.elements[nv + i].label == f"x({v})"
+        a = basis.eps.positive_arrow_at(q, v)
+        assert basis.basis[q.position(v)] == f"e({v})"
+        # x(v) closes the run of its positive arrow
+        assert basis.basis[basis.top_index[v]] == f"x({v})"
+        assert basis.top_index[v] == basis.first[a] + q.cycle_length(a) - 1
+        assert basis.paths[f"x({v})"] == q.path_from(a, q.cycle_length(a))
     for v in q.vertices:
-        assert basis.by_end[v] == [r for r, b in enumerate(basis.elements) if q.path_end(b.path) == v]
+        assert basis.by_end[v] == [r for r, p in enumerate(paths) if q.path_end(p) == v]
+    ends = [p.arrows[-1:] for p in paths]
     for a in q.arrow_names:
-        ends = [b.path.arrows[-1:] for b in basis.elements]
         assert basis.by_next.get(a, []) == [r for r, end in enumerate(ends) if end and q.sigma[end[0]] == a]
-        i = q.source(a)
-        expected = (
-            q.cycle_length(a),
-            basis.eps.sign(a) == PLUS,
-            basis.index[f"e({i})"],
-            basis.index[f"x({i})"],
-            basis.index.get(f"{a}:1"),
-        )
-        assert basis.rule[a] == expected
+        # the coordinate rule's data: n(a), the sign of a, and the runs
+        n, i = q.cycle_length(a), q.source(a)
+        positive = basis.eps.sign(a) == PLUS
+        assert basis.top_lengths[a] == n
+        assert basis.kept[a] == (n if positive else n - 1)
+        if n > 1:
+            assert basis.first[a] == basis.index[f"{a}:1"]
+        elif positive:
+            assert basis.first[a] == basis.index[f"x({i})"]
+        assert basis.top_index[i] == basis.index[f"x({i})"]
 
 
 def test_quotient_layout_matches_labels():
@@ -136,6 +150,41 @@ def test_canonical_layout_matches_paths():
     for q in quivers:
         for eps in polarizations(q, rng):
             assert_canonical_layout(canonical_basis(q, eps))
+
+
+def three_polarizations(q, rng):
+    """The default, the quotient and a random polarization of q."""
+    return [
+        default_polarization(q),
+        quotient_polarization(q, find_sigma_stable(q)),
+        gen.random_polarization(rng, q),
+    ]
+
+
+def test_canonical_basis_is_the_twisted_quotient_layout_at_m1():
+    # 225 pairs: the corpus and 60 seeded quivers, three polarizations each
+    rng = random.Random(17)
+    pairs = 0
+    for q in [corpus_quiver(name) for name in CORPUS_NAMES] + seeded_quivers(60):
+        for eps in three_polarizations(q, rng):
+            basis = canonical_basis(q, eps)
+            for field in (GF3, QQ):
+                tw = build_quotient_algebra(q, field, 1, eps)
+                assert basis.walks == tw.walks
+                assert (basis.first, basis.kept, basis.top_index, basis.top_lengths) == (
+                    tw.first,
+                    tw.kept,
+                    tw.top_index,
+                    tw.top_lengths,
+                )
+                x = {r: f"x({v})" for v, r in tw.top_index.items()}
+                assert basis.basis == tuple(x.get(r, label) for r, label in enumerate(tw.basis))
+                inv = involution_of(q, eps, field)
+                bar = nakayama_involution_bar(tw, inv)
+                nu = order._nu_signs(basis, inv)
+                assert [bar.signs[label] for label in tw.basis] == nu
+            pairs += 1
+    assert pairs == 225
 
 
 # ---------------------------------------------------------------------------

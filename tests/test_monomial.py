@@ -39,7 +39,6 @@ from ribbonorders.fdalg import (
     ZERO_CELL,
     _verify_scaling_map,
     check_algebra_axioms,
-    psi_matrix_diagonal,
 )
 from ribbonorders.fields import GF2, GF3, GF5, QQ
 from ribbonorders.polarize import Polarization, find_sigma_stable, quotient_polarization
@@ -223,7 +222,7 @@ def assert_plain_derived(q, field, m, rng):
     assert (tw.table == derived.table) == (tw.products == pl.products)
     scales = random_scales(rng, q, field)
     for alg in (tw, derived):
-        assert psi_matrix_diagonal(alg, scales) == reference_psi_diagonal(alg, scales)
+        assert alg.path_products(alg.field, scales) == reference_psi_diagonal(alg, scales)
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)

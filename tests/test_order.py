@@ -115,8 +115,8 @@ def test_central_element_commutes_on_every_corpus_quiver():
 def test_canonical_basis_examples():
     q = corpus_quiver("loop2")
     basis = canonical_basis(q, LOOP2_EPS)
-    assert basis.labels() == ["e(1)", "x(1)", "a:1", "b:1"]
-    assert basis.element("x(1)").path == q.path_from("a", 2)  # x_1 = ba
+    assert basis.labels() == ["e(1)", "a:1", "x(1)", "b:1"]  # x(1) closes a's run
+    assert basis.paths["x(1)"] == q.path_from("a", 2)  # x_1 = ba
 
     nodal = canonical_basis(corpus_quiver("nodal"), NODAL_EPS)
     assert nodal.labels() == ["e(1)", "x(1)"]
@@ -278,7 +278,7 @@ def test_theta_matrix_matches_its_defining_property():
         basis = canonical_basis(q, eps)
         ring = PolyRing(QQ)
         theta = theta_matrix(basis, ring)
-        elems = [path_element(q, QQ, b.path) for b in basis.elements]
+        elems = [path_element(q, QQ, p) for p in basis.paths.values()]
         for col, u in enumerate(elems):
             for row, r in enumerate(elems):
                 expected = frobenius_eval(basis, ring, multiply(r, u))

@@ -60,6 +60,13 @@ MAX_POLARIZATIONS = 8  # per corpus quiver: the theta/psi reference is cubic
 # dense references
 
 
+def basis_elements(basis):
+    """(kind, label, Path) per basis index, kind "e", "x" or "a" as the
+    label reads."""
+    kinds = {"e(": "e", "x(": "x"}
+    return [(kinds.get(lab[:2], "a"), lab, path) for lab, path in basis.paths.items()]
+
+
 def reference_expected_pairs(basis):
     q = basis.quiver
     pairs = []
@@ -78,7 +85,7 @@ def reference_nu_symmetry(q, eps, field):
     basis = canonical_basis(q, eps)
     ring = PolyRing(field)
     inv = order.involution_of(q, eps, field)
-    elems = [path_element(q, field, b.path) for b in basis.elements]
+    elems = [path_element(q, field, p) for p in basis.paths.values()]
     labels = basis.labels()
     counterexamples = []
     nonzero = []
@@ -112,15 +119,15 @@ def reference_theta(basis, ring):
     f = ring.field
     n = len(basis)
     mat = [[ring.zero] * n for _ in range(n)]
-    for col, b in enumerate(basis.elements):
-        if b.kind == "e":
-            mat[basis.index[f"x({b.path.start})"]][col] = ring.one
-        elif b.kind == "x":
-            v = b.path.start
+    for col, (kind, _, path) in enumerate(basis_elements(basis)):
+        if kind == "e":
+            mat[basis.index[f"x({path.start})"]][col] = ring.one
+        elif kind == "x":
+            v = path.start
             mat[basis.index[f"e({v})"]][col] = ring.one
             mat[basis.index[f"x({v})"]][col] = ring.t_power(1)
         else:
-            a, m = q.first_arrow_form(b.path)
+            a, m = q.first_arrow_form(path)
             sign = f.one if basis.eps.sign(a) == PLUS else f.neg(f.one)
             mat[basis.index[_deriv_label(q, a, m)]][col] = ring.constant(sign)
     return mat
@@ -131,15 +138,15 @@ def reference_psi(basis, ring):
     f = ring.field
     n = len(basis)
     mat = [[ring.zero] * n for _ in range(n)]
-    for col, b in enumerate(basis.elements):
-        if b.kind == "x":
-            mat[basis.index[f"e({b.path.start})"]][col] = ring.one
-        elif b.kind == "e":
-            v = b.path.start
+    for col, (kind, _, path) in enumerate(basis_elements(basis)):
+        if kind == "x":
+            mat[basis.index[f"e({path.start})"]][col] = ring.one
+        elif kind == "e":
+            v = path.start
             mat[basis.index[f"x({v})"]][col] = ring.one
             mat[basis.index[f"e({v})"]][col] = ring.t_power(1, f.neg(f.one))
         else:
-            a, m = q.first_arrow_form(b.path)
+            a, m = q.first_arrow_form(path)
             sign = f.one if basis.eps.sign(q.sigma_power(a, m)) == PLUS else f.neg(f.one)
             mat[basis.index[_deriv_label(q, a, m)]][col] = ring.constant(sign)
     return mat
@@ -183,7 +190,7 @@ def reference_theta_psi(q, eps, field, theta_of=reference_theta):
     bad = []
     gens = [(f"e({v})", idempotent_element(q, field, v)) for v in q.vertices]
     gens += [(a, arrow_element(q, field, a)) for a in sorted(q.arrow_names)]
-    basis_elems = [path_element(q, field, b.path) for b in basis.elements]
+    basis_elems = [path_element(q, field, p) for p in basis.paths.values()]
     # the coordinates of g r do not depend on u: computed once per (g, r)
     g_times_r = {
         gname: [to_canonical_coordinates(basis, ring, multiply(g, r)) for r in basis_elems]
@@ -206,7 +213,7 @@ def reference_theta_psi(q, eps, field, theta_of=reference_theta):
                     acc = ring.add(acc, ring.mul(poly, theta_u[basis.index[label]]))
                 rhs.append(acc)
             if lhs != rhs:
-                bad.append(f"theta(u * nu(g)) != theta(u).g for u={basis.elements[col].label}, g={gname}")
+                bad.append(f"theta(u * nu(g)) != theta(u).g for u={basis.basis[col]}, g={gname}")
     return ThetaPsiReport(
         ok=tp and pt and not bad,
         size=n,
@@ -228,7 +235,7 @@ def densified(tp, field):
 
 def assert_same(q, eps, field):
     basis, inv = canonical_basis(q, eps), order.involution_of(q, eps, field)
-    signs = [order._integral(path_sign(inv, b.path)) for b in basis.elements]
+    signs = [order._integral(path_sign(inv, p)) for p in basis.paths.values()]
     assert order._nu_signs(basis, inv) == signs
     nu = check_nu_symmetry(q, eps, field)
     assert dataclasses.asdict(nu) == dataclasses.asdict(reference_nu_symmetry(q, eps, field))
@@ -297,7 +304,7 @@ def test_corrupted_involution_same_counterexamples(name, monkeypatch):
 def _stray_entry(basis):
     """(row, column) of a stray theta entry: column e(v) of the first
     vertex, row the first split-cycle path a:1."""
-    row = next(k for k, b in enumerate(basis.elements) if b.kind == "a")
+    row = next(k for k, (kind, _, _) in enumerate(basis_elements(basis)) if kind == "a")
     return row, basis.index[f"e({basis.quiver.vertices[0]})"]
 
 
@@ -380,8 +387,8 @@ def reference_cartan(q):
     each basis element's Path."""
     basis = canonical_basis(q, order.default_polarization(q))
     mat = [[0] * len(q.vertices) for _ in q.vertices]
-    for b in basis.elements:
-        mat[q.position(q.path_end(b.path))][q.position(b.path.start)] += 1
+    for p in basis.paths.values():
+        mat[q.position(q.path_end(p))][q.position(p.start)] += 1
     return mat
 
 
@@ -400,11 +407,12 @@ def test_products_match_compose():
     for q in quivers:
         basis = canonical_basis(q, order.default_polarization(q))
         products = {
-            (i, j): prod for i, path in enumerate(basis.paths) for j, prod in basis.left_multiples(*path)
+            (i, j): prod for i, walk in enumerate(basis.walks) for j, prod in basis.left_multiples(*walk)
         }
-        for i, bi in enumerate(basis.elements):
-            for j, bj in enumerate(basis.elements):
-                prod = q.compose(bi.path, bj.path)
+        paths = list(basis.paths.values())
+        for i, pi in enumerate(paths):
+            for j, pj in enumerate(paths):
+                prod = q.compose(pi, pj)
                 if prod is None:
                     assert (i, j) not in products
                     continue
