@@ -38,7 +38,6 @@ from .fdalg import (
     psi_from_quotient,
 )
 from .fields import Field
-from .order import normalize_multiplicity
 from .polarize import Polarization, default_polarization, find_sigma_stable, involution_of, quotient_polarization
 from .quiver import GentleQuiver
 
@@ -97,7 +96,6 @@ def decide(
     contradict the theorem, raises AssertionError.
 
     ``seed`` is ignored: the decision is deterministic."""
-    mm = normalize_multiplicity(q, m)
     stable = find_sigma_stable(q)
     bipartite = isinstance(stable, Polarization)
     char2 = field.char == 2
@@ -131,7 +129,7 @@ def decide(
     else:
         conditions["c4"] = Condition(FALSE, {"odd_walk": list(stable.odd_walk)})
 
-    twisted = build_quotient_algebra(q, field, mm, quotient_polarization(q, stable), twisted=True)
+    twisted = build_quotient_algebra(q, field, m, quotient_polarization(q, stable), twisted=True)
     verdict_tw = is_symmetric_oracle(twisted)
 
     conditions["c2"] = Condition(_status_from_verdict(verdict_tw), _verdict_evidence(verdict_tw))
@@ -186,7 +184,7 @@ def decide(
     return SymmetryReport(
         instance=instance,
         field_name=field.name,
-        multiplicity=mm,
+        multiplicity=twisted.multiplicity,
         conditions=conditions,
         consistency_ok=not violations,
         violations=violations,

@@ -14,14 +14,13 @@ left-hand path's first arrow under sigma (or one factor is the matching
 idempotent); it is then the residue of the concatenated path: a basis
 path, the kept top cycle with sign -1 (twisted) or +1 (plain) for the
 negative top cycle, or zero beyond the top length m(a) n(a).
-``FdAlgebra.residue`` is this one rule.  The builder lists the nonzero
-products by it in O(dim + nonzero products) as index arithmetic, without
-composing paths, on the one layout of :func:`order.basis_layout`: e(v)
-sits at v's position, a:1, a:2, ... at consecutive indices from
-first[a], and the successor sigma^l(a) is a lookup in the quiver's orbit
-data.  ``FdAlgebra`` is that layout (first, kept, top_index) with its
-products, and every check reads it; the canonical basis of the order is
-the same layout at m = 1, and the basis labels are for display.
+This is the order's sigma-rule, held once on the layout that the order
+and its quotients share (:class:`order.BasisLayout`): the builder reads
+its lists ``by_end``/``by_next`` and writes the products row by row in
+O(dim + nonzero products), composing no path, and ``FdAlgebra.residue``
+is the degree-0 part of its coordinate rule ``terms`` (modulo z = t).
+``FdAlgebra`` is that layout with its products, and every check reads
+it; the canonical basis of the order is the same layout at m = 1.
 
 An algebra stores its multiplication once, as the list of its nonzero
 products (i, j, k, s), meaning b_i b_j = s b_k, in row-major order.
@@ -68,7 +67,7 @@ falling back to general linear algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field, fields, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
@@ -148,15 +147,14 @@ class FdAlgebra(BasisLayout):
         return {i: c}
 
     def residue(self, a: str, length: int) -> Optional[Tuple[int, object]]:
-        """The monomial rule: the residue of the length-l path starting
-        with arrow a, as (basis index, field coefficient), or None when
-        the path is longer than its top cycle and so vanishes."""
-        if length > self.top_lengths[a]:
-            return None
-        if length <= self.kept[a]:
-            return self.first[a] + length - 1, self.scalar[1]
-        # the negative top cycle: rewrite through the vertex relation
-        return self.top_index[self.quiver.source(a)], self.scalar[-1 if self.twisted else 1]
+        """The residue of the length-l path starting with arrow a, as
+        (basis index, field coefficient), or None: the degree-0 part of
+        :meth:`terms` (modulo z = t), whose -1 at a rewritten top cycle
+        is +1 in the plain quotient."""
+        for k, d, c in self.terms(self.quiver.source(a), a, length):
+            if not d:
+                return k, self.scalar[c if self.twisted else 1]
+        return None
 
     def dense(self, u: Sparse) -> list:
         vec = [self.field.zero] * self.dim
@@ -190,11 +188,14 @@ def build_quotient_algebra(
     (the arrow residue coincides with a top cycle); the quotient is still
     a perfectly good algebra and such arrows are flagged.
 
-    The products are listed column by column from the sigma-rule, in
-    O(dim + nonzero products): the nonzero left multiples of a:l are
-    e(end) and sigma^l(a):l' for l + l' <= top(a), giving the residue of
-    a:(l + l'); those of e(v) are e(v) and the basis paths starting at v.
-    Every index is arithmetic on the first index of an arrow's paths.
+    The products are listed row by row from the layout's sigma-rule
+    lists, in O(dim + nonzero products) and with no path composed: the
+    nonzero products e(v) b_r are b_r for r in ``by_end[v]``, and those
+    of b_i = (s, a, L) are b_i e(s) = b_i and, for r in ``by_next[a]``,
+    the path b_r, then b_i, of length T = l_r + L: the basis path at
+    index r + L while T <= kept[b] for b_r's first arrow b, the kept top
+    cycle at b_r's start (with the sign) at T = top_lengths[b], and zero
+    beyond.
     """
     mm = normalize_multiplicity(q, m)
     if eps is None:
@@ -203,31 +204,28 @@ def build_quotient_algebra(
         check_polarization(q, eps)
 
     layout = basis_layout(q, eps, mm)
-    first, kept, top, top_index = layout.first, layout.kept, layout.top_lengths, layout.top_index
+    walks, by_end, by_next = layout.walks, layout.by_end, layout.by_next
+    kept, top, top_index = layout.kept, layout.top_lengths, layout.top_index
 
     sign = -1 if twisted and field.char != 2 else 1
-    # columns in index order, so rows[i] collects (j, k, s) in increasing j
-    rows: List[List[Tuple[int, int, int]]] = [[] for _ in layout.basis]
-    for j, v in enumerate(q.vertices):
-        rows[j].append((j, j, 1))
-        for a in q.arrows_out(v):
-            for i in range(first[a], first[a] + kept[a]):
-                rows[i].append((j, i, 1))
-    for a, base in first.items():
-        n, neg = top[a], eps.sign(a) == MINUS
-        for length in range(1, kept[a] + 1):
-            j = base + length - 1
-            b = q.sigma_power(a, length)
-            rows[q.position(q.source(b))].append((j, j, 1))
-            for extra in range(1, n - length + 1):
-                if length + extra < n or not neg:
-                    rows[first[b] + extra - 1].append((j, j + extra, 1))
-                else:  # a:top, rewritten through the relation at s(a)
-                    rows[first[b] + extra - 1].append((j, top_index[q.source(a)], sign))
+    index = list(range(layout.dim))  # the products share these ints, holding none of their own
+    products: List[Product] = []
+    add = products.append
+    for i, (s, a, length) in enumerate(walks):
+        if a is None:  # e(s)
+            products.extend((i, r, r, 1) for r in by_end[s])
+            continue
+        add((i, q.position(s), i, 1))
+        for j in by_next[a]:
+            s_j, b, l_j = walks[j]
+            t = l_j + length
+            if t <= kept[b]:
+                add((i, j, index[j + length], 1))
+            elif t == top[b]:  # b:top, rewritten through the relation at s_j
+                add((i, j, top_index[s_j], sign))
 
-    products: List[Product] = [(i, j, k, s) for i, row in enumerate(rows) for j, k, s in row]
     return FdAlgebra(
-        **vars(layout),
+        **{f.name: getattr(layout, f.name) for f in fields(BasisLayout)},  # not its cached views
         field=field,
         multiplicity=mm,
         twisted=twisted,

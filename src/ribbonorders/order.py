@@ -29,10 +29,12 @@ cycle of the positive arrow at v (kept) at top_index[v].  Lambda/z Lambda
 is the twisted quotient at multiplicity one, and Lambda is free over
 k[[z]], so the canonical basis is that quotient's basis lifted:
 ``canonical_basis`` is the layout at m = 1, with x_v the display label
-at top_index[v], the end of its positive arrow's run.  The layout gives
-each basis path as (start, first arrow, length), with no Path object, in
-its ``walks`` view; these and the sigma-rule lists are built on first
-read, so a decision builds none, and the labels are for display.
+at top_index[v], the end of its positive arrow's run.  The layout holds
+the one sigma-rule of the order and its quotients: ``walks`` gives each
+basis path as (start, first arrow, length), with no Path object,
+``by_end``, ``by_next`` and ``left_multiples`` the nonzero products, and
+``terms`` the coordinates, whose degree-0 part is a quotient's residue.
+The labels are for display.
 
 * ``check_nu_symmetry`` evaluates phi(b_i b_j) and nu(b_j) phi(b_j b_i)
   on F u F^T, where F is the set of pairs (i, j) with b_i b_j a
@@ -56,7 +58,7 @@ for zero.  This is exact, as Z -> k is a ring homomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
@@ -253,9 +255,10 @@ class BasisLayout:
     arrow keeps it (kept[a] = top_lengths[a]), at top_index[v] for its
     source v, and a negative arrow's is rewritten (kept[a] one less).
     basis[r] is the display label of b_r.  ``walks`` (b_r as (start,
-    first arrow, length)) is a view built on first read, which the order
-    checks read and no decision does; ``index`` (label -> index) and
-    ``paths`` (label -> ``Path``) are views that no check reads.
+    first arrow, length)) and the sigma-rule lists ``by_end``/``by_next``
+    are views built on first read, which the quotient builder and the
+    order checks read; ``index`` (label -> index) and ``paths`` (label ->
+    ``Path``) are views that no check reads.  No view is a field.
     """
 
     quiver: GentleQuiver
@@ -292,6 +295,60 @@ class BasisLayout:
         q = self.quiver
         paths = (q.idempotent(s) if a is None else q.path_from(a, n) for s, a, n in self.walks)
         return dict(zip(self.basis, paths))
+
+    def __len__(self) -> int:
+        return len(self.basis)
+
+    def labels(self) -> List[str]:
+        return list(self.basis)
+
+    @cached_property
+    def _sigma_rule(self) -> Tuple[Dict[str, List[int]], Dict[str, List[int]]]:
+        """(by_end, by_next) in one pass, built on first read: by_end[v]
+        lists the r with b_r ending at v, and by_next[a] the r whose last
+        arrow is followed by a under sigma, each in increasing order."""
+        q = self.quiver
+        sigma, source = q.sigma, q.source
+        by_end = {v: [r] for r, v in enumerate(q.vertices)}
+        by_next: Dict[str, List[int]] = {a: [] for a in self.first}
+        for a, base in self.first.items():
+            nxt = a
+            for r in range(base, base + self.kept[a]):
+                nxt = sigma[nxt]
+                by_end[source(nxt)].append(r)  # b_r ends where nxt starts
+                by_next[nxt].append(r)
+        return by_end, by_next
+
+    by_end = property(lambda self: self._sigma_rule[0])
+    by_next = property(lambda self: self._sigma_rule[1])
+
+    def left_multiples(self, start: str, a: Optional[str], length: int) -> List[Tuple[int, Walk]]:
+        """[(r, p b_r)] over the basis paths b_r with p b_r != 0, in
+        increasing r, where p is the path (start, a, length): b_r ends at
+        start when p = e_start, and otherwise b_r = e_start or sigma of
+        b_r's last arrow is a.  p b_r is the concatenated path, first b_r
+        and then p, as a walk; nothing is truncated or rewritten."""
+        if a is None:
+            return [(r, self.walks[r]) for r in self.by_end[start]]
+        out = [(self.quiver.position(start), (start, a, length))]
+        for r in self.by_next[a]:
+            s, first, n = self.walks[r]
+            out.append((r, (s, first, n + length)))
+        return out
+
+    def terms(self, start: str, a: Optional[str], length: int):
+        """Coordinates of the path (start, a, length) over k[[z]], z = t,
+        as (index, degree, coefficient) terms; the coefficients are the
+        integers 1 and -1, images of Z in every field.  With r, l =
+        divmod(length - 1, top_lengths[a]), the path is t^r a:(l + 1), a
+        basis path unless a is negative and l + 1 is the top length: then
+        it is t^(r+1) e(start) - t^r times the kept top cycle at start."""
+        if a is None:
+            return ((self.quiver.position(start), 0, 1),)
+        r, m = divmod(length - 1, self.top_lengths[a])
+        if m < self.kept[a]:
+            return ((self.first[a] + m, r, 1),)
+        return ((self.quiver.position(start), r + 1, 1), (self.top_index[start], r, -1))
 
     def path_products(self, field: Field, values: Mapping[str, object]) -> list:
         """The product of values[b] over the arrows b of each basis path,
@@ -333,70 +390,12 @@ def basis_layout(q: GentleQuiver, eps: Polarization, mm: Mapping[str, int]) -> B
     return BasisLayout(q, eps, tuple(labels), first, kept, top_index, top)
 
 
-@dataclass
 class CanonicalBasis(BasisLayout):
     """The basis B of the order as a free k[[t]]-module (multiplicity one):
     the layout of the twisted quotient at m = 1, whose kept top cycle at
-    v is x(v).  The order checks read it through the sigma-rule lists
-    ``by_end[v]``, the r with b_r ending at v, and ``by_next[a]``, the r
-    whose last arrow is followed by a under sigma, both built on first
-    read, and through the coordinate rule :meth:`terms`.
+    v is x(v).  The order checks read it through the layout's sigma-rule
+    lists and coordinate rule.
     """
-
-    def __len__(self) -> int:
-        return len(self.basis)
-
-    def labels(self) -> List[str]:
-        return list(self.basis)
-
-    @cached_property
-    def by_end(self) -> Dict[str, List[int]]:
-        q = self.quiver
-        by_end = {v: [r] for r, v in enumerate(q.vertices)}
-        for r, nxt in self._successors():
-            by_end[q.source(nxt)].append(r)  # b_r ends where nxt starts
-        return by_end
-
-    @cached_property
-    def by_next(self) -> Dict[str, List[int]]:
-        by_next: Dict[str, List[int]] = {}
-        for r, nxt in self._successors():
-            by_next.setdefault(nxt, []).append(r)
-        return by_next
-
-    def _successors(self):
-        """(r, sigma of b_r's last arrow) for every b_r but e(v), in order."""
-        sigma = self.quiver.sigma
-        for a, base in self.first.items():
-            nxt = a
-            for r in range(base, base + self.kept[a]):
-                nxt = sigma[nxt]
-                yield r, nxt
-
-    def left_multiples(self, start: str, a: Optional[str], length: int):
-        """[(r, p b_r)] over the basis paths b_r with p b_r != 0, where p is
-        the path (start, a, length): b_r ends at start when p = e_start,
-        and otherwise b_r = e_start or sigma of b_r's last arrow is a."""
-        if a is None:
-            return [(r, self.walks[r]) for r in self.by_end[start]]
-        out = [(self.quiver.position(start), (start, a, length))]
-        for r in self.by_next.get(a, ()):
-            s, first, n = self.walks[r]
-            out.append((r, (s, first, n + length)))
-        return out
-
-    def terms(self, start: str, a: Optional[str], length: int):
-        """B-coordinates of the path (start, a, length) as (index, degree,
-        coefficient) terms; the coefficients are the integers 1 and -1,
-        images of Z in every field.  With r, l = divmod(length - 1, n(a)),
-        the path is t^r a:(l + 1), a basis path unless a is negative and
-        l + 1 = n(a): then it is c_a^(r+1) = t^(r+1) e_i - t^r x_i."""
-        if a is None:
-            return ((self.quiver.position(start), 0, 1),)
-        r, m = divmod(length - 1, self.top_lengths[a])
-        if m < self.kept[a]:
-            return ((self.first[a] + m, r, 1),)
-        return ((self.quiver.position(start), r + 1, 1), (self.top_index[start], r, -1))
 
 
 def canonical_basis(q: GentleQuiver, eps: Polarization) -> CanonicalBasis:
@@ -412,7 +411,8 @@ def canonical_basis(q: GentleQuiver, eps: Polarization) -> CanonicalBasis:
     labels = list(layout.basis)
     for v, r in layout.top_index.items():
         labels[r] = f"x({v})"
-    return CanonicalBasis(**{**vars(layout), "basis": tuple(labels)})
+    init = {f.name: getattr(layout, f.name) for f in fields(BasisLayout)}  # not its cached views
+    return CanonicalBasis(**{**init, "basis": tuple(labels)})
 
 
 def path_coordinates(basis: CanonicalBasis, ring: PolyRing, p: Path) -> Dict[str, tuple]:

@@ -33,6 +33,10 @@ PER_QUIVER = [
         for extra in ([], ["--untwisted"], ["-m", "2"])
     ),
     *(["decide", "--field", f, "-m", m] for f in ("gf3", "Q") for m in ("1", "2")),
+    # the characteristic-two and m = 3 branches of the quotient builder
+    ["quotient", "--field", "gf2"],
+    ["quotient", "--field", "gf3", "-m", "3"],
+    ["decide", "--field", "gf2", "-m", "2"],
 ]
 
 

@@ -4,13 +4,16 @@
 e(v) at index pos(v), then per arrow a, in sorted order, a:1, ...,
 a:kept[a] at consecutive indices from ``first[a]``, the kept top cycle at
 v at ``top_index[v]``, and each basis path as (start, first arrow,
-length) in the ``walks`` view.  The canonical basis of the order is this layout at
-m = 1 (the twisted quotient's), with x(v) the label at top_index[v]; it
-adds the sigma-rule lists ``by_end``/``by_next``.  Labels are
-display-only.  Here the layouts are compared with the labels and
-``Path`` objects, which are built apart from them, the canonical basis
-with the m = 1 quotient, and guards make the label lookups refuse while
-the decision and check paths run.
+length) in the ``walks`` view.  The layout also holds the one sigma-rule
+of the order and its quotients: the lists ``by_end``/``by_next``, the
+nonzero products ``left_multiples`` of a basis path, and the coordinate
+rule ``terms``, whose degree-0 part is the quotients' ``residue``.  The
+canonical basis of the order is this layout at m = 1 (the twisted
+quotient's), with x(v) the label at top_index[v].  Labels are
+display-only.  Here the layouts and their rule are compared with the
+labels, ``Path`` objects and ``compose``, which are built apart from
+them, the canonical basis with the m = 1 quotient, and guards make the
+label lookups refuse while the decision and check paths run.
 """
 
 import random
@@ -35,6 +38,7 @@ from ribbonorders import (
     plain_quotient,
     verify_theta_psi,
 )
+from ribbonorders import fdalg
 from ribbonorders.fdalg import check_algebra_axioms
 from ribbonorders.fields import GF2, GF3, GF5, QQ
 from ribbonorders.polarize import (
@@ -100,6 +104,22 @@ def assert_quotient_layout(alg: FdAlgebra):
         assert lab == (f"{path.arrows[0]}:{path.length}" if path.arrows else f"e({path.start})")
 
 
+def assert_sigma_rule(layout):
+    """by_end, by_next and left_multiples against Path objects and compose."""
+    q = layout.quiver
+    paths = list(layout.paths.values())
+    for v in q.vertices:
+        assert layout.by_end[v] == [r for r, p in enumerate(paths) if q.path_end(p) == v]
+    ends = [p.arrows[-1:] for p in paths]
+    for a in q.arrow_names:
+        assert layout.by_next[a] == [r for r, end in enumerate(ends) if end and q.sigma[end[0]] == a]
+    for i, walk in enumerate(layout.walks):
+        got = layout.left_multiples(*walk)
+        got = [(r, q.idempotent(s) if a is None else q.path_from(a, n)) for r, (s, a, n) in got]
+        products = ((r, q.compose(paths[i], p)) for r, p in enumerate(paths))
+        assert got == [(r, prod) for r, prod in products if prod is not None], layout.basis[i]
+
+
 def assert_canonical_layout(basis):
     q = basis.quiver
     paths = list(basis.paths.values())
@@ -115,11 +135,8 @@ def assert_canonical_layout(basis):
         assert basis.basis[basis.top_index[v]] == f"x({v})"
         assert basis.top_index[v] == basis.first[a] + q.cycle_length(a) - 1
         assert basis.paths[f"x({v})"] == q.path_from(a, q.cycle_length(a))
-    for v in q.vertices:
-        assert basis.by_end[v] == [r for r, p in enumerate(paths) if q.path_end(p) == v]
-    ends = [p.arrows[-1:] for p in paths]
+    assert_sigma_rule(basis)
     for a in q.arrow_names:
-        assert basis.by_next.get(a, []) == [r for r, end in enumerate(ends) if end and q.sigma[end[0]] == a]
         # the coordinate rule's data: n(a), the sign of a, and the runs
         n, i = q.cycle_length(a), q.source(a)
         positive = basis.eps.sign(a) == PLUS
@@ -136,10 +153,11 @@ def test_quotient_layout_matches_labels():
     rng = random.Random(3)
     for q in all_quivers():
         for eps in polarizations(q, rng):
-            for m in (1, 2):
+            for m in (1, 2, 3):
                 tw = build_quotient_algebra(q, GF3, m, eps)
                 assert_quotient_layout(tw)
                 assert_quotient_layout(plain_quotient(tw))
+                assert_sigma_rule(tw)  # the rule the canonical basis reads, at every m
 
 
 def test_canonical_layout_matches_paths():
@@ -185,6 +203,30 @@ def test_canonical_basis_is_the_twisted_quotient_layout_at_m1():
                 assert [bar.signs[label] for label in tw.basis] == nu
             pairs += 1
     assert pairs == 225
+
+
+def test_views_read_on_the_layout_stay_with_it(monkeypatch):
+    # canonical_basis and the quotient builder take the layout's fields,
+    # not the views cached on it, so a layout whose every view was read
+    # first gives the same results
+    cases = [(corpus_quiver(name), m) for name in CORPUS_NAMES for m in (1, 2)]
+    expected = [
+        (canonical_basis(q, default_polarization(q)), build_quotient_algebra(q, GF3, m)) for q, m in cases
+    ]
+    real = order.basis_layout
+
+    def read_every_view(q, eps, mm):
+        layout = real(q, eps, mm)
+        layout.walks, layout.by_end, layout.by_next, layout.index, layout.paths
+        return layout
+
+    for module in (order, fdalg):
+        monkeypatch.setattr(module, "basis_layout", read_every_view)
+    for (q, m), (basis, alg) in zip(cases, expected):
+        got = canonical_basis(q, default_polarization(q)), build_quotient_algebra(q, GF3, m)
+        assert got == (basis, alg)
+        assert (type(got[0]), type(got[1])) == (order.CanonicalBasis, FdAlgebra)
+        assert got[0].paths == basis.paths and got[0].index == basis.index  # x(v), not a:n(a)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ paths is nonzero exactly when the right-hand path's last arrow is followed
 by the left-hand path's first arrow under sigma, and it is then one basis
 path or +-the kept top cycle.  Here the tables are compared with the
 brute-force construction, ``GentleQuiver.compose`` on every basis pair
-followed by ``reduce_path`` from the tests' reference module.  The checkers
-that loop over the nonzero products are compared on mutated algebras with
-dim^2 (or dim^3) references that visit every basis tuple.
+followed by ``reduce_path`` from the tests' reference module, and with
+the layout's own rule, each basis path's ``left_multiples`` reduced by
+``residue``.  The checkers that loop over the nonzero products are
+compared on mutated algebras with dim^2 (or dim^3) references that visit
+every basis tuple.
 """
 
 import dataclasses
@@ -70,12 +72,26 @@ def brute_force_table(alg):
     return table
 
 
+def rule_products(alg):
+    """The products read off the layout's rule: walk i's left multiples,
+    each reduced by ``residue`` (an idempotent is its own residue)."""
+    q, one = alg.quiver, alg.field.one
+    products = []
+    for i, walk in enumerate(alg.walks):
+        for j, (start, a, length) in alg.left_multiples(*walk):
+            r = (q.position(start), one) if a is None else alg.residue(a, length)
+            if r is not None:
+                products.append((i, j, *r))
+    return products
+
+
 def assert_matches_brute_force(alg):
     ref = brute_force_table(alg)
     assert alg.table == ref
     assert field_products(alg) == [
         (i, j, k, c) for i, row in enumerate(ref) for j, cell in enumerate(row) for k, c in cell.items()
     ]
+    assert field_products(alg) == rule_products(alg)
     nonzero = [cell for row in alg.table for cell in row if cell]
     assert all(type(cell) is dict and len(cell) == 1 for cell in nonzero)
     assert len({id(cell) for cell in nonzero}) == len(nonzero)  # fresh dicts
@@ -95,7 +111,7 @@ def test_random_rule_matches_compose():
     rng = random.Random(404)
     for _ in range(24):
         q = quiver_from_ribbon_graph(random_ribbon_graph(rng, max_edges=5))
-        for field in (GF3, QQ):
+        for field in FIELDS:
             for m in (1, 2):
                 for twisted in (True, False):
                     assert_matches_brute_force(build_quotient_algebra(q, field, m, twisted=twisted))

@@ -26,6 +26,7 @@ from ribbonorders import (
     enumerate_polarizations,
     is_bipartite,
     is_symmetric_oracle,
+    normalize_multiplicity,
     quiver_from_ribbon_graph,
     rank_formula_check,
 )
@@ -92,15 +93,20 @@ def test_default_polarization_is_first_enumerated():
 
 
 def test_decide_computes_certificate_once_and_quotient_pair_once(monkeypatch):
-    counts = {"is_bipartite": 0, "build_quotient_algebra": 0}
+    # and the multiplicity map is normalized once, by the quotient builder
+    once = {"is_bipartite": 1, "build_quotient_algebra": 1, "normalize_multiplicity": 1}
+    counts = dict.fromkeys(once, 0)
     count_calls(monkeypatch, is_bipartite, counts)
     count_calls(monkeypatch, build_quotient_algebra, counts)
+    count_calls(monkeypatch, normalize_multiplicity, counts)
     for name in CORPUS_NAMES:
         q = corpus_quiver(name)
         for field in FIELDS:
-            counts.update(is_bipartite=0, build_quotient_algebra=0)
-            decide(q, field, 1)
-            assert counts == {"is_bipartite": 1, "build_quotient_algebra": 1}, (name, field.name)
+            for m in (1, 2):
+                counts.update(dict.fromkeys(once, 0))
+                rep = decide(q, field, m)
+                assert counts == once, (name, field.name, m)
+                assert rep.multiplicity == {orbit_rep: m for orbit_rep, _ in q.sigma_orbits()}
 
 
 def test_decide_derives_no_plain_quotient(monkeypatch):
