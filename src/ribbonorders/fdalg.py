@@ -28,8 +28,9 @@ The sign s is the native int 1 or -1: every structure constant of
 either quotient is +-1, and the builder writes +1 throughout in
 characteristic two.  ``FdAlgebra.scalar`` maps a sign into the field
 through constants built once per algebra; the field-valued readers
-(the ``table`` view, the axiom and twist checks, the dense pairing)
-read it there, and no reader builds a constant.
+(the ``table`` view, the axiom check, the dense pairing) read it there,
+and no reader builds a constant.  The twist check hands the ints to
+:func:`order.nu_counterexamples`, which maps to k only to test for zero.
 The two quotients share basis and layout and differ only in the sign of
 the rewritten top cycle, so a decision builds one algebra, the twisted
 quotient, and derives nothing from it.  The scaling map is checked
@@ -89,7 +90,7 @@ from .polarize import (
 )
 from .quiver import GentleQuiver
 from .ribbon import BipartiteCertificate
-from .order import BasisLayout, basis_layout, normalize_multiplicity
+from .order import BasisLayout, _integral, basis_layout, normalize_multiplicity, nu_counterexamples
 
 Sparse = Dict[int, object]
 Product = Tuple[int, int, int, int]  # (i, j, k, s): b_i * b_j = s * b_k, s = 1 or -1
@@ -612,14 +613,6 @@ def _socle_certificate(alg: FdAlgebra, forms: List[Sparse], paths: List[int]) ->
 # the standard form of the Brauer graph algebra
 
 
-def _top_mask(alg: FdAlgebra) -> bytearray:
-    """1 at the index of each kept top cycle, 0 elsewhere."""
-    mask = bytearray(alg.dim)
-    for k in alg.top_index.values():
-        mask[k] = 1
-    return mask
-
-
 def brauer_form_pairing(alg: FdAlgebra) -> Optional[List[int]]:
     """The closed-form certificate that the Brauer graph algebra with
     alg's quiver, multiplicity and polarization is symmetric: the
@@ -640,7 +633,7 @@ def brauer_form_pairing(alg: FdAlgebra) -> Optional[List[int]]:
     top indices, native ints only and no field arithmetic.
     """
     n = alg.dim
-    top = _top_mask(alg)
+    top = alg.top_mask
     landing = [(i, j) for i, j, k, _ in alg.products if top[k]]
     if len(landing) != n:
         return None
@@ -673,41 +666,17 @@ def check_canonical_bimodule_twist(alg: FdAlgebra, bar: NakayamaBarReport) -> Tw
     onto the dual twisted by the involution.
 
     phi(b_i b_j) is nonzero only where b_i b_j lands on a kept top cycle
-    (the pairs :func:`brauer_form_pairing` reads), so a pair (i, j) can
-    fail only if b_i b_j or b_j b_i lands there.  Row i's own landing
-    products and the transposes of the others' come in increasing j
-    from the row-major products; merging the two lists visits the pairs
-    that can fail in row-major order, in O(dim + products).  phi's
-    values are read off the products' signs, mapped through
-    ``alg.scalar``, and its determinant is :func:`pairing_det` of the
-    top mask.
+    (the pairs :func:`brauer_form_pairing` reads), where it is the
+    product's sign, at degree 0: the order's form reduced modulo t.  The
+    pairs are evaluated by the order's one evaluator,
+    :func:`order.nu_counterexamples`, with nu the involution's signs in
+    ``bar`` lifted to ints, in O(dim + products) and row-major order.
+    Its determinant is :func:`pairing_det` of the layout's ``top_mask``.
     """
-    f = alg.field
-    value = alg.scalar
-    n = alg.dim
-    top = _top_mask(alg)
-    own: List[List[Tuple[int, object]]] = [[] for _ in range(n)]  # (j, phi(b_i b_j)) at row i
-    dual: List[List[Tuple[int, object]]] = [[] for _ in range(n)]  # (j, phi(b_j b_i)) at row i
-    for i, j, k, s in alg.products:
-        if top[k]:
-            own[i].append((j, value[s]))
-            dual[j].append((i, value[s]))
-    sign_by_index = [bar.signs[lab] for lab in alg.basis]
-    bad = []
-    for i in range(n):
-        xs, ys = own[i], dual[i]
-        p = r = 0
-        while p < len(xs) or r < len(ys):
-            j = min(xs[p][0] if p < len(xs) else n, ys[r][0] if r < len(ys) else n)
-            lhs = rhs = f.zero  # phi(b_i b_j) and phi(nu(b_j) b_i)
-            if p < len(xs) and xs[p][0] == j:
-                lhs = xs[p][1]
-                p += 1
-            if r < len(ys) and ys[r][0] == j:
-                rhs = f.mul(sign_by_index[j], ys[r][1])
-                r += 1
-            if lhs != rhs:
-                bad.append(f"({alg.basis[i]}, {alg.basis[j]})")
+    top = alg.top_mask
+    phi = {(i, j): {0: s} for i, j, k, s in alg.products if top[k]}
+    nu = [_integral(bar.signs[lab]) for lab in alg.basis]
+    bad = [f"({alg.basis[i]}, {alg.basis[j]})" for i, j in nu_counterexamples(alg.field, phi, nu)]
     d = pairing_det(alg, top)
     return TwistReport(
         ok=not bad and bool(d),

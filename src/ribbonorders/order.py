@@ -34,20 +34,26 @@ the one sigma-rule of the order and its quotients: ``walks`` gives each
 basis path as (start, first arrow, length), with no Path object,
 ``by_end``, ``by_next`` and ``left_multiples`` the nonzero products, and
 ``terms`` the coordinates, whose degree-0 part is a quotient's residue.
-The labels are for display.
+Its ``top_mask`` marks the kept top cycles, the support of the form phi
+of the order (the x-coordinates) and of the standard form of each
+quotient.  The labels are for display.
 
-* ``check_nu_symmetry`` evaluates phi(b_i b_j) and nu(b_j) phi(b_j b_i)
-  on F u F^T, where F is the set of pairs (i, j) with b_i b_j a
-  full-cycle power: 3|Q_0| + sum over arrows of (n(a) - 1) pairs.  Only
-  those products have an x-coordinate, so off F u F^T each side is
-  phi(0) = 0 or phi of a path with no x-coordinate, also 0.
+* ``nu_counterexamples`` is the one evaluator of the twisted symmetry
+  phi(b_i b_j) = nu(b_j) phi(b_j b_i), for the order's form and for a
+  quotient's (``fdalg.check_canonical_bimodule_twist``, phi reduced
+  modulo t): given phi on the pairs where it is nonzero, it evaluates
+  those pairs and their transposes, and no other pair can fail.
+* ``check_nu_symmetry`` builds phi on F, the set of pairs (i, j) with
+  b_i b_j a full-cycle power: 3|Q_0| + sum over arrows of (n(a) - 1)
+  pairs.  Only those products have an x-coordinate, so off F u F^T each
+  side is phi(0) = 0 or phi of a path with no x-coordinate, also 0.
 * ``verify_theta_psi`` multiplies theta and psi as sparse columns (at
   most two entries each) and compares theta(u nu(g)) with theta(u) g
   only for the generators g with u nu(g) != 0, or with a nonzero
   product g b_r that has a coordinate in the support of theta_u; every
   other (u, g) pair is zero on both sides.
 
-Both checks add and multiply terms (index, degree, coefficient), not
+The checks add and multiply terms (index, degree, coefficient), not
 k[t] tuples.  The coordinate rule gives terms with coefficient 1 or -1;
 theta, psi (any polynomial, read term by term) and the involution signs
 are lifted to native ints where integral.  A compared vector is one
@@ -60,7 +66,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .fields import Field, PolyRing, QQ
@@ -255,9 +261,10 @@ class BasisLayout:
     arrow keeps it (kept[a] = top_lengths[a]), at top_index[v] for its
     source v, and a negative arrow's is rewritten (kept[a] one less).
     basis[r] is the display label of b_r.  ``walks`` (b_r as (start,
-    first arrow, length)) and the sigma-rule lists ``by_end``/``by_next``
+    first arrow, length)), the sigma-rule lists ``by_end``/``by_next``
+    and ``top_mask`` (the kept top cycles, the standard form's support)
     are views built on first read, which the quotient builder and the
-    order checks read; ``index`` (label -> index) and ``paths`` (label ->
+    checks read; ``index`` (label -> index) and ``paths`` (label ->
     ``Path``) are views that no check reads.  No view is a field.
     """
 
@@ -283,6 +290,15 @@ class BasisLayout:
             s = q.source(a)
             walks.extend((s, a, length) for length in range(1, self.kept[a] + 1))
         return tuple(walks)
+
+    @cached_property
+    def top_mask(self) -> bytes:
+        """1 at each kept top cycle (the top_index values), 0 elsewhere:
+        the support of the standard form, built on first read."""
+        mask = bytearray(self.dim)
+        for k in self.top_index.values():
+            mask[k] = 1
+        return bytes(mask)
 
     @cached_property
     def index(self) -> Dict[str, int]:
@@ -440,8 +456,8 @@ def frobenius_eval(basis: CanonicalBasis, ring: PolyRing, x: OrderElement) -> tu
     """The Frobenius form: sum of the x_i-coordinates, a polynomial in t."""
     coords = to_canonical_coordinates(basis, ring, x)
     acc = ring.zero
-    for v in basis.quiver.vertices:
-        acc = ring.add(acc, coords.get(f"x({v})", ring.zero))
+    for k in basis.top_index.values():
+        acc = ring.add(acc, coords.get(basis.basis[k], ring.zero))
     return acc
 
 
@@ -510,13 +526,39 @@ def expected_nonzero_pairs(basis: CanonicalBasis) -> List[Tuple[str, str]]:
     return sorted(set(pairs))
 
 
+def nu_counterexamples(field: Field, phi: Mapping[Tuple[int, int], Mapping[int, int]], nu: Sequence) -> list:
+    """The pairs (i, j), in row-major order, with phi(b_i b_j) !=
+    nu(b_j) phi(b_j b_i): the one evaluator of the twisted symmetry of
+    the order's form and of its quotients' forms.
+
+    phi maps each pair (i, j) with phi(b_i b_j) != 0 to {degree: int
+    coefficient}, and is 0 on every other pair; nu[j] is b_j's involution
+    sign, lifted by :func:`_integral`.  A pair can fail only if it or its
+    transpose is a key of phi, so only those are evaluated, each as the
+    difference of its two sides, which :func:`_nonzero` tests over k.
+    """
+    pairs = set(phi)
+    pairs.update((j, i) for i, j in phi)
+    none: Mapping[int, int] = {}
+    bad = []
+    for i, j in sorted(pairs):
+        diff = dict(phi.get((i, j), none))  # phi(b_i b_j) - nu(b_j) phi(b_j b_i)
+        sign = nu[j]
+        for d, c in phi.get((j, i), none).items():
+            diff[d] = diff.get(d, 0) - sign * c
+        if _nonzero(field, diff):
+            bad.append((i, j))
+    return bad
+
+
 def check_nu_symmetry(q: GentleQuiver, eps: Polarization, field: Field) -> NuSymmetryReport:
     """Verify phi(q p) = phi(nu(p) q) on all |B|^2 ordered basis pairs, and
     that the nonzero pairs are exactly the expected list.
 
-    Only the pairs in F u F^T are evaluated, F the (i, j) with b_i b_j a
-    full-cycle power (see the module docstring): every other pair is 0 on
-    both sides.  ``pair_count`` still counts all |B|^2 pairs covered.
+    phi is built on F, the (i, j) with b_i b_j a full-cycle power (see
+    the module docstring), and :func:`nu_counterexamples` evaluates
+    F u F^T: every other pair is 0 on both sides.  ``pair_count`` still
+    counts all |B|^2 pairs covered.
     """
     basis = canonical_basis(q, eps)
     nu_sign = _nu_signs(basis, involution_of(q, eps, field))
@@ -524,10 +566,9 @@ def check_nu_symmetry(q: GentleQuiver, eps: Polarization, field: Field) -> NuSym
     # b_j ending before arrow a and b_i = a:L_i, L_i = -L_j mod n(a), up to
     # n(a) when a is positive (its full cycle is x(source of a)); phi of
     # each as {degree: coefficient} is the product's x-term
-    walks, tops = basis.walks, bytearray(len(basis))
+    walks, tops = basis.walks, basis.top_mask
     full = []
     for v, x in enumerate(basis.top_index.values()):  # in vertex order
-        tops[x] = 1
         full += [(v, x, walks[x]), (x, v, walks[x])]
     for a, js in basis.by_next.items():
         n, base = basis.top_lengths[a], basis.first[a]
@@ -538,25 +579,11 @@ def check_nu_symmetry(q: GentleQuiver, eps: Polarization, field: Field) -> NuSym
             if r or positive:
                 full.append((base + n - r - 1, j, (s, b, m + n - r)))
     phi = {(i, j): {d: c for k, d, c in basis.terms(*prod) if tops[k]} for i, j, prod in full}
-    pairs = set(phi)
-    pairs.update((j, i) for i, j in phi)
 
     labels = basis.basis
-    counterexamples = []
-    nonzero = []
-    none: Dict[int, int] = {}
-    for i, j in sorted(pairs):
-        lhs = phi.get((i, j), none)
-        rhs = phi.get((j, i), none)
-        diff = dict(lhs)  # phi(b_i b_j) - nu(b_j) phi(b_j b_i)
-        sign = nu_sign[j]
-        for d, c in rhs.items():
-            diff[d] = diff.get(d, 0) - sign * c
-        if _nonzero(field, diff):
-            counterexamples.append((labels[i], labels[j]))
-        if lhs:  # its one coefficient is 1 or -1, nonzero in every field
-            nonzero.append((labels[i], labels[j]))
-    nonzero = sorted(nonzero)
+    counterexamples = [(labels[i], labels[j]) for i, j in nu_counterexamples(field, phi, nu_sign)]
+    # each value is one x-term, 1 or -1, nonzero in every field
+    nonzero = sorted((labels[i], labels[j]) for i, j in phi)
     expected = expected_nonzero_pairs(basis)
     return NuSymmetryReport(
         ok=not counterexamples,

@@ -179,13 +179,17 @@ def three_polarizations(q, rng):
     ]
 
 
-def test_canonical_basis_is_the_twisted_quotient_layout_at_m1():
+def test_canonical_basis_is_the_twisted_quotient_layout_at_m1(monkeypatch):
     # 225 pairs: the corpus and 60 seeded quivers, three polarizations each
     rng = random.Random(17)
-    pairs = 0
+    pairs = failures = 0
+    swapped = []  # the involution check_nu_symmetry reads: its polarization's, swapped
+    monkeypatch.setattr(order, "involution_of", lambda q, eps, field: involution_of(q, swapped[0], field))
     for q in [corpus_quiver(name) for name in CORPUS_NAMES] + seeded_quivers(60):
-        for eps in three_polarizations(q, rng):
+        pols = three_polarizations(q, rng)
+        for n, eps in enumerate(pols):
             basis = canonical_basis(q, eps)
+            swapped[:] = [pols[(n + 1) % 3]]
             for field in (GF3, QQ):
                 tw = build_quotient_algebra(q, field, 1, eps)
                 assert basis.walks == tw.walks
@@ -201,8 +205,51 @@ def test_canonical_basis_is_the_twisted_quotient_layout_at_m1():
                 bar = nakayama_involution_bar(tw, inv)
                 nu = order._nu_signs(basis, inv)
                 assert [bar.signs[label] for label in tw.basis] == nu
+                # with another polarization's involution, the order's form
+                # and its reduction modulo t fail on the same pairs: the
+                # form reduced is the form at degree 0, and the one pair
+                # of degree 1, (x(v), x(v)), has nu(x(v)) = 1 for every
+                # polarization's involution, so it never fails
+                other = involution_of(q, swapped[0], field)
+                nu_report = check_nu_symmetry(q, eps, field)
+                twist = check_canonical_bimodule_twist(tw, nakayama_involution_bar(tw, other))
+                at = [(basis.index[x], basis.index[y]) for x, y in nu_report.counterexamples]
+                assert twist.counterexamples == [f"({tw.basis[i]}, {tw.basis[j]})" for i, j in at]
+                assert twist.twisted_symmetry == nu_report.ok
+                failures += len(at)
             pairs += 1
     assert pairs == 225
+    assert failures  # both checks fail somewhere
+
+
+def test_one_evaluator_for_the_order_and_its_quotients(monkeypatch):
+    # check_nu_symmetry and check_canonical_bimodule_twist each call the
+    # one evaluator of the twisted symmetry exactly once
+    assert fdalg.nu_counterexamples is order.nu_counterexamples
+    real = order.nu_counterexamples
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (order, fdalg):
+        monkeypatch.setattr(module, "nu_counterexamples", counted)
+    checks = 0
+    for name in CORPUS_NAMES:
+        q = corpus_quiver(name)
+        eps = default_polarization(q)
+        for field in (GF2, GF3, QQ):
+            del calls[:]
+            assert check_nu_symmetry(q, eps, field).ok
+            assert len(calls) == 1
+            tw = build_quotient_algebra(q, field, 1, eps)
+            bar = nakayama_involution_bar(tw, involution_of(q, eps, field))
+            del calls[:]
+            assert check_canonical_bimodule_twist(tw, bar).ok
+            assert len(calls) == 1
+            checks += 2
+    assert checks == 6 * len(CORPUS_NAMES)
 
 
 def test_views_read_on_the_layout_stay_with_it(monkeypatch):
@@ -217,7 +264,7 @@ def test_views_read_on_the_layout_stay_with_it(monkeypatch):
 
     def read_every_view(q, eps, mm):
         layout = real(q, eps, mm)
-        layout.walks, layout.by_end, layout.by_next, layout.index, layout.paths
+        layout.walks, layout.by_end, layout.by_next, layout.top_mask, layout.index, layout.paths
         return layout
 
     for module in (order, fdalg):

@@ -465,15 +465,31 @@ def _other_involution(q, alg):
     return involution_of(q, Polarization(other), alg.field)
 
 
+# at most 6 edges; (2,), (4,) and (3, 1) force a loop, and
+# every profile with a 1 has a valency-one node
+SMALL_PROFILES = ((2,), (4,), (3, 1), (1, 1), (5, 1), (3, 2, 1), (2, 2, 1, 1), (4, 2), (3, 3), (6,), (2, 2, 2), (4, 4, 4))
+
+
+def small_seeded_quivers(seed=19):
+    """One seeded quiver per SMALL_PROFILES entry."""
+    rng = random.Random(seed)
+    graphs = [gen.random_ribbon_graph(rng, valencies) for valencies in SMALL_PROFILES]
+    assert any(len(set(slots)) < len(slots) for g in graphs for slots in g.slots.values())  # a loop
+    assert any(len(slots) == 1 for g in graphs for slots in g.slots.values())
+    return [quiver_from_ribbon_graph(g) for g in graphs]
+
+
 def test_twist_and_socle_quotient_checks_read_only_products(monkeypatch):
     # both checks read the product list, never the dim^2 table view: with
     # the view refused they give what the dim^2 references, computed
-    # first, give
-    quivers = [corpus_quiver(name) for name in CORPUS_NAMES] + [circular(n) for n in (8, 24)]
+    # first, give; the small seeded quivers run up to m = 3
+    quivers = [(corpus_quiver(name), (1, 2)) for name in CORPUS_NAMES]
+    quivers += [(circular(n), (1, 2)) for n in (8, 24)]
+    quivers += [(q, (1, 2, 3)) for q in small_seeded_quivers()]
     cases = []
-    for q in quivers:
+    for q, ms in quivers:
         for field in FIELDS:
-            for m in (1, 2):
+            for m in ms:
                 tw = build_quotient_algebra(q, field, m)
                 pl = plain_quotient(tw)
                 tops = set(tw.top_index.values())
