@@ -53,7 +53,8 @@ calls it.
 The symmetry oracle is closed-form on this structure and runs in
 O(dim + nonzero products) with no elimination, no dense determinant and
 no field arithmetic: a commutator has at most two terms, each +-one
-basis path, so S is solved by a union-find whose ratios are +-1 ints;
+basis path, so S is the component structure of the signed graph of the
+commutator rows, found by one walk whose ratios are +-1 ints;
 every arrow residue is one basis path and multiplies basis paths
 injectively, so the socle is a set of basis paths; the refutation is
 one socle path outside S's support, and the witness pairing has at most
@@ -71,7 +72,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field, fields, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
 from math import gcd
 from operator import itemgetter
 from types import MappingProxyType
@@ -407,7 +407,8 @@ def socle(alg: FdAlgebra) -> List[int]:
 
 def symmetric_forms(alg: FdAlgebra) -> List[Sparse]:
     """Basis of S = {phi : phi(xy) = phi(yx)}, the annihilator of [A, A],
-    as sparse forms {index: coefficient}, by union-find on +-1 ratios.
+    as sparse forms {index: coefficient}, by one walk over the commutator
+    rows.
 
     A product of two basis paths is 0 or s times one basis path, s = +-1,
     so a commutator [b_i, b_j] has at most two terms; its row is read off
@@ -415,87 +416,59 @@ def symmetric_forms(alg: FdAlgebra) -> List[Sparse]:
     :func:`_product_index`.  A row says s phi(k) = 0, or
     s phi(k) - s' phi(k') = 0 for the reverse product b_j b_i = s' b_k'.
     The first kind only marks k in a zero mask (as does s b_k - s' b_k
-    with s != s', outside characteristic two).  The second kind merges k
-    and k' with phi(k) = s s' phi(k'), where parent[x] and ratio[x] mean
-    phi(x) = ratio[x] phi(parent[x]), ratio[x] = +-1.  A merge that
-    closes a cycle, u phi(r) + w phi(r) = 0, is consistent iff
-    u + w = 0 or the characteristic is two; otherwise it forces the
-    component to zero, and once every row is read, so does a masked
-    index.  Each other component gives one form, 1 at its largest index,
-    and the forms are ordered by that index: the basis that elimination
-    of the commutator rows returns.  The kernel runs on native ints;
-    each sign is mapped into the field through ``alg.scalar``.
+    with s != s', outside characteristic two).  The second kind links k
+    and k' with phi(k') = s s' phi(k), both ways, since 1 / s = s.  The
+    rows make a signed graph, and S is its component structure.  A walk
+    starts at each index not reached yet, with ratio 1, and gives the
+    index y it first reaches from x over a link of ratio r the ratio
+    ratio[x] r, so phi(y) = ratio[y] phi(start).  A component is forced
+    to zero by a masked member, or, outside characteristic two, by a
+    link whose ratio disagrees (a cycle whose signs do not close).  Each
+    other component gives one form, 1 at its largest index, and the
+    forms are ordered by that index: the basis that elimination of the
+    commutator rows returns.  The kernel runs on native ints; each sign
+    is mapped into the field through ``alg.scalar``.
     """
     n = alg.dim
     char2 = alg.field.char == 2
-    terms = _product_index(alg)
-    parent = list(range(n))
-    ratio = [1] * n
-    size = [1] * n
-    forced = [False] * n  # read at roots
+    lookup = _product_index(alg).get
+    links: Dict[int, List[Tuple[int, int]]] = {}  # k -> [(k', s s')]
     zero = [False] * n  # phi(x) = 0 by a one-term row
-
-    def find(x: int):
-        """(root, r) with phi(x) = r phi(root); compresses the path."""
-        path = []
-        while parent[x] != x:
-            path.append(x)
-            x = parent[x]
-        if not path:
-            return x, 1
-        r = ratio[path.pop()]  # the last step is already relative to the root
-        for y in reversed(path):
-            r *= ratio[y]
-            ratio[y] = r
-            parent[y] = x
-        return x, r
-
-    lookup = terms.get
     for i, j, k, s in alg.products:
         if i == j:
             continue
         rev = lookup(j * n + i)
         if rev is None:
             zero[k] = True
-            continue
-        if i > j:  # the pair was read at (j, i)
-            continue
-        k2, s2 = rev[2], rev[3]
-        if k2 == k:
-            if s != s2 and not char2:
+        elif i < j:  # else the pair was read at (j, i)
+            k2, s2 = rev[2], rev[3]
+            if k2 != k:
+                links.setdefault(k, []).append((k2, s * s2))
+                links.setdefault(k2, []).append((k, s * s2))
+            elif s != s2 and not char2:
                 zero[k] = True
-            continue
-        r1, a1 = find(k)
-        r2, a2 = find(k2)
-        u, w = s * a1, -s2 * a2  # u phi(r1) + w phi(r2) = 0
-        if r1 == r2:
-            if u + w and not char2:
-                forced[r1] = True
-            continue
-        if size[r1] > size[r2]:
-            r1, r2, u, w = r2, r1, w, u
-        parent[r1] = r2
-        ratio[r1] = -u * w  # phi(r1) = -(w / u) phi(r2), and 1 / u = u
-        size[r2] += size[r1]
-        forced[r2] = forced[r2] or forced[r1]
 
-    # compress every path: then phi(x) = ratio[x] phi(parent[x]) with
-    # parent[x] a root (a root's own ratio stays 1)
-    for x in range(n):
-        if parent[parent[x]] != parent[x]:
-            find(x)
-    for x in compress(range(n), zero):
-        forced[parent[x]] = True
-    members: Dict[int, List[int]] = {}
-    for x in range(n):
-        root = parent[x]
-        if not forced[root]:
-            members.setdefault(root, []).append(x)
     value = alg.scalar
+    ratio = [0] * n  # 0: not reached yet
     forms = []
-    for comp in members.values():
-        last = ratio[comp[-1]]  # 1 / last = last
-        forms.append({x: value[ratio[x] * last] for x in comp})
+    for start in range(n):
+        if ratio[start]:
+            continue
+        ratio[start] = 1
+        comp = [start]
+        free = True
+        for x in comp:  # comp grows as it is read
+            free = free and not zero[x]
+            for y, r in links.get(x, ()):
+                if not ratio[y]:
+                    ratio[y] = ratio[x] * r
+                    comp.append(y)
+                elif ratio[y] != ratio[x] * r and not char2:
+                    free = False
+        if free:
+            comp.sort()
+            last = ratio[comp[-1]]  # 1 / last = last
+            forms.append({x: value[ratio[x] * last] for x in comp})
     forms.sort(key=max)
     return forms
 

@@ -188,13 +188,18 @@ class FieldSpecError(ValueError):
 def parse_field(spec: str) -> Field:
     """Resolve a field spec string: 'gf2', 'gf3', 'gf5', 'gf7', ..., or 'Q'.
 
-    'gf<p>' needs a prime p below MR_BOUND, where primality is exact."""
+    'gf<p>' needs a prime p in ASCII digits below MR_BOUND, where
+    primality is exact: ``int()`` alone would also take other scripts'
+    digits, a sign and underscores."""
     key = spec.strip().lower()
     if key in _FIELD_ALIASES:
         return _FIELD_ALIASES[key]
     if key.startswith("gf"):
+        digits = key[2:].strip()
+        if not (digits.isascii() and digits.isdigit()):
+            raise FieldSpecError(f"bad field spec {spec!r}: want gf<p>, p a prime in ASCII digits")
         try:
-            return PrimeField(int(key[2:]))
+            return PrimeField(int(digits))
         except ValueError as exc:
             raise FieldSpecError(f"bad field spec {spec!r}: {exc}") from None
     raise FieldSpecError(f"unknown field spec {spec!r} (try gf2, gf3, gf5 or Q)")

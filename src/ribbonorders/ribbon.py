@@ -226,15 +226,14 @@ def _long_cycles(g, pair_edges):
         neighbours[u].append(v)
         neighbours[v].append(u)
 
-    found = set()
     results = []
 
+    # each cycle starts at its least node and is walked both ways; keep
+    # the direction whose second node is less than its last
     def dfs(start, current, visited, node_path):
         for nxt in sorted(neighbours[current]):
             if nxt == start and len(node_path) >= 3:
-                key = _cycle_key(node_path)
-                if key not in found:
-                    found.add(key)
+                if node_path[1] < node_path[-1]:
                     results.append(tuple(node_path))
             elif nxt not in visited and nxt > start:
                 dfs(start, nxt, visited | {nxt}, node_path + [nxt])
@@ -251,17 +250,6 @@ def _long_cycles(g, pair_edges):
         choices = [sorted(pair_edges[s]) for s in steps]
         out.extend((cycle, combo) for combo in itertools.product(*choices))
     return out
-
-
-def _cycle_key(nodes):
-    best = None
-    n = len(nodes)
-    for seq in (nodes, list(reversed(nodes))):
-        for r in range(n):
-            cand = tuple(seq[(r + i) % n] for i in range(n))
-            if best is None or cand < best:
-                best = cand
-    return best
 
 
 def quiver_from_ribbon_graph(g: RibbonGraph) -> GentleQuiver:

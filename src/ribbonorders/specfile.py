@@ -105,7 +105,7 @@ def parse_spec(text: str) -> ParsedSpec:
             relations_src = (rest, lineno)
         elif key == "multiplicity":
             for part in rest.split(","):
-                mm = re.fullmatch(rf"\s*({_NAME})\s*=\s*(\d+)\s*", part)
+                mm = re.fullmatch(rf"\s*({_NAME})\s*=\s*([0-9]+)\s*", part)
                 if not mm:
                     raise SpecFileError(f"bad multiplicity entry {part.strip()!r}", lineno)
                 if mm.group(1) in multiplicity:

@@ -198,6 +198,8 @@ def test_superscript_multiplicity_is_a_bad_argument(capsys, argv):
 # not ASCII digits: Arabic-Indic and fullwidth three, a sign, an
 # underscore, a decimal point, an empty value
 NON_ASCII_INTEGERS = ["\u0663", "\uff13", "+1", "-1", "1_0", "1.0", ""]
+# gf<p> with p not in ASCII digits, each GF(3) or GF(13) to int()
+NON_ASCII_FIELDS = ["gf\u0663", "gf\uff13", "gf+3", "gf1_3"]
 
 
 @pytest.mark.parametrize("value", NON_ASCII_INTEGERS)
@@ -213,6 +215,18 @@ def test_multiplicity_grid_takes_ascii_digits_only(capsys, value):
     code, out, err = run(capsys, "corpus", "--field", "gf2", "--multiplicity-grid", "1", value)
     assert code == 1 and not out
     assert err.startswith("error: bad --multiplicity-grid value"), err
+
+
+@pytest.mark.parametrize("value", NON_ASCII_INTEGERS)
+def test_spec_file_multiplicity_takes_ascii_digits_only(tmp_path, capsys, value):
+    spec = tmp_path / "loop2.quiver"
+    spec.write_text(
+        f"vertices: 1\narrow a: 1 -> 1\narrow b: 1 -> 1\nsigma: (a b)\nmultiplicity: a = {value}\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "decide", str(spec))
+    assert code == 2 and not out
+    assert err.startswith("spec error: ") and "bad multiplicity entry" in err, err
 
 
 @pytest.mark.parametrize("command", ["decide", "quotient"])
@@ -294,6 +308,7 @@ def test_unreadable_spec_file_is_a_user_error(tmp_path, monkeypatch, capsys, com
         (("decide", "corpus:loop2", "--field", "gf4"), "bad field spec 'gf4'"),
         (("decide", "corpus:loop2", "--field", "R"), "unknown field spec 'R'"),
         (("corpus", "--field", "gf2", "--multiplicity-grid", "1", "two"), "bad --multiplicity-grid value"),
+        *((("decide", "corpus:loop2", "--field", spec), f"bad field spec {spec!r}") for spec in NON_ASCII_FIELDS),
     ],
 )
 def test_bad_field_and_grid_values_are_user_errors(capsys, argv, message):

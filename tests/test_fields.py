@@ -82,6 +82,13 @@ def test_parse_field():
         parse_field("gf6")
     with pytest.raises(ValueError):
         parse_field("reals")
+    assert parse_field(" gf3 ").char == parse_field("GF 3").char == 3
+
+
+@pytest.mark.parametrize("spec", ["gf\u0663", "gf\uff13", "gf+3", "gf1_3", "gf-3", "gf"])
+def test_parse_field_takes_ascii_digits_only(spec):
+    with pytest.raises(FieldSpecError, match="ASCII digits"):
+        parse_field(spec)
 
 
 def test_poly_ring_basics():

@@ -1,7 +1,11 @@
 """Ribbon graphs: construction, bipartiteness, circles, inverse, roundtrips."""
 
+import collections
 import dataclasses
+import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,9 @@ from ribbonorders.quiver import QuiverError, disjoint_union
 from ribbonorders.ribbon import RibbonGraph
 
 from test_random_instances import random_ribbon_graph
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import gen  # noqa: E402  (perfbench's seeded generator)
 
 CORPUS = [
     "loop2", "nodal", "line1", "line2", "line3", "line4",
@@ -146,6 +153,38 @@ def test_circular_subgraphs():
 
     mixed = circular_subgraphs(graph_of_quiver(corpus_quiver("mixed")))
     assert sorted(len(c[1]) for c in mixed) == [1, 3]
+
+
+def brute_force_circles(g):
+    """Edge sets of the circular subgraphs: the nonempty connected edge
+    subsets in which every node has degree two (a loop counts two)."""
+    circles = []
+    for size in range(1, len(g.edges) + 1):
+        for subset in itertools.combinations(g.edges, size):
+            degree = collections.Counter(x for e in subset for x in g.endpoints(e))
+            reached = set(g.endpoints(subset[0]))
+            for _ in subset:  # grow by every edge that touches a reached node
+                reached |= {x for e in subset if reached.intersection(g.endpoints(e)) for x in g.endpoints(e)}
+            if set(degree.values()) == {2} and reached == set(degree):
+                circles.append(frozenset(subset))
+    return circles
+
+
+def test_circular_subgraphs_match_brute_force():
+    # 3 to 6 nodes of valency 1 to 3: at most 9 edges
+    rng = random.Random(20)
+    long_cycles = 0
+    for _ in range(30):
+        valencies = [rng.randint(1, 3) for _ in range(rng.randint(3, 6))]
+        valencies[0] += sum(valencies) % 2
+        g = gen.random_ribbon_graph(rng, valencies)
+        assert len(g.edges) <= 9
+        circles = circular_subgraphs(g)
+        found = [frozenset(edges) for _, edges in circles]
+        assert len(found) == len(set(found))  # each circle once
+        assert set(found) == set(brute_force_circles(g))
+        long_cycles += sum(len(nodes) >= 3 for nodes, _ in circles)
+    assert long_cycles
 
 
 def test_bipartite_iff_no_odd_circle():

@@ -2,8 +2,9 @@
 
 Every product of two basis paths is 0 or s times one basis path with
 s = +1 or -1, stored as a native int.  The symmetry oracle reads those
-ints: S by a union-find on +-1 ratios (a cycle closes iff u + w = 0 or
-the characteristic is two), the socle from indices only, and the witness
+ints: S by one walk over the commutator rows on +-1 ratios (a cycle of
+links closes iff its signs agree or the characteristic is two), the
+socle from indices only, and the witness
 determinant as an int mapped into the field at the end.  Here that
 kernel is compared with the dense references of ``test_oracle`` and
 ``test_kernel`` on seeded graphs of 20 to 40 edges, a sign other than
@@ -40,7 +41,7 @@ from ribbonorders.polarize import quotient_polarization
 
 from reference import sign_form
 from test_kernel import check_kernel_against_reference
-from test_oracle import check_against_reference
+from test_oracle import check_against_reference, reference_symmetric_forms
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402  (perfbench's seeded generator)
@@ -100,10 +101,12 @@ def test_seeded_graphs_match_the_dense_kernel_reference():
 def test_char_two_closing_rule():
     # the builder writes +1 throughout in characteristic two; a GF(2)
     # algebra given the odd-characteristic signs (-1 on the rewritten top
-    # cycles) is the same algebra, since -1 = +1 there.  Its union-find
-    # closes cycles with u + w = +-2, which only the char-2 rule accepts.
+    # cycles) is the same algebra, since -1 = +1 there.  Its commutator
+    # rows link indices in cycles whose signs do not close, which only the
+    # char-2 rule accepts.
     quivers = [corpus_quiver(name) for name in CORPUS_NAMES] + [q for q, _, _ in seeded_quivers(9, 5)]
     closing = 0
+    closing_checked = 0  # at m <= 2, against the dense reference
     for q in quivers:
         eps = quotient_polarization(q, find_sigma_stable(q))
         for m in (1, 2, 3):
@@ -118,8 +121,14 @@ def test_char_two_closing_rule():
             if m == 2:
                 check_against_reference(signed)
             # read in odd characteristic, the same signs force components
-            closing += len(symmetric_forms(dataclasses.replace(signed, field=GF3))) < len(symmetric_forms(plus))
-    assert closing
+            odd = dataclasses.replace(signed, field=GF3)
+            odd_forms = symmetric_forms(odd)
+            fewer = len(odd_forms) < len(symmetric_forms(plus))
+            closing += fewer
+            if m <= 2:
+                assert [odd.dense(form) for form in odd_forms] == reference_symmetric_forms(odd)
+                closing_checked += fewer
+    assert closing and closing_checked
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +151,7 @@ def test_sign_outside_plus_minus_one_raises(bad):
     alg = build_quotient_algebra(q, GF5, 2, quotient_polarization(q, find_sigma_stable(q)))
     tops = set(alg.top_index.values())
     # a product of two paths on a kept top cycle: the witness pairing, the
-    # union-find and the scaling map all read it
+    # walk over the commutator rows and the scaling map all read it
     n = next(n for n, (i, j, k, _) in enumerate(alg.products) if k in tops and min(i, j) >= len(q.vertices))
     bad_alg = with_sign(alg, n, bad)
     top_form = [1 if k in tops else 0 for k in range(alg.dim)]
