@@ -19,6 +19,7 @@ from .fdalg import (
     nakayama_involution_bar,
     plain_quotient,
     socle,
+    socle_certificate,
 )
 from .fields import (
     GF2,

@@ -9,18 +9,22 @@ The six conditions on an instance (quiver, multiplicity, field):
       via the constructed scaling map,
   c6  the twisted quotient is isomorphic to some Brauer graph algebra.
 
-c3 and c4 are decided exactly from the combinatorics; c2 comes from the
-closed-form symmetry oracle on the twisted quotient (a socle-path
-refutation, or a witness form whose monomial pairing has a nonzero
-exact determinant, else unknown); c5 from the verified scaling
+c3 and c4 are decided exactly from the combinatorics (c4's trivial
+involution is the sigma-stability of the bipartite polarization's
+signs); c2 comes from the socle certificate on the twisted quotient
+(``fdalg.socle_certificate``: the verdict of the symmetry oracle, which
+is the reference, read off the socle and the products that land on it
+-- a socle-path refutation, or a +-1 witness form on the socle whose
+pairing has an exact determinant +-1); c5 from the verified scaling
 construction, and where no scaling map applies, from the closed-form
 certificate that the Brauer graph algebra is symmetric in its standard
 form (``fdalg.brauer_form_pairing``), which refutes c5 when c2 is
 certified false; c6 is bounded by c5 and by c2 (every Brauer graph
 algebra is symmetric, so a certified non-symmetric quotient refutes
 c6).  c1 delegates to the bipartite criterion -- there is no finite
-direct test at order level -- with the oracle verdict on the quotient
-recorded as independent evidence.
+direct test at order level -- with c2's verdict on the quotient
+recorded as independent evidence (under the key ``quotient_oracle``,
+kept from schema 2).
 Every report is checked against the implication lattice
 c1 <=> c2 <=> c3 <=> c4 <= c6 <= c5.
 """
@@ -34,11 +38,11 @@ from .fdalg import (
     SymmetryVerdict,
     brauer_form_pairing,
     build_quotient_algebra,
-    is_symmetric_oracle,
     psi_from_quotient,
+    socle_certificate,
 )
 from .fields import Field
-from .polarize import Polarization, default_polarization, find_sigma_stable, involution_of, quotient_polarization
+from .polarize import Polarization, default_polarization, find_sigma_stable, quotient_polarization
 from .quiver import GentleQuiver
 
 TRUE = "true"
@@ -88,8 +92,10 @@ def decide(
 ) -> SymmetryReport:
     """Evaluate all six conditions and cross-check the implication lattice.
 
-    One algebra is built, the twisted quotient, and the symmetry oracle
-    runs once, on it.  c2's oracle and c5's scaling map read it.  Where
+    One algebra is built, the twisted quotient, and its socle is read
+    once, by :func:`socle_certificate`, which gives c2's verdict from
+    the socle and the products landing on it; no S is computed.  c2's
+    certificate and c5's scaling map read the one algebra.  Where
     no scaling map applies, c5 reads the Brauer graph algebra's symmetry
     off the same products: :func:`brauer_form_pairing` certifies its
     standard form in closed form, and a failed certificate, which would
@@ -121,16 +127,17 @@ def decide(
             },
         )
     elif bipartite:
-        inv = involution_of(q, stable, field)
+        # the involution scales a by eps(sigma(a)) eps(a): trivial iff the signs are sigma-stable
+        trivial = all(stable.sign(q.sigma[a]) == stable.sign(a) for a in q.arrow_names)
         conditions["c4"] = Condition(
-            TRUE if inv.is_trivial() else FALSE,
-            {"polarization": dict(sorted(stable.signs.items())), "trivial": inv.is_trivial()},
+            TRUE if trivial else FALSE,
+            {"polarization": dict(sorted(stable.signs.items())), "trivial": trivial},
         )
     else:
         conditions["c4"] = Condition(FALSE, {"odd_walk": list(stable.odd_walk)})
 
     twisted = build_quotient_algebra(q, field, m, quotient_polarization(q, stable), twisted=True)
-    verdict_tw = is_symmetric_oracle(twisted)
+    verdict_tw = socle_certificate(twisted)
 
     conditions["c2"] = Condition(_status_from_verdict(verdict_tw), _verdict_evidence(verdict_tw))
 

@@ -65,6 +65,16 @@ sparse forms {index: coefficient}; ``FdAlgebra.dense`` turns a sparse
 element into a dense row.  An algebra that breaks one of these rules
 (a sign other than +-1 among them) raises AssertionError rather than
 falling back to general linear algebra.
+
+The oracle is the reference; decisions run ``socle_certificate``, which
+returns the same verdict from the socle and the products that land on
+it.  Those products are the graph of the standard form's pairing, an
+involution pi of the basis (the one ``brauer_form_pairing`` reads on
+the kept top cycles, which are the socle paths), so the commutator
+rows that meet the socle are the rows [b_i, b_pi(i)], the socle paths
+make whole components of S's signed graph, and dim S is counted in
+closed form.  No index of the products, no S and no pairing
+determinant over every product is built.
 """
 
 from __future__ import annotations
@@ -75,7 +85,7 @@ from functools import cached_property
 from math import gcd
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from . import linalg
 from .fields import Field, RationalField
@@ -418,12 +428,11 @@ def symmetric_forms(alg: FdAlgebra) -> List[Sparse]:
     The first kind only marks k in a zero mask (as does s b_k - s' b_k
     with s != s', outside characteristic two).  The second kind links k
     and k' with phi(k') = s s' phi(k), both ways, since 1 / s = s.  The
-    rows make a signed graph, and S is its component structure.  A walk
-    starts at each index not reached yet, with ratio 1, and gives the
-    index y it first reaches from x over a link of ratio r the ratio
-    ratio[x] r, so phi(y) = ratio[y] phi(start).  A component is forced
-    to zero by a masked member, or, outside characteristic two, by a
-    link whose ratio disagrees (a cycle whose signs do not close).  Each
+    rows make a signed graph, and S is its component structure, found by
+    one walk per component (:func:`_walk`), which gives each index its
+    ratio to the component's start.  A component is forced to zero by a
+    masked member, or, outside characteristic two, by a link whose ratio
+    disagrees (a cycle whose signs do not close).  Each
     other component gives one form, 1 at its largest index, and the
     forms are ordered by that index: the basis that elimination of the
     commutator rows returns.  The kernel runs on native ints; each sign
@@ -449,28 +458,42 @@ def symmetric_forms(alg: FdAlgebra) -> List[Sparse]:
                 zero[k] = True
 
     value = alg.scalar
-    ratio = [0] * n  # 0: not reached yet
+    ratio = [0] * n
     forms = []
-    for start in range(n):
-        if ratio[start]:
-            continue
-        ratio[start] = 1
-        comp = [start]
-        free = True
-        for x in comp:  # comp grows as it is read
-            free = free and not zero[x]
-            for y, r in links.get(x, ()):
-                if not ratio[y]:
-                    ratio[y] = ratio[x] * r
-                    comp.append(y)
-                elif ratio[y] != ratio[x] * r and not char2:
-                    free = False
-        if free:
+    for comp, consistent in _walk(range(n), links, ratio, char2):
+        if consistent and not any(map(zero.__getitem__, comp)):
             comp.sort()
             last = ratio[comp[-1]]  # 1 / last = last
             forms.append({x: value[ratio[x] * last] for x in comp})
     forms.sort(key=max)
     return forms
+
+
+def _walk(
+    starts: Iterable[int], links: Mapping[int, List[Tuple[int, int]]], ratio: List[int], char2: bool
+) -> Iterator[Tuple[List[int], bool]]:
+    """The components of a signed graph, one walk each: links[x] lists
+    (y, r) for phi(y) = r phi(x), r = +-1, and ratio (0 where not reached
+    yet) is filled in as the walk goes.  Each start not reached yet
+    begins a component with ratio 1; the index y first reached from x
+    over a link of ratio r gets ratio[x] r, so phi(y) = ratio[y]
+    phi(start).  Yields (members in the order reached, consistent), where
+    a component is inconsistent when, outside characteristic two, a
+    link's ratio disagrees (a cycle whose signs do not close)."""
+    for start in starts:
+        if ratio[start]:
+            continue
+        ratio[start] = 1
+        comp = [start]
+        consistent = True
+        for x in comp:  # comp grows as it is read
+            for y, r in links.get(x, ()):
+                if not ratio[y]:
+                    ratio[y] = ratio[x] * r
+                    comp.append(y)
+                elif ratio[y] != ratio[x] * r and not char2:
+                    consistent = False
+        yield comp, consistent
 
 
 def bilinear_matrix(alg: FdAlgebra, phi: list) -> List[list]:
@@ -496,7 +519,7 @@ def pairing_det(alg: FdAlgebra, phi) -> object:
 
 
 # ---------------------------------------------------------------------------
-# the symmetry oracle
+# the symmetry oracle and the socle certificate
 
 
 @dataclass
@@ -515,14 +538,16 @@ class SymmetryVerdict:
 
 def is_symmetric_oracle(alg: FdAlgebra) -> SymmetryVerdict:
     """Decide whether the algebra admits a symmetric nondegenerate form,
-    in O(dim + nonzero products), with no field arithmetic.
+    in O(dim + nonzero products), with no field arithmetic: the
+    reference for :func:`socle_certificate`, which decisions run.
 
     S comes from :func:`symmetric_forms` (sparse forms with disjoint
     supports) and the socle from :func:`socle` (basis-path indices);
     then, in order:
       1. refutation: a socle path p on which every form of S vanishes
-         lies in the radical of every pairing b_phi, phi in S (p y is a
-         multiple of p e_i for some idempotent e_i);
+         lies in the radical of every pairing b_phi, phi in S
+         (:func:`_socle_certificate`); the least such p is the
+         certificate;
       2. witness: phi = the sum of the basis forms of S whose support
          meets the socle.  Its values are +-1 (each form is), read as a
          sign form, so :func:`pairing_det` computes its exact
@@ -533,15 +558,9 @@ def is_symmetric_oracle(alg: FdAlgebra) -> SymmetryVerdict:
     one = alg.field.one
     forms = symmetric_forms(alg)
     paths = socle(alg)
-    sdim = len(forms)
     cert = _socle_certificate(alg, forms, paths)
     if cert is not None:
-        return SymmetryVerdict(
-            kind="not-symmetric",
-            method="socle path outside every free component of S",
-            s_dim=sdim,
-            certificate=cert,
-        )
+        return _refuted(len(forms), cert)
 
     soc = set(paths)
     phi = [0] * alg.dim  # the witness as a sign form
@@ -549,26 +568,116 @@ def is_symmetric_oracle(alg: FdAlgebra) -> SymmetryVerdict:
         if not soc.isdisjoint(form):
             for k, c in form.items():
                 phi[k] = 1 if c == one else -1
-    if pairing_det(alg, phi):
-        value = alg.scalar
-        return SymmetryVerdict(
-            kind="symmetric",
-            method="sum of the S basis forms meeting the socle: monomial pairing, exact determinant",
-            trials=1,
-            s_dim=sdim,
-            witness_form=[value[x] for x in phi],
-        )
-    return SymmetryVerdict(
-        kind="undecided",
-        method="degenerate witness pairing and no socle certificate",
-        trials=1,
-        s_dim=sdim,
-    )
+    return _witnessed(alg, len(forms), phi, pairing_det(alg, phi))
+
+
+def socle_certificate(alg: FdAlgebra) -> SymmetryVerdict:
+    """The verdict of :func:`is_symmetric_oracle` (kind, method, s_dim,
+    certificate and witness form), read off :func:`socle` and one pass
+    over the products that land on a socle path: no look-up table of
+    the products, no S and no field arithmetic.
+
+    pi.  The products landing on a socle path are the graph of the
+    standard form's pairing: each row i has one, b_i b_pi(i) = s_i
+    b_k(i), and pi is an involution (:func:`_socle_landing` checks it
+    with :func:`_involution`, which :func:`brauer_form_pairing` also
+    reads, and raises AssertionError otherwise).  So b_pi(i) b_i lands
+    on the socle too: no commutator row that meets the socle has one
+    term, and each is [b_i, b_pi(i)] = s_i b_k(i) - s_pi(i) b_k(pi(i)),
+    with both terms on the socle.  The socle paths therefore make a
+    union of components of the signed graph of :func:`symmetric_forms`,
+    linked k(i) - k(pi(i)) with ratio s_i s_pi(i), and the oracle's
+    verdict is read off these components alone (:func:`_walk`, from the
+    least socle path up):
+      - not-symmetric: outside characteristic two, a component whose
+        signs do not close is forced to zero; the least socle path
+        outside the consistent components (:func:`_socle_certificate`)
+        is the oracle's refutation;
+      - symmetric: otherwise the witness is the +-1 form on the socle,
+        1 at each component's largest index (the sum of the S basis
+        forms meeting the socle).  Its pairing has the dim entries
+        (i, pi(i), s_i phi(k(i))), one per row and column, so its
+        determinant is +-1 (:func:`linalg.sign_det`).
+
+    s_dim = dim S = |Q_0| + #{loop arrows a with sigma(a) != a}
+    + sum over the sigma-orbits A of (m_A - 1) + #consistent socle
+    components.  Proof: S is the dual of A / [A, A], and [A, A] is
+    spanned by the commutators of basis paths, each of which is zero,
+    +- one basis path, or a difference of two.  So A / [A, A] has one
+    dimension per class of basis paths linked by two-term rows that no
+    one-term row and no inconsistent cycle forces to zero.  Going
+    through the basis paths:
+      - e(v) is a product of two basis paths only as e(v) e(v), so it is
+        a class of its own: |Q_0| classes;
+      - an open path p from s is [e(s), p], so zero;
+      - a closed path p at v of length L >= 2 that is not a power of its
+        orbit's full cycle (n(a) does not divide L) is u w for the two
+        basis paths it splits into at an inner vertex, and w u = 0: it
+        would follow the last arrow l of p by the first arrow of p at v,
+        while sigma(l) = sigma^L(first(p)) != first(p).  So p = [u, w]
+        is zero;
+      - a loop arrow a with sigma(a) != a has length 1 < m_A n(a), so it
+        is a basis path, and only e(v) a and a e(v) give it: a class of
+        its own;
+      - a power c^j, 1 <= j < m_A, of a full cycle has length
+        j n(a) < m_A n(a), so each of its rotations is a basis path;
+        splitting it at a vertex gives a two-term row with signs +1 to
+        the rotation, and only rotations give it: one class per orbit
+        and j, sum over A of (m_A - 1) classes;
+      - what is left are the kept top cycles, which are the socle paths
+        (every other basis path extends by the next arrow of its orbit,
+        or by an arrow out of its vertex, to a nonzero one), whose rows
+        are the pi rows above: one class per consistent component.
+    """
+    n = alg.dim
+    paths = socle(alg)
+    landing = _socle_landing(alg, paths)
+    links: Dict[int, List[Tuple[int, int]]] = {}  # k -> [(k', s s')]
+    for i, j, k, s in landing:
+        if i < j:
+            k2, r = landing[j][2], s * landing[j][3]
+            links.setdefault(k, []).append((k2, r))
+            links.setdefault(k2, []).append((k, r))
+    ratio = [0] * n
+    comps = list(_walk(paths, links, ratio, alg.field.char == 2))
+
+    q, mm = alg.quiver, alg.multiplicity
+    loops = sum(1 for a, s, t in q.arrows if s == t and q.sigma[a] != a)
+    free = [comp for comp, ok in comps if ok]
+    s_dim = len(q.vertices) + loops + sum(mm.values()) - len(mm) + len(free)
+    cert = _socle_certificate(alg, free, paths)
+    if cert is not None:
+        return _refuted(s_dim, cert)
+
+    phi = [0] * n  # the witness as a sign form
+    for comp, _ in comps:
+        last = ratio[max(comp)]  # 1 / last = last
+        for x in comp:
+            phi[x] = ratio[x] * last
+    det = linalg.sign_det(n, ((i, j, s * phi[k]) for i, j, k, s in landing))
+    return _witnessed(alg, s_dim, phi, det)
+
+
+def _socle_landing(alg: FdAlgebra, paths: List[int]) -> List[Product]:
+    """The products that land on the socle paths (:func:`socle` of alg),
+    landing[i] = (i, pi(i), k, s) for b_i b_pi(i) = s b_k, in row order:
+    the graph of the involution pi (:func:`_involution`).  Raises
+    AssertionError when they are not, or when a sign is not 1 or -1."""
+    on_socle = bytearray(alg.dim)
+    for x in paths:
+        on_socle[x] = 1
+    landing = [p for p in alg.products if on_socle[p[2]]]
+    if _involution(alg.dim, landing) is None:
+        raise AssertionError("the products landing on the socle are not the graph of an involution")
+    if not _SIGNS.issuperset(map(itemgetter(3), landing)):
+        raise AssertionError("a product landing on the socle has a sign other than 1 and -1")
+    return landing
 
 
 def _socle_certificate(alg: FdAlgebra, forms: List[Sparse], paths: List[int]) -> Optional[dict]:
     """The first socle path p outside the union of the supports of the
-    sparse forms, as the element {label: "1"}, or None.
+    sparse forms (or of the member lists of S's free components), as
+    the element {label: "1"}, or None.
 
     For such p and any y, p y is a multiple of p e_i for an idempotent
     e_i, and phi(p e_i) = phi(p) or 0, so b_phi(p, -) vanishes for every
@@ -580,6 +689,35 @@ def _socle_certificate(alg: FdAlgebra, forms: List[Sparse], paths: List[int]) ->
         if p not in support:
             return {"reason": "socle", "element": {alg.basis[p]: alg.field.scalar_str(alg.field.one)}}
     return None
+
+
+def _refuted(s_dim: int, cert: dict) -> SymmetryVerdict:
+    return SymmetryVerdict(
+        kind="not-symmetric",
+        method="socle path outside every free component of S",
+        s_dim=s_dim,
+        certificate=cert,
+    )
+
+
+def _witnessed(alg: FdAlgebra, s_dim: int, phi: List[int], det) -> SymmetryVerdict:
+    """The verdict on the witness sign form phi, whose pairing has
+    determinant det (an int or a field element, zero or not)."""
+    if det:
+        value = alg.scalar
+        return SymmetryVerdict(
+            kind="symmetric",
+            method="sum of the S basis forms meeting the socle: monomial pairing, exact determinant",
+            trials=1,
+            s_dim=s_dim,
+            witness_form=[value[x] for x in phi],
+        )
+    return SymmetryVerdict(
+        kind="undecided",
+        method="degenerate witness pairing and no socle certificate",
+        trials=1,
+        s_dim=s_dim,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -597,22 +735,28 @@ def brauer_form_pairing(alg: FdAlgebra) -> Optional[List[int]]:
     phi(b_i b_j) is 1 where b_i b_j lands on a kept top cycle and 0
     otherwise; alg's signs are not read, and alg may be either
     quotient.  When these pairs (i, j) are the graph of a permutation pi
-    with pi = pi^-1, the pairing of phi is a symmetric permutation
-    matrix, of determinant sign(pi) != 0 in every field, so phi is
-    symmetric and nondegenerate.  Otherwise (a row with no such product
-    or two, or pi(pi(i)) != i) the result is None, which contradicts
-    the theorem that every Brauer graph algebra is symmetric in this
-    standard form.  One pass over the products with a byte mask of the
-    top indices, native ints only and no field arithmetic.
+    with pi = pi^-1 (:func:`_involution`), the pairing of phi is a
+    symmetric permutation matrix, of determinant sign(pi) != 0 in every
+    field, so phi is symmetric and nondegenerate.  Otherwise (a row
+    with no such product or two, or pi(pi(i)) != i) the result is None,
+    which contradicts the theorem that every Brauer graph algebra is
+    symmetric in this standard form.  One pass over the products with a
+    byte mask of the top indices, native ints only and no field
+    arithmetic.
     """
-    n = alg.dim
     top = alg.top_mask
-    landing = [(i, j) for i, j, k, _ in alg.products if top[k]]
+    return _involution(alg.dim, [p for p in alg.products if top[p[2]]])
+
+
+def _involution(n: int, landing: List[Product]) -> Optional[List[int]]:
+    """pi as the list of pi(i) when the pairs (i, j) of the products in
+    landing are the graph of an involution pi of the n basis indices;
+    else None."""
     if len(landing) != n:
         return None
     pi = [-1] * n
-    for i, j in landing:
-        pi[i] = j
+    for p in landing:
+        pi[p[0]] = p[1]
     if all(j >= 0 and pi[j] == i for i, j in enumerate(pi)):
         return pi
     return None

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Union
+from typing import Dict, Iterator, Union
 
 from .fields import Field
 from .quiver import GentleQuiver, QuiverError
@@ -64,31 +64,31 @@ def check_polarization(q: GentleQuiver, eps: Polarization) -> None:
             raise QuiverError(f"arrows {a}, {b} out of {v} carry equal signs")
 
 
-def enumerate_polarizations(q: GentleQuiver) -> List[Polarization]:
-    """All 2^{|Q_0|} polarizations, in a reproducible order.
+def enumerate_polarizations(q: GentleQuiver) -> Iterator[Polarization]:
+    """All 2^{|Q_0|} polarizations, one at a time, in a reproducible order.
 
     Vertices are taken in declared order and the last vertex varies
     fastest; the first choice at each vertex puts '+' on the
-    lexicographically smaller outgoing arrow, so the first entry is
-    :func:`default_polarization`.
+    lexicographically smaller outgoing arrow, so the first one yielded is
+    :func:`default_polarization`.  Each is built when it is asked for,
+    so ``next`` or ``itertools.islice`` costs O(|Q_0|) per polarization
+    taken, and the 2^{|Q_0|} are never held at once.
     """
     per_vertex = []
     for v in q.vertices:
         a, b = q.arrows_out(v)  # sorted, so a < b
         per_vertex.append([{a: PLUS, b: MINUS}, {a: MINUS, b: PLUS}])
-    out = []
     for combo in itertools.product(*per_vertex):
         signs: Dict[str, str] = {}
         for d in combo:
             signs.update(d)
-        out.append(Polarization(signs=signs))
-    return out
+        yield Polarization(signs=signs)
 
 
 def default_polarization(q: GentleQuiver) -> Polarization:
     """'+' on the lexicographically smaller arrow out of each vertex.
 
-    This is ``enumerate_polarizations(q)[0]``, built in O(|Q_0|).
+    This is ``next(enumerate_polarizations(q))``, built in O(|Q_0|).
     """
     signs: Dict[str, str] = {}
     for v in q.vertices:

@@ -59,7 +59,7 @@ def test_criterion_01_basis_and_rank():
 def test_criterion_02_frobenius_values_and_pair_list():
     for name in CORPUS_NAMES:
         q = corpus_quiver(name)
-        eps = enumerate_polarizations(q)[0]
+        eps = next(enumerate_polarizations(q))
         basis = canonical_basis(q, eps)
         for field in (QQ, GF3):
             ring = PolyRing(field)
@@ -92,7 +92,7 @@ def test_criterion_03_nu_symmetry_all_polarizations():
 def test_criterion_04_theta_psi_identity_and_bimodule():
     for name in CORPUS_NAMES:
         q = corpus_quiver(name)
-        eps = enumerate_polarizations(q)[0]
+        eps = next(enumerate_polarizations(q))
         for field in (GF3, QQ):
             rep = verify_theta_psi(q, eps, field)
             assert rep.theta_psi_identity and rep.psi_theta_identity, (name, field.name)
@@ -104,7 +104,7 @@ def test_criterion_04_theta_psi_identity_and_bimodule():
 def test_criterion_05_quotient_involution_and_twisted_form():
     for name in CORPUS_NAMES:
         q = corpus_quiver(name)
-        eps = enumerate_polarizations(q)[0]
+        eps = next(enumerate_polarizations(q))
         for field in (GF2, GF3, GF5):
             alg = build_quotient_algebra(q, field, 1, eps, twisted=True)
             bar = nakayama_involution_bar(alg, involution_of(q, eps, field))
@@ -151,7 +151,7 @@ def test_criterion_07_psi_on_line_quivers():
 
 def test_criterion_08_triangle_multiplicity_two_counterexample():
     q = corpus_quiver("triangle")
-    eps = enumerate_polarizations(q)[0]
+    eps = next(enumerate_polarizations(q))
     v_tw = is_symmetric_oracle(build_quotient_algebra(q, QQ, 2, eps, twisted=True))
     v_pl = is_symmetric_oracle(build_quotient_algebra(q, QQ, 2, eps, twisted=False))
     assert v_tw.kind == "not-symmetric" and v_tw.certificate["reason"] == "socle"

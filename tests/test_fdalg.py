@@ -62,7 +62,7 @@ def test_loop2_plain_commutes():
 def test_dimension_formula_and_axioms():
     for name in CORPUS:
         q = corpus_quiver(name)
-        eps = enumerate_polarizations(q)[0]
+        eps = next(enumerate_polarizations(q))
         for m in (1, 2, 3):
             tw = build_quotient_algebra(q, GF3, m, eps, twisted=True)
             pl = build_quotient_algebra(q, GF3, m, eps, twisted=False)
@@ -71,11 +71,11 @@ def test_dimension_formula_and_axioms():
     # full associativity and unit sweep (cubic in the dimension)
     for name in CORPUS:
         q = corpus_quiver(name)
-        eps = enumerate_polarizations(q)[0]
+        eps = next(enumerate_polarizations(q))
         check_algebra_axioms(build_quotient_algebra(q, GF3, 1, eps, twisted=True))
     for name in ("loop2", "nodal", "triangle", "mixed", "circ3"):
         q = corpus_quiver(name)
-        eps = enumerate_polarizations(q)[0]
+        eps = next(enumerate_polarizations(q))
         check_algebra_axioms(build_quotient_algebra(q, QQ, 2, eps, twisted=False))
 
 
@@ -89,7 +89,7 @@ def test_circular_anticommutation_relations():
     # (b_{j+1} a_{j+1})^m = -(a_j b_j)^m in the twisted quotient
     for n, m in [(3, 1), (4, 2)]:
         q = corpus_quiver(f"circ{n}")
-        eps = enumerate_polarizations(q)[0]
+        eps = next(enumerate_polarizations(q))
         alg = build_quotient_algebra(q, QQ, m, eps, twisted=True)
         for j in range(1, n + 1):
             k = j % n + 1
@@ -120,7 +120,7 @@ def test_nakayama_bar_loop2():
 def test_nakayama_bar_identity_cases():
     # characteristic two
     q = corpus_quiver("triangle")
-    eps = enumerate_polarizations(q)[0]
+    eps = next(enumerate_polarizations(q))
     alg = build_quotient_algebra(q, GF2, 1, eps, twisted=True)
     bar = nakayama_involution_bar(alg, involution_of(q, eps, GF2))
     assert bar.ok and all(s == GF2.one for s in bar.signs.values())
@@ -135,7 +135,7 @@ def test_nakayama_bar_identity_cases():
 def test_nakayama_bar_all_corpus():
     for name in CORPUS:
         q = corpus_quiver(name)
-        eps = enumerate_polarizations(q)[0]
+        eps = next(enumerate_polarizations(q))
         for field in (GF2, GF3, GF5):
             alg = build_quotient_algebra(q, field, 1, eps, twisted=True)
             bar = nakayama_involution_bar(alg, involution_of(q, eps, field))
@@ -161,7 +161,7 @@ def test_socle_examples():
 def test_socle_is_top_span_everywhere():
     for name in CORPUS:
         q = corpus_quiver(name)
-        eps = enumerate_polarizations(q)[0]
+        eps = next(enumerate_polarizations(q))
         for m in (1, 2):
             assert socle_is_top_span(build_quotient_algebra(q, GF3, m, eps, twisted=True)), (name, m)
 
@@ -169,7 +169,7 @@ def test_socle_is_top_span_everywhere():
 def test_socle_quotient_tables_agree():
     for name in CORPUS:
         q = corpus_quiver(name)
-        eps = enumerate_polarizations(q)[0]
+        eps = next(enumerate_polarizations(q))
         for field in (GF3, QQ):
             tw = build_quotient_algebra(q, field, 1, eps, twisted=True)
             pl = build_quotient_algebra(q, field, 1, eps, twisted=False)
@@ -248,7 +248,7 @@ def test_twist_check_loop2_gf5():
 def test_twist_check_triangle_gf3_contrast():
     # the twisted pairing passes even though plain symmetry fails
     q = corpus_quiver("triangle")
-    eps = enumerate_polarizations(q)[0]
+    eps = next(enumerate_polarizations(q))
     alg = build_quotient_algebra(q, GF3, 1, eps, twisted=True)
     bar = nakayama_involution_bar(alg, involution_of(q, eps, GF3))
     rep = check_canonical_bimodule_twist(alg, bar)

@@ -1,14 +1,17 @@
 """Default paths do each piece of work once and never list polarizations.
 
 A decision needs one bipartite certificate, one quotient, the twisted
-one, and one oracle run on it: the Brauer graph algebra's symmetry is
-certified in closed form off the same products, so the plain quotient is
-never derived.  Wherever no polarization is given the default one is
-built vertex by vertex, not picked out of the 2^|Q_0| list.  Calls are
-intercepted at every name a package module bound the function to, since
-package modules import functions from each other by name.
+one, and one read of its socle: c2 comes from the socle certificate
+(``fdalg.socle_certificate``), so a decision computes no S, runs no
+oracle and takes no determinant over every product, and the Brauer
+graph algebra's symmetry is certified in closed form off the same
+products, so the plain quotient is never derived.  The oracle stays the
+reference, and its own calls still read S and the socle once each.
+Wherever no polarization is given the default one is built vertex by
+vertex, not picked out of the 2^|Q_0| list.  Calls are intercepted at
+every name a package module bound the function to, since package
+modules import functions from each other by name.
 """
-
 import importlib
 import random
 import sys
@@ -24,10 +27,12 @@ from ribbonorders import (
     decide,
     default_polarization,
     enumerate_polarizations,
+    find_sigma_stable,
     is_bipartite,
     is_symmetric_oracle,
     normalize_multiplicity,
     quiver_from_ribbon_graph,
+    quotient_polarization,
     rank_formula_check,
 )
 from ribbonorders import fdalg
@@ -89,7 +94,7 @@ def test_default_polarization_is_first_enumerated():
     quivers += [quiver_from_ribbon_graph(random_ribbon_graph(rng, max_edges=10)) for _ in range(40)]
     for q in quivers:
         assert len(q.vertices) <= 10
-        assert default_polarization(q) == enumerate_polarizations(q)[0]
+        assert default_polarization(q) == next(enumerate_polarizations(q))
 
 
 def test_decide_computes_certificate_once_and_quotient_pair_once(monkeypatch):
@@ -141,21 +146,25 @@ def test_decide_derives_no_plain_quotient(monkeypatch):
     assert any(statuses) and not all(statuses)
 
 
-def test_decide_runs_the_oracle_once(monkeypatch):
-    # one oracle run per decision, on the twisted quotient, whether or not
-    # c5's scaling map applies (outside characteristic two on a
-    # non-bipartite graph, or without a root of -1, it does not)
-    counts = {"is_symmetric_oracle": 0}
-    count_calls(monkeypatch, is_symmetric_oracle, counts)
+def test_decide_reads_the_socle_once_and_runs_no_oracle(monkeypatch):
+    # c2 is certified from the socle and the products that land on it,
+    # whether or not c5's scaling map applies (outside characteristic two
+    # on a non-bipartite graph, or without a root of -1, it does not):
+    # one quotient, one socle read, and no S, oracle or pairing determinant
+    once = ("build_quotient_algebra", "socle", "socle_certificate")
+    never = ("is_symmetric_oracle", "symmetric_forms", "pairing_det")
+    counts = dict.fromkeys(once + never, 0)
+    for name in counts:
+        count_calls(monkeypatch, getattr(fdalg, name), counts)
     scaled = set()
     for name in CORPUS_NAMES:
         q = corpus_quiver(name)
         for field in FIELDS:
             for m in (1, 2):
-                counts.update(is_symmetric_oracle=0)
+                counts.update(dict.fromkeys(counts, 0))
                 rep = decide(q, field, m)
                 scaled.add(rep.conditions["c5"].evidence["kind"] != "inapplicable")
-                assert counts["is_symmetric_oracle"] == 1, (name, field.name, m)
+                assert counts == {**dict.fromkeys(once, 1), **dict.fromkeys(never, 0)}, (name, field.name, m)
     assert scaled == {True, False}
 
 
@@ -174,21 +183,15 @@ def test_oracle_reads_s_and_the_socle_once_through_fdalg(monkeypatch):
 
     for name in ("symmetric_forms", "socle"):
         monkeypatch.setattr(fdalg, name, counted(name, getattr(fdalg, name)))
-    oracle = is_symmetric_oracle
     per_call = []
-
-    def checked(alg):
-        start = len(calls)
-        verdict = oracle(alg)
-        per_call.append(sorted(calls[start:]))
-        return verdict
-
-    replace_everywhere(monkeypatch, oracle, checked)
     for name in CORPUS_NAMES:
         q = corpus_quiver(name)
+        eps = quotient_polarization(q, find_sigma_stable(q))
         for field in FIELDS:
             for m in (1, 2):
-                decide(q, field, m)
-    assert len(per_call) >= 2 * len(CORPUS_NAMES) * len(FIELDS)
+                start = len(calls)
+                is_symmetric_oracle(build_quotient_algebra(q, field, m, eps))
+                per_call.append(sorted(calls[start:]))
+    assert len(per_call) == 2 * len(CORPUS_NAMES) * len(FIELDS)
     assert all(c == ["socle", "symmetric_forms"] for c in per_call)
     assert len(calls) == 2 * len(per_call)

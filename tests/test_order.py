@@ -2,6 +2,7 @@
 Frobenius form, its twisted symmetry, and the dual bimodule matrices."""
 
 import random
+from itertools import islice
 
 import pytest
 
@@ -122,7 +123,7 @@ def test_canonical_basis_examples():
     assert nodal.labels() == ["e(1)", "x(1)"]
 
     tri = corpus_quiver("triangle")
-    assert len(canonical_basis(tri, enumerate_polarizations(tri)[0])) == 12
+    assert len(canonical_basis(tri, next(enumerate_polarizations(tri)))) == 12
 
 
 def test_rank_formula():
@@ -165,7 +166,7 @@ def test_coordinates_roundtrip():
     ring = PolyRing(QQ)
     for name in ("loop2", "nodal", "triangle", "mixed"):
         q = corpus_quiver(name)
-        eps = enumerate_polarizations(q)[0]
+        eps = next(enumerate_polarizations(q))
         basis = canonical_basis(q, eps)
         z = central_element_z(q, QQ, 1)
         for a in q.arrow_names:
@@ -182,7 +183,7 @@ def test_frobenius_canonical_values_everywhere():
         q = corpus_quiver(name)
         for field in (QQ, GF3):
             ring = ring_cache.setdefault(field.name, PolyRing(field))
-            eps = enumerate_polarizations(q)[0]
+            eps = next(enumerate_polarizations(q))
             basis = canonical_basis(q, eps)
             for v in q.vertices:
                 pos = eps.positive_arrow_at(q, v)
@@ -200,7 +201,7 @@ def test_frobenius_closed_form_matches_coordinates():
     ring = PolyRing(QQ)
     for name in ("loop2", "nodal", "triangle", "oneorbit", "mixed"):
         q = corpus_quiver(name)
-        eps = enumerate_polarizations(q)[0]
+        eps = next(enumerate_polarizations(q))
         basis = canonical_basis(q, eps)
         for a in q.arrow_names:
             for m in range(1, 3 * q.cycle_length(a) + 1):
@@ -259,7 +260,7 @@ def test_theta_psi_loop2_gf5():
 def test_theta_psi_all_corpus():
     for name in CORPUS:
         q = corpus_quiver(name)
-        eps = enumerate_polarizations(q)[0]
+        eps = next(enumerate_polarizations(q))
         for field in (GF3, QQ):
             rep = verify_theta_psi(q, eps, field)
             assert rep.ok, (name, field.name)
@@ -274,7 +275,7 @@ def test_theta_matrix_matches_its_defining_property():
 
     for name in ("loop2", "nodal", "triangle", "mixed"):
         q = corpus_quiver(name)
-        eps = enumerate_polarizations(q)[0]
+        eps = next(enumerate_polarizations(q))
         basis = canonical_basis(q, eps)
         ring = PolyRing(QQ)
         theta = theta_matrix(basis, ring)
@@ -336,7 +337,7 @@ def test_cartan_entries_sum_to_rank():
 def test_involution_fixes_central_element():
     for name in ("loop2", "triangle", "mixed"):
         q = corpus_quiver(name)
-        for eps in enumerate_polarizations(q)[:4]:
+        for eps in islice(enumerate_polarizations(q), 4):
             inv = involution_of(q, eps, QQ)
             z = central_element_z(q, QQ, 1)
             assert elements_equal(apply_involution(inv, z), z)

@@ -15,6 +15,7 @@ whose terms cancel over GF(2) only.
 import dataclasses
 import random
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -250,7 +251,7 @@ def assert_same(q, eps, field):
 
 def sampled_polarizations(q):
     """Every polarization, or a seeded sample of MAX_POLARIZATIONS of them."""
-    pols = enumerate_polarizations(q)
+    pols = list(enumerate_polarizations(q))
     if len(pols) <= MAX_POLARIZATIONS:
         return pols
     return random.Random(len(pols)).sample(pols, MAX_POLARIZATIONS)
@@ -290,7 +291,7 @@ def flipped_involution(real):
 def test_corrupted_involution_same_counterexamples(name, monkeypatch):
     monkeypatch.setattr(order, "involution_of", flipped_involution(order.involution_of))
     q = corpus_quiver(name)
-    eps = enumerate_polarizations(q)[-1]
+    eps = list(enumerate_polarizations(q))[-1]
     for field in (GF3, QQ):
         nu = check_nu_symmetry(q, eps, field)
         tp = verify_theta_psi(q, eps, field)
@@ -348,7 +349,7 @@ def test_corrupted_theta_same_counterexamples(name, monkeypatch):
     # with u nu(g) = 0, so the sweep must also compare those
     theta_of = corrupt_theta(monkeypatch, _stray_entry, (1,))
     q = corpus_quiver(name)
-    eps = enumerate_polarizations(q)[0]
+    eps = next(enumerate_polarizations(q))
     for field in (GF2, QQ):
         assert_corrupted_theta_matches(q, eps, field, theta_of)
 
@@ -364,7 +365,7 @@ def test_corrupted_theta_not_monomial(name, kind, monkeypatch):
 
     theta_of = corrupt_theta(monkeypatch, place, (1, 1))
     q = corpus_quiver(name)
-    eps = enumerate_polarizations(q)[0]
+    eps = next(enumerate_polarizations(q))
     for field in FIELDS:
         assert_corrupted_theta_matches(q, eps, field, theta_of)
 
@@ -374,7 +375,7 @@ def test_corrupted_theta_terms_cancel_in_gf2(monkeypatch):
     # vector meet at one row and degree: 1 + 1 = 0 over GF(2)
     theta_of = corrupt_theta(monkeypatch, lambda basis: (basis.index["b:1"], basis.index["e(1)"]), (1,))
     q = corpus_quiver("loop2")
-    eps = enumerate_polarizations(q)[0]
+    eps = next(enumerate_polarizations(q))
     tp = assert_corrupted_theta_matches(q, eps, GF2, theta_of)
     # compared over Z instead of GF(2), one more pair would differ
     monkeypatch.setattr(order, "_nonzero", lambda field, acc: any(acc.values()))
@@ -438,7 +439,7 @@ def test_checks_never_compose(monkeypatch):
         monkeypatch.setattr(PolyRing, name, _forbidden)
     for name in CORPUS_NAMES:
         q = corpus_quiver(name)
-        for eps in enumerate_polarizations(q)[:2]:
+        for eps in islice(enumerate_polarizations(q), 2):
             for field in FIELDS:
                 nu = check_nu_symmetry(q, eps, field)
                 assert nu.ok and nu.pairs_match
@@ -456,7 +457,7 @@ def test_checks_build_no_paths(monkeypatch):
     monkeypatch.setattr(GentleQuiver, "path_from", _no_path)
     for name in CORPUS_NAMES:
         q = corpus_quiver(name)
-        for eps in enumerate_polarizations(q)[:2]:
+        for eps in islice(enumerate_polarizations(q), 2):
             for field in (GF2, GF3, QQ):
                 nu = check_nu_symmetry(q, eps, field)
                 assert nu.ok and nu.pairs_match
@@ -515,7 +516,7 @@ def test_nu_signs_reject_other_signs(monkeypatch):
     monkeypatch.setattr(order, "involution_of", with_sign_two)
     q = corpus_quiver("loop2")
     with pytest.raises(AssertionError, match="sign of a is 2, not 1 or -1"):
-        check_nu_symmetry(q, enumerate_polarizations(q)[0], GF5)
+        check_nu_symmetry(q, next(enumerate_polarizations(q)), GF5)
 
 
 @pytest.mark.parametrize("field", [GF3, QQ], ids=lambda f: f.name)

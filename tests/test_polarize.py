@@ -1,11 +1,14 @@
 """Polarizations, sigma-stability, and the induced involution."""
 
+from itertools import islice
+
 import pytest
 
 from ribbonorders import (
     build_quotient_algebra,
     check_nu_symmetry,
     corpus_quiver,
+    default_polarization,
     enumerate_polarizations,
     find_sigma_stable,
     graph_of_quiver,
@@ -13,6 +16,7 @@ from ribbonorders import (
     is_bipartite,
     verify_theta_psi,
 )
+from ribbonorders.corpus import circular
 from ribbonorders.fields import GF2, GF3, QQ
 from ribbonorders.polarize import Polarization, check_polarization
 from ribbonorders.quiver import QuiverError
@@ -28,7 +32,7 @@ CORPUS = [
 def test_enumeration_count_and_validity():
     for name, count in [("loop2", 2), ("nodal", 2), ("triangle", 8), ("mixed", 32)]:
         q = corpus_quiver(name)
-        pols = enumerate_polarizations(q)
+        pols = list(enumerate_polarizations(q))
         assert len(pols) == count
         for eps in pols:
             check_polarization(q, eps)
@@ -38,11 +42,20 @@ def test_enumeration_count_and_validity():
 def test_enumeration_deterministic_first_entry():
     # first entry: '+' on the lexicographically smaller arrow at each vertex
     q = corpus_quiver("nodal")
-    first = enumerate_polarizations(q)[0]
+    first = next(enumerate_polarizations(q))
     assert first.signs == {"x": "+", "y": "-"}
     q = corpus_quiver("line2")
-    first = enumerate_polarizations(q)[0]
+    first = next(enumerate_polarizations(q))
     assert first.signs["a1"] == "+" and first.signs["x"] == "-"
+
+
+def test_enumeration_builds_only_what_is_taken():
+    # 2^200 polarizations: the first two are built, and nothing else
+    q = circular(200)
+    first, second = islice(enumerate_polarizations(q), 2)
+    assert first == default_polarization(q)
+    last = set(q.arrows_out(q.vertices[-1]))  # the last vertex varies fastest
+    assert {a for a in q.arrow_names if first.sign(a) != second.sign(a)} == last
 
 
 def test_positive_x_polarization_is_enumerated():
@@ -139,7 +152,7 @@ def test_involution_char2_always_identity():
 def test_involution_squares_to_identity_and_fixes_cycles():
     for name in ("loop2", "triangle", "oneorbit", "mixed"):
         q = corpus_quiver(name)
-        eps = enumerate_polarizations(q)[0]
+        eps = next(enumerate_polarizations(q))
         inv = involution_of(q, eps, QQ)
         maxn = max(q.cycle_length(a) for a in q.arrow_names)
         for a in q.arrow_names:
@@ -153,7 +166,7 @@ def test_involution_squares_to_identity_and_fixes_cycles():
 
 def test_involution_multiplicative_on_composable_paths():
     q = corpus_quiver("triangle")
-    eps = enumerate_polarizations(q)[3]
+    eps = next(islice(enumerate_polarizations(q), 3, None))
     inv = involution_of(q, eps, QQ)
     for a in q.arrow_names:
         for m in range(1, 5):
@@ -171,7 +184,7 @@ def test_involution_fixes_idempotents():
     # the indecomposable projectives trivially (weak symmetry)
     for name in ("loop2", "triangle", "mixed"):
         q = corpus_quiver(name)
-        for eps in enumerate_polarizations(q)[:2]:
+        for eps in islice(enumerate_polarizations(q), 2):
             inv = involution_of(q, eps, QQ)
             for v in q.vertices:
                 assert path_sign(inv, q.idempotent(v)) == QQ.one

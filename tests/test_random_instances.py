@@ -60,7 +60,7 @@ def test_random_quivers_nu_symmetry_and_dual():
     rng = random.Random(7)
     for _ in range(10):
         q = quiver_from_ribbon_graph(random_ribbon_graph(rng, max_edges=3))
-        eps = enumerate_polarizations(q)[0]
+        eps = next(enumerate_polarizations(q))
         rep = check_nu_symmetry(q, eps, GF3)
         assert rep.ok and rep.pairs_match
         tp = verify_theta_psi(q, eps, GF3)

@@ -1,0 +1,159 @@
+"""The socle certificate against the symmetry oracle.
+
+A decision certifies c2 with ``fdalg.socle_certificate``, read off the
+socle and the products that land on it; ``is_symmetric_oracle``, which
+computes all of S, is the reference.  Here the two are compared field
+for field (kind, method, s_dim, certificate, witness form) and the
+certificate's pairing pi with ``brauer_form_pairing``, on the corpus and
+on seeded ``perfbench/gen.py`` draws by valency profile (leaves, loops,
+one-orbit graphs, bipartite and not, and disjoint unions of the two
+kinds), over GF(2), GF(3), GF(5) and Q, at m = 1-3 and a mixed map, on
+the twisted and the plain quotient, with the decision's polarization
+and a random one.
+"""
+
+import dataclasses
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from ribbonorders import (
+    CORPUS_NAMES,
+    build_quotient_algebra,
+    corpus_quiver,
+    find_sigma_stable,
+    graph_of_quiver,
+    is_bipartite,
+    is_symmetric_oracle,
+    serialize_quiver,
+    socle,
+    socle_certificate,
+)
+from ribbonorders import fdalg
+from ribbonorders.fields import GF2, GF3, GF5, QQ
+from ribbonorders.polarize import quotient_polarization
+from ribbonorders.quiver import disjoint_union
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import gen  # noqa: E402  (perfbench's seeded generator)
+
+SEED = 21
+FIELDS = (GF2, GF3, GF5, QQ)
+MULTIPLICITIES = (1, 2, 3, "mixed")
+DRAWS = 3
+# (valencies, bipartite or None for either)
+PROFILES = (
+    ((1, 1), None),  # one edge between two leaves
+    ((3, 1, 1, 1), None),  # a star of leaves
+    ((2, 1, 1), None),  # a path
+    ((2,), None),  # one loop: a one-orbit graph
+    ((6,), None),  # three loops at one node: a one-orbit graph
+    ((4, 2), None),
+    ((2, 2, 2), False),
+    ((2, 2, 2, 2), True),
+    ((3, 3, 2), None),
+    ((4, 4, 4, 4), True),
+    ((4, 4, 4, 4), False),
+    ((3, 3, 3, 3, 2, 2), False),
+)
+VERDICT_FIELDS = ("kind", "method", "trials", "s_dim", "certificate", "witness_form")
+
+
+def seeded_quivers():
+    rng = random.Random(SEED)
+    draws = {True: [], False: []}
+    out = []
+    for valencies, bipartite in PROFILES:
+        for _ in range(DRAWS):
+            q = gen.random_quiver(rng, valencies, bipartite)
+            draws[is_bipartite(graph_of_quiver(q)).is_bipartite].append(q)
+            out.append(q)
+    # a bipartite and a non-bipartite component side by side: one free
+    # component of the socle and one forced to zero
+    out += [disjoint_union(a, b) for a, b in zip(draws[True][-3:], draws[False][-3:])]
+    return out, rng
+
+
+def cases():
+    """(quiver, field, multiplicity, polarization, twisted) over the grid."""
+    quivers, rng = seeded_quivers()
+    quivers = [corpus_quiver(name) for name in CORPUS_NAMES] + quivers
+    for q in quivers:
+        decision = quotient_polarization(q, find_sigma_stable(q))
+        for eps in (decision, gen.random_polarization(rng, q)):
+            for m in MULTIPLICITIES:
+                if m == "mixed":
+                    m = {rep: 1 + k % 3 for k, (rep, _) in enumerate(q.sigma_orbits())}
+                for field in FIELDS:
+                    for twisted in (True, False):
+                        yield q, field, m, eps, twisted
+
+
+def describe(q, field, m, eps, twisted):
+    return (
+        f"{'twisted' if twisted else 'plain'} quotient over {field.name}, m = {m}, "
+        f"polarization {sorted(eps.signs.items())}, of\n{serialize_quiver(q)}"
+    )
+
+
+def test_socle_certificate_matches_the_oracle_and_the_brauer_form():
+    seen = set()
+    count = 0
+    for q, field, m, eps, twisted in cases():
+        alg = build_quotient_algebra(q, field, m, eps, twisted=twisted)
+        got, want = socle_certificate(alg), is_symmetric_oracle(alg)
+        for name in VERDICT_FIELDS:
+            assert getattr(got, name) == getattr(want, name), (name, describe(q, field, m, eps, twisted))
+        assert got == want
+        paths = socle(alg)
+        pi = [j for _, j, _, _ in fdalg._socle_landing(alg, paths)]
+        assert pi == fdalg.brauer_form_pairing(alg), describe(q, field, m, eps, twisted)
+        # which branches the grid reached
+        loops = any(s == t and q.sigma[a] != a for a, s, t in q.arrows)
+        leaves = any(q.sigma[a] == a for a in q.arrow_names)
+        meets = any(not set(paths).isdisjoint(form) for form in fdalg.symmetric_forms(alg))
+        seen.add((want.kind, meets, loops, leaves))
+        count += 1
+    assert count >= 2000
+    kinds = {kind for kind, _, _, _ in seen}
+    assert kinds == {"symmetric", "not-symmetric"}
+    assert ("not-symmetric", True) in {(kind, meets) for kind, meets, _, _ in seen}  # a free and a forced component
+    assert any(loops for _, _, loops, _ in seen) and any(leaves for _, _, _, leaves in seen)
+
+
+def landing_row(alg, row):
+    """The index in alg.products of row's product that lands on the socle."""
+    paths = set(socle(alg))
+    return next(n for n, (i, _, k, _) in enumerate(alg.products) if i == row and k in paths)
+
+
+@pytest.mark.parametrize("name", ["circ3", "line3", "mixed"])
+def test_a_landing_product_out_of_the_rule_raises(name):
+    q = corpus_quiver(name)
+    alg = build_quotient_algebra(q, GF3, 2)
+    n = landing_row(alg, len(q.vertices))  # the first arrow's row
+    i, j, k, s = alg.products[n]
+    dropped = dataclasses.replace(alg, products=alg.products[:n] + alg.products[n + 1 :])
+    with pytest.raises(AssertionError, match="graph of an involution"):
+        socle_certificate(dropped)
+    for bad in (2, 0, -2):
+        signed = dataclasses.replace(alg, products=alg.products[:n] + [(i, j, k, bad)] + alg.products[n + 1 :])
+        with pytest.raises(AssertionError, match="sign other than 1 and -1"):
+            socle_certificate(signed)
+
+
+def test_characteristic_two_closes_every_cycle():
+    # GF(2) algebras given the twisted signs of GF(3): -1 = +1, so no
+    # component is forced, although the same signs refute over GF(3)
+    refuted = 0
+    for name in CORPUS_NAMES:
+        q = corpus_quiver(name)
+        for m in (1, 2):
+            odd = build_quotient_algebra(q, GF3, m)
+            alg = dataclasses.replace(odd, field=GF2)
+            assert socle_certificate(alg) == is_symmetric_oracle(alg), (name, m)
+            assert socle_certificate(alg).kind == "symmetric", (name, m)
+            refuted += socle_certificate(odd).kind == "not-symmetric"
+    assert refuted
