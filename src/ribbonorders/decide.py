@@ -288,10 +288,11 @@ def report_to_jsonable(report: SymmetryReport) -> Dict[str, object]:
 
 
 def _jsonable(value):
+    # the leaves first: most values of a report are strings and ints
+    if isinstance(value, (str, int, bool)) or value is None:
+        return value
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
     return str(value)

@@ -41,9 +41,11 @@ cycle) in closed form, as an involution of the basis.
 ``plain_quotient`` derives the Brauer graph algebra as an algebra of its
 own, for callers that read it; no decision does.  ``table[i][j]`` (the
 same product as a one-entry dict, every zero cell the one shared
-read-only ``ZERO_CELL``), and the layout's ``index`` (label -> index)
-and ``paths`` (a ``Path`` per basis label) are views derived on first
-read; no decision reads them.  The associativity check,
+read-only ``ZERO_CELL``), and the layout's ``basis`` (the labels),
+``index`` (label -> index) and ``paths`` (a ``Path`` per basis label)
+are views derived on first read; no decision reads them, and a
+decision formats at most one label, the basis path its refutation
+names (``label(r)``).  The associativity check,
 the commutator rows, the socle, the involution and twist checks and the
 scaling-map verification all run over the nonzero products, not over
 every dim^2 or dim^3 basis tuple.  ``bilinear_matrix``, the dense
@@ -55,8 +57,11 @@ O(dim + nonzero products) with no elimination, no dense determinant and
 no field arithmetic: a commutator has at most two terms, each +-one
 basis path, so S is the component structure of the signed graph of the
 commutator rows, found by one walk whose ratios are +-1 ints;
-every arrow residue is one basis path and multiplies basis paths
-injectively, so the socle is a set of basis paths; the refutation is
+every arrow residue is one basis path (``arrow_residue`` gives it in
+closed form: a:1, or the kept top cycle at the source for a rewritten
+arrow of top length one) and multiplies basis paths injectively, so
+the socle is a set of basis paths, read with byte masks of the
+residues and of the paths a residue reaches; the refutation is
 one socle path outside S's support, and the witness pairing has at most
 one nonzero entry per row and column, each +-1, so its determinant is
 +-1 or 0, mapped into the field at the end.  ``socle`` returns the
@@ -74,7 +79,11 @@ the kept top cycles, which are the socle paths), so the commutator
 rows that meet the socle are the rows [b_i, b_pi(i)], the socle paths
 make whole components of S's signed graph, and dim S is counted in
 closed form.  No index of the products, no S and no pairing
-determinant over every product is built.
+determinant over every product is built.  The products landing on the
+kept top cycles and their involution pi are the algebra's one
+``top_pairing`` view: the certificate reads it when the socle is the
+set of kept top cycles, as it is in both quotients, and
+``brauer_form_pairing`` returns its pi, so a decision reads pi once.
 """
 
 from __future__ import annotations
@@ -122,9 +131,10 @@ class FdAlgebra(BasisLayout):
     s * basis_k, in row-major (i, j) order: the one stored
     multiplication.  Each sign s is the native int 1 or -1; scalar[s] is
     s as a field element (and scalar[0] is zero), built once per
-    algebra.  The table view, like the layout's views, is derived on
-    first read and then kept; an edit of products after that read does
-    not reach it.
+    algebra.  The table and top_pairing views, like the layout's views,
+    are derived on first read and then kept; an edit of products after
+    that read does not reach them.  The quotient builder reads the
+    layout's views on the algebra itself, so they stay with it.
     """
 
     field: Field
@@ -137,6 +147,16 @@ class FdAlgebra(BasisLayout):
     def __post_init__(self) -> None:
         f = self.field
         self.scalar = (f.zero, f.one, f.neg(f.one))
+
+    @cached_property
+    def top_pairing(self) -> Tuple[List[Product], Optional[List[int]]]:
+        """(landing, pi): the products that land on a kept top cycle
+        (``top_mask``), in row order, and the involution pi of which they
+        are the graph (:func:`_involution`), or None when they are not
+        one; built on first read, by one pass over the products."""
+        top = self.top_mask
+        landing = [p for p in self.products if top[p[2]]]
+        return landing, _involution(self.dim, landing)
 
     @cached_property
     def table(self) -> List[List[Mapping[int, object]]]:
@@ -154,8 +174,14 @@ class FdAlgebra(BasisLayout):
         return table
 
     def arrow_residue(self, a: str) -> Sparse:
-        i, c = self.residue(a, 1)  # a top cycle has length >= 1
-        return {i: c}
+        """The residue of the arrow a, {index: coefficient}, in closed form:
+        a:1 at first[a] when the basis keeps it, else a is a negative
+        arrow with top length 1 (n(a) = m = 1), rewritten as the kept top
+        cycle at its source with the rewritten sign (:meth:`residue` at
+        length 1)."""
+        if self.kept[a]:
+            return {self.first[a]: self.scalar[1]}
+        return {self.top_index[self.quiver.source(a)]: self.scalar[-1 if self.twisted else 1]}
 
     def residue(self, a: str, length: int) -> Optional[Tuple[int, object]]:
         """The residue of the length-l path starting with arrow a, as
@@ -215,12 +241,20 @@ def build_quotient_algebra(
         check_polarization(q, eps)
 
     layout = basis_layout(q, eps, mm)
-    walks, by_end, by_next = layout.walks, layout.by_end, layout.by_next
     kept, top, top_index = layout.kept, layout.top_lengths, layout.top_index
+    products: List[Product] = []
+    alg = FdAlgebra(
+        **{f.name: getattr(layout, f.name) for f in fields(BasisLayout)},  # not its cached views
+        field=field,
+        multiplicity=mm,
+        twisted=twisted,
+        non_admissible=tuple(a for a, n in top.items() if n == 1),
+        products=products,
+    )
+    walks, by_end, by_next = alg.walks, alg.by_end, alg.by_next  # kept on the algebra
 
     sign = -1 if twisted and field.char != 2 else 1
-    index = list(range(layout.dim))  # the products share these ints, holding none of their own
-    products: List[Product] = []
+    index = list(range(alg.dim))  # the products share these ints, holding none of their own
     add = products.append
     for i, (s, a, length) in enumerate(walks):
         if a is None:  # e(s)
@@ -234,15 +268,7 @@ def build_quotient_algebra(
                 add((i, j, index[j + length], 1))
             elif t == top[b]:  # b:top, rewritten through the relation at s_j
                 add((i, j, top_index[s_j], sign))
-
-    return FdAlgebra(
-        **{f.name: getattr(layout, f.name) for f in fields(BasisLayout)},  # not its cached views
-        field=field,
-        multiplicity=mm,
-        twisted=twisted,
-        non_admissible=tuple(a for a, n in top.items() if n == 1),
-        products=products,
-    )
+    return alg
 
 
 def plain_quotient(tw: FdAlgebra) -> FdAlgebra:
@@ -257,6 +283,7 @@ def plain_quotient(tw: FdAlgebra) -> FdAlgebra:
 
 
 _SIGNS = frozenset((1, -1))
+_PLUS = frozenset((1,))
 
 
 def _product_index(alg: FdAlgebra) -> Dict[int, Product]:
@@ -271,13 +298,13 @@ def _product_index(alg: FdAlgebra) -> Dict[int, Product]:
         for i, j, _, _ in products:
             if (i, j) in seen:
                 raise AssertionError(
-                    f"product {alg.basis[i]} * {alg.basis[j]} has more than one term, "
+                    f"product {alg.label(i)} * {alg.label(j)} has more than one term, "
                     "so a commutator has more than two"
                 )
             seen.add((i, j))
     if not _SIGNS.issuperset(map(itemgetter(3), products)):
         i, j, _, s = next(p for p in products if p[3] not in _SIGNS)
-        raise AssertionError(f"product {alg.basis[i]} * {alg.basis[j]} has sign {s!r}, not 1 or -1")
+        raise AssertionError(f"product {alg.label(i)} * {alg.label(j)} has sign {s!r}, not 1 or -1")
     return terms
 
 
@@ -312,7 +339,7 @@ def check_algebra_axioms(alg: FdAlgebra) -> None:
             right[i][k] = f.add(right[i].get(k, f.zero), value[s])
     for x in range(n):
         if any({k: c for k, c in side[x].items() if c} != {x: f.one} for side in (left, right)):
-            raise AssertionError(f"unit law fails at basis element {alg.basis[x]}")
+            raise AssertionError(f"unit law fails at basis element {alg.label(x)}")
 
     def fails(i, j, k):  # each side as (index, field sign), or None
         ij, jk = terms.get(i * n + j), terms.get(j * n + k)
@@ -325,7 +352,7 @@ def check_algebra_axioms(alg: FdAlgebra) -> None:
     if failing:
         i, j, k = min(failing)
         raise AssertionError(
-            f"associativity fails at ({alg.basis[i]}, {alg.basis[j]}, {alg.basis[k]})"
+            f"associativity fails at ({alg.label(i)}, {alg.label(j)}, {alg.label(k)})"
         )
 
 
@@ -384,35 +411,40 @@ def socle(alg: FdAlgebra) -> List[int]:
     by b_g on either side sends distinct basis paths to distinct basis
     paths or to zero (a signed partial injection).  The socle is then
     the coordinate subspace on the paths that no such product keeps.
-    Only indices are read: no sign and no field arithmetic.  Raises
-    AssertionError when a residue is not one path or a multiplication
-    is not injective.
+    Only indices are read, in byte masks: no sign and no field
+    arithmetic.  The products are listed row by row, so left
+    multiplication by b_g is injective iff no k repeats within row g,
+    which a per-index stamp of the last row that reached k tests; right
+    multiplication keeps a set of g * dim + k.  Raises AssertionError
+    when a residue is not one path or a multiplication is not injective.
     """
-    residues = set()
+    n = alg.dim
+    residue = bytearray(n)
     for a in alg.quiver.arrow_names:
         g = alg.arrow_residue(a)
         if len(g) != 1:
             raise AssertionError(f"arrow residue of {a} is not one basis path")
-        residues.update(g)
-    n = alg.dim
-    kept = [False] * n
-    left, right = set(), set()  # g * n + k: b_g b_x, or b_x b_g, is c b_k
+        for x in g:
+            residue[x] = 1
+    kept = bytearray(n)
+    row = [-1] * n  # row[k]: the last residue row with a product on b_k
+    right = set()  # g * n + k: b_x b_g is c b_k
 
     def not_injective(side, g):
-        return AssertionError(f"{side} multiplication by {alg.basis[g]} is not injective on basis paths")
+        return AssertionError(f"{side} multiplication by {alg.label(g)} is not injective on basis paths")
 
     for i, j, k, _ in alg.products:
-        if i in residues:
-            if i * n + k in left:
+        if residue[i]:
+            if row[k] == i:
                 raise not_injective("left", i)
-            left.add(i * n + k)
-            kept[j] = True
-        if j in residues:
+            row[k] = i
+            kept[j] = 1
+        if residue[j]:
             if j * n + k in right:
                 raise not_injective("right", j)
             right.add(j * n + k)
-            kept[i] = True
-    return [x for x in range(n) if not kept[x]]
+            kept[i] = 1
+    return [x for x, k in enumerate(kept) if not k]
 
 
 def symmetric_forms(alg: FdAlgebra) -> List[Sparse]:
@@ -662,12 +694,22 @@ def _socle_landing(alg: FdAlgebra, paths: List[int]) -> List[Product]:
     """The products that land on the socle paths (:func:`socle` of alg),
     landing[i] = (i, pi(i), k, s) for b_i b_pi(i) = s b_k, in row order:
     the graph of the involution pi (:func:`_involution`).  Raises
-    AssertionError when they are not, or when a sign is not 1 or -1."""
-    on_socle = bytearray(alg.dim)
-    for x in paths:
-        on_socle[x] = 1
-    landing = [p for p in alg.products if on_socle[p[2]]]
-    if _involution(alg.dim, landing) is None:
+    AssertionError when they are not, or when a sign is not 1 or -1.
+
+    When the socle is the set of kept top cycles, as it is in both
+    quotients, these are alg's ``top_pairing`` view, which
+    :func:`brauer_form_pairing` returns too; any other socle is
+    filtered for here."""
+    top = alg.top_mask
+    if len(paths) == len(alg.top_index) and all(map(top.__getitem__, paths)):
+        landing, pi = alg.top_pairing
+    else:
+        on_socle = bytearray(alg.dim)
+        for x in paths:
+            on_socle[x] = 1
+        landing = [p for p in alg.products if on_socle[p[2]]]
+        pi = _involution(alg.dim, landing)
+    if pi is None:
         raise AssertionError("the products landing on the socle are not the graph of an involution")
     if not _SIGNS.issuperset(map(itemgetter(3), landing)):
         raise AssertionError("a product landing on the socle has a sign other than 1 and -1")
@@ -687,7 +729,7 @@ def _socle_certificate(alg: FdAlgebra, forms: List[Sparse], paths: List[int]) ->
     support = set().union(*forms)
     for p in paths:
         if p not in support:
-            return {"reason": "socle", "element": {alg.basis[p]: alg.field.scalar_str(alg.field.one)}}
+            return {"reason": "socle", "element": {alg.label(p): alg.field.scalar_str(alg.field.one)}}
     return None
 
 
@@ -740,24 +782,24 @@ def brauer_form_pairing(alg: FdAlgebra) -> Optional[List[int]]:
     field, so phi is symmetric and nondegenerate.  Otherwise (a row
     with no such product or two, or pi(pi(i)) != i) the result is None,
     which contradicts the theorem that every Brauer graph algebra is
-    symmetric in this standard form.  One pass over the products with a
-    byte mask of the top indices, native ints only and no field
-    arithmetic.
+    symmetric in this standard form.  This is alg's ``top_pairing``
+    view: one pass over the products with a byte mask of the top
+    indices, native ints only and no field arithmetic, shared with
+    :func:`socle_certificate`.
     """
-    top = alg.top_mask
-    return _involution(alg.dim, [p for p in alg.products if top[p[2]]])
+    return alg.top_pairing[1]
 
 
 def _involution(n: int, landing: List[Product]) -> Optional[List[int]]:
     """pi as the list of pi(i) when the pairs (i, j) of the products in
     landing are the graph of an involution pi of the n basis indices;
-    else None."""
+    else None.  pi pi = id is tested by C-level maps."""
     if len(landing) != n:
         return None
     pi = [-1] * n
     for p in landing:
         pi[p[0]] = p[1]
-    if all(j >= 0 and pi[j] == i for i, j in enumerate(pi)):
+    if -1 not in pi and list(map(pi.__getitem__, pi)) == list(range(n)):
         return pi
     return None
 
@@ -791,7 +833,7 @@ def check_canonical_bimodule_twist(alg: FdAlgebra, bar: NakayamaBarReport) -> Tw
     Its determinant is :func:`pairing_det` of the layout's ``top_mask``.
     """
     top = alg.top_mask
-    phi = {(i, j): {0: s} for i, j, k, s in alg.products if top[k]}
+    phi = {(i, j): {0: s} for i, j, _, s in alg.top_pairing[0]}
     nu = [_integral(bar.signs[lab]) for lab in alg.basis]
     bad = [f"({alg.basis[i]}, {alg.basis[j]})" for i, j in nu_counterexamples(alg.field, phi, nu)]
     d = pairing_det(alg, top)
@@ -879,7 +921,7 @@ def psi_from_quotient(
     q, field, mm = tw.quiver, tw.field, tw.multiplicity
 
     if field.char == 2:
-        if any(s != 1 for _, _, _, s in tw.products):
+        if not _PLUS.issuperset(map(itemgetter(3), tw.products)):
             raise AssertionError("char 2 quotients should coincide")
         scales = {a: field.one for a in q.arrow_names}
         return PsiResult(kind="identity", scales=scales, verified=True)
@@ -939,7 +981,7 @@ def _verify_scaling_map(tw: FdAlgebra, scales: Mapping[str, object]) -> bool:
         elif s == -1:
             dk = f.neg(diag[k])
         else:
-            raise AssertionError(f"product {tw.basis[i]} * {tw.basis[j]} has sign {s!r}, not 1 or -1")
+            raise AssertionError(f"product {tw.label(i)} * {tw.label(j)} has sign {s!r}, not 1 or -1")
         if f.mul(diag[i], diag[j]) != dk:
             return False
     return True

@@ -36,7 +36,9 @@ basis path as (start, first arrow, length), with no Path object,
 ``terms`` the coordinates, whose degree-0 part is a quotient's residue.
 Its ``top_mask`` marks the kept top cycles, the support of the form phi
 of the order (the x-coordinates) and of the standard form of each
-quotient.  The labels are for display.
+quotient.  The labels are for display: the layout holds none, and
+``label(r)`` formats one from ``walks[r]``, on first read of the
+``basis`` view or where a report names a basis path.
 
 * ``nu_counterexamples`` is the one evaluator of the twisted symmetry
   phi(b_i b_j) = nu(b_j) phi(b_j b_i), for the order's form and for a
@@ -260,25 +262,33 @@ class BasisLayout:
     the length m(a) n(a) of the top cycle starting with a; a positive
     arrow keeps it (kept[a] = top_lengths[a]), at top_index[v] for its
     source v, and a negative arrow's is rewritten (kept[a] one less).
-    basis[r] is the display label of b_r.  ``walks`` (b_r as (start,
-    first arrow, length)), the sigma-rule lists ``by_end``/``by_next``
-    and ``top_mask`` (the kept top cycles, the standard form's support)
-    are views built on first read, which the quotient builder and the
-    checks read; ``index`` (label -> index) and ``paths`` (label ->
-    ``Path``) are views that no check reads.  No view is a field.
+    dim is the number of basis paths.  ``walks`` (b_r as (start, first
+    arrow, length)), the sigma-rule lists ``by_end``/``by_next`` and
+    ``top_mask`` (the kept top cycles, the standard form's support) are
+    views built on first read, which the quotient builder and the
+    checks read.  The labels are display-only: :meth:`label` formats
+    the one of b_r, and ``basis`` (every label, label(r) at index r),
+    ``index`` (label -> index) and ``paths`` (label -> ``Path``) are
+    views that no decision reads.  No view is a field.
     """
 
     quiver: GentleQuiver
     eps: Polarization
-    basis: Tuple[str, ...]
+    dim: int
     first: Dict[str, int]  # arrow -> index of a:1
     kept: Dict[str, int]  # arrow -> number of paths a:l in the basis
     top_index: Dict[str, int]  # vertex -> index of its kept (positive) top cycle
     top_lengths: Dict[str, int]
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
+    def label(self, r: int) -> str:
+        """The display label of b_r: "e(v)" or "a:l"."""
+        s, a, length = self.walks[r]
+        return f"e({s})" if a is None else f"{a}:{length}"
+
+    @cached_property
+    def basis(self) -> Tuple[str, ...]:
+        """Every display label, label(r) at index r, built on first read."""
+        return tuple(map(self.label, range(self.dim)))
 
     @cached_property
     def walks(self) -> Tuple[Walk, ...]:
@@ -313,7 +323,7 @@ class BasisLayout:
         return dict(zip(self.basis, paths))
 
     def __len__(self) -> int:
-        return len(self.basis)
+        return self.dim
 
     def labels(self) -> List[str]:
         return list(self.basis)
@@ -386,32 +396,37 @@ class BasisLayout:
 
 def basis_layout(q: GentleQuiver, eps: Polarization, mm: Mapping[str, int]) -> BasisLayout:
     """The one basis layout of the quotients for the polarization eps and
-    the multiplicity map mm ({orbit representative: m}), in O(dim): the
-    indices of :class:`BasisLayout` and the labels "e(v)" and "a:l".
-    Raises AssertionError when the size disagrees with the rank formula
-    sum m(v_a) n(a)."""
-    labels: List[str] = [f"e({v})" for v in q.vertices]
+    the multiplicity map mm ({orbit representative: m}), in O(|Q_0| +
+    |Q_1|): the indices of :class:`BasisLayout` and dim, with no label
+    (``basis`` is a view).  Raises AssertionError when dim disagrees
+    with the rank formula sum m(v_a) n(a)."""
+    dim = len(q.vertices)
     top, first, kept = {}, {}, {}  # per arrow: see BasisLayout
     for a in sorted(q.arrow_names):
         top[a] = mm[q.orbit_rep(a)] * q.cycle_length(a)
-        first[a] = len(labels)
+        first[a] = dim
         kept[a] = top[a] if eps.sign(a) == PLUS else top[a] - 1
-        labels.extend(f"{a}:{length}" for length in range(1, kept[a] + 1))
-    if len(labels) != sum(top.values()):
+        dim += kept[a]
+    if dim != sum(top.values()):
         raise AssertionError("quotient basis size disagrees with the rank formula")
     top_index = {}
     for v in q.vertices:
         a = eps.positive_arrow_at(q, v)
         top_index[v] = first[a] + top[a] - 1
-    return BasisLayout(q, eps, tuple(labels), first, kept, top_index, top)
+    return BasisLayout(q, eps, dim, first, kept, top_index, top)
 
 
 class CanonicalBasis(BasisLayout):
     """The basis B of the order as a free k[[t]]-module (multiplicity one):
     the layout of the twisted quotient at m = 1, whose kept top cycle at
-    v is x(v).  The order checks read it through the layout's sigma-rule
+    v is x(v): :meth:`label` shows it so, and with it the ``basis``
+    view.  The order checks read it through the layout's sigma-rule
     lists and coordinate rule.
     """
+
+    def label(self, r: int) -> str:
+        s = self.walks[r][0]
+        return f"x({s})" if self.top_index[s] == r else super().label(r)
 
 
 def canonical_basis(q: GentleQuiver, eps: Polarization) -> CanonicalBasis:
@@ -419,16 +434,12 @@ def canonical_basis(q: GentleQuiver, eps: Polarization) -> CanonicalBasis:
 
     Defined for multiplicity one only; quotients handle general
     multiplicities.  x_i is the full cycle of the positive arrow at i.
-    :func:`basis_layout` at m = 1, in O(|B|), with x(v) as the label at
-    top_index[v].
+    :func:`basis_layout` at m = 1, in O(|Q_0| + |Q_1|), with x(v) as the
+    label at top_index[v].
     """
     check_polarization(q, eps)
     layout = basis_layout(q, eps, normalize_multiplicity(q, None))
-    labels = list(layout.basis)
-    for v, r in layout.top_index.items():
-        labels[r] = f"x({v})"
-    init = {f.name: getattr(layout, f.name) for f in fields(BasisLayout)}  # not its cached views
-    return CanonicalBasis(**{**init, "basis": tuple(labels)})
+    return CanonicalBasis(**{f.name: getattr(layout, f.name) for f in fields(BasisLayout)})  # not its cached views
 
 
 def path_coordinates(basis: CanonicalBasis, ring: PolyRing, p: Path) -> Dict[str, tuple]:
@@ -833,13 +844,15 @@ class RankReport:
 
 def rank_formula_check(q: GentleQuiver, m: Union[int, Mapping[str, int], None] = None) -> RankReport:
     """rk Lambda = sum over arrows of m(v_a) n(a); for multiplicity one this
-    must equal |B|, and the report says whether it does."""
+    must equal |B|, and the report says whether it does.  |B| is the
+    ``dim`` of the canonical basis's layout: no basis path or label is
+    built."""
     mm = normalize_multiplicity(q, m)
     per = {a: mm[q.orbit_rep(a)] * q.cycle_length(a) for a in q.arrow_names}
     total = sum(per.values())
     basis_size = None
     matches = None
     if all(v == 1 for v in mm.values()):
-        basis_size = len(canonical_basis(q, default_polarization(q)))
+        basis_size = basis_layout(q, default_polarization(q), mm).dim
         matches = basis_size == total
     return RankReport(total_rank=total, per_arrow=per, basis_size=basis_size, matches_basis=matches)

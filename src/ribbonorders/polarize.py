@@ -112,14 +112,20 @@ def find_sigma_stable(
     ones whose representatives get rescaled when comparing the twisted
     quotient with the Brauer graph algebra; on line graphs this reproduces
     the familiar alternating signs a_j -> (-1)^j a_j.
+
+    The pullback is a polarization, so it is not checked here (the
+    quotient builder checks the polarization it is given).  The node of
+    an orbit lists the edge e_{s(a)} for each of its arrows a, so the
+    two ends of the edge v are the orbits of the two arrows out of v.
+    The coloring is proper, so those two arrows get the two colors '+'
+    and '-'.  Were both arrows in one orbit, the edge v would be a loop,
+    and a graph with a loop has no proper coloring.
     """
     cert = is_bipartite(graph_of_quiver(q))
     if not cert.is_bipartite:
         return cert
     signs = {a: cert.coloring[q.orbit_rep(a)] for a in q.arrow_names}
-    eps = Polarization(signs=signs)
-    check_polarization(q, eps)
-    return eps
+    return Polarization(signs=signs)
 
 
 def quotient_polarization(

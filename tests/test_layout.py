@@ -52,6 +52,7 @@ from ribbonorders.polarize import (
 
 sys.path.insert(0, str(FilePath(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402  (perfbench's seeded generator)
+import workloads  # noqa: E402  (perfbench's workload inputs)
 
 PROFILES = ((4, 4, 4, 4), (3, 3, 2, 2, 2, 2, 2), (3, 3, 2, 2, 2), (5, 3, 2), (6,), (2, 2, 1, 1))
 
@@ -324,3 +325,85 @@ def test_order_checks_never_read_the_index(monkeypatch):
                 nu = check_nu_symmetry(q, eps, field)
                 assert nu.ok and nu.pairs_match
                 assert verify_theta_psi(q, eps, field).ok
+
+
+# ---------------------------------------------------------------------------
+# labels on demand
+
+
+def reference_labels(layout):
+    """The labels as the layout's builder once wrote them: e(v) in vertex
+    order, a:1 .. a:kept[a] per arrow in sorted order, and, in the
+    canonical basis, x(v) at top_index[v]."""
+    q = layout.quiver
+    labels = [f"e({v})" for v in q.vertices]
+    for a in sorted(q.arrow_names):
+        labels += [f"{a}:{length}" for length in range(1, layout.kept[a] + 1)]
+    if isinstance(layout, order.CanonicalBasis):
+        for v, r in layout.top_index.items():
+            labels[r] = f"x({v})"
+    return labels
+
+
+def test_label_is_the_basis_entry():
+    # label(r) == basis[r] on the quotients at m = 1-3 under two
+    # polarizations and on the canonical basis; label(r) read first
+    # builds no basis view
+    rng = random.Random(5)
+    for q in all_quivers():
+        for eps in polarizations(q, rng):
+            layouts = [build_quotient_algebra(q, GF3, m, eps) for m in (1, 2, 3)]
+            layouts.append(canonical_basis(q, eps))
+            for layout in layouts:
+                labels = [layout.label(r) for r in range(layout.dim)]
+                assert "basis" not in vars(layout)
+                assert labels == list(layout.basis) == reference_labels(layout)
+                assert len(layout) == layout.dim == len(layout.walks)
+
+
+def test_closed_form_arrow_residue_is_the_length_one_residue():
+    # in both quotients, at every m, under two polarizations; a negative
+    # arrow with n(a) = m = 1 keeps no path and is rewritten
+    rng = random.Random(8)
+    rewritten = {True: 0, False: 0}
+    for q in all_quivers():
+        for eps in polarizations(q, rng):
+            for m in (1, 2, 3):
+                for field in (GF2, GF3, QQ):
+                    tw = build_quotient_algebra(q, field, m, eps)
+                    for alg in (tw, plain_quotient(tw)):
+                        for a in q.arrow_names:
+                            k, c = alg.residue(a, 1)
+                            assert alg.arrow_residue(a) == {k: c}, (a, m, field.name, alg.twisted)
+                            if not alg.kept[a]:
+                                assert a in alg.non_admissible and k == alg.top_index[q.source(a)]
+                                rewritten[alg.twisted] += 1
+    assert all(rewritten.values())
+
+
+def test_decisions_build_no_label_tuple(monkeypatch):
+    # the corpus grid and the decide_scaling inputs, decided and turned
+    # into JSON, read no basis view (nor index or paths, which read it);
+    # a not-symmetric certificate formats the one label it names
+    built, labelled = [], []
+    real_label = order.BasisLayout.label
+
+    def counted_label(self, r):
+        labelled.append(real_label(self, r))
+        return labelled[-1]
+
+    monkeypatch.setattr(order.BasisLayout, "basis", property(lambda self: built.append(self) or ()))
+    monkeypatch.setattr(order.BasisLayout, "label", counted_label)
+    items = workloads.corpus_grid(3) + workloads.decide_scaling(3)
+    refuted = 0
+    for item in items:
+        del labelled[:]
+        rep, report = workloads.run_item(item)
+        assert rep.consistency_ok and not built, item.label
+        c2 = rep.conditions["c2"]
+        if "certificate" in c2.evidence:
+            assert list(report["conditions"]["c2"]["evidence"]["certificate"]["element"]) == labelled, item.label
+            refuted += 1
+        else:
+            assert not labelled, item.label
+    assert refuted and refuted < len(items)

@@ -39,6 +39,7 @@ from ribbonorders import fdalg
 from ribbonorders.cli import main
 from ribbonorders.corpus import circular
 from ribbonorders.fields import GF2, GF3, GF5, QQ
+from ribbonorders.polarize import check_polarization
 
 from test_random_instances import random_ribbon_graph
 
@@ -98,12 +99,14 @@ def test_default_polarization_is_first_enumerated():
 
 
 def test_decide_computes_certificate_once_and_quotient_pair_once(monkeypatch):
-    # and the multiplicity map is normalized once, by the quotient builder
-    once = {"is_bipartite": 1, "build_quotient_algebra": 1, "normalize_multiplicity": 1}
+    # and the multiplicity map is normalized once, and the polarization
+    # checked once, by the quotient builder
+    once = {"is_bipartite": 1, "build_quotient_algebra": 1, "normalize_multiplicity": 1, "check_polarization": 1}
     counts = dict.fromkeys(once, 0)
     count_calls(monkeypatch, is_bipartite, counts)
     count_calls(monkeypatch, build_quotient_algebra, counts)
     count_calls(monkeypatch, normalize_multiplicity, counts)
+    count_calls(monkeypatch, check_polarization, counts)
     for name in CORPUS_NAMES:
         q = corpus_quiver(name)
         for field in FIELDS:

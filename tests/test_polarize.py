@@ -1,10 +1,14 @@
 """Polarizations, sigma-stability, and the induced involution."""
 
+import random
+import sys
 from itertools import islice
+from pathlib import Path as FilePath
 
 import pytest
 
 from ribbonorders import (
+    CORPUS_NAMES,
     build_quotient_algebra,
     check_nu_symmetry,
     corpus_quiver,
@@ -14,6 +18,7 @@ from ribbonorders import (
     graph_of_quiver,
     involution_of,
     is_bipartite,
+    serialize_quiver,
     verify_theta_psi,
 )
 from ribbonorders.corpus import circular
@@ -22,6 +27,11 @@ from ribbonorders.polarize import Polarization, check_polarization
 from ribbonorders.quiver import QuiverError
 
 from reference import is_sigma_stable, path_sign
+
+sys.path.insert(0, str(FilePath(__file__).resolve().parent.parent / "perfbench"))
+import gen  # noqa: E402  (perfbench's seeded generator)
+
+STABLE_PROFILES = ((4, 4, 4, 4), (3, 3, 2, 2, 2, 2), (2, 2, 2, 2, 2, 2), (6, 2, 2, 2), (1, 3, 2, 2, 1, 1))
 
 CORPUS = [
     "loop2", "nodal", "line2", "line3", "line4",
@@ -92,16 +102,27 @@ def test_checks_and_quotient_reject_an_invalid_polarization(signs):
 
 
 def test_sigma_stable_iff_bipartite():
-    for name in CORPUS:
-        q = corpus_quiver(name)
+    # find_sigma_stable does not check its result: the pullback of a
+    # proper 2-coloring is a polarization, on the corpus and on 60 seeded
+    # draws by valency profile
+    rng = random.Random(23)
+    quivers = [corpus_quiver(name) for name in CORPUS_NAMES]
+    for k in range(60):
+        profile = STABLE_PROFILES[k % len(STABLE_PROFILES)]
+        quivers.append(gen.random_quiver(rng, profile, bipartite=True if k % 3 else None))
+    stable = 0
+    for q in quivers:
         result = find_sigma_stable(q)
         bip = is_bipartite(graph_of_quiver(q)).is_bipartite
         if bip:
-            assert isinstance(result, Polarization), name
+            assert isinstance(result, Polarization), serialize_quiver(q)
+            check_polarization(q, result)
             assert is_sigma_stable(result, q)
+            stable += 1
         else:
-            assert not isinstance(result, Polarization), name
+            assert not isinstance(result, Polarization), serialize_quiver(q)
             assert len(result.odd_walk) % 2 == 1
+    assert stable >= 40
 
 
 def test_loop2_has_no_sigma_stable():

@@ -23,15 +23,35 @@ from ribbonorders import (
     verify_theta_psi,
 )
 from ribbonorders.fields import GF2, GF3, QQ
-from ribbonorders.ribbon import RibbonGraph
+from ribbonorders.ribbon import RibbonGraph, circular_subgraphs
 
 
 def random_ribbon_graph(rng: random.Random, max_edges: int = 4) -> RibbonGraph:
+    """Up to max_edges edges on 1 to 2 x edges nodes, the node count drawn
+    uniformly: mostly leaves, loops and parallel pairs."""
     edges = rng.randint(1, max_edges)
     slots = 2 * edges
     node_count = rng.randint(1, slots)
     cuts = sorted(rng.sample(range(1, slots), node_count - 1)) if node_count > 1 else []
     valencies = [b - a for a, b in zip([0] + cuts, cuts + [slots])]
+    return _shuffled_slots(rng, valencies)
+
+
+def profile_ribbon_graph(rng: random.Random, max_edges: int = 8) -> RibbonGraph:
+    """3 to max_edges edges on a valency profile of mostly twos and threes:
+    no leaves, and nodes enough that a draw has its circles among three
+    or more of them, not only in loops and parallel pairs."""
+    edges = rng.randint(3, max_edges)
+    valencies = [2] * rng.randint((2 * edges + 2) // 3, edges)
+    for _ in range(2 * edges - sum(valencies)):
+        valencies[rng.randrange(len(valencies))] += 1
+    return _shuffled_slots(rng, valencies)
+
+
+def _shuffled_slots(rng: random.Random, valencies) -> RibbonGraph:
+    """The ribbon graph with the given node valencies whose edge ends are
+    shuffled into the slots."""
+    edges = sum(valencies) // 2
     labels = [f"E{k}" for k in range(edges)] * 2
     rng.shuffle(labels)
     table = {}
@@ -40,20 +60,40 @@ def random_ribbon_graph(rng: random.Random, max_edges: int = 4) -> RibbonGraph:
         table[f"n{i}"] = tuple(labels[pos : pos + v])
         pos += v
     return RibbonGraph(
-        nodes=[f"n{i}" for i in range(node_count)],
+        nodes=[f"n{i}" for i in range(len(valencies))],
         edges=[f"E{k}" for k in range(edges)],
         slots=table,
     )
 
 
+def long_cycles(g: RibbonGraph) -> int:
+    """The circular subgraphs of g through three or more nodes."""
+    return sum(len(nodes) >= 3 for nodes, _ in circular_subgraphs(g))
+
+
 def test_random_quivers_roundtrip():
     rng = random.Random(2024)
-    for _ in range(30):
-        g = random_ribbon_graph(rng)
+    graphs = [random_ribbon_graph(rng) for _ in range(30)]
+    graphs += [profile_ribbon_graph(rng) for _ in range(30)]
+    for g in graphs:
         q = quiver_from_ribbon_graph(g)
         assert ribbon_isomorphic(g, graph_of_quiver(q))
         q2 = quiver_from_ribbon_graph(graph_of_quiver(q))
         assert quiver_isomorphism(q, q2) is not None
+    assert sum(map(long_cycles, graphs[30:])) >= 30
+
+
+def test_profile_graphs_bipartite_iff_no_odd_circle():
+    # the circles of the valency-profile draws run through many nodes
+    rng = random.Random(20)
+    found = 0
+    for _ in range(30):
+        g = profile_ribbon_graph(rng)
+        circles = circular_subgraphs(g)
+        has_odd = any(len(edges) % 2 for _, edges in circles)
+        assert is_bipartite(g).is_bipartite == (not has_odd), g.slots
+        found += long_cycles(g)
+    assert found >= 30
 
 
 def test_random_quivers_nu_symmetry_and_dual():
