@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", action="append", help="restrict to a field (repeatable)")
     p.add_argument(
         "--multiplicity-grid",
-        nargs="*",
+        nargs="+",
         dest="multiplicity_grid",
         help="constant multiplicities to sweep (default: 1 2)",
     )

@@ -72,18 +72,14 @@ element into a dense row.  An algebra that breaks one of these rules
 falling back to general linear algebra.
 
 The oracle is the reference; decisions run ``socle_certificate``, which
-returns the same verdict from the socle and the products that land on
-it.  Those products are the graph of the standard form's pairing, an
-involution pi of the basis (the one ``brauer_form_pairing`` reads on
-the kept top cycles, which are the socle paths), so the commutator
-rows that meet the socle are the rows [b_i, b_pi(i)], the socle paths
-make whole components of S's signed graph, and dim S is counted in
-closed form.  No index of the products, no S and no pairing
-determinant over every product is built.  The products landing on the
-kept top cycles and their involution pi are the algebra's one
-``top_pairing`` view: the certificate reads it when the socle is the
-set of kept top cycles, as it is in both quotients, and
-``brauer_form_pairing`` returns its pi, so a decision reads pi once.
+returns the same verdict from the socle, the set of kept top cycles, and
+the products that land on it: the graph of the layout's pairing
+involution pi (``order.BasisLayout.pi``), held in the algebra's one
+``top_pairing`` view, which ``brauer_form_pairing`` reads too.  So the
+commutator rows that meet the socle are the rows [b_i, b_pi(i)], the
+socle paths make whole components of S's signed graph, and dim S is
+counted in closed form, with no index of the products, no S and no
+pairing determinant over every product.
 """
 
 from __future__ import annotations
@@ -151,12 +147,14 @@ class FdAlgebra(BasisLayout):
     @cached_property
     def top_pairing(self) -> Tuple[List[Product], Optional[List[int]]]:
         """(landing, pi): the products that land on a kept top cycle
-        (``top_mask``), in row order, and the involution pi of which they
-        are the graph (:func:`_involution`), or None when they are not
-        one; built on first read, by one pass over the products."""
+        (``top_mask``), in row order, and :attr:`order.BasisLayout.pi`
+        when they are its graph (one per row, at column pi(i)), else
+        None; built on first read, by one pass over the products."""
         top = self.top_mask
         landing = [p for p in self.products if top[p[2]]]
-        return landing, _involution(self.dim, landing)
+        pi = self.pi
+        rows, cols = map(itemgetter(0), landing), map(itemgetter(1), landing)
+        return landing, pi if list(cols) == pi and list(rows) == list(range(self.dim)) else None
 
     @cached_property
     def table(self) -> List[List[Mapping[int, object]]]:
@@ -363,7 +361,7 @@ def check_algebra_axioms(alg: FdAlgebra) -> None:
 @dataclass
 class NakayamaBarReport:
     ok: bool
-    signs: Dict[str, object]  # basis label -> field sign
+    signs: List[object]  # signs[r]: the field sign of b_r
     algebra_map: bool
     involutive: bool
     fixes_idempotents: bool
@@ -379,19 +377,18 @@ def nakayama_involution_bar(alg: FdAlgebra, inv: Involution) -> NakayamaBarRepor
     nonzero ones are checked.  A product b_i b_j = s b_k with s = +-1 is
     kept iff nu(b_i) nu(b_j) = s nu(b_k), and s, a unit, cancels from
     both sides: the check compares path signs only.  ``signs`` holds
-    them as field elements."""
+    them as field elements, by index."""
     f = alg.field
     sign_by_index = alg.path_products(f, inv.signs)
-    signs = dict(zip(alg.basis, map(f.from_int, sign_by_index)))
     bad: List[str] = []
     for i, j, k, _ in alg.products:
         if sign_by_index[k] != f.mul(sign_by_index[i], sign_by_index[j]):
-            bad.append(f"({alg.basis[i]}, {alg.basis[j]})")
+            bad.append(f"({alg.label(i)}, {alg.label(j)})")
     involutive = all(f.mul(s, s) == f.one for s in sign_by_index)
     fixes = all(s == f.one for s in sign_by_index[: len(alg.quiver.vertices)])
     return NakayamaBarReport(
         ok=not bad and involutive and fixes,
-        signs=signs,
+        signs=list(map(f.from_int, sign_by_index)),
         algebra_map=not bad,
         involutive=involutive,
         fixes_idempotents=fixes,
@@ -609,11 +606,10 @@ def socle_certificate(alg: FdAlgebra) -> SymmetryVerdict:
     over the products that land on a socle path: no look-up table of
     the products, no S and no field arithmetic.
 
-    pi.  The products landing on a socle path are the graph of the
-    standard form's pairing: each row i has one, b_i b_pi(i) = s_i
-    b_k(i), and pi is an involution (:func:`_socle_landing` checks it
-    with :func:`_involution`, which :func:`brauer_form_pairing` also
-    reads, and raises AssertionError otherwise).  So b_pi(i) b_i lands
+    pi.  The socle paths are the kept top cycles, and the products landing
+    on them are the graph of the layout's pairing involution pi
+    (:attr:`order.BasisLayout.pi`), b_i b_pi(i) = s_i b_k(i); else
+    :func:`_socle_landing` raises AssertionError.  So b_pi(i) b_i lands
     on the socle too: no commutator row that meets the socle has one
     term, and each is [b_i, b_pi(i)] = s_i b_k(i) - s_pi(i) b_k(pi(i)),
     with both terms on the socle.  The socle paths therefore make a
@@ -693,22 +689,14 @@ def socle_certificate(alg: FdAlgebra) -> SymmetryVerdict:
 def _socle_landing(alg: FdAlgebra, paths: List[int]) -> List[Product]:
     """The products that land on the socle paths (:func:`socle` of alg),
     landing[i] = (i, pi(i), k, s) for b_i b_pi(i) = s b_k, in row order:
-    the graph of the involution pi (:func:`_involution`).  Raises
-    AssertionError when they are not, or when a sign is not 1 or -1.
-
-    When the socle is the set of kept top cycles, as it is in both
-    quotients, these are alg's ``top_pairing`` view, which
-    :func:`brauer_form_pairing` returns too; any other socle is
-    filtered for here."""
+    alg's ``top_pairing`` view.  Raises AssertionError when the socle is
+    not the set of kept top cycles, which the s_dim proof of
+    :func:`socle_certificate` assumes, when the products landing on it
+    are not pi's graph, or when a sign is not 1 or -1."""
     top = alg.top_mask
-    if len(paths) == len(alg.top_index) and all(map(top.__getitem__, paths)):
-        landing, pi = alg.top_pairing
-    else:
-        on_socle = bytearray(alg.dim)
-        for x in paths:
-            on_socle[x] = 1
-        landing = [p for p in alg.products if on_socle[p[2]]]
-        pi = _involution(alg.dim, landing)
+    if len(paths) != len(alg.top_index) or not all(map(top.__getitem__, paths)):
+        raise AssertionError("the socle is not the set of kept top cycles")
+    landing, pi = alg.top_pairing
     if pi is None:
         raise AssertionError("the products landing on the socle are not the graph of an involution")
     if not _SIGNS.issuperset(map(itemgetter(3), landing)):
@@ -768,40 +756,19 @@ def _witnessed(alg: FdAlgebra, s_dim: int, phi: List[int], det) -> SymmetryVerdi
 
 def brauer_form_pairing(alg: FdAlgebra) -> Optional[List[int]]:
     """The closed-form certificate that the Brauer graph algebra with
-    alg's quiver, multiplicity and polarization is symmetric: the
-    permutation pi of the basis with b_i b_pi(i) on a kept top cycle,
-    as the list of pi(i), or None.
+    alg's quiver, multiplicity and polarization is symmetric: alg.pi
+    (:attr:`order.BasisLayout.pi`) when the products landing on a kept
+    top cycle are its graph (alg's ``top_pairing`` view), else None.
 
-    The standard form phi is 1 on each kept top cycle and 0 elsewhere.
-    The plain quotient has alg's products with every sign +1, so
-    phi(b_i b_j) is 1 where b_i b_j lands on a kept top cycle and 0
-    otherwise; alg's signs are not read, and alg may be either
-    quotient.  When these pairs (i, j) are the graph of a permutation pi
-    with pi = pi^-1 (:func:`_involution`), the pairing of phi is a
-    symmetric permutation matrix, of determinant sign(pi) != 0 in every
-    field, so phi is symmetric and nondegenerate.  Otherwise (a row
-    with no such product or two, or pi(pi(i)) != i) the result is None,
-    which contradicts the theorem that every Brauer graph algebra is
-    symmetric in this standard form.  This is alg's ``top_pairing``
-    view: one pass over the products with a byte mask of the top
-    indices, native ints only and no field arithmetic, shared with
-    :func:`socle_certificate`.
+    The standard form phi is 1 on each kept top cycle and 0 elsewhere,
+    and the plain quotient has alg's products with every sign +1 (alg's
+    signs are not read, and alg may be either quotient).  So the pairing
+    of phi is the permutation matrix of the involution pi: symmetric,
+    and of determinant sign(pi) != 0 in every field.  None contradicts
+    the theorem that every Brauer graph algebra is symmetric in this
+    standard form.
     """
     return alg.top_pairing[1]
-
-
-def _involution(n: int, landing: List[Product]) -> Optional[List[int]]:
-    """pi as the list of pi(i) when the pairs (i, j) of the products in
-    landing are the graph of an involution pi of the n basis indices;
-    else None.  pi pi = id is tested by C-level maps."""
-    if len(landing) != n:
-        return None
-    pi = [-1] * n
-    for p in landing:
-        pi[p[0]] = p[1]
-    if -1 not in pi and list(map(pi.__getitem__, pi)) == list(range(n)):
-        return pi
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -834,8 +801,8 @@ def check_canonical_bimodule_twist(alg: FdAlgebra, bar: NakayamaBarReport) -> Tw
     """
     top = alg.top_mask
     phi = {(i, j): {0: s} for i, j, _, s in alg.top_pairing[0]}
-    nu = [_integral(bar.signs[lab]) for lab in alg.basis]
-    bad = [f"({alg.basis[i]}, {alg.basis[j]})" for i, j in nu_counterexamples(alg.field, phi, nu)]
+    nu = list(map(_integral, bar.signs))
+    bad = [f"({alg.label(i)}, {alg.label(j)})" for i, j in nu_counterexamples(alg.field, phi, nu)]
     d = pairing_det(alg, top)
     return TwistReport(
         ok=not bad and bool(d),

@@ -36,19 +36,22 @@ basis path as (start, first arrow, length), with no Path object,
 ``terms`` the coordinates, whose degree-0 part is a quotient's residue.
 Its ``top_mask`` marks the kept top cycles, the support of the form phi
 of the order (the x-coordinates) and of the standard form of each
-quotient.  The labels are for display: the layout holds none, and
-``label(r)`` formats one from ``walks[r]``, on first read of the
-``basis`` view or where a report names a basis path.
+quotient, and ``pi`` is that form's pairing involution at t = 0, in
+closed form, which the order checks and the quotients read.  The
+labels are for display: the layout holds none, and ``label(r)``
+formats one from ``walks[r]``, on first read of the ``basis`` view or
+where a report names a basis path.
 
 * ``nu_counterexamples`` is the one evaluator of the twisted symmetry
   phi(b_i b_j) = nu(b_j) phi(b_j b_i), for the order's form and for a
   quotient's (``fdalg.check_canonical_bimodule_twist``, phi reduced
   modulo t): given phi on the pairs where it is nonzero, it evaluates
   those pairs and their transposes, and no other pair can fail.
-* ``check_nu_symmetry`` builds phi on F, the set of pairs (i, j) with
-  b_i b_j a full-cycle power: 3|Q_0| + sum over arrows of (n(a) - 1)
-  pairs.  Only those products have an x-coordinate, so off F u F^T each
-  side is phi(0) = 0 or phi of a path with no x-coordinate, also 0.
+* ``check_nu_symmetry`` builds phi on F, the pairs (i, j) with b_i b_j a
+  full-cycle power: pi's graph and the (x_v, x_v), 3|Q_0| + sum over
+  arrows of (n(a) - 1) pairs.  Only those products have an x-coordinate,
+  so off F u F^T each side is phi(0) = 0 or phi of a path with no
+  x-coordinate, also 0.
 * ``verify_theta_psi`` multiplies theta and psi as sparse columns (at
   most two entries each) and compares theta(u nu(g)) with theta(u) g
   only for the generators g with u nu(g) != 0, or with a nonzero
@@ -263,11 +266,11 @@ class BasisLayout:
     arrow keeps it (kept[a] = top_lengths[a]), at top_index[v] for its
     source v, and a negative arrow's is rewritten (kept[a] one less).
     dim is the number of basis paths.  ``walks`` (b_r as (start, first
-    arrow, length)), the sigma-rule lists ``by_end``/``by_next`` and
-    ``top_mask`` (the kept top cycles, the standard form's support) are
-    views built on first read, which the quotient builder and the
-    checks read.  The labels are display-only: :meth:`label` formats
-    the one of b_r, and ``basis`` (every label, label(r) at index r),
+    arrow, length)), the sigma-rule lists ``by_end``/``by_next``,
+    ``top_mask`` (the kept top cycles, the standard form's support) and
+    :attr:`pi` (the form's pairing involution) are views built on first
+    read, which the quotient builder and the checks read.  The labels
+    are display-only: :meth:`label` formats the one of b_r, and ``basis`` (every label, label(r) at index r),
     ``index`` (label -> index) and ``paths`` (label -> ``Path``) are
     views that no decision reads.  No view is a field.
     """
@@ -329,24 +332,53 @@ class BasisLayout:
         return list(self.basis)
 
     @cached_property
-    def _sigma_rule(self) -> Tuple[Dict[str, List[int]], Dict[str, List[int]]]:
-        """(by_end, by_next) in one pass, built on first read: by_end[v]
+    def _sigma_rule(self) -> Tuple[Dict[str, List[int]], Dict[str, List[int]], List[int]]:
+        """(by_end, by_next, pi) in one pass, built on first read: by_end[v]
         lists the r with b_r ending at v, and by_next[a] the r whose last
-        arrow is followed by a under sigma, each in increasing order."""
+        arrow is followed by a under sigma, each in increasing order; pi
+        is :attr:`pi`."""
         q = self.quiver
-        sigma, source = q.sigma, q.source
+        sigma, source, first, top = q.sigma, q.source, self.first, self.top_lengths
         by_end = {v: [r] for r, v in enumerate(q.vertices)}
-        by_next: Dict[str, List[int]] = {a: [] for a in self.first}
-        for a, base in self.first.items():
-            nxt = a
+        by_next: Dict[str, List[int]] = {a: [] for a in first}
+        pi = [0] * self.dim
+        for a, base in first.items():
+            nxt, c = a, base + top[a] - 2  # pi[r] = first[sigma^L(a)] + T - L - 1, L = r - base + 1
             for r in range(base, base + self.kept[a]):
                 nxt = sigma[nxt]
                 by_end[source(nxt)].append(r)  # b_r ends where nxt starts
                 by_next[nxt].append(r)
-        return by_end, by_next
+                pi[r] = first[nxt] + c - r
+        for e, x in enumerate(self.top_index.values()):  # vertex order; overwrites the kept tops' entries
+            pi[e], pi[x] = x, e
+        return by_end, by_next, pi
 
     by_end = property(lambda self: self._sigma_rule[0])
     by_next = property(lambda self: self._sigma_rule[1])
+
+    @property
+    def pi(self) -> List[int]:
+        """The pairing involution of the form phi at t = 0 (a quotient's
+        standard form, 1 on each kept top cycle): pi[r] is the one index
+        with b_r b_pi(r) a top cycle, built on first read in closed form,
+        in the sigma-rule's pass over each arrow run.  e(v) and the kept
+        top cycle x at v (top_index[v]) swap; a path (s, a, L) ending at
+        t, L < T = top_lengths[a], pairs with (t, sigma^L(a), T - L), at
+        index first[sigma^L(a)] + T - L - 1.
+
+        Proof.  A top cycle, kept or rewritten to +-x, is a path of
+        length T from its first arrow, and phi(b_r b_j) != 0 iff b_r b_j
+        is one.  e(v) b_j = b_j for the b_j ending at v, of which x is
+        the one kept top cycle; x e(v) = x, and every other x b_j is
+        longer than T (zero in a quotient, of t-degree >= 1 in the
+        order).  For b_r = (s, a, L): b_r e(s) = b_r, and b_r b_j for b_j
+        = (t', b, l) with sigma^l(b) = a is (t', b, l + L), of length T
+        iff l = T - L; then b = sigma^-l(a) = sigma^L(a), as sigma^T(a) =
+        a, so t' = t, and b_j is a basis path, as l < T.  The second
+        rule applied twice gives (s, sigma^T(a), L) = (s, a, L): pi is an
+        involution.
+        """
+        return self._sigma_rule[2]
 
     def left_multiples(self, start: str, a: Optional[str], length: int) -> List[Tuple[int, Walk]]:
         """[(r, p b_r)] over the basis paths b_r with p b_r != 0, in
@@ -566,29 +598,24 @@ def check_nu_symmetry(q: GentleQuiver, eps: Polarization, field: Field) -> NuSym
     """Verify phi(q p) = phi(nu(p) q) on all |B|^2 ordered basis pairs, and
     that the nonzero pairs are exactly the expected list.
 
-    phi is built on F, the (i, j) with b_i b_j a full-cycle power (see
-    the module docstring), and :func:`nu_counterexamples` evaluates
-    F u F^T: every other pair is 0 on both sides.  ``pair_count`` still
-    counts all |B|^2 pairs covered.
+    phi is built on F, the (i, j) with b_i b_j a full-cycle power: the
+    graph of the layout's :attr:`BasisLayout.pi`, on which phi has
+    degree 0, and the pairs (x(v), x(v)), x(v) x(v) = t x(v).
+    :func:`nu_counterexamples` evaluates F u F^T: every other pair is 0
+    on both sides.  ``pair_count`` still counts all |B|^2 pairs covered.
     """
     basis = canonical_basis(q, eps)
     nu_sign = _nu_signs(basis, involution_of(q, eps, field))
-    # F with its products: e(v) x(v) = x(v) e(v) = x(v), and b_i b_j for
-    # b_j ending before arrow a and b_i = a:L_i, L_i = -L_j mod n(a), up to
-    # n(a) when a is positive (its full cycle is x(source of a)); phi of
-    # each as {degree: coefficient} is the product's x-term
+    # F with its products as walks (b_j lengthened by b_i, or b_i for b_j
+    # = e(v)); phi of each is its x-term as {degree: coefficient}
     walks, tops = basis.walks, basis.top_mask
     full = []
-    for v, x in enumerate(basis.top_index.values()):  # in vertex order
-        full += [(v, x, walks[x]), (x, v, walks[x])]
-    for a, js in basis.by_next.items():
-        n, base = basis.top_lengths[a], basis.first[a]
-        positive = basis.kept[a] == n
-        for j in js:
-            s, b, m = walks[j]
-            r = m % n
-            if r or positive:
-                full.append((base + n - r - 1, j, (s, b, m + n - r)))
+    for x in basis.top_index.values():
+        s, a, n = walks[x]
+        full.append((x, x, (s, a, 2 * n)))
+    for i, j in enumerate(basis.pi):
+        s, a, n = walks[j]
+        full.append((i, j, walks[i] if a is None else (s, a, n + walks[i][2])))
     phi = {(i, j): {d: c for k, d, c in basis.terms(*prod) if tops[k]} for i, j, prod in full}
 
     labels = basis.basis
@@ -629,28 +656,26 @@ class ThetaPsiReport:
 def _theta_psi_columns(basis: CanonicalBasis, ring: PolyRing):
     """theta and psi as sparse columns {row: entry}, at most two each.
 
-    Column a:m (not a top cycle) has its entry at b:(n - m), b =
-    sigma^m(a), which closes a:m to the full cycle c_a; the sign is
-    eps_a in theta and eps_b in psi, an arrow being positive when its
-    top cycle is kept."""
+    The t^0 entry of column col is at row pi(col) (:attr:`BasisLayout.pi`).
+    Column a:m (not a top cycle) has only that entry, b:(n - m) for b =
+    sigma^m(a); its sign is eps_a in theta and eps_b in psi, an arrow
+    being positive when its top cycle is kept."""
     f = ring.field
     one, t, minus_t = ring.one, ring.t_power(1), ring.t_power(1, f.neg(f.one))
     minus = ring.constant(f.neg(f.one))
-    q, first, kept, top = basis.quiver, basis.first, basis.kept, basis.top_lengths
+    walks, kept, top = basis.walks, basis.kept, basis.top_lengths
     theta: List[Dict[int, tuple]] = []
     psi: List[Dict[int, tuple]] = []
-    for col, (s, a, m) in enumerate(basis.walks):
-        x = basis.top_index[s]
-        if a is None:  # e(s)
-            theta.append({x: one})
-            psi.append({x: one, col: minus_t})
-        elif col == x:  # x(s), with e(s) at pos(s)
-            e = q.position(s)
-            theta.append({e: one, col: t})
-            psi.append({e: one})
+    for col, d in enumerate(basis.pi):
+        s, a, m = walks[col]
+        if a is None:  # e(s), d = x(s)
+            theta.append({d: one})
+            psi.append({d: one, col: minus_t})
+        elif col == basis.top_index[s]:  # x(s), d = e(s)
+            theta.append({d: one, col: t})
+            psi.append({d: one})
         else:
-            b = q.sigma_power(a, m)
-            d = first[b] + top[b] - m - 1
+            b = walks[d][1]
             theta.append({d: one if kept[a] == top[a] else minus})
             psi.append({d: one if kept[b] == top[b] else minus})
     return theta, psi

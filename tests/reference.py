@@ -3,7 +3,8 @@
 Each function here is a slower or more general way to compute something
 the package computes another way, or a small helper over the package's
 types that no library path needs: dense-table multiplication in a
-quotient, the residue of any parent-order path, the socle quotient
+quotient, the residue of any parent-order path, the pairing involution
+read off the products that land on the top cycles, the socle quotient
 comparison, the Frobenius form's closed form on paths, z-adic expansion
 of canonical coordinates, an involution's sign on a path and the
 involution applied to an order element, polarization queries, random
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ribbonorders.fdalg import FdAlgebra, socle
 from ribbonorders.fields import Field, PolyRing, PrimeField
@@ -83,6 +84,21 @@ def mul(alg: FdAlgebra, u: Sparse, v: Sparse) -> Sparse:
                 else:
                     out.pop(k, None)
     return out
+
+
+def landing_involution(n: int, landing: list) -> Optional[List[int]]:
+    """pi as the list of pi(i) when the pairs (i, j) of the products
+    (i, j, k, s) in landing are the graph of an involution pi of the n
+    basis indices, else None: the pairing read off the products, which
+    the layout's closed-form ``pi`` must equal."""
+    if len(landing) != n:
+        return None
+    pi = [-1] * n
+    for p in landing:
+        pi[p[0]] = p[1]
+    if -1 not in pi and [pi[j] for j in pi] == list(range(n)):
+        return pi
+    return None
 
 
 def socle_is_top_span(alg: FdAlgebra) -> bool:

@@ -140,7 +140,23 @@ def not_involutive(alg):
     return dataclasses.replace(alg, products=products)
 
 
-MUTATIONS = (drop_landing, second_landing, not_involutive)
+def wrong_row(alg):
+    """The first landing product (i, j) with row i + 1 landing at a
+    larger column, and free at column j, moved to row i + 1: the
+    columns, read in row order, are still pi, but row i has none and
+    row i + 1 has two."""
+    sites = landing(alg)
+    pairs = {(i, j) for i, j, _, _ in alg.products}
+    for n, n2 in zip(sites, sites[1:]):
+        i, j, k, c = alg.products[n]
+        i2, j2, _, _ = alg.products[n2]
+        if i2 == i + 1 and j < j2 and (i2, j) not in pairs:
+            products = [p for m, p in enumerate(alg.products) if m != n] + [(i2, j, k, c)]
+            return dataclasses.replace(alg, products=sorted(products))
+    raise AssertionError("no landing product can move down a row")
+
+
+MUTATIONS = (drop_landing, second_landing, not_involutive, wrong_row)
 
 
 def unscaled_cases():

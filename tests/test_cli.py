@@ -217,6 +217,15 @@ def test_multiplicity_grid_takes_ascii_digits_only(capsys, value):
     assert err.startswith("error: bad --multiplicity-grid value"), err
 
 
+def test_empty_multiplicity_grid_is_refused(capsys):
+    # an empty grid is a usage error, not the default grid (1 2)
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", "--field", "gf2", "--multiplicity-grid", "--json"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and not out.out
+    assert "--multiplicity-grid: expected at least one argument" in out.err, out.err
+
+
 @pytest.mark.parametrize("value", NON_ASCII_INTEGERS)
 def test_spec_file_multiplicity_takes_ascii_digits_only(tmp_path, capsys, value):
     spec = tmp_path / "loop2.quiver"

@@ -9,7 +9,11 @@ on seeded ``perfbench/gen.py`` draws by valency profile (leaves, loops,
 one-orbit graphs, bipartite and not, and disjoint unions of the two
 kinds), over GF(2), GF(3), GF(5) and Q, at m = 1-3 and a mixed map, on
 the twisted and the plain quotient, with the decision's polarization
-and a random one.
+and a random one.  On the same grid the layout's closed-form pairing
+involution ``pi`` is compared with the one read off the products
+(``reference.landing_involution``), and on the canonical basis with
+the t^0 supports of theta and psi and with the pairs F on which
+``check_nu_symmetry`` builds the order's form.
 """
 
 import dataclasses
@@ -33,8 +37,11 @@ from ribbonorders import (
 )
 from ribbonorders import fdalg
 from ribbonorders.fields import GF2, GF3, GF5, QQ
+from ribbonorders.order import canonical_basis, check_nu_symmetry, verify_theta_psi
 from ribbonorders.polarize import quotient_polarization
 from ribbonorders.quiver import disjoint_union
+
+from reference import landing_involution
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402  (perfbench's seeded generator)
@@ -123,6 +130,31 @@ def test_socle_certificate_matches_the_oracle_and_the_brauer_form():
     assert any(loops for _, _, loops, _ in seen) and any(leaves for _, _, _, leaves in seen)
 
 
+def test_closed_form_pi_is_the_pairing_of_the_products_and_of_the_order_checks():
+    order_checked = 0
+    for q, field, m, eps, twisted in cases():
+        alg = build_quotient_algebra(q, field, m, eps, twisted=twisted)
+        pi, tops = alg.pi, alg.top_mask
+        assert [pi[j] for j in pi] == list(range(alg.dim))
+        landing = [p for p in alg.products if tops[p[2]]]
+        assert pi == landing_involution(alg.dim, landing), describe(q, field, m, eps, twisted)
+        if m != 1 or not twisted:
+            continue
+        # the canonical basis is this layout; its pi places theta(0),
+        # psi(0) and the degree-0 pairs of the order's form
+        basis = canonical_basis(q, eps)
+        assert basis.pi == pi
+        rep = verify_theta_psi(q, eps, field)
+        for cols in (rep.theta, rep.psi):
+            assert [[r for r, poly in col.items() if poly and poly[0]] for col in cols] == [[j] for j in pi]
+        nu = check_nu_symmetry(q, eps, field)
+        pairs = {(basis.index[u], basis.index[w]) for u, w in nu.nonzero_pairs}
+        xx = {(x, x) for x in basis.top_index.values()}
+        assert xx <= pairs and pairs - xx == set(enumerate(pi)), describe(q, field, m, eps, twisted)
+        order_checked += 1
+    assert order_checked >= 400
+
+
 def landing_row(alg, row):
     """The index in alg.products of row's product that lands on the socle."""
     paths = set(socle(alg))
@@ -142,6 +174,22 @@ def test_a_landing_product_out_of_the_rule_raises(name):
         signed = dataclasses.replace(alg, products=alg.products[:n] + [(i, j, k, bad)] + alg.products[n + 1 :])
         with pytest.raises(AssertionError, match="sign other than 1 and -1"):
             socle_certificate(signed)
+
+
+@pytest.mark.parametrize("name", ["circ3", "line3", "mixed"])
+def test_a_socle_beyond_the_top_cycles_raises(name):
+    # with every product of a non-top path x by an arrow residue dropped,
+    # x joins the socle: the certificate refuses it, rather than return
+    # a verdict that its s_dim proof does not cover
+    q = corpus_quiver(name)
+    alg = build_quotient_algebra(q, GF3, 2)
+    residues = {k for a in q.arrow_names for k in alg.arrow_residue(a)}
+    x = next(r for r in range(len(q.vertices), alg.dim) if not alg.top_mask[r] and r not in residues)
+    products = [p for p in alg.products if not (p[0] == x and p[1] in residues or p[1] == x and p[0] in residues)]
+    mutated = dataclasses.replace(alg, products=products)
+    assert x in socle(mutated)
+    with pytest.raises(AssertionError, match="not the set of kept top cycles"):
+        socle_certificate(mutated)
 
 
 def test_characteristic_two_closes_every_cycle():
