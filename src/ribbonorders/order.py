@@ -470,6 +470,11 @@ def canonical_basis(q: GentleQuiver, eps: Polarization) -> CanonicalBasis:
     label at top_index[v].
     """
     check_polarization(q, eps)
+    return _canonical_basis(q, eps)
+
+
+def _canonical_basis(q: GentleQuiver, eps: Polarization) -> CanonicalBasis:
+    """:func:`canonical_basis` for a polarization already checked."""
     layout = basis_layout(q, eps, normalize_multiplicity(q, None))
     return CanonicalBasis(**{f.name: getattr(layout, f.name) for f in fields(BasisLayout)})  # not its cached views
 
@@ -604,8 +609,9 @@ def check_nu_symmetry(q: GentleQuiver, eps: Polarization, field: Field) -> NuSym
     :func:`nu_counterexamples` evaluates F u F^T: every other pair is 0
     on both sides.  ``pair_count`` still counts all |B|^2 pairs covered.
     """
-    basis = canonical_basis(q, eps)
-    nu_sign = _nu_signs(basis, involution_of(q, eps, field))
+    inv = involution_of(q, eps, field)  # checks eps, once per check
+    basis = _canonical_basis(q, eps)
+    nu_sign = _nu_signs(basis, inv)
     # F with its products as walks (b_j lengthened by b_i, or b_i for b_j
     # = e(v)); phi of each is its x-term as {degree: coefficient}
     walks, tops = basis.walks, basis.top_mask
@@ -719,8 +725,8 @@ def verify_theta_psi(q: GentleQuiver, eps: Polarization, field: Field) -> ThetaP
     checks multiply sparse columns of terms, and theta(0) is a signed
     permutation matrix whose determinant is a sign times a product.
     """
-    basis = canonical_basis(q, eps)
-    inv = involution_of(q, eps, field)
+    inv = involution_of(q, eps, field)  # checks eps, once per check
+    basis = _canonical_basis(q, eps)
     theta_cols, psi_cols = _theta_psi_columns(basis, PolyRing(field))
     theta, psi = _term_columns(theta_cols), _term_columns(psi_cols)
     tp = _is_identity_product(field, theta, psi)

@@ -4,8 +4,11 @@ A complete gentle quiver has exactly two arrows in and out of every vertex,
 and its length-two zero relations are encoded by a successor permutation
 ``sigma`` on arrows: the composite b*a of arrows with s(b) = t(a) is nonzero
 exactly when b = sigma(a).  The relation ideal is therefore derived data and
-is never stored.  All values here are immutable; every operation is a pure
-function.
+is never stored.  A quiver is validated and its maps are built in one pass,
+when it is constructed: sources, targets, the arrows out of each vertex,
+sigma's companion tau (the other arrow out of an arrow's source) and the
+sigma-orbits are each built once and checked as they are built.  All
+values here are immutable; every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -65,11 +68,14 @@ class GentleQuiver:
     """A validated complete gentle quiver (Q_0, Q_1, sigma).
 
     ``arrows`` is an ordered tuple of (name, source, target); ``sigma``
-    maps each arrow name to its unique nonzero successor.  Use
-    :func:`validate_complete_gentle` (or the from_* helpers) to build one.
-    Construction walks sigma once and stores the orbits with each arrow's
-    orbit and position, and each vertex's position, so every orbit query
-    is a lookup; equality and repr still read only the three fields.
+    maps each arrow name to its unique nonzero successor.  Construction
+    checks the complete gentle conditions (see
+    :func:`validate_complete_gentle`, which also normalizes raw input and
+    accepts relations in place of sigma) on the maps it builds, in one
+    pass: sources, targets, the sorted pair of arrows out of each vertex,
+    each vertex's position, tau, and the walk along sigma that stores the
+    orbits with each arrow's orbit and position.  So every orbit query is
+    a lookup; equality and repr still read only the three fields.
     """
 
     vertices: Tuple[str, ...]
@@ -77,31 +83,36 @@ class GentleQuiver:
     sigma: Mapping[str, str]
 
     def __post_init__(self):
-        object.__setattr__(self, "_source", {a: s for a, s, _ in self.arrows})
-        object.__setattr__(self, "_target", {a: t for a, _, t in self.arrows})
-        out: Dict[str, List[str]] = {v: [] for v in self.vertices}
-        for a, s, _ in self.arrows:
-            out[s].append(a)
-        object.__setattr__(self, "_out", {v: tuple(sorted(ar)) for v, ar in out.items()})
-        object.__setattr__(self, "_pos", {v: i for i, v in enumerate(self.vertices)})
-        names = tuple(a for a, _, _ in self.arrows)
-        object.__setattr__(self, "_names", names)
+        pos, source, target, out, tau = _structure(self.vertices, self.arrows)
+        sigma = self.sigma
+        if sigma.keys() != source.keys() or set(sigma.values()) != source.keys():
+            raise QuiverError("sigma is not a permutation of the arrow set")
+        for a, t in target.items():
+            b = sigma[a]
+            if source[b] != t:
+                raise QuiverError(f"sigma({a}) = {b} but source({b}) = {source[b]} != target({a}) = {t}")
         # the one walk along sigma: the orbits, each started at its least
         # arrow, and per arrow (its orbit, its position in the orbit)
         orbits = []
         place: Dict[str, Tuple[Tuple[str, ...], int]] = {}
-        for a in sorted(names):
+        for a in sorted(source):
             if a in place:
                 continue
             orbit = [a]
-            b = self.sigma[a]
+            b = sigma[a]
             while b != a:
                 orbit.append(b)
-                b = self.sigma[b]
+                b = sigma[b]
             orbit = tuple(orbit)
             orbits.append((a, orbit))
             for k, b in enumerate(orbit):
                 place[b] = (orbit, k)
+        object.__setattr__(self, "_source", source)
+        object.__setattr__(self, "_target", target)
+        object.__setattr__(self, "_out", {v: (x, y) if x < y else (y, x) for v, (x, y) in out.items()})
+        object.__setattr__(self, "_tau", tau)
+        object.__setattr__(self, "_pos", pos)
+        object.__setattr__(self, "_names", tuple(source))
         object.__setattr__(self, "_orbits", tuple(orbits))
         object.__setattr__(self, "_place", place)
 
@@ -125,9 +136,11 @@ class GentleQuiver:
         return self._out[vertex]
 
     def other_arrow_at(self, vertex: str, a: str) -> str:
-        """The second arrow starting at `vertex`, given one of the two."""
-        x, y = self._out[vertex]
-        return y if a == x else x
+        """The second arrow starting at `vertex`, given one of the two:
+        tau(a)."""
+        if self._source.get(a) != vertex:
+            raise QuiverError(f"arrow {a!r} does not start at {vertex!r}")
+        return self._tau[a]
 
     def sigma_power(self, a: str, p: int) -> str:
         """sigma^p(a); p may be negative."""
@@ -239,7 +252,8 @@ class GentleQuiver:
         return period
 
     def resolution_successor(self, a: str) -> str:
-        return self.other_arrow_at(self._target[a], self.sigma[a])
+        """tau(sigma(a)), the arrow at t(a) other than sigma(a)."""
+        return self._tau[self.sigma[a]]
 
     def relations(self) -> List[Tuple[str, str]]:
         """The derived length-two zero relations as (b, a) pairs with b*a = 0."""
@@ -283,56 +297,61 @@ def validate_complete_gentle(
 ) -> GentleQuiver:
     """Validate raw quiver data and return a GentleQuiver.
 
-    Exactly one of ``sigma`` and ``relations`` must be given.  Relations
-    are (b, a) pairs meaning the composite b*a is zero; sigma is then
-    reconstructed as the unique permitted successor and checked to be a
-    permutation compatible with sources and targets.
+    Names are coerced to str.  Exactly one of ``sigma`` and ``relations``
+    must be given.  Relations are (b, a) pairs meaning the composite b*a
+    is zero; sigma is then reconstructed as the unique permitted
+    successor.  The :class:`GentleQuiver` construction checks the rest,
+    in this order, and the first failure raises: duplicate vertices,
+    duplicate arrows, an arrow at an undeclared vertex (first in arrow
+    order), out- and then in-degree 2 (vertex by vertex), sigma a
+    permutation, and s(sigma(a)) = t(a) (first in arrow order).  The
+    structural conditions, the first four, come before a missing or
+    doubled sigma and before every relation error.
     """
-    vertices = tuple(str(v) for v in vertices)
-    if len(set(vertices)) != len(vertices):
+    vertices = tuple(map(str, vertices))
+    arrows = tuple([(str(a), str(s), str(t)) for a, s, t in arrows])
+    if sigma is None or relations is not None:
+        # relations are read on the structure's maps, so its errors come first
+        _, source, target, out, _ = _structure(vertices, arrows)
+        if (sigma is None) == (relations is None):
+            raise QuiverError("give exactly one of sigma and relations")
+        sigma = _sigma_from_relations(source, target, out, relations)
+    return GentleQuiver(vertices=vertices, arrows=arrows, sigma=dict(sigma))
+
+
+def _structure(vertices, arrows):
+    """The maps of (vertices, arrows), checked as they are built: each
+    vertex's position, each arrow's source and target, the two arrows out
+    of each vertex in declared order, and tau, which swaps those two.
+    Raises QuiverError at the first structural condition that fails."""
+    pos = {v: i for i, v in enumerate(vertices)}
+    if len(pos) != len(vertices):
         raise QuiverError("duplicate vertex names")
-    arrows = tuple((str(a), str(s), str(t)) for a, s, t in arrows)
-    names = [a for a, _, _ in arrows]
-    if len(set(names)) != len(names):
-        raise QuiverError("duplicate arrow names")
-    vertex_set = set(vertices)
-    for a, s, t in arrows:
-        if s not in vertex_set or t not in vertex_set:
-            raise QuiverError(f"arrow {a!r} uses undeclared vertex")
-
-    out: Dict[str, List[str]] = {v: [] for v in vertices}
-    inc: Dict[str, List[str]] = {v: [] for v in vertices}
-    for a, s, t in arrows:
-        out[s].append(a)
-        inc[t].append(a)
-    for v in vertices:
-        if len(out[v]) != 2:
-            raise QuiverError(f"vertex {v!r} has out-degree {len(out[v])} != 2")
-        if len(inc[v]) != 2:
-            raise QuiverError(f"vertex {v!r} has in-degree {len(inc[v])} != 2")
-
     source = {a: s for a, s, _ in arrows}
-    target = {a: t for a, _, t in arrows}
+    if len(source) != len(arrows):
+        raise QuiverError("duplicate arrow names")
+    target: Dict[str, str] = {}
+    out: Dict[str, List[str]] = {v: [] for v in vertices}
+    indegree = dict.fromkeys(vertices, 0)
+    for a, s, t in arrows:
+        if s not in pos or t not in pos:
+            raise QuiverError(f"arrow {a!r} uses undeclared vertex")
+        target[a] = t
+        out[s].append(a)
+        indegree[t] += 1
+    tau: Dict[str, str] = {}
+    for v, pair in out.items():
+        if len(pair) != 2:
+            raise QuiverError(f"vertex {v!r} has out-degree {len(pair)} != 2")
+        if indegree[v] != 2:
+            raise QuiverError(f"vertex {v!r} has in-degree {indegree[v]} != 2")
+        x, y = pair
+        tau[x] = y
+        tau[y] = x
+    return pos, source, target, out, tau
 
-    if (sigma is None) == (relations is None):
-        raise QuiverError("give exactly one of sigma and relations")
 
-    if sigma is None:
-        sigma = _sigma_from_relations(names, source, target, out, relations)
-
-    sigma = dict(sigma)
-    if sorted(sigma) != sorted(names) or sorted(sigma.values()) != sorted(names):
-        raise QuiverError("sigma is not a permutation of the arrow set")
-    for a in names:
-        b = sigma[a]
-        if source[b] != target[a]:
-            raise QuiverError(
-                f"sigma({a}) = {b} but source({b}) = {source[b]} != target({a}) = {target[a]}"
-            )
-    return GentleQuiver(vertices=vertices, arrows=arrows, sigma=sigma)
-
-
-def _sigma_from_relations(names, source, target, out, relations) -> Dict[str, str]:
+def _sigma_from_relations(source, target, out, relations) -> Dict[str, str]:
     rel_set = set()
     for b, a in relations:
         if b not in source or a not in source:
@@ -343,10 +362,10 @@ def _sigma_from_relations(names, source, target, out, relations) -> Dict[str, st
             )
         rel_set.add((b, a))
     sigma = {}
-    for a in names:
-        candidates = [b for b in out[target[a]] if (b, a) not in rel_set]
+    for a, t in target.items():
+        candidates = [b for b in out[t] if (b, a) not in rel_set]
         if len(candidates) != 1:
-            forbidden = [b for b in out[target[a]] if (b, a) in rel_set]
+            forbidden = [b for b in out[t] if (b, a) in rel_set]
             raise QuiverError(
                 f"arrow {a!r} has {len(candidates)} permitted successors "
                 f"(relations forbid {forbidden}); the gentle condition needs exactly one"
@@ -367,11 +386,11 @@ def idempotent_subquiver(q: GentleQuiver, kept: Iterable[str]) -> IdempotentSubq
     kept_set = set(kept)
     if not kept_set:
         raise QuiverError("kept vertex set is empty")
-    if not kept_set < set(q.vertices):
-        raise QuiverError("kept vertex set must be a proper subset of Q_0")
     for v in kept:
-        if v not in set(q.vertices):
+        if v not in q._pos:
             raise QuiverError(f"unknown vertex {v!r}")
+    if len(kept_set) == len(q.vertices):
+        raise QuiverError("kept vertex set must be a proper subset of Q_0")
 
     new_vertices = tuple(v for v in q.vertices if v in kept_set)
     kept_arrows = [a for a in q.arrow_names if q.source(a) in kept_set]
@@ -441,16 +460,14 @@ def quiver_isomorphism(q1: GentleQuiver, q2: GentleQuiver) -> Optional[Dict[str,
 def _propagate(q1, q2, a, b) -> Optional[Dict[str, str]]:
     """The map on the component of `a` that sends `a` to `b` and conjugates
     sigma and tau, or None if one arrow needs two images or two arrows one."""
+    sigma1, tau1, sigma2, tau2 = q1.sigma, q1._tau, q2.sigma, q2._tau
     part = {a: b}
     images = {b}
     stack = [a]
     while stack:
         x = stack.pop()
         y = part[x]
-        for x2, y2 in (
-            (q1.sigma[x], q2.sigma[y]),
-            (q1.other_arrow_at(q1.source(x), x), q2.other_arrow_at(q2.source(y), y)),
-        ):
+        for x2, y2 in ((sigma1[x], sigma2[y]), (tau1[x], tau2[y])):
             if x2 in part:
                 if part[x2] != y2:
                     return None

@@ -18,6 +18,10 @@ twice overall):
       node v: e2 e3 e3
     }
 
+Either form may carry multiplicity lines; each key must name an arrow of
+the quiver built (in the ribbon form, "v_i" is the arrow of node v's slot
+i).
+
 A relation token "b.a" names the zero composite of the two arrows; the
 composable reading is chosen automatically, and when both readings
 compose (loops) the literal one (a first, then b) is used.
@@ -33,6 +37,15 @@ from .quiver import GentleQuiver, QuiverError, validate_complete_gentle
 from .ribbon import RibbonGraph, quiver_from_ribbon_graph
 
 _NAME = r"[A-Za-z0-9_][A-Za-z0-9_.]*"
+# the grammar, compiled once
+_RIBBON_OPEN = re.compile(r"ribbon_graph\s*\{")
+_ARROW = re.compile(rf"arrow\s+({_NAME})")
+_ENDS = re.compile(rf"({_NAME})\s*->\s*({_NAME})")
+_MULTIPLICITY = re.compile(rf"\s*({_NAME})\s*=\s*([0-9]+)\s*")
+_CYCLE = re.compile(r"\(([^()]*)\)")
+_CYCLES_AND_SPACE = re.compile(r"\([^()]*\)|\s")
+_RELATION = re.compile(rf"({_NAME})\s*\.\s*({_NAME})")
+_NODE = re.compile(rf"node\s+({_NAME})\s*:\s*(.+)")
 
 
 class SpecFileError(ValueError):
@@ -70,7 +83,7 @@ def parse_spec(text: str) -> ParsedSpec:
             else:
                 ribbon_lines.append((lineno, line))
             continue
-        if re.fullmatch(r"ribbon_graph\s*\{", line):
+        if _RIBBON_OPEN.fullmatch(line):
             if saw_ribbon:
                 raise SpecFileError("duplicate ribbon_graph block", lineno)
             saw_ribbon = True
@@ -88,10 +101,10 @@ def parse_spec(text: str) -> ParsedSpec:
             if not vertices:
                 raise SpecFileError("empty vertex list", lineno)
         elif key.startswith("arrow"):
-            m = re.fullmatch(rf"arrow\s+({_NAME})", key)
+            m = _ARROW.fullmatch(key)
             if not m:
                 raise SpecFileError(f"bad arrow declaration {key!r}", lineno)
-            ends = re.fullmatch(rf"({_NAME})\s*->\s*({_NAME})", rest)
+            ends = _ENDS.fullmatch(rest)
             if not ends:
                 raise SpecFileError(f"bad arrow endpoints {rest!r} (want SRC -> TGT)", lineno)
             arrows.append((m.group(1), ends.group(1), ends.group(2)))
@@ -105,7 +118,7 @@ def parse_spec(text: str) -> ParsedSpec:
             relations_src = (rest, lineno)
         elif key == "multiplicity":
             for part in rest.split(","):
-                mm = re.fullmatch(rf"\s*({_NAME})\s*=\s*([0-9]+)\s*", part)
+                mm = _MULTIPLICITY.fullmatch(part)
                 if not mm:
                     raise SpecFileError(f"bad multiplicity entry {part.strip()!r}", lineno)
                 if mm.group(1) in multiplicity:
@@ -121,14 +134,18 @@ def parse_spec(text: str) -> ParsedSpec:
         if vertices is not None or arrows or sigma_src or relations_src:
             raise SpecFileError("ribbon_graph input cannot be mixed with quiver directives")
         graph = _parse_ribbon(ribbon_lines)
-        quiver = quiver_from_ribbon_graph(graph)
-        return ParsedSpec(
-            quiver=quiver,
-            multiplicity=multiplicity or None,
-            source_kind="ribbon",
-            ribbon_graph=graph,
-        )
+        quiver, kind = quiver_from_ribbon_graph(graph), "ribbon"
+    else:
+        graph = None
+        quiver, kind = _parse_quiver(vertices, arrows, sigma_src, relations_src), "quiver"
+    # either form keys its multiplicities by arrow
+    for key in multiplicity:
+        if key not in quiver.sigma:
+            raise SpecFileError(f"multiplicity key {key!r} is not an arrow")
+    return ParsedSpec(quiver=quiver, multiplicity=multiplicity or None, source_kind=kind, ribbon_graph=graph)
 
+
+def _parse_quiver(vertices, arrows, sigma_src, relations_src) -> GentleQuiver:
     if vertices is None:
         raise SpecFileError("missing vertices line")
     if not arrows:
@@ -139,24 +156,16 @@ def parse_spec(text: str) -> ParsedSpec:
     try:
         if sigma_src is not None:
             sigma = _parse_sigma(sigma_src[0], [a for a, _, _ in arrows], sigma_src[1])
-            quiver = validate_complete_gentle(vertices, arrows, sigma=sigma)
-        else:
-            rels = _parse_relations(relations_src[0], arrows, relations_src[1])
-            quiver = validate_complete_gentle(vertices, arrows, relations=rels)
+            return validate_complete_gentle(vertices, arrows, sigma=sigma)
+        rels = _parse_relations(relations_src[0], arrows, relations_src[1])
+        return validate_complete_gentle(vertices, arrows, relations=rels)
     except QuiverError as exc:
         raise SpecFileError(str(exc)) from exc
 
-    if multiplicity:
-        names = {a for a, _, _ in arrows}
-        for key in multiplicity:
-            if key not in names:
-                raise SpecFileError(f"multiplicity key {key!r} is not an arrow")
-    return ParsedSpec(quiver=quiver, multiplicity=multiplicity or None, source_kind="quiver")
-
 
 def _parse_sigma(text: str, arrow_names: List[str], lineno: int) -> Dict[str, str]:
-    cycles = re.findall(r"\(([^()]*)\)", text)
-    if re.sub(r"\([^()]*\)|\s", "", text):
+    cycles = _CYCLE.findall(text)
+    if _CYCLES_AND_SPACE.sub("", text):
         raise SpecFileError(f"bad sigma syntax {text!r}", lineno)
     sigma: Dict[str, str] = {}
     known = set(arrow_names)
@@ -184,7 +193,7 @@ def _parse_relations(text: str, arrows, lineno: int) -> List[Tuple[str, str]]:
     rels = []
     for token in text.split(","):
         token = token.strip()
-        m = re.fullmatch(rf"({_NAME})\s*\.\s*({_NAME})", token)
+        m = _RELATION.fullmatch(token)
         if not m:
             raise SpecFileError(f"bad relation token {token!r} (want SECOND.FIRST)", lineno)
         x, y = m.group(1), m.group(2)
@@ -204,7 +213,7 @@ def _parse_ribbon(lines: List[Tuple[int, str]]) -> RibbonGraph:
     nodes: List[str] = []
     slots: Dict[str, Tuple[str, ...]] = {}
     for lineno, line in lines:
-        m = re.fullmatch(rf"node\s+({_NAME})\s*:\s*(.+)", line)
+        m = _NODE.fullmatch(line)
         if not m:
             raise SpecFileError(f"bad node line {line!r}", lineno)
         name = m.group(1)

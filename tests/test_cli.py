@@ -346,3 +346,23 @@ def test_ribbon_graph_input_through_cli(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["bipartite"] is True
     assert len(payload["edges"]) == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "vertices: 1\narrow a: 1 -> 1\narrow b: 1 -> 1\nsigma: (a b)\nmultiplicity: zz = 2\n",
+        "ribbon_graph {\n  node u: 1 2\n  node v: 2 1\n}\nmultiplicity: zz = 2\n",
+    ],
+    ids=["quiver", "ribbon"],
+)
+def test_multiplicity_key_that_is_no_arrow_is_a_spec_error(tmp_path, capsys, text):
+    # both forms check their keys against the arrows of the quiver they build
+    f = tmp_path / "spec.txt"
+    f.write_text(text)
+    code, out, _ = run(capsys, "validate", str(f))
+    assert code == 1
+    assert out == "INVALID: multiplicity key 'zz' is not an arrow\n", out
+    code, out, err = run(capsys, "decide", str(f))
+    assert code == 2 and not out
+    assert err == "spec error: multiplicity key 'zz' is not an arrow\n", err

@@ -1,7 +1,8 @@
 """Default paths do each piece of work once and never list polarizations.
 
 A decision needs one bipartite certificate, one quotient, the twisted
-one, and one read of its socle: c2 comes from the socle certificate
+one, and one read of its socle (each order check, likewise, checks its
+polarization once): c2 comes from the socle certificate
 (``fdalg.socle_certificate``), so a decision computes no S, runs no
 oracle and takes no determinant over every product, and the Brauer
 graph algebra's symmetry is certified in closed form off the same
@@ -22,6 +23,7 @@ from ribbonorders import (
     CORPUS_NAMES,
     build_quotient_algebra,
     cartan_matrix,
+    check_nu_symmetry,
     construct_psi_isomorphism,
     corpus_quiver,
     decide,
@@ -34,6 +36,7 @@ from ribbonorders import (
     quiver_from_ribbon_graph,
     quotient_polarization,
     rank_formula_check,
+    verify_theta_psi,
 )
 from ribbonorders import fdalg
 from ribbonorders.cli import main
@@ -115,6 +118,20 @@ def test_decide_computes_certificate_once_and_quotient_pair_once(monkeypatch):
                 rep = decide(q, field, m)
                 assert counts == once, (name, field.name, m)
                 assert rep.multiplicity == {orbit_rep: m for orbit_rep, _ in q.sigma_orbits()}
+
+
+@pytest.mark.parametrize("check", [check_nu_symmetry, verify_theta_psi], ids=["nu", "theta_psi"])
+def test_order_checks_check_the_polarization_once(monkeypatch, check):
+    # involution_of checks it, and the canonical basis is built unchecked
+    counts = {"check_polarization": 0}
+    count_calls(monkeypatch, check_polarization, counts)
+    for name in CORPUS_NAMES:
+        q = corpus_quiver(name)
+        for eps in (default_polarization(q), quotient_polarization(q, find_sigma_stable(q))):
+            for field in FIELDS:
+                counts["check_polarization"] = 0
+                assert check(q, eps, field).ok
+                assert counts == {"check_polarization": 1}, (name, field.name)
 
 
 def test_decide_derives_no_plain_quotient(monkeypatch):

@@ -328,3 +328,164 @@ def test_orbit_data_derived_quivers():
                 assert_orbit_data(sub.quiver)
                 sigma, realization = reference_subquiver(q, kept)
                 assert sub.quiver.sigma == sigma and sub.realization == realization
+
+
+@pytest.mark.parametrize(
+    "kept, message",
+    [
+        (["1", "zz"], "unknown vertex 'zz'"),
+        (["zz"], "unknown vertex 'zz'"),
+        (["1", "2", "3", "4", "zz"], "unknown vertex 'zz'"),
+        (["1", "2", "3", "4"], "kept vertex set must be a proper subset of Q_0"),
+        (["4", "3", "2", "1", "2"], "kept vertex set must be a proper subset of Q_0"),
+        ([], "kept vertex set is empty"),
+    ],
+)
+def test_idempotent_subquiver_errors(kept, message):
+    # names are checked before the subset is, so an unknown one is named
+    with pytest.raises(QuiverError) as err:
+        idempotent_subquiver(corpus_quiver("circ4"), kept)
+    assert str(err.value) == message
+
+
+# ---------------------------------------------------------------------------
+# the one-pass construction: every stored map against a recomputation from
+# the three fields, and every QuiverError of validate_complete_gentle
+
+
+def assert_stored_maps(q):
+    """source, target, arrows_out, position, tau and the orbit data, each
+    recomputed from ``vertices``, ``arrows`` and ``sigma`` alone."""
+    source = {a: s for a, s, _ in q.arrows}
+    target = {a: t for a, _, t in q.arrows}
+    out = {v: tuple(sorted(a for a, s, _ in q.arrows if s == v)) for v in q.vertices}
+    tau = {a: next(b for b in out[source[a]] if b != a) for a in source}
+    for k, v in enumerate(q.vertices):
+        assert q.position(v) == k
+        assert q.arrows_out(v) == out[v]
+    for a in q.arrow_names:
+        assert (q.source(a), q.target(a)) == (source[a], target[a])
+        assert q.other_arrow_at(source[a], a) == tau[a]
+        assert q.resolution_successor(a) == next(b for b in out[target[a]] if b != q.sigma[a])
+    assert q._tau == tau
+    assert_orbit_data(q)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_stored_maps_corpus(name):
+    assert_stored_maps(corpus_quiver(name))
+
+
+def test_stored_maps_generated_and_ribbon_quivers():
+    # gen.py draws by valency profile; relabel shuffles every declaration,
+    # so no map can lean on declared order
+    rng = random.Random(11)
+    profiles = [(1, 1, 2, 4), (3, 3, 2), (6,), (4, 4, 4, 4), (3, 3, 2, 2, 2, 2, 2), (2, 2, 2, 2, 2)]
+    for k in range(24):
+        q = gen.random_quiver(rng, profiles[k % len(profiles)])
+        for r in (q, gen.relabel(rng, q), quiver_from_ribbon_graph(graph_of_quiver(q))):
+            assert_stored_maps(r)
+    for q in seeded_quivers():
+        assert_stored_maps(q)
+
+
+def test_names_are_coerced_to_str():
+    q = validate_complete_gentle([1], [("a", 1, 1), ("b", 1, 1)], sigma={"a": "b", "b": "a"})
+    assert q.vertices == ("1",) and q.arrows == (("a", "1", "1"), ("b", "1", "1"))
+    assert q == corpus_quiver("loop2") and q.arrows_out("1") == ("a", "b")
+
+
+def test_other_arrow_at_refuses_an_arrow_from_another_vertex():
+    with pytest.raises(QuiverError, match="does not start at"):
+        corpus_quiver("line2").other_arrow_at("2", "x")
+
+
+LOOPS = [("a", "1", "1"), ("b", "1", "1")]
+# a: 1 -> 2, b: 2 -> 1 and a loop at each end
+TWO = [("a", "1", "2"), ("b", "2", "1"), ("x", "1", "1"), ("y", "2", "2")]
+TWO_SIGMA = {"a": "b", "b": "a", "x": "x", "y": "y"}
+THREE_LOOPS = LOOPS + [("c", "1", "1")]
+PERM = "sigma is not a permutation of the arrow set"
+EXACTLY_ONE = "give exactly one of sigma and relations"
+
+# (vertices, arrows, sigma, relations, message); the cases after the first
+# blank line break two rules at once and pin which one is reported
+QUIVER_ERRORS = {
+    "duplicate_vertex": (["1", "1"], LOOPS, {"a": "b", "b": "a"}, None, "duplicate vertex names"),
+    "duplicate_arrow": (["1"], [("a", "1", "1"), ("a", "1", "1")], {"a": "a"}, None, "duplicate arrow names"),
+    "undeclared_vertex": (["1"], [("a", "1", "1"), ("b", "1", "9")], {"a": "b", "b": "a"}, None,
+                          "arrow 'b' uses undeclared vertex"),
+    "out_degree": (["1"], THREE_LOOPS, {"a": "b", "b": "c", "c": "a"}, None, "vertex '1' has out-degree 3 != 2"),
+    "in_degree": (["1", "2"], [("a", "1", "1"), ("b", "1", "2"), ("c", "2", "2"), ("d", "2", "2")],
+                  {"a": "b", "b": "c", "c": "d", "d": "a"}, None, "vertex '1' has in-degree 1 != 2"),
+    "neither": (["1"], LOOPS, None, None, EXACTLY_ONE),
+    "both": (["1"], LOOPS, {"a": "b", "b": "a"}, [("a", "a")], EXACTLY_ONE),
+    "relation_unknown_arrow": (["1"], LOOPS, None, [("b", "z")], "relation b.z uses unknown arrow"),
+    "relation_not_composable": (["1", "2"], TWO, None, [("a", "a")],
+                                "relation a.a is not composable: source(a) != target(a)"),
+    # the forbidden arrows are listed in declared order
+    "no_successor": (["1"], LOOPS[::-1], None, [("a", "a"), ("b", "a"), ("a", "b")],
+                     "arrow 'a' has 0 permitted successors (relations forbid ['b', 'a']); "
+                     "the gentle condition needs exactly one"),
+    "two_successors": (["1"], LOOPS, None, [],
+                       "arrow 'a' has 2 permitted successors (relations forbid []); "
+                       "the gentle condition needs exactly one"),
+    "sigma_not_injective": (["1"], LOOPS, {"a": "b", "b": "b"}, None, PERM),
+    "sigma_missing_arrow": (["1"], LOOPS, {"a": "b"}, None, PERM),
+    "sigma_extra_arrow": (["1"], LOOPS, {"a": "b", "b": "a", "z": "z"}, None, PERM),
+    "relations_not_injective": (["1", "2"], TWO, None, [("y", "a"), ("y", "y"), ("x", "b"), ("x", "x")], PERM),
+    "sigma_source_target": (["1", "2"], TWO, {"a": "x", "x": "a", "b": "y", "y": "b"}, None,
+                            "sigma(a) = x but source(x) = 1 != target(a) = 2"),
+
+    "duplicate_vertex_and_arrow": (["1", "1"], [("a", "1", "1"), ("a", "1", "1")], {"a": "a"}, None,
+                                   "duplicate vertex names"),
+    "duplicate_arrow_and_undeclared": (["1"], [("b", "1", "9"), ("a", "1", "1"), ("a", "1", "1")], {"a": "a"},
+                                       None, "duplicate arrow names"),
+    "undeclared_and_out_degree": (["1"], THREE_LOOPS + [("d", "9", "1")], None, None,
+                                  "arrow 'd' uses undeclared vertex"),
+    "in_degree_first_vertex_and_out_degree_second": (
+        ["1", "2"], [("a", "1", "1"), ("b", "1", "2"), ("c", "2", "2"), ("d", "2", "2"), ("e", "2", "2")],
+        None, None, "vertex '1' has in-degree 1 != 2"),
+    "out_and_in_degree_one_vertex": (["1"], THREE_LOOPS, {"a": "b", "b": "c", "c": "a"}, None,
+                                     "vertex '1' has out-degree 3 != 2"),
+    "degree_and_neither": (["1"], THREE_LOOPS, None, None, "vertex '1' has out-degree 3 != 2"),
+    "degree_and_bad_relation": (["1"], THREE_LOOPS, None, [("z", "a")], "vertex '1' has out-degree 3 != 2"),
+    "undeclared_and_both": (["1"], [("a", "1", "1"), ("b", "1", "9")], {"a": "b"}, [("a", "b")],
+                            "arrow 'b' uses undeclared vertex"),
+    "both_and_bad_relation": (["1"], LOOPS, {"a": "b", "b": "a"}, [("z", "z")], EXACTLY_ONE),
+    "not_composable_then_unknown": (["1", "2"], TWO, None, [("a", "a"), ("z", "a")],
+                                    "relation a.a is not composable: source(a) != target(a)"),
+    "unknown_then_not_composable": (["1", "2"], TWO, None, [("z", "a"), ("a", "a")],
+                                    "relation z.a uses unknown arrow"),
+    "late_bad_relation_and_successors": (["1"], LOOPS, None, [("a", "a"), ("b", "z")],
+                                         "relation b.z uses unknown arrow"),
+    "not_permutation_and_source_target": (["1", "2"], TWO, {"a": "x", "b": "x", "x": "a", "y": "b"}, None, PERM),
+    # b is declared first, so its mismatch is named before a's
+    "two_source_target_mismatches": (["1", "2"], [TWO[1], TWO[0], TWO[2], TWO[3]],
+                                     {"a": "x", "x": "a", "b": "y", "y": "b"}, None,
+                                     "sigma(b) = y but source(y) = 2 != target(b) = 1"),
+}
+
+
+@pytest.mark.parametrize("case", QUIVER_ERRORS)
+def test_validate_complete_gentle_errors(case):
+    vertices, arrows, sigma, relations, message = QUIVER_ERRORS[case]
+    with pytest.raises(QuiverError) as err:
+        validate_complete_gentle(vertices, arrows, sigma=sigma, relations=relations)
+    assert str(err.value) == message
+
+
+def test_the_two_point_quiver_of_the_error_cases_is_valid():
+    q = validate_complete_gentle(["1", "2"], TWO, sigma=TWO_SIGMA)
+    assert quiver_isomorphism(q, corpus_quiver("line2")) is not None
+    assert validate_complete_gentle(["1", "2"], TWO, relations=q.relations()) == q
+
+
+@pytest.mark.parametrize("case", [c for c, (_, _, s, r, _) in QUIVER_ERRORS.items() if s is not None and r is None])
+def test_direct_construction_raises_as_validation_does(case):
+    # the checks live in the constructor, so a quiver built from its three
+    # fields without validate_complete_gentle is checked alike
+    vertices, arrows, sigma, _, message = QUIVER_ERRORS[case]
+    with pytest.raises(QuiverError) as err:
+        GentleQuiver(tuple(vertices), tuple(arrows), dict(sigma))
+    assert str(err.value) == message
