@@ -10,15 +10,17 @@ place on its private copy, and only at the pivot row's nonzero columns
 nonzero entries rather than the full row width.  Zero tests are truth
 tests (see :mod:`ribbonorders.fields`).
 
-Only three routines run in the package: ``rank``, for the Cartan rank
-(through ``rref``), ``monomial_det`` and ``sign_det``.  The quotient
-symmetry oracle in :mod:`ribbonorders.fdalg` and the order-level checks
-are closed-form and eliminate nothing: the oracle's pairing and the
-order's theta(0) have one nonzero entry per row and column, and the
-determinant is read off those entries, by ``monomial_det`` over a field
-and by ``sign_det`` on the oracle's +-1 entries.  ``det`` and
-``nullspace`` are kept as the tests' dense references and as targets of
-the benchmark's traced spans.
+Only two routines run in the package: ``monomial_det`` and
+``sign_det``.  The quotient symmetry oracle in :mod:`ribbonorders.fdalg`
+and the order-level checks are closed-form and eliminate nothing: the
+oracle's pairing and the order's theta(0) have one nonzero entry per row
+and column, and the determinant is read off those entries, by
+``monomial_det`` over a field and by ``sign_det`` on the oracle's +-1
+entries.  The Cartan rank is read off the ribbon graph's components
+(:func:`order.cartan_report`).  ``rref``, ``rank``, ``det``
+and ``nullspace`` are kept as the tests' dense references (``rank``
+through :func:`order.cartan_rank`), and ``det`` and
+``nullspace`` as targets of the benchmark's traced spans.
 """
 
 from __future__ import annotations

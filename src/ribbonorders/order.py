@@ -77,7 +77,7 @@ from . import linalg
 from .fields import Field, PolyRing, QQ
 from .polarize import PLUS, Involution, Polarization, check_polarization, default_polarization, involution_of
 from .quiver import GentleQuiver, Path, QuiverError
-from .ribbon import connected_components, graph_of_quiver
+from .ribbon import _component_walk, graph_of_quiver
 
 
 # ---------------------------------------------------------------------------
@@ -843,23 +843,39 @@ def cartan_matrix(q: GentleQuiver, eps: Optional[Polarization] = None) -> List[L
 
 
 def cartan_rank(mat: List[List[int]]) -> int:
+    """The rank over Q of an integer matrix, by dense ``Fraction``
+    elimination (:func:`linalg.rank`): the tests' reference for the
+    closed-form rank of :func:`cartan_report`, which no command calls."""
     rows = [[QQ.from_int(x) for x in row] for row in mat]
     return linalg.rank(QQ, rows)
 
 
 def cartan_report(q: GentleQuiver) -> CartanReport:
-    """Cartan matrix, exact rank over the rationals, and the bipartiteness
-    rank criterion rank(C) = |G_0| - c, reported (not asserted)."""
-    mat = cartan_matrix(q)
-    rk = cartan_rank(mat)
+    """Cartan matrix, its rank over the rationals in closed form, and the
+    bipartiteness rank criterion rank(C) = |G_0| - c, reported (not
+    asserted).
+
+    rank C = |G_0| - b, with b the number of bipartite components of the
+    ribbon graph G.  Let N be the |Q_0| x |G_0| incidence matrix of G,
+    N(e, v) the number of slots of edge e at node v (2 for a loop).  At
+    m = 1 each ordered pair of slots (s, s') at a node holds exactly one
+    canonical basis path, from edge(s) to edge(s') (e and x of the vertex
+    when s = s'), so C = N N^T and rank C = rank N = |G_0| - dim ker N.
+    A node vector y with N y = 0 has y(u) = -y(v) on every edge u -- v,
+    so on a component it is a scalar times one +-1 coloring, and zero
+    if the component has an odd closed walk (a loop is one).  So ker N
+    has dimension b, and one component walk (:func:`ribbon._component_walk`)
+    gives c and b; nothing is eliminated.
+    """
     g = graph_of_quiver(q)
-    comps = connected_components(g)
-    expected = len(g.nodes) - len(comps)
+    bipartite = [walk is None for _, walk in _component_walk(g, {})]
+    rk = len(g.nodes) - sum(bipartite)
+    expected = len(g.nodes) - len(bipartite)
     return CartanReport(
-        matrix=mat,
+        matrix=cartan_matrix(q),
         rank=rk,
         nodes=len(g.nodes),
-        components=len(comps),
+        components=len(bipartite),
         rank_criterion_value=expected,
         rank_criterion_matches=rk == expected,
     )

@@ -10,9 +10,8 @@ make output deterministic.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .quiver import GentleQuiver, QuiverError, quiver_isomorphism, validate_complete_gentle
 
@@ -74,8 +73,7 @@ class RibbonGraph:
     def adjacency(self) -> Dict[str, List[Tuple[str, str]]]:
         """node -> list of (neighbour node, edge), loops listed once."""
         adj: Dict[str, List[Tuple[str, str]]] = {v: [] for v in self.nodes}
-        for e in self.edges:
-            u, v = self.endpoints(e)
+        for e, (u, v) in self._ends.items():  # in edge order
             adj[u].append((v, e))
             if u != v:
                 adj[v].append((u, e))
@@ -116,77 +114,71 @@ def graph_of_quiver(q: GentleQuiver) -> RibbonGraph:
 def is_bipartite(g: RibbonGraph) -> BipartiteCertificate:
     """Two-color the nodes or exhibit an odd closed walk.
 
-    BFS per component, seeded at the lexicographically least node of the
-    component, which takes '-': the '-' class is the one whose orbits
-    get rescaled when comparing the twisted quotient with the Brauer
-    graph algebra, and this choice reproduces the familiar alternating
-    signs on line graphs.  A loop edge is an immediate length-one
-    witness; otherwise a monochromatic edge (u, v) yields the closed
-    walk root -> u -> v -> root of odd length.
+    BFS per component (:func:`_component_walk`), seeded at the
+    lexicographically least node of the component, which takes '-': the
+    '-' class is the one whose orbits get rescaled when comparing the
+    twisted quotient with the Brauer graph algebra, and this choice
+    reproduces the familiar alternating signs on line graphs.  A loop
+    edge, the first in edge order, is an immediate length-one witness;
+    otherwise the first component with a monochromatic edge (u, v)
+    yields the closed walk root -> u -> v -> root of odd length.
+    """
+    for e, (u, v) in g._ends.items():  # in edge order
+        if u == v:
+            return BipartiteCertificate(odd_walk=(e,))
+    color: Dict[str, str] = {}
+    for _, odd in _component_walk(g, color):
+        if odd:
+            return BipartiteCertificate(odd_walk=odd)
+    return BipartiteCertificate(coloring=color)
+
+
+def _component_walk(
+    g: RibbonGraph, color: Dict[str, str]
+) -> Iterator[Tuple[List[str], Optional[Tuple[str, ...]]]]:
+    """Yield (members in BFS order, first odd closed walk or None) per
+    component, filling ``color`` with each node's '-' or '+'.
+
+    Roots are taken in sorted order, so each is its component's least
+    node and takes '-'; neighbours are visited in sorted (node, edge)
+    order, each first reached one taking the color opposite its
+    parent's.  The first edge (u, v) with equal colors (a loop is one)
+    closes the odd walk root -> u -> v -> root; the component is walked
+    to the end either way.  A parent always has the opposite color, so
+    its tree edge never closes a walk.
     """
     adj = g.adjacency()
-    color: Dict[str, str] = {}
-    parent_edge: Dict[str, Optional[str]] = {}
-    parent: Dict[str, Optional[str]] = {}
-
-    for e in g.edges:
-        if g.is_loop(e):
-            return BipartiteCertificate(odd_walk=(e,))
-
+    parent: Dict[str, Tuple[str, str]] = {}
     for root in sorted(g.nodes):
         if root in color:
             continue
         color[root] = "-"
-        parent[root] = None
-        parent_edge[root] = None
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
+        members = [root]
+        odd = None
+        for u in members:  # the list is the BFS queue
+            cu = color[u]
             for v, e in sorted(adj[u]):
-                if e == parent_edge[u] and v == parent[u]:
-                    continue
                 if v not in color:
-                    color[v] = "+" if color[u] == "-" else "-"
-                    parent[v] = u
-                    parent_edge[v] = e
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    walk = _path_to_root(u, parent, parent_edge)
-                    back = _path_to_root(v, parent, parent_edge)
-                    return BipartiteCertificate(
-                        odd_walk=tuple(reversed(walk)) + (e,) + tuple(back)
-                    )
-    return BipartiteCertificate(coloring=color)
+                    color[v] = "+" if cu == "-" else "-"
+                    parent[v] = (u, e)
+                    members.append(v)
+                elif odd is None and color[v] == cu:
+                    odd = (*reversed(_path_to_root(u, parent)), e, *_path_to_root(v, parent))
+        yield members, odd
 
 
-def _path_to_root(v, parent, parent_edge) -> List[str]:
+def _path_to_root(v, parent) -> List[str]:
     edges = []
-    while parent[v] is not None:
-        edges.append(parent_edge[v])
-        v = parent[v]
+    while v in parent:
+        v, e = parent[v]
+        edges.append(e)
     return edges
 
 
 def connected_components(g: RibbonGraph) -> List[Tuple[str, ...]]:
-    """Node partition into components, each sorted, sorted by first node."""
-    adj = g.adjacency()
-    seen = set()
-    comps = []
-    for root in sorted(g.nodes):
-        if root in seen:
-            continue
-        comp = []
-        stack = [root]
-        seen.add(root)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v, _ in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        comps.append(tuple(sorted(comp)))
-    return sorted(comps)
+    """Node partition into components, each sorted, sorted by first node
+    (each component's root is its least node, and the roots ascend)."""
+    return [tuple(sorted(members)) for members, _ in _component_walk(g, {})]
 
 
 def circular_subgraphs(g: RibbonGraph) -> List[Tuple[Tuple[str, ...], Tuple[str, ...]]]:

@@ -83,7 +83,7 @@ def parse_spec(text: str) -> ParsedSpec:
             else:
                 ribbon_lines.append((lineno, line))
             continue
-        if _RIBBON_OPEN.fullmatch(line):
+        if line.startswith("ribbon_graph") and _RIBBON_OPEN.fullmatch(line):
             if saw_ribbon:
                 raise SpecFileError("duplicate ribbon_graph block", lineno)
             saw_ribbon = True

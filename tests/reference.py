@@ -7,13 +7,16 @@ quotient, the residue of any parent-order path, the pairing involution
 read off the products that land on the top cycles, the socle quotient
 comparison, the Frobenius form's closed form on paths, z-adic expansion
 of canonical coordinates, an involution's sign on a path and the
-involution applied to an order element, polarization queries, random
-field scalars, and k[t] evaluation and printing.  The tests compare the package against them.
+involution applied to an order element, polarization queries, the
+ribbon graph's bipartite certificate and components by a BFS and a DFS
+of their own, random field scalars, and k[t] evaluation and printing.
+The tests compare the package against them.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -31,6 +34,7 @@ from ribbonorders.order import (
 )
 from ribbonorders.polarize import MINUS, PLUS, Involution, Polarization
 from ribbonorders.quiver import GentleQuiver, Path
+from ribbonorders.ribbon import BipartiteCertificate, RibbonGraph
 
 Sparse = Dict[int, object]
 
@@ -192,6 +196,81 @@ def negative_arrow_at(eps: Polarization, q: GentleQuiver, vertex: str) -> str:
 
 def is_sigma_stable(eps: Polarization, q: GentleQuiver) -> bool:
     return all(eps.signs[a] == eps.signs[q.sigma[a]] for a in q.arrow_names)
+
+
+# ---------------------------------------------------------------------------
+# ribbon graphs
+
+
+def bfs_bipartite(g: RibbonGraph) -> BipartiteCertificate:
+    """The bipartite certificate by a BFS of its own that stops at the
+    first monochromatic edge: the first loop in edge order, else per
+    component from its least node (colored '-'), neighbours in sorted
+    order, the parent edge skipped."""
+    adj = g.adjacency()
+    color: Dict[str, str] = {}
+    parent_edge: Dict[str, Optional[str]] = {}
+    parent: Dict[str, Optional[str]] = {}
+
+    for e in g.edges:
+        if g.is_loop(e):
+            return BipartiteCertificate(odd_walk=(e,))
+
+    for root in sorted(g.nodes):
+        if root in color:
+            continue
+        color[root] = "-"
+        parent[root] = None
+        parent_edge[root] = None
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v, e in sorted(adj[u]):
+                if e == parent_edge[u] and v == parent[u]:
+                    continue
+                if v not in color:
+                    color[v] = "+" if color[u] == "-" else "-"
+                    parent[v] = u
+                    parent_edge[v] = e
+                    queue.append(v)
+                elif color[v] == color[u]:
+                    walk = _path_to_root(u, parent, parent_edge)
+                    back = _path_to_root(v, parent, parent_edge)
+                    return BipartiteCertificate(
+                        odd_walk=tuple(reversed(walk)) + (e,) + tuple(back)
+                    )
+    return BipartiteCertificate(coloring=color)
+
+
+def _path_to_root(v, parent, parent_edge) -> List[str]:
+    edges = []
+    while parent[v] is not None:
+        edges.append(parent_edge[v])
+        v = parent[v]
+    return edges
+
+
+def dfs_components(g: RibbonGraph) -> List[Tuple[str, ...]]:
+    """The components by a DFS of its own: each sorted, sorted by first
+    node."""
+    adj = g.adjacency()
+    seen = set()
+    comps = []
+    for root in sorted(g.nodes):
+        if root in seen:
+            continue
+        comp = []
+        stack = [root]
+        seen.add(root)
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for v, _ in adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        comps.append(tuple(sorted(comp)))
+    return sorted(comps)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ from ribbonorders.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden_outputs.json"
 
 PER_QUIVER = [
+    ["graph"],
+    ["graph", "--ribbon"],
     ["basis"],
     ["cartan"],
     *(["frobenius", "--field", f] for f in ("gf2", "gf3", "Q")),

@@ -9,10 +9,12 @@ graph algebra's symmetry is certified in closed form off the same
 products, so the plain quotient is never derived.  The oracle stays the
 reference, and its own calls still read S and the socle once each.
 Wherever no polarization is given the default one is built vertex by
-vertex, not picked out of the 2^|Q_0| list.  Calls are intercepted at
-every name a package module bound the function to, since package
-modules import functions from each other by name.
+vertex, not picked out of the 2^|Q_0| list.  No command eliminates: the
+Cartan rank is read off one component walk of the ribbon graph.  Calls
+are intercepted at every name a package module bound the function to,
+since package modules import functions from each other by name.
 """
+import argparse
 import importlib
 import random
 import sys
@@ -39,9 +41,10 @@ from ribbonorders import (
     verify_theta_psi,
 )
 from ribbonorders import fdalg
-from ribbonorders.cli import main
+from ribbonorders.cli import build_parser, main
 from ribbonorders.corpus import circular
 from ribbonorders.fields import GF2, GF3, GF5, QQ
+from ribbonorders.linalg import rref
 from ribbonorders.polarize import check_polarization
 
 from test_random_instances import random_ribbon_graph
@@ -85,6 +88,27 @@ def test_library_defaults_do_not_enumerate(no_enumeration, q):
         assert construct_psi_isomorphism(q, field).verified == (field.char == 2)
     assert len(cartan_matrix(q)) == len(q.vertices)
     assert rank_formula_check(q).matches_basis
+
+
+def test_no_cli_command_eliminates(monkeypatch, capsys):
+    # every command on every corpus quiver, and the corpus batch: the
+    # Cartan rank has a closed form, and no other step eliminates
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return rref(*args)
+
+    replace_everywhere(monkeypatch, rref, recorded)
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert "cartan" in commands
+    for command in commands:
+        names = [None] if command == "corpus" else CORPUS_NAMES
+        for name in names:
+            assert main([command] if name is None else [command, f"corpus:{name}"]) == 0, (command, name)
+    capsys.readouterr()
+    assert calls == []
 
 
 @pytest.mark.parametrize("command", [["basis"], ["frobenius"], ["quotient", "--field", "gf3"]])

@@ -133,6 +133,29 @@ def test_error_ribbon_edge_count():
         parse_spec("ribbon_graph {\n  node u: 1 1 1\n}\n")
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("ribbon_graphs {\n  node u: 1 1\n}\n", 1, "cannot parse 'ribbon_graphs {'"),
+        ("ribbon_graph\n  node u: 1 1\n}\n", 1, "cannot parse 'ribbon_graph'"),
+        ("ribbon_graph: u\n", 1, "unknown directive 'ribbon_graph'"),
+        ("ribbon_graph {\n  node u: 1 1\n}\nribbon_graph{\n}\n", 4, "duplicate ribbon_graph block"),
+    ],
+    ids=["plural", "bare", "directive", "duplicate"],
+)
+def test_ribbon_block_opening_errors(text, line, message):
+    # only "ribbon_graph" with optional space and "{" opens a block; any
+    # other line falls through to the directive parser's errors
+    with pytest.raises(SpecFileError) as info:
+        parse_spec(text)
+    assert info.value.line == line
+    assert str(info.value) == f"line {line}: {message}"
+
+
+def test_ribbon_block_opens_without_space():
+    assert parse_spec("ribbon_graph{\n  node u: 1 1\n}\n").quiver.vertices == ("1",)
+
+
 def test_sigma_fixed_points_may_be_omitted():
     text = """\
 vertices: 1
