@@ -25,7 +25,7 @@ from .order import (
 )
 from .polarize import find_sigma_stable, quotient_polarization
 from .quiver import GentleQuiver, QuiverError
-from .ribbon import connected_components, graph_of_quiver, is_bipartite
+from .ribbon import bipartite_components, graph_of_quiver
 from .specfile import ParsedSpec, SpecFileError, parse_spec, serialize_quiver
 
 
@@ -116,8 +116,7 @@ def cmd_graph(args) -> int:
     parsed = _load(args.file)
     q = parsed.quiver
     g = graph_of_quiver(q)
-    cert = is_bipartite(g)
-    comps = connected_components(g)
+    cert, comps = bipartite_components(g)
     payload = {
         "nodes": list(g.nodes),
         "edges": {e: list(g.endpoints(e)) for e in g.edges},

@@ -216,12 +216,12 @@ def _verdict_evidence(v: SymmetryVerdict) -> Dict[str, object]:
 
 
 def _lattice_violations(conditions: Dict[str, Condition]) -> List[str]:
-    out = []
-    for ant, cons in _IMPLICATIONS:
-        a, c = conditions[ant], conditions[cons]
-        if a.certain and c.certain and a.status == TRUE and c.status == FALSE:
-            out.append(f"{ant} true but {cons} false")
-    return out
+    status = {key: cond.status for key, cond in conditions.items()}
+    return [
+        f"{ant} true but {cons} false"
+        for ant, cons in _IMPLICATIONS
+        if status[ant] == TRUE and status[cons] == FALSE
+    ]
 
 
 @dataclass
@@ -287,12 +287,19 @@ def report_to_jsonable(report: SymmetryReport) -> Dict[str, object]:
     }
 
 
+_LEAVES = frozenset((str, int, bool, type(None)))
+
+
 def _jsonable(value):
-    # the leaves first: most values of a report are strings and ints
-    if isinstance(value, (str, int, bool)) or value is None:
+    # the exact leaf types first: most values of a report are strings and
+    # ints.  No value is both a leaf and a container, so the order of the
+    # isinstance branches below changes no result
+    if type(value) in _LEAVES:
         return value
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
+    if isinstance(value, (str, int)):
+        return value
     return str(value)

@@ -606,7 +606,7 @@ def socle_certificate(alg: FdAlgebra) -> SymmetryVerdict:
     over the products that land on a socle path: no look-up table of
     the products, no S and no field arithmetic.
 
-    pi.  The socle paths are the kept top cycles, and the products landing
+    The socle paths are the kept top cycles, and the products landing
     on them are the graph of the layout's pairing involution pi
     (:attr:`order.BasisLayout.pi`), b_i b_pi(i) = s_i b_k(i); else
     :func:`_socle_landing` raises AssertionError.  So b_pi(i) b_i lands
@@ -625,7 +625,8 @@ def socle_certificate(alg: FdAlgebra) -> SymmetryVerdict:
         1 at each component's largest index (the sum of the S basis
         forms meeting the socle).  Its pairing has the dim entries
         (i, pi(i), s_i phi(k(i))), one per row and column, so its
-        determinant is +-1 (:func:`linalg.sign_det`).
+        determinant is sign(pi) times their product, +-1, in closed
+        form (:func:`_witness_det`).
 
     s_dim = dim S = |Q_0| + #{loop arrows a with sigma(a) != a}
     + sum over the sigma-orbits A of (m_A - 1) + #consistent socle
@@ -682,8 +683,37 @@ def socle_certificate(alg: FdAlgebra) -> SymmetryVerdict:
         last = ratio[max(comp)]  # 1 / last = last
         for x in comp:
             phi[x] = ratio[x] * last
-    det = linalg.sign_det(n, ((i, j, s * phi[k]) for i, j, k, s in landing))
-    return _witnessed(alg, s_dim, phi, det)
+    return _witnessed(alg, s_dim, phi, _witness_det(landing, phi))
+
+
+def _witness_det(landing: List[Product], phi: List[int]) -> int:
+    """The determinant of the pairing of the sign form phi, whose
+    nonzero entries are (i, pi(i), s_i phi(k_i)) for the products
+    landing[i] = (i, pi(i), k_i, s_i) (:func:`_socle_landing`: one per
+    row, in row order, each s_i = +-1), as the int 0, 1 or -1:
+    sign(pi) times the product of the entries, where sign(pi) =
+    (-1)^((dim - #fixed points) / 2).  Raises AssertionError unless pi
+    is an involution.
+
+    Proof.  The pairing M has M[i][pi(i)] = s_i phi(k_i) and no other
+    nonzero entry.  In the Leibniz sum det M = sum over permutations
+    p of sign(p) prod_i M[i][p(i)], a term with p(i) != pi(i) for some i
+    has the factor 0, so det M = sign(pi) prod_i s_i phi(k_i).  An
+    involution is the product of its disjoint transpositions, one per
+    pair {i, pi(i)} with pi(i) != i: (dim - #fixed points) / 2 of them,
+    each of sign -1.  A pi with pi(pi(i)) != i for some i may have
+    cycles of other lengths, whose sign this count does not give, so
+    the check comes first (and pi(pi(i)) = i for all i makes pi a
+    bijection).  :func:`linalg.sign_det` computes the same from the
+    cycles of any permutation; the tests compare the two.
+    """
+    moved, product = 0, 1
+    for i, j, k, s in landing:
+        if landing[j][1] != i:
+            raise AssertionError("the socle pairing pi is not an involution")
+        moved += i != j
+        product *= s * phi[k]
+    return -product if moved // 2 % 2 else product
 
 
 def _socle_landing(alg: FdAlgebra, paths: List[int]) -> List[Product]:

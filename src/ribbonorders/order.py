@@ -77,7 +77,7 @@ from . import linalg
 from .fields import Field, PolyRing, QQ
 from .polarize import PLUS, Involution, Polarization, check_polarization, default_polarization, involution_of
 from .quiver import GentleQuiver, Path, QuiverError
-from .ribbon import _component_walk, graph_of_quiver
+from .ribbon import _component_walk, orbit_adjacency
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +266,15 @@ class BasisLayout:
     arrow keeps it (kept[a] = top_lengths[a]), at top_index[v] for its
     source v, and a negative arrow's is rewritten (kept[a] one less).
     dim is the number of basis paths.  ``walks`` (b_r as (start, first
-    arrow, length)), the sigma-rule lists ``by_end``/``by_next``,
-    ``top_mask`` (the kept top cycles, the standard form's support) and
-    :attr:`pi` (the form's pairing involution) are views built on first
-    read, which the quotient builder and the checks read.  The labels
-    are display-only: :meth:`label` formats the one of b_r, and ``basis`` (every label, label(r) at index r),
-    ``index`` (label -> index) and ``paths`` (label -> ``Path``) are
-    views that no decision reads.  No view is a field.
+    arrow, length)), the sigma-rule lists ``by_end``/``by_next`` and
+    :attr:`pi` (the form's pairing involution) are one view, built on
+    first read by one pass over each arrow run; the quotient builder,
+    both order checks and the quotients' pairing read it.  ``top_mask``
+    (the kept top cycles, the standard form's support) is a view of its
+    own.  The labels are display-only: :meth:`label` formats the one of
+    b_r, and ``basis`` (every label, label(r) at index r), ``index``
+    (label -> index) and ``paths`` (label -> ``Path``) are views that no
+    decision reads.  No view is a field.
     """
 
     quiver: GentleQuiver
@@ -292,17 +294,6 @@ class BasisLayout:
     def basis(self) -> Tuple[str, ...]:
         """Every display label, label(r) at index r, built on first read."""
         return tuple(map(self.label, range(self.dim)))
-
-    @cached_property
-    def walks(self) -> Tuple[Walk, ...]:
-        """walks[r] is b_r as (start, first arrow, length), the first arrow
-        None for e(v), built on first read."""
-        q = self.quiver
-        walks: List[Walk] = [(v, None, 0) for v in q.vertices]
-        for a in self.first:  # in index order
-            s = q.source(a)
-            walks.extend((s, a, length) for length in range(1, self.kept[a] + 1))
-        return tuple(walks)
 
     @cached_property
     def top_mask(self) -> bytes:
@@ -332,29 +323,37 @@ class BasisLayout:
         return list(self.basis)
 
     @cached_property
-    def _sigma_rule(self) -> Tuple[Dict[str, List[int]], Dict[str, List[int]], List[int]]:
-        """(by_end, by_next, pi) in one pass, built on first read: by_end[v]
-        lists the r with b_r ending at v, and by_next[a] the r whose last
-        arrow is followed by a under sigma, each in increasing order; pi
-        is :attr:`pi`."""
+    def _sigma_rule(self) -> Tuple[Tuple[Walk, ...], Dict[str, List[int]], Dict[str, List[int]], List[int]]:
+        """(walks, by_end, by_next, pi) in one pass over each arrow run,
+        built on first read: the views :attr:`walks`, ``by_end``,
+        ``by_next`` and :attr:`pi`."""
         q = self.quiver
         sigma, source, first, top = q.sigma, q.source, self.first, self.top_lengths
+        walks: List[Walk] = [(v, None, 0) for v in q.vertices]
         by_end = {v: [r] for r, v in enumerate(q.vertices)}
         by_next: Dict[str, List[int]] = {a: [] for a in first}
         pi = [0] * self.dim
-        for a, base in first.items():
+        for a, base in first.items():  # in index order
+            s = source(a)
             nxt, c = a, base + top[a] - 2  # pi[r] = first[sigma^L(a)] + T - L - 1, L = r - base + 1
             for r in range(base, base + self.kept[a]):
+                walks.append((s, a, r - base + 1))
                 nxt = sigma[nxt]
                 by_end[source(nxt)].append(r)  # b_r ends where nxt starts
                 by_next[nxt].append(r)
                 pi[r] = first[nxt] + c - r
         for e, x in enumerate(self.top_index.values()):  # vertex order; overwrites the kept tops' entries
             pi[e], pi[x] = x, e
-        return by_end, by_next, pi
+        return tuple(walks), by_end, by_next, pi
 
-    by_end = property(lambda self: self._sigma_rule[0])
-    by_next = property(lambda self: self._sigma_rule[1])
+    @property
+    def walks(self) -> Tuple[Walk, ...]:
+        """walks[r] is b_r as (start, first arrow, length), the first arrow
+        None for e(v)."""
+        return self._sigma_rule[0]
+
+    by_end = property(lambda self: self._sigma_rule[1])
+    by_next = property(lambda self: self._sigma_rule[2])
 
     @property
     def pi(self) -> List[int]:
@@ -378,7 +377,7 @@ class BasisLayout:
         rule applied twice gives (s, sigma^T(a), L) = (s, a, L): pi is an
         involution.
         """
-        return self._sigma_rule[2]
+        return self._sigma_rule[3]
 
     def left_multiples(self, start: str, a: Optional[str], length: int) -> List[Tuple[int, Walk]]:
         """[(r, p b_r)] over the basis paths b_r with p b_r != 0, in
@@ -865,16 +864,18 @@ def cartan_report(q: GentleQuiver) -> CartanReport:
     so on a component it is a scalar times one +-1 coloring, and zero
     if the component has an odd closed walk (a loop is one).  So ker N
     has dimension b, and one component walk (:func:`ribbon._component_walk`)
-    gives c and b; nothing is eliminated.
+    over the sigma-orbits, with the ribbon graph's adjacency read off the
+    quiver (:func:`ribbon.orbit_adjacency`), gives c and b; nothing is
+    eliminated and no ribbon graph is built.
     """
-    g = graph_of_quiver(q)
-    bipartite = [walk is None for _, walk in _component_walk(g, {})]
-    rk = len(g.nodes) - sum(bipartite)
-    expected = len(g.nodes) - len(bipartite)
+    nodes = [rep for rep, _ in q.sigma_orbits()]
+    bipartite = [walk is None for _, walk in _component_walk(nodes, orbit_adjacency(q), {})]
+    rk = len(nodes) - sum(bipartite)
+    expected = len(nodes) - len(bipartite)
     return CartanReport(
         matrix=cartan_matrix(q),
         rank=rk,
-        nodes=len(g.nodes),
+        nodes=len(nodes),
         components=len(bipartite),
         rank_criterion_value=expected,
         rank_criterion_matches=rk == expected,

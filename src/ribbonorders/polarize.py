@@ -14,7 +14,7 @@ from typing import Dict, Iterator, Union
 
 from .fields import Field
 from .quiver import GentleQuiver, QuiverError
-from .ribbon import BipartiteCertificate, graph_of_quiver, is_bipartite
+from .ribbon import BipartiteCertificate, _two_coloring, orbit_adjacency
 
 PLUS = "+"
 MINUS = "-"
@@ -113,19 +113,31 @@ def find_sigma_stable(
     quotient with the Brauer graph algebra; on line graphs this reproduces
     the familiar alternating signs a_j -> (-1)^j a_j.
 
+    The coloring, or the odd walk, is ``is_bipartite(graph_of_quiver(q))``
+    read off the quiver, with no ribbon graph built: the node of an orbit
+    lists the edge e_{s(a)} for each of its arrows a, so the two ends of
+    the edge v are the orbits of the two arrows out of v.  A loop is the
+    certificate first, the first in vertex (edge) order, as there; else
+    the one component walk (:func:`ribbon._component_walk`) runs over the
+    orbit representatives, in ``q.sigma_orbits()`` (sorted) order, with
+    :func:`ribbon.orbit_adjacency`, the ribbon graph's adjacency.
+
     The pullback is a polarization, so it is not checked here (the
-    quotient builder checks the polarization it is given).  The node of
-    an orbit lists the edge e_{s(a)} for each of its arrows a, so the
-    two ends of the edge v are the orbits of the two arrows out of v.
-    The coloring is proper, so those two arrows get the two colors '+'
-    and '-'.  Were both arrows in one orbit, the edge v would be a loop,
-    and a graph with a loop has no proper coloring.
+    quotient builder checks the polarization it is given).  The coloring
+    is proper, so the two arrows out of v get the two colors '+' and
+    '-'.  Were both arrows in one orbit, the edge v would be a loop, and
+    a graph with a loop has no proper coloring.
     """
-    cert = is_bipartite(graph_of_quiver(q))
+    rep = q.orbit_rep
+    for v in q.vertices:
+        a, b = q.arrows_out(v)
+        if rep(a) == rep(b):
+            return BipartiteCertificate(odd_walk=(v,))
+    cert = _two_coloring([r for r, _ in q.sigma_orbits()], orbit_adjacency(q))
     if not cert.is_bipartite:
         return cert
-    signs = {a: cert.coloring[q.orbit_rep(a)] for a in q.arrow_names}
-    return Polarization(signs=signs)
+    color = cert.coloring
+    return Polarization(signs={a: color[rep(a)] for a in q.arrow_names})
 
 
 def quotient_polarization(

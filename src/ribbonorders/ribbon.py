@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .quiver import GentleQuiver, QuiverError, quiver_isomorphism, validate_complete_gentle
 
@@ -111,6 +111,24 @@ def graph_of_quiver(q: GentleQuiver) -> RibbonGraph:
     return RibbonGraph(nodes=nodes, edges=q.vertices, slots=slots)
 
 
+def orbit_adjacency(q: GentleQuiver) -> Dict[str, List[Tuple[str, str]]]:
+    """``graph_of_quiver(q).adjacency()`` read off the quiver, with no
+    :class:`RibbonGraph` built or checked: node (orbit representative)
+    -> list of (neighbour node, edge), loops listed once, each list in
+    edge (vertex) order.  The node of an orbit lists the edge e_{s(a)}
+    for each of its arrows a, so the edge v joins the orbits of the two
+    arrows out of v."""
+    rep = q.orbit_rep
+    adj: Dict[str, List[Tuple[str, str]]] = {r: [] for r, _ in q.sigma_orbits()}
+    for v in q.vertices:
+        a, b = q.arrows_out(v)
+        u, w = rep(a), rep(b)
+        adj[u].append((w, v))
+        if u != w:
+            adj[w].append((u, v))
+    return adj
+
+
 def is_bipartite(g: RibbonGraph) -> BipartiteCertificate:
     """Two-color the nodes or exhibit an odd closed walk.
 
@@ -123,23 +141,54 @@ def is_bipartite(g: RibbonGraph) -> BipartiteCertificate:
     otherwise the first component with a monochromatic edge (u, v)
     yields the closed walk root -> u -> v -> root of odd length.
     """
-    for e, (u, v) in g._ends.items():  # in edge order
-        if u == v:
-            return BipartiteCertificate(odd_walk=(e,))
+    loop = _first_loop(g)
+    if loop is not None:
+        return BipartiteCertificate(odd_walk=(loop,))
+    return _two_coloring(sorted(g.nodes), g.adjacency())
+
+
+def bipartite_components(g: RibbonGraph) -> Tuple[BipartiteCertificate, List[Tuple[str, ...]]]:
+    """(``is_bipartite(g)``, ``connected_components(g)``) off one
+    component walk, which runs to its end: the coloring, the first odd
+    walk and the member lists are all filled in by it."""
     color: Dict[str, str] = {}
-    for _, odd in _component_walk(g, color):
+    walked = list(_component_walk(sorted(g.nodes), g.adjacency(), color))
+    loop = _first_loop(g)
+    odd = (loop,) if loop is not None else next((walk for _, walk in walked if walk), None)
+    cert = BipartiteCertificate(odd_walk=odd) if odd else BipartiteCertificate(coloring=color)
+    return cert, [tuple(sorted(members)) for members, _ in walked]
+
+
+def _first_loop(g: RibbonGraph) -> Optional[str]:
+    """The first loop edge in edge order, or None."""
+    return next((e for e, (u, v) in g._ends.items() if u == v), None)
+
+
+def _two_coloring(
+    nodes: Sequence[str], adj: Mapping[str, Sequence[Tuple[str, str]]]
+) -> BipartiteCertificate:
+    """The first odd closed walk of :func:`_component_walk` over (nodes,
+    adj), else the coloring it fills in.  The caller finds loops first,
+    in its own edge order; the walk would take the first loop it meets
+    in node order."""
+    color: Dict[str, str] = {}
+    for _, odd in _component_walk(nodes, adj, color):
         if odd:
             return BipartiteCertificate(odd_walk=odd)
     return BipartiteCertificate(coloring=color)
 
 
 def _component_walk(
-    g: RibbonGraph, color: Dict[str, str]
+    nodes: Sequence[str], adj: Mapping[str, Sequence[Tuple[str, str]]], color: Dict[str, str]
 ) -> Iterator[Tuple[List[str], Optional[Tuple[str, ...]]]]:
     """Yield (members in BFS order, first odd closed walk or None) per
     component, filling ``color`` with each node's '-' or '+'.
 
-    Roots are taken in sorted order, so each is its component's least
+    The one traversal of a ribbon graph, whichever way it is given:
+    ``nodes`` lists the nodes in sorted order, and ``adj`` maps each
+    node to its (neighbour, edge) pairs, a loop listed once, as
+    :meth:`RibbonGraph.adjacency` and :func:`orbit_adjacency` give them.
+    Roots are taken in node order, so each is its component's least
     node and takes '-'; neighbours are visited in sorted (node, edge)
     order, each first reached one taking the color opposite its
     parent's.  The first edge (u, v) with equal colors (a loop is one)
@@ -147,9 +196,8 @@ def _component_walk(
     to the end either way.  A parent always has the opposite color, so
     its tree edge never closes a walk.
     """
-    adj = g.adjacency()
     parent: Dict[str, Tuple[str, str]] = {}
-    for root in sorted(g.nodes):
+    for root in nodes:
         if root in color:
             continue
         color[root] = "-"
@@ -178,7 +226,7 @@ def _path_to_root(v, parent) -> List[str]:
 def connected_components(g: RibbonGraph) -> List[Tuple[str, ...]]:
     """Node partition into components, each sorted, sorted by first node
     (each component's root is its least node, and the roots ascend)."""
-    return [tuple(sorted(members)) for members, _ in _component_walk(g, {})]
+    return [tuple(sorted(members)) for members, _ in _component_walk(sorted(g.nodes), g.adjacency(), {})]
 
 
 def circular_subgraphs(g: RibbonGraph) -> List[Tuple[Tuple[str, ...], Tuple[str, ...]]]:

@@ -1,11 +1,15 @@
 """One component walk of the ribbon graph against reference traversals.
 
-``is_bipartite``, ``connected_components`` and ``cartan_report`` read one
-BFS per component.  Here they are compared with a BFS that stops at the
-first odd walk and a DFS (``tests/reference.py``), certificate for
-certificate, and the closed-form Cartan rank with the dense rank over
-Q, on the corpus, on seeded random graphs, and on disjoint unions of
-three and more components that mix bipartite and non-bipartite ones.
+``is_bipartite``, ``connected_components``, ``bipartite_components``,
+``cartan_report`` and ``find_sigma_stable`` read one BFS per component;
+the last two walk the sigma-orbits with the adjacency read off the
+quiver (``orbit_adjacency``), and build no ribbon graph.  Here they are
+compared with a BFS that stops at the first odd walk and a DFS
+(``tests/reference.py``), certificate for certificate, with each other
+(``find_sigma_stable`` is the pullback of ``is_bipartite`` of the
+quiver's graph), and the closed-form Cartan rank with the dense rank
+over Q, on the corpus, on seeded random graphs, and on disjoint unions
+of three and more components that mix bipartite and non-bipartite ones.
 """
 
 import functools
@@ -17,16 +21,22 @@ import pytest
 
 from ribbonorders import (
     CORPUS_NAMES,
+    Polarization,
+    RibbonGraph,
     cartan_matrix,
     cartan_rank,
     cartan_report,
     connected_components,
     corpus_quiver,
+    decide,
+    find_sigma_stable,
     graph_of_quiver,
     is_bipartite,
     quiver_from_ribbon_graph,
 )
+from ribbonorders.fields import GF2, GF3, GF5, QQ
 from ribbonorders.quiver import disjoint_union
+from ribbonorders.ribbon import bipartite_components, orbit_adjacency
 
 from reference import bfs_bipartite, dfs_components
 from test_random_instances import profile_ribbon_graph, random_ribbon_graph
@@ -41,14 +51,29 @@ def union(*names):
     return functools.reduce(disjoint_union, map(corpus_quiver, names))
 
 
+def pullback(q):
+    """is_bipartite of q's ribbon graph, its coloring pulled back to the
+    arrows along the orbit map: what find_sigma_stable(q) returns."""
+    cert = is_bipartite(graph_of_quiver(q))
+    if not cert.is_bipartite:
+        return cert
+    return Polarization(signs={a: cert.coloring[q.orbit_rep(a)] for a in q.arrow_names})
+
+
 def assert_matches_reference(q):
     g = graph_of_quiver(q)
     assert is_bipartite(g) == bfs_bipartite(g)
     comps = connected_components(g)
     assert comps == dfs_components(g)
+    assert bipartite_components(g) == (is_bipartite(g), comps)
+    assert orbit_adjacency(q) == g.adjacency()
+    stable = find_sigma_stable(q)
+    assert stable == pullback(q)
+    if isinstance(stable, Polarization):  # signs listed in arrow order, like the pullback's
+        assert list(stable.signs) == list(q.arrow_names)
     rep = cartan_report(q)
     assert rep.rank == cartan_rank(cartan_matrix(q))
-    assert rep.components == len(comps)
+    assert (rep.nodes, rep.components) == (len(g.nodes), len(comps))
     assert rep.rank_criterion_matches == is_bipartite(g).is_bipartite
 
 
@@ -118,3 +143,24 @@ def test_a_later_loop_wins_over_an_earlier_odd_cycle():
     g = graph_of_quiver(union("triangle", "line2", "loop2"))
     assert [e for e in g.edges if g.is_loop(e)] == ["R.1"]
     assert is_bipartite(g).odd_walk == ("R.1",) == bfs_bipartite(g).odd_walk
+
+
+def test_a_decision_builds_no_ribbon_graph(monkeypatch):
+    # the bipartite certificate and the Cartan report walk the
+    # sigma-orbits of the quiver itself
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a ribbon graph was built")
+
+    monkeypatch.setattr(RibbonGraph, "__init__", refuse)
+    with pytest.raises(AssertionError, match="ribbon graph was built"):
+        graph_of_quiver(corpus_quiver("line2"))
+    for name in CORPUS_NAMES:
+        q = corpus_quiver(name)
+        for field in (GF2, GF3, GF5, QQ):
+            for m in (1, 2):
+                assert decide(q, field, m).consistency_ok
+        cartan_report(q)
+    for names in (("triangle", "line2", "loop2"), ("circ3", "line1", "circ6", "circ5")):
+        q = union(*names)
+        find_sigma_stable(q)
+        cartan_report(q)

@@ -1,6 +1,7 @@
 """Default paths do each piece of work once and never list polarizations.
 
-A decision needs one bipartite certificate, one quotient, the twisted
+A decision needs one bipartite certificate (one component walk over the
+sigma-orbits, with no ribbon graph built), one quotient, the twisted
 one, and one read of its socle (each order check, likewise, checks its
 polarization once): c2 comes from the socle certificate
 (``fdalg.socle_certificate``), so a decision computes no S, runs no
@@ -32,6 +33,7 @@ from ribbonorders import (
     default_polarization,
     enumerate_polarizations,
     find_sigma_stable,
+    graph_of_quiver,
     is_bipartite,
     is_symmetric_oracle,
     normalize_multiplicity,
@@ -40,7 +42,7 @@ from ribbonorders import (
     rank_formula_check,
     verify_theta_psi,
 )
-from ribbonorders import fdalg
+from ribbonorders import fdalg, ribbon
 from ribbonorders.cli import build_parser, main
 from ribbonorders.corpus import circular
 from ribbonorders.fields import GF2, GF3, GF5, QQ
@@ -126,22 +128,41 @@ def test_default_polarization_is_first_enumerated():
 
 
 def test_decide_computes_certificate_once_and_quotient_pair_once(monkeypatch):
-    # and the multiplicity map is normalized once, and the polarization
+    # the bipartite certificate is one component walk over the sigma-orbits
+    # (none when a loop is the certificate), with no ribbon graph built;
+    # the multiplicity map is normalized once, and the polarization
     # checked once, by the quotient builder
-    once = {"is_bipartite": 1, "build_quotient_algebra": 1, "normalize_multiplicity": 1, "check_polarization": 1}
-    counts = dict.fromkeys(once, 0)
-    count_calls(monkeypatch, is_bipartite, counts)
-    count_calls(monkeypatch, build_quotient_algebra, counts)
-    count_calls(monkeypatch, normalize_multiplicity, counts)
-    count_calls(monkeypatch, check_polarization, counts)
+    once = {
+        "find_sigma_stable": 1,
+        "build_quotient_algebra": 1,
+        "normalize_multiplicity": 1,
+        "check_polarization": 1,
+        "is_bipartite": 0,
+        "graph_of_quiver": 0,
+    }
+    counts = dict.fromkeys([*once, "_component_walk"], 0)
+    for original in (
+        find_sigma_stable,
+        build_quotient_algebra,
+        normalize_multiplicity,
+        check_polarization,
+        is_bipartite,
+        graph_of_quiver,
+        ribbon._component_walk,
+    ):
+        count_calls(monkeypatch, original, counts)
+    loops = set()
     for name in CORPUS_NAMES:
         q = corpus_quiver(name)
+        loop = any(len({q.orbit_rep(a) for a in q.arrows_out(v)}) == 1 for v in q.vertices)
+        loops.add(loop)
         for field in FIELDS:
             for m in (1, 2):
-                counts.update(dict.fromkeys(once, 0))
+                counts.update(dict.fromkeys(counts, 0))
                 rep = decide(q, field, m)
-                assert counts == once, (name, field.name, m)
+                assert counts == {**once, "_component_walk": 0 if loop else 1}, (name, field.name, m)
                 assert rep.multiplicity == {orbit_rep: m for orbit_rep, _ in q.sigma_orbits()}
+    assert loops == {True, False}
 
 
 @pytest.mark.parametrize("check", [check_nu_symmetry, verify_theta_psi], ids=["nu", "theta_psi"])

@@ -13,7 +13,10 @@ and a random one.  On the same grid the layout's closed-form pairing
 involution ``pi`` is compared with the one read off the products
 (``reference.landing_involution``), and on the canonical basis with
 the t^0 supports of theta and psi and with the pairs F on which
-``check_nu_symmetry`` builds the order's form.
+``check_nu_symmetry`` builds the order's form.  The witness pairing's
+closed-form determinant, sign(pi) times the product of its entries, is
+compared with ``linalg.sign_det``, which reads the cycles of any
+permutation, on the same grid at m = 1-3.
 """
 
 import dataclasses
@@ -35,7 +38,7 @@ from ribbonorders import (
     socle,
     socle_certificate,
 )
-from ribbonorders import fdalg
+from ribbonorders import fdalg, linalg
 from ribbonorders.fields import GF2, GF3, GF5, QQ
 from ribbonorders.order import canonical_basis, check_nu_symmetry, verify_theta_psi
 from ribbonorders.polarize import quotient_polarization
@@ -205,3 +208,62 @@ def test_characteristic_two_closes_every_cycle():
             assert socle_certificate(alg).kind == "symmetric", (name, m)
             refuted += socle_certificate(odd).kind == "not-symmetric"
     assert refuted
+
+
+def test_closed_form_witness_det_is_the_sign_det():
+    # on the witness form where there is one, the standard form (1 on
+    # every kept top cycle) and a random +-1 form, so both signs of the
+    # determinant and pairings with and without fixed points are reached
+    rng = random.Random(SEED + 5)
+    seen = set()
+    count = 0
+    for q, field, m, eps, twisted in cases():
+        if m not in (1, 2, 3):
+            continue
+        alg = build_quotient_algebra(q, field, m, eps, twisted=twisted)
+        landing = fdalg._socle_landing(alg, socle(alg))
+        forms = [[1] * alg.dim, [rng.choice((1, -1)) for _ in range(alg.dim)]]
+        witness = socle_certificate(alg).witness_form
+        if witness is not None:
+            forms.append([0 if c == field.zero else 1 if c == field.one else -1 for c in witness])
+        for phi in forms:
+            want = linalg.sign_det(alg.dim, ((i, j, s * phi[k]) for i, j, k, s in landing))
+            assert fdalg._witness_det(landing, phi) == want, describe(q, field, m, eps, twisted)
+            seen.add((want, any(i == j for i, j, _, _ in landing)))
+        count += 1
+    assert count >= 1500
+    assert seen == {(1, True), (1, False), (-1, True), (-1, False)}
+
+
+def test_the_certificate_takes_no_general_determinant(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("linalg.sign_det was called")
+
+    monkeypatch.setattr(linalg, "sign_det", refuse)
+    symmetric = 0
+    for name in CORPUS_NAMES:
+        for field in FIELDS:
+            for m in (1, 2):
+                alg = build_quotient_algebra(corpus_quiver(name), field, m)
+                symmetric += socle_certificate(alg).kind == "symmetric"
+    assert symmetric
+
+
+@pytest.mark.parametrize("name", ["circ4", "line3", "mixed"])
+def test_a_pairing_that_is_no_involution_raises(monkeypatch, name):
+    # rows 0 and 1 (e(v0), e(v1)) trade the columns pi(0) and pi(1), and
+    # the layout's pi is patched to match, so the products landing on the
+    # socle are still pi's graph; pi(pi(0)) = pi(x(v1)) = 1, not 0
+    alg = build_quotient_algebra(corpus_quiver(name), GF2, 2)
+    pi = list(alg.pi)
+    bad = pi[:]
+    bad[0], bad[1] = pi[1], pi[0]
+    assert bad[bad[0]] != 0
+    products = [
+        (i, bad[i], k, s) if i < 2 and alg.top_mask[k] else (i, j, k, s) for i, j, k, s in alg.products
+    ]
+    mutated = dataclasses.replace(alg, products=products)
+    monkeypatch.setattr(fdalg.FdAlgebra, "pi", property(lambda self: bad))
+    assert mutated.top_pairing[1] == bad
+    with pytest.raises(AssertionError, match="not an involution"):
+        socle_certificate(mutated)
