@@ -47,16 +47,21 @@ where a report names a basis path.
   quotient's (``fdalg.check_canonical_bimodule_twist``, phi reduced
   modulo t): given phi on the pairs where it is nonzero, it evaluates
   those pairs and their transposes, and no other pair can fail.
-* ``check_nu_symmetry`` builds phi on F, the pairs (i, j) with b_i b_j a
-  full-cycle power: pi's graph and the (x_v, x_v), 3|Q_0| + sum over
-  arrows of (n(a) - 1) pairs.  Only those products have an x-coordinate,
-  so off F u F^T each side is phi(0) = 0 or phi of a path with no
+* F is the set of pairs (i, j) with b_i b_j a full-cycle power: pi's
+  graph and the (x_v, x_v), 3|Q_0| + sum over arrows of (n(a) - 1)
+  pairs.  Only those products have an x-coordinate, so off F u F^T each
+  side of the twisted symmetry is phi(0) = 0 or phi of a path with no
   x-coordinate, also 0.
+* ``check_nu_symmetry`` certifies the twisted symmetry on generators
+  (C2: phi(g y) = nu(g) phi(y g) for g = e(v) and the arrows in B, on
+  O(|Q_0| + |Q_1|) pairs) and evaluates F u F^T only when C2 fails, to
+  list the counterexamples.
 * ``verify_theta_psi`` multiplies theta and psi as sparse columns (at
-  most two entries each) and compares theta(u nu(g)) with theta(u) g
-  only for the generators g with u nu(g) != 0, or with a nonzero
-  product g b_r that has a coordinate in the support of theta_u; every
-  other (u, g) pair is zero on both sides.
+  most two entries each), checks theta column by column (C1: theta(u)
+  is r -> phi(b_r b_u)), and compares theta(u nu(g)) with theta(u) g
+  only when C1, C2 or nu(a) = 1 for an arrow a not in B fails: for the
+  generators g with u nu(g) != 0, or with a nonzero product g b_r that
+  has a coordinate in the support of theta_u.
 
 The checks add and multiply terms (index, degree, coefficient), not
 k[t] tuples.  The coordinate rule gives terms with coefficient 1 or -1;
@@ -512,6 +517,30 @@ def frobenius_eval(basis: CanonicalBasis, ring: PolyRing, x: OrderElement) -> tu
 # the sigma-rule on basis paths
 
 
+def _full_cycle_pairs(basis: CanonicalBasis):
+    """F, the pairs (i, j) with b_i b_j a full-cycle power: (x(v), x(v))
+    per vertex, then (i, pi(i)) per basis index."""
+    yield from ((x, x) for x in basis.top_index.values())
+    yield from enumerate(basis.pi)
+
+
+def _phi_on(basis: CanonicalBasis, pairs, phi: Dict[Tuple[int, int], Dict[int, int]]):
+    """phi, with phi(b_i b_j) as {degree: coefficient} added for each pair
+    (i, j) of F not yet in it, one coordinate rewrite per pair: the
+    product is b_i for b_j = e(v), else b_j lengthened by b_i's length,
+    and phi of it its x-term, 1 or -1, nonzero in every field."""
+    walks, tops, terms = basis.walks, basis.top_mask, basis.terms
+    for p in pairs:
+        if p not in phi:
+            i, j = p
+            s, a, n = walks[j]
+            phi[p] = x = {}
+            for k, d, c in terms(*walks[i]) if a is None else terms(s, a, n + walks[i][2]):
+                if tops[k]:
+                    x[d] = c
+    return phi
+
+
 def _nu_signs(basis: CanonicalBasis, inv: Involution) -> list:
     """The involution's sign on each basis path, lifted by :func:`_integral`:
     :meth:`BasisLayout.path_products` of the arrow signs, which must be
@@ -532,6 +561,8 @@ def _integral(c):
 
 def _nonzero(field: Field, acc: Mapping[object, object]) -> bool:
     """Whether a vector of lifted coefficients is nonzero over k."""
+    if not any(acc.values()):  # zero over Z, so over k
+        return False
     from_int = field.from_int
     return any(from_int(c) for c in acc.values() if c)
 
@@ -573,16 +604,19 @@ def expected_nonzero_pairs(basis: CanonicalBasis) -> List[Tuple[str, str]]:
     return sorted(set(pairs))
 
 
-def nu_counterexamples(field: Field, phi: Mapping[Tuple[int, int], Mapping[int, int]], nu: Sequence) -> list:
+def nu_counterexamples(
+    field: Field, phi: Mapping[Tuple[int, int], Mapping[int, int]], nu: Union[Sequence, Mapping[int, object]]
+) -> list:
     """The pairs (i, j), in row-major order, with phi(b_i b_j) !=
     nu(b_j) phi(b_j b_i): the one evaluator of the twisted symmetry of
     the order's form and of its quotients' forms.
 
     phi maps each pair (i, j) with phi(b_i b_j) != 0 to {degree: int
     coefficient}, and is 0 on every other pair; nu[j] is b_j's involution
-    sign, lifted by :func:`_integral`.  A pair can fail only if it or its
-    transpose is a key of phi, so only those are evaluated, each as the
-    difference of its two sides, which :func:`_nonzero` tests over k.
+    sign as an int or lifted by :func:`_integral`, for each j a pair
+    names.  A pair can fail only if it or its transpose is a key of phi,
+    so only those are evaluated, each as the difference of its two
+    sides, which :func:`_nonzero` tests over k.
     """
     pairs = set(phi)
     pairs.update((j, i) for i, j in phi)
@@ -598,35 +632,73 @@ def nu_counterexamples(field: Field, phi: Mapping[Tuple[int, int], Mapping[int, 
     return bad
 
 
+def _generators_hold(basis: CanonicalBasis, inv: Involution, phi: Dict[Tuple[int, int], Dict[int, int]]) -> bool:
+    """C2: phi(g y) = nu(g) phi(y g) for every basis path y and each
+    generator g in B, e(v) and a:1 with kept[a] >= 1; phi on the pairs
+    it reads is added to ``phi`` (:func:`_phi_on`).  Holds only if every
+    arrow sign is 1 or -1; else the caller's full sweep decides.
+
+    (g, y) or (y, g) is in F only for y = pi(g), and y = g when g is a
+    kept top, so :func:`nu_counterexamples` evaluates those pairs, on
+    phi restricted to them.  The transpose (g, pi(g)) reads nu(pi(g)) =
+    nu(g) times the sign product of the sigma-orbit of g's arrow, x(v)'s
+    for g = e(v): b_g b_pi(g) is that orbit's full cycle.  O(|Q_0| +
+    |Q_1|) pairs and rewrites, no sign per basis path.
+    """
+    q, f, pi, walks = basis.quiver, inv.field, basis.pi, basis.walks
+    one, minus = f.one, f.neg(f.one)
+    neg = {}  # arrow -> whether its sign is -1 (not 1)
+    for a, s in inv.signs.items():
+        if s == one:
+            neg[a] = False
+        elif s == minus:
+            neg[a] = True
+        else:
+            return False
+    odd = {}  # arrow -> parity of the -1 signs on its sigma-orbit
+    for _, orbit in q.sigma_orbits():
+        odd.update(dict.fromkeys(orbit, sum(map(neg.__getitem__, orbit)) % 2))
+    gens = [(e, 0, walks[x][1]) for e, x in enumerate(pi[: len(q.vertices)])]
+    gens += [(basis.first[a], neg[a], a) for a, k in basis.kept.items() if k]
+    pairs, nu = [], {}
+    for g, sign, a in gens:
+        y = pi[g]
+        nu[g], nu[y] = -1 if sign else 1, -1 if sign ^ odd[a] else 1  # exact, as Z -> k is a ring map
+        pairs += ((y, g), (g, y), (g, g)) if basis.top_mask[g] else ((y, g), (g, y))
+    _phi_on(basis, pairs, phi)
+    return not nu_counterexamples(f, {p: phi[p] for p in pairs}, nu)
+
+
 def check_nu_symmetry(q: GentleQuiver, eps: Polarization, field: Field) -> NuSymmetryReport:
     """Verify phi(q p) = phi(nu(p) q) on all |B|^2 ordered basis pairs, and
     that the nonzero pairs are exactly the expected list.
 
-    phi is built on F, the (i, j) with b_i b_j a full-cycle power: the
-    graph of the layout's :attr:`BasisLayout.pi`, on which phi has
-    degree 0, and the pairs (x(v), x(v)), x(v) x(v) = t x(v).
-    :func:`nu_counterexamples` evaluates F u F^T: every other pair is 0
-    on both sides.  ``pair_count`` still counts all |B|^2 pairs covered.
+    The certificate is C2 (:func:`_generators_hold`), on e(v) and the
+    arrows in B, O(|Q_0| + |Q_1|) pairs.  Proof that it gives every
+    pair: C2 extends k[[t]]-linearly from basis paths y to every y in
+    Lambda, and reads phi(y g) = nu(g) phi(g y), as nu(g) = +-1.  A
+    basis path p = g_1 ... g_k is a product of those generators (an
+    arrow of a basis path is one in B: an arrow a with n(a) = 1 has
+    sigma(a) = a), and nu(p) = nu(g_1) ... nu(g_k), so phi(q p) =
+    nu(g_k) phi(g_k q g_1 ... g_(k-1)) = ... = nu(p) phi(p q) by
+    associativity.  Arrows not in B occur in no basis path.  Only when
+    C2 fails is phi built on F, the (i, j) with b_i b_j a full-cycle
+    power (:func:`_full_cycle_pairs`: pi's graph at degree 0, and
+    (x(v), x(v)), x(v) x(v) = t x(v)), each product rewritten once, and
+    :func:`nu_counterexamples` evaluates F u F^T with the sign of every
+    basis path: every other pair is 0 on both sides.  The nonzero pairs
+    are F, read off pi and the kept tops.  ``pair_count`` still counts
+    all |B|^2 pairs covered.
     """
     inv = involution_of(q, eps, field)  # checks eps, once per check
     basis = _canonical_basis(q, eps)
-    nu_sign = _nu_signs(basis, inv)
-    # F with its products as walks (b_j lengthened by b_i, or b_i for b_j
-    # = e(v)); phi of each is its x-term as {degree: coefficient}
-    walks, tops = basis.walks, basis.top_mask
-    full = []
-    for x in basis.top_index.values():
-        s, a, n = walks[x]
-        full.append((x, x, (s, a, 2 * n)))
-    for i, j in enumerate(basis.pi):
-        s, a, n = walks[j]
-        full.append((i, j, walks[i] if a is None else (s, a, n + walks[i][2])))
-    phi = {(i, j): {d: c for k, d, c in basis.terms(*prod) if tops[k]} for i, j, prod in full}
-
+    phi: Dict[Tuple[int, int], Dict[int, int]] = {}
     labels = basis.basis
-    counterexamples = [(labels[i], labels[j]) for i, j in nu_counterexamples(field, phi, nu_sign)]
-    # each value is one x-term, 1 or -1, nonzero in every field
-    nonzero = sorted((labels[i], labels[j]) for i, j in phi)
+    counterexamples = []
+    if not _generators_hold(basis, inv, phi):
+        _phi_on(basis, _full_cycle_pairs(basis), phi)
+        counterexamples = [(labels[i], labels[j]) for i, j in nu_counterexamples(field, phi, _nu_signs(basis, inv))]
+    nonzero = sorted((labels[i], labels[j]) for i, j in _full_cycle_pairs(basis))
     expected = expected_nonzero_pairs(basis)
     return NuSymmetryReport(
         ok=not counterexamples,
@@ -716,6 +788,23 @@ def _is_identity_product(field: Field, left, right) -> bool:
     return True
 
 
+def _theta_is_phi(field: Field, basis: CanonicalBasis, theta, phi) -> bool:
+    """C1: theta's term column u is r -> phi(b_r b_u) for every u, phi
+    given on F: nonzero at r = pi(u), degree 0, and at r = u, degree 1,
+    for u = x(v).  Term lists with coefficients lifted alike are equal
+    only as equal vectors over k (a reordered column fails C1)."""
+    pi, tops = basis.pi, basis.top_mask
+    lift = {1: _integral(field.one), -1: _integral(field.neg(field.one))}
+    for u, col in enumerate(theta):
+        want = []
+        for r in (pi[u], u) if tops[u] else (pi[u],):
+            for d, c in phi[r, u].items():
+                want.append((r, d, lift[c]))
+        if col != want:
+            return False
+    return True
+
+
 def verify_theta_psi(q: GentleQuiver, eps: Polarization, field: Field) -> ThetaPsiReport:
     """Check theta and psi are mutually inverse over k[t] and that theta is
     right-linear for the involution-twisted action on generators.
@@ -723,6 +812,22 @@ def verify_theta_psi(q: GentleQuiver, eps: Polarization, field: Field) -> ThetaP
     theta and psi have at most two entries per column, so the inverse
     checks multiply sparse columns of terms, and theta(0) is a signed
     permutation matrix whose determinant is a sign times a product.
+
+    The bimodule identity theta(u nu(g)) = theta(u) g holds for every
+    basis path u and generator g when C1 (:func:`_theta_is_phi`), C2
+    (:func:`_generators_hold`) and nu(a) = 1 for each arrow a not in B
+    hold.  Proof: by C1 and k[[t]]-linearity theta(u)(y) = phi(y b_u)
+    for every y in Lambda, so (theta(u) g)(b_r) = phi(g b_r b_u) and
+    theta(u nu(g))(b_r) = nu(g) phi(b_r b_u g); C2 with y = b_r b_u
+    makes them equal.  No multiplicativity of nu is needed.  An arrow a
+    not in B has n(a) = 1 and sign -, so a = t e(v) - x(v), and phi(a y)
+    - phi(y a) = t (phi(e(v) y) - phi(y e(v))) - (phi(x(v) y) - phi(y
+    x(v))) = 0 for every basis path y: phi(y) != 0 only at the tops,
+    which start where they end, and x(v) y, y x(v) are x(v) at y = e(v),
+    else t y or 0.  At y = e(v) phi(a) = -1, so a's pairs hold iff
+    nu(a) = 1.
+    Only when the certificate fails are the two sides compared
+    (:func:`_bimodule_counterexamples`), to list the failures.
     """
     inv = involution_of(q, eps, field)  # checks eps, once per check
     basis = _canonical_basis(q, eps)
@@ -738,7 +843,13 @@ def verify_theta_psi(q: GentleQuiver, eps: Polarization, field: Field) -> ThetaP
         theta0 = ((r, c, p[0]) for c, col in enumerate(theta_cols) for r, p in col.items() if p and p[0])
         det_const = linalg.monomial_det(field, len(basis), theta0)
 
-    bad = _bimodule_counterexamples(basis, inv, theta)
+    phi = _phi_on(basis, _full_cycle_pairs(basis), {})
+    certified = (
+        _theta_is_phi(field, basis, theta, phi)
+        and _generators_hold(basis, inv, phi)
+        and all(inv.signs[a] == field.one for a, k in basis.kept.items() if not k)
+    )
+    bad = [] if certified else _bimodule_counterexamples(basis, inv, theta)
     return ThetaPsiReport(
         ok=tp and pt and not bad,
         size=len(basis),

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, Union
+from typing import Dict, Iterator, List, Tuple, Union
 
 from .fields import Field
 from .quiver import GentleQuiver, QuiverError
-from .ribbon import BipartiteCertificate, _two_coloring, orbit_adjacency
+from .ribbon import BipartiteCertificate, _two_coloring
 
 PLUS = "+"
 MINUS = "-"
@@ -116,11 +116,13 @@ def find_sigma_stable(
     The coloring, or the odd walk, is ``is_bipartite(graph_of_quiver(q))``
     read off the quiver, with no ribbon graph built: the node of an orbit
     lists the edge e_{s(a)} for each of its arrows a, so the two ends of
-    the edge v are the orbits of the two arrows out of v.  A loop is the
-    certificate first, the first in vertex (edge) order, as there; else
-    the one component walk (:func:`ribbon._component_walk`) runs over the
-    orbit representatives, in ``q.sigma_orbits()`` (sorted) order, with
-    :func:`ribbon.orbit_adjacency`, the ribbon graph's adjacency.
+    the edge v are the orbits of the two arrows out of v.  One pass over
+    the vertices reads each one's two representatives once: a loop is
+    the certificate first, the first in vertex (edge) order, as there;
+    else the pass has built :func:`ribbon.orbit_adjacency`, the ribbon
+    graph's adjacency, and the one component walk
+    (:func:`ribbon._component_walk`) runs on it over the orbit
+    representatives, in ``q.sigma_orbits()`` (sorted) order.
 
     The pullback is a polarization, so it is not checked here (the
     quotient builder checks the polarization it is given).  The coloring
@@ -129,11 +131,15 @@ def find_sigma_stable(
     a graph with a loop has no proper coloring.
     """
     rep = q.orbit_rep
-    for v in q.vertices:
+    adj: Dict[str, List[Tuple[str, str]]] = {r: [] for r, _ in q.sigma_orbits()}
+    for v in q.vertices:  # orbit_adjacency(q), stopping at the first loop
         a, b = q.arrows_out(v)
-        if rep(a) == rep(b):
+        u, w = rep(a), rep(b)
+        if u == w:
             return BipartiteCertificate(odd_walk=(v,))
-    cert = _two_coloring([r for r, _ in q.sigma_orbits()], orbit_adjacency(q))
+        adj[u].append((w, v))
+        adj[w].append((u, v))
+    cert = _two_coloring(list(adj), adj)
     if not cert.is_bipartite:
         return cert
     color = cert.coloring
