@@ -56,20 +56,20 @@ where a report names a basis path.
   (C2: phi(g y) = nu(g) phi(y g) for g = e(v) and the arrows in B, on
   O(|Q_0| + |Q_1|) pairs) and evaluates F u F^T only when C2 fails, to
   list the counterexamples.
-* ``verify_theta_psi`` multiplies theta and psi as sparse columns (at
-  most two entries each), checks theta column by column (C1: theta(u)
-  is r -> phi(b_r b_u)), and compares theta(u nu(g)) with theta(u) g
-  only when C1, C2 or nu(a) = 1 for an arrow a not in B fails: for the
+* ``verify_theta_psi`` multiplies theta and psi as columns of at most
+  two terms, checks theta column by column (C1: theta(u) is r ->
+  phi(b_r b_u)), and compares theta(u nu(g)) with theta(u) g only when
+  C1, C2 or nu(a) = 1 for an arrow a not in B fails: for the
   generators g with u nu(g) != 0, or with a nonzero product g b_r that
   has a coordinate in the support of theta_u.
 
 The checks add and multiply terms (index, degree, coefficient), not
-k[t] tuples.  The coordinate rule gives terms with coefficient 1 or -1;
-theta, psi (any polynomial, read term by term) and the involution signs
-are lifted to native ints where integral.  A compared vector is one
-dict keyed (row, degree) holding the difference of its two sides, and
-``Field.from_int`` maps its coefficients to k only when it is tested
-for zero.  This is exact, as Z -> k is a ring homomorphism.
+k[t] tuples.  The coordinate rule, theta and psi give terms with the
+native int coefficients 1 and -1; the involution signs are lifted to
+native ints where integral.  A compared vector is one dict keyed (row,
+degree) holding the difference of its two sides, and ``Field.from_int``
+maps its coefficients to k only when it is tested for zero.  This is
+exact, as Z -> k is a ring homomorphism.
 """
 
 from __future__ import annotations
@@ -567,13 +567,6 @@ def _nonzero(field: Field, acc: Mapping[object, object]) -> bool:
     return any(from_int(c) for c in acc.values() if c)
 
 
-def _term_columns(cols: List[Dict[int, tuple]]) -> List[List[Tuple[int, int, object]]]:
-    """Sparse columns {row: polynomial} as lists of (row, degree,
-    coefficient) terms, zero coefficients dropped.  Any polynomial reads
-    in, not only a monomial."""
-    return [[(r, d, _integral(c)) for r, poly in col.items() for d, c in enumerate(poly) if c] for col in cols]
-
-
 # ---------------------------------------------------------------------------
 # nu-symmetry of the Frobenius form
 
@@ -716,8 +709,9 @@ def check_nu_symmetry(q: GentleQuiver, eps: Polarization, field: Field) -> NuSym
 
 @dataclass
 class ThetaPsiReport:
-    """theta and psi are sparse columns {row: entry}, at most two entries
-    each; ``_dense`` gives the |B| x |B| matrices."""
+    """theta and psi are sparse columns {row: k[t] entry}, a view of the
+    term columns the checks read (:func:`_poly_columns`); ``_dense``
+    gives the |B| x |B| matrices."""
 
     ok: bool
     size: int
@@ -730,32 +724,57 @@ class ThetaPsiReport:
     bimodule_counterexamples: List[str]
 
 
-def _theta_psi_columns(basis: CanonicalBasis, ring: PolyRing):
-    """theta and psi as sparse columns {row: entry}, at most two each.
+Terms = List[List[Tuple[int, int, int]]]  # columns of (row, degree, coefficient) terms
 
-    The t^0 entry of column col is at row pi(col) (:attr:`BasisLayout.pi`).
-    Column a:m (not a top cycle) has only that entry, b:(n - m) for b =
-    sigma^m(a); its sign is eps_a in theta and eps_b in psi, an arrow
-    being positive when its top cycle is kept."""
-    f = ring.field
-    one, t, minus_t = ring.one, ring.t_power(1), ring.t_power(1, f.neg(f.one))
-    minus = ring.constant(f.neg(f.one))
-    walks, kept, top = basis.walks, basis.kept, basis.top_lengths
-    theta: List[Dict[int, tuple]] = []
-    psi: List[Dict[int, tuple]] = []
+
+def _theta_psi_columns(basis: CanonicalBasis) -> Tuple[Terms, Terms]:
+    """theta and psi as columns of (row, degree, coefficient) terms, the
+    coefficients the native ints 1 and -1, at most two terms each, in
+    one pass over pi.
+
+    The degree-0 term of column col is at row pi(col)
+    (:attr:`BasisLayout.pi`).  Column a:m (not a top cycle) has only
+    that term, at b:(n - m) for b = sigma^m(a); its sign is eps_a in
+    theta and eps_b in psi, an arrow being positive when its top cycle
+    is kept.  Column x(s) of theta adds t, and column e(s) of psi adds
+    -t, at their own row."""
+    walks, kept, top, top_index = basis.walks, basis.kept, basis.top_lengths, basis.top_index
+    theta: Terms = []
+    psi: Terms = []
     for col, d in enumerate(basis.pi):
         s, a, m = walks[col]
         if a is None:  # e(s), d = x(s)
-            theta.append({d: one})
-            psi.append({d: one, col: minus_t})
-        elif col == basis.top_index[s]:  # x(s), d = e(s)
-            theta.append({d: one, col: t})
-            psi.append({d: one})
+            theta.append([(d, 0, 1)])
+            psi.append([(d, 0, 1), (col, 1, -1)])
+        elif col == top_index[s]:  # x(s), d = e(s)
+            theta.append([(d, 0, 1), (col, 1, 1)])
+            psi.append([(d, 0, 1)])
         else:
             b = walks[d][1]
-            theta.append({d: one if kept[a] == top[a] else minus})
-            psi.append({d: one if kept[b] == top[b] else minus})
+            theta.append([(d, 0, 1 if kept[a] == top[a] else -1)])
+            psi.append([(d, 0, 1 if kept[b] == top[b] else -1)])
     return theta, psi
+
+
+def _poly_columns(field: Field, cols: Terms) -> List[Dict[int, tuple]]:
+    """Term columns as {row: k[t] tuple}, the report's view: a term (r,
+    d, c) is ``ring.t_power(d, field.from_int(c))``, built once per (d,
+    c); the terms at one row (only a corrupted builder puts two there)
+    are added up as ints by degree.  No polynomial arithmetic runs."""
+    ring, from_int = PolyRing(field), field.from_int
+    polys: Dict[Tuple[int, int], tuple] = {}  # (degree, coefficient) -> c t^d
+    view = []
+    for col in cols:
+        entries = {}
+        for r, d, c in col:
+            if r in entries:  # a second term at row r: add up the row's terms
+                top = max(d2 for r2, d2, _ in col if r2 == r)
+                coeffs = (sum(c2 for r2, d2, c2 in col if (r2, d2) == (r, k)) for k in range(top + 1))
+                entries[r] = ring.trim(map(from_int, coeffs))
+            else:
+                entries[r] = polys.get((d, c)) or polys.setdefault((d, c), ring.t_power(d, from_int(c)))
+        view.append(entries)
+    return view
 
 
 def _dense(ring: PolyRing, cols: List[Dict[int, tuple]]) -> List[List[tuple]]:
@@ -772,10 +791,10 @@ def theta_matrix(basis: CanonicalBasis, ring: PolyRing) -> List[List[tuple]]:
     e_i -> x_i*, x_i -> e_i* + t x_i*, a_m -> eps_a (split cycle)*.
     Its inverse psi sends x_i* -> e_i, e_i* -> x_i - t e_i and
     a_m* -> eps_{sigma^m(a)} (split cycle)."""
-    return _dense(ring, _theta_psi_columns(basis, ring)[0])
+    return _dense(ring, _poly_columns(ring.field, _theta_psi_columns(basis)[0]))
 
 
-def _is_identity_product(field: Field, left, right) -> bool:
+def _is_identity_product(field: Field, left: Terms, right: Terms) -> bool:
     """left @ right == identity, for matrices given as columns of terms."""
     for c, col in enumerate(right):
         acc = {(c, 0): -1}  # the product's column minus the unit column
@@ -788,18 +807,16 @@ def _is_identity_product(field: Field, left, right) -> bool:
     return True
 
 
-def _theta_is_phi(field: Field, basis: CanonicalBasis, theta, phi) -> bool:
+def _theta_is_phi(basis: CanonicalBasis, theta: Terms, phi) -> bool:
     """C1: theta's term column u is r -> phi(b_r b_u) for every u, phi
     given on F: nonzero at r = pi(u), degree 0, and at r = u, degree 1,
-    for u = x(v).  Term lists with coefficients lifted alike are equal
-    only as equal vectors over k (a reordered column fails C1)."""
+    for u = x(v).  Both sides are int terms, compared as they are:
+    equal lists are equal vectors over Z, so over k.  A column equal
+    only over k (reordered, or a coefficient read mod p) fails C1 and is
+    left to the full sweep."""
     pi, tops = basis.pi, basis.top_mask
-    lift = {1: _integral(field.one), -1: _integral(field.neg(field.one))}
     for u, col in enumerate(theta):
-        want = []
-        for r in (pi[u], u) if tops[u] else (pi[u],):
-            for d, c in phi[r, u].items():
-                want.append((r, d, lift[c]))
+        want = [(r, d, c) for r in ((pi[u], u) if tops[u] else (pi[u],)) for d, c in phi[r, u].items()]
         if col != want:
             return False
     return True
@@ -809,9 +826,15 @@ def verify_theta_psi(q: GentleQuiver, eps: Polarization, field: Field) -> ThetaP
     """Check theta and psi are mutually inverse over k[t] and that theta is
     right-linear for the involution-twisted action on generators.
 
-    theta and psi have at most two entries per column, so the inverse
-    checks multiply sparse columns of terms, and theta(0) is a signed
-    permutation matrix whose determinant is a sign times a product.
+    theta and psi are built once as columns of +-1 int terms
+    (:func:`_theta_psi_columns`), which the checks read; the report
+    holds a view of them.  det theta(0) is a sign.  Proof: theta psi =
+    psi theta = id gives theta(0) = psi(0)^-1, and makes det theta a
+    unit of k[t], the constant det theta(0).  theta(0) is theta's
+    degree-0 terms, (pi(u), u, +-1) per column u: a signed permutation
+    matrix with native +-1 entries, whose determinant is the int
+    :func:`linalg.sign_det` gives (AssertionError on any other entry),
+    mapped into k by ``field.from_int``, as Z -> k is a ring map.
 
     The bimodule identity theta(u nu(g)) = theta(u) g holds for every
     basis path u and generator g when C1 (:func:`_theta_is_phi`), C2
@@ -831,21 +854,18 @@ def verify_theta_psi(q: GentleQuiver, eps: Polarization, field: Field) -> ThetaP
     """
     inv = involution_of(q, eps, field)  # checks eps, once per check
     basis = _canonical_basis(q, eps)
-    theta_cols, psi_cols = _theta_psi_columns(basis, PolyRing(field))
-    theta, psi = _term_columns(theta_cols), _term_columns(psi_cols)
+    theta, psi = _theta_psi_columns(basis)
     tp = _is_identity_product(field, theta, psi)
     pt = _is_identity_product(field, psi, theta)
 
     det_const = None
     if tp and pt:
-        # theta psi = id forces det(theta) to be a unit of k[t], i.e. a
-        # nonzero constant; its value is det of theta at t = 0.
-        theta0 = ((r, c, p[0]) for c, col in enumerate(theta_cols) for r, p in col.items() if p and p[0])
-        det_const = linalg.monomial_det(field, len(basis), theta0)
+        theta0 = ((r, c, x) for c, col in enumerate(theta) for r, d, x in col if d == 0)
+        det_const = field.from_int(linalg.sign_det(len(basis), theta0))
 
     phi = _phi_on(basis, _full_cycle_pairs(basis), {})
     certified = (
-        _theta_is_phi(field, basis, theta, phi)
+        _theta_is_phi(basis, theta, phi)
         and _generators_hold(basis, inv, phi)
         and all(inv.signs[a] == field.one for a, k in basis.kept.items() if not k)
     )
@@ -853,8 +873,8 @@ def verify_theta_psi(q: GentleQuiver, eps: Polarization, field: Field) -> ThetaP
     return ThetaPsiReport(
         ok=tp and pt and not bad,
         size=len(basis),
-        theta=theta_cols,
-        psi=psi_cols,
+        theta=_poly_columns(field, theta),
+        psi=_poly_columns(field, psi),
         theta_psi_identity=tp,
         psi_theta_identity=pt,
         det_theta_constant=det_const,
@@ -863,9 +883,7 @@ def verify_theta_psi(q: GentleQuiver, eps: Polarization, field: Field) -> ThetaP
     )
 
 
-def _bimodule_counterexamples(
-    basis: CanonicalBasis, inv: Involution, theta: List[List[Tuple[int, int, object]]]
-) -> List[str]:
+def _bimodule_counterexamples(basis: CanonicalBasis, inv: Involution, theta: Terms) -> List[str]:
     """The (u, g) pairs, in basis order and then generator order, where
     theta(u nu(g)) and theta(u) g differ as vectors over the dual basis.
 

@@ -56,7 +56,7 @@ def assert_certificate_matches_oracle(tw):
     phi = [f.zero] * n
     for t in top_indices(tw):
         phi[t] = f.one
-    sign = linalg.monomial_det(f, n, [(i, pi[i], f.one) for i in range(n)])
+    sign = f.from_int(linalg.sign_det(n, [(i, pi[i], 1) for i in range(n)]))
     assert pairing_det(pl, sign_form(pl, phi)) == sign and sign
     if n <= DENSE_DIM:
         mat = bilinear_matrix(pl, phi)

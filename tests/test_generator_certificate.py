@@ -62,12 +62,12 @@ def involutions(real):
 
 
 def with_stray_entry(real):
-    """_theta_psi_columns with a stray 1 in theta at row and column e(v)
-    of the first vertex."""
+    """_theta_psi_columns with a stray term 1 in theta at row and column
+    e(v) of the first vertex."""
 
-    def corrupted(basis, ring):
-        theta, psi = real(basis, ring)
-        theta[0][0] = ring.one
+    def corrupted(basis):
+        theta, psi = real(basis)
+        theta[0].append((0, 0, 1))
         return theta, psi
 
     return corrupted

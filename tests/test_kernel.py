@@ -261,21 +261,25 @@ def test_elimination_matches_dense_reference(field):
 
 
 @pytest.mark.parametrize("field", [GF3, QQ], ids=["GF3", "Q"])
-def test_monomial_det_matches_dense_reference(field):
-    # a permutation times a diagonal, with some rows emptied: the sign and
-    # the product are read off the entries, and an empty row gives 0
+def test_sign_det_matches_dense_reference(field):
+    # a signed permutation matrix, with some rows emptied: the sign is read
+    # off the permutation's cycles and the -1 entries, an empty row gives
+    # 0, and the int maps into the field
     rng = random.Random(23)
+    seen = set()
     for _ in range(150):
         n = rng.randint(1, 9)
         perm = list(range(n))
         rng.shuffle(perm)
-        entries = [(r, perm[r], random_scalar(field, rng, 4)) for r in range(n)]
-        entries = [e for e in entries if e[2] and rng.random() < 0.9]
+        entries = [(r, perm[r], rng.choice((1, -1))) for r in range(n) if rng.random() < 0.9]
         rng.shuffle(entries)
         square = [[field.zero] * n for _ in range(n)]
         for r, c, x in entries:
-            square[r][c] = x
-        assert linalg.monomial_det(field, n, entries) == naive_det(field, square)
+            square[r][c] = field.from_int(x)
+        det = linalg.sign_det(n, entries)
+        assert type(det) is int and field.from_int(det) == naive_det(field, square)
+        seen.add(det)
+    assert seen == {0, 1, -1}
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ from ribbonorders.polarize import PLUS, Involution
 from ribbonorders.quiver import GentleQuiver
 
 from reference import apply_involution, path_sign, poly_eval
+from test_sign_kernel import field_calls  # noqa: F401  (a fixture)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402  (perfbench's seeded generator)
@@ -311,23 +312,22 @@ def _stray_entry(basis):
 
 def corrupt_theta(monkeypatch, place, coefficients):
     """Put the polynomial with these integer coefficients into theta at
-    place(basis) = (row, column), in the checks and in the dense
-    reference; returns the reference's theta builder."""
+    place(basis) = (row, column): in the checks as int terms, in place of
+    the row's terms, and in the dense reference as a k[t] entry; returns
+    the reference's theta builder."""
     real_columns = order._theta_psi_columns
 
-    def entry(ring):
-        return ring.trim([ring.field.from_int(c) for c in coefficients])
-
-    def corrupted_columns(basis, ring):
-        theta, psi = real_columns(basis, ring)
+    def corrupted_columns(basis):
+        theta, psi = real_columns(basis)
         row, col = place(basis)
-        theta[col][row] = entry(ring)
+        terms = [(row, d, c) for d, c in enumerate(coefficients) if c]
+        theta[col] = [term for term in theta[col] if term[0] != row] + terms
         return theta, psi
 
     def corrupted_dense(basis, ring):
         mat = reference_theta(basis, ring)
         row, col = place(basis)
-        mat[row][col] = entry(ring)
+        mat[row][col] = ring.trim([ring.field.from_int(c) for c in coefficients])
         return mat
 
     monkeypatch.setattr(order, "_theta_psi_columns", corrupted_columns)
@@ -447,6 +447,35 @@ def test_checks_never_compose(monkeypatch):
                 assert tp.ok and tp.det_theta_constant in (field.one, field.neg(field.one))
 
 
+def test_ok_theta_psi_multiplies_and_lifts_nothing(monkeypatch, field_calls):
+    # theta and psi are built as native +-1 int terms and det theta(0) is
+    # a sign: an ok check makes no field multiplication and lifts no
+    # scalar to an int (order._integral)
+    lifted = []
+    real = order._integral
+    monkeypatch.setattr(order, "_integral", lambda c: lifted.append(c) or real(c))
+    checked = 0
+    for name in CORPUS_NAMES:
+        q = corpus_quiver(name)
+        for eps in islice(enumerate_polarizations(q), 2):
+            for field in FIELDS:
+                field_calls.clear()
+                tp = verify_theta_psi(q, eps, field)
+                assert tp.ok, (name, field.name)
+                muls = {key: n for key, n in field_calls.items() if key.endswith(".mul")}
+                assert not muls and not lifted, (name, field.name, muls)
+                checked += 1
+    assert checked >= 2 * len(CORPUS_NAMES) * len(FIELDS)
+    # both counters are live: a failing check's sweep lifts the signs, and
+    # the sign of every basis path is a product in the field
+    monkeypatch.setattr(order, "involution_of", flipped_involution(order.involution_of))
+    q = corpus_quiver("triangle")
+    eps = next(enumerate_polarizations(q))
+    assert not verify_theta_psi(q, eps, QQ).ok and lifted
+    field_calls.clear()
+    assert not check_nu_symmetry(q, eps, QQ).ok and field_calls["RationalField.mul"]
+
+
 def _no_path(*args, **kwargs):
     raise AssertionError("the order checks must not spell a basis path out as a Path")
 
@@ -531,7 +560,6 @@ def test_large_circular(field):
 
 
 def test_theta_det_rejects_two_entries_in_a_row():
-    one = QQ.one
-    for entries in ([(0, 0, one), (0, 1, one)], [(0, 1, one), (1, 1, one)]):  # a row, a column
+    for entries in ([(0, 0, 1), (0, 1, 1)], [(0, 1, 1), (1, 1, 1)]):  # a row, a column
         with pytest.raises(AssertionError, match="two nonzero entries"):
-            linalg.monomial_det(QQ, 2, entries)
+            linalg.sign_det(2, entries)
