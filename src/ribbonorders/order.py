@@ -22,59 +22,33 @@ idempotent at the junction, or b_i's first arrow is sigma^{L_j}(a_j); it
 is then the other factor, respectively the path (start_j, a_j, L_j + L_i).
 The order has no truncation, so no product of paths is ever cut off.
 
-One layout serves the order and every quotient: :func:`basis_layout`
-puts e_v at v's position in the vertex list, then per arrow a, in sorted
-order, a_1, ..., a_kept(a) at consecutive indices from first[a], the top
-cycle of the positive arrow at v (kept) at top_index[v].  Lambda/z Lambda
-is the twisted quotient at multiplicity one, and Lambda is free over
-k[[z]], so the canonical basis is that quotient's basis lifted:
-``canonical_basis`` is the layout at m = 1, with x_v the display label
-at top_index[v], the end of its positive arrow's run.  The layout holds
-the one sigma-rule of the order and its quotients: ``walks`` gives each
-basis path as (start, first arrow, length), with no Path object,
-``by_end``, ``by_next`` and ``left_multiples`` the nonzero products, and
-``terms`` the coordinates, whose degree-0 part is a quotient's residue.
-Its ``top_mask`` marks the kept top cycles, the support of the form phi
-of the order (the x-coordinates) and of the standard form of each
-quotient, and ``pi`` is that form's pairing involution at t = 0, in
-closed form, which the order checks and the quotients read.  The
-labels are for display: the layout holds none, and ``label(r)``
-formats one from ``walks[r]``, on first read of the ``basis`` view or
-where a report names a basis path.
+One layout serves the order and every quotient (:func:`basis_layout`,
+:class:`BasisLayout`): Lambda/z Lambda is the twisted quotient at
+multiplicity one, and Lambda is free over k[[z]], so the canonical basis
+is that quotient's basis lifted, with x_v the display label at
+top_index[v].  The layout holds the one sigma-rule of the order and its
+quotients, the coordinate rule ``terms`` and the form's pairing
+involution ``pi``; labels are formatted only where shown.
 
-* ``nu_counterexamples`` is the one evaluator of the twisted symmetry
-  phi(b_i b_j) = nu(b_j) phi(b_j b_i), for the order's form and for a
-  quotient's (``fdalg.check_canonical_bimodule_twist``, phi reduced
-  modulo t): given phi on the pairs where it is nonzero, it evaluates
-  those pairs and their transposes, and no other pair can fail.
-* F is the set of pairs (i, j) with b_i b_j a full-cycle power: pi's
-  graph and the (x_v, x_v), 3|Q_0| + sum over arrows of (n(a) - 1)
-  pairs.  Only those products have an x-coordinate, so off F u F^T each
-  side of the twisted symmetry is phi(0) = 0 or phi of a path with no
-  x-coordinate, also 0.
-* ``check_nu_symmetry`` certifies the twisted symmetry on generators
-  (C2: phi(g y) = nu(g) phi(y g) for g = e(v) and the arrows in B, on
-  O(|Q_0| + |Q_1|) pairs) and evaluates F u F^T only when C2 fails, to
-  list the counterexamples.
-* ``verify_theta_psi`` multiplies theta and psi as columns of at most
-  two terms, checks theta column by column (C1: theta(u) is r ->
-  phi(b_r b_u)), and compares theta(u nu(g)) with theta(u) g only when
-  C1, C2 or nu(a) = 1 for an arrow a not in B fails: for the
-  generators g with u nu(g) != 0, or with a nonzero product g b_r that
-  has a coordinate in the support of theta_u.
-
-The checks add and multiply terms (index, degree, coefficient), not
-k[t] tuples.  The coordinate rule, theta and psi give terms with the
-native int coefficients 1 and -1; the involution signs are lifted to
-native ints where integral.  A compared vector is one dict keyed (row,
-degree) holding the difference of its two sides, and ``Field.from_int``
-maps its coefficients to k only when it is tested for zero.  This is
-exact, as Z -> k is a ring homomorphism.
+The order checks certify on generators and sweep only when that fails.
+F is the set of pairs (i, j) with b_i b_j a full-cycle power: pi's graph
+and the (x_v, x_v).  Only those products have an x-coordinate, so off
+F u F^T both sides of the twisted symmetry are 0, and
+``nu_counterexamples``, the one evaluator of the twisted symmetry (of
+the order's form and of a quotient's, ``fdalg``), evaluates F u F^T.
+``check_nu_symmetry`` certifies it on generators (C2), and
+``verify_theta_psi`` checks theta column by column (C1) and C2.  A
+certificate compares native int terms (index, degree, coefficient),
+the coefficients 1 and -1: sides equal over Z (in characteristic 2,
+mod 2) are equal over k, as Z -> k is a ring homomorphism; any other
+outcome leaves the answer to the sweep, which maps a compared vector
+into k (``Field.from_int``) only to test it for zero.  An ok check
+formats no label and no k[t] entry: its report's views do, on read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, fields
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -455,9 +429,7 @@ def basis_layout(q: GentleQuiver, eps: Polarization, mm: Mapping[str, int]) -> B
 class CanonicalBasis(BasisLayout):
     """The basis B of the order as a free k[[t]]-module (multiplicity one):
     the layout of the twisted quotient at m = 1, whose kept top cycle at
-    v is x(v): :meth:`label` shows it so, and with it the ``basis``
-    view.  The order checks read it through the layout's sigma-rule
-    lists and coordinate rule.
+    v is x(v): :meth:`label` shows it so, and with it the ``basis`` view.
     """
 
     def label(self, r: int) -> str:
@@ -517,27 +489,23 @@ def frobenius_eval(basis: CanonicalBasis, ring: PolyRing, x: OrderElement) -> tu
 # the sigma-rule on basis paths
 
 
-def _full_cycle_pairs(basis: CanonicalBasis):
-    """F, the pairs (i, j) with b_i b_j a full-cycle power: (x(v), x(v))
-    per vertex, then (i, pi(i)) per basis index."""
-    yield from ((x, x) for x in basis.top_index.values())
-    yield from enumerate(basis.pi)
+def _full_cycle_pairs(basis: CanonicalBasis, pi: Sequence[int]) -> List[Tuple[int, int]]:
+    """F, the pairs (i, j) with b_i b_j a full-cycle power, for the
+    pairing pi (``basis.pi``): (x(v), x(v)) per vertex, then (i, pi[i])."""
+    return [(x, x) for x in basis.top_index.values()] + list(enumerate(pi))
 
 
-def _phi_on(basis: CanonicalBasis, pairs, phi: Dict[Tuple[int, int], Dict[int, int]]):
-    """phi, with phi(b_i b_j) as {degree: coefficient} added for each pair
-    (i, j) of F not yet in it, one coordinate rewrite per pair: the
-    product is b_i for b_j = e(v), else b_j lengthened by b_i's length,
-    and phi of it its x-term, 1 or -1, nonzero in every field."""
+def _phi_of(basis: CanonicalBasis):
+    """phi on F: the function (i, j) -> phi(b_i b_j) as [(degree,
+    coefficient)], one coordinate rewrite per call: the product is b_i
+    for b_j = e(v), else b_j lengthened by b_i's length, and phi of it
+    its x-term, 1 or -1, nonzero in every field."""
     walks, tops, terms = basis.walks, basis.top_mask, basis.terms
-    for p in pairs:
-        if p not in phi:
-            i, j = p
-            s, a, n = walks[j]
-            phi[p] = x = {}
-            for k, d, c in terms(*walks[i]) if a is None else terms(s, a, n + walks[i][2]):
-                if tops[k]:
-                    x[d] = c
+
+    def phi(i: int, j: int) -> List[Tuple[int, int]]:
+        s, a, n = walks[j]
+        return [(d, c) for k, d, c in (terms(*walks[i]) if a is None else terms(s, a, n + walks[i][2])) if tops[k]]
+
     return phi
 
 
@@ -573,28 +541,49 @@ def _nonzero(field: Field, acc: Mapping[object, object]) -> bool:
 
 @dataclass
 class NuSymmetryReport:
+    """``nonzero_pairs`` (F) and ``expected_pairs`` are sorted label
+    pairs, views of the basis ``_source`` built on first read and not
+    fields (a ``dataclasses.replace`` copy has none)."""
+
     ok: bool
     pair_count: int
     counterexamples: List[Tuple[str, str]]
-    nonzero_pairs: List[Tuple[str, str]]
-    expected_pairs: List[Tuple[str, str]]
     pairs_match: bool
+    _source: InitVar[Optional[CanonicalBasis]] = None
+
+    def __post_init__(self, _source):
+        self._source = _source
+
+    nonzero_pairs = cached_property(lambda self: _label_pairs(self._source, self._source.pi))
+    expected_pairs = cached_property(lambda self: expected_nonzero_pairs(self._source))
+
+
+def _label_pairs(basis: CanonicalBasis, pi: Sequence[int]) -> List[Tuple[str, str]]:
+    """F for the pairing pi as sorted label pairs."""
+    labels = basis.basis
+    return sorted((labels[i], labels[j]) for i, j in _full_cycle_pairs(basis, pi))
+
+
+def _expected_pi(basis: CanonicalBasis) -> List[int]:
+    """The pairing read off the sigma-orbits alone: e(v) <-> x(v), and
+    a:m <-> sigma^m(a):(n - m) for 1 <= m < n = n(a), a:m at index
+    first[a] + m - 1; each index is set once."""
+    ep, first = [0] * basis.dim, basis.first
+    for e, x in enumerate(basis.top_index.values()):
+        ep[e], ep[x] = x, e
+    for _, orbit in basis.quiver.sigma_orbits():
+        n = len(orbit)
+        for k, a in enumerate(orbit):
+            for m in range(1, n):
+                ep[first[a] + m - 1] = first[orbit[(k + m) % n]] + n - m - 1
+    return ep
 
 
 def expected_nonzero_pairs(basis: CanonicalBasis) -> List[Tuple[str, str]]:
     """The exact list of basis pairs (q, p) with phi(q p) != 0:
     (x_i, x_i), (x_i, e_i), (e_i, x_i) per vertex, and the split-cycle
-    pairs (derivative of c_a at m, a_m)."""
-    q = basis.quiver
-    pairs = []
-    for v in q.vertices:
-        pairs.extend([(f"x({v})", f"x({v})"), (f"x({v})", f"e({v})"), (f"e({v})", f"x({v})")])
-    for _, orbit in q.sigma_orbits():
-        n = len(orbit)
-        for k, a in enumerate(orbit):
-            for m in range(1, n):
-                pairs.append((f"{orbit[(k + m) % n]}:{n - m}", f"{a}:{m}"))
-    return sorted(set(pairs))
+    pairs (derivative of c_a at m, a_m), from :func:`_expected_pi`."""
+    return _label_pairs(basis, _expected_pi(basis))
 
 
 def nu_counterexamples(
@@ -625,41 +614,48 @@ def nu_counterexamples(
     return bad
 
 
-def _generators_hold(basis: CanonicalBasis, inv: Involution, phi: Dict[Tuple[int, int], Dict[int, int]]) -> bool:
+def _same_terms(lhs: list, rhs: list, sign: int, two: bool) -> bool:
+    """lhs = sign * rhs as [(degree, int coefficient)] lists, equal over Z
+    or, in characteristic 2 (``two``), mod 2; else False, even if equal over k."""
+    rhs = [(d, sign * c) for d, c in rhs]
+    return lhs == rhs or two and [(d, c & 1) for d, c in lhs] == [(d, c & 1) for d, c in rhs]
+
+
+def _generators_hold(basis: CanonicalBasis, inv: Involution) -> bool:
     """C2: phi(g y) = nu(g) phi(y g) for every basis path y and each
-    generator g in B, e(v) and a:1 with kept[a] >= 1; phi on the pairs
-    it reads is added to ``phi`` (:func:`_phi_on`).  Holds only if every
-    arrow sign is 1 or -1; else the caller's full sweep decides.
+    generator g in B, e(v) and a:1 with kept[a] >= 1.  Holds only if
+    every arrow sign is 1 or -1 and each pair's sides are equal as int
+    terms (:func:`_same_terms`); else the caller's full sweep decides.
 
     (g, y) or (y, g) is in F only for y = pi(g), and y = g when g is a
-    kept top, so :func:`nu_counterexamples` evaluates those pairs, on
-    phi restricted to them.  The transpose (g, pi(g)) reads nu(pi(g)) =
-    nu(g) times the sign product of the sigma-orbit of g's arrow, x(v)'s
-    for g = e(v): b_g b_pi(g) is that orbit's full cycle.  O(|Q_0| +
-    |Q_1|) pairs and rewrites, no sign per basis path.
+    kept top: only those pairs are compared, each product rewritten once
+    (:func:`_phi_of`).  nu(pi(g)) is nu(g) times the sign product of the
+    sigma-orbit of g's arrow, x(v)'s for g = e(v): b_g b_pi(g) is that
+    orbit's full cycle.  O(|Q_0| + |Q_1|) pairs, no sign per basis path.
     """
     q, f, pi, walks = basis.quiver, inv.field, basis.pi, basis.walks
     one, minus = f.one, f.neg(f.one)
-    neg = {}  # arrow -> whether its sign is -1 (not 1)
-    for a, s in inv.signs.items():
-        if s == one:
-            neg[a] = False
-        elif s == minus:
-            neg[a] = True
-        else:
-            return False
+    if any(s != one and s != minus for s in inv.signs.values()):
+        return False
+    neg = {a: s != one for a, s in inv.signs.items()}  # arrow -> whether its sign is -1
     odd = {}  # arrow -> parity of the -1 signs on its sigma-orbit
     for _, orbit in q.sigma_orbits():
         odd.update(dict.fromkeys(orbit, sum(map(neg.__getitem__, orbit)) % 2))
     gens = [(e, 0, walks[x][1]) for e, x in enumerate(pi[: len(q.vertices)])]
     gens += [(basis.first[a], neg[a], a) for a, k in basis.kept.items() if k]
-    pairs, nu = [], {}
+    phi, tops, two, done = _phi_of(basis), basis.top_mask, f.char == 2, set()
     for g, sign, a in gens:
-        y = pi[g]
-        nu[g], nu[y] = -1 if sign else 1, -1 if sign ^ odd[a] else 1  # exact, as Z -> k is a ring map
-        pairs += ((y, g), (g, y), (g, g)) if basis.top_mask[g] else ((y, g), (g, y))
-    _phi_on(basis, pairs, phi)
-    return not nu_counterexamples(f, {p: phi[p] for p in pairs}, nu)
+        nu_g, y = -1 if sign else 1, pi[g]  # nu exact, as Z -> k is a ring map
+        if tops[g] and not _same_terms(gg := phi(g, g), gg, nu_g, two):
+            return False
+        if g in done:  # g = pi(g'), g' = pi(g) for an earlier g': the same pairs
+            continue
+        if pi[y] == g:
+            done.add(y)
+        gy, yg, nu_y = phi(g, y), phi(y, g), -1 if sign ^ odd[a] else 1
+        if not (_same_terms(yg, gy, nu_g, two) and _same_terms(gy, yg, nu_y, two)):
+            return False
+    return True
 
 
 def check_nu_symmetry(q: GentleQuiver, eps: Polarization, field: Field) -> NuSymmetryReport:
@@ -675,31 +671,28 @@ def check_nu_symmetry(q: GentleQuiver, eps: Polarization, field: Field) -> NuSym
     sigma(a) = a), and nu(p) = nu(g_1) ... nu(g_k), so phi(q p) =
     nu(g_k) phi(g_k q g_1 ... g_(k-1)) = ... = nu(p) phi(p q) by
     associativity.  Arrows not in B occur in no basis path.  Only when
-    C2 fails is phi built on F, the (i, j) with b_i b_j a full-cycle
-    power (:func:`_full_cycle_pairs`: pi's graph at degree 0, and
-    (x(v), x(v)), x(v) x(v) = t x(v)), each product rewritten once, and
-    :func:`nu_counterexamples` evaluates F u F^T with the sign of every
-    basis path: every other pair is 0 on both sides.  The nonzero pairs
-    are F, read off pi and the kept tops.  ``pair_count`` still counts
-    all |B|^2 pairs covered.
+    C2 fails is phi built on F (:func:`_full_cycle_pairs`) and
+    :func:`nu_counterexamples` run on F u F^T with the sign of every
+    basis path.  ``pair_count`` still counts all |B|^2 pairs covered.
+
+    The nonzero pairs are F, (x(v), x(v)) per vertex and pi's graph; the
+    expected ones, (x(v), x(v)) and the graph of :func:`_expected_pi`.
+    Labels name indices one to one, so the sorted label lists (the views)
+    are equal iff the maps are: ``pairs_match`` compares two int lists.
     """
     inv = involution_of(q, eps, field)  # checks eps, once per check
     basis = _canonical_basis(q, eps)
-    phi: Dict[Tuple[int, int], Dict[int, int]] = {}
-    labels = basis.basis
     counterexamples = []
-    if not _generators_hold(basis, inv, phi):
-        _phi_on(basis, _full_cycle_pairs(basis), phi)
-        counterexamples = [(labels[i], labels[j]) for i, j in nu_counterexamples(field, phi, _nu_signs(basis, inv))]
-    nonzero = sorted((labels[i], labels[j]) for i, j in _full_cycle_pairs(basis))
-    expected = expected_nonzero_pairs(basis)
+    if not _generators_hold(basis, inv):
+        labels, phi = basis.basis, _phi_of(basis)
+        on_f = {(i, j): dict(phi(i, j)) for i, j in _full_cycle_pairs(basis, basis.pi)}
+        counterexamples = [(labels[i], labels[j]) for i, j in nu_counterexamples(field, on_f, _nu_signs(basis, inv))]
     return NuSymmetryReport(
         ok=not counterexamples,
         pair_count=len(basis) ** 2,
         counterexamples=counterexamples,
-        nonzero_pairs=nonzero,
-        expected_pairs=expected,
-        pairs_match=nonzero == expected,
+        pairs_match=basis.pi == _expected_pi(basis),
+        _source=basis,
     )
 
 
@@ -709,19 +702,25 @@ def check_nu_symmetry(q: GentleQuiver, eps: Polarization, field: Field) -> NuSym
 
 @dataclass
 class ThetaPsiReport:
-    """theta and psi are sparse columns {row: k[t] entry}, a view of the
-    term columns the checks read (:func:`_poly_columns`); ``_dense``
-    gives the |B| x |B| matrices."""
+    """theta and psi are sparse columns {row: k[t] entry}, views of the
+    term columns ``_source`` = (field, theta, psi) (:func:`_poly_columns`),
+    built on first read and not fields, as in :class:`NuSymmetryReport`;
+    ``_dense`` gives the |B| x |B| matrices."""
 
     ok: bool
     size: int
-    theta: List[Dict[int, tuple]]
-    psi: List[Dict[int, tuple]]
     theta_psi_identity: bool
     psi_theta_identity: bool
     det_theta_constant: object
     bimodule_ok: bool
     bimodule_counterexamples: List[str]
+    _source: InitVar[Optional[tuple]] = None
+
+    def __post_init__(self, _source):
+        self._source = _source
+
+    theta = cached_property(lambda self: _poly_columns(self._source[0], self._source[1]))
+    psi = cached_property(lambda self: _poly_columns(self._source[0], self._source[2]))
 
 
 Terms = List[List[Tuple[int, int, int]]]  # columns of (row, degree, coefficient) terms
@@ -795,8 +794,14 @@ def theta_matrix(basis: CanonicalBasis, ring: PolyRing) -> List[List[tuple]]:
 
 
 def _is_identity_product(field: Field, left: Terms, right: Terms) -> bool:
-    """left @ right == identity, for matrices given as columns of terms."""
+    """left @ right == identity, for matrices given as columns of terms.
+    A column whose product is the one int term (c, 0, 1), a unit column
+    of theta or psi, passes as it is; any other is summed in a dict."""
     for c, col in enumerate(right):
+        if len(col) == 1 and len(left[col[0][0]]) == 1:
+            (_, d, x), ((r, d2, y),) = col[0], left[col[0][0]]
+            if r == c and d + d2 == 0 and x * y == 1:
+                continue
         acc = {(c, 0): -1}  # the product's column minus the unit column
         for s, d, x in col:
             for r, d2, y in left[s]:
@@ -807,16 +812,16 @@ def _is_identity_product(field: Field, left: Terms, right: Terms) -> bool:
     return True
 
 
-def _theta_is_phi(basis: CanonicalBasis, theta: Terms, phi) -> bool:
-    """C1: theta's term column u is r -> phi(b_r b_u) for every u, phi
-    given on F: nonzero at r = pi(u), degree 0, and at r = u, degree 1,
-    for u = x(v).  Both sides are int terms, compared as they are:
-    equal lists are equal vectors over Z, so over k.  A column equal
-    only over k (reordered, or a coefficient read mod p) fails C1 and is
-    left to the full sweep."""
-    pi, tops = basis.pi, basis.top_mask
+def _theta_is_phi(basis: CanonicalBasis, theta: Terms) -> bool:
+    """C1: theta's term column u is r -> phi(b_r b_u) (:func:`_phi_of`)
+    for every u: nonzero at r = pi(u), degree 0, and at r = u, degree 1,
+    for u = x(v).  The int term lists are compared as they are; a column
+    equal only over k (reordered, or read mod p) fails C1."""
+    pi, tops, phi = basis.pi, basis.top_mask, _phi_of(basis)
     for u, col in enumerate(theta):
-        want = [(r, d, c) for r in ((pi[u], u) if tops[u] else (pi[u],)) for d, c in phi[r, u].items()]
+        want = [(pi[u], d, c) for d, c in phi(pi[u], u)]
+        if tops[u]:
+            want += [(u, d, c) for d, c in phi(u, u)]
         if col != want:
             return False
     return True
@@ -827,14 +832,12 @@ def verify_theta_psi(q: GentleQuiver, eps: Polarization, field: Field) -> ThetaP
     right-linear for the involution-twisted action on generators.
 
     theta and psi are built once as columns of +-1 int terms
-    (:func:`_theta_psi_columns`), which the checks read; the report
-    holds a view of them.  det theta(0) is a sign.  Proof: theta psi =
-    psi theta = id gives theta(0) = psi(0)^-1, and makes det theta a
-    unit of k[t], the constant det theta(0).  theta(0) is theta's
-    degree-0 terms, (pi(u), u, +-1) per column u: a signed permutation
-    matrix with native +-1 entries, whose determinant is the int
-    :func:`linalg.sign_det` gives (AssertionError on any other entry),
-    mapped into k by ``field.from_int``, as Z -> k is a ring map.
+    (:func:`_theta_psi_columns`), which the checks read and the report's
+    views format on first read.  det theta(0) is a sign.  Proof: theta
+    psi = psi theta = id makes det theta a unit of k[t], the constant
+    det theta(0), and theta(0), theta's degree-0 terms (pi(u), u, +-1),
+    is a signed permutation matrix: :func:`linalg.sign_det` gives its
+    int determinant (AssertionError on any other entry), mapped into k.
 
     The bimodule identity theta(u nu(g)) = theta(u) g holds for every
     basis path u and generator g when C1 (:func:`_theta_is_phi`), C2
@@ -842,14 +845,13 @@ def verify_theta_psi(q: GentleQuiver, eps: Polarization, field: Field) -> ThetaP
     hold.  Proof: by C1 and k[[t]]-linearity theta(u)(y) = phi(y b_u)
     for every y in Lambda, so (theta(u) g)(b_r) = phi(g b_r b_u) and
     theta(u nu(g))(b_r) = nu(g) phi(b_r b_u g); C2 with y = b_r b_u
-    makes them equal.  No multiplicativity of nu is needed.  An arrow a
-    not in B has n(a) = 1 and sign -, so a = t e(v) - x(v), and phi(a y)
-    - phi(y a) = t (phi(e(v) y) - phi(y e(v))) - (phi(x(v) y) - phi(y
-    x(v))) = 0 for every basis path y: phi(y) != 0 only at the tops,
-    which start where they end, and x(v) y, y x(v) are x(v) at y = e(v),
-    else t y or 0.  At y = e(v) phi(a) = -1, so a's pairs hold iff
-    nu(a) = 1.
-    Only when the certificate fails are the two sides compared
+    makes them equal, with no multiplicativity of nu.  An arrow a not in
+    B has n(a) = 1 and sign -, so a = t e(v) - x(v), and phi(a y) - phi(y
+    a) = t (phi(e(v) y) - phi(y e(v))) - (phi(x(v) y) - phi(y x(v))) = 0
+    for every basis path y: phi(y) != 0 only at the tops, which start
+    where they end, and x(v) y, y x(v) are x(v) at y = e(v), else t y or
+    0.  At y = e(v) phi(a) = -1, so a's pairs hold iff nu(a) = 1.  Only
+    when the certificate fails are the two sides compared
     (:func:`_bimodule_counterexamples`), to list the failures.
     """
     inv = involution_of(q, eps, field)  # checks eps, once per check
@@ -863,23 +865,21 @@ def verify_theta_psi(q: GentleQuiver, eps: Polarization, field: Field) -> ThetaP
         theta0 = ((r, c, x) for c, col in enumerate(theta) for r, d, x in col if d == 0)
         det_const = field.from_int(linalg.sign_det(len(basis), theta0))
 
-    phi = _phi_on(basis, _full_cycle_pairs(basis), {})
     certified = (
-        _theta_is_phi(basis, theta, phi)
-        and _generators_hold(basis, inv, phi)
+        _theta_is_phi(basis, theta)
+        and _generators_hold(basis, inv)
         and all(inv.signs[a] == field.one for a, k in basis.kept.items() if not k)
     )
     bad = [] if certified else _bimodule_counterexamples(basis, inv, theta)
     return ThetaPsiReport(
         ok=tp and pt and not bad,
         size=len(basis),
-        theta=_poly_columns(field, theta),
-        psi=_poly_columns(field, psi),
         theta_psi_identity=tp,
         psi_theta_identity=pt,
         det_theta_constant=det_const,
         bimodule_ok=not bad,
         bimodule_counterexamples=bad,
+        _source=(field, theta, psi),
     )
 
 

@@ -162,11 +162,9 @@ def involution_of(q: GentleQuiver, eps: Polarization, field: Field) -> Involutio
     arrow sign is 1 and the involution is the identity.
     """
     check_polarization(q, eps)
-    signs: Dict[str, object] = {}
-    for a in q.arrow_names:
-        if field.char == 2:
-            signs[a] = field.one
-        else:
-            same = eps.signs[a] == eps.signs[q.sigma[a]]
-            signs[a] = field.one if same else field.neg(field.one)
+    one = field.one
+    if field.char == 2:
+        return Involution(quiver=q, field=field, signs=dict.fromkeys(q.arrow_names, one))
+    minus, sign, sigma = field.neg(one), eps.signs, q.sigma
+    signs = {a: one if sign[a] == sign[sigma[a]] else minus for a in q.arrow_names}
     return Involution(quiver=q, field=field, signs=signs)

@@ -31,11 +31,24 @@ class RibbonGraph:
     edges: Tuple[str, ...]
     slots: Dict[str, Tuple[str, ...]]
 
-    def __init__(self, nodes: Sequence[str], edges: Sequence[str], slots: Dict[str, Sequence[str]]):
+    def __init__(
+        self,
+        nodes: Sequence[str],
+        edges: Sequence[str],
+        slots: Dict[str, Sequence[str]],
+        *,
+        _ends: Optional[Dict[str, List[str]]] = None,
+    ):
+        """``_ends`` is for :func:`graph_of_quiver` alone: the endpoint
+        map of a slot table valid by construction, which is then not
+        checked again."""
         object.__setattr__(self, "nodes", tuple(nodes))
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "slots", {v: tuple(s) for v, s in slots.items()})
-        self._check()
+        if _ends is None:
+            self._check()
+        else:
+            object.__setattr__(self, "_ends", _ends)
 
     def _check(self):
         if len(set(self.nodes)) != len(self.nodes):
@@ -104,11 +117,21 @@ def graph_of_quiver(q: GentleQuiver) -> RibbonGraph:
     The slot sequence at the node of an orbit (in sigma-cycle order,
     starting at the representative) is e_{s(a)} for the orbit's arrows a;
     the induced slot rotation is exactly e_{s(a)} -> e_{t(a)}.
+
+    A validated quiver gives a valid slot table by construction, so the
+    graph is built without ``RibbonGraph._check``: the edge v joins the
+    orbits of the two arrows out of v, and its endpoints are listed in
+    node order, as ``_check`` lists them.
     """
     orbits = q.sigma_orbits()
     nodes = [rep for rep, _ in orbits]
     slots = {rep: tuple(q.source(a) for a in orbit) for rep, orbit in orbits}
-    return RibbonGraph(nodes=nodes, edges=q.vertices, slots=slots)
+    at, rep = {node: k for k, node in enumerate(nodes)}, q.orbit_rep
+    ends = {}
+    for v in q.vertices:
+        u, w = (rep(a) for a in q.arrows_out(v))
+        ends[v] = [u, w] if at[u] <= at[w] else [w, u]
+    return RibbonGraph(nodes, q.vertices, slots, _ends=ends)
 
 
 def orbit_adjacency(q: GentleQuiver) -> Dict[str, List[Tuple[str, str]]]:

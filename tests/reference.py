@@ -7,7 +7,8 @@ quotient, the residue of any parent-order path, the pairing involution
 read off the products that land on the top cycles, the socle quotient
 comparison, the Frobenius form's closed form on paths, z-adic expansion
 of canonical coordinates, an involution's sign on a path and the
-involution applied to an order element, polarization queries, the
+involution applied to an order element, an order report with its
+views, polarization queries, the
 ribbon graph's bipartite certificate and components by a BFS and a DFS
 of their own, random field scalars, and k[t] evaluation and printing.
 The tests compare the package against them.
@@ -15,6 +16,7 @@ The tests compare the package against them.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import deque
 from fractions import Fraction
@@ -24,6 +26,7 @@ from ribbonorders.fdalg import FdAlgebra, socle
 from ribbonorders.fields import Field, PolyRing, PrimeField
 from ribbonorders.order import (
     CanonicalBasis,
+    NuSymmetryReport,
     OrderElement,
     add,
     element_power,
@@ -151,6 +154,15 @@ def apply_involution(inv: Involution, x: OrderElement) -> OrderElement:
     f = x.field
     terms = {p: f.mul(path_sign(inv, p), c) for p, c in x.terms.items()}
     return OrderElement(x.quiver, f, {p: c for p, c in terms.items() if c})
+
+
+def report_dict(rep, **views) -> dict:
+    """``dataclasses.asdict`` of a ``NuSymmetryReport`` or ``ThetaPsiReport``
+    plus its two views (``nonzero_pairs`` and ``expected_pairs``, or
+    ``theta`` and ``psi``), which are built on read and are not fields;
+    a view given in ``views`` is taken as it is, not read."""
+    names = ("nonzero_pairs", "expected_pairs") if isinstance(rep, NuSymmetryReport) else ("theta", "psi")
+    return {**dataclasses.asdict(rep), **{k: views[k] if k in views else getattr(rep, k) for k in names}}
 
 
 def expand_coordinates(

@@ -11,18 +11,32 @@ decide: on the corpus, on 300 seeded draws with leaves and loops
 one-orbit draw; over GF(2), GF(3), GF(5) and Q; with the polarization's
 own involution, another polarization's, and one with the least arrow's
 sign flipped; and with theta as built or with a stray entry.  Wherever
-the certificate holds, the full sweep finds nothing.
+the certificate holds, the full sweep finds nothing.  The certificate
+compares int terms, and a side equal to the other only over k fails it.
+An ok check formats nothing: its report's views are built on read.
 """
 
-import dataclasses
 import random
 import sys
+from itertools import islice
 from pathlib import Path
 
-from ribbonorders import CORPUS_NAMES, check_nu_symmetry, corpus_quiver, order, verify_theta_psi
-from ribbonorders.fields import GF2, GF3, GF5, QQ
-from ribbonorders.order import CanonicalBasis, canonical_basis, default_polarization
+import pytest
+
+from ribbonorders import (
+    CORPUS_NAMES,
+    check_nu_symmetry,
+    corpus_quiver,
+    enumerate_polarizations,
+    order,
+    verify_theta_psi,
+)
+from ribbonorders.fields import GF2, GF3, GF5, QQ, PolyRing
+from ribbonorders.order import BasisLayout, CanonicalBasis, canonical_basis, default_polarization
 from ribbonorders.polarize import Involution, Polarization
+
+from reference import report_dict
+from test_order_rule import reference_expected_pairs, reference_psi, reference_theta
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402  (perfbench's seeded generator)
@@ -74,7 +88,7 @@ def with_stray_entry(real):
 
 
 def reports(q, eps, field):
-    return dataclasses.asdict(check_nu_symmetry(q, eps, field)), dataclasses.asdict(verify_theta_psi(q, eps, field))
+    return report_dict(check_nu_symmetry(q, eps, field)), report_dict(verify_theta_psi(q, eps, field))
 
 
 def compare(monkeypatch, cases, seen):
@@ -189,3 +203,119 @@ def test_nu_check_rewrites_at_most_three_products_per_generator(monkeypatch):
     monkeypatch.setattr(CanonicalBasis, "terms", counting)
     assert check_nu_symmetry(q, default_polarization(q), GF3).ok
     assert 0 < count[0] <= cap
+
+
+# ---------------------------------------------------------------------------
+# the int comparisons
+
+
+def test_theta_term_equal_only_over_k_fails_c1(monkeypatch):
+    # theta's t-term 1 in column x(v) read as 4: the same entry over
+    # GF(3), another list of int terms, so C1 fails and the sweep decides
+    real_cols, real_c1 = order._theta_psi_columns, order._theta_is_phi
+    c1 = []
+
+    def four_for_one(basis):
+        theta, psi = real_cols(basis)
+        x = basis.top_index[basis.quiver.vertices[0]]
+        theta[x] = [(r, d, 4 if d == 1 else c) for r, d, c in theta[x]]
+        return theta, psi
+
+    monkeypatch.setattr(order, "_theta_is_phi", lambda *args: c1.append(real_c1(*args)) or c1[-1])
+    for name in CORPUS_NAMES:
+        q = corpus_quiver(name)
+        eps = default_polarization(q)
+        built = report_dict(verify_theta_psi(q, eps, GF3))
+        monkeypatch.setattr(order, "_theta_psi_columns", four_for_one)
+        del c1[:]
+        tp = report_dict(verify_theta_psi(q, eps, GF3))
+        assert c1 == [False], name
+        with monkeypatch.context() as m:
+            m.setattr(order, "_generators_hold", lambda *args: False)
+            m.setattr(order, "_theta_is_phi", lambda *args: False)
+            assert tp == report_dict(verify_theta_psi(q, eps, GF3)), name
+        assert tp == built and tp["ok"], name  # theta is the same over GF(3)
+        monkeypatch.setattr(order, "_theta_psi_columns", real_cols)
+
+
+def assert_pairs_match_on_indices(q, eps, field=GF3):
+    rep = check_nu_symmetry(q, eps, field)
+    assert rep.pairs_match == (rep.nonzero_pairs == rep.expected_pairs)
+    return rep.pairs_match
+
+
+def test_pairs_match_on_indices_corpus_and_draws():
+    for name in CORPUS_NAMES:
+        q = corpus_quiver(name)
+        for eps in enumerate_polarizations(q):
+            assert assert_pairs_match_on_indices(q, eps)
+    rng = random.Random(20261021)
+    for k in range(300):
+        q = gen.random_quiver(rng, PROFILES[k % len(PROFILES)])
+        assert assert_pairs_match_on_indices(q, gen.random_polarization(rng, q), FIELDS[k % len(FIELDS)])
+
+
+@pytest.mark.parametrize("swap", ["e-x", "first-last", "seeded"])
+def test_pairs_match_on_indices_with_pi_swapped(swap, monkeypatch):
+    # e(v) <-> x(v) swapped puts (x(v), x(v)) twice in F; the other swaps
+    # move two entries of pi's graph
+    real = BasisLayout.pi.fget
+    rng = random.Random(3)
+
+    def swapped(self):
+        pi = list(real(self))
+        if swap == "e-x":
+            i, j = 0, pi[0]
+        elif swap == "first-last":
+            i, j = 0, len(pi) - 1
+        else:
+            i, j = random.Random(len(pi)).sample(range(len(pi)), 2)
+        pi[i], pi[j] = pi[j], pi[i]
+        return pi
+
+    cases = [(q, default_polarization(q)) for q in map(corpus_quiver, CORPUS_NAMES)]
+    for k in range(30):
+        q = gen.random_quiver(rng, PROFILES[k % len(PROFILES)])
+        cases.append((q, gen.random_polarization(rng, q)))
+    monkeypatch.setattr(BasisLayout, "pi", property(swapped))
+    for q, eps in cases:
+        # C2 reads pi too and may not survive the swap: the views of a
+        # report whose only source is the basis
+        basis = canonical_basis(q, eps)
+        rep = order.NuSymmetryReport(ok=True, pair_count=0, counterexamples=[], pairs_match=False, _source=basis)
+        assert (basis.pi == order._expected_pi(basis)) is False  # pairs_match on indices
+        assert rep.nonzero_pairs != rep.expected_pairs
+
+
+# ---------------------------------------------------------------------------
+# an ok check formats nothing
+
+
+def _formats(*args, **kwargs):
+    raise AssertionError("an ok order check must not format a label or a k[t] entry")
+
+
+def test_ok_checks_format_nothing(monkeypatch):
+    # no label, no k[t] entry and no full sweep while both checks run; the
+    # views read afterwards are the sorted labels of F, the expected list
+    # and theta and psi as the dense references give them
+    cases = []
+    for name in CORPUS_NAMES:
+        q = corpus_quiver(name)
+        cases += [(q, eps, field) for eps in islice(enumerate_polarizations(q), 2) for field in FIELDS]
+    with monkeypatch.context() as m:
+        for cls in (BasisLayout, CanonicalBasis):
+            m.setattr(cls, "label", _formats)
+        m.setattr(PolyRing, "t_power", _formats)
+        for name in ("nu_counterexamples", "_nu_signs", "_bimodule_counterexamples"):
+            m.setattr(order, name, _no_sweep)
+        reports = [(check_nu_symmetry(*case), verify_theta_psi(*case)) for case in cases]
+    for (q, eps, field), (nu, tp) in zip(cases, reports):
+        assert nu.ok and nu.pairs_match and tp.ok
+        basis, ring = canonical_basis(q, eps), PolyRing(field)
+        labels = basis.basis
+        f = [(labels[x], labels[x]) for x in basis.top_index.values()]
+        f += [(labels[i], labels[j]) for i, j in enumerate(basis.pi)]
+        assert nu.nonzero_pairs == sorted(f) == nu.expected_pairs == reference_expected_pairs(basis)
+        assert order._dense(ring, tp.theta) == reference_theta(basis, ring)
+        assert order._dense(ring, tp.psi) == reference_psi(basis, ring)

@@ -44,6 +44,7 @@ from ribbonorders.fdalg import check_algebra_axioms
 from ribbonorders.fields import GF2, GF3, GF5, QQ
 from ribbonorders.polarize import (
     PLUS,
+    Involution,
     default_polarization,
     enumerate_polarizations,
     find_sigma_stable,
@@ -225,8 +226,9 @@ def test_canonical_basis_is_the_twisted_quotient_layout_at_m1(monkeypatch):
 
 
 def test_one_evaluator_for_the_order_and_its_quotients(monkeypatch):
-    # check_nu_symmetry and check_canonical_bimodule_twist each call the
-    # one evaluator of the twisted symmetry exactly once
+    # check_canonical_bimodule_twist calls the one evaluator of the twisted
+    # symmetry exactly once; check_nu_symmetry calls it once in a failing
+    # check's sweep, and not at all when its certificate holds
     assert fdalg.nu_counterexamples is order.nu_counterexamples
     real = order.nu_counterexamples
     calls = []
@@ -244,7 +246,7 @@ def test_one_evaluator_for_the_order_and_its_quotients(monkeypatch):
         for field in (GF2, GF3, QQ):
             del calls[:]
             assert check_nu_symmetry(q, eps, field).ok
-            assert len(calls) == 1
+            assert not calls
             tw = build_quotient_algebra(q, field, 1, eps)
             bar = nakayama_involution_bar(tw, involution_of(q, eps, field))
             del calls[:]
@@ -252,6 +254,18 @@ def test_one_evaluator_for_the_order_and_its_quotients(monkeypatch):
             assert len(calls) == 1
             checks += 2
     assert checks == 6 * len(CORPUS_NAMES)
+
+    def flipped(q, eps, field):  # the least arrow's sign negated
+        signs = dict(involution_of(q, eps, field).signs)
+        signs[min(signs)] = field.neg(signs[min(signs)])
+        return Involution(quiver=q, field=field, signs=signs)
+
+    monkeypatch.setattr(order, "involution_of", flipped)
+    q = corpus_quiver("triangle")
+    for field in (GF3, QQ):
+        del calls[:]
+        assert not check_nu_symmetry(q, default_polarization(q), field).ok
+        assert len(calls) == 1
 
 
 def test_views_read_on_the_layout_stay_with_it(monkeypatch):

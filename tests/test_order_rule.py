@@ -5,14 +5,13 @@ products of basis paths.  The references below are the dense versions
 they replaced: they multiply every basis pair (and, for the bimodule
 sweep, every basis element against every (u, g) pair) through
 ``OrderElement`` arithmetic and ``GentleQuiver.compose``.  The reports
-must agree field for field, counterexample lists included, in order, on
-valid inputs and on inputs corrupted so that the checks fail: a flipped
-involution sign, a stray theta entry that makes theta(u) g nonzero
-where u nu(g) = 0, a theta entry 1 + t with two terms, and a stray entry
-whose terms cancel over GF(2) only.
+must agree field for field and view for view, counterexample lists
+included, in order, on valid inputs and on inputs corrupted so that the
+checks fail: a flipped involution sign, a stray theta entry that makes
+theta(u) g nonzero where u nu(g) = 0, a theta entry 1 + t with two
+terms, and a stray entry whose terms cancel over GF(2) only.
 """
 
-import dataclasses
 import random
 import sys
 from itertools import islice
@@ -47,7 +46,7 @@ from ribbonorders.order import (
 from ribbonorders.polarize import PLUS, Involution
 from ribbonorders.quiver import GentleQuiver
 
-from reference import apply_involution, path_sign, poly_eval
+from reference import apply_involution, path_sign, poly_eval, report_dict
 from test_sign_kernel import field_calls  # noqa: F401  (a fixture)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -83,7 +82,8 @@ def reference_expected_pairs(basis):
 
 
 def reference_nu_symmetry(q, eps, field):
-    """phi(q p) against phi(nu(p) q) on every ordered basis pair."""
+    """phi(q p) against phi(nu(p) q) on every ordered basis pair, as the
+    ``report_dict`` of a report."""
     basis = canonical_basis(q, eps)
     ring = PolyRing(field)
     inv = order.involution_of(q, eps, field)
@@ -101,14 +101,13 @@ def reference_nu_symmetry(q, eps, field):
                 nonzero.append((labels[i], labels[j]))
     nonzero = sorted(set(nonzero))
     expected = reference_expected_pairs(basis)
-    return NuSymmetryReport(
+    rep = NuSymmetryReport(
         ok=not counterexamples,
         pair_count=len(elems) ** 2,
         counterexamples=counterexamples,
-        nonzero_pairs=nonzero,
-        expected_pairs=expected,
         pairs_match=nonzero == expected,
     )
+    return report_dict(rep, nonzero_pairs=nonzero, expected_pairs=expected)
 
 
 def _deriv_label(q, a, m):
@@ -170,7 +169,8 @@ def _poly_mat_mul(ring, a, b):
 
 def reference_theta_psi(q, eps, field, theta_of=reference_theta):
     """Dense products of theta and psi, a dense determinant, and the
-    bimodule identity on every (u, g) pair, every basis element r.
+    bimodule identity on every (u, g) pair, every basis element r, as
+    the ``report_dict`` of a report.
 
     This is the dense code the rule replaced, except that the products
     g r, which do not depend on u, are computed once per (g, r) and not
@@ -216,23 +216,23 @@ def reference_theta_psi(q, eps, field, theta_of=reference_theta):
                 rhs.append(acc)
             if lhs != rhs:
                 bad.append(f"theta(u * nu(g)) != theta(u).g for u={basis.basis[col]}, g={gname}")
-    return ThetaPsiReport(
+    rep = ThetaPsiReport(
         ok=tp and pt and not bad,
         size=n,
-        theta=theta,
-        psi=psi,
         theta_psi_identity=tp,
         psi_theta_identity=pt,
         det_theta_constant=det_const,
         bimodule_ok=not bad,
         bimodule_counterexamples=bad,
     )
+    return report_dict(rep, theta=theta, psi=psi)
 
 
 def densified(tp, field):
-    """The report with theta and psi as the dense matrices the reference keeps."""
+    """``report_dict`` of the report, with theta and psi as the dense
+    matrices the reference keeps."""
     ring = PolyRing(field)
-    return dataclasses.replace(tp, theta=order._dense(ring, tp.theta), psi=order._dense(ring, tp.psi))
+    return report_dict(tp, theta=order._dense(ring, tp.theta), psi=order._dense(ring, tp.psi))
 
 
 def assert_same(q, eps, field):
@@ -240,9 +240,9 @@ def assert_same(q, eps, field):
     signs = [order._integral(path_sign(inv, p)) for p in basis.paths.values()]
     assert order._nu_signs(basis, inv) == signs
     nu = check_nu_symmetry(q, eps, field)
-    assert dataclasses.asdict(nu) == dataclasses.asdict(reference_nu_symmetry(q, eps, field))
+    assert report_dict(nu) == reference_nu_symmetry(q, eps, field)
     tp = verify_theta_psi(q, eps, field)
-    assert dataclasses.asdict(densified(tp, field)) == dataclasses.asdict(reference_theta_psi(q, eps, field))
+    assert densified(tp, field) == reference_theta_psi(q, eps, field)
     return nu
 
 
@@ -299,8 +299,8 @@ def test_corrupted_involution_same_counterexamples(name, monkeypatch):
         ref_nu = reference_nu_symmetry(q, eps, field)
         ref_tp = reference_theta_psi(q, eps, field)
         assert nu.counterexamples and tp.bimodule_counterexamples
-        assert dataclasses.asdict(nu) == dataclasses.asdict(ref_nu)
-        assert dataclasses.asdict(densified(tp, field)) == dataclasses.asdict(ref_tp)
+        assert report_dict(nu) == ref_nu
+        assert densified(tp, field) == ref_tp
 
 
 def _stray_entry(basis):
@@ -339,7 +339,7 @@ def assert_corrupted_theta_matches(q, eps, field, theta_of):
     ref = reference_theta_psi(q, eps, field, theta_of=theta_of)
     assert not tp.theta_psi_identity and tp.det_theta_constant is None
     assert tp.bimodule_counterexamples
-    assert dataclasses.asdict(densified(tp, field)) == dataclasses.asdict(ref)
+    assert densified(tp, field) == ref
     return tp
 
 

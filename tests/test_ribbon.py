@@ -296,3 +296,43 @@ def test_endpoint_map_leaves_equality_on_the_three_fields():
     h = RibbonGraph(nodes=g.nodes, edges=g.edges, slots=dict(g.slots))
     assert g == h
     assert [f.name for f in dataclasses.fields(g)] == ["nodes", "edges", "slots"]
+
+
+# leaves (valency 1) and loops: profiles like the generator certificate's
+GRAPH_PROFILES = (
+    (1, 1, 2, 2), (1, 3, 2), (1, 1, 1, 3), (1, 2, 3, 2), (1, 1, 4), (1, 5), (1, 1), (2, 2, 2), (3, 3), (4,)
+)
+
+
+def assert_same_as_validated(q):
+    # graph_of_quiver skips the slot check; the validating constructor on
+    # the same tables must give the same graph, endpoints and adjacency
+    g = graph_of_quiver(q)
+    h = RibbonGraph(nodes=g.nodes, edges=g.edges, slots=dict(g.slots))
+    assert g == h and (type(g.nodes), type(g.edges)) == (tuple, tuple)
+    assert [g.endpoints(e) for e in g.edges] == [h.endpoints(e) for e in h.edges]
+    assert g.adjacency() == h.adjacency()
+    return g
+
+
+def test_graph_of_quiver_equals_validated_graph():
+    for name in CORPUS:
+        assert_same_as_validated(corpus_quiver(name))
+    rng = random.Random(20261022)
+    loops = leaves = 0
+    for k in range(300):
+        g = assert_same_as_validated(gen.random_quiver(rng, GRAPH_PROFILES[k % len(GRAPH_PROFILES)]))
+        loops += sum(map(g.is_loop, g.edges))
+        leaves += sum(g.valency(v) == 1 for v in g.nodes)
+    assert loops and leaves
+
+
+def test_graph_of_quiver_runs_no_slot_check(monkeypatch):
+    def refuse(self):
+        raise AssertionError("graph_of_quiver re-validated its slot table")
+
+    monkeypatch.setattr(RibbonGraph, "_check", refuse)
+    for name in CORPUS:
+        assert graph_of_quiver(corpus_quiver(name)).nodes
+    with pytest.raises(AssertionError, match="re-validated"):
+        RibbonGraph(nodes=["n"], edges=["e"], slots={"n": ["e", "e"]})
