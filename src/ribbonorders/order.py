@@ -56,7 +56,7 @@ from . import linalg
 from .fields import Field, PolyRing, QQ
 from .polarize import PLUS, Involution, Polarization, check_polarization, default_polarization, involution_of
 from .quiver import GentleQuiver, Path, QuiverError
-from .ribbon import _component_walk, orbit_adjacency
+from .ribbon import _component_walk, graph_of_quiver
 
 
 # ---------------------------------------------------------------------------
@@ -630,8 +630,11 @@ def _generators_hold(basis: CanonicalBasis, inv: Involution) -> bool:
     (g, y) or (y, g) is in F only for y = pi(g), and y = g when g is a
     kept top: only those pairs are compared, each product rewritten once
     (:func:`_phi_of`).  nu(pi(g)) is nu(g) times the sign product of the
-    sigma-orbit of g's arrow, x(v)'s for g = e(v): b_g b_pi(g) is that
-    orbit's full cycle.  O(|Q_0| + |Q_1|) pairs, no sign per basis path.
+    sigma-orbit of g's arrow, x(v)'s for g = e(v) (its first arrow, read
+    at top_index[v]): b_g b_pi(g) is that orbit's full cycle.  Sound only
+    when pi is the pairing read off the sigma-orbits (:func:`_expected_pi`),
+    which the caller checks.  O(|Q_0| + |Q_1|) pairs, no sign per basis
+    path.
     """
     q, f, pi, walks = basis.quiver, inv.field, basis.pi, basis.walks
     one, minus = f.one, f.neg(f.one)
@@ -641,7 +644,7 @@ def _generators_hold(basis: CanonicalBasis, inv: Involution) -> bool:
     odd = {}  # arrow -> parity of the -1 signs on its sigma-orbit
     for _, orbit in q.sigma_orbits():
         odd.update(dict.fromkeys(orbit, sum(map(neg.__getitem__, orbit)) % 2))
-    gens = [(e, 0, walks[x][1]) for e, x in enumerate(pi[: len(q.vertices)])]
+    gens = [(e, 0, walks[x][1]) for e, x in enumerate(basis.top_index.values())]
     gens += [(basis.first[a], neg[a], a) for a, k in basis.kept.items() if k]
     phi, tops, two, done = _phi_of(basis), basis.top_mask, f.char == 2, set()
     for g, sign, a in gens:
@@ -670,8 +673,9 @@ def check_nu_symmetry(q: GentleQuiver, eps: Polarization, field: Field) -> NuSym
     arrow of a basis path is one in B: an arrow a with n(a) = 1 has
     sigma(a) = a), and nu(p) = nu(g_1) ... nu(g_k), so phi(q p) =
     nu(g_k) phi(g_k q g_1 ... g_(k-1)) = ... = nu(p) phi(p q) by
-    associativity.  Arrows not in B occur in no basis path.  Only when
-    C2 fails is phi built on F (:func:`_full_cycle_pairs`) and
+    associativity.  Arrows not in B occur in no basis path.  C2 reads
+    F off pi, so it is trusted only when ``pairs_match``; otherwise, or
+    when C2 fails, phi is built on F (:func:`_full_cycle_pairs`) and
     :func:`nu_counterexamples` run on F u F^T with the sign of every
     basis path.  ``pair_count`` still counts all |B|^2 pairs covered.
 
@@ -682,8 +686,9 @@ def check_nu_symmetry(q: GentleQuiver, eps: Polarization, field: Field) -> NuSym
     """
     inv = involution_of(q, eps, field)  # checks eps, once per check
     basis = _canonical_basis(q, eps)
+    pairs_match = basis.pi == _expected_pi(basis)
     counterexamples = []
-    if not _generators_hold(basis, inv):
+    if not (pairs_match and _generators_hold(basis, inv)):
         labels, phi = basis.basis, _phi_of(basis)
         on_f = {(i, j): dict(phi(i, j)) for i, j in _full_cycle_pairs(basis, basis.pi)}
         counterexamples = [(labels[i], labels[j]) for i, j in nu_counterexamples(field, on_f, _nu_signs(basis, inv))]
@@ -691,7 +696,7 @@ def check_nu_symmetry(q: GentleQuiver, eps: Polarization, field: Field) -> NuSym
         ok=not counterexamples,
         pair_count=len(basis) ** 2,
         counterexamples=counterexamples,
-        pairs_match=basis.pi == _expected_pi(basis),
+        pairs_match=pairs_match,
         _source=basis,
     )
 
@@ -993,18 +998,17 @@ def cartan_report(q: GentleQuiver) -> CartanReport:
     so on a component it is a scalar times one +-1 coloring, and zero
     if the component has an odd closed walk (a loop is one).  So ker N
     has dimension b, and one component walk (:func:`ribbon._component_walk`)
-    over the sigma-orbits, with the ribbon graph's adjacency read off the
-    quiver (:func:`ribbon.orbit_adjacency`), gives c and b; nothing is
-    eliminated and no ribbon graph is built.
+    over the ribbon graph :func:`ribbon.graph_of_quiver`, the one the
+    ``graph`` command walks, gives c and b; nothing is eliminated.
     """
-    nodes = [rep for rep, _ in q.sigma_orbits()]
-    bipartite = [walk is None for _, walk in _component_walk(nodes, orbit_adjacency(q), {})]
-    rk = len(nodes) - sum(bipartite)
-    expected = len(nodes) - len(bipartite)
+    g = graph_of_quiver(q)
+    bipartite = [walk is None for _, walk in _component_walk(g.nodes, g.adjacency(), {})]
+    rk = len(g.nodes) - sum(bipartite)
+    expected = len(g.nodes) - len(bipartite)
     return CartanReport(
         matrix=cartan_matrix(q),
         rank=rk,
-        nodes=len(nodes),
+        nodes=len(g.nodes),
         components=len(bipartite),
         rank_criterion_value=expected,
         rank_criterion_matches=rk == expected,

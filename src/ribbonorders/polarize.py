@@ -119,10 +119,13 @@ def find_sigma_stable(
     the edge v are the orbits of the two arrows out of v.  One pass over
     the vertices reads each one's two representatives once: a loop is
     the certificate first, the first in vertex (edge) order, as there;
-    else the pass has built :func:`ribbon.orbit_adjacency`, the ribbon
-    graph's adjacency, and the one component walk
+    else the pass has built :meth:`ribbon.RibbonGraph.adjacency` of
+    ``graph_of_quiver(q)``, and the one component walk
     (:func:`ribbon._component_walk`) runs on it over the orbit
-    representatives, in ``q.sigma_orbits()`` (sorted) order.
+    representatives, in ``q.sigma_orbits()`` (sorted) order.  This is
+    the one place that reads the adjacency off the quiver: a decision
+    builds no ribbon graph, and every other graph query walks
+    :func:`ribbon.graph_of_quiver`.
 
     The pullback is a polarization, so it is not checked here (the
     quotient builder checks the polarization it is given).  The coloring
@@ -132,7 +135,7 @@ def find_sigma_stable(
     """
     rep = q.orbit_rep
     adj: Dict[str, List[Tuple[str, str]]] = {r: [] for r, _ in q.sigma_orbits()}
-    for v in q.vertices:  # orbit_adjacency(q), stopping at the first loop
+    for v in q.vertices:  # graph_of_quiver(q).adjacency(), stopping at the first loop
         a, b = q.arrows_out(v)
         u, w = rep(a), rep(b)
         if u == w:

@@ -31,24 +31,11 @@ class RibbonGraph:
     edges: Tuple[str, ...]
     slots: Dict[str, Tuple[str, ...]]
 
-    def __init__(
-        self,
-        nodes: Sequence[str],
-        edges: Sequence[str],
-        slots: Dict[str, Sequence[str]],
-        *,
-        _ends: Optional[Dict[str, List[str]]] = None,
-    ):
-        """``_ends`` is for :func:`graph_of_quiver` alone: the endpoint
-        map of a slot table valid by construction, which is then not
-        checked again."""
+    def __init__(self, nodes: Sequence[str], edges: Sequence[str], slots: Dict[str, Sequence[str]]):
         object.__setattr__(self, "nodes", tuple(nodes))
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "slots", {v: tuple(s) for v, s in slots.items()})
-        if _ends is None:
-            self._check()
-        else:
-            object.__setattr__(self, "_ends", _ends)
+        self._check()
 
     def _check(self):
         if len(set(self.nodes)) != len(self.nodes):
@@ -117,39 +104,10 @@ def graph_of_quiver(q: GentleQuiver) -> RibbonGraph:
     The slot sequence at the node of an orbit (in sigma-cycle order,
     starting at the representative) is e_{s(a)} for the orbit's arrows a;
     the induced slot rotation is exactly e_{s(a)} -> e_{t(a)}.
-
-    A validated quiver gives a valid slot table by construction, so the
-    graph is built without ``RibbonGraph._check``: the edge v joins the
-    orbits of the two arrows out of v, and its endpoints are listed in
-    node order, as ``_check`` lists them.
     """
     orbits = q.sigma_orbits()
-    nodes = [rep for rep, _ in orbits]
     slots = {rep: tuple(q.source(a) for a in orbit) for rep, orbit in orbits}
-    at, rep = {node: k for k, node in enumerate(nodes)}, q.orbit_rep
-    ends = {}
-    for v in q.vertices:
-        u, w = (rep(a) for a in q.arrows_out(v))
-        ends[v] = [u, w] if at[u] <= at[w] else [w, u]
-    return RibbonGraph(nodes, q.vertices, slots, _ends=ends)
-
-
-def orbit_adjacency(q: GentleQuiver) -> Dict[str, List[Tuple[str, str]]]:
-    """``graph_of_quiver(q).adjacency()`` read off the quiver, with no
-    :class:`RibbonGraph` built or checked: node (orbit representative)
-    -> list of (neighbour node, edge), loops listed once, each list in
-    edge (vertex) order.  The node of an orbit lists the edge e_{s(a)}
-    for each of its arrows a, so the edge v joins the orbits of the two
-    arrows out of v."""
-    rep = q.orbit_rep
-    adj: Dict[str, List[Tuple[str, str]]] = {r: [] for r, _ in q.sigma_orbits()}
-    for v in q.vertices:
-        a, b = q.arrows_out(v)
-        u, w = rep(a), rep(b)
-        adj[u].append((w, v))
-        if u != w:
-            adj[w].append((u, v))
-    return adj
+    return RibbonGraph([rep for rep, _ in orbits], q.vertices, slots)
 
 
 def is_bipartite(g: RibbonGraph) -> BipartiteCertificate:
@@ -210,7 +168,8 @@ def _component_walk(
     The one traversal of a ribbon graph, whichever way it is given:
     ``nodes`` lists the nodes in sorted order, and ``adj`` maps each
     node to its (neighbour, edge) pairs, a loop listed once, as
-    :meth:`RibbonGraph.adjacency` and :func:`orbit_adjacency` give them.
+    :meth:`RibbonGraph.adjacency` gives them and
+    :func:`polarize.find_sigma_stable` reads them off the quiver.
     Roots are taken in node order, so each is its component's least
     node and takes '-'; neighbours are visited in sorted (node, edge)
     order, each first reached one taking the color opposite its

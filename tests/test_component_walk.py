@@ -2,13 +2,13 @@
 
 ``is_bipartite``, ``connected_components``, ``bipartite_components``,
 ``cartan_report`` and ``find_sigma_stable`` read one BFS per component;
-the last two walk the sigma-orbits with the adjacency read off the
-quiver (``orbit_adjacency``), and build no ribbon graph.  Here they are
-compared with a BFS that stops at the first odd walk and a DFS
-(``tests/reference.py``), certificate for certificate, with each other
-(``find_sigma_stable`` is the pullback of ``is_bipartite`` of the
-quiver's graph), and the closed-form Cartan rank with the dense rank
-over Q, on the corpus, on seeded random graphs, and on disjoint unions
+the first four walk ``graph_of_quiver(q)``, and the last walks the
+sigma-orbits with the adjacency read off the quiver, building no ribbon
+graph.  Here they are compared with a BFS that stops at the first odd
+walk and a DFS (``tests/reference.py``), certificate for certificate,
+with each other (``find_sigma_stable`` is the pullback of
+``is_bipartite`` of the quiver's graph), and the closed-form Cartan rank
+with the dense rank over Q, on the corpus, on seeded random graphs, and on disjoint unions
 of three and more components that mix bipartite and non-bipartite ones.
 """
 
@@ -36,7 +36,7 @@ from ribbonorders import (
 )
 from ribbonorders.fields import GF2, GF3, GF5, QQ
 from ribbonorders.quiver import disjoint_union
-from ribbonorders.ribbon import bipartite_components, orbit_adjacency
+from ribbonorders.ribbon import bipartite_components
 
 from reference import bfs_bipartite, dfs_components
 from test_random_instances import profile_ribbon_graph, random_ribbon_graph
@@ -66,7 +66,6 @@ def assert_matches_reference(q):
     comps = connected_components(g)
     assert comps == dfs_components(g)
     assert bipartite_components(g) == (is_bipartite(g), comps)
-    assert orbit_adjacency(q) == g.adjacency()
     stable = find_sigma_stable(q)
     assert stable == pullback(q)
     if isinstance(stable, Polarization):  # signs listed in arrow order, like the pullback's
@@ -146,8 +145,8 @@ def test_a_later_loop_wins_over_an_earlier_odd_cycle():
 
 
 def test_a_decision_builds_no_ribbon_graph(monkeypatch):
-    # the bipartite certificate and the Cartan report walk the
-    # sigma-orbits of the quiver itself
+    # the bipartite certificate walks the sigma-orbits of the quiver
+    # itself
     def refuse(self, *args, **kwargs):
         raise AssertionError("a ribbon graph was built")
 
@@ -159,8 +158,6 @@ def test_a_decision_builds_no_ribbon_graph(monkeypatch):
         for field in (GF2, GF3, GF5, QQ):
             for m in (1, 2):
                 assert decide(q, field, m).consistency_ok
-        cartan_report(q)
     for names in (("triangle", "line2", "loop2"), ("circ3", "line1", "circ6", "circ5")):
         q = union(*names)
         find_sigma_stable(q)
-        cartan_report(q)

@@ -279,12 +279,17 @@ def test_pairs_match_on_indices_with_pi_swapped(swap, monkeypatch):
         cases.append((q, gen.random_polarization(rng, q)))
     monkeypatch.setattr(BasisLayout, "pi", property(swapped))
     for q, eps in cases:
-        # C2 reads pi too and may not survive the swap: the views of a
-        # report whose only source is the basis
+        # C2 is sound only for the pairing read off the sigma-orbits, so
+        # a check whose pairs do not match runs the sweep: its report is
+        # the one with the certificate forced off, field for field
         basis = canonical_basis(q, eps)
-        rep = order.NuSymmetryReport(ok=True, pair_count=0, counterexamples=[], pairs_match=False, _source=basis)
         assert (basis.pi == order._expected_pi(basis)) is False  # pairs_match on indices
-        assert rep.nonzero_pairs != rep.expected_pairs
+        for field in (GF2, GF3, QQ):
+            rep = check_nu_symmetry(q, eps, field)
+            assert not rep.pairs_match and rep.nonzero_pairs != rep.expected_pairs
+            with monkeypatch.context() as m:
+                m.setattr(order, "_generators_hold", lambda *args: False)
+                assert report_dict(rep) == report_dict(check_nu_symmetry(q, eps, field)), (swap, field.name)
 
 
 # ---------------------------------------------------------------------------

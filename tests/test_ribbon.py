@@ -305,8 +305,8 @@ GRAPH_PROFILES = (
 
 
 def assert_same_as_validated(q):
-    # graph_of_quiver skips the slot check; the validating constructor on
-    # the same tables must give the same graph, endpoints and adjacency
+    # the constructor run again on the graph's own tables must give the
+    # same graph, endpoints and adjacency
     g = graph_of_quiver(q)
     h = RibbonGraph(nodes=g.nodes, edges=g.edges, slots=dict(g.slots))
     assert g == h and (type(g.nodes), type(g.edges)) == (tuple, tuple)
@@ -325,14 +325,3 @@ def test_graph_of_quiver_equals_validated_graph():
         loops += sum(map(g.is_loop, g.edges))
         leaves += sum(g.valency(v) == 1 for v in g.nodes)
     assert loops and leaves
-
-
-def test_graph_of_quiver_runs_no_slot_check(monkeypatch):
-    def refuse(self):
-        raise AssertionError("graph_of_quiver re-validated its slot table")
-
-    monkeypatch.setattr(RibbonGraph, "_check", refuse)
-    for name in CORPUS:
-        assert graph_of_quiver(corpus_quiver(name)).nodes
-    with pytest.raises(AssertionError, match="re-validated"):
-        RibbonGraph(nodes=["n"], edges=["e"], slots={"n": ["e", "e"]})
