@@ -21,10 +21,16 @@ certificate that the Brauer graph algebra is symmetric in its standard
 form (``fdalg.brauer_form_pairing``), which refutes c5 when c2 is
 certified false; c6 is bounded by c5 and by c2 (every Brauer graph
 algebra is symmetric, so a certified non-symmetric quotient refutes
-c6).  c1 delegates to the bipartite criterion -- there is no finite
-direct test at order level -- with c2's verdict on the quotient
-recorded as independent evidence (under the key ``quotient_oracle``,
-kept from schema 2).
+c6).  A decision lists no product of the quotient: it reads the
+quotient's product rule (``fdalg.FdAlgebra.product``) at O(dim) pairs,
+the socle on the rows and columns of the arrow residues and c2's and
+c5's certificates at the pairs (i, pi(i)) of the layout's pairing
+involution, and checks the scaling map on the relation at each vertex.
+The product list is a view for the reference readers, the ``quotient``
+command and the tests.  c1 delegates to the bipartite criterion --
+there is no finite direct test at order level -- with c2's verdict on
+the quotient recorded as independent evidence (under the key
+``quotient_oracle``, kept from schema 2).
 Every report is checked against the implication lattice
 c1 <=> c2 <=> c3 <=> c4 <= c6 <= c5.
 """
@@ -94,12 +100,13 @@ def decide(
 
     One algebra is built, the twisted quotient, and its socle is read
     once, by :func:`socle_certificate`, which gives c2's verdict from
-    the socle and the products landing on it; no S is computed.  c2's
-    certificate and c5's scaling map read the one algebra.  Where
-    no scaling map applies, c5 reads the Brauer graph algebra's symmetry
-    off the same products: :func:`brauer_form_pairing` certifies its
-    standard form in closed form, and a failed certificate, which would
-    contradict the theorem, raises AssertionError.
+    the socle and the products landing on it; no S is computed and no
+    product is listed.  c2's certificate and c5's scaling map read the
+    one algebra's product rule and layout.  Where no scaling map
+    applies, c5 reads the Brauer graph algebra's symmetry off the same
+    products: :func:`brauer_form_pairing` certifies its standard form in
+    closed form, and a failed certificate, which would contradict the
+    theorem, raises AssertionError.
 
     ``seed`` is ignored: the decision is deterministic."""
     stable = find_sigma_stable(q)

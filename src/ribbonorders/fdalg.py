@@ -15,42 +15,48 @@ idempotent); it is then the residue of the concatenated path: a basis
 path, the kept top cycle with sign -1 (twisted) or +1 (plain) for the
 negative top cycle, or zero beyond the top length m(a) n(a).
 This is the order's sigma-rule, held once on the layout that the order
-and its quotients share (:class:`order.BasisLayout`): the builder reads
-its lists ``by_end``/``by_next`` and writes the products row by row in
-O(dim + nonzero products), composing no path, and ``FdAlgebra.residue``
-is the degree-0 part of its coordinate rule ``terms`` (modulo z = t).
-``FdAlgebra`` is that layout with its products, and every check reads
-it; the canonical basis of the order is the same layout at m = 1.
+and its quotients share (:class:`order.BasisLayout`), and an algebra's
+multiplication is that rule: ``FdAlgebra.product(i, j)`` gives b_i b_j
+as (k, s), meaning s b_k, or None, in O(1) off the layout, composing no
+path.  ``FdAlgebra.residue`` is the degree-0 part of the layout's
+coordinate rule ``terms`` (modulo z = t).  The canonical basis of the
+order is the same layout at m = 1.
 
-An algebra stores its multiplication once, as the list of its nonzero
-products (i, j, k, s), meaning b_i b_j = s b_k, in row-major order.
-The sign s is the native int 1 or -1: every structure constant of
-either quotient is +-1, and the builder writes +1 throughout in
-characteristic two.  ``FdAlgebra.scalar`` maps a sign into the field
-through constants built once per algebra; the field-valued readers
-(the ``table`` view, the axiom check, the dense pairing) read it there,
-and no reader builds a constant.  The twist check hands the ints to
+So building a quotient costs O(|Q_0| + |Q_1|), and a decision reads the
+rule at O(dim) pairs and lists no product: the socle on the rows and
+columns of the arrow residues, and the socle certificate and the Brauer
+graph algebra's standard form at the pairs (i, pi(i)) of the layout's
+pairing involution pi (``order.BasisLayout.pi``), held in the algebra's
+one ``top_pairing`` view.  The scaling map psi between the quotients is
+checked on the relation at each vertex, with no product
+(:func:`psi_from_quotient` proves that this is the check of every
+product).  The sign s is the native int 1 or -1: every structure
+constant of either quotient is +-1, and the rule's rewritten sign
+``top_sign`` is +1 in the plain quotient and in characteristic two.
+
+``FdAlgebra.products``, the nonzero products (i, j, k, s) in row-major
+order, is a view: the rule's list, built on first read for the
+reference readers (the symmetry oracle and S, the associativity check,
+the dense pairing, the involution and twist checks), the ``quotient``
+command and the tests; a list given to the constructor is read instead.
+Those readers run over the nonzero products, not over every dim^2 or
+dim^3 basis tuple.  ``FdAlgebra.scalar`` maps a sign into the field
+through constants built once per algebra; the field-valued readers (the
+``table`` view, the axiom check, the dense pairing) read it there, and
+no reader builds a constant.  The twist check hands the ints to
 :func:`order.nu_counterexamples`, which maps to k only to test for zero.
 The two quotients share basis and layout and differ only in the sign of
 the rewritten top cycle, so a decision builds one algebra, the twisted
-quotient, and derives nothing from it.  The scaling map is checked
-against the plain rule (the same products, every sign +1) read
-off that one list, and so is the Brauer graph algebra's symmetry:
-``brauer_form_pairing`` certifies its standard form (1 on each kept top
-cycle) in closed form, as an involution of the basis.
-``plain_quotient`` derives the Brauer graph algebra as an algebra of its
-own, for callers that read it; no decision does.  ``table[i][j]`` (the
-same product as a one-entry dict, every zero cell the one shared
-read-only ``ZERO_CELL``), and the layout's ``basis`` (the labels),
-``index`` (label -> index) and ``paths`` (a ``Path`` per basis label)
-are views derived on first read; no decision reads them, and a
-decision formats at most one label, the basis path its refutation
-names (``label(r)``).  The associativity check,
-the commutator rows, the socle, the involution and twist checks and the
-scaling-map verification all run over the nonzero products, not over
-every dim^2 or dim^3 basis tuple.  ``bilinear_matrix``, the dense
-pairing, is a test reference and a benchmark span target; no decision
-calls it.
+quotient, and derives nothing from it.  ``plain_quotient`` derives the
+Brauer graph algebra as an algebra of its own, for callers that read
+it; no decision does.  ``table[i][j]`` (the same product as a one-entry
+dict, every zero cell the one shared read-only ``ZERO_CELL``), and the
+layout's ``basis`` (the labels), ``index`` (label -> index) and
+``paths`` (a ``Path`` per basis label) are views derived on first read;
+no decision reads them, and a decision formats at most one label, the
+basis path its refutation names (``label(r)``).  ``bilinear_matrix``,
+the dense pairing, is a test reference and a benchmark span target; no
+decision calls it.
 
 The symmetry oracle is closed-form on this structure and runs in
 O(dim + nonzero products) with no elimination, no dense determinant and
@@ -60,8 +66,8 @@ commutator rows, found by one walk whose ratios are +-1 ints;
 every arrow residue is one basis path (``arrow_residue`` gives it in
 closed form: a:1, or the kept top cycle at the source for a rewritten
 arrow of top length one) and multiplies basis paths injectively, so
-the socle is a set of basis paths, read with byte masks of the
-residues and of the paths a residue reaches; the refutation is
+the socle is a set of basis paths, read through the rule on the
+residues' rows and columns; the refutation is
 one socle path outside S's support, and the witness pairing has at most
 one nonzero entry per row and column, each +-1, so its determinant is
 +-1 or 0, mapped into the field at the end.  ``socle`` returns the
@@ -73,13 +79,11 @@ falling back to general linear algebra.
 
 The oracle is the reference; decisions run ``socle_certificate``, which
 returns the same verdict from the socle, the set of kept top cycles, and
-the products that land on it: the graph of the layout's pairing
-involution pi (``order.BasisLayout.pi``), held in the algebra's one
-``top_pairing`` view, which ``brauer_form_pairing`` reads too.  So the
+the products that land on it: the rule at the pairs (i, pi(i)).  So the
 commutator rows that meet the socle are the rows [b_i, b_pi(i)], the
 socle paths make whole components of S's signed graph, and dim S is
-counted in closed form, with no index of the products, no S and no
-pairing determinant over every product.
+counted in closed form, with no product listed, no S and no pairing
+determinant over every product.
 """
 
 from __future__ import annotations
@@ -90,7 +94,7 @@ from functools import cached_property
 from math import gcd
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from . import linalg
 from .fields import Field, RationalField
@@ -118,43 +122,121 @@ ZERO_CELL: Mapping[int, object] = MappingProxyType({})
 # the algebra container
 
 
+class _Products:
+    """FdAlgebra's ``products`` field: the list given to the constructor
+    (or assigned), else, when it is None, the list of the algebra's
+    product rule (:attr:`FdAlgebra.product`), built on first read and
+    then kept."""
+
+    def __get__(self, alg, owner=None):
+        if alg is None:  # the field's default: list on first read
+            return None
+        listed = alg.__dict__.get("products")
+        if listed is None:
+            listed = alg.__dict__["products"] = alg._list_products()
+        return listed
+
+    def __set__(self, alg, value) -> None:
+        alg.__dict__["products"] = value
+
+
 @dataclass
 class FdAlgebra(BasisLayout):
     """A structure-constant presentation of a monomial quotient algebra,
     on the basis layout of :func:`order.basis_layout` (see
-    :class:`order.BasisLayout`), which every check reads.  products lists
-    the nonzero products as (i, j, k, s), meaning basis_i * basis_j =
-    s * basis_k, in row-major (i, j) order: the one stored
-    multiplication.  Each sign s is the native int 1 or -1; scalar[s] is
-    s as a field element (and scalar[0] is zero), built once per
-    algebra.  The table and top_pairing views, like the layout's views,
-    are derived on first read and then kept; an edit of products after
-    that read does not reach them.  The quotient builder reads the
-    layout's views on the algebra itself, so they stay with it.
+    :class:`order.BasisLayout`), which every check reads.  Its
+    multiplication is the product rule :attr:`product`: b_i b_j as
+    (k, s), meaning s * basis_k, or None, in O(1) off the layout.
+    products lists the nonzero products as (i, j, k, s) in row-major
+    (i, j) order: the rule's list, built on first read (or a list given
+    to the constructor, which the reference readers then read instead of
+    the rule).  Each sign s is the native int 1 or -1; top_sign is the
+    rewritten top cycle's, and scalar[s] is s as a field element (and
+    scalar[0] is zero), built once per algebra.  The table and
+    top_pairing views, like the layout's views, are derived on first
+    read and then kept; an edit of products after that read does not
+    reach them.
     """
 
     field: Field
     multiplicity: Dict[str, int]
     twisted: bool
     non_admissible: Tuple[str, ...]
-    products: List[Product]
+    products: List[Product] = _Products()
     scalar: Tuple[object, object, object] = dc_field(init=False, repr=False, compare=False)
+    top_sign: int = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         f = self.field
         self.scalar = (f.zero, f.one, f.neg(f.one))
+        self.top_sign = -1 if self.twisted and f.char != 2 else 1
+
+    @cached_property
+    def product(self) -> Callable[[int, int], Optional[Tuple[int, int]]]:
+        """The product rule: product(i, j) is b_i b_j as (k, s), meaning
+        s b_k with s = 1 or -1, or None for zero, in O(1); built on first
+        read.  b_i b_j is first b_j, then b_i.
+
+        The candidates: e(v) b_j = b_j for the b_j that end at v;
+        b_i e(s) = b_i for b_i = (s, a, L); and b_i b_j for b_j = (t, b,
+        l) followed along sigma by a (``after[j]``), the path (t, b, T),
+        T = l + L.  It is the basis path at index j + L while T <=
+        kept[b], the kept top cycle at t with the rewritten sign
+        ``top_sign`` at T = top_lengths[b] (b negative), and zero beyond
+        the top length.  Every other product of basis paths is zero: a
+        path whose arrows do not follow sigma.
+        """
+        walks, after, kept, top, top_index = self.walks, self.after, self.kept, self.top_lengths, self.top_index
+        source, sign = self.quiver.source, self.top_sign
+
+        def product(i: int, j: int) -> Optional[Tuple[int, int]]:
+            s, a, length = walks[i]
+            t, b, l_j = walks[j]
+            if b is None:  # b_i e(t), also e(s) e(t)
+                return (i, 1) if t == s else None
+            if a is None:  # e(s) b_j: b_j ends at s
+                return (j, 1) if source(after[j]) == s else None
+            if after[j] != a:
+                return None
+            total = l_j + length
+            if total <= kept[b]:
+                return j + length, 1
+            if total == top[b]:  # b:top, rewritten through the relation at t
+                return top_index[t], sign
+            return None
+
+        return product
+
+    def _list_products(self) -> List[Product]:
+        """The rule's nonzero products in row-major order, on the
+        candidates of each row: by_end[s] for e(s), and e(s), then
+        by_next[a] for (s, a, L)."""
+        rule, by_end, by_next, position = self.product, self.by_end, self.by_next, self.quiver.position
+        index = list(range(self.dim))  # the products share these ints, holding none of their own
+        products: List[Product] = []
+        add = products.append
+        for i, (s, a, _) in enumerate(self.walks):
+            for j in by_end[s] if a is None else (position(s), *by_next[a]):
+                p = rule(i, j)
+                if p is not None:
+                    add((i, j, index[p[0]], p[1]))
+        return products
 
     @cached_property
     def top_pairing(self) -> Tuple[List[Product], Optional[List[int]]]:
-        """(landing, pi): the products that land on a kept top cycle
-        (``top_mask``), in row order, and :attr:`order.BasisLayout.pi`
-        when they are its graph (one per row, at column pi(i)), else
-        None; built on first read, by one pass over the products."""
-        top = self.top_mask
-        landing = [p for p in self.products if top[p[2]]]
-        pi = self.pi
-        rows, cols = map(itemgetter(0), landing), map(itemgetter(1), landing)
-        return landing, pi if list(cols) == pi and list(rows) == list(range(self.dim)) else None
+        """(landing, pi): landing[i] = (i, pi(i), k, s) for the rule's
+        b_i b_pi(i) = s b_k, read at the dim pairs (i, pi(i)) of
+        :attr:`order.BasisLayout.pi`, and pi when each lands on a kept
+        top cycle (``top_mask``); else the products read up to the first
+        that does not, and None.  Built on first read."""
+        rule, pi, top = self.product, self.pi, self.top_mask
+        landing: List[Product] = []
+        for i, j in enumerate(pi):
+            p = rule(i, j)
+            if p is None or not top[p[0]]:
+                return landing, None
+            landing.append((i, j) + p)
+        return landing, pi
 
     @cached_property
     def table(self) -> List[List[Mapping[int, object]]]:
@@ -223,14 +305,9 @@ def build_quotient_algebra(
     (the arrow residue coincides with a top cycle); the quotient is still
     a perfectly good algebra and such arrows are flagged.
 
-    The products are listed row by row from the layout's sigma-rule
-    lists, in O(dim + nonzero products) and with no path composed: the
-    nonzero products e(v) b_r are b_r for r in ``by_end[v]``, and those
-    of b_i = (s, a, L) are b_i e(s) = b_i and, for r in ``by_next[a]``,
-    the path b_r, then b_i, of length T = l_r + L: the basis path at
-    index r + L while T <= kept[b] for b_r's first arrow b, the kept top
-    cycle at b_r's start (with the sign) at T = top_lengths[b], and zero
-    beyond.
+    The algebra is its layout and its product rule (:attr:`FdAlgebra.product`):
+    O(|Q_0| + |Q_1|) here, and no product is listed (``products`` is a
+    view, built on first read).
     """
     mm = normalize_multiplicity(q, m)
     if eps is None:
@@ -239,49 +316,28 @@ def build_quotient_algebra(
         check_polarization(q, eps)
 
     layout = basis_layout(q, eps, mm)
-    kept, top, top_index = layout.kept, layout.top_lengths, layout.top_index
-    products: List[Product] = []
-    alg = FdAlgebra(
+    return FdAlgebra(
         **{f.name: getattr(layout, f.name) for f in fields(BasisLayout)},  # not its cached views
         field=field,
         multiplicity=mm,
         twisted=twisted,
-        non_admissible=tuple(a for a, n in top.items() if n == 1),
-        products=products,
+        non_admissible=tuple(a for a, n in layout.top_lengths.items() if n == 1),
     )
-    walks, by_end, by_next = alg.walks, alg.by_end, alg.by_next  # kept on the algebra
-
-    sign = -1 if twisted and field.char != 2 else 1
-    index = list(range(alg.dim))  # the products share these ints, holding none of their own
-    add = products.append
-    for i, (s, a, length) in enumerate(walks):
-        if a is None:  # e(s)
-            products.extend((i, r, r, 1) for r in by_end[s])
-            continue
-        add((i, q.position(s), i, 1))
-        for j in by_next[a]:
-            s_j, b, l_j = walks[j]
-            t = l_j + length
-            if t <= kept[b]:
-                add((i, j, index[j + length], 1))
-            elif t == top[b]:  # b:top, rewritten through the relation at s_j
-                add((i, j, top_index[s_j], sign))
-    return alg
 
 
 def plain_quotient(tw: FdAlgebra) -> FdAlgebra:
     """The Brauer graph algebra derived from the twisted quotient of the
-    same quiver, multiplicity and polarization, in O(products).
+    same quiver, multiplicity and polarization, in O(1).
 
-    The two share basis, layout and every other field; a product's
-    sign is -1 only where the twisted rule rewrites the negative top
-    cycle, and +1 in the plain quotient everywhere.
+    The two share basis, layout and every other field; the plain rule
+    is the twisted one with the rewritten top cycle's sign +1, so a
+    product's sign is +1 everywhere, and its products are listed on
+    first read.
     """
-    return replace(tw, twisted=False, products=[(i, j, k, 1) for i, j, k, _ in tw.products])
+    return replace(tw, twisted=False, products=None)
 
 
 _SIGNS = frozenset((1, -1))
-_PLUS = frozenset((1,))
 
 
 def _product_index(alg: FdAlgebra) -> Dict[int, Product]:
@@ -402,46 +458,68 @@ def nakayama_involution_bar(alg: FdAlgebra, inv: Involution) -> NakayamaBarRepor
 
 def socle(alg: FdAlgebra) -> List[int]:
     """The socle {x : a x = 0 = x a for all arrow residues}, as the
-    indices of the basis paths that span it, in increasing order.
+    indices of the basis paths that span it, in increasing order, read
+    through the product rule (:attr:`FdAlgebra.product`) on the rows and
+    columns of the arrow residues alone: O(dim) products.
 
     Each arrow residue is c b_g for one basis path b_g, and multiplying
     by b_g on either side sends distinct basis paths to distinct basis
     paths or to zero (a signed partial injection).  The socle is then
     the coordinate subspace on the paths that no such product keeps.
-    Only indices are read, in byte masks: no sign and no field
-    arithmetic.  The products are listed row by row, so left
-    multiplication by b_g is injective iff no k repeats within row g,
-    which a per-index stamp of the last row that reached k tests; right
-    multiplication keeps a set of g * dim + k.  Raises AssertionError
-    when a residue is not one path or a multiplication is not injective.
+    Row g = (s, a, L) has its candidates e(s) and ``by_next[a]``, and
+    column g those b_x that follow it: e(v) at its end v and the run
+    of the arrow after[g], a:1 to a:kept[a] (:attr:`FdAlgebra.product`
+    lists why no other product is nonzero).  Only indices are read, in a
+    byte mask: no sign and no field arithmetic.  A per-index stamp of
+    the last row or column that reached k tests injectivity.  Raises
+    AssertionError when a residue is not one path or a multiplication
+    is not injective.
     """
-    n = alg.dim
-    residue = bytearray(n)
+    residues = set()
     for a in alg.quiver.arrow_names:
         g = alg.arrow_residue(a)
         if len(g) != 1:
             raise AssertionError(f"arrow residue of {a} is not one basis path")
-        for x in g:
-            residue[x] = 1
-    kept = bytearray(n)
-    row = [-1] * n  # row[k]: the last residue row with a product on b_k
-    right = set()  # g * n + k: b_x b_g is c b_k
+        residues.update(g)
+    rule, walks, after, by_next, first, kept = alg.product, alg.walks, alg.after, alg.by_next, alg.first, alg.kept
+    position, source = alg.quiver.position, alg.quiver.source
+    reached = bytearray(alg.dim)
+    stamp = [-1] * alg.dim  # stamp[k]: the last side, 2g (row g) or 2g + 1 (column g), with a product on b_k
 
     def not_injective(side, g):
         return AssertionError(f"{side} multiplication by {alg.label(g)} is not injective on basis paths")
 
-    for i, j, k, _ in alg.products:
-        if residue[i]:
-            if row[k] == i:
-                raise not_injective("left", i)
-            row[k] = i
-            kept[j] = 1
-        if residue[j]:
-            if j * n + k in right:
-                raise not_injective("right", j)
-            right.add(j * n + k)
-            kept[i] = 1
-    return [x for x, k in enumerate(kept) if not k]
+    for g in sorted(residues):
+        s, a, _ = walks[g]
+        side = 2 * g
+        e = position(s)  # b_g e(s), the first product of the row: its stamp needs no test
+        p = rule(g, e)
+        if p is not None:
+            stamp[p[0]] = side
+            reached[e] = 1
+        for j in by_next[a]:  # b_g b_j
+            p = rule(g, j)
+            if p is not None:
+                k = p[0]
+                if stamp[k] == side:
+                    raise not_injective("left", g)
+                stamp[k] = side
+                reached[j] = 1
+        b, side = after[g], side + 1
+        e = position(source(b))  # e(v) b_g at g's end v, the first product of the column
+        p = rule(e, g)
+        if p is not None:
+            stamp[p[0]] = side
+            reached[e] = 1
+        for x in range(first[b], first[b] + kept[b]):  # b_x b_g
+            p = rule(x, g)
+            if p is not None:
+                k = p[0]
+                if stamp[k] == side:
+                    raise not_injective("right", g)
+                stamp[k] = side
+                reached[x] = 1
+    return [x for x, r in enumerate(reached) if not r]
 
 
 def symmetric_forms(alg: FdAlgebra) -> List[Sparse]:
@@ -568,7 +646,8 @@ class SymmetryVerdict:
 def is_symmetric_oracle(alg: FdAlgebra) -> SymmetryVerdict:
     """Decide whether the algebra admits a symmetric nondegenerate form,
     in O(dim + nonzero products), with no field arithmetic: the
-    reference for :func:`socle_certificate`, which decisions run.
+    reference for :func:`socle_certificate`, which decisions run.  S is
+    read off the listed products, the socle off the rule.
 
     S comes from :func:`symmetric_forms` (sparse forms with disjoint
     supports) and the socle from :func:`socle` (basis-path indices);
@@ -602,13 +681,14 @@ def is_symmetric_oracle(alg: FdAlgebra) -> SymmetryVerdict:
 
 def socle_certificate(alg: FdAlgebra) -> SymmetryVerdict:
     """The verdict of :func:`is_symmetric_oracle` (kind, method, s_dim,
-    certificate and witness form), read off :func:`socle` and one pass
-    over the products that land on a socle path: no look-up table of
-    the products, no S and no field arithmetic.
+    certificate and witness form), read off :func:`socle` and the
+    product rule at the dim pairs (i, pi(i)): no product listed, no S
+    and no field arithmetic.
 
     The socle paths are the kept top cycles, and the products landing
     on them are the graph of the layout's pairing involution pi
-    (:attr:`order.BasisLayout.pi`), b_i b_pi(i) = s_i b_k(i); else
+    (:attr:`order.BasisLayout.pi`), b_i b_pi(i) = s_i b_k(i), the rule
+    at (i, pi(i)) landing on a kept top cycle; else
     :func:`_socle_landing` raises AssertionError.  So b_pi(i) b_i lands
     on the socle too: no commutator row that meets the socle has one
     term, and each is [b_i, b_pi(i)] = s_i b_k(i) - s_pi(i) b_k(pi(i)),
@@ -719,10 +799,12 @@ def _witness_det(landing: List[Product], phi: List[int]) -> int:
 def _socle_landing(alg: FdAlgebra, paths: List[int]) -> List[Product]:
     """The products that land on the socle paths (:func:`socle` of alg),
     landing[i] = (i, pi(i), k, s) for b_i b_pi(i) = s b_k, in row order:
-    alg's ``top_pairing`` view.  Raises AssertionError when the socle is
-    not the set of kept top cycles, which the s_dim proof of
-    :func:`socle_certificate` assumes, when the products landing on it
-    are not pi's graph, or when a sign is not 1 or -1."""
+    alg's ``top_pairing`` view, read through the product rule at the
+    pairs (i, pi(i)).  Raises AssertionError when the socle is not the
+    set of kept top cycles, which the s_dim proof of
+    :func:`socle_certificate` assumes, when a product b_i b_pi(i) does
+    not land on a kept top cycle (so the products landing on the socle
+    are not pi's graph), or when a sign is not 1 or -1."""
     top = alg.top_mask
     if len(paths) != len(alg.top_index) or not all(map(top.__getitem__, paths)):
         raise AssertionError("the socle is not the set of kept top cycles")
@@ -787,11 +869,14 @@ def _witnessed(alg: FdAlgebra, s_dim: int, phi: List[int], det) -> SymmetryVerdi
 def brauer_form_pairing(alg: FdAlgebra) -> Optional[List[int]]:
     """The closed-form certificate that the Brauer graph algebra with
     alg's quiver, multiplicity and polarization is symmetric: alg.pi
-    (:attr:`order.BasisLayout.pi`) when the products landing on a kept
-    top cycle are its graph (alg's ``top_pairing`` view), else None.
+    (:attr:`order.BasisLayout.pi`) when the product rule at each pair
+    (i, pi(i)) lands on a kept top cycle (alg's ``top_pairing`` view),
+    else None.  By the proof at :attr:`order.BasisLayout.pi`, (i, pi(i))
+    is then the only pair of row i and the only pair of column pi(i)
+    that lands there, so these products are the graph of pi.
 
     The standard form phi is 1 on each kept top cycle and 0 elsewhere,
-    and the plain quotient has alg's products with every sign +1 (alg's
+    and the plain quotient has alg's rule with every sign +1 (alg's
     signs are not read, and alg may be either quotient).  So the pairing
     of phi is the permutation matrix of the involution pi: symmetric,
     and of determinant sign(pi) != 0 in every field.  None contradicts
@@ -821,16 +906,17 @@ def check_canonical_bimodule_twist(alg: FdAlgebra, bar: NakayamaBarReport) -> Tw
     nondegenerate; together these realize x -> x . phi as an isomorphism
     onto the dual twisted by the involution.
 
-    phi(b_i b_j) is nonzero only where b_i b_j lands on a kept top cycle
-    (the pairs :func:`brauer_form_pairing` reads), where it is the
-    product's sign, at degree 0: the order's form reduced modulo t.  The
-    pairs are evaluated by the order's one evaluator,
-    :func:`order.nu_counterexamples`, with nu the involution's signs in
-    ``bar`` lifted to ints, in O(dim + products) and row-major order.
-    Its determinant is :func:`pairing_det` of the layout's ``top_mask``.
+    phi(b_i b_j) is nonzero only where b_i b_j lands on a kept top cycle,
+    where it is the product's sign, at degree 0: the order's form reduced
+    modulo t.  Those pairs are read off the listed products, as the
+    other reference checks read them, and evaluated by the order's one
+    evaluator, :func:`order.nu_counterexamples`, with nu the
+    involution's signs in ``bar`` lifted to ints, in O(dim + products)
+    and row-major order.  Its determinant is :func:`pairing_det` of the
+    layout's ``top_mask``.
     """
     top = alg.top_mask
-    phi = {(i, j): {0: s} for i, j, _, s in alg.top_pairing[0]}
+    phi = {(i, j): {0: s} for i, j, k, s in alg.products if top[k]}
     nu = list(map(_integral, bar.signs))
     bad = [f"({alg.label(i)}, {alg.label(j)})" for i, j in nu_counterexamples(alg.field, phi, nu)]
     d = pairing_det(alg, top)
@@ -896,9 +982,8 @@ def construct_psi_isomorphism(
     sigma-stable polarization, the representative arrow of each negative
     orbit is scaled by a root of x^{m(v)} = -1.  Missing roots or an odd
     walk produce an explicit inapplicability witness.  One algebra is
-    built, the twisted quotient; the candidate map is verified on each
-    of its nonzero products against the plain rule, which has the same
-    products with sign +1.
+    built, the twisted quotient, and the candidate map is verified on the
+    relation at each vertex (:func:`psi_from_quotient`).
     """
     mm = normalize_multiplicity(q, m)
     stable = find_sigma_stable(q)
@@ -914,12 +999,44 @@ def psi_from_quotient(
 ) -> PsiResult:
     """:func:`construct_psi_isomorphism` given the quiver's
     :func:`find_sigma_stable` result and its twisted quotient, built with
-    :func:`quotient_polarization`."""
+    :func:`quotient_polarization`.
+
+    The map psi(b) = d(b) b, with d(b) the product of the scales lambda
+    along the basis path b (1 at e(v)), is verified on the relation at
+    each vertex (:func:`_scaling_relations_hold`), which lists no
+    product.  Write mu_x = (prod over the sigma-orbit of x of
+    lambda)^m, m the orbit's multiplicity: d of the top cycle of length
+    T = m n(x) from x, on which each arrow of the orbit occurs m times.
+    Claim: psi is an isomorphism onto the plain quotient (the rule with
+    every sign +1) iff lambda(a) != 0 for every arrow a with kept[a] >= 1
+    and mu_b = s mu_a at every vertex whose negative arrow b has top
+    length T_b >= 2, where a is its positive arrow and s = top_sign,
+    -1 outside characteristic 2.  This is exactly the check of every
+    product of basis paths (``tests/reference.py`` keeps it).
+
+    Proof.  psi is bijective iff no d vanishes, and the arrows on basis
+    paths are those with kept[a] >= 1 (a basis path a:l runs along a's
+    orbit, all of whose arrows keep a path when n(a) >= 2).  psi is
+    multiplicative iff s d(b_k) = d(b_i) d(b_j) for every product
+    b_i b_j = s b_k of the rule (:attr:`FdAlgebra.product`): zero
+    products vanish on both sides.  The idempotent products hold, as
+    d(e(v)) = 1; the products b_i b_j = b_k with b_k the concatenated
+    path hold, as d is multiplicative along a path.  What is left are
+    the products with total length T_b for a negative arrow b: b_j =
+    (v, b, l), b_i = (v', sigma^l(b), T_b - l), whose concatenation is
+    the rewritten top cycle c_b^m, so d(b_i) d(b_j) = mu_b, and which
+    the rule sends to s x(v), x(v) = c_a^m the kept top at v, with d =
+    mu_a: the equation mu_b = s mu_a, one per vertex v.  Such a product
+    exists iff T_b >= 2 (b:1 and sigma(b):(T_b - 1) are basis paths),
+    and at T_b = 1 (n(b) = m = 1) none does: both factors have length
+    at least 1.  So those vertices are skipped, as the product check
+    skips them.  The scales are lifted to ints as
+    :meth:`order.BasisLayout.path_products` does, so over Q every scale
+    is +-1 and no ``Fraction`` is multiplied.
+    """
     q, field, mm = tw.quiver, tw.field, tw.multiplicity
 
-    if field.char == 2:
-        if not _PLUS.issuperset(map(itemgetter(3), tw.products)):
-            raise AssertionError("char 2 quotients should coincide")
+    if field.char == 2:  # top_sign is 1: the two quotients coincide
         scales = {a: field.one for a in q.arrow_names}
         return PsiResult(kind="identity", scales=scales, verified=True)
 
@@ -938,7 +1055,7 @@ def psi_from_quotient(
             )
         scales[rep] = lam  # only the orbit representative is rescaled
 
-    verified = _verify_scaling_map(tw, scales)
+    verified = _scaling_relations_hold(tw, scales)
     return PsiResult(
         kind="isomorphism",
         scales=scales,
@@ -947,38 +1064,38 @@ def psi_from_quotient(
     )
 
 
+def _scaling_relations_hold(tw: FdAlgebra, scales: Mapping[str, object]) -> bool:
+    """Whether psi(b) = d(b) b is an isomorphism from tw onto the plain
+    quotient: every scale of an arrow on a basis path is nonzero, and
+    mu_b = top_sign mu_a at each vertex whose negative arrow b has top
+    length at least 2 (proof: :func:`psi_from_quotient`), in
+    O(|Q_0| + |Q_1|) field multiplications on lifted scales."""
+    f, q, kept, top = tw.field, tw.quiver, tw.kept, tw.top_lengths
+    lift = {a: _integral(c) for a, c in scales.items()}
+    if not all(lift[a] for a, k in kept.items() if k):
+        return False
+    mul, one = f.mul, _integral(f.one)
+    mu = {}  # arrow -> mu of its orbit
+    for rep, orbit in q.sigma_orbits():
+        acc = one
+        for a in orbit:
+            acc = mul(acc, lift[a])
+        value = acc
+        for _ in range(1, tw.multiplicity[rep]):
+            value = mul(value, acc)
+        mu.update(dict.fromkeys(orbit, value))
+    source, other = q.source, q.other_arrow_at
+    for b, k in kept.items():
+        if k < top[b] and k:  # b negative, of top length >= 2
+            mu_a = mu[other(source(b), b)]
+            if mu[b] != (mu_a if tw.top_sign == 1 else f.neg(mu_a)):
+                return False
+    return True
+
+
 def _not_bipartite(cert: BipartiteCertificate) -> PsiResult:
     return PsiResult(
         kind="inapplicable",
         reason="graph is not bipartite",
         witness={"odd_walk": list(cert.odd_walk)},
     )
-
-
-def _verify_scaling_map(tw: FdAlgebra, scales: Mapping[str, object]) -> bool:
-    """psi(b) = d(b) b, with d(b) the product of the scalings along b,
-    is an isomorphism from the twisted quotient onto the plain one.
-
-    The plain quotient has the twisted products with sign +1, so psi is
-    multiplicative iff s d(b_k) = d(b_i) d(b_j) for every twisted product
-    b_i b_j = s b_k, s = +-1; with no d zero, both sides of every other
-    product vanish, and psi is bijective.  Every product is checked; a
-    sign other than 1 and -1 raises AssertionError.  d comes from
-    :meth:`order.BasisLayout.path_products`, which lifts the scales to
-    native ints where integral: over Q every scale is +-1, and no
-    ``Fraction`` is multiplied.
-    """
-    f = tw.field
-    diag = tw.path_products(f, scales)
-    if not all(diag):
-        return False
-    for i, j, k, s in tw.products:
-        if s == 1:
-            dk = diag[k]
-        elif s == -1:
-            dk = f.neg(diag[k])
-        else:
-            raise AssertionError(f"product {tw.label(i)} * {tw.label(j)} has sign {s!r}, not 1 or -1")
-        if f.mul(diag[i], diag[j]) != dk:
-            return False
-    return True

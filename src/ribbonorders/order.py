@@ -245,10 +245,11 @@ class BasisLayout:
     arrow keeps it (kept[a] = top_lengths[a]), at top_index[v] for its
     source v, and a negative arrow's is rewritten (kept[a] one less).
     dim is the number of basis paths.  ``walks`` (b_r as (start, first
-    arrow, length)), the sigma-rule lists ``by_end``/``by_next`` and
-    :attr:`pi` (the form's pairing involution) are one view, built on
-    first read by one pass over each arrow run; the quotient builder,
-    both order checks and the quotients' pairing read it.  ``top_mask``
+    arrow, length)), the sigma-rule lists ``by_end``/``by_next``, the
+    arrow ``after[r]`` that follows b_r along sigma and :attr:`pi` (the
+    form's pairing involution) are one view, built on first read by one
+    pass over each arrow run; the quotients' product rule, both order
+    checks and the quotients' pairing read it.  ``top_mask``
     (the kept top cycles, the standard form's support) is a view of its
     own.  The labels are display-only: :meth:`label` formats the one of
     b_r, and ``basis`` (every label, label(r) at index r), ``index``
@@ -302,28 +303,32 @@ class BasisLayout:
         return list(self.basis)
 
     @cached_property
-    def _sigma_rule(self) -> Tuple[Tuple[Walk, ...], Dict[str, List[int]], Dict[str, List[int]], List[int]]:
-        """(walks, by_end, by_next, pi) in one pass over each arrow run,
-        built on first read: the views :attr:`walks`, ``by_end``,
-        ``by_next`` and :attr:`pi`."""
+    def _sigma_rule(
+        self,
+    ) -> Tuple[Tuple[Walk, ...], Dict[str, List[int]], Dict[str, List[int]], List[Optional[str]], List[int]]:
+        """(walks, by_end, by_next, after, pi) in one pass over each arrow
+        run, built on first read: the views :attr:`walks`, ``by_end``,
+        ``by_next``, ``after`` and :attr:`pi`."""
         q = self.quiver
-        sigma, source, first, top = q.sigma, q.source, self.first, self.top_lengths
+        sigma, first, top = q.sigma, self.first, self.top_lengths
+        source = {a: q.source(a) for a in first}.__getitem__  # once per arrow, not per basis path
         walks: List[Walk] = [(v, None, 0) for v in q.vertices]
         by_end = {v: [r] for r, v in enumerate(q.vertices)}
         by_next: Dict[str, List[int]] = {a: [] for a in first}
+        after: List[Optional[str]] = [None] * self.dim
         pi = [0] * self.dim
         for a, base in first.items():  # in index order
             s = source(a)
             nxt, c = a, base + top[a] - 2  # pi[r] = first[sigma^L(a)] + T - L - 1, L = r - base + 1
             for r in range(base, base + self.kept[a]):
                 walks.append((s, a, r - base + 1))
-                nxt = sigma[nxt]
+                nxt = after[r] = sigma[nxt]
                 by_end[source(nxt)].append(r)  # b_r ends where nxt starts
                 by_next[nxt].append(r)
                 pi[r] = first[nxt] + c - r
         for e, x in enumerate(self.top_index.values()):  # vertex order; overwrites the kept tops' entries
             pi[e], pi[x] = x, e
-        return tuple(walks), by_end, by_next, pi
+        return tuple(walks), by_end, by_next, after, pi
 
     @property
     def walks(self) -> Tuple[Walk, ...]:
@@ -333,6 +338,7 @@ class BasisLayout:
 
     by_end = property(lambda self: self._sigma_rule[1])
     by_next = property(lambda self: self._sigma_rule[2])
+    after = property(lambda self: self._sigma_rule[3])
 
     @property
     def pi(self) -> List[int]:
@@ -356,7 +362,7 @@ class BasisLayout:
         rule applied twice gives (s, sigma^T(a), L) = (s, a, L): pi is an
         involution.
         """
-        return self._sigma_rule[3]
+        return self._sigma_rule[4]
 
     def left_multiples(self, start: str, a: Optional[str], length: int) -> List[Tuple[int, Walk]]:
         """[(r, p b_r)] over the basis paths b_r with p b_r != 0, in
@@ -740,9 +746,11 @@ def _theta_psi_columns(basis: CanonicalBasis) -> Tuple[Terms, Terms]:
     (:attr:`BasisLayout.pi`).  Column a:m (not a top cycle) has only
     that term, at b:(n - m) for b = sigma^m(a); its sign is eps_a in
     theta and eps_b in psi, an arrow being positive when its top cycle
-    is kept.  Column x(s) of theta adds t, and column e(s) of psi adds
-    -t, at their own row."""
-    walks, kept, top, top_index = basis.walks, basis.kept, basis.top_lengths, basis.top_index
+    is kept.  b is read off the arrow that follows a:m along sigma
+    (``after``), not off the row pi(col), so a pi other than the
+    sigma-orbits' gives columns and no KeyError.  Column x(s) of theta
+    adds t, and column e(s) of psi adds -t, at their own row."""
+    walks, after, kept, top, top_index = basis.walks, basis.after, basis.kept, basis.top_lengths, basis.top_index
     theta: Terms = []
     psi: Terms = []
     for col, d in enumerate(basis.pi):
@@ -754,7 +762,7 @@ def _theta_psi_columns(basis: CanonicalBasis) -> Tuple[Terms, Terms]:
             theta.append([(d, 0, 1), (col, 1, 1)])
             psi.append([(d, 0, 1)])
         else:
-            b = walks[d][1]
+            b = after[col]  # sigma^m(a)
             theta.append([(d, 0, 1 if kept[a] == top[a] else -1)])
             psi.append([(d, 0, 1 if kept[b] == top[b] else -1)])
     return theta, psi
@@ -847,7 +855,10 @@ def verify_theta_psi(q: GentleQuiver, eps: Polarization, field: Field) -> ThetaP
     The bimodule identity theta(u nu(g)) = theta(u) g holds for every
     basis path u and generator g when C1 (:func:`_theta_is_phi`), C2
     (:func:`_generators_hold`) and nu(a) = 1 for each arrow a not in B
-    hold.  Proof: by C1 and k[[t]]-linearity theta(u)(y) = phi(y b_u)
+    hold.  C1 and C2 read F off pi, so, as in :func:`check_nu_symmetry`,
+    they are trusted only when pi is the pairing read off the
+    sigma-orbits (:func:`_expected_pi`); otherwise the sweep decides.
+    Proof: by C1 and k[[t]]-linearity theta(u)(y) = phi(y b_u)
     for every y in Lambda, so (theta(u) g)(b_r) = phi(g b_r b_u) and
     theta(u nu(g))(b_r) = nu(g) phi(b_r b_u g); C2 with y = b_r b_u
     makes them equal, with no multiplicativity of nu.  An arrow a not in
@@ -871,7 +882,8 @@ def verify_theta_psi(q: GentleQuiver, eps: Polarization, field: Field) -> ThetaP
         det_const = field.from_int(linalg.sign_det(len(basis), theta0))
 
     certified = (
-        _theta_is_phi(basis, theta)
+        basis.pi == _expected_pi(basis)
+        and _theta_is_phi(basis, theta)
         and _generators_hold(basis, inv)
         and all(inv.signs[a] == field.one for a, k in basis.kept.items() if not k)
     )

@@ -3,8 +3,10 @@
 Each function here is a slower or more general way to compute something
 the package computes another way, or a small helper over the package's
 types that no library path needs: dense-table multiplication in a
-quotient, the residue of any parent-order path, the pairing involution
-read off the products that land on the top cycles, the socle quotient
+quotient, the residue of any parent-order path, the socle, the
+products that land on the top cycles with the pairing involution they
+make, and the scaling map's check, each read off the listed products
+(the decisions read the product rule instead), the socle quotient
 comparison, the Frobenius form's closed form on paths, z-adic expansion
 of canonical coordinates, an involution's sign on a path and the
 involution applied to an order element, an order report with its
@@ -22,7 +24,9 @@ from collections import deque
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ribbonorders.fdalg import FdAlgebra, socle
+from operator import itemgetter
+
+from ribbonorders.fdalg import FdAlgebra, Product
 from ribbonorders.fields import Field, PolyRing, PrimeField
 from ribbonorders.order import (
     CanonicalBasis,
@@ -108,10 +112,118 @@ def landing_involution(n: int, landing: list) -> Optional[List[int]]:
     return None
 
 
+def products_socle(alg: FdAlgebra) -> List[int]:
+    """The socle as basis-path indices, read off the listed products: the
+    paths that no product with an arrow residue keeps.  The products are
+    listed row by row, so left multiplication by b_g is injective iff no
+    k repeats within row g, which a per-index stamp of the last row that
+    reached k tests; right multiplication keeps a set of g * dim + k.
+    Raises AssertionError when a residue is not one path or a
+    multiplication is not injective, with the messages of ``fdalg.socle``."""
+    n = alg.dim
+    residue = bytearray(n)
+    for a in alg.quiver.arrow_names:
+        g = alg.arrow_residue(a)
+        if len(g) != 1:
+            raise AssertionError(f"arrow residue of {a} is not one basis path")
+        for x in g:
+            residue[x] = 1
+    kept = bytearray(n)
+    row = [-1] * n  # row[k]: the last residue row with a product on b_k
+    right = set()  # g * n + k: b_x b_g is c b_k
+
+    def not_injective(side, g):
+        return AssertionError(f"{side} multiplication by {alg.label(g)} is not injective on basis paths")
+
+    for i, j, k, _ in alg.products:
+        if residue[i]:
+            if row[k] == i:
+                raise not_injective("left", i)
+            row[k] = i
+            kept[j] = 1
+        if residue[j]:
+            if j * n + k in right:
+                raise not_injective("right", j)
+            right.add(j * n + k)
+            kept[i] = 1
+    return [x for x, k in enumerate(kept) if not k]
+
+
+def products_top_pairing(alg: FdAlgebra) -> Tuple[List[Product], Optional[List[int]]]:
+    """(landing, pi): the listed products that land on a kept top cycle,
+    in row order, and the layout's ``pi`` when they are its graph (one
+    per row, at column pi(i)), else None."""
+    top = alg.top_mask
+    landing = [p for p in alg.products if top[p[2]]]
+    rows, cols = [p[0] for p in landing], [p[1] for p in landing]
+    return landing, alg.pi if cols == alg.pi and rows == list(range(alg.dim)) else None
+
+
+def products_socle_landing(alg: FdAlgebra, paths: List[int]) -> List[Product]:
+    """``fdalg._socle_landing`` read off the listed products
+    (:func:`products_top_pairing`), with its messages: the socle paths
+    must be the kept top cycles, the products landing on them pi's
+    graph, and each sign 1 or -1."""
+    top = alg.top_mask
+    if len(paths) != len(alg.top_index) or not all(map(top.__getitem__, paths)):
+        raise AssertionError("the socle is not the set of kept top cycles")
+    landing, pi = products_top_pairing(alg)
+    if pi is None:
+        raise AssertionError("the products landing on the socle are not the graph of an involution")
+    if not {1, -1}.issuperset(map(itemgetter(3), landing)):
+        raise AssertionError("a product landing on the socle has a sign other than 1 and -1")
+    return landing
+
+
+def verify_scaling_map(tw: FdAlgebra, scales: Mapping[str, object]) -> bool:
+    """psi(b) = d(b) b, with d(b) the product of the scalings along b,
+    is an isomorphism from the twisted quotient onto the plain one, read
+    off every listed product: psi is multiplicative iff s d(b_k) =
+    d(b_i) d(b_j) for every product b_i b_j = s b_k, s = +-1, and
+    bijective iff no d is zero.  A sign other than 1 and -1 raises
+    AssertionError."""
+    f = tw.field
+    diag = tw.path_products(f, scales)
+    if not all(diag):
+        return False
+    for i, j, k, s in tw.products:
+        if s == 1:
+            dk = diag[k]
+        elif s == -1:
+            dk = f.neg(diag[k])
+        else:
+            raise AssertionError(f"product {tw.label(i)} * {tw.label(j)} has sign {s!r}, not 1 or -1")
+        if f.mul(diag[i], diag[j]) != dk:
+            return False
+    return True
+
+
+def with_sigma_rule(alg: FdAlgebra, **lists) -> FdAlgebra:
+    """A copy of alg with its products unlisted, whose sigma-rule lists
+    (``walks``, ``by_end``, ``by_next``, ``after`` and ``pi``) are
+    alg's, except those given: a corrupted layout, for the readers of
+    the product rule."""
+    copy = dataclasses.replace(alg, products=None)
+    names = ("walks", "by_end", "by_next", "after", "pi")
+    copy.__dict__["_sigma_rule"] = tuple(lists.get(name, getattr(alg, name)) for name in names)
+    return copy
+
+
+def with_rule(alg: FdAlgebra, rule) -> FdAlgebra:
+    """A copy of alg with its products unlisted, whose product rule is
+    rule(alg.product, i, j): the copy's readers and its product list
+    both read it."""
+    copy = dataclasses.replace(alg, products=None)
+    real = alg.product
+    copy.product = lambda i, j: rule(real, i, j)
+    return copy
+
+
 def socle_is_top_span(alg: FdAlgebra) -> bool:
-    """The socle should be exactly the span of the top cycle residues."""
+    """The socle, read off the products, should be exactly the span of
+    the top cycle residues."""
     tops = sorted(set(alg.top_index.values()))
-    return socle(alg) == tops
+    return products_socle(alg) == tops
 
 
 def socle_quotient_tables_equal(a: FdAlgebra, b: FdAlgebra) -> bool:

@@ -1,13 +1,14 @@
 """The closed-form certificate of the Brauer graph algebra's standard form.
 
-``brauer_form_pairing`` reads, off the twisted quotient's products, the
-pairs (i, j) with b_i b_j on a kept top cycle and returns them as an
-involution pi of the basis, or None.  It must certify exactly where the
-symmetry oracle, run on the plain quotient itself, says "symmetric";
-the standard form's pairing on the plain quotient must then be the
-permutation matrix of pi; an algebra whose landing pairs are no
-involution must fail the certificate; and a decision that meets such a
-failure must raise rather than report.
+``brauer_form_pairing`` reads the twisted quotient's product rule at the
+pairs (i, pi(i)) of the layout's pairing involution pi and returns pi
+when each lands on a kept top cycle, or None.  It must certify exactly
+where the symmetry oracle, run on the plain quotient itself, says
+"symmetric"; the standard form's pairing on the plain quotient must then
+be the permutation matrix of pi; an algebra whose landing pairs are no
+involution must fail the certificate (a corrupted layout fails the
+rule's, corrupted listed products the pairing read off them); and a
+decision that meets such a failure must raise rather than report.
 """
 
 import dataclasses
@@ -31,7 +32,7 @@ from ribbonorders.fdalg import bilinear_matrix, brauer_form_pairing, pairing_det
 from ribbonorders.fields import GF2, GF3, GF5, QQ, PrimeField
 from ribbonorders.polarize import find_sigma_stable, quotient_polarization
 
-from reference import sign_form
+from reference import products_top_pairing, sign_form, with_sigma_rule
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402  (perfbench's seeded generator)
@@ -112,14 +113,18 @@ def landing(alg):
 
 
 def drop_landing(alg):
-    """Without the first product on a top cycle: its row has none."""
-    first = landing(alg)[0]
-    return dataclasses.replace(alg, products=[p for n, p in enumerate(alg.products) if n != first])
+    """The arrow after b_pi(i) corrupted, for the first path row i: the
+    rule's candidate test refuses (i, pi(i)), so row i lands nowhere."""
+    q = alg.quiver
+    j = alg.pi[len(q.vertices)]
+    after = list(alg.after)
+    after[j] = q.other_arrow_at(q.source(after[j]), after[j])
+    return with_sigma_rule(alg, after=after)
 
 
 def second_landing(alg):
     """The first row i with a column where it has no product gets a
-    second product on its top cycle there."""
+    second product on its top cycle there, in the listed products."""
     for n in landing(alg):
         i, _, k, c = alg.products[n]
         used = {j for r, j, _, _ in alg.products if r == i}
@@ -130,21 +135,20 @@ def second_landing(alg):
 
 
 def not_involutive(alg):
-    """One row's landing product moved to the column of another row's:
-    one per row still, but pi(pi(i)) != i."""
-    sites = landing(alg)
-    i, j, k, c = alg.products[sites[0]]
-    j2 = next(alg.products[n][1] for n in sites if alg.products[n][1] != j)
-    products = list(alg.products)
-    products[sites[0]] = (i, j2, k, c)
-    return dataclasses.replace(alg, products=products)
+    """pi with the first path row's entry moved to the second's column:
+    one per row still, but pi(pi(i)) != i, and the rule's product at the
+    moved pair is not on a top cycle."""
+    nv = len(alg.quiver.vertices)
+    pi = list(alg.pi)
+    pi[nv] = pi[nv + 1]
+    return with_sigma_rule(alg, pi=pi)
 
 
 def wrong_row(alg):
     """The first landing product (i, j) with row i + 1 landing at a
-    larger column, and free at column j, moved to row i + 1: the
-    columns, read in row order, are still pi, but row i has none and
-    row i + 1 has two."""
+    larger column, and free at column j, moved to row i + 1 in the
+    listed products: the columns, read in row order, are still pi, but
+    row i has none and row i + 1 has two."""
     sites = landing(alg)
     pairs = {(i, j) for i, j, _, _ in alg.products}
     for n, n2 in zip(sites, sites[1:]):
@@ -157,6 +161,19 @@ def wrong_row(alg):
 
 
 MUTATIONS = (drop_landing, second_landing, not_involutive, wrong_row)
+# a second product on one row has no counterpart in the layout, whose
+# rule gives one product per pair: those mutations corrupt the listed
+# products, and the products-reading reference must refuse them
+LISTED = (second_landing, wrong_row)
+
+
+def certificate(mutation):
+    """The reader that the mutation corrupts: ``brauer_form_pairing``,
+    which reads the rule at (i, pi(i)), or, for a mutation of the listed
+    products, the pairing read off them (``products_top_pairing``)."""
+    if mutation in LISTED:
+        return lambda alg: products_top_pairing(alg)[1]
+    return brauer_form_pairing
 
 
 def unscaled_cases():
@@ -176,8 +193,12 @@ def test_mutated_algebras_fail_the_certificate(mutation):
         q = corpus_quiver(name)
         for field in (GF2, GF3, QQ):
             tw = build_quotient_algebra(q, field, 2)
-            assert brauer_form_pairing(tw) is not None
-            assert brauer_form_pairing(mutation(tw)) is None, (name, field.name)
+            pi = brauer_form_pairing(tw)
+            assert pi is not None and products_top_pairing(tw)[1] == pi
+            mutated = mutation(tw)
+            assert certificate(mutation)(mutated) is None, (name, field.name)
+            if mutation in LISTED:  # the rule does not read the list
+                assert brauer_form_pairing(mutated) == pi
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS, ids=[m.__name__ for m in MUTATIONS])
@@ -187,8 +208,8 @@ def test_decide_raises_on_a_failed_certificate(monkeypatch, mutation):
     cases = list(unscaled_cases())
     assert {status for *_, status in cases} == {"false", "unknown"}
     module = importlib.import_module("ribbonorders.decide")
-    real = module.brauer_form_pairing
-    monkeypatch.setattr(module, "brauer_form_pairing", lambda tw: real(mutation(tw)))
+    read = certificate(mutation)
+    monkeypatch.setattr(module, "brauer_form_pairing", lambda tw: read(mutation(tw)))
     for name, field, m, _ in cases:
         with pytest.raises(AssertionError, match="standard form failed"):
             decide(corpus_quiver(name), field, m)

@@ -279,17 +279,24 @@ def test_pairs_match_on_indices_with_pi_swapped(swap, monkeypatch):
         cases.append((q, gen.random_polarization(rng, q)))
     monkeypatch.setattr(BasisLayout, "pi", property(swapped))
     for q, eps in cases:
-        # C2 is sound only for the pairing read off the sigma-orbits, so
-        # a check whose pairs do not match runs the sweep: its report is
-        # the one with the certificate forced off, field for field
+        # C1 and C2 are sound only for the pairing read off the
+        # sigma-orbits, so a check whose pairs do not match runs the
+        # sweep: its report is the one with the certificate forced off,
+        # field for field, for the nu check and for theta/psi, and
+        # neither raises
         basis = canonical_basis(q, eps)
         assert (basis.pi == order._expected_pi(basis)) is False  # pairs_match on indices
         for field in (GF2, GF3, QQ):
             rep = check_nu_symmetry(q, eps, field)
+            tp = verify_theta_psi(q, eps, field)
             assert not rep.pairs_match and rep.nonzero_pairs != rep.expected_pairs
             with monkeypatch.context() as m:
                 m.setattr(order, "_generators_hold", lambda *args: False)
                 assert report_dict(rep) == report_dict(check_nu_symmetry(q, eps, field)), (swap, field.name)
+            for name in ("_generators_hold", "_theta_is_phi"):
+                with monkeypatch.context() as m:
+                    m.setattr(order, name, lambda *args: False)
+                    assert report_dict(tp) == report_dict(verify_theta_psi(q, eps, field)), (swap, name, field.name)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,17 @@ from ribbonorders.corpus import circular
 from ribbonorders.fdalg import bilinear_matrix, pairing_det, symmetric_forms
 from ribbonorders.fields import GF2, GF3, GF5, QQ
 
-from reference import field_order, field_products, label_vector, mul, random_scalar, sign_form
+from reference import (
+    field_order,
+    field_products,
+    label_vector,
+    mul,
+    products_socle,
+    random_scalar,
+    sign_form,
+    with_rule,
+    with_sigma_rule,
+)
 from test_isomorphism import ribbon_quivers
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -346,20 +356,23 @@ def test_two_term_reverse_product_raises():
 
 def test_non_injective_arrow_raises():
     alg = build_quotient_algebra(corpus_quiver("circ3"), QQ, 2)
-    (g,) = alg.arrow_residue(alg.quiver.arrow_names[0])
-    row = [p for p in alg.products if p[0] == g]
+    a = alg.quiver.arrow_names[0]
+    (g,) = alg.arrow_residue(a)
+    row = [j for j in alg.by_next[a] if alg.product(g, j) is not None]
     assert len(row) >= 2
-    k1 = row[0][2]
-    _, j2, _, c2 = row[1]
-    # b_g b_j2 becomes a multiple of b_g b_j1: left multiplication by the
-    # arrow is not injective
-    pos = alg.products.index(row[1])
-    alg.products[pos] = (g, j2, k1, c2)
-    alg.table[g][j2] = {k1: alg.scalar[c2]}
+    j1, j2 = row[:2]
+    # row g lists j1 twice: left multiplication by the arrow, as the
+    # socle reads it, is not injective
+    by_next = dict(alg.by_next)
+    by_next[a] = [j1] + alg.by_next[a]
     with pytest.raises(AssertionError, match="not injective"):
-        socle(alg)
-    with pytest.raises(AssertionError, match="not injective"):
-        is_symmetric_oracle(alg)
+        socle(with_sigma_rule(alg, by_next=by_next))
+    # b_g b_j2 becomes b_g b_j1 in the rule, which the oracle's socle and
+    # S and the products-reading socle all read
+    merged = with_rule(alg, lambda rule, i, j: rule(g, j1) if (i, j) == (g, j2) else rule(i, j))
+    for check in (socle, is_symmetric_oracle, products_socle):
+        with pytest.raises(AssertionError, match="not injective"):
+            check(merged)
 
 
 def test_arrow_residue_of_two_paths_raises():
@@ -381,16 +394,14 @@ def test_socle_needs_both_sides():
     tops = set(alg.top_index.values())
     x, y = [i for i in range(alg.dim) if i not in tops and i not in residues][:2]
     # no arrow multiplies x from the left, none multiplies y from the right
-    kept = []
-    for i, j, k, c in alg.products:
-        if (i in residues and j == x) or (j in residues and i == y):
-            alg.table[i][j] = {}
-        else:
-            kept.append((i, j, k, c))
-    alg.products = kept
-    soc = socle(alg)
-    assert [alg.dense({p: GF5.one}) for p in soc] == reference_socle(alg)
-    assert soc == sorted(tops)
+    mutated = with_rule(
+        alg, lambda rule, i, j: None if (i in residues and j == x) or (j in residues and i == y) else rule(i, j)
+    )
+    assert any(p[1] == x and p[0] in residues for p in alg.products)
+    assert not any(p[1] == x and p[0] in residues for p in mutated.products)
+    soc = socle(mutated)
+    assert [mutated.dense({p: GF5.one}) for p in soc] == reference_socle(mutated)
+    assert soc == sorted(tops) == products_socle(mutated)
 
 
 def unit_form(alg, indices):

@@ -31,7 +31,6 @@ from ribbonorders import (
 )
 from ribbonorders.corpus import circular
 from ribbonorders.fdalg import (
-    _verify_scaling_map,
     check_algebra_axioms,
     pairing_det,
     symmetric_forms,
@@ -39,7 +38,7 @@ from ribbonorders.fdalg import (
 from ribbonorders.fields import GF2, GF3, GF5, QQ, PrimeField, RationalField
 from ribbonorders.polarize import quotient_polarization
 
-from reference import sign_form
+from reference import products_socle, sign_form, verify_scaling_map
 from test_kernel import check_kernel_against_reference
 from test_oracle import check_against_reference, reference_symmetric_forms
 
@@ -117,7 +116,7 @@ def test_char_two_closing_rule():
             assert socle(signed) == socle(plus)
             assert is_symmetric_oracle(signed) == is_symmetric_oracle(plus)
             check_algebra_axioms(signed)
-            assert _verify_scaling_map(signed, {a: GF2.one for a in q.arrow_names})
+            assert verify_scaling_map(signed, {a: GF2.one for a in q.arrow_names})
             if m == 2:
                 check_against_reference(signed)
             # read in odd characteristic, the same signs force components
@@ -159,14 +158,14 @@ def test_sign_outside_plus_minus_one_raises(bad):
         symmetric_forms,
         is_symmetric_oracle,
         check_algebra_axioms,
-        lambda a: _verify_scaling_map(a, psi.scales),
+        lambda a: verify_scaling_map(a, psi.scales),
         lambda a: pairing_det(a, top_form),
     )
     for check in checks:
         with pytest.raises(AssertionError, match="not 1 or -1"):
             check(bad_alg)
     # the unmutated algebra passes every one of them
-    assert psi.verified and _verify_scaling_map(alg, psi.scales)
+    assert psi.verified and verify_scaling_map(alg, psi.scales)
     assert is_symmetric_oracle(alg).kind == "symmetric"
     check_algebra_axioms(alg)
     assert pairing_det(alg, top_form) in alg.scalar[1:]

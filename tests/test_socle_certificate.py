@@ -1,8 +1,9 @@
 """The socle certificate against the symmetry oracle.
 
 A decision certifies c2 with ``fdalg.socle_certificate``, read off the
-socle and the products that land on it; ``is_symmetric_oracle``, which
-computes all of S, is the reference.  Here the two are compared field
+socle and the product rule at the pairs (i, pi(i)), the products that
+land on it; ``is_symmetric_oracle``, which computes all of S off the
+listed products, is the reference.  Here the two are compared field
 for field (kind, method, s_dim, certificate, witness form) and the
 certificate's pairing pi with ``brauer_form_pairing``, on the corpus and
 on seeded ``perfbench/gen.py`` draws by valency profile (leaves, loops,
@@ -16,7 +17,10 @@ the t^0 supports of theta and psi and with the pairs F on which
 ``check_nu_symmetry`` builds the order's form.  The witness pairing's
 closed-form determinant, sign(pi) times the product of its entries, is
 compared with ``linalg.sign_det``, which reads the cycles of any
-permutation, on the same grid at m = 1-3.
+permutation, on the same grid at m = 1-3.  The certificate's errors are
+raised on corrupted layouts (pi, walks, by_next or the arrows ``after``
+the paths) or rules, and the listed products corrupted the same way are
+refused by the products-reading references of ``tests/reference.py``.
 """
 
 import dataclasses
@@ -44,7 +48,13 @@ from ribbonorders.order import canonical_basis, check_nu_symmetry, verify_theta_
 from ribbonorders.polarize import quotient_polarization
 from ribbonorders.quiver import disjoint_union
 
-from reference import landing_involution
+from reference import (
+    landing_involution,
+    products_socle,
+    products_socle_landing,
+    with_rule,
+    with_sigma_rule,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402  (perfbench's seeded generator)
@@ -166,33 +176,60 @@ def landing_row(alg, row):
 
 @pytest.mark.parametrize("name", ["circ3", "line3", "mixed"])
 def test_a_landing_product_out_of_the_rule_raises(name):
+    # the certificate reads the rule at (i, pi(i)): with the arrow that
+    # follows b_pi(i) corrupted (the rule's candidate test), row i lands
+    # nowhere; the rule's signs are 1 and -1 by construction, so a sign
+    # other than those is put into the rule itself, and both corruptions
+    # are also put into the listed products, which the products-reading
+    # reference refuses with the same errors
     q = corpus_quiver(name)
     alg = build_quotient_algebra(q, GF3, 2)
-    n = landing_row(alg, len(q.vertices))  # the first arrow's row
+    row = len(q.vertices)  # the first arrow's row
+    j = alg.pi[row]
+    after = list(alg.after)
+    after[j] = q.other_arrow_at(q.source(after[j]), after[j])
+    with pytest.raises(AssertionError, match="graph of an involution"):
+        socle_certificate(with_sigma_rule(alg, after=after))
+    n = landing_row(alg, row)
     i, j, k, s = alg.products[n]
     dropped = dataclasses.replace(alg, products=alg.products[:n] + alg.products[n + 1 :])
     with pytest.raises(AssertionError, match="graph of an involution"):
-        socle_certificate(dropped)
+        products_socle_landing(dropped, products_socle(dropped))
     for bad in (2, 0, -2):
-        signed = dataclasses.replace(alg, products=alg.products[:n] + [(i, j, k, bad)] + alg.products[n + 1 :])
+        signed = with_rule(alg, lambda rule, i, j: (rule(i, j)[0], bad) if (i, j) == (row, alg.pi[row]) else rule(i, j))
         with pytest.raises(AssertionError, match="sign other than 1 and -1"):
             socle_certificate(signed)
+        signed = dataclasses.replace(alg, products=alg.products[:n] + [(i, j, k, bad)] + alg.products[n + 1 :])
+        with pytest.raises(AssertionError, match="sign other than 1 and -1"):
+            products_socle_landing(signed, products_socle(signed))
 
 
 @pytest.mark.parametrize("name", ["circ3", "line3", "mixed"])
 def test_a_socle_beyond_the_top_cycles_raises(name):
-    # with every product of a non-top path x by an arrow residue dropped,
-    # x joins the socle: the certificate refuses it, rather than return
-    # a verdict that its s_dim proof does not cover
+    # with a non-top path x taken out of the rows of the arrow residues
+    # (by_next without x) and out of their columns (x's first arrow
+    # corrupted in walks, so the rule's candidate test fails), x joins
+    # the socle: the certificate refuses it, rather than return a verdict
+    # that its s_dim proof does not cover.  The listed products without
+    # x's products by a residue give the products-reading reference the
+    # same socle.
     q = corpus_quiver(name)
     alg = build_quotient_algebra(q, GF3, 2)
     residues = {k for a in q.arrow_names for k in alg.arrow_residue(a)}
     x = next(r for r in range(len(q.vertices), alg.dim) if not alg.top_mask[r] and r not in residues)
-    products = [p for p in alg.products if not (p[0] == x and p[1] in residues or p[1] == x and p[0] in residues)]
-    mutated = dataclasses.replace(alg, products=products)
+    s, a, length = alg.walks[x]
+    walks = list(alg.walks)
+    walks[x] = (s, q.other_arrow_at(s, a), length)
+    by_next = {b: [r for r in rows if r != x] for b, rows in alg.by_next.items()}
+    mutated = with_sigma_rule(alg, walks=walks, by_next=by_next)
     assert x in socle(mutated)
     with pytest.raises(AssertionError, match="not the set of kept top cycles"):
         socle_certificate(mutated)
+    products = [p for p in alg.products if not (p[0] == x and p[1] in residues or p[1] == x and p[0] in residues)]
+    listed = dataclasses.replace(alg, products=products)
+    assert products_socle(listed) == socle(mutated)
+    with pytest.raises(AssertionError, match="not the set of kept top cycles"):
+        products_socle_landing(listed, products_socle(listed))
 
 
 def test_characteristic_two_closes_every_cycle():
@@ -250,20 +287,20 @@ def test_the_certificate_takes_no_general_determinant(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["circ4", "line3", "mixed"])
-def test_a_pairing_that_is_no_involution_raises(monkeypatch, name):
-    # rows 0 and 1 (e(v0), e(v1)) trade the columns pi(0) and pi(1), and
-    # the layout's pi is patched to match, so the products landing on the
-    # socle are still pi's graph; pi(pi(0)) = pi(x(v1)) = 1, not 0
+def test_a_pairing_that_is_no_involution_raises(name):
+    # rows 0 and 1 (e(v0), e(v1)) trade the columns pi(0) = x(v0) and
+    # pi(1) = x(v1), and the arrows after x(v0) and x(v1) trade too, so
+    # that x(v1) ends at v0 and x(v0) at v1 for the rule: every b_i
+    # b_pi(i) still lands on a kept top cycle, but pi(pi(0)) = pi(x(v1))
+    # = 1, not 0
     alg = build_quotient_algebra(corpus_quiver(name), GF2, 2)
     pi = list(alg.pi)
     bad = pi[:]
     bad[0], bad[1] = pi[1], pi[0]
     assert bad[bad[0]] != 0
-    products = [
-        (i, bad[i], k, s) if i < 2 and alg.top_mask[k] else (i, j, k, s) for i, j, k, s in alg.products
-    ]
-    mutated = dataclasses.replace(alg, products=products)
-    monkeypatch.setattr(fdalg.FdAlgebra, "pi", property(lambda self: bad))
+    after = list(alg.after)
+    after[pi[0]], after[pi[1]] = after[pi[1]], after[pi[0]]
+    mutated = with_sigma_rule(alg, pi=bad, after=after)
     assert mutated.top_pairing[1] == bad
     with pytest.raises(AssertionError, match="not an involution"):
         socle_certificate(mutated)
