@@ -27,7 +27,12 @@ rule at O(dim) pairs and lists no product: the socle on the rows and
 columns of the arrow residues, and the socle certificate and the Brauer
 graph algebra's standard form at the pairs (i, pi(i)) of the layout's
 pairing involution pi (``order.BasisLayout.pi``), held in the algebra's
-one ``top_pairing`` view.  The scaling map psi between the quotients is
+one ``top_pairing`` view.  Those two readers evaluate the rule inline,
+as index arithmetic along the sigma-runs of the layout: at each pair
+they read the layout entries that ``product`` reads and make its tests,
+with no call per pair, so a corrupted layout trips the same assertions.
+``product`` stays the one pointwise rule, which the product list and
+the tests read.  The scaling map psi between the quotients is
 checked on the relation at each vertex, with no product
 (:func:`psi_from_quotient` proves that this is the check of every
 product).  The sign s is the native int 1 or -1: every structure
@@ -66,7 +71,7 @@ commutator rows, found by one walk whose ratios are +-1 ints;
 every arrow residue is one basis path (``arrow_residue`` gives it in
 closed form: a:1, or the kept top cycle at the source for a rewritten
 arrow of top length one) and multiplies basis paths injectively, so
-the socle is a set of basis paths, read through the rule on the
+the socle is a set of basis paths, read off the rule on the
 residues' rows and columns; the refutation is
 one socle path outside S's support, and the witness pairing has at most
 one nonzero entry per row and column, each +-1, so its determinant is
@@ -88,6 +93,7 @@ determinant over every product.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field, fields, replace
 from fractions import Fraction
 from functools import cached_property
@@ -175,7 +181,9 @@ class FdAlgebra(BasisLayout):
     def product(self) -> Callable[[int, int], Optional[Tuple[int, int]]]:
         """The product rule: product(i, j) is b_i b_j as (k, s), meaning
         s b_k with s = 1 or -1, or None for zero, in O(1); built on first
-        read.  b_i b_j is first b_j, then b_i.
+        read.  b_i b_j is first b_j, then b_i.  The reference for the
+        inline copies of this rule in :func:`socle` and
+        :attr:`top_pairing`, and the rule that :attr:`products` lists.
 
         The candidates: e(v) b_j = b_j for the b_j that end at v;
         b_i e(s) = b_i for b_i = (s, a, L); and b_i b_j for b_j = (t, b,
@@ -210,16 +218,28 @@ class FdAlgebra(BasisLayout):
     def _list_products(self) -> List[Product]:
         """The rule's nonzero products in row-major order, on the
         candidates of each row: by_end[s] for e(s), and e(s), then
-        by_next[a] for (s, a, L)."""
-        rule, by_end, by_next, position = self.product, self.by_end, self.by_next, self.quiver.position
+        by_next[a] for (s, a, L).  by_next[a] is sorted, so the paths
+        with one first arrow b make one run of it, along which the
+        length grows: past the first zero product of the run that passes
+        the candidate test (so lies beyond b's top length), every later
+        one is zero too, and the row skips to the next run."""
+        rule, walks, after, by_end, by_next = self.product, self.walks, self.after, self.by_end, self.by_next
+        first, kept, position = self.first, self.kept, self.quiver.position
         index = list(range(self.dim))  # the products share these ints, holding none of their own
         products: List[Product] = []
         add = products.append
-        for i, (s, a, _) in enumerate(self.walks):
-            for j in by_end[s] if a is None else (position(s), *by_next[a]):
+        for i, (s, a, _) in enumerate(walks):
+            row = by_end[s] if a is None else (position(s), *by_next[a])
+            x, n = 0, len(row)
+            while x < n:
+                j = row[x]
+                x += 1
                 p = rule(i, j)
                 if p is not None:
                     add((i, j, index[p[0]], p[1]))
+                elif a is not None and after[j] == a:  # past the top of b_j's run
+                    b = walks[j][1]
+                    x = bisect_left(row, first[b] + kept[b], x)
         return products
 
     @cached_property
@@ -228,15 +248,43 @@ class FdAlgebra(BasisLayout):
         b_i b_pi(i) = s b_k, read at the dim pairs (i, pi(i)) of
         :attr:`order.BasisLayout.pi`, and pi when each lands on a kept
         top cycle (``top_mask``); else the products read up to the first
-        that does not, and None.  Built on first read."""
-        rule, pi, top = self.product, self.pi, self.top_mask
+        that does not, and None.  Built on first read.
+
+        The rule (:attr:`product`) is evaluated inline at each pair: it
+        reads the same layout entries (both factors' ``walks``,
+        ``after``, ``kept``, ``top_lengths``, ``top_index`` and
+        ``top_sign``) and makes the same tests, with no call per pair."""
+        walks, after, kept, top, top_index = self.walks, self.after, self.kept, self.top_lengths, self.top_index
+        pi, mask, source, sign = self.pi, self.top_mask, self.quiver.source, self.top_sign
         landing: List[Product] = []
+        add = landing.append
         for i, j in enumerate(pi):
-            p = rule(i, j)
-            if p is None or not top[p[0]]:
-                return landing, None
-            landing.append((i, j) + p)
-        return landing, pi
+            s, a, length = walks[i]
+            t, b, total = walks[j]
+            if b is None:  # b_i e(t)
+                if t != s:
+                    break
+                k, c = i, 1
+            elif a is None:  # e(s) b_j
+                if source(after[j]) != s:
+                    break
+                k, c = j, 1
+            elif after[j] != a:
+                break
+            else:
+                total += length
+                if total <= kept[b]:
+                    k, c = j + length, 1
+                elif total == top[b]:
+                    k, c = top_index[t], sign
+                else:
+                    break
+            if not mask[k]:
+                break
+            add((i, j, k, c))
+        else:
+            return landing, pi
+        return landing, None
 
     @cached_property
     def table(self) -> List[List[Mapping[int, object]]]:
@@ -459,7 +507,7 @@ def nakayama_involution_bar(alg: FdAlgebra, inv: Involution) -> NakayamaBarRepor
 def socle(alg: FdAlgebra) -> List[int]:
     """The socle {x : a x = 0 = x a for all arrow residues}, as the
     indices of the basis paths that span it, in increasing order, read
-    through the product rule (:attr:`FdAlgebra.product`) on the rows and
+    off the product rule (:attr:`FdAlgebra.product`) on the rows and
     columns of the arrow residues alone: O(dim) products.
 
     Each arrow residue is c b_g for one basis path b_g, and multiplying
@@ -469,11 +517,14 @@ def socle(alg: FdAlgebra) -> List[int]:
     Row g = (s, a, L) has its candidates e(s) and ``by_next[a]``, and
     column g those b_x that follow it: e(v) at its end v and the run
     of the arrow after[g], a:1 to a:kept[a] (:attr:`FdAlgebra.product`
-    lists why no other product is nonzero).  Only indices are read, in a
-    byte mask: no sign and no field arithmetic.  A per-index stamp of
-    the last row or column that reached k tests injectivity.  Raises
-    AssertionError when a residue is not one path or a multiplication
-    is not injective.
+    lists why no other product is nonzero).  The rule is evaluated
+    inline at each pair, on the same layout entries (both factors'
+    ``walks``, ``after``, ``kept``, ``top_lengths`` and ``top_index``)
+    with the same tests, and only the product's index is kept, in a
+    byte mask: no call per pair, no sign and no field arithmetic.  A
+    per-index stamp of the last row or column that reached k tests
+    injectivity.  Raises AssertionError when a residue is not one path
+    or a multiplication is not injective.
     """
     residues = set()
     for a in alg.quiver.arrow_names:
@@ -481,7 +532,8 @@ def socle(alg: FdAlgebra) -> List[int]:
         if len(g) != 1:
             raise AssertionError(f"arrow residue of {a} is not one basis path")
         residues.update(g)
-    rule, walks, after, by_next, first, kept = alg.product, alg.walks, alg.after, alg.by_next, alg.first, alg.kept
+    walks, after, by_next, first, kept = alg.walks, alg.after, alg.by_next, alg.first, alg.kept
+    top, top_index = alg.top_lengths, alg.top_index
     position, source = alg.quiver.position, alg.quiver.source
     reached = bytearray(alg.dim)
     stamp = [-1] * alg.dim  # stamp[k]: the last side, 2g (row g) or 2g + 1 (column g), with a product on b_k
@@ -490,35 +542,50 @@ def socle(alg: FdAlgebra) -> List[int]:
         return AssertionError(f"{side} multiplication by {alg.label(g)} is not injective on basis paths")
 
     for g in sorted(residues):
-        s, a, _ = walks[g]
+        s, a, length = walks[g]
         side = 2 * g
-        e = position(s)  # b_g e(s), the first product of the row: its stamp needs no test
-        p = rule(g, e)
-        if p is not None:
-            stamp[p[0]] = side
-            reached[e] = 1
-        for j in by_next[a]:  # b_g b_j
-            p = rule(g, j)
-            if p is not None:
-                k = p[0]
-                if stamp[k] == side:
-                    raise not_injective("left", g)
-                stamp[k] = side
-                reached[j] = 1
+        for j in (position(s), *by_next[a]):  # b_g b_j
+            t, b, total = walks[j]
+            if b is None:  # b_g e(t)
+                if t != s:
+                    continue
+                k = g
+            elif after[j] != a:
+                continue
+            else:
+                total += length
+                if total <= kept[b]:
+                    k = j + length
+                elif total == top[b]:
+                    k = top_index[t]
+                else:
+                    continue
+            if stamp[k] == side:
+                raise not_injective("left", g)
+            stamp[k] = side
+            reached[j] = 1
         b, side = after[g], side + 1
-        e = position(source(b))  # e(v) b_g at g's end v, the first product of the column
-        p = rule(e, g)
-        if p is not None:
-            stamp[p[0]] = side
-            reached[e] = 1
-        for x in range(first[b], first[b] + kept[b]):  # b_x b_g
-            p = rule(x, g)
-            if p is not None:
-                k = p[0]
-                if stamp[k] == side:
-                    raise not_injective("right", g)
-                stamp[k] = side
-                reached[x] = 1
+        v = source(b)  # g's end
+        for x in (position(v), *range(first[b], first[b] + kept[b])):  # b_x b_g
+            u, c, n = walks[x]
+            if c is None:  # e(u) b_g
+                if u != v:
+                    continue
+                k = g
+            elif c != b:
+                continue
+            else:
+                total = length + n
+                if total <= kept[a]:
+                    k = g + n
+                elif total == top[a]:
+                    k = top_index[s]
+                else:
+                    continue
+            if stamp[k] == side:
+                raise not_injective("right", g)
+            stamp[k] = side
+            reached[x] = 1
     return [x for x, r in enumerate(reached) if not r]
 
 

@@ -245,15 +245,18 @@ class BasisLayout:
     arrow keeps it (kept[a] = top_lengths[a]), at top_index[v] for its
     source v, and a negative arrow's is rewritten (kept[a] one less).
     dim is the number of basis paths.  ``walks`` (b_r as (start, first
-    arrow, length)), the sigma-rule lists ``by_end``/``by_next``, the
-    arrow ``after[r]`` that follows b_r along sigma and :attr:`pi` (the
-    form's pairing involution) are one view, built on first read by one
-    pass over each arrow run; the quotients' product rule, both order
-    checks and the quotients' pairing read it.  ``top_mask``
-    (the kept top cycles, the standard form's support) is a view of its
-    own.  The labels are display-only: :meth:`label` formats the one of
-    b_r, and ``basis`` (every label, label(r) at index r), ``index``
-    (label -> index) and ``paths`` (label -> ``Path``) are views that no
+    arrow, length)), the sigma-rule list ``by_next``, the arrow
+    ``after[r]`` that follows b_r along sigma and :attr:`pi` (the form's
+    pairing involution) are one view, built on first read by one pass
+    over each arrow run; the quotients' product rule and its inline
+    readers (the socle and the pairing), both order checks and the
+    quotients' pairing read it.  ``by_end`` (the paths ending at each
+    vertex, read off ``after``), which only the product list, the Cartan
+    matrix and :meth:`left_multiples` read, and ``top_mask`` (the kept
+    top cycles, the standard form's support) are views of their own.
+    The labels are display-only: :meth:`label` formats the one of b_r,
+    and ``basis`` (every label, label(r) at index r), ``index`` (label
+    -> index) and ``paths`` (label -> ``Path``) are views that no
     decision reads.  No view is a field.
     """
 
@@ -303,32 +306,27 @@ class BasisLayout:
         return list(self.basis)
 
     @cached_property
-    def _sigma_rule(
-        self,
-    ) -> Tuple[Tuple[Walk, ...], Dict[str, List[int]], Dict[str, List[int]], List[Optional[str]], List[int]]:
-        """(walks, by_end, by_next, after, pi) in one pass over each arrow
-        run, built on first read: the views :attr:`walks`, ``by_end``,
-        ``by_next``, ``after`` and :attr:`pi`."""
+    def _sigma_rule(self) -> Tuple[Tuple[Walk, ...], Dict[str, List[int]], List[Optional[str]], List[int]]:
+        """(walks, by_next, after, pi) in one pass over each arrow run,
+        built on first read: the views :attr:`walks`, ``by_next``,
+        ``after`` and :attr:`pi`."""
         q = self.quiver
         sigma, first, top = q.sigma, self.first, self.top_lengths
-        source = {a: q.source(a) for a in first}.__getitem__  # once per arrow, not per basis path
         walks: List[Walk] = [(v, None, 0) for v in q.vertices]
-        by_end = {v: [r] for r, v in enumerate(q.vertices)}
         by_next: Dict[str, List[int]] = {a: [] for a in first}
         after: List[Optional[str]] = [None] * self.dim
         pi = [0] * self.dim
         for a, base in first.items():  # in index order
-            s = source(a)
+            s = q.source(a)
             nxt, c = a, base + top[a] - 2  # pi[r] = first[sigma^L(a)] + T - L - 1, L = r - base + 1
             for r in range(base, base + self.kept[a]):
                 walks.append((s, a, r - base + 1))
                 nxt = after[r] = sigma[nxt]
-                by_end[source(nxt)].append(r)  # b_r ends where nxt starts
                 by_next[nxt].append(r)
                 pi[r] = first[nxt] + c - r
         for e, x in enumerate(self.top_index.values()):  # vertex order; overwrites the kept tops' entries
             pi[e], pi[x] = x, e
-        return tuple(walks), by_end, by_next, after, pi
+        return tuple(walks), by_next, after, pi
 
     @property
     def walks(self) -> Tuple[Walk, ...]:
@@ -336,9 +334,20 @@ class BasisLayout:
         None for e(v)."""
         return self._sigma_rule[0]
 
-    by_end = property(lambda self: self._sigma_rule[1])
-    by_next = property(lambda self: self._sigma_rule[2])
-    after = property(lambda self: self._sigma_rule[3])
+    by_next = property(lambda self: self._sigma_rule[1])
+    after = property(lambda self: self._sigma_rule[2])
+
+    @cached_property
+    def by_end(self) -> Dict[str, List[int]]:
+        """by_end[v]: the basis paths that end at v in increasing index,
+        e(v), then each b_r whose next arrow ``after[r]`` starts at v;
+        built on first read."""
+        q = self.quiver
+        by_end = {v: [r] for r, v in enumerate(q.vertices)}
+        after = self.after
+        for r in range(len(q.vertices), self.dim):
+            by_end[q.source(after[r])].append(r)
+        return by_end
 
     @property
     def pi(self) -> List[int]:
@@ -362,7 +371,7 @@ class BasisLayout:
         rule applied twice gives (s, sigma^T(a), L) = (s, a, L): pi is an
         involution.
         """
-        return self._sigma_rule[4]
+        return self._sigma_rule[3]
 
     def left_multiples(self, start: str, a: Optional[str], length: int) -> List[Tuple[int, Walk]]:
         """[(r, p b_r)] over the basis paths b_r with p b_r != 0, in

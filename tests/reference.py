@@ -6,7 +6,9 @@ types that no library path needs: dense-table multiplication in a
 quotient, the residue of any parent-order path, the socle, the
 products that land on the top cycles with the pairing involution they
 make, and the scaling map's check, each read off the listed products
-(the decisions read the product rule instead), the socle quotient
+(the decisions read the product rule instead), the socle and the
+landing read through one call of the pointwise product rule per pair
+(the decisions evaluate the rule inline), the socle quotient
 comparison, the Frobenius form's closed form on paths, z-adic expansion
 of canonical coordinates, an involution's sign on a path and the
 involution applied to an order element, an order report with its
@@ -198,14 +200,69 @@ def verify_scaling_map(tw: FdAlgebra, scales: Mapping[str, object]) -> bool:
     return True
 
 
+def rule_socle(alg: FdAlgebra) -> List[int]:
+    """``fdalg.socle`` with one call of the pointwise rule
+    ``alg.product`` per pair, at the same pairs in the same order, with
+    its messages: the reference for the socle's inline rule, on an
+    honest or a corrupted layout."""
+    residues = set()
+    for a in alg.quiver.arrow_names:
+        g = alg.arrow_residue(a)
+        if len(g) != 1:
+            raise AssertionError(f"arrow residue of {a} is not one basis path")
+        residues.update(g)
+    rule, walks, after, by_next, first, kept = alg.product, alg.walks, alg.after, alg.by_next, alg.first, alg.kept
+    position, source = alg.quiver.position, alg.quiver.source
+    reached = bytearray(alg.dim)
+    stamp = [-1] * alg.dim
+
+    def not_injective(side, g):
+        return AssertionError(f"{side} multiplication by {alg.label(g)} is not injective on basis paths")
+
+    for g in sorted(residues):
+        s, a, _ = walks[g]
+        side = 2 * g
+        for j in (position(s), *by_next[a]):  # b_g b_j
+            p = rule(g, j)
+            if p is not None:
+                if stamp[p[0]] == side:
+                    raise not_injective("left", g)
+                stamp[p[0]] = side
+                reached[j] = 1
+        b, side = after[g], side + 1
+        for x in (position(source(b)), *range(first[b], first[b] + kept[b])):  # b_x b_g
+            p = rule(x, g)
+            if p is not None:
+                if stamp[p[0]] == side:
+                    raise not_injective("right", g)
+                stamp[p[0]] = side
+                reached[x] = 1
+    return [x for x, r in enumerate(reached) if not r]
+
+
+def rule_top_pairing(alg: FdAlgebra) -> Tuple[List[Product], Optional[List[int]]]:
+    """``FdAlgebra.top_pairing`` with one call of the pointwise rule
+    ``alg.product`` per pair (i, pi(i)): the reference for its inline
+    rule, on an honest or a corrupted layout."""
+    rule, pi, top = alg.product, alg.pi, alg.top_mask
+    landing: List[Product] = []
+    for i, j in enumerate(pi):
+        p = rule(i, j)
+        if p is None or not top[p[0]]:
+            return landing, None
+        landing.append((i, j) + p)
+    return landing, pi
+
+
 def with_sigma_rule(alg: FdAlgebra, **lists) -> FdAlgebra:
     """A copy of alg with its products unlisted, whose sigma-rule lists
-    (``walks``, ``by_end``, ``by_next``, ``after`` and ``pi``) are
-    alg's, except those given: a corrupted layout, for the readers of
-    the product rule."""
+    (``walks``, ``by_next``, ``after`` and ``pi``, and the ``by_end``
+    view) are alg's, except those given: a corrupted layout, for the
+    product rule and its inline readers."""
     copy = dataclasses.replace(alg, products=None)
-    names = ("walks", "by_end", "by_next", "after", "pi")
+    names = ("walks", "by_next", "after", "pi")
     copy.__dict__["_sigma_rule"] = tuple(lists.get(name, getattr(alg, name)) for name in names)
+    copy.__dict__["by_end"] = lists.get("by_end", alg.by_end)
     return copy
 
 

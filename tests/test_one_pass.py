@@ -233,6 +233,34 @@ def test_decide_reads_the_socle_once_and_runs_no_oracle(monkeypatch):
     assert scaled == {True, False}
 
 
+def test_decide_evaluates_the_rule_inline_and_builds_no_by_end(monkeypatch):
+    # the socle and the pi landing evaluate the product rule inline, and
+    # no step of a decision reads the paths ending at each vertex: no
+    # call of the pointwise rule FdAlgebra.product, and the layout's
+    # by_end view stays unbuilt on the one algebra a decision builds
+    def refuse(alg):
+        raise AssertionError("a decision read the pointwise product rule")
+
+    monkeypatch.setattr(fdalg.FdAlgebra, "product", property(refuse))
+    built = []
+    init = fdalg.FdAlgebra.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(fdalg.FdAlgebra, "__init__", recorded)
+    for name in CORPUS_NAMES:
+        for field in FIELDS:
+            for m in (1, 2):
+                del built[:]
+                assert decide(corpus_quiver(name), field, m).consistency_ok
+                assert [("by_end" in vars(alg), "_sigma_rule" in vars(alg)) for alg in built] == [(False, True)]
+    alg = build_quotient_algebra(corpus_quiver("circ3"), GF3)
+    with pytest.raises(AssertionError, match="pointwise product rule"):
+        alg.product
+
+
 def test_oracle_reads_s_and_the_socle_once_through_fdalg(monkeypatch):
     # the benchmark's traced run wraps fdalg.symmetric_forms and
     # fdalg.socle at their module attributes: every oracle call makes

@@ -367,12 +367,25 @@ def test_non_injective_arrow_raises():
     by_next[a] = [j1] + alg.by_next[a]
     with pytest.raises(AssertionError, match="not injective"):
         socle(with_sigma_rule(alg, by_next=by_next))
-    # b_g b_j2 becomes b_g b_j1 in the rule, which the oracle's socle and
-    # S and the products-reading socle all read
-    merged = with_rule(alg, lambda rule, i, j: rule(g, j1) if (i, j) == (g, j2) else rule(i, j))
+    # two paths of column g's run share one walk, so b_x2 b_g becomes
+    # b_x1 b_g for the rule and its inline reader, the socle, which the
+    # oracle reads, and for the products-reading socle
+    b = alg.after[g]
+    x1, x2 = alg.first[b], alg.first[b] + 1
+    assert alg.product(x1, g) is not None and alg.product(x2, g) is not None
+    walks = list(alg.walks)
+    walks[x2] = walks[x1]
+    doubled = with_sigma_rule(alg, walks=walks)
+    assert doubled.product(x2, g) == doubled.product(x1, g)
     for check in (socle, is_symmetric_oracle, products_socle):
-        with pytest.raises(AssertionError, match="not injective"):
-            check(merged)
+        with pytest.raises(AssertionError, match="right multiplication .* not injective"):
+            check(doubled)
+    # b_g b_j2 becomes b_g b_j1 in the rule, which the products-reading
+    # socle reads; the socle, evaluating the rule inline, does not
+    merged = with_rule(alg, lambda rule, i, j: rule(g, j1) if (i, j) == (g, j2) else rule(i, j))
+    with pytest.raises(AssertionError, match="left multiplication .* not injective"):
+        products_socle(merged)
+    assert socle(merged) == socle(alg)
 
 
 def test_arrow_residue_of_two_paths_raises():
@@ -399,9 +412,26 @@ def test_socle_needs_both_sides():
     )
     assert any(p[1] == x and p[0] in residues for p in alg.products)
     assert not any(p[1] == x and p[0] in residues for p in mutated.products)
-    soc = socle(mutated)
-    assert [mutated.dense({p: GF5.one}) for p in soc] == reference_socle(mutated)
-    assert soc == sorted(tops) == products_socle(mutated)
+    assert [mutated.dense({p: GF5.one}) for p in sorted(tops)] == reference_socle(mutated)
+    assert sorted(tops) == products_socle(mutated)
+    # the same on the layout that the socle's inline rule reads, for two
+    # paths x and y at m = 2: by_next without x takes x out of every
+    # residue's row, and the first arrow of y corrupted takes y out of
+    # every residue's column whose run holds y (the rule's candidate test)
+    alg = build_quotient_algebra(corpus_quiver("circ4"), GF5, 2)
+    q = alg.quiver
+    residues = {g for a in q.arrow_names for g in alg.arrow_residue(a)}
+    tops = set(alg.top_index.values())
+    x, y = [i for i in range(len(q.vertices), alg.dim) if i not in tops and i not in residues][:2]
+    by_next = {b: [r for r in rows if r != x] for b, rows in alg.by_next.items()}
+    walks = list(alg.walks)
+    s, a, length = walks[y]
+    walks[y] = (s, q.other_arrow_at(s, a), length)
+    layout = with_sigma_rule(alg, by_next=by_next, walks=walks)
+    rule = layout.product
+    assert any(rule(x, g) for g in residues)
+    assert not any(rule(y, g) for g in residues if alg.after[g] == a) and any(rule(g, y) for g in residues)
+    assert socle(layout) == sorted(tops)
 
 
 def unit_form(alg, indices):

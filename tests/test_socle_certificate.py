@@ -179,9 +179,11 @@ def test_a_landing_product_out_of_the_rule_raises(name):
     # the certificate reads the rule at (i, pi(i)): with the arrow that
     # follows b_pi(i) corrupted (the rule's candidate test), row i lands
     # nowhere; the rule's signs are 1 and -1 by construction, so a sign
-    # other than those is put into the rule itself, and both corruptions
-    # are also put into the listed products, which the products-reading
-    # reference refuses with the same errors
+    # other than those is put into the rewritten top cycle's sign
+    # top_sign, which the certificate's inline rule reads, and into the
+    # rule itself, which the products list reads; both corruptions are
+    # also put into the listed products, and the products-reading
+    # reference refuses each with the same errors
     q = corpus_quiver(name)
     alg = build_quotient_algebra(q, GF3, 2)
     row = len(q.vertices)  # the first arrow's row
@@ -196,9 +198,13 @@ def test_a_landing_product_out_of_the_rule_raises(name):
     with pytest.raises(AssertionError, match="graph of an involution"):
         products_socle_landing(dropped, products_socle(dropped))
     for bad in (2, 0, -2):
-        signed = with_rule(alg, lambda rule, i, j: (rule(i, j)[0], bad) if (i, j) == (row, alg.pi[row]) else rule(i, j))
+        signed = dataclasses.replace(alg, products=None)
+        signed.top_sign = bad
         with pytest.raises(AssertionError, match="sign other than 1 and -1"):
             socle_certificate(signed)
+        signed = with_rule(alg, lambda rule, i, j: (rule(i, j)[0], bad) if (i, j) == (row, alg.pi[row]) else rule(i, j))
+        with pytest.raises(AssertionError, match="sign other than 1 and -1"):
+            products_socle_landing(signed, products_socle(signed))
         signed = dataclasses.replace(alg, products=alg.products[:n] + [(i, j, k, bad)] + alg.products[n + 1 :])
         with pytest.raises(AssertionError, match="sign other than 1 and -1"):
             products_socle_landing(signed, products_socle(signed))
