@@ -38,7 +38,7 @@ c1 <=> c2 <=> c3 <=> c4 <= c6 <= c5.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 from .fdalg import (
     SymmetryVerdict,
@@ -108,42 +108,57 @@ def decide(
     closed form, and a failed certificate, which would contradict the
     theorem, raises AssertionError.
 
+    Every loop that runs once per arrow, vertex or basis path reads the
+    maps the quiver and the polarization store, one lookup per fact:
+    the quiver's ``sources``, ``positions``, ``out_pairs``, ``tau``,
+    ``orbit_places`` and ``sigma``, and the polarizations' ``signs``
+    (:func:`find_sigma_stable`, :func:`order.basis_layout`, the
+    polarization check, the socle, c4 here and c5's scaling map).  The
+    arrow names are sorted once, by the layout: c4's and c5's evidence
+    read them in the order of ``twisted.first``.  The default
+    polarization is built once, where c4 (characteristic two) or the
+    quotient (no sigma-stable polarization) needs it.
+
     ``seed`` is ignored: the decision is deterministic."""
     stable = find_sigma_stable(q)
     bipartite = isinstance(stable, Polarization)
     char2 = field.char == 2
+    eps = quotient_polarization(q, stable)
+    twisted = build_quotient_algebra(q, field, m, eps, twisted=True)
+    names = twisted.first.keys()  # the arrow names, sorted: the evidence's key order
 
     conditions: Dict[str, Condition] = {}
 
-    # c3: bipartite or characteristic two (node rep has color stable.sign(rep))
+    # c3: bipartite or characteristic two (node rep has color stable.signs[rep])
     ev3: Dict[str, object] = {"bipartite": bipartite, "char": field.char}
     if bipartite:
-        ev3["coloring"] = {rep: stable.sign(rep) for rep, _ in q.sigma_orbits()}
+        sign = stable.signs
+        ev3["coloring"] = {rep: sign[rep] for rep, _ in q.sigma_orbits()}
     else:
         ev3["odd_walk"] = list(stable.odd_walk)
     conditions["c3"] = Condition(TRUE if bipartite or char2 else FALSE, ev3)
 
     # c4: some polarization with trivial involution
     if char2:
-        eps4 = default_polarization(q)
+        sign = (default_polarization(q) if bipartite else eps).signs
         conditions["c4"] = Condition(
             TRUE,
             {
                 "reason": "characteristic two collapses every involution",
-                "polarization": dict(sorted(eps4.signs.items())),
+                "polarization": dict(zip(names, map(sign.__getitem__, names))),
             },
         )
     elif bipartite:
         # the involution scales a by eps(sigma(a)) eps(a): trivial iff the signs are sigma-stable
-        trivial = all(stable.sign(q.sigma[a]) == stable.sign(a) for a in q.arrow_names)
+        sign, sigma = stable.signs, q.sigma
+        trivial = all(sign[sigma[a]] == sign[a] for a in names)
         conditions["c4"] = Condition(
             TRUE if trivial else FALSE,
-            {"polarization": dict(sorted(stable.signs.items())), "trivial": trivial},
+            {"polarization": dict(zip(names, map(sign.__getitem__, names))), "trivial": trivial},
         )
     else:
         conditions["c4"] = Condition(FALSE, {"odd_walk": list(stable.odd_walk)})
 
-    twisted = build_quotient_algebra(q, field, m, quotient_polarization(q, stable), twisted=True)
     verdict_tw = socle_certificate(twisted)
 
     conditions["c2"] = Condition(_status_from_verdict(verdict_tw), _verdict_evidence(verdict_tw))
@@ -153,10 +168,7 @@ def decide(
     if psi.kind in ("isomorphism", "identity"):
         if not psi.verified:
             raise AssertionError("constructed scaling map failed verification")
-        ev5 = {
-            "kind": psi.kind,
-            "scales": {a: field.scalar_str(s) for a, s in sorted(psi.scales.items())},
-        }
+        ev5 = {"kind": psi.kind, "scales": _scale_strings(field, names, psi.scales)}
         conditions["c5"] = Condition(TRUE, ev5)
     else:
         ev5 = {"kind": "inapplicable", "reason": psi.reason, "witness": psi.witness}
@@ -203,6 +215,17 @@ def decide(
         consistency_ok=not violations,
         violations=violations,
     )
+
+
+def _scale_strings(field: Field, names: Iterable[str], scales: Mapping[str, object]) -> Dict[str, str]:
+    """{a: field.scalar_str(scales[a])} in the order of names, with one
+    ``scalar_str`` call per distinct scale object: a scaling map has few
+    distinct scales (1 and one root of -1 per multiplicity), and an
+    element of Q formats and hashes in Python, so the scales are told
+    apart by identity."""
+    values = list(map(scales.__getitem__, names))
+    text = {k: field.scalar_str(c) for k, c in dict(zip(map(id, values), values)).items()}
+    return dict(zip(names, map(text.__getitem__, map(id, values))))
 
 
 def _status_from_verdict(v: SymmetryVerdict) -> str:

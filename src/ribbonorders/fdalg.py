@@ -97,6 +97,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field, fields, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import gcd
 from operator import itemgetter
 from types import MappingProxyType
@@ -195,7 +196,7 @@ class FdAlgebra(BasisLayout):
         path whose arrows do not follow sigma.
         """
         walks, after, kept, top, top_index = self.walks, self.after, self.kept, self.top_lengths, self.top_index
-        source, sign = self.quiver.source, self.top_sign
+        source, sign = self.quiver.sources, self.top_sign
 
         def product(i: int, j: int) -> Optional[Tuple[int, int]]:
             s, a, length = walks[i]
@@ -203,7 +204,7 @@ class FdAlgebra(BasisLayout):
             if b is None:  # b_i e(t), also e(s) e(t)
                 return (i, 1) if t == s else None
             if a is None:  # e(s) b_j: b_j ends at s
-                return (j, 1) if source(after[j]) == s else None
+                return (j, 1) if source[after[j]] == s else None
             if after[j] != a:
                 return None
             total = l_j + length
@@ -224,12 +225,12 @@ class FdAlgebra(BasisLayout):
         the candidate test (so lies beyond b's top length), every later
         one is zero too, and the row skips to the next run."""
         rule, walks, after, by_end, by_next = self.product, self.walks, self.after, self.by_end, self.by_next
-        first, kept, position = self.first, self.kept, self.quiver.position
+        first, kept, position = self.first, self.kept, self.quiver.positions
         index = list(range(self.dim))  # the products share these ints, holding none of their own
         products: List[Product] = []
         add = products.append
         for i, (s, a, _) in enumerate(walks):
-            row = by_end[s] if a is None else (position(s), *by_next[a])
+            row = by_end[s] if a is None else (position[s], *by_next[a])
             x, n = 0, len(row)
             while x < n:
                 j = row[x]
@@ -255,7 +256,7 @@ class FdAlgebra(BasisLayout):
         ``after``, ``kept``, ``top_lengths``, ``top_index`` and
         ``top_sign``) and makes the same tests, with no call per pair."""
         walks, after, kept, top, top_index = self.walks, self.after, self.kept, self.top_lengths, self.top_index
-        pi, mask, source, sign = self.pi, self.top_mask, self.quiver.source, self.top_sign
+        pi, mask, source, sign = self.pi, self.top_mask, self.quiver.sources, self.top_sign
         landing: List[Product] = []
         add = landing.append
         for i, j in enumerate(pi):
@@ -266,7 +267,7 @@ class FdAlgebra(BasisLayout):
                     break
                 k, c = i, 1
             elif a is None:  # e(s) b_j
-                if source(after[j]) != s:
+                if source[after[j]] != s:
                     break
                 k, c = j, 1
             elif after[j] != a:
@@ -309,7 +310,7 @@ class FdAlgebra(BasisLayout):
         length 1)."""
         if self.kept[a]:
             return {self.first[a]: self.scalar[1]}
-        return {self.top_index[self.quiver.source(a)]: self.scalar[-1 if self.twisted else 1]}
+        return {self.top_index[self.quiver.sources[a]]: self.scalar[-1 if self.twisted else 1]}
 
     def residue(self, a: str, length: int) -> Optional[Tuple[int, object]]:
         """The residue of the length-l path starting with arrow a, as
@@ -504,6 +505,9 @@ def nakayama_involution_bar(alg: FdAlgebra, inv: Involution) -> NakayamaBarRepor
 # socle and symmetric forms
 
 
+_UNREACHED = bytes([1]) + bytes(255)  # translates a reached mask (0 or 1) to its complement
+
+
 def socle(alg: FdAlgebra) -> List[int]:
     """The socle {x : a x = 0 = x a for all arrow residues}, as the
     indices of the basis paths that span it, in increasing order, read
@@ -522,19 +526,22 @@ def socle(alg: FdAlgebra) -> List[int]:
     ``walks``, ``after``, ``kept``, ``top_lengths`` and ``top_index``)
     with the same tests, and only the product's index is kept, in a
     byte mask: no call per pair, no sign and no field arithmetic.  A
-    per-index stamp of the last row or column that reached k tests
-    injectivity.  Raises AssertionError when a residue is not one path
-    or a multiplication is not injective.
+    residue's e(s) and e(v) are read off the quiver's ``positions`` and
+    ``sources`` maps, and the unreached paths off the mask's complement
+    (``bytearray.translate``).  A per-index stamp of the last row or
+    column that reached k tests injectivity.  Raises AssertionError when
+    a residue is not one path or a multiplication is not injective.
     """
     residues = set()
+    residue = alg.arrow_residue
     for a in alg.quiver.arrow_names:
-        g = alg.arrow_residue(a)
+        g = residue(a)
         if len(g) != 1:
             raise AssertionError(f"arrow residue of {a} is not one basis path")
         residues.update(g)
     walks, after, by_next, first, kept = alg.walks, alg.after, alg.by_next, alg.first, alg.kept
     top, top_index = alg.top_lengths, alg.top_index
-    position, source = alg.quiver.position, alg.quiver.source
+    position, source = alg.quiver.positions, alg.quiver.sources
     reached = bytearray(alg.dim)
     stamp = [-1] * alg.dim  # stamp[k]: the last side, 2g (row g) or 2g + 1 (column g), with a product on b_k
 
@@ -544,7 +551,7 @@ def socle(alg: FdAlgebra) -> List[int]:
     for g in sorted(residues):
         s, a, length = walks[g]
         side = 2 * g
-        for j in (position(s), *by_next[a]):  # b_g b_j
+        for j in (position[s], *by_next[a]):  # b_g b_j
             t, b, total = walks[j]
             if b is None:  # b_g e(t)
                 if t != s:
@@ -565,8 +572,8 @@ def socle(alg: FdAlgebra) -> List[int]:
             stamp[k] = side
             reached[j] = 1
         b, side = after[g], side + 1
-        v = source(b)  # g's end
-        for x in (position(v), *range(first[b], first[b] + kept[b])):  # b_x b_g
+        v = source[b]  # g's end
+        for x in (position[v], *range(first[b], first[b] + kept[b])):  # b_x b_g
             u, c, n = walks[x]
             if c is None:  # e(u) b_g
                 if u != v:
@@ -586,7 +593,7 @@ def socle(alg: FdAlgebra) -> List[int]:
                 raise not_injective("right", g)
             stamp[k] = side
             reached[x] = 1
-    return [x for x, r in enumerate(reached) if not r]
+    return list(compress(range(alg.dim), reached.translate(_UNREACHED)))
 
 
 def symmetric_forms(alg: FdAlgebra) -> List[Sparse]:
@@ -808,12 +815,13 @@ def socle_certificate(alg: FdAlgebra) -> SymmetryVerdict:
     n = alg.dim
     paths = socle(alg)
     landing = _socle_landing(alg, paths)
-    links: Dict[int, List[Tuple[int, int]]] = {}  # k -> [(k', s s')]
+    links: Dict[int, List[Tuple[int, int]]] = {k: [] for k in paths}  # k -> [(k', s s')]; each k lands on the socle
     for i, j, k, s in landing:
         if i < j:
-            k2, r = landing[j][2], s * landing[j][3]
-            links.setdefault(k, []).append((k2, r))
-            links.setdefault(k2, []).append((k, r))
+            _, _, k2, s2 = landing[j]
+            r = s * s2
+            links[k].append((k2, r))
+            links[k2].append((k, r))
     ratio = [0] * n
     comps = list(_walk(paths, links, ratio, alg.field.char == 2))
 
@@ -919,7 +927,7 @@ def _witnessed(alg: FdAlgebra, s_dim: int, phi: List[int], det) -> SymmetryVerdi
             method="sum of the S basis forms meeting the socle: monomial pairing, exact determinant",
             trials=1,
             s_dim=s_dim,
-            witness_form=[value[x] for x in phi],
+            witness_form=list(map(value.__getitem__, phi)),
         )
     return SymmetryVerdict(
         kind="undecided",
@@ -1099,26 +1107,32 @@ def psi_from_quotient(
     at least 1.  So those vertices are skipped, as the product check
     skips them.  The scales are lifted to ints as
     :meth:`order.BasisLayout.path_products` does, so over Q every scale
-    is +-1 and no ``Fraction`` is multiplied.
+    is +-1 and no ``Fraction`` is multiplied.  The negative orbits are
+    read off ``stable.signs``, and :func:`root_of_minus_one` is called
+    once per distinct multiplicity among them, in orbit order up to the
+    first without a root, which is the witness.
     """
     q, field, mm = tw.quiver, tw.field, tw.multiplicity
 
     if field.char == 2:  # top_sign is 1: the two quotients coincide
-        scales = {a: field.one for a in q.arrow_names}
-        return PsiResult(kind="identity", scales=scales, verified=True)
+        return PsiResult(kind="identity", scales=dict.fromkeys(q.arrow_names, field.one), verified=True)
 
     if not isinstance(stable, Polarization):
         return _not_bipartite(stable)
-    scales: Dict[str, object] = {a: field.one for a in q.arrow_names}
+    scales: Dict[str, object] = dict.fromkeys(q.arrow_names, field.one)
+    sign, roots = stable.signs, {}  # roots: multiplicity -> its root of -1
     for rep, _ in q.sigma_orbits():
-        if stable.sign(rep) != MINUS:
+        if sign[rep] != MINUS:
             continue
-        lam = root_of_minus_one(field, mm[rep])
+        m = mm[rep]
+        if m not in roots:
+            roots[m] = root_of_minus_one(field, m)
+        lam = roots[m]
         if lam is None:
             return PsiResult(
                 kind="inapplicable",
-                reason=f"no root of x^{mm[rep]} = -1 in {field.name}",
-                witness={"node": rep, "multiplicity": mm[rep]},
+                reason=f"no root of x^{m} = -1 in {field.name}",
+                witness={"node": rep, "multiplicity": m},
             )
         scales[rep] = lam  # only the orbit representative is rescaled
 
@@ -1136,25 +1150,28 @@ def _scaling_relations_hold(tw: FdAlgebra, scales: Mapping[str, object]) -> bool
     quotient: every scale of an arrow on a basis path is nonzero, and
     mu_b = top_sign mu_a at each vertex whose negative arrow b has top
     length at least 2 (proof: :func:`psi_from_quotient`), in
-    O(|Q_0| + |Q_1|) field multiplications on lifted scales."""
+    O(|Q_0| + |Q_1|) field multiplications on lifted scales; a's is
+    ``q.tau[b]``, the other arrow out of b's source."""
     f, q, kept, top = tw.field, tw.quiver, tw.kept, tw.top_lengths
-    lift = {a: _integral(c) for a, c in scales.items()}
-    if not all(lift[a] for a, k in kept.items() if k):
+    lift = dict(zip(scales, map(_integral, scales.values())))
+    if not all(map(lift.__getitem__, compress(kept, kept.values()))):  # the arrows with kept[a] >= 1
         return False
-    mul, one = f.mul, _integral(f.one)
+    mul, one, mm = f.mul, _integral(f.one), tw.multiplicity
     mu = {}  # arrow -> mu of its orbit
     for rep, orbit in q.sigma_orbits():
         acc = one
-        for a in orbit:
-            acc = mul(acc, lift[a])
+        for c in map(lift.__getitem__, orbit):
+            if c != one:  # a scale 1 multiplies by nothing
+                acc = mul(acc, c)
         value = acc
-        for _ in range(1, tw.multiplicity[rep]):
+        for _ in range(1, mm[rep]):
             value = mul(value, acc)
-        mu.update(dict.fromkeys(orbit, value))
-    source, other = q.source, q.other_arrow_at
+        for a in orbit:
+            mu[a] = value
+    tau = q.tau  # the other arrow out of b's source
     for b, k in kept.items():
         if k < top[b] and k:  # b negative, of top length >= 2
-            mu_a = mu[other(source(b), b)]
+            mu_a = mu[tau[b]]
             if mu[b] != (mu_a if tw.top_sign == 1 else f.neg(mu_a)):
                 return False
     return True

@@ -79,11 +79,11 @@ def normalize_multiplicity(q: GentleQuiver, m: Union[int, Mapping[str, int], Non
         return {rep: m for rep in reps}
     out = {rep: 1 for rep in reps}
     seen = set()
-    names = set(q.arrow_names)
+    place = q.orbit_places
     for key, value in m.items():
-        if key not in names:
+        if key not in place:
             raise QuiverError(f"multiplicity key {key!r} is not an arrow")
-        rep = q.orbit_rep(key)
+        rep = place[key][0][0]
         if rep in seen:
             raise QuiverError(f"multiplicity given twice for orbit of {rep!r}")
         seen.add(rep)
@@ -311,13 +311,13 @@ class BasisLayout:
         built on first read: the views :attr:`walks`, ``by_next``,
         ``after`` and :attr:`pi`."""
         q = self.quiver
-        sigma, first, top = q.sigma, self.first, self.top_lengths
+        sigma, source, first, top = q.sigma, q.sources, self.first, self.top_lengths
         walks: List[Walk] = [(v, None, 0) for v in q.vertices]
         by_next: Dict[str, List[int]] = {a: [] for a in first}
         after: List[Optional[str]] = [None] * self.dim
         pi = [0] * self.dim
         for a, base in first.items():  # in index order
-            s = q.source(a)
+            s = source[a]
             nxt, c = a, base + top[a] - 2  # pi[r] = first[sigma^L(a)] + T - L - 1, L = r - base + 1
             for r in range(base, base + self.kept[a]):
                 walks.append((s, a, r - base + 1))
@@ -344,9 +344,9 @@ class BasisLayout:
         built on first read."""
         q = self.quiver
         by_end = {v: [r] for r, v in enumerate(q.vertices)}
-        after = self.after
+        after, source = self.after, q.sources
         for r in range(len(q.vertices), self.dim):
-            by_end[q.source(after[r])].append(r)
+            by_end[source[after[r]]].append(r)
         return by_end
 
     @property
@@ -424,19 +424,28 @@ def basis_layout(q: GentleQuiver, eps: Polarization, mm: Mapping[str, int]) -> B
     the multiplicity map mm ({orbit representative: m}), in O(|Q_0| +
     |Q_1|): the indices of :class:`BasisLayout` and dim, with no label
     (``basis`` is a view).  Raises AssertionError when dim disagrees
-    with the rank formula sum m(v_a) n(a)."""
+    with the rank formula sum m(v_a) n(a).
+
+    It reads each fact with one lookup in a stored map: n(a) and the
+    representative that keys mm off ``q.orbit_places[a]`` (a's orbit,
+    from the representative), a's sign off ``eps.signs``, and the
+    positive arrow at v off ``q.out_pairs[v]`` and ``eps.signs``.  The
+    arrow names are sorted once, here; ``first`` keeps that order."""
+    place, sign = q.orbit_places, eps.signs
     dim = len(q.vertices)
     top, first, kept = {}, {}, {}  # per arrow: see BasisLayout
     for a in sorted(q.arrow_names):
-        top[a] = mm[q.orbit_rep(a)] * q.cycle_length(a)
+        orbit = place[a][0]  # from the representative
+        t = top[a] = mm[orbit[0]] * len(orbit)
         first[a] = dim
-        kept[a] = top[a] if eps.sign(a) == PLUS else top[a] - 1
-        dim += kept[a]
+        k = kept[a] = t if sign[a] == PLUS else t - 1
+        dim += k
     if dim != sum(top.values()):
         raise AssertionError("quotient basis size disagrees with the rank formula")
     top_index = {}
-    for v in q.vertices:
-        a = eps.positive_arrow_at(q, v)
+    for v, (a, b) in q.out_pairs.items():
+        if sign[a] != PLUS:  # the positive arrow at v
+            a = b
         top_index[v] = first[a] + top[a] - 1
     return BasisLayout(q, eps, dim, first, kept, top_index, top)
 

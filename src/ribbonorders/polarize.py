@@ -53,14 +53,14 @@ class Involution:
 def check_polarization(q: GentleQuiver, eps: Polarization) -> None:
     """Raise QuiverError unless eps puts '+' or '-' on every arrow of q
     and opposite signs on the two arrows out of each vertex."""
-    if set(eps.signs) != set(q.arrow_names):
+    signs = eps.signs
+    if signs.keys() != q.sources.keys():
         raise QuiverError("polarization must assign a sign to every arrow")
     for a in q.arrow_names:
-        if eps.signs[a] not in (PLUS, MINUS):
-            raise QuiverError(f"polarization sign of {a} is {eps.signs[a]!r}, not '+' or '-'")
-    for v in q.vertices:
-        a, b = q.arrows_out(v)
-        if eps.signs[a] == eps.signs[b]:
+        if signs[a] not in (PLUS, MINUS):
+            raise QuiverError(f"polarization sign of {a} is {signs[a]!r}, not '+' or '-'")
+    for v, (a, b) in q.out_pairs.items():  # in vertex order
+        if signs[a] == signs[b]:
             raise QuiverError(f"arrows {a}, {b} out of {v} carry equal signs")
 
 
@@ -74,10 +74,7 @@ def enumerate_polarizations(q: GentleQuiver) -> Iterator[Polarization]:
     so ``next`` or ``itertools.islice`` costs O(|Q_0|) per polarization
     taken, and the 2^{|Q_0|} are never held at once.
     """
-    per_vertex = []
-    for v in q.vertices:
-        a, b = q.arrows_out(v)  # sorted, so a < b
-        per_vertex.append([{a: PLUS, b: MINUS}, {a: MINUS, b: PLUS}])
+    per_vertex = [[{a: PLUS, b: MINUS}, {a: MINUS, b: PLUS}] for a, b in q.out_pairs.values()]  # a < b
     for combo in itertools.product(*per_vertex):
         signs: Dict[str, str] = {}
         for d in combo:
@@ -91,8 +88,7 @@ def default_polarization(q: GentleQuiver) -> Polarization:
     This is ``next(enumerate_polarizations(q))``, built in O(|Q_0|).
     """
     signs: Dict[str, str] = {}
-    for v in q.vertices:
-        a, b = q.arrows_out(v)  # sorted, so a < b
+    for a, b in q.out_pairs.values():  # in vertex order; sorted, so a < b
         signs[a] = PLUS
         signs[b] = MINUS
     return Polarization(signs=signs)
@@ -127,17 +123,21 @@ def find_sigma_stable(
     builds no ribbon graph, and every other graph query walks
     :func:`ribbon.graph_of_quiver`.
 
+    The pass reads the stored maps, one lookup per fact: each vertex's
+    two arrows off ``q.out_pairs`` (in vertex order) and each arrow's
+    representative off ``q.orbit_places``, which the signs, in arrow
+    order, read again.
+
     The pullback is a polarization, so it is not checked here (the
     quotient builder checks the polarization it is given).  The coloring
     is proper, so the two arrows out of v get the two colors '+' and
     '-'.  Were both arrows in one orbit, the edge v would be a loop, and
     a graph with a loop has no proper coloring.
     """
-    rep = q.orbit_rep
+    place = q.orbit_places
     adj: Dict[str, List[Tuple[str, str]]] = {r: [] for r, _ in q.sigma_orbits()}
-    for v in q.vertices:  # graph_of_quiver(q).adjacency(), stopping at the first loop
-        a, b = q.arrows_out(v)
-        u, w = rep(a), rep(b)
+    for v, (a, b) in q.out_pairs.items():  # graph_of_quiver(q).adjacency(), stopping at the first loop
+        u, w = place[a][0][0], place[b][0][0]
         if u == w:
             return BipartiteCertificate(odd_walk=(v,))
         adj[u].append((w, v))
@@ -146,7 +146,7 @@ def find_sigma_stable(
     if not cert.is_bipartite:
         return cert
     color = cert.coloring
-    return Polarization(signs={a: color[rep(a)] for a in q.arrow_names})
+    return Polarization(signs={a: color[place[a][0][0]] for a in q.arrow_names})
 
 
 def quotient_polarization(

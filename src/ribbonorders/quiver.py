@@ -75,7 +75,10 @@ class GentleQuiver:
     pass: sources, targets, the sorted pair of arrows out of each vertex,
     each vertex's position, tau, and the walk along sigma that stores the
     orbits with each arrow's orbit and position.  So every orbit query is
-    a lookup; equality and repr still read only the three fields.
+    a lookup; equality and repr still read only the three fields.  The
+    maps themselves are read-only properties (``sources``,
+    ``positions``, ``out_pairs``, ``tau``, ``orbit_places``), for the
+    loops that read one fact per arrow or vertex with no call per fact.
     """
 
     vertices: Tuple[str, ...]
@@ -141,6 +144,39 @@ class GentleQuiver:
         if self._source.get(a) != vertex:
             raise QuiverError(f"arrow {a!r} does not start at {vertex!r}")
         return self._tau[a]
+
+    # the stored maps, for loops that read one fact per arrow or vertex:
+    # the dicts the accessors above and below read, shared, not copied,
+    # and like sigma never to be written
+
+    @property
+    def sources(self) -> Mapping[str, str]:
+        """{arrow: source}; ``source(a)`` is ``sources[a]``."""
+        return self._source
+
+    @property
+    def positions(self) -> Mapping[str, int]:
+        """{vertex: index in ``vertices``}; ``position(v)`` is ``positions[v]``."""
+        return self._pos
+
+    @property
+    def out_pairs(self) -> Mapping[str, Tuple[str, str]]:
+        """{vertex: its two arrows out, sorted}; ``arrows_out(v)`` is
+        ``out_pairs[v]``."""
+        return self._out
+
+    @property
+    def tau(self) -> Mapping[str, str]:
+        """{arrow: the other arrow out of its source};
+        ``other_arrow_at(source(a), a)`` is ``tau[a]``."""
+        return self._tau
+
+    @property
+    def orbit_places(self) -> Mapping[str, Tuple[Tuple[str, ...], int]]:
+        """{arrow a: (its sigma-orbit from the representative, a's place
+        in it)}: ``orbit_rep(a)`` is ``orbit_places[a][0][0]`` and
+        ``cycle_length(a)`` is ``len(orbit_places[a][0])``."""
+        return self._place
 
     def sigma_power(self, a: str, p: int) -> str:
         """sigma^p(a); p may be negative."""

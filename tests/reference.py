@@ -12,7 +12,8 @@ landing read through one call of the pointwise product rule per pair
 comparison, the Frobenius form's closed form on paths, z-adic expansion
 of canonical coordinates, an involution's sign on a path and the
 involution applied to an order element, an order report with its
-views, polarization queries, the
+views, polarization queries, the basis layout and the scaling map read
+through one accessor call per fact, the
 ribbon graph's bipartite certificate and components by a BFS and a DFS
 of their own, random field scalars, and k[t] evaluation and printing.
 The tests compare the package against them.
@@ -28,7 +29,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from operator import itemgetter
 
-from ribbonorders.fdalg import FdAlgebra, Product
+from ribbonorders.fdalg import FdAlgebra, Product, root_of_minus_one
 from ribbonorders.fields import Field, PolyRing, PrimeField
 from ribbonorders.order import (
     CanonicalBasis,
@@ -377,6 +378,71 @@ def negative_arrow_at(eps: Polarization, q: GentleQuiver, vertex: str) -> str:
 
 def is_sigma_stable(eps: Polarization, q: GentleQuiver) -> bool:
     return all(eps.signs[a] == eps.signs[q.sigma[a]] for a in q.arrow_names)
+
+
+def accessor_layout(q: GentleQuiver, eps: Polarization, mm: Mapping[str, int]) -> dict:
+    """The fields of :func:`order.basis_layout` (``first`` as its item
+    list, in index order) and its sigma-rule views ``walks``, ``after``,
+    ``by_next`` and ``pi``, read through one public accessor call per
+    fact: ``orbit_rep``, ``cycle_length``, ``source``, ``sigma_power``,
+    ``Polarization.sign`` and ``positive_arrow_at``.  pi is found by a
+    lookup of the pairing path's walk, not by its closed form."""
+    dim, first, kept, top = len(q.vertices), {}, {}, {}
+    walks: List[tuple] = [(v, None, 0) for v in q.vertices]
+    after: List[Optional[str]] = [None] * dim
+    for a in sorted(q.arrow_names):
+        top[a] = mm[q.orbit_rep(a)] * q.cycle_length(a)
+        first[a] = dim
+        kept[a] = top[a] if eps.sign(a) == PLUS else top[a] - 1
+        dim += kept[a]
+        for length in range(1, kept[a] + 1):
+            walks.append((q.source(a), a, length))
+            after.append(q.sigma_power(a, length))
+    top_index = {}
+    for v in q.vertices:
+        a = eps.positive_arrow_at(q, v)
+        top_index[v] = first[a] + top[a] - 1
+    by_next: Dict[str, List[int]] = {a: [] for a in first}
+    for r in range(len(q.vertices), dim):
+        by_next[after[r]].append(r)
+    index = {w: r for r, w in enumerate(walks)}
+    pi = [0] * dim
+    for r, (s, a, length) in enumerate(walks):
+        if a is None:
+            pi[r] = top_index[s]
+        elif r == top_index[s]:
+            pi[r] = q.position(s)
+        else:  # the path that follows b_r along sigma up to the top length
+            pi[r] = index[(q.source(after[r]), after[r], top[a] - length)]
+    return {
+        "dim": dim,
+        "first": list(first.items()),
+        "kept": kept,
+        "top_index": top_index,
+        "top_lengths": top,
+        "walks": tuple(walks),
+        "after": after,
+        "by_next": by_next,
+        "pi": pi,
+    }
+
+
+def per_orbit_psi(stable: Polarization, field: Field, mm: Mapping[str, int]) -> dict:
+    """c5's scaling map on a bipartite quiver outside characteristic two,
+    with one ``root_of_minus_one`` call per negative orbit, in orbit
+    order: {"scales": {arrow: scale}}, or, at the first negative orbit
+    whose multiplicity has no root, {"reason": ..., "witness": ...}."""
+    scales = dict.fromkeys(stable.signs, field.one)
+    for rep in sorted(mm):
+        if stable.sign(rep) == MINUS:
+            lam = root_of_minus_one(field, mm[rep])
+            if lam is None:
+                return {
+                    "reason": f"no root of x^{mm[rep]} = -1 in {field.name}",
+                    "witness": {"node": rep, "multiplicity": mm[rep]},
+                }
+            scales[rep] = lam
+    return {"scales": scales}
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,9 @@ def test_decide_computes_certificate_once_and_quotient_pair_once(monkeypatch):
     # the bipartite certificate is one component walk over the sigma-orbits
     # (none when a loop is the certificate), with no ribbon graph built;
     # the multiplicity map is normalized once, and the polarization
-    # checked once, by the quotient builder
+    # checked once, by the quotient builder; the default polarization is
+    # built once where c4's evidence (characteristic two) or the quotient
+    # (no sigma-stable one) needs it, and not at all otherwise
     once = {
         "find_sigma_stable": 1,
         "build_quotient_algebra": 1,
@@ -140,8 +142,9 @@ def test_decide_computes_certificate_once_and_quotient_pair_once(monkeypatch):
         "is_bipartite": 0,
         "graph_of_quiver": 0,
     }
-    counts = dict.fromkeys([*once, "_component_walk"], 0)
+    counts = dict.fromkeys([*once, "_component_walk", "default_polarization"], 0)
     for original in (
+        default_polarization,
         find_sigma_stable,
         build_quotient_algebra,
         normalize_multiplicity,
@@ -151,18 +154,26 @@ def test_decide_computes_certificate_once_and_quotient_pair_once(monkeypatch):
         ribbon._component_walk,
     ):
         count_calls(monkeypatch, original, counts)
-    loops = set()
+    loops, kinds = set(), set()
     for name in CORPUS_NAMES:
         q = corpus_quiver(name)
         loop = any(len({q.orbit_rep(a) for a in q.arrows_out(v)}) == 1 for v in q.vertices)
         loops.add(loop)
+        bipartite = decide(q, GF3).conditions["c3"].evidence["bipartite"]
         for field in FIELDS:
+            needed = field.char == 2 or not bipartite
+            kinds.add((field.char == 2, bipartite))
             for m in (1, 2):
                 counts.update(dict.fromkeys(counts, 0))
                 rep = decide(q, field, m)
-                assert counts == {**once, "_component_walk": 0 if loop else 1}, (name, field.name, m)
+                assert counts == {
+                    **once,
+                    "_component_walk": 0 if loop else 1,
+                    "default_polarization": 1 if needed else 0,
+                }, (name, field.name, m)
                 assert rep.multiplicity == {orbit_rep: m for orbit_rep, _ in q.sigma_orbits()}
     assert loops == {True, False}
+    assert len(kinds) == 4
 
 
 @pytest.mark.parametrize("check", [check_nu_symmetry, verify_theta_psi], ids=["nu", "theta_psi"])
