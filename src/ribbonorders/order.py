@@ -26,29 +26,23 @@ One layout serves the order and every quotient (:func:`basis_layout`,
 :class:`BasisLayout`): Lambda/z Lambda is the twisted quotient at
 multiplicity one, and Lambda is free over k[[z]], so the canonical basis
 is that quotient's basis lifted, with x_v the display label at
-top_index[v].  The layout holds the one sigma-rule of the order and its
-quotients, the coordinate rule ``terms`` and the form's pairing
-involution ``pi``; labels are formatted only where shown.
+top_index[v].  The layout holds the one sigma-rule, the coordinate rule
+``terms`` and the form's pairing involution ``pi``.
 
 The order checks certify on generators and sweep only when that fails.
 F is the set of pairs (i, j) with b_i b_j a full-cycle power: pi's graph
-and the (x_v, x_v).  Only those products have an x-coordinate, so off
-F u F^T both sides of the twisted symmetry are 0, and
-``nu_counterexamples``, the one evaluator of the twisted symmetry (of
-the order's form and of a quotient's, ``fdalg``), evaluates F u F^T.
-``check_nu_symmetry`` certifies it on generators (C2), and
-``verify_theta_psi`` checks theta column by column (C1) and C2.  A
-certificate compares native int terms (index, degree, coefficient),
-the coefficients 1 and -1: sides equal over Z (in characteristic 2,
-mod 2) are equal over k, as Z -> k is a ring homomorphism; any other
-outcome leaves the answer to the sweep, which maps a compared vector
-into k (``Field.from_int``) only to test it for zero.  An ok check
-formats no label and no k[t] entry: its report's views do, on read.
+and the (x_v, x_v); off F u F^T both sides of the twisted symmetry are
+0, and ``nu_counterexamples``, its one evaluator (of the order's form and
+of a quotient's), evaluates F u F^T.  The certificates, C2 on generators
+(``check_nu_symmetry``) and C1, theta column by column, with C2
+(``verify_theta_psi``), compare native +-1 int terms: sides equal over Z
+(in characteristic 2, mod 2) are equal over k; any other outcome leaves
+the answer to the sweep.  An ok check formats no label and no k[t] entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, fields
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -119,11 +113,8 @@ class OrderElement:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        f = self.field
-        bits = []
-        for p in sorted(self.terms, key=lambda p: (p.length, p.start, p.arrows)):
-            bits.append(f"{f.scalar_str(self.terms[p])}*{p.label()}")
-        return " + ".join(bits)
+        paths = sorted(self.terms, key=lambda p: (p.length, p.start, p.arrows))
+        return " + ".join(f"{self.field.scalar_str(self.terms[p])}*{p.label()}" for p in paths)
 
 
 def _trim(field: Field, terms: Dict[Path, object]) -> Dict[Path, object]:
@@ -205,9 +196,7 @@ def _same(x: OrderElement, y: OrderElement) -> None:
         raise QuiverError("elements live over different fields")
 
 
-def central_element_z(
-    q: GentleQuiver, field: Field, m: Union[int, Mapping[str, int], None] = None
-) -> OrderElement:
+def central_element_z(q: GentleQuiver, field: Field, m: Union[int, Mapping[str, int], None] = None) -> OrderElement:
     """z = sum over arrows of c_a^{m_a}; centrality is verified on generators."""
     mm = normalize_multiplicity(q, m)
     z = zero_element(q, field)
@@ -248,17 +237,13 @@ class BasisLayout:
     arrow, length)), the sigma-rule list ``by_next``, the arrow
     ``after[r]`` that follows b_r along sigma and :attr:`pi` (the form's
     pairing involution) are one view, built on first read by one pass
-    over each arrow run; the quotients' product rule and its inline
-    readers (the socle and the pairing), both order checks and the
-    quotients' pairing read it.  ``by_end`` (the paths ending at each
-    vertex, read off ``after``), which only the product list, the Cartan
-    matrix and :meth:`left_multiples` read, and ``top_mask`` (the kept
-    top cycles, the standard form's support) are views of their own.
-    The labels are display-only: :meth:`label` formats the one of b_r,
-    and ``basis`` (every label, label(r) at index r), ``index`` (label
-    -> index) and ``paths`` (label -> ``Path``) are views that no
-    decision reads.  No view is a field.
-    """
+    over each arrow run, which every product rule and check reads.
+    ``by_end`` (the paths ending at each vertex, read off ``after``) and
+    ``top_mask`` (the kept top cycles, the standard form's support) are
+    views of their own.  The labels are display-only: :meth:`label`
+    formats the one of b_r, and ``basis`` (label(r) at index r),
+    ``index`` (label -> index) and ``paths`` (label -> ``Path``) are
+    views that no decision reads.  No view is a field."""
 
     quiver: GentleQuiver
     eps: Polarization
@@ -381,7 +366,7 @@ class BasisLayout:
         and then p, as a walk; nothing is truncated or rewritten."""
         if a is None:
             return [(r, self.walks[r]) for r in self.by_end[start]]
-        out = [(self.quiver.position(start), (start, a, length))]
+        out = [(self.quiver.positions[start], (start, a, length))]
         for r in self.by_next[a]:
             s, first, n = self.walks[r]
             out.append((r, (s, first, n + length)))
@@ -394,12 +379,13 @@ class BasisLayout:
         divmod(length - 1, top_lengths[a]), the path is t^r a:(l + 1), a
         basis path unless a is negative and l + 1 is the top length: then
         it is t^(r+1) e(start) - t^r times the kept top cycle at start."""
+        pos = self.quiver.positions
         if a is None:
-            return ((self.quiver.position(start), 0, 1),)
+            return ((pos[start], 0, 1),)
         r, m = divmod(length - 1, self.top_lengths[a])
         if m < self.kept[a]:
             return ((self.first[a] + m, r, 1),)
-        return ((self.quiver.position(start), r + 1, 1), (self.top_index[start], r, -1))
+        return ((pos[start], r + 1, 1), (self.top_index[start], r, -1))
 
     def path_products(self, field: Field, values: Mapping[str, object]) -> list:
         """The product of values[b] over the arrows b of each basis path,
@@ -419,18 +405,17 @@ class BasisLayout:
         return out
 
 
-def basis_layout(q: GentleQuiver, eps: Polarization, mm: Mapping[str, int]) -> BasisLayout:
+def basis_layout(q: GentleQuiver, eps: Polarization, mm: Mapping[str, int], kind: type = BasisLayout) -> BasisLayout:
     """The one basis layout of the quotients for the polarization eps and
     the multiplicity map mm ({orbit representative: m}), in O(|Q_0| +
     |Q_1|): the indices of :class:`BasisLayout` and dim, with no label
     (``basis`` is a view).  Raises AssertionError when dim disagrees
     with the rank formula sum m(v_a) n(a).
 
-    It reads each fact with one lookup in a stored map: n(a) and the
-    representative that keys mm off ``q.orbit_places[a]`` (a's orbit,
-    from the representative), a's sign off ``eps.signs``, and the
-    positive arrow at v off ``q.out_pairs[v]`` and ``eps.signs``.  The
-    arrow names are sorted once, here; ``first`` keeps that order."""
+    Each fact is one lookup in a stored map (``q.orbit_places``,
+    ``eps.signs``, ``q.out_pairs``); the arrow names are sorted once, here,
+    and ``first`` keeps that order.  The layout is built as a ``kind``,
+    :class:`CanonicalBasis` for the order."""
     place, sign = q.orbit_places, eps.signs
     dim = len(q.vertices)
     top, first, kept = {}, {}, {}  # per arrow: see BasisLayout
@@ -447,7 +432,7 @@ def basis_layout(q: GentleQuiver, eps: Polarization, mm: Mapping[str, int]) -> B
         if sign[a] != PLUS:  # the positive arrow at v
             a = b
         top_index[v] = first[a] + top[a] - 1
-    return BasisLayout(q, eps, dim, first, kept, top_index, top)
+    return kind(q, eps, dim, first, kept, top_index, top)
 
 
 class CanonicalBasis(BasisLayout):
@@ -475,8 +460,7 @@ def canonical_basis(q: GentleQuiver, eps: Polarization) -> CanonicalBasis:
 
 def _canonical_basis(q: GentleQuiver, eps: Polarization) -> CanonicalBasis:
     """:func:`canonical_basis` for a polarization already checked."""
-    layout = basis_layout(q, eps, normalize_multiplicity(q, None))
-    return CanonicalBasis(**{f.name: getattr(layout, f.name) for f in fields(BasisLayout)})  # not its cached views
+    return basis_layout(q, eps, normalize_multiplicity(q, None), CanonicalBasis)
 
 
 def path_coordinates(basis: CanonicalBasis, ring: PolyRing, p: Path) -> Dict[str, tuple]:
@@ -486,9 +470,7 @@ def path_coordinates(basis: CanonicalBasis, ring: PolyRing, p: Path) -> Dict[str
     return {basis.basis[k]: ring.t_power(d, from_int(c)) for k, d, c in terms}
 
 
-def to_canonical_coordinates(
-    basis: CanonicalBasis, ring: PolyRing, x: OrderElement
-) -> Dict[str, tuple]:
+def to_canonical_coordinates(basis: CanonicalBasis, ring: PolyRing, x: OrderElement) -> Dict[str, tuple]:
     coords: Dict[str, tuple] = {}
     for p, c in x.terms.items():
         for label, poly in path_coordinates(basis, ring, p).items():
@@ -521,16 +503,39 @@ def _full_cycle_pairs(basis: CanonicalBasis, pi: Sequence[int]) -> List[Tuple[in
 
 def _phi_of(basis: CanonicalBasis):
     """phi on F: the function (i, j) -> phi(b_i b_j) as [(degree,
-    coefficient)], one coordinate rewrite per call: the product is b_i
-    for b_j = e(v), else b_j lengthened by b_i's length, and phi of it
-    its x-term, 1 or -1, nonzero in every field."""
-    walks, tops, terms = basis.walks, basis.top_mask, basis.terms
+    coefficient)]: the product is b_i for b_j = e(v), else b_j lengthened
+    by b_i's length, and phi of it its x-term, 1 or -1.  The rule of
+    :meth:`BasisLayout.terms` runs inline, its tests in its order."""
+    walks, tops, top, kept, first = basis.walks, basis.top_mask, basis.top_lengths, basis.kept, basis.first
+    top_index, pos = basis.top_index, basis.quiver.positions
 
     def phi(i: int, j: int) -> List[Tuple[int, int]]:
         s, a, n = walks[j]
-        return [(d, c) for k, d, c in (terms(*walks[i]) if a is None else terms(s, a, n + walks[i][2])) if tops[k]]
+        if a is None:  # b_i e(s) = b_i
+            s, a, n = walks[i]
+            if a is None:
+                return [(0, 1)] if tops[pos[s]] else []
+        else:
+            n += walks[i][2]
+        r, m = divmod(n - 1, top[a])
+        if m < kept[a]:  # t^r a:(m + 1)
+            return [(r, 1)] if tops[first[a] + m] else []
+        if tops[pos[s]]:  # t^(r+1) e(s) - t^r x(s); e(s) is no top of a layout's own mask
+            return [(r + 1, 1), (r, -1)] if tops[top_index[s]] else [(r + 1, 1)]
+        return [(r, -1)] if tops[top_index[s]] else []
 
     return phi
+
+
+def _sign_parities(inv: Involution) -> Optional[Dict[str, int]]:
+    """{arrow: 1 where its involution sign is -1, else 0} in one pass, or
+    None when a sign is neither 1 nor -1.  ``field.one`` itself (the
+    object :func:`involution_of` stores) is read with no comparison, -1
+    with one, any other 1 with two; in characteristic 2 every parity is 0."""
+    f = inv.field
+    one, minus, odd = f.one, f.neg(f.one), int(f.char != 2)
+    neg = {a: 0 if s is one else odd if s == minus else 0 if s == one else None for a, s in inv.signs.items()}
+    return None if None in neg.values() else neg
 
 
 def _nu_signs(basis: CanonicalBasis, inv: Involution) -> list:
@@ -615,15 +620,13 @@ def nu_counterexamples(
 ) -> list:
     """The pairs (i, j), in row-major order, with phi(b_i b_j) !=
     nu(b_j) phi(b_j b_i): the one evaluator of the twisted symmetry of
-    the order's form and of its quotients' forms.
-
-    phi maps each pair (i, j) with phi(b_i b_j) != 0 to {degree: int
-    coefficient}, and is 0 on every other pair; nu[j] is b_j's involution
-    sign as an int or lifted by :func:`_integral`, for each j a pair
-    names.  A pair can fail only if it or its transpose is a key of phi,
-    so only those are evaluated, each as the difference of its two
-    sides, which :func:`_nonzero` tests over k.
-    """
+    the order's form and of its quotients' forms.  phi maps each pair
+    (i, j) with phi(b_i b_j) != 0 to {degree: int coefficient}, and is 0
+    on every other pair; nu[j] is b_j's involution sign as an int or
+    lifted by :func:`_integral`, for each j a pair names.  A pair can
+    fail only if it or its transpose is a key of phi, so only those are
+    evaluated, each as the difference of its two sides, which
+    :func:`_nonzero` tests over k."""
     pairs = set(phi)
     pairs.update((j, i) for i, j in phi)
     none: Mapping[int, int] = {}
@@ -639,16 +642,19 @@ def nu_counterexamples(
 
 
 def _same_terms(lhs: list, rhs: list, sign: int, two: bool) -> bool:
-    """lhs = sign * rhs as [(degree, int coefficient)] lists, equal over Z
-    or, in characteristic 2 (``two``), mod 2; else False, even if equal over k."""
-    rhs = [(d, sign * c) for d, c in rhs]
+    """lhs = sign * rhs, sign 1 or -1, as [(degree, int coefficient)] lists,
+    equal over Z or, in characteristic 2 (``two``), mod 2; else False,
+    even if equal over k."""
+    if sign != 1:
+        rhs = [(d, -c) for d, c in rhs]
     return lhs == rhs or two and [(d, c & 1) for d, c in lhs] == [(d, c & 1) for d, c in rhs]
 
 
-def _generators_hold(basis: CanonicalBasis, inv: Involution) -> bool:
+def _generators_hold(basis: CanonicalBasis, neg: Optional[Dict[str, int]], two: bool) -> bool:
     """C2: phi(g y) = nu(g) phi(y g) for every basis path y and each
-    generator g in B, e(v) and a:1 with kept[a] >= 1.  Holds only if
-    every arrow sign is 1 or -1 and each pair's sides are equal as int
+    generator g in B, e(v) and a:1 with kept[a] >= 1, for the sign
+    parities ``neg`` (:func:`_sign_parities`; None fails C2), ``two`` in
+    characteristic 2.  Holds only if each pair's sides are equal as int
     terms (:func:`_same_terms`); else the caller's full sweep decides.
 
     (g, y) or (y, g) is in F only for y = pi(g), and y = g when g is a
@@ -657,20 +663,15 @@ def _generators_hold(basis: CanonicalBasis, inv: Involution) -> bool:
     sigma-orbit of g's arrow, x(v)'s for g = e(v) (its first arrow, read
     at top_index[v]): b_g b_pi(g) is that orbit's full cycle.  Sound only
     when pi is the pairing read off the sigma-orbits (:func:`_expected_pi`),
-    which the caller checks.  O(|Q_0| + |Q_1|) pairs, no sign per basis
-    path.
-    """
-    q, f, pi, walks = basis.quiver, inv.field, basis.pi, basis.walks
-    one, minus = f.one, f.neg(f.one)
-    if any(s != one and s != minus for s in inv.signs.values()):
+    which the caller checks.  O(|Q_0| + |Q_1|) pairs, each sign read once."""
+    if neg is None:
         return False
-    neg = {a: s != one for a, s in inv.signs.items()}  # arrow -> whether its sign is -1
-    odd = {}  # arrow -> parity of the -1 signs on its sigma-orbit
-    for _, orbit in q.sigma_orbits():
+    pi, walks, odd = basis.pi, basis.walks, {}  # odd: arrow -> parity of the -1 signs on its sigma-orbit
+    for _, orbit in basis.quiver.sigma_orbits():
         odd.update(dict.fromkeys(orbit, sum(map(neg.__getitem__, orbit)) % 2))
     gens = [(e, 0, walks[x][1]) for e, x in enumerate(basis.top_index.values())]
     gens += [(basis.first[a], neg[a], a) for a, k in basis.kept.items() if k]
-    phi, tops, two, done = _phi_of(basis), basis.top_mask, f.char == 2, set()
+    phi, tops, done = _phi_of(basis), basis.top_mask, set()
     for g, sign, a in gens:
         nu_g, y = -1 if sign else 1, pi[g]  # nu exact, as Z -> k is a ring map
         if tops[g] and not _same_terms(gg := phi(g, g), gg, nu_g, two):
@@ -706,13 +707,12 @@ def check_nu_symmetry(q: GentleQuiver, eps: Polarization, field: Field) -> NuSym
     The nonzero pairs are F, (x(v), x(v)) per vertex and pi's graph; the
     expected ones, (x(v), x(v)) and the graph of :func:`_expected_pi`.
     Labels name indices one to one, so the sorted label lists (the views)
-    are equal iff the maps are: ``pairs_match`` compares two int lists.
-    """
+    are equal iff the maps are: ``pairs_match`` compares two int lists."""
     inv = involution_of(q, eps, field)  # checks eps, once per check
     basis = _canonical_basis(q, eps)
     pairs_match = basis.pi == _expected_pi(basis)
     counterexamples = []
-    if not (pairs_match and _generators_hold(basis, inv)):
+    if not (pairs_match and _generators_hold(basis, _sign_parities(inv), field.char == 2)):
         labels, phi = basis.basis, _phi_of(basis)
         on_f = {(i, j): dict(phi(i, j)) for i, j in _full_cycle_pairs(basis, basis.pi)}
         counterexamples = [(labels[i], labels[j]) for i, j in nu_counterexamples(field, on_f, _nu_signs(basis, inv))]
@@ -758,19 +758,16 @@ Terms = List[List[Tuple[int, int, int]]]  # columns of (row, degree, coefficient
 def _theta_psi_columns(basis: CanonicalBasis) -> Tuple[Terms, Terms]:
     """theta and psi as columns of (row, degree, coefficient) terms, the
     coefficients the native ints 1 and -1, at most two terms each, in
-    one pass over pi.
-
-    The degree-0 term of column col is at row pi(col)
+    one pass over pi.  The degree-0 term of column col is at row pi(col)
     (:attr:`BasisLayout.pi`).  Column a:m (not a top cycle) has only
     that term, at b:(n - m) for b = sigma^m(a); its sign is eps_a in
     theta and eps_b in psi, an arrow being positive when its top cycle
-    is kept.  b is read off the arrow that follows a:m along sigma
-    (``after``), not off the row pi(col), so a pi other than the
-    sigma-orbits' gives columns and no KeyError.  Column x(s) of theta
-    adds t, and column e(s) of psi adds -t, at their own row."""
+    is kept.  b is read off ``after`` (the arrow that follows a:m), not
+    off the row pi(col), so a pi other than the sigma-orbits' gives
+    columns and no KeyError.  Column x(s) of theta adds t, and column
+    e(s) of psi adds -t, at their own row."""
     walks, after, kept, top, top_index = basis.walks, basis.after, basis.kept, basis.top_lengths, basis.top_index
-    theta: Terms = []
-    psi: Terms = []
+    theta, psi = [], []
     for col, d in enumerate(basis.pi):
         s, a, m = walks[col]
         if a is None:  # e(s), d = x(s)
@@ -846,14 +843,17 @@ def _is_identity_product(field: Field, left: Terms, right: Terms) -> bool:
 def _theta_is_phi(basis: CanonicalBasis, theta: Terms) -> bool:
     """C1: theta's term column u is r -> phi(b_r b_u) (:func:`_phi_of`)
     for every u: nonzero at r = pi(u), degree 0, and at r = u, degree 1,
-    for u = x(v).  The int term lists are compared as they are; a column
-    equal only over k (reordered, or read mod p) fails C1."""
+    for u = x(v).  Each column's int terms are read in turn against phi's,
+    row pi(u) first; a column equal only over k (reordered, or read mod
+    p) fails C1."""
     pi, tops, phi = basis.pi, basis.top_mask, _phi_of(basis)
     for u, col in enumerate(theta):
-        want = [(pi[u], d, c) for d, c in phi(pi[u], u)]
-        if tops[u]:
-            want += [(u, d, c) for d, c in phi(u, u)]
-        if col != want:
+        terms = iter(col)
+        for r in (pi[u], u) if tops[u] else (pi[u],):
+            for d, c in phi(r, u):
+                if next(terms, None) != (r, d, c):
+                    return False
+        if next(terms, None) is not None:
             return False
     return True
 
@@ -863,12 +863,12 @@ def verify_theta_psi(q: GentleQuiver, eps: Polarization, field: Field) -> ThetaP
     right-linear for the involution-twisted action on generators.
 
     theta and psi are built once as columns of +-1 int terms
-    (:func:`_theta_psi_columns`), which the checks read and the report's
-    views format on first read.  det theta(0) is a sign.  Proof: theta
-    psi = psi theta = id makes det theta a unit of k[t], the constant
-    det theta(0), and theta(0), theta's degree-0 terms (pi(u), u, +-1),
-    is a signed permutation matrix: :func:`linalg.sign_det` gives its
-    int determinant (AssertionError on any other entry), mapped into k.
+    (:func:`_theta_psi_columns`); the report's views format them on read.
+    det theta(0) is a sign.  Proof: theta psi = psi theta = id makes det
+    theta a unit of k[t], the constant det theta(0), and theta(0),
+    theta's degree-0 terms (pi(u), u, +-1), is a signed permutation
+    matrix: :func:`linalg.sign_det` gives its int determinant
+    (AssertionError on any other entry), mapped into k.
 
     The bimodule identity theta(u nu(g)) = theta(u) g holds for every
     basis path u and generator g when C1 (:func:`_theta_is_phi`), C2
@@ -886,24 +886,23 @@ def verify_theta_psi(q: GentleQuiver, eps: Polarization, field: Field) -> ThetaP
     where they end, and x(v) y, y x(v) are x(v) at y = e(v), else t y or
     0.  At y = e(v) phi(a) = -1, so a's pairs hold iff nu(a) = 1.  Only
     when the certificate fails are the two sides compared
-    (:func:`_bimodule_counterexamples`), to list the failures.
-    """
+    (:func:`_bimodule_counterexamples`), to list the failures."""
     inv = involution_of(q, eps, field)  # checks eps, once per check
     basis = _canonical_basis(q, eps)
     theta, psi = _theta_psi_columns(basis)
     tp = _is_identity_product(field, theta, psi)
     pt = _is_identity_product(field, psi, theta)
-
     det_const = None
     if tp and pt:
         theta0 = ((r, c, x) for c, col in enumerate(theta) for r, d, x in col if d == 0)
         det_const = field.from_int(linalg.sign_det(len(basis), theta0))
 
+    neg = _sign_parities(inv)
     certified = (
         basis.pi == _expected_pi(basis)
         and _theta_is_phi(basis, theta)
-        and _generators_hold(basis, inv)
-        and all(inv.signs[a] == field.one for a, k in basis.kept.items() if not k)
+        and _generators_hold(basis, neg, field.char == 2)
+        and not any(neg[a] for a, k in basis.kept.items() if not k)
     )
     bad = [] if certified else _bimodule_counterexamples(basis, inv, theta)
     return ThetaPsiReport(
@@ -930,9 +929,9 @@ def _bimodule_counterexamples(basis: CanonicalBasis, inv: Involution, theta: Ter
     those generators are compared; every other pair is zero on both sides.
     """
     q = basis.quiver
-    arrows = sorted(q.arrow_names)
+    pos, source, arrows = q.positions, q.sources, sorted(q.arrow_names)
     gnames = [f"e({v})" for v in q.vertices] + arrows
-    gpaths = [(v, None, 0) for v in q.vertices] + [(q.source(a), a, 1) for a in arrows]
+    gpaths = [(v, None, 0) for v in q.vertices] + [(source[a], a, 1) for a in arrows]
     a_gen = {a: len(q.vertices) + k for k, a in enumerate(arrows)}
     nu = {a: _integral(inv.signs[a]) for a in arrows}
     arrows_into: Dict[str, List[str]] = {v: [] for v in q.vertices}
@@ -951,9 +950,9 @@ def _bimodule_counterexamples(basis: CanonicalBasis, inv: Involution, theta: Ter
     for u, (su, au, lu) in enumerate(basis.walks):
         # theta(u nu(g)) - theta(u) g per generator g, keyed (row, degree)
         diff: Dict[int, Dict[Tuple[int, int], object]] = {}
-        left = [(q.position(su), basis.terms(su, au, lu), 1)]
+        left = [(pos[su], basis.terms(su, au, lu), 1)]
         for a in arrows_into[su] if au is None else [q.sigma_power(au, -1)]:
-            left.append((a_gen[a], basis.terms(q.source(a), a, lu + 1), nu[a]))
+            left.append((a_gen[a], basis.terms(source[a], a, lu + 1), nu[a]))
         for g, terms, sign in left:
             vec = diff.setdefault(g, {})
             for k, d, c in terms:
@@ -997,11 +996,11 @@ def cartan_matrix(q: GentleQuiver, eps: Optional[Polarization] = None) -> List[L
     if eps is None:
         eps = default_polarization(q)
     basis = canonical_basis(q, eps)
-    n = len(q.vertices)
-    mat = [[0] * n for _ in range(n)]
+    pos, walks = q.positions, basis.walks
+    mat = [[0] * len(pos) for _ in pos]
     for v, rows in basis.by_end.items():
         for r in rows:
-            mat[q.position(v)][q.position(basis.walks[r][0])] += 1
+            mat[pos[v]][pos[walks[r][0]]] += 1
     return mat
 
 
@@ -1059,10 +1058,10 @@ def rank_formula_check(q: GentleQuiver, m: Union[int, Mapping[str, int], None] =
     ``dim`` of the canonical basis's layout: no basis path or label is
     built."""
     mm = normalize_multiplicity(q, m)
-    per = {a: mm[q.orbit_rep(a)] * q.cycle_length(a) for a in q.arrow_names}
+    place = q.orbit_places
+    per = {a: mm[place[a][0][0]] * len(place[a][0]) for a in q.arrow_names}
     total = sum(per.values())
-    basis_size = None
-    matches = None
+    basis_size = matches = None
     if all(v == 1 for v in mm.values()):
         basis_size = basis_layout(q, default_polarization(q), mm).dim
         matches = basis_size == total

@@ -105,8 +105,8 @@ def graph_of_quiver(q: GentleQuiver) -> RibbonGraph:
     starting at the representative) is e_{s(a)} for the orbit's arrows a;
     the induced slot rotation is exactly e_{s(a)} -> e_{t(a)}.
     """
-    orbits = q.sigma_orbits()
-    slots = {rep: tuple(q.source(a) for a in orbit) for rep, orbit in orbits}
+    orbits, source = q.sigma_orbits(), q.sources.__getitem__
+    slots = {rep: tuple(map(source, orbit)) for rep, orbit in orbits}
     return RibbonGraph([rep for rep, _ in orbits], q.vertices, slots)
 
 

@@ -9,9 +9,11 @@ make, and the scaling map's check, each read off the listed products
 (the decisions read the product rule instead), the socle and the
 landing read through one call of the pointwise product rule per pair
 (the decisions evaluate the rule inline), the socle quotient
-comparison, the Frobenius form's closed form on paths, z-adic expansion
-of canonical coordinates, an involution's sign on a path and the
-involution applied to an order element, an order report with its
+comparison, the Frobenius form's closed form on paths, the order's phi
+on basis pairs through one call of the coordinate rule per pair (the
+checks apply the rule inline), z-adic expansion of canonical
+coordinates, an involution's sign on a path and the involution applied
+to an order element, an order report with its
 views, polarization queries, the basis layout and the scaling map read
 through one accessor call per fact, the
 ribbon graph's bipartite certificate and components by a BFS and a DFS
@@ -307,6 +309,20 @@ def socle_quotient_tables_equal(a: FdAlgebra, b: FdAlgebra) -> bool:
 
 # ---------------------------------------------------------------------------
 # the order
+
+
+def terms_phi_of(basis: CanonicalBasis):
+    """phi on basis pairs through :meth:`BasisLayout.terms`: the function
+    (i, j) -> phi(b_i b_j) as [(degree, coefficient)], one coordinate
+    rewrite per call, of b_i for b_j = e(v), else of b_j lengthened by
+    b_i's length, keeping the terms at the kept top cycles."""
+    walks, tops, terms = basis.walks, basis.top_mask, basis.terms
+
+    def phi(i: int, j: int) -> List[Tuple[int, int]]:
+        s, a, n = walks[j]
+        return [(d, c) for k, d, c in (terms(*walks[i]) if a is None else terms(s, a, n + walks[i][2])) if tops[k]]
+
+    return phi
 
 
 def path_sign(inv: Involution, p: Path):

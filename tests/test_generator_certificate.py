@@ -13,11 +13,14 @@ own involution, another polarization's, and one with the least arrow's
 sign flipped; and with theta as built or with a stray entry.  Wherever
 the certificate holds, the full sweep finds nothing.  The certificate
 compares int terms, and a side equal to the other only over k fails it.
-An ok check formats nothing: its report's views are built on read.
+An ok check formats nothing: its report's views are built on read.  It
+evaluates phi inline, on at most 3 products per generator, and over Q
+compares each involution sign at most once.
 """
 
 import random
 import sys
+from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
@@ -40,6 +43,7 @@ from test_order_rule import reference_expected_pairs, reference_psi, reference_t
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402  (perfbench's seeded generator)
+import workloads  # noqa: E402  (perfbench's workload inputs)
 
 FIELDS = (GF2, GF3, GF5, QQ)
 # a profile starting with a leaf puts n(a) = 1 on the least arrow, the
@@ -188,21 +192,77 @@ def test_ok_reports_run_no_full_sweep(monkeypatch):
         assert verify_theta_psi(q, eps, field).ok
 
 
+def _no_terms_call(*args):
+    raise AssertionError("phi applies the coordinate rule inline")
+
+
 def test_nu_check_rewrites_at_most_three_products_per_generator(monkeypatch):
-    # on the (120,) one-orbit draw (|B| = 14,400) the ok check rewrites at
-    # most 3 products per generator
+    # on the (120,) one-orbit draw (|B| = 14,400) the ok check evaluates
+    # phi on at most 3 products per generator, each rewritten inline
     q = one_orbit_draws()[1]
     cap = 3 * (len(q.vertices) + len(q.arrow_names))
-    real = CanonicalBasis.terms
+    real = order._phi_of
     count = [0]
 
-    def counting(self, *path):
-        count[0] += 1
-        return real(self, *path)
+    def counting_phi_of(basis):
+        phi = real(basis)
 
-    monkeypatch.setattr(CanonicalBasis, "terms", counting)
+        def counted(i, j):
+            count[0] += 1
+            return phi(i, j)
+
+        return counted
+
+    monkeypatch.setattr(order, "_phi_of", counting_phi_of)
+    monkeypatch.setattr(CanonicalBasis, "terms", _no_terms_call)
     assert check_nu_symmetry(q, default_polarization(q), GF3).ok
     assert 0 < count[0] <= cap
+
+
+def counted_comparisons(monkeypatch, call):
+    """(call(), the Fraction.__eq__ calls it made)."""
+    real = Fraction.__eq__
+    count = [0]
+
+    def counting(a, b):
+        count[0] += 1
+        return real(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__eq__", counting)
+        out = call()
+    return out, count[0]
+
+
+def test_ok_checks_read_each_sign_with_at_most_one_comparison(monkeypatch):
+    # over Q the one sign pass compares a sign at most once (1 is
+    # involution_of's field.one itself, -1 costs one comparison), and
+    # theta/psi's rule for the arrows not in B reads the same parities
+    cases = [item.args[:2] for item in workloads.order_structure(5) if item.kind == "nu" and item.args[2] == QQ]
+    rng = random.Random(11)
+    cases += [(q, default_polarization(q)) for q in map(corpus_quiver, CORPUS_NAMES)]
+    cases += [(q, gen.random_polarization(rng, q)) for q in (gen.random_quiver(rng, p) for p in PROFILES)]
+    for q, eps in cases:
+        for check in (check_nu_symmetry, verify_theta_psi):
+            rep, count = counted_comparisons(monkeypatch, lambda: check(q, eps, QQ))
+            assert rep.ok and count <= len(q.arrow_names), (check.__name__, count)
+
+
+def test_sign_pass_reads_only_one_and_minus_one():
+    q = corpus_quiver("mixed")
+    inv = order.involution_of(q, default_polarization(q), QQ)
+    neg = order._sign_parities(inv)
+    assert sorted(set(neg.values())) == [0, 1]
+    assert neg == {a: int(s == -1) for a, s in inv.signs.items()}
+    copies = Involution(quiver=q, field=QQ, signs={a: Fraction(int(s)) for a, s in inv.signs.items()})
+    assert order._sign_parities(copies) == neg  # a 1 that is not field.one itself
+    for bad in (Fraction(2), Fraction(1, 2), 0):
+        other = Involution(quiver=q, field=QQ, signs={**inv.signs, min(inv.signs): bad})
+        assert order._sign_parities(other) is None
+    two = order.involution_of(q, default_polarization(q), GF2)
+    assert set(order._sign_parities(two).values()) == {0}
+    ones = Involution(quiver=q, field=GF2, signs=dict.fromkeys(inv.signs, True))  # 1 = -1, not 1 itself
+    assert set(order._sign_parities(ones).values()) == {0}
 
 
 # ---------------------------------------------------------------------------

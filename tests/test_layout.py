@@ -269,17 +269,17 @@ def test_one_evaluator_for_the_order_and_its_quotients(monkeypatch):
 
 
 def test_views_read_on_the_layout_stay_with_it(monkeypatch):
-    # canonical_basis and the quotient builder take the layout's fields,
-    # not the views cached on it, so a layout whose every view was read
-    # first gives the same results
+    # canonical_basis builds its layout as a CanonicalBasis, and the
+    # quotient builder takes the layout's fields, not the views cached on
+    # it, so a layout whose every view was read first gives the same results
     cases = [(corpus_quiver(name), m) for name in CORPUS_NAMES for m in (1, 2)]
     expected = [
         (canonical_basis(q, default_polarization(q)), build_quotient_algebra(q, GF3, m)) for q, m in cases
     ]
     real = order.basis_layout
 
-    def read_every_view(q, eps, mm):
-        layout = real(q, eps, mm)
+    def read_every_view(q, eps, mm, *kind):
+        layout = real(q, eps, mm, *kind)
         layout.walks, layout.by_end, layout.by_next, layout.top_mask, layout.index, layout.paths
         return layout
 
