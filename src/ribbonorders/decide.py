@@ -119,6 +119,19 @@ def decide(
     polarization is built once, where c4 (characteristic two) or the
     quotient (no sigma-stable polarization) needs it.
 
+    What does not depend on the field is computed once per quiver and
+    kept in its memo (:class:`quiver.GentleQuiver`): the bicoloring or
+    odd walk (:func:`find_sigma_stable`), the default polarization and
+    the quotient's layout per multiplicity map, with its sigma-rule pass
+    (:func:`order.basis_layout`).  So of the decisions on one quiver
+    over several fields and multiplicities, only the first walks the
+    graph and the first at each multiplicity lays out the quotient.
+    Everything else runs on every call: the multiplicity map and the
+    polarization check, the algebra on the layout, its socle with the
+    injectivity and kept-top assertions, the pi landing and its signed
+    components, the witness determinant, c5's scaling map and the
+    evidence.
+
     ``seed`` is ignored: the decision is deterministic."""
     stable = find_sigma_stable(q)
     bipartite = isinstance(stable, Polarization)

@@ -94,7 +94,7 @@ determinant over every product.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field as dc_field, fields, replace
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
@@ -357,6 +357,14 @@ def build_quotient_algebra(
     The algebra is its layout and its product rule (:attr:`FdAlgebra.product`):
     O(|Q_0| + |Q_1|) here, and no product is listed (``products`` is a
     view, built on first read).
+
+    The layout is field-independent: :func:`order.basis_layout` keeps it
+    in q's memo, with the views every quotient reads (the sigma-rule
+    pass and ``top_mask``) built on it once.  Each call checks the
+    polarization and builds a new algebra, whose instance dict is one
+    copy of the layout's: its fields and computed views, shared and
+    never written.  The field's views (the rule, ``top_pairing``, the
+    product list and the table) are each algebra's own.
     """
     mm = normalize_multiplicity(q, m)
     if eps is None:
@@ -365,13 +373,14 @@ def build_quotient_algebra(
         check_polarization(q, eps)
 
     layout = basis_layout(q, eps, mm)
-    return FdAlgebra(
-        **{f.name: getattr(layout, f.name) for f in fields(BasisLayout)},  # not its cached views
-        field=field,
-        multiplicity=mm,
-        twisted=twisted,
-        non_admissible=tuple(a for a, n in layout.top_lengths.items() if n == 1),
+    layout._sigma_rule, layout.top_mask  # built on the layout once, for every algebra on it
+    top = layout.top_lengths
+    alg = FdAlgebra(
+        q, eps, layout.dim, layout.first, layout.kept, layout.top_index, top,
+        field=field, multiplicity=mm, twisted=twisted, non_admissible=tuple(a for a, n in top.items() if n == 1),
     )
+    vars(alg).update(vars(layout))  # the layout's fields and its computed views
+    return alg
 
 
 def plain_quotient(tw: FdAlgebra) -> FdAlgebra:
@@ -1149,30 +1158,38 @@ def _scaling_relations_hold(tw: FdAlgebra, scales: Mapping[str, object]) -> bool
     """Whether psi(b) = d(b) b is an isomorphism from tw onto the plain
     quotient: every scale of an arrow on a basis path is nonzero, and
     mu_b = top_sign mu_a at each vertex whose negative arrow b has top
-    length at least 2 (proof: :func:`psi_from_quotient`), in
-    O(|Q_0| + |Q_1|) field multiplications on lifted scales; a's is
-    ``q.tau[b]``, the other arrow out of b's source."""
+    length at least 2 (proof: :func:`psi_from_quotient`); a's is
+    ``q.tau[b]``, the other arrow out of b's source.
+
+    A decision's scales are ``field.one`` itself but for one root of -1
+    per negative orbit, so only the scales that are not that object
+    (told apart by identity, as the report's ``_scale_strings`` does)
+    are lifted by :func:`_integral` and multiplied, each into the mu of
+    its orbit; an orbit none of whose scales is lifted has mu = 1.  mu
+    and top_sign mu are computed once per orbit, so the relation at each
+    vertex is two lookups and one comparison."""
     f, q, kept, top = tw.field, tw.quiver, tw.kept, tw.top_lengths
-    lift = dict(zip(scales, map(_integral, scales.values())))
-    if not all(map(lift.__getitem__, compress(kept, kept.values()))):  # the arrows with kept[a] >= 1
+    field_one = f.one
+    lift = {a: _integral(c) for a, c in scales.items() if c is not field_one}
+    if not all(c for a, c in lift.items() if kept[a]):  # a scale 1 is nonzero
         return False
-    mul, one, mm = f.mul, _integral(f.one), tw.multiplicity
-    mu = {}  # arrow -> mu of its orbit
-    for rep, orbit in q.sigma_orbits():
-        acc = one
-        for c in map(lift.__getitem__, orbit):
-            if c != one:  # a scale 1 multiplies by nothing
-                acc = mul(acc, c)
-        value = acc
+    mul, one, mm, place = f.mul, _integral(field_one), tw.multiplicity, q.orbit_places
+    acc: Dict[str, object] = {}  # orbit representative -> product of its lifted scales
+    for a, c in lift.items():
+        rep = place[a][0][0]
+        acc[rep] = mul(acc[rep], c) if rep in acc else c
+    twist = tw.top_sign != 1
+    mu, rhs = {}, {}  # representative -> mu of its orbit, top_sign mu
+    for rep, c in acc.items():
+        value = c
         for _ in range(1, mm[rep]):
-            value = mul(value, acc)
-        for a in orbit:
-            mu[a] = value
+            value = mul(value, c)
+        mu[rep], rhs[rep] = value, f.neg(value) if twist else value
+    rhs_one = f.neg(one) if twist else one
     tau = q.tau  # the other arrow out of b's source
     for b, k in kept.items():
         if k < top[b] and k:  # b negative, of top length >= 2
-            mu_a = mu[tau[b]]
-            if mu[b] != (mu_a if tw.top_sign == 1 else f.neg(mu_a)):
+            if mu.get(place[b][0][0], one) != rhs.get(place[tau[b]][0][0], rhs_one):
                 return False
     return True
 

@@ -415,7 +415,22 @@ def basis_layout(q: GentleQuiver, eps: Polarization, mm: Mapping[str, int], kind
     Each fact is one lookup in a stored map (``q.orbit_places``,
     ``eps.signs``, ``q.out_pairs``); the arrow names are sorted once, here,
     and ``first`` keeps that order.  The layout is built as a ``kind``,
-    :class:`CanonicalBasis` for the order."""
+    :class:`CanonicalBasis` for the order.
+
+    The layout depends on (q, eps, mm) alone, never on a field, so q's
+    memo keeps the last one built per (kind, multiplicity map), the map
+    read in orbit order, and a call with the same polarization object
+    (``is``, not ``==``: a distinct polarization with equal signs gets a
+    layout of its own, which then takes the memo's place) returns it,
+    with the views that were read on it.  So the quotients of one
+    decision grid and the order checks on one (q, eps) share one layout
+    and one sigma-rule pass; the memo holds at most one layout per
+    (kind, multiplicity map) and dies with q.  A layout, like its views
+    and its polarization, is never to be written."""
+    memo, key = q._memo, (kind, tuple([mm[rep] for rep, _ in q.sigma_orbits()]))
+    layout = memo.get(key)
+    if layout is not None and layout.eps is eps:
+        return layout
     place, sign = q.orbit_places, eps.signs
     dim = len(q.vertices)
     top, first, kept = {}, {}, {}  # per arrow: see BasisLayout
@@ -432,18 +447,24 @@ def basis_layout(q: GentleQuiver, eps: Polarization, mm: Mapping[str, int], kind
         if sign[a] != PLUS:  # the positive arrow at v
             a = b
         top_index[v] = first[a] + top[a] - 1
-    return kind(q, eps, dim, first, kept, top_index, top)
+    layout = memo[key] = kind(q, eps, dim, first, kept, top_index, top)
+    return layout
 
 
 class CanonicalBasis(BasisLayout):
     """The basis B of the order as a free k[[t]]-module (multiplicity one):
     the layout of the twisted quotient at m = 1, whose kept top cycle at
     v is x(v): :meth:`label` shows it so, and with it the ``basis`` view.
+    ``expected_pi`` (:func:`_expected_pi`, the pairing read off the
+    sigma-orbits, which the order checks compare with :attr:`pi`) is a
+    view, built on first read.
     """
 
     def label(self, r: int) -> str:
         s = self.walks[r][0]
         return f"x({s})" if self.top_index[s] == r else super().label(r)
+
+    expected_pi = cached_property(lambda self: _expected_pi(self))
 
 
 def canonical_basis(q: GentleQuiver, eps: Polarization) -> CanonicalBasis:
@@ -452,7 +473,8 @@ def canonical_basis(q: GentleQuiver, eps: Polarization) -> CanonicalBasis:
     Defined for multiplicity one only; quotients handle general
     multiplicities.  x_i is the full cycle of the positive arrow at i.
     :func:`basis_layout` at m = 1, in O(|Q_0| + |Q_1|), with x(v) as the
-    label at top_index[v].
+    label at top_index[v]; it is kept in q's memo, so calls with the same
+    polarization object return the same basis, never to be written.
     """
     check_polarization(q, eps)
     return _canonical_basis(q, eps)
@@ -710,7 +732,7 @@ def check_nu_symmetry(q: GentleQuiver, eps: Polarization, field: Field) -> NuSym
     are equal iff the maps are: ``pairs_match`` compares two int lists."""
     inv = involution_of(q, eps, field)  # checks eps, once per check
     basis = _canonical_basis(q, eps)
-    pairs_match = basis.pi == _expected_pi(basis)
+    pairs_match = basis.pi == basis.expected_pi
     counterexamples = []
     if not (pairs_match and _generators_hold(basis, _sign_parities(inv), field.char == 2)):
         labels, phi = basis.basis, _phi_of(basis)
@@ -864,11 +886,18 @@ def verify_theta_psi(q: GentleQuiver, eps: Polarization, field: Field) -> ThetaP
 
     theta and psi are built once as columns of +-1 int terms
     (:func:`_theta_psi_columns`); the report's views format them on read.
-    det theta(0) is a sign.  Proof: theta psi = psi theta = id makes det
-    theta a unit of k[t], the constant det theta(0), and theta(0),
-    theta's degree-0 terms (pi(u), u, +-1), is a signed permutation
-    matrix: :func:`linalg.sign_det` gives its int determinant
-    (AssertionError on any other entry), mapped into k.
+    Only theta psi is evaluated, and ``psi_theta_identity`` is read off
+    it.  Proof: theta and psi are square matrices over the commutative
+    ring k[t], so theta psi = id gives det theta det psi = 1; det theta
+    is then a unit, theta is invertible (theta^-1 = adj(theta) /
+    det theta) and psi = theta^-1 (theta psi) = theta^-1, so psi theta
+    = id.  Conversely psi theta = id gives theta psi = id the same way,
+    so the two identities hold or fail together.
+    det theta(0) is a sign.  Proof: theta psi = id makes det theta a
+    unit of k[t], the constant det theta(0), and theta(0), theta's
+    degree-0 terms (pi(u), u, +-1), is a signed permutation matrix:
+    :func:`linalg.sign_det` gives its int determinant (AssertionError on
+    any other entry), mapped into k.
 
     The bimodule identity theta(u nu(g)) = theta(u) g holds for every
     basis path u and generator g when C1 (:func:`_theta_is_phi`), C2
@@ -890,26 +919,25 @@ def verify_theta_psi(q: GentleQuiver, eps: Polarization, field: Field) -> ThetaP
     inv = involution_of(q, eps, field)  # checks eps, once per check
     basis = _canonical_basis(q, eps)
     theta, psi = _theta_psi_columns(basis)
-    tp = _is_identity_product(field, theta, psi)
-    pt = _is_identity_product(field, psi, theta)
+    tp = _is_identity_product(field, theta, psi)  # and so psi theta = id
     det_const = None
-    if tp and pt:
+    if tp:
         theta0 = ((r, c, x) for c, col in enumerate(theta) for r, d, x in col if d == 0)
         det_const = field.from_int(linalg.sign_det(len(basis), theta0))
 
     neg = _sign_parities(inv)
     certified = (
-        basis.pi == _expected_pi(basis)
+        basis.pi == basis.expected_pi
         and _theta_is_phi(basis, theta)
         and _generators_hold(basis, neg, field.char == 2)
         and not any(neg[a] for a, k in basis.kept.items() if not k)
     )
     bad = [] if certified else _bimodule_counterexamples(basis, inv, theta)
     return ThetaPsiReport(
-        ok=tp and pt and not bad,
+        ok=tp and not bad,
         size=len(basis),
         theta_psi_identity=tp,
-        psi_theta_identity=pt,
+        psi_theta_identity=tp,
         det_theta_constant=det_const,
         bimodule_ok=not bad,
         bimodule_counterexamples=bad,

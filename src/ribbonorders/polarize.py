@@ -85,13 +85,20 @@ def enumerate_polarizations(q: GentleQuiver) -> Iterator[Polarization]:
 def default_polarization(q: GentleQuiver) -> Polarization:
     """'+' on the lexicographically smaller arrow out of each vertex.
 
-    This is ``next(enumerate_polarizations(q))``, built in O(|Q_0|).
+    This is ``next(enumerate_polarizations(q))``, built in O(|Q_0|) on
+    the first call and kept in q's memo: every later call returns the
+    same object, so the quotients and the canonical basis built with it
+    find their layout there (:func:`order.basis_layout`).
     """
-    signs: Dict[str, str] = {}
-    for a, b in q.out_pairs.values():  # in vertex order; sorted, so a < b
-        signs[a] = PLUS
-        signs[b] = MINUS
-    return Polarization(signs=signs)
+    memo = q._memo
+    eps = memo.get("default_polarization")
+    if eps is None:
+        signs: Dict[str, str] = {}
+        for a, b in q.out_pairs.values():  # in vertex order; sorted, so a < b
+            signs[a] = PLUS
+            signs[b] = MINUS
+        eps = memo["default_polarization"] = Polarization(signs=signs)
+    return eps
 
 
 def find_sigma_stable(
@@ -133,7 +140,22 @@ def find_sigma_stable(
     is proper, so the two arrows out of v get the two colors '+' and
     '-'.  Were both arrows in one orbit, the edge v would be a loop, and
     a graph with a loop has no proper coloring.
+
+    The result depends on q alone, so the pass runs on the first call
+    and the result is kept in q's memo: every later call, whatever the
+    field of the decision that makes it, returns the same object, and
+    a decision's quotient, built with it, finds its layout there.
     """
+    memo = q._memo
+    stable = memo.get("sigma_stable")
+    if stable is None:
+        stable = memo["sigma_stable"] = _sigma_stable_pass(q)
+    return stable
+
+
+def _sigma_stable_pass(q: GentleQuiver) -> Union[Polarization, BipartiteCertificate]:
+    """:func:`find_sigma_stable`'s one pass over the vertices and its
+    component walk."""
     place = q.orbit_places
     adj: Dict[str, List[Tuple[str, str]]] = {r: [] for r, _ in q.sigma_orbits()}
     for v, (a, b) in q.out_pairs.items():  # graph_of_quiver(q).adjacency(), stopping at the first loop

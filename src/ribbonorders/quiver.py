@@ -79,6 +79,14 @@ class GentleQuiver:
     maps themselves are read-only properties (``sources``,
     ``positions``, ``out_pairs``, ``tau``, ``orbit_places``), for the
     loops that read one fact per arrow or vertex with no call per fact.
+
+    Each quiver also holds one private memo, ``_memo``, of the facts
+    that do not depend on a field and that the decisions and the order
+    checks compute on it: :func:`polarize.find_sigma_stable`,
+    :func:`polarize.default_polarization` and, per (layout kind,
+    multiplicity map), the last :func:`order.basis_layout`.  The
+    functions that compute them fill it on first call; it is no field,
+    so equality and repr do not read it, and it dies with the quiver.
     """
 
     vertices: Tuple[str, ...]
@@ -118,6 +126,7 @@ class GentleQuiver:
         object.__setattr__(self, "_names", tuple(source))
         object.__setattr__(self, "_orbits", tuple(orbits))
         object.__setattr__(self, "_place", place)
+        object.__setattr__(self, "_memo", {})
 
     # basic accessors -------------------------------------------------
 

@@ -14,7 +14,8 @@ on basis pairs through one call of the coordinate rule per pair (the
 checks apply the rule inline), z-adic expansion of canonical
 coordinates, an involution's sign on a path and the involution applied
 to an order element, an order report with its
-views, polarization queries, the basis layout and the scaling map read
+views, theta psi and psi theta both computed,
+polarization queries, the basis layout and the scaling map read
 through one accessor call per fact, the
 ribbon graph's bipartite certificate and components by a BFS and a DFS
 of their own, random field scalars, and k[t] evaluation and printing.
@@ -349,6 +350,26 @@ def report_dict(rep, **views) -> dict:
     a view given in ``views`` is taken as it is, not read."""
     names = ("nonzero_pairs", "expected_pairs") if isinstance(rep, NuSymmetryReport) else ("theta", "psi")
     return {**dataclasses.asdict(rep), **{k: views[k] if k in views else getattr(rep, k) for k in names}}
+
+
+def theta_psi_products(field: Field, theta, psi) -> Tuple[bool, bool]:
+    """(theta psi = id, psi theta = id) over k[t], both products
+    computed in full, for theta and psi given as columns of (row,
+    degree, int coefficient) terms (``order._theta_psi_columns``): the
+    two-product check that ``verify_theta_psi`` replaced by one product."""
+
+    def is_identity(left, right) -> bool:
+        for c, col in enumerate(right):
+            acc: Dict[Tuple[int, int], int] = {}
+            for s, d, x in col:
+                for r, d2, y in left[s]:
+                    acc[(r, d + d2)] = acc.get((r, d + d2), 0) + x * y
+            acc[(c, 0)] = acc.get((c, 0), 0) - 1
+            if any(field.from_int(v) for v in acc.values()):
+                return False
+        return True
+
+    return is_identity(theta, psi), is_identity(psi, theta)
 
 
 def expand_coordinates(

@@ -1,7 +1,8 @@
 """Default paths do each piece of work once and never list polarizations.
 
 A decision needs one bipartite certificate (one component walk over the
-sigma-orbits, with no ribbon graph built), one quotient, the twisted
+sigma-orbits, with no ribbon graph built, made once per quiver and kept
+in its memo with the quotient layouts), one quotient, the twisted
 one, and one read of its socle (each order check, likewise, checks its
 polarization once): c2 comes from the socle certificate
 (``fdalg.socle_certificate``), so a decision computes no S, runs no
@@ -16,6 +17,7 @@ are intercepted at every name a package module bound the function to,
 since package modules import functions from each other by name.
 """
 import argparse
+import functools
 import importlib
 import random
 import sys
@@ -42,7 +44,7 @@ from ribbonorders import (
     rank_formula_check,
     verify_theta_psi,
 )
-from ribbonorders import fdalg, ribbon
+from ribbonorders import fdalg, order, polarize, ribbon
 from ribbonorders.cli import build_parser, main
 from ribbonorders.corpus import circular
 from ribbonorders.fields import GF2, GF3, GF5, QQ
@@ -129,51 +131,82 @@ def test_default_polarization_is_first_enumerated():
 
 def test_decide_computes_certificate_once_and_quotient_pair_once(monkeypatch):
     # the bipartite certificate is one component walk over the sigma-orbits
-    # (none when a loop is the certificate), with no ribbon graph built;
-    # the multiplicity map is normalized once, and the polarization
-    # checked once, by the quotient builder; the default polarization is
-    # built once where c4's evidence (characteristic two) or the quotient
-    # (no sigma-stable one) needs it, and not at all otherwise
+    # (none when a loop is the certificate), with no ribbon graph built,
+    # made once per quiver: the first decision on a quiver makes the pass
+    # and later ones read it off the quiver's memo, whatever their field.
+    # The quotient's layout (one sigma-rule pass) is built by the first
+    # decision at each multiplicity and read off the memo by the later
+    # ones.  Every decision still builds its one quotient and reads its
+    # socle once; the multiplicity map is normalized once, and the
+    # polarization checked once, by the quotient builder; the default
+    # polarization is asked for once where c4's evidence (characteristic
+    # two) or the quotient (no sigma-stable one) needs it, and not at all
+    # otherwise
     once = {
         "find_sigma_stable": 1,
         "build_quotient_algebra": 1,
+        "socle": 1,
         "normalize_multiplicity": 1,
         "check_polarization": 1,
         "is_bipartite": 0,
         "graph_of_quiver": 0,
     }
-    counts = dict.fromkeys([*once, "_component_walk", "default_polarization"], 0)
+    counts = dict.fromkeys([*once, "_component_walk", "_sigma_stable_pass", "default_polarization", "layouts", "sigma_rules"], 0)
     for original in (
         default_polarization,
         find_sigma_stable,
         build_quotient_algebra,
+        fdalg.socle,
         normalize_multiplicity,
         check_polarization,
         is_bipartite,
         graph_of_quiver,
         ribbon._component_walk,
+        polarize._sigma_stable_pass,
     ):
         count_calls(monkeypatch, original, counts)
-    loops, kinds = set(), set()
+    init, rule = order.BasisLayout.__init__, order.BasisLayout._sigma_rule.func
+
+    def counted_init(self, *args):
+        counts["layouts"] += 1
+        init(self, *args)
+
+    def counted_rule(self):
+        counts["sigma_rules"] += 1
+        return rule(self)
+
+    counted_view = functools.cached_property(counted_rule)
+    counted_view.__set_name__(order.BasisLayout, "_sigma_rule")
+    monkeypatch.setattr(order.BasisLayout, "__init__", counted_init)
+    monkeypatch.setattr(order.BasisLayout, "_sigma_rule", counted_view)
+    loops, kinds, decisions = set(), set(), 0
     for name in CORPUS_NAMES:
         q = corpus_quiver(name)
         loop = any(len({q.orbit_rep(a) for a in q.arrows_out(v)}) == 1 for v in q.vertices)
         loops.add(loop)
-        bipartite = decide(q, GF3).conditions["c3"].evidence["bipartite"]
-        for field in FIELDS:
+        bipartite = decide(corpus_quiver(name), GF3).conditions["c3"].evidence["bipartite"]  # on a copy
+        seen_m = set()
+        for k, field in enumerate(FIELDS):
             needed = field.char == 2 or not bipartite
             kinds.add((field.char == 2, bipartite))
             for m in (1, 2):
                 counts.update(dict.fromkeys(counts, 0))
                 rep = decide(q, field, m)
+                first, new_m = k == 0 and m == 1, m not in seen_m
+                seen_m.add(m)
                 assert counts == {
                     **once,
-                    "_component_walk": 0 if loop else 1,
+                    "_component_walk": 1 if first and not loop else 0,
+                    "_sigma_stable_pass": 1 if first else 0,
                     "default_polarization": 1 if needed else 0,
+                    "layouts": 1 if new_m else 0,
+                    "sigma_rules": 1 if new_m else 0,
                 }, (name, field.name, m)
                 assert rep.multiplicity == {orbit_rep: m for orbit_rep, _ in q.sigma_orbits()}
+                decisions += 1
     assert loops == {True, False}
     assert len(kinds) == 4
+    assert decisions == 2 * len(FIELDS) * len(CORPUS_NAMES)
 
 
 @pytest.mark.parametrize("check", [check_nu_symmetry, verify_theta_psi], ids=["nu", "theta_psi"])
